@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .extensive_form import BuildOptions, ExtensiveForm, build
+from .extensive_form import ExtensiveForm, build
 from .grid_model import GridNetwork
 from .heuristic import portfolio
 from .mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, max_useful_budget, plan_cost
@@ -189,7 +189,7 @@ def sweep(
     weights: LossWeights = LossWeights(),
     f_max: int | None = None,
     check_unique: bool = False,
-    options: BuildOptions | None = None,
+    relax_status: bool = False,
 ) -> SweepReport:
     """Solve every budget 0..f_max ascending, chaining warm starts.
 
@@ -199,7 +199,9 @@ def sweep(
     if f_max is None:
         f_max = max_useful_budget(network, scenario_set, schedule, r_hat)
     evaluator = RecourseEvaluator(network, weights)
-    base = build(network, scenario_set, schedule, Budget(f_max), r_hat, weights, options)
+    base = build(
+        network, scenario_set, schedule, Budget(f_max), r_hat, weights, relax_status=relax_status
+    )
 
     rows: list[SweepRow] = []
     prior_plans: list[MitigationPlan] = []
@@ -266,7 +268,7 @@ def sweep(
         r_hat=r_hat,
         weights=weights,
         f_max=f_max,
-        relax_status=bool(options and options.relax_status),
+        relax_status=relax_status,
     )
 
 
@@ -308,7 +310,7 @@ def compare_rhat(
     weights: LossWeights,
     f: int,
     r_hat_values: tuple[int, ...] = (3, 4),
-    options: BuildOptions | None = None,
+    relax_status: bool = False,
 ) -> list[RhatComparison]:
     """Optimal objective and plan at a fixed budget for each attainability cap.
 
@@ -321,7 +323,9 @@ def compare_rhat(
     results: list[RhatComparison] = []
     evaluator = RecourseEvaluator(network, weights)
     for r_hat in r_hat_values:
-        ef = build(network, scenario_set, schedule, Budget(f), r_hat, weights, options)
+        ef = build(
+            network, scenario_set, schedule, Budget(f), r_hat, weights, relax_status=relax_status
+        )
         warm = portfolio(Budget(f), network, scenario_set, schedule, r_hat)
         sol, plan, _ = solve_instance(ef, warm, evaluator)
         results.append(RhatComparison(r_hat=r_hat, objective=sol.objective, plan=plan, plan_diff={}))

@@ -18,14 +18,13 @@ import time
 from pathlib import Path
 
 from . import __version__, analysis, geo_remap, heuristic, scenario_gen, solver
-from .extensive_form import BuildOptions, build
+from .extensive_form import build
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .grid_model import load_network, save_network, validate
 from .mitigation import (
     Budget,
     CostSchedule,
     load_plan,
-    max_useful_budget,
     plan_cost,
     save_plan,
 )
@@ -210,8 +209,10 @@ def _solve_one(args, check_unique: bool):
     schedule = CostSchedule.for_network(network)
     weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, weights)
-    options = BuildOptions(relax_status=args.relax_status)
-    ef = build(network, scenarios, schedule, Budget(args.budget), args.rhat, weights, options)
+    ef = build(
+        network, scenarios, schedule, Budget(args.budget), args.rhat, weights,
+        relax_status=args.relax_status,
+    )
     warm = heuristic.portfolio(Budget(args.budget), network, scenarios, schedule, args.rhat)
     sol, plan, extras = analysis.solve_instance(
         ef, warm, evaluator, check_unique=check_unique
@@ -319,7 +320,7 @@ def cmd_sweep(args) -> int:
         weights=weights,
         f_max=f_max,
         check_unique=args.check_unique,
-        options=BuildOptions(relax_status=args.relax_status),
+        relax_status=args.relax_status,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -24,47 +24,15 @@ angle/flow combination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .grid_model import GridNetwork
-from .milp import MilpProblem, ProblemBuilder, Row, sanitize_name, with_no_good_cut, write_lp_file, write_lp_text
-from .mitigation import Budget, CostSchedule, MitigationPlan, is_feasible, plan_cost
+from .milp import MilpProblem, ProblemBuilder, sanitize_name, write_lp_file
+from .mitigation import Budget, CostSchedule, MitigationPlan
 from .recourse import LossWeights
-from .scenario_model import FloodScenarioSet
-
-import numpy as np
+from .scenario_model import FloodScenarioSet, level_to_indicators
 
 BUDGET_ROW = "budget"
-
-
-@dataclass(frozen=True)
-class BigMPolicy:
-    """Per-branch deactivation constants for the Ohm big-M rows."""
-
-    per_branch: dict[str, float]
-
-    @classmethod
-    def for_network(cls, network: GridNetwork) -> "BigMPolicy":
-        return cls(
-            {
-                br.id: abs(br.susceptance) * 2 * network.angle_abs_max + br.flow_limit
-                for br in network.branches
-            }
-        )
-
-    def check(self, network: GridNetwork) -> None:
-        for br in network.branches:
-            floor = abs(br.susceptance) * 2 * network.angle_abs_max + br.flow_limit
-            if self.per_branch.get(br.id, -math.inf) < floor - 1e-12:
-                raise ValueError(f"big-M for branch {br.id} below the safe floor {floor}")
-
-
-@dataclass(frozen=True)
-class BuildOptions:
-    relax_status: bool = False
-    service_levels: dict[str, float] | None = None
-    big_m: BigMPolicy | None = None
 
 
 def alpha_link_rows(xi):
@@ -132,9 +100,6 @@ class ExtensiveForm:
     def write_lp(self, path) -> None:
         write_lp_file(self.problem, path)
 
-    def lp_text(self) -> str:
-        return write_lp_text(self.problem)
-
 
 def build(
     network: GridNetwork,
@@ -143,14 +108,15 @@ def build(
     budget: Budget,
     r_hat: int,
     weights: LossWeights = LossWeights(),
-    options: BuildOptions | None = None,
+    relax_status: bool = False,
 ) -> ExtensiveForm:
     """Assemble the deterministic-equivalent MILP.
 
-    Raises on dimension mismatches (scenario substations unknown to the
-    network, schedule gaps) and on service levels named for zero-load buses.
+    ``relax_status`` declares the status variables continuous; the linear
+    rows still force them to 0/1 at binary first-stage decisions.  Raises on
+    dimension mismatches (scenario substations unknown to the network,
+    schedule gaps).
     """
-    options = options or BuildOptions()
     if r_hat < 1:
         raise ValueError("r_hat must be >= 1")
     known_subs = {s.id for s in network.substations}
@@ -162,21 +128,8 @@ def build(
         if sub not in schedule.base_units:
             raise ValueError(f"cost schedule missing substation {sub}")
 
-    big_m = options.big_m or BigMPolicy.for_network(network)
-    big_m.check(network)
-
-    load_by_bus = {b.id: b.p_load for b in network.buses}
-    if options.service_levels:
-        for bus_id, floor in options.service_levels.items():
-            if bus_id not in load_by_bus:
-                raise ValueError(f"service level names unknown bus {bus_id}")
-            if load_by_bus[bus_id] <= 0:
-                raise ValueError(f"service level on zero-load bus {bus_id} rejected")
-            if not 0 <= floor <= 1:
-                raise ValueError("service levels must lie in [0, 1]")
-
     pb = ProblemBuilder("extensive_form")
-    binary_status = not options.relax_status
+    binary_status = not relax_status
 
     # -- first stage ------------------------------------------------------
     x_names: dict[tuple[str, int], str] = {}
@@ -206,13 +159,6 @@ def build(
     n_beta_vars = 0
     sub_of_bus = {b.id: b.substation_id for b in network.buses}
 
-    service_terms: dict[str, list[tuple[int, float]]] = (
-        {bus_id: [] for bus_id in options.service_levels} if options.service_levels else {}
-    )
-    service_consts: dict[str, float] = (
-        {bus_id: 0.0 for bus_id in options.service_levels} if options.service_levels else {}
-    )
-
     for scenario in scenario_set.scenarios:
         tag = sanitize_name(scenario.id)
         prob = scenario.probability
@@ -234,8 +180,7 @@ def build(
                 )
                 alpha_var[sub.id] = idx
                 n_alpha_vars += 1
-                xi = [1 if r <= level else 0 for r in range(1, r_hat + 1)]
-                kind, rows = "rows", alpha_link_rows(xi)[1]
+                _, rows = alpha_link_rows(level_to_indicators(level, r_hat))
                 for rno, (a_coef, x_coefs, sense, rhs) in enumerate(rows):
                     terms = [(idx, a_coef)] + [
                         (x_idx[(sub.id, r)], coef) for r, coef in x_coefs.items()
@@ -343,8 +288,6 @@ def build(
                     pb.add_row(
                         f"ds_{tag}_{safe}", [(delta_idx[bus.id], 1.0), (a[1], -1.0)], "L", 0.0
                     )
-                if bus.id in service_terms:
-                    service_terms[bus.id].append((delta_idx[bus.id], prob))
         # Loads always enter the objective constant; served fractions subtract.
         pb.add_objective_offset(prob * weights.lambda_shed * network.total_load)
 
@@ -374,7 +317,7 @@ def build(
                 meta=("flow", scenario.id, br.id),
             )
             flow_idx[br.id] = f_idx
-            m_val = big_m.per_branch[br.id]
+            m_val = abs(br.susceptance) * 2 * network.angle_abs_max + br.flow_limit
             # -flow - b*(theta_f - theta_t) sits in [M*(beta-1), M*(1-beta)].
             pb.add_row(
                 f"ohmlo_{tag}_{safe}",
@@ -425,11 +368,6 @@ def build(
                 terms.append((flow_idx[br_id], 1.0 if br.to_bus == bus.id else -1.0))
             pb.add_row(f"kcl_{tag}_{sanitize_name(bus.id)}", terms, "E", 0.0)
 
-    if options.service_levels:
-        for bus_id, floor in options.service_levels.items():
-            # Scenarios where the bus is pinned dead contribute zero service.
-            pb.add_row(f"service_{sanitize_name(bus_id)}", service_terms[bus_id], "G", floor)
-
     problem = pb.build()
     ef = ExtensiveForm(
         problem=problem,
@@ -451,26 +389,3 @@ def build(
     }
     return ef
 
-
-def add_no_good_cut(ef: ExtensiveForm, plan: MitigationPlan, tag: str = "") -> ExtensiveForm:
-    """Exclude ``plan`` from the first-stage space.
-
-    The appended row requires at least one deployment outside the plan's
-    support, so the plan and every plan it dominates are removed together;
-    plans extending it survive.
-    """
-    if not is_feasible(plan, ef.schedule, ef.budget, ef.r_hat):
-        raise ValueError("cut plan is not feasible for this problem")
-    assignment = ef.plan_assignment(plan)
-    return replace(ef, problem=with_no_good_cut(ef.problem, assignment, tag=tag))
-
-
-def fix_first_stage(ef: ExtensiveForm, plan: MitigationPlan) -> ExtensiveForm:
-    """Pin the first-stage binaries to ``plan``; scenarios then decouple."""
-    if not is_feasible(plan, ef.schedule, ef.budget, ef.r_hat):
-        raise ValueError("plan is not feasible for this problem")
-    fixings = {
-        name: (1.0, 1.0) if plan.level_of(sub) >= r else (0.0, 0.0)
-        for (sub, r), name in ef.free_x_names().items()
-    }
-    return replace(ef, problem=ef.problem.with_bounds(fixings))

@@ -194,13 +194,6 @@ def validate(network: GridNetwork) -> list[str]:
     return violations
 
 
-def incident_branches(network: GridNetwork, bus_id: str) -> set[str]:
-    """Branch ids touching ``bus_id``; flooding the bus disables them all."""
-    if bus_id not in network.bus_by_id:
-        raise KeyError(f"unknown bus id {bus_id!r}")
-    return set(network.branches_at_bus[bus_id])
-
-
 # -- file format -------------------------------------------------------
 
 _TOP_KEYS = {"buses", "branches", "substations", "angle_limits", "base_mva"}

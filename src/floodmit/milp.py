@@ -81,9 +81,6 @@ class MilpProblem:
         b = np.array([r.rhs for r in self.rows])
         return A, senses, b
 
-    def row_activity(self, row: Row, values: np.ndarray) -> float:
-        return float(values[row.idx] @ row.coef)
-
     # -- transforms (copy-on-write) ---------------------------------------
 
     def with_rows(self, extra_rows: list[Row], name_suffix: str = "") -> "MilpProblem":
@@ -110,21 +107,6 @@ class MilpProblem:
         return MilpProblem(
             variables=self.variables,
             rows=rows,
-            objective=self.objective,
-            objective_offset=self.objective_offset,
-            name=self.name,
-            index_of=self.index_of,
-        )
-
-    def with_bounds(self, fixings: dict[str, tuple[float, float]]) -> "MilpProblem":
-        variables = list(self.variables)
-        for name, (lb, ub) in fixings.items():
-            i = self.index_of[name]
-            v = variables[i]
-            variables[i] = Variable(v.name, lb, ub, v.is_binary, v.meta)
-        return MilpProblem(
-            variables=variables,
-            rows=self.rows,
             objective=self.objective,
             objective_offset=self.objective_offset,
             name=self.name,
@@ -170,9 +152,6 @@ class ProblemBuilder:
 
     def add_objective_offset(self, value: float) -> None:
         self._offset += float(value)
-
-    def index(self, name: str) -> int:
-        return self._index[name]
 
     def build(self) -> MilpProblem:
         objective = np.zeros(len(self._variables))

@@ -91,13 +91,6 @@ class MitigationPlan:
         new[substation_id] = level
         return MitigationPlan(new)
 
-    def x_matrix(self, substation_order: list[str], r_hat: int) -> list[list[int]]:
-        """Cumulative 0/1 decision matrix over (substation, level 1..r_hat)."""
-        return [
-            [1 if r <= self.level_of(sub) else 0 for r in range(1, r_hat + 1)]
-            for sub in substation_order
-        ]
-
 
 ZERO_PLAN = MitigationPlan({})
 

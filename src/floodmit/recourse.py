@@ -13,11 +13,15 @@ status-scaled generation bounds.  Overgeneration is the slack that lets a
 generator effectively run below its lower bound, which is what makes the LP
 feasible for every (plan, scenario) pair: shedding everything and generating
 nothing always satisfies the constraints.
+
+The statuses depend on the plan only through the set of dead substations, so
+one function derives that set and one turns it into statuses; the cached
+evaluator keys its dispatch solves on the same set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,9 +30,6 @@ from . import simplex
 from .grid_model import GridNetwork
 from .mitigation import MitigationPlan
 from .scenario_model import FloodScenario, FloodScenarioSet
-
-LP_OBJECTIVE_TOL = 1e-6
-LP_FEASIBILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,6 @@ class StatusVector:
 
     alpha: dict[str, int]
     beta: dict[str, int]
-
-    def dead_buses(self) -> list[str]:
-        return [b for b, a in self.alpha.items() if a == 0]
 
 
 @dataclass(frozen=True)
@@ -80,23 +78,31 @@ class PlanEvaluation:
     outcomes: tuple[ScenarioOutcome, ...]
 
 
-def status_closure(
-    network: GridNetwork, plan: MitigationPlan, scenario: FloodScenario
-) -> StatusVector:
-    """Statuses implied by a plan under one flooding realization.
+def dead_substations(plan: MitigationPlan, scenario: FloodScenario) -> tuple[str, ...]:
+    """Sorted ids of the substations whose flood level exceeds the plan's level.
 
-    A substation stays up iff its plan level is at least its flood level;
-    floods beyond the top attainable level can never be covered.
+    Floods beyond the top attainable level can never be covered.
     """
-    alive_sub = {
-        s.id: 1 if plan.level_of(s.id) >= scenario.level_of(s.id) else 0
-        for s in network.substations
-    }
-    alpha = {b.id: alive_sub[b.substation_id] for b in network.buses}
+    return tuple(
+        sorted(sub for sub, lvl in scenario.levels.items() if plan.level_of(sub) < lvl)
+    )
+
+
+def statuses_for_dead(network: GridNetwork, dead: tuple[str, ...]) -> StatusVector:
+    """A bus is up iff its substation is not dead; a branch needs both ends up."""
+    dead_set = set(dead)
+    alpha = {b.id: 0 if b.substation_id in dead_set else 1 for b in network.buses}
     beta = {
         br.id: alpha[br.from_bus] * alpha[br.to_bus] for br in network.branches
     }
     return StatusVector(alpha=alpha, beta=beta)
+
+
+def status_closure(
+    network: GridNetwork, plan: MitigationPlan, scenario: FloodScenario
+) -> StatusVector:
+    """Statuses implied by a plan under one flooding realization."""
+    return statuses_for_dead(network, dead_substations(plan, scenario))
 
 
 def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: LossWeights):
@@ -188,20 +194,16 @@ def solve_recourse_lp(
 ) -> tuple[float, DispatchState]:
     """Optimal dispatch loss under fixed statuses.
 
-    The problem is feasible for any status vector; an infeasible or failed
-    solve therefore indicates a defect and raises instead of returning.
+    The problem is feasible for any status vector, so anything but a verified
+    optimum (including one that fails the simplex duality or residual gate)
+    indicates a defect and raises instead of returning.
     """
     c, A, senses, b, lb, ub, offset, layout = _recourse_arrays(network, statuses, weights)
     res = simplex.solve_linear_program(c, A, senses, b, lb, ub)
     if res.status != simplex.STATUS_OPTIMAL:
         raise RuntimeError(f"recourse LP unexpectedly terminated {res.status}")
-    if abs(res.objective - res.dual_objective) > LP_OBJECTIVE_TOL * max(1.0, abs(res.objective)):
-        raise RuntimeError("recourse LP failed the duality gate")
-    if res.primal_residual > LP_FEASIBILITY_TOL:
-        raise RuntimeError("recourse LP failed the feasibility gate")
 
     i_hat, i_chk, i_del, i_the, i_flo = layout
-    nb = len(network.buses)
     x = res.x
     dispatch = DispatchState(
         p_hat={b_.id: float(x[i_hat + i]) for i, b_ in enumerate(network.buses)},
@@ -227,14 +229,8 @@ class RecourseEvaluator:
 
     def _solve_for_dead(self, dead: tuple[str, ...]) -> tuple[float, float, float, float]:
         if dead not in self._cache:
-            alive = {s.id: (0 if s.id in dead else 1) for s in self.network.substations}
-            alpha = {b.id: alive[b.substation_id] for b in self.network.buses}
-            beta = {
-                br.id: alpha[br.from_bus] * alpha[br.to_bus]
-                for br in self.network.branches
-            }
             loss, dispatch = solve_recourse_lp(
-                self.network, StatusVector(alpha, beta), self.weights
+                self.network, statuses_for_dead(self.network, dead), self.weights
             )
             served = sum(
                 b.p_load * dispatch.delta[b.id] for b in self.network.buses
@@ -244,17 +240,8 @@ class RecourseEvaluator:
             self._cache[dead] = (loss, served, shed, over)
         return self._cache[dead]
 
-    def dead_substations(self, plan: MitigationPlan, scenario: FloodScenario) -> tuple[str, ...]:
-        return tuple(
-            sorted(
-                sub
-                for sub, lvl in scenario.levels.items()
-                if plan.level_of(sub) < lvl
-            )
-        )
-
     def scenario_outcome(self, plan: MitigationPlan, scenario: FloodScenario) -> ScenarioOutcome:
-        dead = self.dead_substations(plan, scenario)
+        dead = dead_substations(plan, scenario)
         loss, served, shed, over = self._solve_for_dead(dead)
         return ScenarioOutcome(
             scenario_id=scenario.id,

@@ -63,9 +63,6 @@ class FloodScenario:
     def level_of(self, substation_id: str) -> int:
         return self.levels.get(substation_id, 0)
 
-    def indicator_row(self, substation_id: str, level_count: int) -> tuple[int, ...]:
-        return level_to_indicators(self.level_of(substation_id), level_count)
-
 
 @dataclass(frozen=True)
 class FloodScenarioSet:
@@ -126,26 +123,6 @@ def level_to_indicators(level: int, level_count: int) -> tuple[int, ...]:
         raise ValueError("level must be nonnegative")
     filled = min(level, level_count)
     return tuple(1 if r <= filled else 0 for r in range(1, level_count + 1))
-
-
-def level_from_indicators(row) -> int:
-    """Flood level encoded by a cumulative indicator row.
-
-    The flooded levels of a substation always form a prefix of the level set;
-    a row like (1, 0, 1) has no level representation and is rejected.
-    """
-    seen_zero = False
-    level = 0
-    for v in row:
-        if v not in (0, 1):
-            raise ScenarioFormatError(f"indicator entries must be 0/1, got {v!r}")
-        if v == 1:
-            if seen_zero:
-                raise ScenarioFormatError(f"non-cumulative indicators {tuple(row)!r}")
-            level += 1
-        else:
-            seen_zero = True
-    return level
 
 
 def scenario_set_from_dict(

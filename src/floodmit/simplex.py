@@ -15,6 +15,12 @@ branch-and-bound children and budget-sweep re-solves stay cheap.
 
 All tie-breaks resolve to the smallest column index, so a given input always
 follows the identical pivot path.
+
+Every claimed optimum passes one verification gate before it is reported:
+the primal/dual objective gap must lie within ``DUALITY_TOL`` (scaled by
+max(1, |objective|)) and the primal residual within ``RESIDUAL_TOL``.  An
+optimum that fails either comes back as ``numerical-error``, so callers only
+need to check the status.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ TOL_PIVOT = 1e-10
 TOL_FEAS = 1e-9
 REFACTOR_EVERY = 25
 DEGENERATE_STREAK = 60
+DUALITY_TOL = 1e-6
+RESIDUAL_TOL = 1e-8
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -471,16 +479,24 @@ def solve_linear_program(
     Row duals follow the sensitivity convention: the reported dual of row i
     is d(objective)/d(b_i) at the optimum.  The dual objective is the weak
     duality certificate  y.b + sum of reduced costs priced at the bound they
-    push against; at a true optimum it matches the primal objective.
+    push against; at a true optimum it matches the primal objective.  An
+    optimum that fails the duality or residual gate is reported as
+    ``numerical-error``.
     """
     ws = workspace if workspace is not None else Workspace(c, A, senses, b, lb, ub)
-    m, n = ws.m, ws.n
     if max_iter is None:
-        max_iter = 50 * (m + n) + 2000
+        max_iter = 50 * (ws.m + ws.n) + 2000
+    res = _solve_unconstrained(ws) if ws.m == 0 else _solve(ws, warm, max_iter)
+    if res.status == STATUS_OPTIMAL and (
+        abs(res.objective - res.dual_objective) > DUALITY_TOL * max(1.0, abs(res.objective))
+        or res.primal_residual > RESIDUAL_TOL
+    ):
+        return _failed(STATUS_NUMERICAL, res.iterations)
+    return res
 
-    if m == 0:
-        return _solve_unconstrained(ws)
 
+def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResult:
+    m, n = ws.m, ws.n
     solver = _Solver(ws, max_iter)
 
     status = None

@@ -24,8 +24,7 @@ from .milp import MilpProblem, with_no_good_cut
 
 log = logging.getLogger("floodmit.solver")
 
-DUALITY_TOL = 1e-6
-RESIDUAL_TOL = 1e-8
+INTEGRALITY_TOL = 1e-6
 
 
 @dataclass
@@ -38,7 +37,6 @@ class LpSolution:
     iterations: int
     primal_residual: float
     basis_state: simplex.BasisState | None = None
-    raw_x: np.ndarray | None = None
 
 
 @dataclass
@@ -60,16 +58,12 @@ class BnbConfig:
     rel_gap: float = 0.0
     node_limit: int | None = None
     time_limit: float | None = None
-    branching: str = "most-fractional"  # or "pseudo-cost"
-    integrality_tol: float = 1e-6
     warm_starts: list[WarmStartPlan] = field(default_factory=list)
     root_warm_basis: simplex.BasisState | None = None
 
     def __post_init__(self):
         if self.abs_gap < 0 or self.rel_gap < 0:
             raise ValueError("gap tolerances must be nonnegative")
-        if self.branching not in ("most-fractional", "pseudo-cost"):
-            raise ValueError(f"unknown branching rule {self.branching!r}")
 
 
 @dataclass
@@ -91,16 +85,6 @@ class SolverError(RuntimeError):
     """A numerical failure that must not pass silently."""
 
 
-def _check_optimal(res: simplex.SimplexResult) -> bool:
-    """Demote a claimed optimum that fails the duality or residual gates."""
-    gap = abs(res.objective - res.dual_objective)
-    if gap > DUALITY_TOL * max(1.0, abs(res.objective)):
-        return False
-    if res.primal_residual > RESIDUAL_TOL:
-        return False
-    return True
-
-
 def solve_lp(
     problem: MilpProblem,
     warm: simplex.BasisState | None = None,
@@ -110,9 +94,11 @@ def solve_lp(
 ) -> LpSolution:
     """Solve the problem with integrality relaxed.
 
-    Every reported optimum has passed the duality gate (|primal - dual| within
-    1e-6 scaled) and the primal residual gate (1e-8); failures surface as the
-    explicit status "numerical-error", never silently.
+    ``lb``/``ub`` override the problem's variable bounds for this solve only.
+    Every reported optimum has passed the verification gate of
+    :func:`simplex.solve_linear_program` (|primal - dual| within 1e-6 scaled,
+    primal residual within 1e-8); a failure surfaces as the explicit status
+    "numerical-error", never silently.
     """
     if workspace is None:
         A, senses, b = problem.constraint_arrays()
@@ -123,9 +109,6 @@ def solve_lp(
         workspace.set_bounds(lb if lb is not None else base_lb, ub if ub is not None else base_ub)
 
     res = simplex.solve_linear_program(workspace=workspace, warm=warm)
-    if res.status == simplex.STATUS_OPTIMAL and not _check_optimal(res):
-        log.warning("LP %s: optimum failed verification gates", problem.name)
-        return LpSolution("numerical-error", None, None, None, None, res.iterations, res.primal_residual)
     if res.status != simplex.STATUS_OPTIMAL:
         return LpSolution(res.status, None, None, None, None, res.iterations, res.primal_residual)
 
@@ -140,7 +123,6 @@ def solve_lp(
         iterations=res.iterations,
         primal_residual=res.primal_residual,
         basis_state=res.basis_state,
-        raw_x=res.x,
     )
 
 
@@ -186,7 +168,7 @@ def _complete_warm_start(
         node_lb[idx] = node_ub[idx] = float(val)
     workspace.set_bounds(node_lb, node_ub)
     res = simplex.solve_linear_program(workspace=workspace)
-    if res.status != simplex.STATUS_OPTIMAL or not _check_optimal(res):
+    if res.status != simplex.STATUS_OPTIMAL:
         return None
     return res.objective + problem.objective_offset
 
@@ -197,8 +179,6 @@ class _Node:
     seq: int
     fixings: dict[int, int] = field(compare=False)
     warm: simplex.BasisState | None = field(compare=False, default=None)
-    branch_var: int = field(compare=False, default=-1)
-    branch_frac: float = field(compare=False, default=0.0)
 
 
 def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSolution:
@@ -242,9 +222,6 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
     if incumbent_obj < np.inf:
         best_warm_assignment = incumbent_assignment
 
-    pseudo_up = {}
-    pseudo_dn = {}
-
     def node_bounds(fixings: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = root_lb.copy(), root_ub.copy()
         for idx, val in fixings.items():
@@ -258,28 +235,15 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
         ws.set_rhs(b)
         res = simplex.solve_linear_program(workspace=ws, warm=node.warm)
         lp_iterations += res.iterations
-        if res.status == simplex.STATUS_OPTIMAL and not _check_optimal(res):
-            raise SolverError(f"node LP failed verification in {problem.name}")
         if res.status == simplex.STATUS_NUMERICAL:
             raise SolverError(f"node LP numerical failure in {problem.name}")
         return res
 
     def pick_branch(x: np.ndarray) -> int | None:
         frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
-        cand = np.flatnonzero(frac > config.integrality_tol)
+        cand = np.flatnonzero(frac > INTEGRALITY_TOL)
         if cand.size == 0:
             return None
-        if config.branching == "pseudo-cost":
-            scores = []
-            for k in cand:
-                j = int(bin_idx[k])
-                f = x[j] - np.floor(x[j])
-                if j in pseudo_up and j in pseudo_dn:
-                    score = max(pseudo_dn[j] * f, 1e-12) * max(pseudo_up[j] * (1 - f), 1e-12)
-                else:
-                    score = min(f, 1 - f)  # fall back until history exists
-                scores.append(score)
-            return int(bin_idx[cand[int(np.argmax(scores))]])
         # Most fractional: distance of the fractional part from an integer.
         k = cand[int(np.argmax(np.minimum(frac[cand], 1 - frac[cand])))]
         return int(bin_idx[k])
@@ -335,17 +299,6 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
         if not node.fixings:
             root_basis = res.basis_state
         node_obj = res.objective + offset
-
-        # Pseudo-cost bookkeeping: degradation per unit of fraction traveled.
-        if node.branch_var >= 0 and np.isfinite(node.bound):
-            degr = max(node_obj - node.bound, 0.0)
-            went_up = node.fixings.get(node.branch_var) == 1
-            hist = pseudo_up if went_up else pseudo_dn
-            dist = (1 - node.branch_frac) if went_up else node.branch_frac
-            per_unit = degr / max(dist, 1e-9)
-            prev = hist.get(node.branch_var)
-            hist[node.branch_var] = per_unit if prev is None else 0.5 * (prev + per_unit)
-
         if node_obj >= incumbent_obj - 1e-9:
             continue
         j = pick_branch(res.x)
@@ -354,21 +307,12 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
             incumbent_x = res.x.copy()
             log.info("incumbent %.9g after %d nodes", incumbent_obj, nodes_explored)
             continue
-        frac = res.x[j] - np.floor(res.x[j])
         for val in (0, 1):
             seq += 1
             child_fix = dict(node.fixings)
             child_fix[j] = val
             heapq.heappush(
-                heap,
-                _Node(
-                    bound=node_obj,
-                    seq=seq,
-                    fixings=child_fix,
-                    warm=res.basis_state,
-                    branch_var=j,
-                    branch_frac=frac,
-                ),
+                heap, _Node(bound=node_obj, seq=seq, fixings=child_fix, warm=res.basis_state)
             )
     else:
         # Heap exhausted: every node was pruned or explored.
@@ -391,7 +335,7 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
         ws.set_rhs(b)
         res = simplex.solve_linear_program(workspace=ws, warm=root_basis)
         lp_iterations += res.iterations
-        if res.status != simplex.STATUS_OPTIMAL or not _check_optimal(res):
+        if res.status != simplex.STATUS_OPTIMAL:
             raise SolverError("failed to rebuild warm-start incumbent values")
         incumbent_x = res.x.copy()
         incumbent_obj = min(incumbent_obj, res.objective + offset)
@@ -429,7 +373,6 @@ def check_uniqueness(
     problem: MilpProblem,
     optimal_assignment: dict[str, int],
     optimal_objective: float,
-    config: BnbConfig | None = None,
     tol: float = 1e-6,
 ) -> tuple[bool, dict[str, int] | None]:
     """Probe whether the optimum is unique over the given binary assignment.
@@ -441,12 +384,7 @@ def check_uniqueness(
     "unique" verdict cannot see tie-optima that merely drop ineffective
     deployments; callers flag that caveat when the plan underuses its budget.
     """
-    cut_problem = with_no_good_cut(problem, optimal_assignment)
-    cut_config = BnbConfig(
-        branching=(config or BnbConfig()).branching,
-        integrality_tol=(config or BnbConfig()).integrality_tol,
-    )
-    res = solve_milp(cut_problem, cut_config)
+    res = solve_milp(with_no_good_cut(problem, optimal_assignment))
     if res.status == "infeasible":
         return True, None
     if res.status != "optimal":

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_plan
-from floodmit.extensive_form import (
-    BigMPolicy,
-    BuildOptions,
-    add_no_good_cut,
-    alpha_link_rows,
-    build,
-    fix_first_stage,
-)
+from floodmit.extensive_form import alpha_link_rows, build
 from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
+from floodmit.milp import with_no_good_cut
 from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, enumerate_plans
 from floodmit.recourse import LossWeights, evaluate_plan, status_closure
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
@@ -90,13 +84,6 @@ def test_beta_rows_truth_table():
         assert admitted == {af * at}
 
 
-def test_big_m_floor_enforced(tiny3):
-    policy = BigMPolicy({br.id: 0.1 for br in tiny3.network.branches})
-    with pytest.raises(ValueError, match="below the safe floor"):
-        policy.check(tiny3.network)
-    BigMPolicy.for_network(tiny3.network).check(tiny3.network)
-
-
 def test_big_m_deactivates_ohm_at_any_feasible_point():
     # With M = |b| * 2*theta_max + flow_limit, a dead branch's Ohm residual
     # can never violate the relaxed rows: |-(flow) - b*(spread)| is at most
@@ -129,14 +116,23 @@ def test_folding_constants(star8):
     assert alpha_w2 == {"S3"}
 
 
+def _fixed_first_stage_bounds(ef, plan):
+    """Variable bounds of ``ef`` with the free first-stage binaries pinned to ``plan``."""
+    lb, ub = ef.problem.bounds_arrays()
+    for name, value in ef.plan_assignment(plan).items():
+        idx = ef.problem.index_of[name]
+        lb[idx] = ub[idx] = value
+    return lb, ub
+
+
 def test_fix_first_stage_matches_recourse_evaluation(star8):
     rng = np.random.default_rng(4)
     sched = CostSchedule.for_network(star8.network)
     ef = build(star8.network, star8.scenarios, sched, Budget(20), 3, W)
     for _ in range(6):
         plan = random_plan(rng, star8.network)
-        fixed = fix_first_stage(ef, plan)
-        lp = solve_lp(fixed.problem)
+        lb, ub = _fixed_first_stage_bounds(ef, plan)
+        lp = solve_lp(ef.problem, lb=lb, ub=ub)
         assert lp.status == "optimal"
         expected = evaluate_plan(star8.network, plan, star8.scenarios, W).expected_loss
         assert lp.objective == pytest.approx(expected, abs=1e-6)
@@ -146,24 +142,18 @@ def test_fix_first_stage_zero_and_full(star8):
     sched = CostSchedule.for_network(star8.network)
     ef = build(star8.network, star8.scenarios, sched, Budget(50), 3, W)
     for plan in (ZERO_PLAN, MitigationPlan({s.id: 2 for s in star8.network.substations})):
-        lp = solve_lp(fix_first_stage(ef, plan).problem)
+        lb, ub = _fixed_first_stage_bounds(ef, plan)
+        lp = solve_lp(ef.problem, lb=lb, ub=ub)
         expected = evaluate_plan(star8.network, plan, star8.scenarios, W).expected_loss
         assert lp.objective == pytest.approx(expected, abs=1e-6)
 
 
-def test_fix_first_stage_rejects_infeasible_plan(star8):
-    sched = CostSchedule.for_network(star8.network)
-    ef = build(star8.network, star8.scenarios, sched, Budget(0), 3, W)
-    with pytest.raises(ValueError, match="not feasible"):
-        fix_first_stage(ef, MitigationPlan({"S0": 1}))
-
-
 def _cut_survivors(ef, cut, sched, budget):
-    row = cut.problem.rows[-1]
+    row = cut.rows[-1]
     survivors = set()
     for plan in enumerate_plans(sched, budget, ef.r_hat):
         assignment = {name: float(v) for name, v in ef.plan_assignment(plan).items()}
-        act = sum(assignment[cut.problem.variables[i].name] * c for i, c in zip(row.idx, row.coef))
+        act = sum(assignment[cut.variables[i].name] * c for i, c in zip(row.idx, row.coef))
         if act >= row.rhs - 1e-9:
             survivors.add(plan.key())
     return survivors
@@ -174,7 +164,7 @@ def test_no_good_cut_of_zero_plan_forbids_only_it(tiny3):
     budget = Budget(1)
     ef = build(tiny3.network, tiny3.scenarios, sched, budget, 3, W)
     all_plans = {p.key() for p in enumerate_plans(sched, budget, 3)}
-    cut = add_no_good_cut(ef, ZERO_PLAN)
+    cut = with_no_good_cut(ef.problem, ef.plan_assignment(ZERO_PLAN))
     assert _cut_survivors(ef, cut, sched, budget) == all_plans - {ZERO_PLAN.key()}
 
 
@@ -185,7 +175,7 @@ def test_no_good_cut_removes_the_plan_and_its_interior(tiny3):
     budget = Budget(1)
     ef = build(tiny3.network, tiny3.scenarios, sched, budget, 3, W)
     full = MitigationPlan({"S1": 1})  # exhausts the budget
-    cut = add_no_good_cut(ef, full)
+    cut = with_no_good_cut(ef.problem, ef.plan_assignment(full))
     expected = {
         p.key() for p in enumerate_plans(sched, budget, 3) if not full.dominates(p)
     }
@@ -199,7 +189,7 @@ def test_no_good_cut_keeps_extensions(star8):
     budget = Budget(6)
     ef = build(star8.network, star8.scenarios, sched, budget, 3, W)
     small = MitigationPlan({"S2": 1})  # cost 1, far under budget
-    cut = add_no_good_cut(ef, small)
+    cut = with_no_good_cut(ef.problem, ef.plan_assignment(small))
     survivors = _cut_survivors(ef, cut, sched, budget)
     for plan in enumerate_plans(sched, budget, 3):
         assert (plan.key() in survivors) == (not small.dominates(plan)), plan.levels
@@ -233,8 +223,7 @@ def test_relax_status_option_same_optimum(star8):
     sched = CostSchedule.for_network(star8.network)
     strict = build(star8.network, star8.scenarios, sched, Budget(5), 3, W)
     relaxed = build(
-        star8.network, star8.scenarios, sched, Budget(5), 3, W,
-        BuildOptions(relax_status=True),
+        star8.network, star8.scenarios, sched, Budget(5), 3, W, relax_status=True
     )
     assert relaxed.problem.n_binaries < strict.problem.n_binaries
     a = solve_milp(strict.problem)
@@ -250,29 +239,6 @@ def test_with_budget_changes_single_rhs(star8):
     row9 = next(r for r in ef9.problem.rows if r.name == "budget")
     assert (row5.rhs, row9.rhs) == (5.0, 9.0)
     assert ef9.problem.n_rows == ef.problem.n_rows
-
-
-def test_service_level_rows(tiny3):
-    sched = CostSchedule.for_network(tiny3.network)
-    opts = BuildOptions(service_levels={"B2": 0.4})
-    ef = build(tiny3.network, tiny3.scenarios, sched, Budget(2), 3, W, opts)
-    names = [r.name for r in ef.problem.rows]
-    assert "service_B2" in names
-    sol = solve_milp(ef.problem)
-    assert sol.status == "optimal"
-    # Expected served fraction at B2 across scenarios respects the floor.
-    served = sum(
-        s.probability * sol.values.get(f"delta_{s.id}_B2", 0.0)
-        for s in tiny3.scenarios.scenarios
-    )
-    assert served >= 0.4 - 1e-9
-
-    with pytest.raises(ValueError, match="zero-load"):
-        build(tiny3.network, tiny3.scenarios, sched, Budget(2), 3, W,
-              BuildOptions(service_levels={"B3": 0.5}))
-    with pytest.raises(ValueError, match="unknown bus"):
-        build(tiny3.network, tiny3.scenarios, sched, Budget(2), 3, W,
-              BuildOptions(service_levels={"nope": 0.5}))
 
 
 def test_build_rejects_unknown_scenario_substation(tiny3):

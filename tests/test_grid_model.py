@@ -9,7 +9,6 @@ from floodmit.grid_model import (
     GridNetwork,
     NetworkFormatError,
     Substation,
-    incident_branches,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -90,12 +89,12 @@ def test_incident_branches_isolated_bus():
         [],
         [Substation("S", "115_161")],
     )
-    assert incident_branches(net, "B") == set()
+    assert net.branches_at_bus["B"] == ()
 
 
 def test_incident_branches_star_center(star8):
     # B0 is the hub: five spokes leave it.
-    assert incident_branches(star8.network, "B0") == {"L0", "L1", "L2", "L3", "L4"}
+    assert set(star8.network.branches_at_bus["B0"]) == {"L0", "L1", "L2", "L3", "L4"}
 
 
 def test_incident_branches_three_cycle():
@@ -109,14 +108,9 @@ def test_incident_branches_three_cycle():
         [Substation("S", "115_161")],
     )
     # Enumerate the cycle edges by hand: each vertex touches exactly two.
-    assert incident_branches(net, "A") == {"e1", "e3"}
-    assert incident_branches(net, "B") == {"e1", "e2"}
-    assert incident_branches(net, "C") == {"e2", "e3"}
-
-
-def test_incident_branches_unknown_bus(tiny3):
-    with pytest.raises(KeyError):
-        incident_branches(tiny3.network, "nope")
+    assert set(net.branches_at_bus["A"]) == {"e1", "e3"}
+    assert set(net.branches_at_bus["B"]) == {"e1", "e2"}
+    assert set(net.branches_at_bus["C"]) == {"e2", "e3"}
 
 
 def test_network_file_round_trip(tmp_path, coastal40):

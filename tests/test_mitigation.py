@@ -173,8 +173,3 @@ def test_plan_file_errors():
         plan_from_dict({"levels": {"a": -1}})
     with pytest.raises(PlanFormatError):
         plan_from_dict({"level": {}})
-
-
-def test_x_matrix_is_cumulative():
-    plan = MitigationPlan({"a": 2})
-    assert plan.x_matrix(["a", "b"], 3) == [[1, 1, 0], [0, 0, 0]]

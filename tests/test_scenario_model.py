@@ -8,7 +8,6 @@ from floodmit.scenario_model import (
     STANDARD_THRESHOLDS,
     ScenarioFormatError,
     depth_to_level,
-    level_from_indicators,
     level_to_indicators,
     load_scenarios,
     save_scenarios,
@@ -70,19 +69,6 @@ def test_indicator_round_trip_monotone_in_depth():
     rows = [level_to_indicators(depth_to_level(float(d), T), 3) for d in depths]
     for a, b in zip(rows, rows[1:]):
         assert all(x <= y for x, y in zip(a, b))
-
-
-def test_indicator_rows_are_prefixes():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        level = int(rng.integers(0, 6))
-        row = level_to_indicators(level, 4)
-        assert level_from_indicators(row) == min(level, 4)
-
-
-def test_non_cumulative_indicators_rejected():
-    with pytest.raises(ScenarioFormatError, match="non-cumulative"):
-        level_from_indicators((1, 0, 1))
 
 
 def _doc(probs, levels_list):

@@ -219,3 +219,44 @@ def test_no_rows_edge_case():
     res = _solve(np.array([1.0, -2.0]), np.zeros((0, 2)), [], np.zeros(0), [0.0, 0.0], [3.0, 3.0])
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-6.0)
+
+
+@pytest.mark.parametrize("tol", ["DUALITY_TOL", "RESIDUAL_TOL"])
+def test_gate_failure_surfaces_on_every_lp_path(monkeypatch, tol):
+    """A claimed optimum that fails the one verification gate never passes silently."""
+    from floodmit import geo_remap, simplex
+    from floodmit.geo_remap import LabeledPoint, PointSet
+    from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
+    from floodmit.milp import ProblemBuilder
+    from floodmit.recourse import LossWeights, StatusVector, solve_recourse_lp
+    from floodmit.solver import SolverError, solve_lp, solve_milp
+
+    pb = ProblemBuilder("gate")
+    for i, (value, weight) in enumerate(((3.0, 4.0), (5.0, 8.0), (1.0, 3.0))):
+        pb.add_variable(f"w{i}", 0, 1, binary=True)
+        pb.add_objective_term(i, -value)
+    pb.add_row("cap", [(0, 4.0), (1, 8.0), (2, 3.0)], "L", 7.0)
+    problem = pb.build()
+    network = GridNetwork(
+        buses=(
+            Bus("A", "SA", p_gen_max=2.0, is_reference=True),
+            Bus("B", "SB", p_load=1.0),
+        ),
+        branches=(Branch("AB", "A", "B", susceptance=-10.0, flow_limit=1.5),),
+        substations=(Substation("SA", "115_161"), Substation("SB", "115_161")),
+    )
+    statuses = StatusVector({"A": 1, "B": 1}, {"AB": 1})
+    points = PointSet((LabeledPoint("p0", -95.0, 29.0), LabeledPoint("p1", -94.0, 30.0)))
+
+    # The same LP solves optimally with the gate at its real tolerance.
+    assert _solve([1, 1], [[1, 1]], "G", [1], [0, 0], [1, 1]).status == "optimal"
+
+    monkeypatch.setattr(simplex, tol, -1.0)
+    assert _solve([1, 1], [[1, 1]], "G", [1], [0, 0], [1, 1]).status == "numerical-error"
+    assert solve_lp(problem).status == "numerical-error"
+    with pytest.raises(SolverError):
+        solve_milp(problem)
+    with pytest.raises(RuntimeError, match="numerical-error"):
+        solve_recourse_lp(network, statuses, LossWeights())
+    with pytest.raises(RuntimeError, match="numerical-error"):
+        geo_remap.remap(points, points)

@@ -109,13 +109,6 @@ def test_gap_limit_status():
         assert sol.objective - sol.bound <= 10.0
 
 
-def test_pseudo_cost_branching_same_answer():
-    for cap in (7, 8):
-        a = solve_milp(knapsack_problem(cap))
-        b = solve_milp(knapsack_problem(cap), BnbConfig(branching="pseudo-cost"))
-        assert a.objective == pytest.approx(b.objective, abs=1e-9)
-
-
 def test_check_uniqueness_unique_case():
     prob = knapsack_problem(7)
     unique, witness = check_uniqueness(prob, {"w1": 1, "w2": 0, "w3": 1}, -4.0)
