@@ -18,7 +18,7 @@ from .extensive_form import ExtensiveForm, build
 from .grid_model import GridNetwork
 from .heuristic import portfolio
 from .mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, max_useful_budget, plan_cost
-from .recourse import LossWeights, RecourseEvaluator, status_closure
+from .recourse import LossWeights, RecourseEvaluator, StatusVector, status_closure
 from .scenario_model import FloodScenarioSet
 from . import solver
 
@@ -90,21 +90,30 @@ class NestednessReport:
         return not self.violations
 
 
+def zero_plan_statuses(network: GridNetwork, scenario_set: FloodScenarioSet) -> list[StatusVector]:
+    """Per-scenario statuses without mitigation: the baseline of spared capacity."""
+    return [status_closure(network, ZERO_PLAN, s) for s in scenario_set.scenarios]
+
+
 def spared_capacity(
     plan: MitigationPlan,
     network: GridNetwork,
     scenario_set: FloodScenarioSet,
+    *,
+    baseline: list[StatusVector] | None = None,
 ) -> SparedCapacity:
     """Expected proportion of flood-lost capacity that the plan keeps running.
 
-    Per scenario, the baseline statuses come from the zero plan; the ratio of
+    Per scenario, the baseline statuses come from the zero plan (computed
+    here unless ``baseline`` passes :func:`zero_plan_statuses`); the ratio of
     spared to lost capacity is averaged over scenarios with a scenario
     contributing zero when it loses nothing (there is nothing to spare).
     """
+    if baseline is None:
+        baseline = zero_plan_statuses(network, scenario_set)
     props = [0.0, 0.0, 0.0]
     absol = [0.0, 0.0, 0.0]
-    for scenario in scenario_set.scenarios:
-        base = status_closure(network, ZERO_PLAN, scenario)
+    for scenario, base in zip(scenario_set.scenarios, baseline, strict=True):
         mit = status_closure(network, plan, scenario)
         spared_load = lost_load = 0.0
         spared_gen = lost_gen = 0.0
@@ -203,6 +212,7 @@ def sweep(
         network, scenario_set, schedule, Budget(f_max), r_hat, weights, relax_status=relax_status
     )
 
+    baseline = zero_plan_statuses(network, scenario_set)
     rows: list[SweepRow] = []
     prior_plans: list[MitigationPlan] = []
     root_basis = None
@@ -240,7 +250,7 @@ def sweep(
                 objective=sol.objective,
                 plan=plan,
                 plan_cost=plan_cost(plan, schedule),
-                spared=spared_capacity(plan, network, scenario_set),
+                spared=spared_capacity(plan, network, scenario_set, baseline=baseline),
                 heuristic_best=heur_best,
                 heuristic_gap=gap,
                 nodes=sol.nodes_explored,
@@ -282,13 +292,9 @@ def nestedness(report: SweepReport) -> NestednessReport:
         counts[t.substation] = counts.get(t.substation, 0) + 1
 
     crossings: dict[tuple[str, int], list[int]] = {}
-    for prev, cur in zip(report.rows, report.rows[1:]):
-        if prev.plan is None or cur.plan is None:
-            continue
-        for sub in set(prev.plan.levels) | set(cur.plan.levels):
-            a, b = prev.plan.level_of(sub), cur.plan.level_of(sub)
-            for r in range(a, b):  # upward crossings r -> r+1
-                crossings.setdefault((sub, r), []).append(cur.budget)
+    for t in report.transitions:
+        for r in range(t.from_level, t.to_level):  # upward crossings r -> r+1
+            crossings.setdefault((t.substation, r), []).append(t.budget)
     intervals = {key: (min(v), max(v)) for key, v in crossings.items()}
     return NestednessReport(
         violations=violations, transition_counts=counts, crossing_intervals=intervals

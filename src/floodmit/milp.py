@@ -1,117 +1,74 @@
 """Generic mixed-integer linear program container.
 
-Holds variables (continuous or binary, with bounds), linear rows, and a
-linear minimization objective with an optional constant offset.  Instances
-are treated as immutable once built; transformations return modified copies
-that share untouched row storage.  A deterministic LP-format text export
-supports cross-checking against external solvers.
+A problem is stored as the arrays the simplex consumes: per variable a name,
+bounds, a binary flag and a metadata tuple; per row a name, a sense and a
+right-hand side; one CSC constraint matrix assembled once by
+:class:`ProblemBuilder`; and a linear minimization objective with an
+optional constant offset.  Instances are immutable; transformations return
+copies that share every array they leave untouched.  A deterministic
+LP-format text export (terms of a row in column order) supports
+cross-checking against external solvers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lb: float
-    ub: float
-    is_binary: bool = False
-    meta: tuple = ()
-
-
-@dataclass(frozen=True)
-class Row:
-    name: str
-    idx: np.ndarray
-    coef: np.ndarray
-    sense: str  # 'L' (<=), 'G' (>=), 'E' (=)
-    rhs: float
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MilpProblem:
-    variables: list[Variable]
-    rows: list[Row]
+    names: tuple[str, ...]
+    lb: np.ndarray
+    ub: np.ndarray
+    is_binary: np.ndarray  # bool mask over variables
+    meta: tuple[tuple, ...]
+    A: sp.csc_matrix
+    senses: tuple[str, ...]  # 'L' (<=), 'G' (>=), 'E' (=) per row
+    b: np.ndarray
+    row_names: tuple[str, ...]
     objective: np.ndarray
     objective_offset: float = 0.0
     name: str = "problem"
-    index_of: dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.index_of:
-            self.index_of = {v.name: i for i, v in enumerate(self.variables)}
+    @cached_property
+    def index_of(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
 
     @property
     def n_variables(self) -> int:
-        return len(self.variables)
+        return len(self.names)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
 
     @property
     def n_binaries(self) -> int:
-        return sum(1 for v in self.variables if v.is_binary)
+        return int(self.is_binary.sum())
 
     def binary_indices(self) -> np.ndarray:
-        return np.array([i for i, v in enumerate(self.variables) if v.is_binary], dtype=np.int64)
+        return np.flatnonzero(self.is_binary)
 
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
-        return lb, ub
+        return self.lb.copy(), self.ub.copy()
 
     def constraint_arrays(self) -> tuple[sp.csc_matrix, list[str], np.ndarray]:
         """(A, senses, b) with rows in declaration order."""
-        data, ri, ci = [], [], []
-        for k, row in enumerate(self.rows):
-            ri.extend([k] * len(row.idx))
-            ci.extend(row.idx.tolist())
-            data.extend(row.coef.tolist())
-        A = sp.csc_matrix(
-            (data, (ri, ci)), shape=(len(self.rows), self.n_variables)
-        )
-        senses = [r.sense for r in self.rows]
-        b = np.array([r.rhs for r in self.rows])
-        return A, senses, b
-
-    # -- transforms (copy-on-write) ---------------------------------------
-
-    def with_rows(self, extra_rows: list[Row], name_suffix: str = "") -> "MilpProblem":
-        return MilpProblem(
-            variables=self.variables,
-            rows=self.rows + list(extra_rows),
-            objective=self.objective,
-            objective_offset=self.objective_offset,
-            name=self.name + name_suffix,
-            index_of=self.index_of,
-        )
+        return self.A, list(self.senses), self.b.copy()
 
     def with_rhs(self, row_name: str, rhs: float) -> "MilpProblem":
-        rows = []
-        found = False
-        for row in self.rows:
-            if row.name == row_name:
-                rows.append(Row(row.name, row.idx, row.coef, row.sense, rhs))
-                found = True
-            else:
-                rows.append(row)
-        if not found:
-            raise KeyError(f"no row named {row_name!r}")
-        return MilpProblem(
-            variables=self.variables,
-            rows=rows,
-            objective=self.objective,
-            objective_offset=self.objective_offset,
-            name=self.name,
-            index_of=self.index_of,
-        )
+        try:
+            k = self.row_names.index(row_name)
+        except ValueError:
+            raise KeyError(f"no row named {row_name!r}") from None
+        b = self.b.copy()
+        b[k] = rhs
+        return replace(self, b=b)
 
 
 class ProblemBuilder:
@@ -119,32 +76,45 @@ class ProblemBuilder:
 
     def __init__(self, name: str = "problem"):
         self.name = name
-        self._variables: list[Variable] = []
         self._index: dict[str, int] = {}
-        self._rows: list[Row] = []
-        self._row_names: set[str] = set()
+        self._lb: list[float] = []
+        self._ub: list[float] = []
+        self._binary: list[bool] = []
+        self._meta: list[tuple] = []
+        self._row_names: dict[str, None] = {}
+        self._senses: list[str] = []
+        self._rhs: list[float] = []
+        self._ri: list[int] = []
+        self._ci: list[int] = []
+        self._data: list[float] = []
         self._obj: dict[int, float] = {}
         self._offset = 0.0
 
     def add_variable(self, name, lb, ub, binary=False, meta=()) -> int:
         if name in self._index:
             raise ValueError(f"duplicate variable name {name!r}")
-        idx = len(self._variables)
-        self._variables.append(Variable(name, float(lb), float(ub), binary, tuple(meta)))
+        idx = len(self._index)
         self._index[name] = idx
+        self._lb.append(float(lb))
+        self._ub.append(float(ub))
+        self._binary.append(bool(binary))
+        self._meta.append(tuple(meta))
         return idx
 
     def add_row(self, name, terms, sense, rhs) -> None:
         if name in self._row_names:
             raise ValueError(f"duplicate row name {name!r}")
-        self._row_names.add(name)
+        k = len(self._row_names)
+        self._row_names[name] = None
         acc: dict[int, float] = {}
         for idx, coef in terms:
             if coef != 0.0:
                 acc[idx] = acc.get(idx, 0.0) + float(coef)
-        idx_arr = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
-        coef_arr = np.fromiter(acc.values(), dtype=float, count=len(acc))
-        self._rows.append(Row(name, idx_arr, coef_arr, sense, float(rhs)))
+        self._ri.extend([k] * len(acc))
+        self._ci.extend(int(i) for i in acc)
+        self._data.extend(acc.values())
+        self._senses.append(sense)
+        self._rhs.append(float(rhs))
 
     def add_objective_term(self, idx: int, coef: float) -> None:
         if coef:
@@ -154,16 +124,23 @@ class ProblemBuilder:
         self._offset += float(value)
 
     def build(self) -> MilpProblem:
-        objective = np.zeros(len(self._variables))
+        n, m = len(self._index), len(self._row_names)
+        objective = np.zeros(n)
         for idx, coef in self._obj.items():
             objective[idx] = coef
         return MilpProblem(
-            variables=self._variables,
-            rows=self._rows,
+            names=tuple(self._index),
+            lb=np.array(self._lb, dtype=float),
+            ub=np.array(self._ub, dtype=float),
+            is_binary=np.array(self._binary, dtype=bool),
+            meta=tuple(self._meta),
+            A=sp.csc_matrix((self._data, (self._ri, self._ci)), shape=(m, n)),
+            senses=tuple(self._senses),
+            b=np.array(self._rhs, dtype=float),
+            row_names=tuple(self._row_names),
             objective=objective,
             objective_offset=self._offset,
             name=self.name,
-            index_of=self._index,
         )
 
 
@@ -177,44 +154,53 @@ def with_no_good_cut(problem: MilpProblem, assignment: dict[str, int], tag: str 
     Survivors must select at least one unit the assignment left out, so the
     cut removes the assignment itself and everything inside its support.
     """
-    terms = []
+    row = np.zeros(problem.n_variables)
     for name, value in sorted(assignment.items()):
         if name not in problem.index_of:
             raise KeyError(f"no variable named {name!r}")
         if int(round(value)) == 0:
-            terms.append((problem.index_of[name], 1.0))
-    idx = np.array([i for i, _ in terms], dtype=np.int64)
-    coef = np.ones(len(terms))
-    row = Row(f"no_good{tag}", idx, coef, "G", 1.0)
-    return problem.with_rows([row], name_suffix="+cut")
+            row[problem.index_of[name]] = 1.0
+    return replace(
+        problem,
+        A=sp.vstack([problem.A, sp.csr_matrix(row)], format="csc"),
+        senses=problem.senses + ("G",),
+        b=np.append(problem.b, 1.0),
+        row_names=problem.row_names + (f"no_good{tag}",),
+        name=problem.name + "+cut",
+    )
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _term(coef: float, name: str) -> str:
+    return f"{'+' if coef >= 0 else '-'} {_fmt(abs(coef))} {name}"
+
+
 def write_lp_text(problem: MilpProblem) -> str:
     """Deterministic LP-format text: objective, rows, bounds, binaries."""
+    names = problem.names
     lines = [f"\\ {problem.name}", "Minimize"]
-    terms = []
-    for i in np.flatnonzero(problem.objective):
-        terms.append(f"{'+' if problem.objective[i] >= 0 else '-'} {_fmt(abs(problem.objective[i]))} {problem.variables[i].name}")
+    terms = [_term(problem.objective[i], names[i]) for i in np.flatnonzero(problem.objective)]
     if problem.objective_offset:
         terms.append(f"{'+' if problem.objective_offset >= 0 else '-'} {_fmt(abs(problem.objective_offset))}")
     lines.append(" obj: " + (" ".join(terms) if terms else "0"))
     lines.append("Subject To")
     sense_txt = {"L": "<=", "G": ">=", "E": "="}
-    for row in problem.rows:
-        parts = []
-        for idx, coef in zip(row.idx, row.coef):
-            parts.append(f"{'+' if coef >= 0 else '-'} {_fmt(abs(coef))} {problem.variables[idx].name}")
-        lines.append(f" {row.name}: " + " ".join(parts) + f" {sense_txt[row.sense]} {_fmt(row.rhs)}")
+    rows = problem.A.tocsr()
+    for k, row_name in enumerate(problem.row_names):
+        span = slice(rows.indptr[k], rows.indptr[k + 1])
+        parts = [_term(c, names[j]) for j, c in zip(rows.indices[span], rows.data[span])]
+        lines.append(
+            f" {row_name}: " + " ".join(parts) + f" {sense_txt[problem.senses[k]]} {_fmt(problem.b[k])}"
+        )
     lines.append("Bounds")
-    for v in problem.variables:
-        lo = "-inf" if np.isinf(v.lb) else _fmt(v.lb)
-        hi = "+inf" if np.isinf(v.ub) else _fmt(v.ub)
-        lines.append(f" {lo} <= {v.name} <= {hi}")
-    binaries = [v.name for v in problem.variables if v.is_binary]
+    for name, lo, hi in zip(names, problem.lb, problem.ub):
+        lo_txt = "-inf" if np.isinf(lo) else _fmt(lo)
+        hi_txt = "+inf" if np.isinf(hi) else _fmt(hi)
+        lines.append(f" {lo_txt} <= {name} <= {hi_txt}")
+    binaries = [names[i] for i in problem.binary_indices()]
     if binaries:
         lines.append("Binaries")
         for name in binaries:

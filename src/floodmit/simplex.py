@@ -230,16 +230,21 @@ class _Solver:
         if self.fact.age >= REFACTOR_EVERY:
             self._refactorize()
 
+    def _improving(self, d: np.ndarray, tol: float) -> np.ndarray:
+        """Mask of nonbasic columns whose reduced cost beats ``tol`` in the
+        direction their bound status lets them move."""
+        movable = (self.ws.hi - self.ws.lo) > TOL_PIVOT
+        return (
+            ((self.status_arr == AT_LOWER) & (d < -tol) & movable)
+            | ((self.status_arr == AT_UPPER) & (d > tol) & movable)
+            | ((self.status_arr == FREE) & (np.abs(d) > tol))
+        )
+
     # -- primal simplex ----------------------------------------------------
 
     def _entering(self, d: np.ndarray, bland: bool) -> int | None:
         ws = self.ws
-        movable = (ws.hi - ws.lo) > TOL_PIVOT
-        elig = (
-            ((self.status_arr == AT_LOWER) & (d < -TOL_DUAL) & movable)
-            | ((self.status_arr == AT_UPPER) & (d > TOL_DUAL) & movable)
-            | ((self.status_arr == FREE) & (np.abs(d) > TOL_DUAL))
-        )
+        elig = self._improving(d, TOL_DUAL)
         if not elig.any():
             return None
         idx = np.flatnonzero(elig)
@@ -319,13 +324,7 @@ class _Solver:
 
     def dual_feasible(self, costs: np.ndarray, slack: float = 1e-7) -> bool:
         _, d = self._duals(costs)
-        movable = (self.ws.hi - self.ws.lo) > TOL_PIVOT
-        bad = (
-            ((self.status_arr == AT_LOWER) & (d < -slack) & movable)
-            | ((self.status_arr == AT_UPPER) & (d > slack) & movable)
-            | ((self.status_arr == FREE) & (np.abs(d) > slack))
-        )
-        return not bad.any()
+        return not self._improving(d, slack).any()
 
     def run_dual(self, costs: np.ndarray) -> str:
         """Dual simplex from a dual-feasible basis toward primal feasibility."""
@@ -535,13 +534,7 @@ def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResu
         if not solver._refactorize():
             return _failed(STATUS_NUMERICAL, solver.iterations)
         y, d = solver._duals(ws.c_ext)
-        movable = (ws.hi - ws.lo) > TOL_PIVOT
-        bad = (
-            ((solver.status_arr == AT_LOWER) & (d < -1e-7) & movable)
-            | ((solver.status_arr == AT_UPPER) & (d > 1e-7) & movable)
-            | ((solver.status_arr == FREE) & (np.abs(d) > 1e-7))
-        )
-        if not bad.any():
+        if not solver._improving(d, 1e-7).any():
             break
         status = solver.run_primal(ws.c_ext)
         if status != STATUS_OPTIMAL:
@@ -558,7 +551,7 @@ def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResu
     dual_obj = float(y @ ws.b)
     pos = d > TOL_DUAL
     neg = d < -TOL_DUAL
-    fixed = ~movable
+    fixed = (ws.hi - ws.lo) <= TOL_PIVOT
     # Pinned columns (lb == ub) contribute their pinned value whatever the sign.
     lo_mask = (pos & np.isfinite(ws.lo) & ~fixed) | (fixed & (pos | neg))
     hi_mask = neg & np.isfinite(ws.hi) & ~fixed

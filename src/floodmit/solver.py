@@ -2,9 +2,11 @@
 
 The MILP search branches on fractional binaries, selects nodes best-bound
 first, and warm-starts every child from its parent's basis so re-solves are
-a handful of dual simplex pivots.  Warm-start plans seed the incumbent so
-budget sweeps prune hard from the first node.  With zero gap tolerances and
-no limits the returned incumbent is provably optimal.
+a handful of dual simplex pivots.  Warm-start plans (binary assignments with
+known objectives) seed the incumbent so budget sweeps prune hard from the
+first node; each is checked against the rows it fully covers with one sparse
+mat-vec over the problem's constraint matrix.  Without node or time limits
+the returned incumbent is provably optimal.
 
 Everything is single-threaded and tie-broken by index, so identical inputs
 reproduce identical incumbents and node counts.
@@ -32,43 +34,30 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded | numerical-error
     objective: float | None
     values: dict[str, float] | None
-    row_duals: dict[str, float] | None
     dual_objective: float | None
     iterations: int
-    primal_residual: float
-    basis_state: simplex.BasisState | None = None
 
 
 @dataclass
 class WarmStartPlan:
-    """A candidate assignment of the binaries, optionally with its objective.
-
-    When the objective is absent it is derived by fixing the assignment and
-    solving the remaining LP.
-    """
+    """A candidate assignment of the binaries with its objective value."""
 
     assignment: dict[str, int]
-    objective: float | None = None
+    objective: float
     label: str = ""
 
 
 @dataclass
 class BnbConfig:
-    abs_gap: float = 0.0
-    rel_gap: float = 0.0
     node_limit: int | None = None
     time_limit: float | None = None
     warm_starts: list[WarmStartPlan] = field(default_factory=list)
     root_warm_basis: simplex.BasisState | None = None
 
-    def __post_init__(self):
-        if self.abs_gap < 0 or self.rel_gap < 0:
-            raise ValueError("gap tolerances must be nonnegative")
-
 
 @dataclass
 class MilpSolution:
-    status: str  # optimal | gap-limit | node-limit | infeasible
+    status: str  # optimal | node-limit | infeasible
     objective: float | None
     values: dict[str, float] | None
     bound: float
@@ -87,8 +76,6 @@ class SolverError(RuntimeError):
 
 def solve_lp(
     problem: MilpProblem,
-    warm: simplex.BasisState | None = None,
-    workspace: simplex.Workspace | None = None,
     lb: np.ndarray | None = None,
     ub: np.ndarray | None = None,
 ) -> LpSolution:
@@ -100,77 +87,55 @@ def solve_lp(
     primal residual within 1e-8); a failure surfaces as the explicit status
     "numerical-error", never silently.
     """
-    if workspace is None:
-        A, senses, b = problem.constraint_arrays()
-        p_lb, p_ub = problem.bounds_arrays()
-        workspace = simplex.Workspace(problem.objective, A, senses, b, p_lb, p_ub)
-    if lb is not None or ub is not None:
-        base_lb, base_ub = problem.bounds_arrays()
-        workspace.set_bounds(lb if lb is not None else base_lb, ub if ub is not None else base_ub)
-
-    res = simplex.solve_linear_program(workspace=workspace, warm=warm)
+    res = simplex.solve_linear_program(
+        problem.objective,
+        problem.A,
+        problem.senses,
+        problem.b,
+        problem.lb if lb is None else lb,
+        problem.ub if ub is None else ub,
+    )
     if res.status != simplex.STATUS_OPTIMAL:
-        return LpSolution(res.status, None, None, None, None, res.iterations, res.primal_residual)
-
-    values = {v.name: float(res.x[i]) for i, v in enumerate(problem.variables)}
-    duals = {row.name: float(res.row_duals[k]) for k, row in enumerate(problem.rows)}
+        return LpSolution(res.status, None, None, None, res.iterations)
     return LpSolution(
         status="optimal",
         objective=res.objective + problem.objective_offset,
-        values=values,
-        row_duals=duals,
+        values=dict(zip(problem.names, res.x.tolist())),
         dual_objective=res.dual_objective + problem.objective_offset,
         iterations=res.iterations,
-        primal_residual=res.primal_residual,
-        basis_state=res.basis_state,
     )
 
 
-def _assignment_feasible(problem: MilpProblem, assignment: dict[str, int], tol: float = 1e-9) -> bool:
-    """Check rows whose variables are all covered by the assignment.
+def _warm_start_fixings(
+    problem: MilpProblem, assignment: dict[str, int], tol: float = 1e-9
+) -> dict[int, int] | None:
+    """Index fixings of the assignment, or None if it violates a covered row.
 
-    Rows touching unassigned variables are the recourse blocks, which admit a
-    feasible completion by construction of the model.
+    A row is covered when every variable it touches is assigned.  Rows
+    touching unassigned variables are the recourse blocks, which admit a
+    feasible completion by construction of the model.  Values outside a
+    variable's bounds also reject the assignment.
     """
-    values = {}
+    fixings = {}
     for name, val in assignment.items():
         if name not in problem.index_of:
             raise KeyError(f"warm start names unknown variable {name!r}")
-        idx = problem.index_of[name]
-        var = problem.variables[idx]
-        if val < var.lb - tol or val > var.ub + tol:
-            return False
-        values[idx] = float(val)
-    for row in problem.rows:
-        if not all(int(i) in values for i in row.idx):
-            continue
-        act = sum(values[int(i)] * c for i, c in zip(row.idx, row.coef))
-        if row.sense == "L" and act > row.rhs + tol:
-            return False
-        if row.sense == "G" and act < row.rhs - tol:
-            return False
-        if row.sense == "E" and abs(act - row.rhs) > tol:
-            return False
-    return True
-
-
-def _complete_warm_start(
-    problem: MilpProblem,
-    workspace: simplex.Workspace,
-    lb: np.ndarray,
-    ub: np.ndarray,
-    assignment: dict[str, int],
-) -> float | None:
-    """Objective of the best completion of a partial binary assignment."""
-    node_lb, node_ub = lb.copy(), ub.copy()
-    for name, val in assignment.items():
-        idx = problem.index_of[name]
-        node_lb[idx] = node_ub[idx] = float(val)
-    workspace.set_bounds(node_lb, node_ub)
-    res = simplex.solve_linear_program(workspace=workspace)
-    if res.status != simplex.STATUS_OPTIMAL:
+        fixings[problem.index_of[name]] = val
+    idx = np.array(list(fixings), dtype=np.int64)
+    vals = np.array(list(fixings.values()), dtype=float)
+    if np.any(vals < problem.lb[idx] - tol) or np.any(vals > problem.ub[idx] + tol):
         return None
-    return res.objective + problem.objective_offset
+    x, free = np.zeros(problem.n_variables), np.ones(problem.n_variables)
+    x[idx], free[idx] = vals, 0.0
+    covered = abs(problem.A) @ free == 0
+    act, b = (problem.A @ x)[covered], problem.b[covered]
+    senses = np.array(problem.senses)[covered]
+    bad = (
+        ((senses == "L") & (act > b + tol))
+        | ((senses == "G") & (act < b - tol))
+        | ((senses == "E") & (np.abs(act - b) > tol))
+    )
+    return None if bad.any() else fixings
 
 
 @dataclass(order=True)
@@ -184,8 +149,8 @@ class _Node:
 def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSolution:
     """Branch and bound over the problem's binaries.
 
-    Returns a provably optimal incumbent when gaps are zero and no limits
-    bind.  Raises :class:`SolverError` on unrecoverable numerical failure.
+    Returns a provably optimal incumbent when no limit binds.  Raises
+    :class:`SolverError` on unrecoverable numerical failure.
     """
     config = config or BnbConfig()
     t_start = time.monotonic()
@@ -198,41 +163,28 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
 
     incumbent_obj = np.inf
     incumbent_x: np.ndarray | None = None
+    warm_fixings: dict[int, int] = {}
     warm_used = ""
     lp_iterations = 0
 
     # Warm starts: verify against the rows they fully cover, then seed the
-    # incumbent with the best completed objective.
+    # incumbent with the best objective.
     for plan in config.warm_starts:
-        if not _assignment_feasible(problem, plan.assignment):
+        fixings = _warm_start_fixings(problem, plan.assignment)
+        if fixings is None:
             log.info("warm start %s rejected: infeasible", plan.label or "?")
             continue
-        obj = plan.objective
-        if obj is None:
-            obj = _complete_warm_start(problem, ws, root_lb, root_ub, plan.assignment)
-            if obj is None:
-                continue
-        if obj < incumbent_obj - 1e-12:
-            incumbent_obj = obj
+        if plan.objective < incumbent_obj - 1e-12:
+            incumbent_obj = plan.objective
             warm_used = plan.label or "warm"
-            incumbent_x = None  # values filled by a matching node or final fix
-            incumbent_assignment = dict(plan.assignment)
-
-    best_warm_assignment = None
-    if incumbent_obj < np.inf:
-        best_warm_assignment = incumbent_assignment
-
-    def node_bounds(fixings: dict[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = root_lb.copy(), root_ub.copy()
-        for idx, val in fixings.items():
-            lo[idx] = hi[idx] = float(val)
-        return lo, hi
+            warm_fixings = fixings
 
     def solve_node(node: _Node):
         nonlocal lp_iterations
-        lo, hi = node_bounds(node.fixings)
+        lo, hi = root_lb.copy(), root_ub.copy()
+        for idx, val in node.fixings.items():
+            lo[idx] = hi[idx] = float(val)
         ws.set_bounds(lo, hi)
-        ws.set_rhs(b)
         res = simplex.solve_linear_program(workspace=ws, warm=node.warm)
         lp_iterations += res.iterations
         if res.status == simplex.STATUS_NUMERICAL:
@@ -266,12 +218,6 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
                 # The best open bound meets the incumbent: proven optimal.
                 final_bound = incumbent_obj
                 proven = True
-                break
-            if gap <= config.abs_gap or (
-                config.rel_gap > 0 and gap <= config.rel_gap * max(1e-12, abs(incumbent_obj))
-            ):
-                stop_reason = "gap"
-                final_bound = remaining_bound
                 break
         if config.node_limit is not None and nodes_explored >= config.node_limit:
             stop_reason = "nodes"
@@ -325,30 +271,21 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
         return MilpSolution("node-limit", None, None, final_bound, nodes_explored, lp_iterations, stop_reason)
 
     # A warm start may remain the incumbent without any node reproducing its
-    # values; rebuild them by fixing the assignment and re-solving.
+    # values; rebuild them by solving its fixings as a node from the root basis.
     if incumbent_x is None:
-        lo, hi = root_lb.copy(), root_ub.copy()
-        for name, val in best_warm_assignment.items():
-            idx = problem.index_of[name]
-            lo[idx] = hi[idx] = float(val)
-        ws.set_bounds(lo, hi)
-        ws.set_rhs(b)
-        res = simplex.solve_linear_program(workspace=ws, warm=root_basis)
-        lp_iterations += res.iterations
+        res = solve_node(_Node(bound=incumbent_obj, seq=-1, fixings=warm_fixings, warm=root_basis))
         if res.status != simplex.STATUS_OPTIMAL:
             raise SolverError("failed to rebuild warm-start incumbent values")
-        incumbent_x = res.x.copy()
+        incumbent_x = res.x
         incumbent_obj = min(incumbent_obj, res.objective + offset)
 
-    values = {v.name: float(incumbent_x[i]) for i, v in enumerate(problem.variables)}
+    values = dict(zip(problem.names, incumbent_x.tolist()))
     for i in bin_idx:
-        values[problem.variables[i].name] = float(round(incumbent_x[i]))
+        values[problem.names[i]] = float(round(incumbent_x[i]))
 
     if proven and not stop_reason:
         status = "optimal"
         final_bound = incumbent_obj
-    elif stop_reason == "gap":
-        status = "gap-limit"
     else:
         status = "node-limit"
     log.info(

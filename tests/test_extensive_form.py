@@ -30,10 +30,10 @@ def _single_bus_instance():
 def test_first_stage_variable_count_and_pinning():
     net, ss = _single_bus_instance()
     ef = build(net, ss, CostSchedule.for_network(net), Budget(5), 3, W)
-    x_vars = [v for v in ef.problem.variables if v.meta and v.meta[0] == "x"]
+    x_vars = [i for i, meta in enumerate(ef.problem.meta) if meta and meta[0] == "x"]
     assert len(x_vars) == 3  # one binary per level
-    top = next(v for v in x_vars if v.meta[2] == 3)
-    assert top.lb == top.ub == 0.0  # the unattainable level is pinned off
+    top = next(i for i in x_vars if ef.problem.meta[i][2] == 3)
+    assert ef.problem.lb[top] == ef.problem.ub[top] == 0.0  # the unattainable level is pinned off
 
 
 def test_dry_levels_fold_away():
@@ -41,7 +41,7 @@ def test_dry_levels_fold_away():
     # produce no rows.
     net, ss = _single_bus_instance()
     ef = build(net, ss, CostSchedule.for_network(net), Budget(5), 3, W)
-    link_rows = [r for r in ef.problem.rows if r.name.startswith(("a0_", "a1_", "a2_", "a3_"))]
+    link_rows = [r for r in ef.problem.row_names if r.startswith(("a0_", "a1_", "a2_", "a3_"))]
     assert len(link_rows) == 2  # one upper row for the flooded level + the lower row
 
 
@@ -107,12 +107,10 @@ def test_folding_constants(star8):
     # w4 floods only S3: the other substations' statuses fold to constants.
     ef = build(star8.network, star8.scenarios, CostSchedule.for_network(star8.network),
                Budget(5), 3, W)
-    alpha_w4 = [
-        v for v in ef.problem.variables if v.meta and v.meta[0] == "alpha" and v.meta[1] == "w4"
-    ]
-    assert [v.meta[2] for v in alpha_w4] == ["S3"]
+    alpha_w4 = [m for m in ef.problem.meta if m and m[0] == "alpha" and m[1] == "w4"]
+    assert [m[2] for m in alpha_w4] == ["S3"]
     # w2 floods S2 at level 3 (beyond the cap): pinned dead, no alpha variable.
-    alpha_w2 = {v.meta[2] for v in ef.problem.variables if v.meta and v.meta[0] == "alpha" and v.meta[1] == "w2"}
+    alpha_w2 = {m[2] for m in ef.problem.meta if m and m[0] == "alpha" and m[1] == "w2"}
     assert alpha_w2 == {"S3"}
 
 
@@ -149,12 +147,12 @@ def test_fix_first_stage_zero_and_full(star8):
 
 
 def _cut_survivors(ef, cut, sched, budget):
-    row = cut.rows[-1]
+    row = cut.A.tocsr()[-1]
     survivors = set()
     for plan in enumerate_plans(sched, budget, ef.r_hat):
         assignment = {name: float(v) for name, v in ef.plan_assignment(plan).items()}
-        act = sum(assignment[cut.variables[i].name] * c for i, c in zip(row.idx, row.coef))
-        if act >= row.rhs - 1e-9:
+        act = sum(assignment[cut.names[i]] * c for i, c in zip(row.indices, row.data))
+        if act >= cut.b[-1] - 1e-9:
             survivors.add(plan.key())
     return survivors
 
@@ -202,21 +200,21 @@ def test_solution_statuses_match_closure(star8):
     ef = build(star8.network, star8.scenarios, sched, Budget(7), 3, W)
     sol = solve_milp(ef.problem)
     plan = ef.plan_from_values(sol.values)
-    for v in ef.problem.variables:
-        if not v.meta:
+    for name, meta in zip(ef.problem.names, ef.problem.meta):
+        if not meta:
             continue
-        kind = v.meta[0]
+        kind = meta[0]
         if kind == "alpha":
-            _, scen_id, sub = v.meta
+            _, scen_id, sub = meta
             scenario = next(s for s in star8.scenarios.scenarios if s.id == scen_id)
             st = status_closure(star8.network, plan, scenario)
             bus = star8.network.substation_buses[sub][0]
-            assert round(sol.values[v.name]) == st.alpha[bus], v.name
+            assert round(sol.values[name]) == st.alpha[bus], name
         elif kind == "beta":
-            _, scen_id, br = v.meta
+            _, scen_id, br = meta
             scenario = next(s for s in star8.scenarios.scenarios if s.id == scen_id)
             st = status_closure(star8.network, plan, scenario)
-            assert round(sol.values[v.name]) == st.beta[br], v.name
+            assert round(sol.values[name]) == st.beta[br], name
 
 
 def test_relax_status_option_same_optimum(star8):
@@ -235,9 +233,8 @@ def test_with_budget_changes_single_rhs(star8):
     sched = CostSchedule.for_network(star8.network)
     ef = build(star8.network, star8.scenarios, sched, Budget(5), 3, W)
     ef9 = ef.with_budget(9)
-    row5 = next(r for r in ef.problem.rows if r.name == "budget")
-    row9 = next(r for r in ef9.problem.rows if r.name == "budget")
-    assert (row5.rhs, row9.rhs) == (5.0, 9.0)
+    k = ef.problem.row_names.index("budget")
+    assert (ef.problem.b[k], ef9.problem.b[k]) == (5.0, 9.0)
     assert ef9.problem.n_rows == ef.problem.n_rows
 
 

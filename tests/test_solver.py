@@ -6,6 +6,7 @@ from floodmit.solver import (
     BnbConfig,
     SolverError,
     WarmStartPlan,
+    _warm_start_fixings,
     check_uniqueness,
     solve_lp,
     solve_milp,
@@ -77,14 +78,6 @@ def test_warm_start_seeds_incumbent():
     assert sol.objective == pytest.approx(-4.0, abs=1e-12)
 
 
-def test_warm_start_completion_without_objective():
-    prob = knapsack_problem(7)
-    ws = WarmStartPlan({"w1": 1, "w2": 0, "w3": 0})
-    sol = solve_milp(prob, BnbConfig(warm_starts=[ws]))
-    assert sol.status == "optimal"
-    assert _selection(sol) == (1, 0, 1)  # completion never blocks the optimum
-
-
 def test_infeasible_warm_start_rejected():
     prob = knapsack_problem(7)
     ws = WarmStartPlan({"w1": 1, "w2": 1, "w3": 1}, objective=-9.0, label="liar")
@@ -98,15 +91,6 @@ def test_node_limit_and_stop_reason():
     sol = solve_milp(knapsack_problem(7), BnbConfig(node_limit=0))
     assert sol.status in ("node-limit", "infeasible")
     assert sol.stop_reason == "nodes"
-
-
-def test_gap_limit_status():
-    prob = knapsack_problem(7)
-    ws = WarmStartPlan({"w1": 1, "w2": 0, "w3": 1}, objective=-4.0)
-    sol = solve_milp(prob, BnbConfig(abs_gap=10.0, warm_starts=[ws]))
-    assert sol.status in ("gap-limit", "optimal")
-    if sol.status == "gap-limit":
-        assert sol.objective - sol.bound <= 10.0
 
 
 def test_check_uniqueness_unique_case():
@@ -186,3 +170,82 @@ def test_lp_export_is_deterministic_and_complete():
     for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
         assert section in text
     assert "cap:" in text and "w1" in text
+
+
+def test_transforms_leave_the_parent_unchanged():
+    prob = knapsack_problem(7)
+    A_before, b_before = prob.A.toarray(), prob.b.copy()
+    loose = prob.with_rhs("cap", 8.0)
+    cut = with_no_good_cut(prob, {"w1": 0, "w2": 1, "w3": 0})
+    assert loose.A is prob.A
+    assert (loose.b[0], prob.b[0]) == (8.0, 7.0)
+    assert cut.n_rows == prob.n_rows + 1 == 2
+    np.testing.assert_array_equal(cut.A[:-1].toarray(), A_before)
+    np.testing.assert_array_equal(cut.A[-1].toarray(), [[1.0, 0.0, 1.0]])
+    assert (cut.senses[-1], cut.b[-1]) == ("G", 1.0)
+    for derived in (loose, cut):
+        assert derived.lb is prob.lb and derived.ub is prob.ub
+        assert derived.objective is prob.objective
+    np.testing.assert_array_equal(prob.A.toarray(), A_before)
+    np.testing.assert_array_equal(prob.b, b_before)
+    assert prob.row_names == ("cap",) and prob.senses == ("L",)
+    with pytest.raises(KeyError):
+        prob.with_rhs("nope", 1.0)
+
+
+def _reference_fixings(lb, ub, rows, assignment, tol=1e-9):
+    """Row-by-row warm-start check over the rows as they were declared."""
+    for i, val in assignment.items():
+        if val < lb[i] - tol or val > ub[i] + tol:
+            return None
+    for terms, sense, rhs in rows:
+        if not all(i in assignment for i, _ in terms):
+            continue
+        act = sum(assignment[i] * c for i, c in terms)
+        if (
+            (sense == "L" and act > rhs + tol)
+            or (sense == "G" and act < rhs - tol)
+            or (sense == "E" and abs(act - rhs) > tol)
+        ):
+            return None
+    return assignment
+
+
+def test_warm_start_check_matches_row_by_row_reference():
+    rng = np.random.default_rng(17)
+    outcomes, seen = set(), set()
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        pb = ProblemBuilder("rand")
+        lb = rng.integers(-1, 1, n).astype(float)
+        ub = lb + rng.integers(0, 3, n)
+        for i in range(n):
+            pb.add_variable(f"v{i}", lb[i], ub[i], binary=bool(rng.random() < 0.5))
+        point = rng.integers(-1, 3, n)
+        rows = []
+        for r in range(int(rng.integers(1, 6))):
+            cols = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            terms = [(int(i), float(rng.choice([-2, -1, 1, 3]))) for i in cols]
+            sense = str(rng.choice(["L", "G", "E"]))
+            rhs = sum(point[i] * c for i, c in terms) + float(rng.integers(-1, 2))
+            pb.add_row(f"r{r}", terms, sense, rhs)
+            rows.append((terms, sense, rhs))
+            seen.add(sense if terms else "empty")
+        prob = pb.build()
+        assigned = np.flatnonzero(rng.random(n) < 0.7)
+        assignment = {int(i): int(point[i]) for i in assigned}
+        if any(not lb[i] <= v <= ub[i] for i, v in assignment.items()):
+            seen.add("bounds")
+        if len(assignment) < n:
+            seen.add("partial")
+        expected = _reference_fixings(lb, ub, rows, assignment)
+        got = _warm_start_fixings(prob, {f"v{i}": v for i, v in assignment.items()})
+        assert got == expected, (rows, assignment)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}  # both verdicts exercised
+    assert seen == {"L", "G", "E", "empty", "bounds", "partial"}
+
+
+def test_warm_start_check_rejects_unknown_names():
+    with pytest.raises(KeyError, match="unknown variable"):
+        _warm_start_fixings(knapsack_problem(7), {"w9": 1})
