@@ -14,12 +14,13 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .extensive_form import ExtensiveForm, build
+from .extensive_form import ExtensiveForm
 from .grid_model import GridNetwork
 from .heuristic import portfolio
 from .mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, max_useful_budget, plan_cost
 from .recourse import LossWeights, RecourseEvaluator, StatusVector, status_closure
 from .scenario_model import FloodScenarioSet
+from .value_table import build
 from . import solver
 
 log = logging.getLogger("floodmit.analysis")
@@ -209,7 +210,7 @@ def sweep(
         f_max = max_useful_budget(network, scenario_set, schedule, r_hat)
     evaluator = RecourseEvaluator(network, weights)
     base = build(
-        network, scenario_set, schedule, Budget(f_max), r_hat, weights, relax_status=relax_status
+        network, scenario_set, schedule, Budget(f_max), r_hat, evaluator, relax_status=relax_status
     )
 
     baseline = zero_plan_statuses(network, scenario_set)
@@ -330,7 +331,7 @@ def compare_rhat(
     evaluator = RecourseEvaluator(network, weights)
     for r_hat in r_hat_values:
         ef = build(
-            network, scenario_set, schedule, Budget(f), r_hat, weights, relax_status=relax_status
+            network, scenario_set, schedule, Budget(f), r_hat, evaluator, relax_status=relax_status
         )
         warm = portfolio(Budget(f), network, scenario_set, schedule, r_hat)
         sol, plan, _ = solve_instance(ef, warm, evaluator)

@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 from . import __version__, analysis, geo_remap, heuristic, scenario_gen, solver
-from .extensive_form import build
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .grid_model import load_network, save_network, validate
 from .mitigation import (
@@ -30,6 +29,7 @@ from .mitigation import (
 )
 from .recourse import LossWeights, RecourseEvaluator
 from .scenario_model import load_scenarios, save_scenarios
+from .value_table import build
 
 SCHEMA_VERSION = 1
 
@@ -210,7 +210,7 @@ def _solve_one(args, check_unique: bool):
     weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, weights)
     ef = build(
-        network, scenarios, schedule, Budget(args.budget), args.rhat, weights,
+        network, scenarios, schedule, Budget(args.budget), args.rhat, evaluator,
         relax_status=args.relax_status,
     )
     warm = heuristic.portfolio(Budget(args.budget), network, scenarios, schedule, args.rhat)
@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the planning problem at one budget")
     _add_common_model_args(p)
     p.add_argument("--relax-status", action="store_true", dest="relax_status",
-                   help="declare status variables continuous (first stage stays binary)")
+                   help="declare the status variables of scenarios solved with a dispatch "
+                        "block continuous (first stage stays binary)")
     p.add_argument("--check-unique", action="store_true", dest="check_unique")
     p.add_argument("--export-lp", action="store_true", dest="export_lp",
                    help="also write the model in LP text format")

@@ -10,6 +10,11 @@ is linearized exactly: at binary first-stage decisions the linear rows force
 the statuses to the product values, so branching on the first stage alone
 solves the whole problem.
 
+This monolithic model is the reference the tests check the solve path
+against.  The solve path builds :mod:`floodmit.value_table`, which reuses the
+first stage (:func:`add_first_stage`) and, for scenarios too large for a
+value table, the per-scenario block (:func:`add_dispatch_block`).
+
 Constant folding keeps the model small: a substation dry in a scenario has
 alpha pinned to 1, a substation flooded beyond the attainable level has alpha
 pinned to 0, branches with a pinned-dead endpoint vanish, and a branch whose
@@ -30,7 +35,7 @@ from .grid_model import GridNetwork
 from .milp import MilpProblem, ProblemBuilder, sanitize_name, write_lp_file
 from .mitigation import Budget, CostSchedule, MitigationPlan
 from .recourse import LossWeights
-from .scenario_model import FloodScenarioSet, level_to_indicators
+from .scenario_model import FloodScenario, FloodScenarioSet, level_to_indicators
 
 BUDGET_ROW = "budget"
 
@@ -101,22 +106,11 @@ class ExtensiveForm:
         write_lp_file(self.problem, path)
 
 
-def build(
-    network: GridNetwork,
-    scenario_set: FloodScenarioSet,
-    schedule: CostSchedule,
-    budget: Budget,
-    r_hat: int,
-    weights: LossWeights = LossWeights(),
-    relax_status: bool = False,
-) -> ExtensiveForm:
-    """Assemble the deterministic-equivalent MILP.
-
-    ``relax_status`` declares the status variables continuous; the linear
-    rows still force them to 0/1 at binary first-stage decisions.  Raises on
-    dimension mismatches (scenario substations unknown to the network,
-    schedule gaps).
-    """
+def check_inputs(
+    network: GridNetwork, scenario_set: FloodScenarioSet, schedule: CostSchedule, r_hat: int
+) -> None:
+    """Raise on dimension mismatches (scenario substations unknown to the
+    network, schedule gaps) and on a cap below 1."""
     if r_hat < 1:
         raise ValueError("r_hat must be >= 1")
     known_subs = {s.id for s in network.substations}
@@ -128,10 +122,18 @@ def build(
         if sub not in schedule.base_units:
             raise ValueError(f"cost schedule missing substation {sub}")
 
-    pb = ProblemBuilder("extensive_form")
-    binary_status = not relax_status
 
-    # -- first stage ------------------------------------------------------
+def add_first_stage(
+    pb: ProblemBuilder,
+    network: GridNetwork,
+    schedule: CostSchedule,
+    budget: Budget,
+    r_hat: int,
+) -> tuple[dict[tuple[str, int], str], dict[tuple[str, int], int]]:
+    """Cumulative barrier binaries per substation and level plus the budget row.
+
+    Returns the variable names and indices keyed by (substation, level).
+    """
     x_names: dict[tuple[str, int], str] = {}
     x_idx: dict[tuple[str, int], int] = {}
     budget_terms = []
@@ -153,220 +155,266 @@ def build(
                 0.0,
             )
     pb.add_row(BUDGET_ROW, budget_terms, "L", float(budget.units))
+    return x_names, x_idx
 
-    # -- per-scenario blocks ----------------------------------------------
-    n_alpha_vars = 0
-    n_beta_vars = 0
+
+def add_dispatch_block(
+    pb: ProblemBuilder,
+    network: GridNetwork,
+    scenario: FloodScenario,
+    r_hat: int,
+    weights: LossWeights,
+    x_idx: dict[tuple[str, int], int],
+    binary_status: bool = True,
+) -> tuple[int, int]:
+    """Add one scenario's status variables and dispatch block to ``pb``.
+
+    The block's objective terms are weighted by the scenario probability.
+    ``binary_status`` False declares the status variables continuous; the
+    link rows still force them to 0/1 at binary first-stage decisions.
+    Returns the numbers of (alpha, beta) status variables added.
+    """
+    n_alpha = 0
+    n_beta = 0
     sub_of_bus = {b.id: b.substation_id for b in network.buses}
+    tag = sanitize_name(scenario.id)
+    prob = scenario.probability
 
-    for scenario in scenario_set.scenarios:
-        tag = sanitize_name(scenario.id)
-        prob = scenario.probability
-
-        # Substation statuses: fold constants, link variables.
-        alpha_const: dict[str, int] = {}
-        alpha_var: dict[str, int] = {}
-        for sub in network.substations:
-            level = scenario.level_of(sub.id)
-            if level == 0:
-                alpha_const[sub.id] = 1
-            elif level >= r_hat:
-                # Flooding at or beyond the unattainable level.
-                alpha_const[sub.id] = 0
-            else:
-                name = f"alpha_{tag}_{sanitize_name(sub.id)}"
-                idx = pb.add_variable(
-                    name, 0.0, 1.0, binary=binary_status, meta=("alpha", scenario.id, sub.id)
-                )
-                alpha_var[sub.id] = idx
-                n_alpha_vars += 1
-                _, rows = alpha_link_rows(level_to_indicators(level, r_hat))
-                for rno, (a_coef, x_coefs, sense, rhs) in enumerate(rows):
-                    terms = [(idx, a_coef)] + [
-                        (x_idx[(sub.id, r)], coef) for r, coef in x_coefs.items()
-                    ]
-                    pb.add_row(f"a{rno}_{tag}_{sanitize_name(sub.id)}", terms, sense, rhs)
-
-        def bus_alpha(bus_id: str):
-            """('const', v) or ('var', idx) for the bus's substation."""
-            sub = sub_of_bus[bus_id]
-            if sub in alpha_var:
-                return ("var", alpha_var[sub])
-            return ("const", alpha_const[sub])
-
-        # Branch statuses.
-        beta_const: dict[str, int] = {}
-        beta_var: dict[str, int] = {}
-        for br in network.branches:
-            fa = bus_alpha(br.from_bus)
-            ta = bus_alpha(br.to_bus)
-            if fa[0] == "const" and fa[1] == 0 or ta[0] == "const" and ta[1] == 0:
-                beta_const[br.id] = 0
-            elif fa[0] == "const" and ta[0] == "const":
-                beta_const[br.id] = 1
-            elif fa[0] == "const":
-                beta_var[br.id] = ta[1]  # beta == the other endpoint's alpha
-            elif ta[0] == "const":
-                beta_var[br.id] = fa[1]
-            elif fa[1] == ta[1]:
-                beta_var[br.id] = fa[1]  # both buses share one substation
-            else:
-                name = f"beta_{tag}_{sanitize_name(br.id)}"
-                idx = pb.add_variable(
-                    name, 0.0, 1.0, binary=binary_status, meta=("beta", scenario.id, br.id)
-                )
-                beta_var[br.id] = idx
-                n_beta_vars += 1
-                safe = sanitize_name(br.id)
-                pb.add_row(f"bg_{tag}_{safe}", [(idx, 1.0), (fa[1], -1.0), (ta[1], -1.0)], "G", -1.0)
-                pb.add_row(f"bf_{tag}_{safe}", [(idx, 1.0), (fa[1], -1.0)], "L", 0.0)
-                pb.add_row(f"bt_{tag}_{safe}", [(idx, 1.0), (ta[1], -1.0)], "L", 0.0)
-
-        # Dispatch variables.
-        theta_idx: dict[str, int] = {}
-        phat_idx: dict[str, int] = {}
-        pchk_idx: dict[str, int] = {}
-        delta_idx: dict[str, int] = {}
-        for bus in network.buses:
-            safe = sanitize_name(bus.id)
-            a = bus_alpha(bus.id)
-            dead = a[0] == "const" and a[1] == 0
-            t_lo = -network.angle_abs_max
-            t_hi = network.angle_abs_max
-            if bus.is_reference:
-                t_lo = t_hi = 0.0
-            theta_idx[bus.id] = pb.add_variable(
-                f"theta_{tag}_{safe}", t_lo, t_hi, meta=("theta", scenario.id, bus.id)
+    # Substation statuses: fold constants, link variables.
+    alpha_const: dict[str, int] = {}
+    alpha_var: dict[str, int] = {}
+    for sub in network.substations:
+        level = scenario.level_of(sub.id)
+        if level == 0:
+            alpha_const[sub.id] = 1
+        elif level >= r_hat:
+            # Flooding at or beyond the unattainable level.
+            alpha_const[sub.id] = 0
+        else:
+            name = f"alpha_{tag}_{sanitize_name(sub.id)}"
+            idx = pb.add_variable(
+                name, 0.0, 1.0, binary=binary_status, meta=("alpha", scenario.id, sub.id)
             )
-            if dead:
-                # Every incident branch is pinned dead, so the balance row
-                # would read 0 = 0; the whole block folds away.
-                continue
-            has_gen = bus.p_gen_max > 0 or bus.p_gen_min != 0
-            if has_gen:
-                if a[0] == "const":
-                    g_lo, g_hi = bus.p_gen_min, bus.p_gen_max
-                else:
-                    g_lo, g_hi = min(bus.p_gen_min, 0.0), max(bus.p_gen_max, 0.0)
-                phat_idx[bus.id] = pb.add_variable(
-                    f"phat_{tag}_{safe}", g_lo, g_hi, meta=("phat", scenario.id, bus.id)
-                )
-                if a[0] == "var":
-                    if bus.p_gen_max != 0:
-                        pb.add_row(
-                            f"gu_{tag}_{safe}",
-                            [(phat_idx[bus.id], 1.0), (a[1], -bus.p_gen_max)],
-                            "L",
-                            0.0,
-                        )
-                    if bus.p_gen_min != 0:
-                        pb.add_row(
-                            f"gl_{tag}_{safe}",
-                            [(phat_idx[bus.id], 1.0), (a[1], -bus.p_gen_min)],
-                            "G",
-                            0.0,
-                        )
-                if bus.p_gen_max > 0:
-                    pchk_idx[bus.id] = pb.add_variable(
-                        f"pchk_{tag}_{safe}", 0.0, max(bus.p_gen_max, 0.0),
-                        meta=("pchk", scenario.id, bus.id),
-                    )
-                    pb.add_objective_term(pchk_idx[bus.id], prob * weights.lambda_over)
+            alpha_var[sub.id] = idx
+            n_alpha += 1
+            _, rows = alpha_link_rows(level_to_indicators(level, r_hat))
+            for rno, (a_coef, x_coefs, sense, rhs) in enumerate(rows):
+                terms = [(idx, a_coef)] + [
+                    (x_idx[(sub.id, r)], coef) for r, coef in x_coefs.items()
+                ]
+                pb.add_row(f"a{rno}_{tag}_{sanitize_name(sub.id)}", terms, sense, rhs)
+
+    def bus_alpha(bus_id: str):
+        """('const', v) or ('var', idx) for the bus's substation."""
+        sub = sub_of_bus[bus_id]
+        if sub in alpha_var:
+            return ("var", alpha_var[sub])
+        return ("const", alpha_const[sub])
+
+    # Branch statuses.
+    beta_const: dict[str, int] = {}
+    beta_var: dict[str, int] = {}
+    for br in network.branches:
+        fa = bus_alpha(br.from_bus)
+        ta = bus_alpha(br.to_bus)
+        if fa[0] == "const" and fa[1] == 0 or ta[0] == "const" and ta[1] == 0:
+            beta_const[br.id] = 0
+        elif fa[0] == "const" and ta[0] == "const":
+            beta_const[br.id] = 1
+        elif fa[0] == "const":
+            beta_var[br.id] = ta[1]  # beta == the other endpoint's alpha
+        elif ta[0] == "const":
+            beta_var[br.id] = fa[1]
+        elif fa[1] == ta[1]:
+            beta_var[br.id] = fa[1]  # both buses share one substation
+        else:
+            name = f"beta_{tag}_{sanitize_name(br.id)}"
+            idx = pb.add_variable(
+                name, 0.0, 1.0, binary=binary_status, meta=("beta", scenario.id, br.id)
+            )
+            beta_var[br.id] = idx
+            n_beta += 1
+            safe = sanitize_name(br.id)
+            pb.add_row(f"bg_{tag}_{safe}", [(idx, 1.0), (fa[1], -1.0), (ta[1], -1.0)], "G", -1.0)
+            pb.add_row(f"bf_{tag}_{safe}", [(idx, 1.0), (fa[1], -1.0)], "L", 0.0)
+            pb.add_row(f"bt_{tag}_{safe}", [(idx, 1.0), (ta[1], -1.0)], "L", 0.0)
+
+    # Dispatch variables.
+    theta_idx: dict[str, int] = {}
+    phat_idx: dict[str, int] = {}
+    pchk_idx: dict[str, int] = {}
+    delta_idx: dict[str, int] = {}
+    for bus in network.buses:
+        safe = sanitize_name(bus.id)
+        a = bus_alpha(bus.id)
+        dead = a[0] == "const" and a[1] == 0
+        t_lo = -network.angle_abs_max
+        t_hi = network.angle_abs_max
+        if bus.is_reference:
+            t_lo = t_hi = 0.0
+        theta_idx[bus.id] = pb.add_variable(
+            f"theta_{tag}_{safe}", t_lo, t_hi, meta=("theta", scenario.id, bus.id)
+        )
+        if dead:
+            # Every incident branch is pinned dead, so the balance row
+            # would read 0 = 0; the whole block folds away.
+            continue
+        has_gen = bus.p_gen_max > 0 or bus.p_gen_min != 0
+        if has_gen:
+            if a[0] == "const":
+                g_lo, g_hi = bus.p_gen_min, bus.p_gen_max
+            else:
+                g_lo, g_hi = min(bus.p_gen_min, 0.0), max(bus.p_gen_max, 0.0)
+            phat_idx[bus.id] = pb.add_variable(
+                f"phat_{tag}_{safe}", g_lo, g_hi, meta=("phat", scenario.id, bus.id)
+            )
+            if a[0] == "var":
+                if bus.p_gen_max != 0:
                     pb.add_row(
-                        f"og_{tag}_{safe}",
-                        [(pchk_idx[bus.id], 1.0), (phat_idx[bus.id], -1.0)],
+                        f"gu_{tag}_{safe}",
+                        [(phat_idx[bus.id], 1.0), (a[1], -bus.p_gen_max)],
                         "L",
                         0.0,
                     )
-            if bus.p_load > 0:
-                delta_idx[bus.id] = pb.add_variable(
-                    f"delta_{tag}_{safe}", 0.0, 1.0, meta=("delta", scenario.id, bus.id)
-                )
-                pb.add_objective_term(delta_idx[bus.id], -prob * weights.lambda_shed * bus.p_load)
-                if a[0] == "var":
-                    # Load at a dead bus cannot be served.
+                if bus.p_gen_min != 0:
                     pb.add_row(
-                        f"ds_{tag}_{safe}", [(delta_idx[bus.id], 1.0), (a[1], -1.0)], "L", 0.0
+                        f"gl_{tag}_{safe}",
+                        [(phat_idx[bus.id], 1.0), (a[1], -bus.p_gen_min)],
+                        "G",
+                        0.0,
                     )
-        # Loads always enter the objective constant; served fractions subtract.
-        pb.add_objective_offset(prob * weights.lambda_shed * network.total_load)
-
-        # Branch flow variables and rows.
-        flow_idx: dict[str, int] = {}
-        for br in network.branches:
-            safe = sanitize_name(br.id)
-            nf, nt = theta_idx[br.from_bus], theta_idx[br.to_bus]
-            if br.id in beta_const:
-                if beta_const[br.id] == 0:
-                    continue  # pinned flow 0, angle rows vacuous within theta bounds
-                limit = min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max)
-                f_idx = pb.add_variable(
-                    f"flow_{tag}_{safe}", -limit, limit, meta=("flow", scenario.id, br.id)
+            if bus.p_gen_max > 0:
+                pchk_idx[bus.id] = pb.add_variable(
+                    f"pchk_{tag}_{safe}", 0.0, max(bus.p_gen_max, 0.0),
+                    meta=("pchk", scenario.id, bus.id),
                 )
-                flow_idx[br.id] = f_idx
+                pb.add_objective_term(pchk_idx[bus.id], prob * weights.lambda_over)
                 pb.add_row(
-                    f"ohm_{tag}_{safe}",
-                    [(f_idx, 1.0), (nf, br.susceptance), (nt, -br.susceptance)],
-                    "E",
+                    f"og_{tag}_{safe}",
+                    [(pchk_idx[bus.id], 1.0), (phat_idx[bus.id], -1.0)],
+                    "L",
                     0.0,
                 )
-                continue
-            beta = beta_var[br.id]
+        if bus.p_load > 0:
+            delta_idx[bus.id] = pb.add_variable(
+                f"delta_{tag}_{safe}", 0.0, 1.0, meta=("delta", scenario.id, bus.id)
+            )
+            pb.add_objective_term(delta_idx[bus.id], -prob * weights.lambda_shed * bus.p_load)
+            if a[0] == "var":
+                # Load at a dead bus cannot be served.
+                pb.add_row(
+                    f"ds_{tag}_{safe}", [(delta_idx[bus.id], 1.0), (a[1], -1.0)], "L", 0.0
+                )
+    # Loads always enter the objective constant; served fractions subtract.
+    pb.add_objective_offset(prob * weights.lambda_shed * network.total_load)
+
+    # Branch flow variables and rows.
+    flow_idx: dict[str, int] = {}
+    for br in network.branches:
+        safe = sanitize_name(br.id)
+        nf, nt = theta_idx[br.from_bus], theta_idx[br.to_bus]
+        if br.id in beta_const:
+            if beta_const[br.id] == 0:
+                continue  # pinned flow 0, angle rows vacuous within theta bounds
+            limit = min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max)
             f_idx = pb.add_variable(
-                f"flow_{tag}_{safe}", -br.flow_limit, br.flow_limit,
-                meta=("flow", scenario.id, br.id),
+                f"flow_{tag}_{safe}", -limit, limit, meta=("flow", scenario.id, br.id)
             )
             flow_idx[br.id] = f_idx
-            m_val = abs(br.susceptance) * 2 * network.angle_abs_max + br.flow_limit
-            # -flow - b*(theta_f - theta_t) sits in [M*(beta-1), M*(1-beta)].
             pb.add_row(
-                f"ohmlo_{tag}_{safe}",
-                [(f_idx, -1.0), (nf, -br.susceptance), (nt, br.susceptance), (beta, -m_val)],
-                "G",
-                -m_val,
+                f"ohm_{tag}_{safe}",
+                [(f_idx, 1.0), (nf, br.susceptance), (nt, -br.susceptance)],
+                "E",
+                0.0,
             )
+            continue
+        beta = beta_var[br.id]
+        f_idx = pb.add_variable(
+            f"flow_{tag}_{safe}", -br.flow_limit, br.flow_limit,
+            meta=("flow", scenario.id, br.id),
+        )
+        flow_idx[br.id] = f_idx
+        m_val = abs(br.susceptance) * 2 * network.angle_abs_max + br.flow_limit
+        # -flow - b*(theta_f - theta_t) sits in [M*(beta-1), M*(1-beta)].
+        pb.add_row(
+            f"ohmlo_{tag}_{safe}",
+            [(f_idx, -1.0), (nf, -br.susceptance), (nt, br.susceptance), (beta, -m_val)],
+            "G",
+            -m_val,
+        )
+        pb.add_row(
+            f"ohmhi_{tag}_{safe}",
+            [(f_idx, -1.0), (nf, -br.susceptance), (nt, br.susceptance), (beta, m_val)],
+            "L",
+            m_val,
+        )
+        spread = 2 * network.angle_abs_max - network.angle_diff_max
+        if spread > 0:
+            # Angle spread tightens from 2*abs_max to diff_max when live.
             pb.add_row(
-                f"ohmhi_{tag}_{safe}",
-                [(f_idx, -1.0), (nf, -br.susceptance), (nt, br.susceptance), (beta, m_val)],
+                f"adhi_{tag}_{safe}",
+                [(nf, 1.0), (nt, -1.0), (beta, spread)],
                 "L",
-                m_val,
+                2 * network.angle_abs_max,
             )
-            spread = 2 * network.angle_abs_max - network.angle_diff_max
-            if spread > 0:
-                # Angle spread tightens from 2*abs_max to diff_max when live.
-                pb.add_row(
-                    f"adhi_{tag}_{safe}",
-                    [(nf, 1.0), (nt, -1.0), (beta, spread)],
-                    "L",
-                    2 * network.angle_abs_max,
-                )
-                pb.add_row(
-                    f"adlo_{tag}_{safe}",
-                    [(nf, 1.0), (nt, -1.0), (beta, -spread)],
-                    "G",
-                    -2 * network.angle_abs_max,
-                )
-            pb.add_row(f"fhi_{tag}_{safe}", [(f_idx, 1.0), (beta, -br.flow_limit)], "L", 0.0)
-            pb.add_row(f"flo_{tag}_{safe}", [(f_idx, 1.0), (beta, br.flow_limit)], "G", 0.0)
+            pb.add_row(
+                f"adlo_{tag}_{safe}",
+                [(nf, 1.0), (nt, -1.0), (beta, -spread)],
+                "G",
+                -2 * network.angle_abs_max,
+            )
+        pb.add_row(f"fhi_{tag}_{safe}", [(f_idx, 1.0), (beta, -br.flow_limit)], "L", 0.0)
+        pb.add_row(f"flo_{tag}_{safe}", [(f_idx, 1.0), (beta, br.flow_limit)], "G", 0.0)
 
-        # Nodal balance for buses that are not pinned dead.
-        for bus in network.buses:
-            a = bus_alpha(bus.id)
-            if a[0] == "const" and a[1] == 0:
+    # Nodal balance for buses that are not pinned dead.
+    for bus in network.buses:
+        a = bus_alpha(bus.id)
+        if a[0] == "const" and a[1] == 0:
+            continue
+        terms = []
+        if bus.id in phat_idx:
+            terms.append((phat_idx[bus.id], 1.0))
+        if bus.id in pchk_idx:
+            terms.append((pchk_idx[bus.id], -1.0))
+        if bus.id in delta_idx:
+            terms.append((delta_idx[bus.id], -bus.p_load))
+        for br_id in network.branches_at_bus[bus.id]:
+            if br_id not in flow_idx:
                 continue
-            terms = []
-            if bus.id in phat_idx:
-                terms.append((phat_idx[bus.id], 1.0))
-            if bus.id in pchk_idx:
-                terms.append((pchk_idx[bus.id], -1.0))
-            if bus.id in delta_idx:
-                terms.append((delta_idx[bus.id], -bus.p_load))
-            for br_id in network.branches_at_bus[bus.id]:
-                if br_id not in flow_idx:
-                    continue
-                br = network.branch_by_id[br_id]
-                terms.append((flow_idx[br_id], 1.0 if br.to_bus == bus.id else -1.0))
-            pb.add_row(f"kcl_{tag}_{sanitize_name(bus.id)}", terms, "E", 0.0)
+            br = network.branch_by_id[br_id]
+            terms.append((flow_idx[br_id], 1.0 if br.to_bus == bus.id else -1.0))
+        pb.add_row(f"kcl_{tag}_{sanitize_name(bus.id)}", terms, "E", 0.0)
+    return n_alpha, n_beta
+
+
+def build(
+    network: GridNetwork,
+    scenario_set: FloodScenarioSet,
+    schedule: CostSchedule,
+    budget: Budget,
+    r_hat: int,
+    weights: LossWeights = LossWeights(),
+    relax_status: bool = False,
+) -> ExtensiveForm:
+    """Assemble the deterministic-equivalent MILP: every scenario gets a
+    dispatch block.  This monolithic model is the reference the solve path's
+    value-table model (:mod:`floodmit.value_table`) is checked against.
+
+    ``relax_status`` declares the status variables continuous; the linear
+    rows still force them to 0/1 at binary first-stage decisions.  Raises on
+    dimension mismatches (see :func:`check_inputs`).
+    """
+    check_inputs(network, scenario_set, schedule, r_hat)
+    pb = ProblemBuilder("extensive_form")
+    x_names, x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
+    n_alpha_vars = 0
+    n_beta_vars = 0
+    for scenario in scenario_set.scenarios:
+        n_alpha, n_beta = add_dispatch_block(
+            pb, network, scenario, r_hat, weights, x_idx, binary_status=not relax_status
+        )
+        n_alpha_vars += n_alpha
+        n_beta_vars += n_beta
 
     problem = pb.build()
     ef = ExtensiveForm(

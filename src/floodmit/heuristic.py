@@ -141,8 +141,8 @@ def greedy(
     ctx = _GreedyContext(network, scenario_set)
     plan = ZERO_PLAN
     remaining = budget.units
+    alive = ctx.alive_map(plan)
     while remaining > 0:
-        alive = ctx.alive_map(plan)
         best = None  # (ratio, sub, target, cost, value)
         for sub in ctx.sub_ids:
             cur = plan.level_of(sub)
@@ -163,6 +163,9 @@ def greedy(
         _, sub, target, cost, _ = best
         plan = plan.with_level(sub, target)
         remaining -= cost
+        # Only the bought substation's status can change.
+        for scenario, alive_w in zip(scenario_set.scenarios, alive):
+            alive_w[sub] = target >= scenario.level_of(sub)
     return plan
 
 

@@ -25,6 +25,7 @@ need to check the status.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ FREE = 3
 TOL_DUAL = 1e-9
 TOL_PIVOT = 1e-10
 TOL_FEAS = 1e-9
+TOL_DUAL_PIVOT = 1e-7
 REFACTOR_EVERY = 25
 DEGENERATE_STREAK = 60
 DUALITY_TOL = 1e-6
@@ -128,10 +130,16 @@ class Workspace:
         self.A_ext = sp.hstack([A, eye, eye], format="csc")
         self.At = self.A_ext.T.tocsr()
         self.c_ext = np.concatenate([np.asarray(c, dtype=float), np.zeros(2 * m)])
-        self.senses = list(senses)
         self.b = np.asarray(b, dtype=float).copy()
         norms = np.asarray(self.A_ext.multiply(self.A_ext).sum(axis=0)).ravel()
         self.price_weight = 1.0 + norms
+        # Slack bounds encode the row sense: row becomes  a.x + s = b.
+        senses = np.asarray(senses, dtype=object).reshape(m)
+        unknown = senses[~np.isin(senses, ("L", "G", "E"))]
+        if unknown.size:
+            raise ValueError(f"unknown row sense {unknown[0]!r}")
+        self.slack_lo = np.where(senses == "G", -np.inf, 0.0)
+        self.slack_hi = np.where(senses == "L", np.inf, 0.0)
         self.set_bounds(lb, ub)
 
     def set_bounds(self, lb, ub) -> None:
@@ -140,16 +148,8 @@ class Workspace:
         hi = np.empty(n + 2 * m)
         lo[:n] = lb
         hi[:n] = ub
-        # Slack bounds encode the row sense: row becomes  a.x + s = b.
-        for i, s in enumerate(self.senses):
-            if s == "L":
-                lo[n + i], hi[n + i] = 0.0, np.inf
-            elif s == "G":
-                lo[n + i], hi[n + i] = -np.inf, 0.0
-            elif s == "E":
-                lo[n + i], hi[n + i] = 0.0, 0.0
-            else:
-                raise ValueError(f"unknown row sense {s!r}")
+        lo[n : n + m] = self.slack_lo
+        hi[n : n + m] = self.slack_hi
         # Artificials stay pinned until a cold start opens them.
         lo[n + m :] = 0.0
         hi[n + m :] = 0.0
@@ -327,11 +327,22 @@ class _Solver:
         return not self._improving(d, slack).any()
 
     def run_dual(self, costs: np.ndarray) -> str:
-        """Dual simplex from a dual-feasible basis toward primal feasibility."""
+        """Dual simplex from a dual-feasible basis toward primal feasibility.
+
+        The pivot rule is deterministic, so a basis (in position order, with
+        the same bound statuses) that comes back means it cycles.  The run
+        then stops with ``numerical-error``, as it does when the pivot
+        element falls below ``TOL_DUAL_PIVOT``, and the caller cold-starts.
+        """
         ws = self.ws
+        seen: set[bytes] = set()
         while True:
             if self.iterations >= self.max_iter:
                 return STATUS_NUMERICAL
+            state = hashlib.blake2b(self.basis.tobytes() + self.status_arr.tobytes()).digest()
+            if state in seen:
+                return STATUS_NUMERICAL
+            seen.add(state)
             xb = self.x[self.basis]
             below = ws.lo[self.basis] - xb
             above = xb - ws.hi[self.basis]
@@ -366,6 +377,10 @@ class _Solver:
             q = int(ties[int(np.argmax(np.abs(alpha[ties])))])
 
             w = self.fact.ftran(ws.column(q))
+            if abs(w[r]) < TOL_DUAL_PIVOT:
+                # A pivot this small is rounding noise and would wreck the
+                # basis; the caller restarts cold instead.
+                return STATUS_NUMERICAL
             bound = ws.hi[self.basis[r]] if leaving_above else ws.lo[self.basis[r]]
             step = (xb[r] - bound) / w[r]
             new_val = self._nonbasic_value(q) + step

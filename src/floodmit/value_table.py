@@ -1,0 +1,129 @@
+"""The planning MILP with value-table scenario blocks: the solve path's model.
+
+A scenario's recourse loss depends on the first stage only through which of
+its *uncertain* substations survive: those flooded at a level in
+``1..r_hat-1``, which a barrier stack of that level saves.  (A dry
+substation always survives, one flooded at ``r_hat`` or above never does.)
+So for a scenario s with uncertain set U_s the dispatch block can give way to
+a table of recourse losses over the survivor subsets A of U_s:
+
+    z[s, A] in [0, 1],   objective  p_s * loss(s, A)
+    sum_A z[s, A] = 1
+    sum_{A containing k} z[s, A] = x[k, level_s(k)]     for each k in U_s
+
+At binary x the marginal rows force z onto the single subset of survivors,
+so the model is exact and adds no binaries (Laporte & Louveaux's recourse
+value-function view of binary first stages, Oper. Res. Lett. 13(3), 1993).
+A scenario with no uncertain substation is a one-entry table folded into the
+objective offset.  The losses come from the caller's
+:class:`~floodmit.recourse.RecourseEvaluator`, so tables, warm-start values and
+plan evaluations share one status closure and one dead-set cache.
+
+A table has 2^|U_s| entries, one dispatch LP each (fewer after cache hits).
+A scenario with more than ``MAX_TABLE_UNCERTAIN`` uncertain substations keeps
+the extensive form's dispatch block instead, built by the same helper
+:func:`floodmit.extensive_form.add_dispatch_block`.  The first stage is the
+extensive form's, so plans read in and out through the same
+:class:`~floodmit.extensive_form.ExtensiveForm` wrapper.
+"""
+
+from __future__ import annotations
+
+from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, check_inputs
+from .grid_model import GridNetwork
+from .milp import ProblemBuilder, sanitize_name
+from .mitigation import Budget, CostSchedule, MitigationPlan
+from .recourse import RecourseEvaluator
+from .scenario_model import FloodScenario, FloodScenarioSet
+
+# Largest uncertain set that gets a table (2^6 = 64 entries); larger ones
+# keep a dispatch block, whose size does not grow with the set.  On a
+# 30-substation corridor with sets of up to 13, caps of 4 and 5 left node LPs
+# large enough to make deep trees slow, 7 only tied 6, and 10 spent 104 s
+# building tables.
+MAX_TABLE_UNCERTAIN = 6
+
+
+def _add_table(
+    pb: ProblemBuilder,
+    scenario: FloodScenario,
+    uncertain: list[str],
+    x_idx: dict[tuple[str, int], int],
+    evaluator: RecourseEvaluator,
+) -> None:
+    """Entry ``mask`` is the subset whose members are ``uncertain[j]`` for
+    every set bit j of ``mask``."""
+    prob = scenario.probability
+    losses = []
+    for mask in range(2 ** len(uncertain)):
+        survivors = {k: scenario.level_of(k) for j, k in enumerate(uncertain) if mask >> j & 1}
+        losses.append(evaluator.scenario_outcome(MitigationPlan(survivors), scenario).loss)
+    if not uncertain:
+        pb.add_objective_offset(prob * losses[0])
+        return
+    tag = sanitize_name(scenario.id)
+    z = []
+    for mask, loss in enumerate(losses):
+        idx = pb.add_variable(f"z_{tag}_{mask}", 0.0, 1.0, meta=("z", scenario.id, mask))
+        pb.add_objective_term(idx, prob * loss)
+        z.append(idx)
+    pb.add_row(f"zsum_{tag}", [(idx, 1.0) for idx in z], "E", 1.0)
+    for j, k in enumerate(uncertain):
+        terms = [(idx, 1.0) for mask, idx in enumerate(z) if mask >> j & 1]
+        terms.append((x_idx[(k, scenario.level_of(k))], -1.0))
+        pb.add_row(f"zm_{tag}_{sanitize_name(k)}", terms, "E", 0.0)
+
+
+def build(
+    network: GridNetwork,
+    scenario_set: FloodScenarioSet,
+    schedule: CostSchedule,
+    budget: Budget,
+    r_hat: int,
+    evaluator: RecourseEvaluator,
+    relax_status: bool = False,
+) -> ExtensiveForm:
+    """Assemble the planning MILP with a value table per scenario.
+
+    Same first stage and optimum as :func:`floodmit.extensive_form.build`,
+    with the loss weights of ``evaluator``.  ``relax_status`` declares the
+    status variables of over-cap scenarios (the only ones that have any)
+    continuous.  Raises on the same input mismatches.
+    """
+    check_inputs(network, scenario_set, schedule, r_hat)
+    pb = ProblemBuilder("value_table")
+    x_names, x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
+    n_tables = n_entries = n_dispatch = 0
+    for scenario in scenario_set.scenarios:
+        uncertain = [s.id for s in network.substations if 0 < scenario.level_of(s.id) < r_hat]
+        if len(uncertain) > MAX_TABLE_UNCERTAIN:
+            add_dispatch_block(
+                pb, network, scenario, r_hat, evaluator.weights, x_idx,
+                binary_status=not relax_status,
+            )
+            n_dispatch += 1
+        else:
+            _add_table(pb, scenario, uncertain, x_idx, evaluator)
+            n_tables += 1
+            n_entries += 2 ** len(uncertain)
+
+    problem = pb.build()
+    return ExtensiveForm(
+        problem=problem,
+        network=network,
+        scenario_set=scenario_set,
+        schedule=schedule,
+        budget=budget,
+        r_hat=r_hat,
+        weights=evaluator.weights,
+        x_names=x_names,
+        stats={
+            "variables": problem.n_variables,
+            "rows": problem.n_rows,
+            "binaries": problem.n_binaries,
+            "scenarios": len(scenario_set.scenarios),
+            "table_scenarios": n_tables,
+            "table_entries": n_entries,
+            "dispatch_scenarios": n_dispatch,
+        },
+    )

@@ -198,6 +198,83 @@ def test_warm_restart_after_rhs_and_bound_changes():
     assert hits > 20
 
 
+def _forbidden_assignment_cases(count):
+    """Assignment LPs (every basis highly degenerate) with bounds forbidding
+    most of their optimal assignment, plus the optimal basis: a warm re-solve
+    takes the dual path."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(count):
+        k = int(rng.integers(4, 8))
+        A = np.zeros((2 * k, k * k))
+        for i in range(k):
+            for j in range(k):
+                A[i, i * k + j] = A[k + j, i * k + j] = 1.0
+        c = rng.integers(0, 3, k * k).astype(float)
+        b, senses = np.ones(2 * k), ["E"] * (2 * k)
+        lb, ub = np.zeros(k * k), np.ones(k * k)
+        first = _solve(c, A, senses, b, lb, ub)
+        ub[np.flatnonzero(first.x > 0.5)[: k - 1]] = 0.0
+        cases.append(((c, A, senses, b, lb, ub), first.basis_state))
+    return cases
+
+
+def test_dual_cycle_falls_back_to_cold_start(monkeypatch):
+    # A dual pivot that leaves the basis as it was stands in for a cycle:
+    # the repeated basis must end the warm run at once, and the cold start
+    # must still reach the optimum.
+    import sys
+
+    import floodmit.simplex as simplex
+
+    real_pivot = simplex._Solver._pivot
+    stalled = []
+
+    def pivot(self, *args):
+        if sys._getframe(1).f_code.co_name == "run_dual":
+            stalled.append(self.iterations)
+            return
+        real_pivot(self, *args)
+
+    for lp, basis in _forbidden_assignment_cases(10):
+        cold = _solve(*lp)
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex._Solver, "_pivot", pivot)
+            before = len(stalled)
+            warm = _solve(*lp, warm=basis)
+        assert len(stalled) - before <= 1
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert stalled
+
+
+def test_tiny_dual_pivot_falls_back_to_cold_start(monkeypatch):
+    # With every pivot element below the threshold the dual run stops before
+    # its first pivot, so the re-solve is exactly the cold solve.
+    import floodmit.simplex as simplex
+
+    cases = _forbidden_assignment_cases(10)
+    dual_pivots = sum(
+        _solve(*lp, warm=basis).iterations != _solve(*lp).iterations for lp, basis in cases
+    )
+    assert dual_pivots > 0
+    monkeypatch.setattr(simplex, "TOL_DUAL_PIVOT", np.inf)
+    for lp, basis in cases:
+        warm, cold = _solve(*lp, warm=basis), _solve(*lp)
+        assert warm.status == cold.status == "optimal"
+        assert (warm.objective, warm.iterations) == (cold.objective, cold.iterations)
+
+
+def test_slack_bounds_follow_row_senses():
+    ws = Workspace([1.0, 1.0], sp.csc_matrix(np.ones((3, 2))), ["L", "G", "E"], [1.0, 1.0, 1.0],
+                   [0.0, -1.0], [2.0, 3.0])
+    ws.set_bounds(np.array([0.5, -2.0]), np.array([1.5, 4.0]))
+    assert ws.lo.tolist() == [0.5, -2.0, 0.0, -np.inf, 0.0, 0.0, 0.0, 0.0]
+    assert ws.hi.tolist() == [1.5, 4.0, np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="unknown row sense 'N'"):
+        Workspace([1.0], sp.csc_matrix(np.ones((2, 1))), ["L", "N"], [1.0, 1.0], [0.0], [1.0])
+
+
 def test_fixed_variable_contributes_to_dual_objective():
     # Pinning x at 1 forces dual pricing of the pinned value.
     res = _solve([3.0, 1.0], [[1.0, 1.0]], ["G"], [2.0], [1.0, 0.0], [1.0, 5.0])

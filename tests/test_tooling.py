@@ -26,3 +26,30 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert (simplex.solve_linear_program, simplex.spla, recourse.status_closure, cli.main) == originals
+
+
+def test_traced_solve_reports_model_and_dispatch_counts(tmp_path):
+    """The tracer reads ``ef.stats`` of whatever model ``cli`` builds; a
+    builder without the keys it reads fails here, not in a traced run."""
+    from floodmit import cli
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    assert cli.main(["make-fixture", "tiny3", "--out-dir", str(tmp_path)]) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        rc = cli.main([
+            "solve", "--network", str(tmp_path / "network.json"),
+            "--scenarios", str(tmp_path / "scenarios.json"), "--budget", "1",
+            "--out-dir", str(tmp_path / "solve"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["extensive_form.variables"] > 0
+    assert metrics["extensive_form.rows"] > 0
+    assert metrics["recourse.dispatch_lps"] > 0

@@ -1,0 +1,151 @@
+"""The value-table model against the extensive form it replaces on the solve path.
+
+Both models share the first stage, so an optimum of either reads out as a
+plan through the same wrapper; the table model must reach the extensive
+form's optimal objective, and the plan it picks must be worth exactly that
+objective under the recourse evaluator.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import random_network, random_scenario_set
+from floodmit import analysis, extensive_form, heuristic, value_table
+from floodmit.cli import main
+from floodmit.mitigation import Budget, CostSchedule, max_useful_budget
+from floodmit.recourse import LossWeights, RecourseEvaluator
+from floodmit.scenario_model import FloodScenario, FloodScenarioSet
+from floodmit.solver import solve_milp
+
+W = LossWeights()
+
+
+def _solve(ef):
+    sol = solve_milp(ef.problem)
+    assert sol.status == "optimal"
+    return sol
+
+
+def _assert_models_agree(net, scen, sched, r_hat, budgets, relax_status=False):
+    evaluator = RecourseEvaluator(net, W)
+    ef = extensive_form.build(
+        net, scen, sched, Budget(max(budgets)), r_hat, W, relax_status=relax_status
+    )
+    vt = value_table.build(
+        net, scen, sched, Budget(max(budgets)), r_hat, evaluator, relax_status=relax_status
+    )
+    assert vt.x_names == ef.x_names
+    for f in budgets:
+        ref = _solve(ef.with_budget(f))
+        sol = _solve(vt.with_budget(f))
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-6), f
+        plan = vt.plan_from_values(sol.values)
+        assert evaluator.evaluate(plan, scen).expected_loss == pytest.approx(
+            sol.objective, abs=1e-9
+        ), f
+    return vt
+
+
+def test_randomized_instances_match_extensive_form():
+    rng = np.random.default_rng(1357)
+    for _ in range(32):
+        net = random_network(rng, n_subs=int(rng.integers(2, 6)))
+        scen = random_scenario_set(rng, net, count=int(rng.integers(1, 5)), level_count=3)
+        sched = CostSchedule.for_network(net)
+        r_hat = int(rng.choice([3, 4]))
+        fmax = max_useful_budget(net, scen, sched, r_hat)
+        budgets = sorted({0, fmax // 3, (2 * fmax) // 3, fmax + 1})
+        vt = _assert_models_agree(net, scen, sched, r_hat, budgets)
+        assert vt.stats["dispatch_scenarios"] == 0
+        assert vt.stats["table_scenarios"] == len(scen.scenarios)
+
+
+def _mixed_instance():
+    """Eight one-bus substations; scenario ``wide`` floods all of them at
+    preventable levels, one more than the table cap allows."""
+    rng = np.random.default_rng(97)
+    net = random_network(rng, n_subs=8, buses_per_sub=1)
+    subs = [s.id for s in net.substations]
+    assert len(subs) == value_table.MAX_TABLE_UNCERTAIN + 2
+    wide = {s: 1 + i % 2 for i, s in enumerate(subs)}
+    wide[subs[0]] = 3  # beyond any barrier: dead in every plan
+    scen = FloodScenarioSet(
+        (
+            FloodScenario("wide", 0.5, wide),
+            FloodScenario("narrow", 0.3, {subs[1]: 1, subs[2]: 2, subs[5]: 3}),
+            FloodScenario("dry", 0.2, {subs[4]: 4}),
+        ),
+        level_count=4,
+        unattainable_level=3,
+    )
+    return net, scen
+
+
+@pytest.mark.parametrize("relax_status", [False, True])
+def test_scenario_over_the_cap_keeps_a_dispatch_block(relax_status):
+    net, scen = _mixed_instance()
+    sched = CostSchedule.for_network(net)
+    fmax = max_useful_budget(net, scen, sched, 3)
+    vt = _assert_models_agree(
+        net, scen, sched, 3, [0, 2, 5, fmax // 2, fmax], relax_status=relax_status
+    )
+    # "narrow" has two uncertain substations, "dry" none.
+    assert vt.stats["dispatch_scenarios"] == 1
+    assert vt.stats["table_scenarios"] == 2
+    assert vt.stats["table_entries"] == 4 + 1
+    alphas = [i for i, m in enumerate(vt.problem.meta) if m[0] == "alpha"]
+    assert len(alphas) == 7 and {vt.problem.meta[i][1] for i in alphas} == {"wide"}
+    assert bool(vt.problem.is_binary[alphas].any()) is not relax_status
+
+
+def test_tables_share_the_evaluators_dead_set_cache(star8):
+    sched = CostSchedule.for_network(star8.network)
+    evaluator = RecourseEvaluator(star8.network, W)
+    vt = value_table.build(star8.network, star8.scenarios, sched, Budget(9), 3, evaluator)
+    cached = len(evaluator._cache)
+    assert 0 < cached <= vt.stats["table_entries"]
+    # Every plan's outcome in every scenario is already a table entry.
+    for plan in heuristic.portfolio(Budget(9), star8.network, star8.scenarios, sched, 3):
+        evaluator.evaluate(plan, star8.scenarios)
+    assert len(evaluator._cache) == cached
+
+
+def test_check_unique_matches_extensive_form(tiny3, tmp_path):
+    net, scen = tiny3.network, tiny3.scenarios
+    assert main(["make-fixture", "tiny3", "--out-dir", str(tmp_path)]) == 0
+    out = tmp_path / "unique.json"
+    rc = main([
+        "check-unique", "--network", str(tmp_path / "network.json"),
+        "--scenarios", str(tmp_path / "scenarios.json"), "--budget", "1", "--out", str(out),
+    ])
+    assert rc == 0
+    got = json.loads(out.read_text())["result"]
+
+    sched = CostSchedule.for_network(net)
+    evaluator = RecourseEvaluator(net, W)
+    ef = extensive_form.build(net, scen, sched, Budget(1), 3, W)
+    warm = heuristic.portfolio(Budget(1), net, scen, sched, 3)
+    sol, plan, extras = analysis.solve_instance(ef, warm, evaluator, check_unique=True)
+    assert got["unique"] is extras["unique"] is False
+    assert got["witness"] == extras["witness"].levels
+    assert got["plan"] == plan.levels
+    assert got["objective"] == pytest.approx(sol.objective, abs=1e-9)
+    assert got["uniqueness_caveat"] is extras["caveat"]
+
+
+def test_solve_envelope_reports_block_kinds(tmp_path):
+    assert main(["make-fixture", "tiny3", "--out-dir", str(tmp_path)]) == 0
+    rc = main([
+        "solve", "--network", str(tmp_path / "network.json"),
+        "--scenarios", str(tmp_path / "scenarios.json"), "--budget", "1",
+        "--out-dir", str(tmp_path / "solve"),
+    ])
+    assert rc == 0
+    model = json.loads((tmp_path / "solve" / "envelope.json").read_text())["result"]["model"]
+    # tiny3: one scenario floods both substations at level 1, the other is dry.
+    assert model["table_scenarios"] == 2
+    assert model["table_entries"] == 4 + 1
+    assert model["dispatch_scenarios"] == 0
+    assert model["variables"] > 0 and model["rows"] > 0 and model["binaries"] > 0
