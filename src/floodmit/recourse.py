@@ -14,14 +14,25 @@ generator effectively run below its lower bound, which is what makes the LP
 feasible for every (plan, scenario) pair: shedding everything and generating
 nothing always satisfies the constraints.
 
+The LP has one structure per network, and statuses change only its bounds.
+Its variables are [p_hat | p_check | delta | theta | p_flow | u].  Every
+branch keeps its Ohm row, which carries a relief column u_e: pinned to zero
+while the branch is live, boxed in +-2 |b_e| angle_abs_max when it is dead.
+Every angle lies within angle_abs_max, so a dead branch never ties the
+angles of its endpoints.  Every bus keeps its overgeneration row, which for
+a dead bus reads 0 <= 0.
+
 The statuses depend on the plan only through the set of dead substations, so
 one function derives that set and one turns it into statuses; the cached
-evaluator keys its dispatch solves on the same set.
+evaluator keys its dispatch solves on the same set.  The evaluator solves the
+no-flood LP cold once and warm-starts every other dead set from that
+reference basis on one simplex workspace.  Every solve starts from the same
+basis, so a cached loss does not depend on the order of requests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +70,8 @@ class DispatchState:
     p_flow: dict[str, float]
     delta: dict[str, float]
     theta: dict[str, float]
+    # Optimal basis of the dispatch LP: the warm start of later solves.
+    basis: simplex.BasisState | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -105,34 +118,26 @@ def status_closure(
     return statuses_for_dead(network, dead_substations(plan, scenario))
 
 
-def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: LossWeights):
-    """Assemble the fixed-status dispatch LP in raw array form.
+def _layout(network: GridNetwork) -> tuple[int, int, int, int, int, int]:
+    """Column offsets of [p_hat | p_check | delta | theta | p_flow | u]."""
+    nb, ne = len(network.buses), len(network.branches)
+    return 0, nb, 2 * nb, 3 * nb, 4 * nb, 4 * nb + ne
 
-    Variable layout: [p_hat | p_check | delta | theta | p_flow].
-    When a branch is live, its angle-difference limit folds into the flow
-    bound through Ohm's law: |flow| = |b| * |angle diff| <= |b| * diff_max.
-    Dead components pin to zero through their bounds, so no big-M rows are
-    needed here.
+
+def _recourse_bounds(network: GridNetwork, statuses: StatusVector) -> tuple[np.ndarray, np.ndarray]:
+    """Variable bounds of the dispatch LP, the only part statuses change.
+
+    A live branch's angle-difference limit folds into its flow bound through
+    Ohm's law (|flow| = |b| * |angle diff| <= |b| * diff_max) and its relief
+    column is pinned to zero.  A dead branch's flow is pinned to zero and its
+    relief is boxed by 2 |b| angle_abs_max, which any pair of angles within
+    their limits satisfies, so its Ohm row no longer couples its endpoints.
     """
-    buses = network.buses
-    branches = network.branches
-    nb, ne = len(buses), len(branches)
-    bus_pos = {b.id: i for i, b in enumerate(buses)}
-    branch_pos = {br.id: e for e, br in enumerate(branches)}
-
-    n_var = 4 * nb + ne
-    i_hat = 0
-    i_chk = nb
-    i_del = 2 * nb
-    i_the = 3 * nb
-    i_flo = 4 * nb
-
+    i_hat, i_chk, i_del, i_the, i_flo, i_rel = _layout(network)
+    n_var = i_rel + len(network.branches)
     lb = np.zeros(n_var)
     ub = np.zeros(n_var)
-    c = np.zeros(n_var)
-    offset = 0.0
-
-    for i, bus in enumerate(buses):
+    for i, bus in enumerate(network.buses):
         a = statuses.alpha[bus.id]
         lb[i_hat + i], ub[i_hat + i] = bus.p_gen_min * a, bus.p_gen_max * a
         lb[i_chk + i], ub[i_chk + i] = 0.0, np.inf if a else 0.0
@@ -140,37 +145,65 @@ def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: Loss
         lb[i_the + i], ub[i_the + i] = -network.angle_abs_max, network.angle_abs_max
         if bus.is_reference:
             lb[i_the + i] = ub[i_the + i] = 0.0
+    for e, br in enumerate(network.branches):
+        if statuses.beta[br.id]:
+            limit = min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max)
+            lb[i_flo + e], ub[i_flo + e] = -limit, limit
+        else:
+            relief = 2.0 * abs(br.susceptance) * network.angle_abs_max
+            lb[i_rel + e], ub[i_rel + e] = -relief, relief
+    return lb, ub
+
+
+def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: LossWeights):
+    """Assemble the fixed-status dispatch LP in raw array form.
+
+    Variable layout: [p_hat | p_check | delta | theta | p_flow | u].  Every
+    branch has an Ohm row  flow - b (theta_to - theta_from) + u = 0  and
+    every bus a balance row and an overgeneration row, whatever the
+    statuses: dead components pin to zero through their bounds (a dead bus's
+    overgeneration row reads 0 <= 0), and a dead branch's relief column u
+    absorbs its angle difference (see :func:`_recourse_bounds`).  So the
+    objective, matrix, senses and right-hand side depend only on the network
+    and the weights, and no big-M rows are needed.
+    """
+    buses = network.buses
+    branches = network.branches
+    bus_pos = {b.id: i for i, b in enumerate(buses)}
+    branch_pos = {br.id: e for e, br in enumerate(branches)}
+    layout = _layout(network)
+    i_hat, i_chk, i_del, i_the, i_flo, i_rel = layout
+
+    lb, ub = _recourse_bounds(network, statuses)
+    n_var = len(lb)
+    c = np.zeros(n_var)
+    for i, bus in enumerate(buses):
         c[i_chk + i] = weights.lambda_over
         c[i_del + i] = -weights.lambda_shed * bus.p_load
-        offset += weights.lambda_shed * bus.p_load
 
     rows_i, rows_j, rows_v = [], [], []
     senses: list[str] = []
-    rhs: list[float] = []
 
-    def add_row(terms, sense, b):
+    def add_row(terms, sense):
         k = len(senses)
         for j, v in terms:
             rows_i.append(k)
             rows_j.append(j)
             rows_v.append(v)
         senses.append(sense)
-        rhs.append(b)
 
     for e, br in enumerate(branches):
-        live = statuses.beta[br.id]
-        if live:
-            limit = min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max)
-            lb[i_flo + e], ub[i_flo + e] = -limit, limit
-            nf, nt = bus_pos[br.from_bus], bus_pos[br.to_bus]
-            # Ohm's law, literal sign convention: flow = -b * (theta_n - theta_m).
-            add_row(
-                [(i_flo + e, 1.0), (i_the + nf, br.susceptance), (i_the + nt, -br.susceptance)],
-                "E",
-                0.0,
-            )
-        else:
-            lb[i_flo + e] = ub[i_flo + e] = 0.0
+        nf, nt = bus_pos[br.from_bus], bus_pos[br.to_bus]
+        # Ohm's law, literal sign convention: flow = -b * (theta_n - theta_m).
+        add_row(
+            [
+                (i_flo + e, 1.0),
+                (i_the + nf, br.susceptance),
+                (i_the + nt, -br.susceptance),
+                (i_rel + e, 1.0),
+            ],
+            "E",
+        )
 
     for i, bus in enumerate(buses):
         terms = [(i_hat + i, 1.0), (i_chk + i, -1.0), (i_del + i, -bus.p_load)]
@@ -178,32 +211,51 @@ def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: Loss
             br = network.branch_by_id[br_id]
             e = branch_pos[br_id]
             terms.append((i_flo + e, 1.0 if br.to_bus == bus.id else -1.0))
-        add_row(terms, "E", 0.0)
-        if statuses.alpha[bus.id]:
-            # Overgeneration never exceeds generation.
-            add_row([(i_chk + i, 1.0), (i_hat + i, -1.0)], "L", 0.0)
+        add_row(terms, "E")
+        # Overgeneration never exceeds generation.
+        add_row([(i_chk + i, 1.0), (i_hat + i, -1.0)], "L")
 
     A = sp.csc_matrix(
         (rows_v, (rows_i, rows_j)), shape=(len(senses), n_var)
     )
-    return c, A, senses, np.array(rhs), lb, ub, offset, (i_hat, i_chk, i_del, i_the, i_flo)
+    return c, A, senses, np.zeros(len(senses)), lb, ub, _loss_offset(network, weights), layout
+
+
+def _loss_offset(network: GridNetwork, weights: LossWeights) -> float:
+    """Constant term of the loss: its value when all load is shed."""
+    return sum(weights.lambda_shed * bus.p_load for bus in network.buses)
 
 
 def solve_recourse_lp(
-    network: GridNetwork, statuses: StatusVector, weights: LossWeights
+    network: GridNetwork,
+    statuses: StatusVector,
+    weights: LossWeights,
+    *,
+    workspace: simplex.Workspace | None = None,
+    warm: simplex.BasisState | None = None,
 ) -> tuple[float, DispatchState]:
     """Optimal dispatch loss under fixed statuses.
+
+    Without ``workspace`` the LP is assembled and solved cold.  A workspace
+    built from :func:`_recourse_arrays` for the same network and weights
+    (under any statuses) only gets this LP's bounds, and the solve starts
+    from the ``warm`` basis.  The returned dispatch carries the optimal
+    basis as the warm start of later solves.
 
     The problem is feasible for any status vector, so anything but a verified
     optimum (including one that fails the simplex duality or residual gate)
     indicates a defect and raises instead of returning.
     """
-    c, A, senses, b, lb, ub, offset, layout = _recourse_arrays(network, statuses, weights)
-    res = simplex.solve_linear_program(c, A, senses, b, lb, ub)
+    if workspace is None:
+        c, A, senses, b, lb, ub, _, _ = _recourse_arrays(network, statuses, weights)
+        res = simplex.solve_linear_program(c, A, senses, b, lb, ub)
+    else:
+        workspace.set_bounds(*_recourse_bounds(network, statuses))
+        res = simplex.solve_linear_program(workspace=workspace, warm=warm)
     if res.status != simplex.STATUS_OPTIMAL:
         raise RuntimeError(f"recourse LP unexpectedly terminated {res.status}")
 
-    i_hat, i_chk, i_del, i_the, i_flo = layout
+    i_hat, i_chk, i_del, i_the, i_flo, _ = _layout(network)
     x = res.x
     dispatch = DispatchState(
         p_hat={b_.id: float(x[i_hat + i]) for i, b_ in enumerate(network.buses)},
@@ -211,33 +263,51 @@ def solve_recourse_lp(
         delta={b_.id: float(x[i_del + i]) for i, b_ in enumerate(network.buses)},
         theta={b_.id: float(x[i_the + i]) for i, b_ in enumerate(network.buses)},
         p_flow={br.id: float(x[i_flo + e]) for e, br in enumerate(network.branches)},
+        basis=res.basis_state,
     )
-    return res.objective + offset, dispatch
+    return res.objective + _loss_offset(network, weights), dispatch
 
 
 class RecourseEvaluator:
     """Caches scenario losses keyed by the set of dead substations.
 
     Two plans that leave the same substations dead in a scenario face the
-    identical dispatch LP, so sweeps and greedy searches reuse solves.
+    identical dispatch LP, so sweeps and greedy searches reuse solves.  All
+    dispatch LPs of the network share one simplex workspace: the no-flood LP
+    is solved cold once, and every other dead set only resets the bounds and
+    warm-starts from that reference basis.  Since every solve starts from the
+    same basis, a cached value does not depend on the order of requests.
     """
 
     def __init__(self, network: GridNetwork, weights: LossWeights):
         self.network = network
         self.weights = weights
         self._cache: dict[tuple[str, ...], tuple[float, float, float, float]] = {}
+        self._workspace: simplex.Workspace | None = None
+        self._reference: simplex.BasisState | None = None
+
+    def _dispatch(self, dead: tuple[str, ...]) -> simplex.BasisState:
+        loss, dispatch = solve_recourse_lp(
+            self.network, statuses_for_dead(self.network, dead), self.weights,
+            workspace=self._workspace, warm=self._reference,
+        )
+        served = sum(
+            b.p_load * dispatch.delta[b.id] for b in self.network.buses
+        )
+        shed = self.network.total_load - served
+        over = sum(dispatch.p_check.values())
+        self._cache[dead] = (loss, served, shed, over)
+        return dispatch.basis
 
     def _solve_for_dead(self, dead: tuple[str, ...]) -> tuple[float, float, float, float]:
+        if self._workspace is None:
+            c, A, senses, b, lb, ub, _, _ = _recourse_arrays(
+                self.network, statuses_for_dead(self.network, ()), self.weights
+            )
+            self._workspace = simplex.Workspace(c, A, senses, b, lb, ub)
+            self._reference = self._dispatch(())
         if dead not in self._cache:
-            loss, dispatch = solve_recourse_lp(
-                self.network, statuses_for_dead(self.network, dead), self.weights
-            )
-            served = sum(
-                b.p_load * dispatch.delta[b.id] for b in self.network.buses
-            )
-            shed = self.network.total_load - served
-            over = sum(dispatch.p_check.values())
-            self._cache[dead] = (loss, served, shed, over)
+            self._dispatch(dead)
         return self._cache[dead]
 
     def scenario_outcome(self, plan: MitigationPlan, scenario: FloodScenario) -> ScenarioOutcome:

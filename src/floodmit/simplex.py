@@ -323,8 +323,23 @@ class _Solver:
     # -- dual simplex --------------------------------------------------------
 
     def dual_feasible(self, costs: np.ndarray, slack: float = 1e-7) -> bool:
+        """Whether the basis is dual feasible once every boxed nonbasic column
+        whose reduced cost has the wrong sign moves to its other bound.
+
+        A wrong-signed column with an infinite bound cannot be repaired by a
+        flip, so the basis is reported dual infeasible and left as it was.
+        """
+        ws = self.ws
         _, d = self._duals(costs)
-        return not self._improving(d, slack).any()
+        wrong = self._improving(d, slack)
+        if not wrong.any():
+            return True
+        boxed = np.isfinite(ws.lo) & np.isfinite(ws.hi) & (self.status_arr != FREE)
+        if not boxed[wrong].all():
+            return False
+        self.status_arr[wrong] = np.where(self.status_arr[wrong] == AT_LOWER, AT_UPPER, AT_LOWER)
+        self._refresh_x()
+        return True
 
     def run_dual(self, costs: np.ndarray) -> str:
         """Dual simplex from a dual-feasible basis toward primal feasibility.
@@ -530,6 +545,9 @@ def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResu
             status = None
 
     if status is None:
+        # The cold start gets a full pivot budget of its own; the reported
+        # count still covers the failed warm run too.
+        solver.max_iter = solver.iterations + max_iter
         st = solver.cold_start()
         if st == STATUS_NUMERICAL:
             return _failed(STATUS_NUMERICAL, solver.iterations)

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from floodmit import simplex
 from conftest import random_network, random_plan, random_scenario_set
 from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
 from floodmit.mitigation import MitigationPlan, ZERO_PLAN
@@ -10,6 +14,7 @@ from floodmit.recourse import (
     evaluate_plan,
     solve_recourse_lp,
     status_closure,
+    statuses_for_dead,
 )
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 
@@ -252,3 +257,150 @@ def test_evaluator_cache_consistency(star8):
     a = evaluator.evaluate(plan, star8.scenarios).expected_loss
     b = evaluate_plan(star8.network, plan, star8.scenarios)
     assert a == pytest.approx(b.expected_loss, abs=1e-12)
+
+
+# -- fixed-structure dispatch LP against independent formulations ---------
+
+
+def _dropped_rows_loss(network, statuses, weights):
+    """Dispatch loss by HiGHS on the LP that leaves out the Ohm rows of dead
+    branches and the overgeneration rows of dead buses, instead of relaxing
+    them through bounds.  Layout: [p_hat | p_check | delta | theta | p_flow]."""
+    buses, branches = network.buses, network.branches
+    nb = len(buses)
+    pos = {b.id: i for i, b in enumerate(buses)}
+    n = 4 * nb + len(branches)
+    c = np.zeros(n)
+    bounds = [None] * n
+    a_eq, a_ub = [], []
+    for i, bus in enumerate(buses):
+        a = statuses.alpha[bus.id]
+        c[nb + i] = weights.lambda_over
+        c[2 * nb + i] = -weights.lambda_shed * bus.p_load
+        bounds[i] = (bus.p_gen_min * a, bus.p_gen_max * a)
+        bounds[nb + i] = (0.0, None if a else 0.0)
+        bounds[2 * nb + i] = (0.0, float(a))
+        theta = 0.0 if bus.is_reference else network.angle_abs_max
+        bounds[3 * nb + i] = (-theta, theta)
+        row = np.zeros(n)
+        row[i], row[nb + i], row[2 * nb + i] = 1.0, -1.0, -bus.p_load
+        for e, br in enumerate(branches):
+            row[4 * nb + e] += (br.to_bus == bus.id) - (br.from_bus == bus.id)
+        a_eq.append(row)
+        if a:
+            row = np.zeros(n)
+            row[nb + i], row[i] = 1.0, -1.0
+            a_ub.append(row)
+    for e, br in enumerate(branches):
+        if statuses.beta[br.id]:
+            limit = min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max)
+            bounds[4 * nb + e] = (-limit, limit)
+            row = np.zeros(n)
+            row[4 * nb + e] = 1.0
+            row[3 * nb + pos[br.from_bus]] += br.susceptance
+            row[3 * nb + pos[br.to_bus]] -= br.susceptance
+            a_eq.append(row)
+        else:
+            bounds[4 * nb + e] = (0.0, 0.0)
+    res = linprog(
+        c, A_ub=np.array(a_ub) if a_ub else None, b_ub=np.zeros(len(a_ub)) if a_ub else None,
+        A_eq=np.array(a_eq), b_eq=np.zeros(len(a_eq)), bounds=bounds, method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.fun + weights.lambda_shed * network.total_load
+
+
+def bridged_network():
+    """A and B are joined directly and through M; with M dead, the direct
+    line must still carry B's load, which it cannot if the dead lines through
+    M keep tying the three angles together."""
+    return GridNetwork(
+        buses=(
+            Bus("A", "SA", p_gen_min=0.0, p_gen_max=2.0, is_reference=True),
+            Bus("M", "SM"),
+            Bus("B", "SB", p_load=1.0),
+        ),
+        branches=(
+            Branch("AM", "A", "M", susceptance=-10.0, flow_limit=2.0),
+            Branch("MB", "M", "B", susceptance=-10.0, flow_limit=2.0),
+            Branch("AB", "A", "B", susceptance=-10.0, flow_limit=2.0),
+        ),
+        substations=(
+            Substation("SA", "115_161"), Substation("SM", "115_161"), Substation("SB", "115_161"),
+        ),
+    )
+
+
+def test_dead_bus_between_live_buses_does_not_tie_their_angles():
+    net = bridged_network()
+    loss, disp = solve_recourse_lp(net, statuses_for_dead(net, ("SM",)), LossWeights())
+    assert loss == pytest.approx(0.0, abs=1e-9)
+    assert disp.p_flow["AB"] == pytest.approx(1.0, abs=1e-9)
+    warm = RecourseEvaluator(net, LossWeights())._solve_for_dead(("SM",))
+    assert warm[0] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("weights", [LossWeights(), LossWeights(1.0, 2.5)])
+def test_fixed_structure_lp_matches_dropped_row_formulation(weights):
+    rng = np.random.default_rng(515)
+    cases = [(bridged_network(), [("SM",), ("SA",), ("SA", "SB", "SM")])]
+    for _ in range(40):
+        net = random_network(rng)
+        subs = [s.id for s in net.substations]
+        ref_sub = next(b.substation_id for b in net.buses if b.is_reference)
+        dead_sets = [tuple(sorted(s for s in subs if rng.random() < 0.4)) for _ in range(3)]
+        cases.append((net, dead_sets + [tuple(subs), (ref_sub,)]))
+    for net, dead_sets in cases:
+        evaluator = RecourseEvaluator(net, weights)
+        for dead in dead_sets:
+            statuses = statuses_for_dead(net, dead)
+            expected = _dropped_rows_loss(net, statuses, weights)
+            cold, _ = solve_recourse_lp(net, statuses, weights)
+            assert cold == pytest.approx(expected, abs=1e-9)
+            assert evaluator._solve_for_dead(dead)[0] == pytest.approx(expected, abs=1e-9)
+
+
+def _scenario_dead_sets(scenario_set, r_hat=3):
+    """Every dead set some plan with levels below ``r_hat`` leaves in some scenario."""
+    dead_sets = []
+    for scenario in scenario_set.scenarios:
+        always = [k for k, lvl in scenario.levels.items() if lvl >= r_hat]
+        maybe = sorted(k for k, lvl in scenario.levels.items() if lvl < r_hat)
+        for r in range(len(maybe) + 1):
+            for extra in itertools.combinations(maybe, r):
+                dead_sets.append(tuple(sorted(always + list(extra))))
+    return list(dict.fromkeys(dead_sets))
+
+
+@pytest.mark.parametrize("name", ["star8", "coastal40"])
+def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, name):
+    fx = request.getfixturevalue(name)
+    weights = LossWeights(1.0, 1.5)
+    dead_sets = _scenario_dead_sets(fx.scenarios)
+    assert len(dead_sets) > 5
+    real_cold_start = simplex._Solver.cold_start
+    cold_starts = []
+
+    def cold_start(self):
+        cold_starts.append(self.iterations)
+        return real_cold_start(self)
+
+    monkeypatch.setattr(simplex._Solver, "cold_start", cold_start)
+    forward = RecourseEvaluator(fx.network, weights)
+    for dead in dead_sets:
+        forward._solve_for_dead(dead)
+    assert len(cold_starts) == 1  # the no-flood reference solve only
+    backward = RecourseEvaluator(fx.network, weights)
+    for dead in reversed(dead_sets):
+        backward._solve_for_dead(dead)
+    assert len(cold_starts) == 2
+
+    def bits(cache):
+        return {dead: tuple(v.hex() for v in values) for dead, values in cache.items()}
+
+    assert bits(forward._cache) == bits(backward._cache)
+    for loss, served, shed, over in forward._cache.values():
+        assert served + shed == pytest.approx(fx.network.total_load, abs=1e-9)
+        assert loss == pytest.approx(
+            weights.lambda_shed * shed + weights.lambda_over * over, abs=1e-9
+        )

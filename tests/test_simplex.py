@@ -265,6 +265,103 @@ def test_tiny_dual_pivot_falls_back_to_cold_start(monkeypatch):
         assert (warm.objective, warm.iterations) == (cold.objective, cold.iterations)
 
 
+def _count_cold_starts(mp):
+    """Patch ``_Solver.cold_start`` to record each call; returns the record."""
+    import floodmit.simplex as simplex
+
+    real_cold_start = simplex._Solver.cold_start
+    cold_starts = []
+
+    def cold_start(self):
+        cold_starts.append(self.iterations)
+        return real_cold_start(self)
+
+    mp.setattr(simplex._Solver, "cold_start", cold_start)
+    return cold_starts
+
+
+@pytest.mark.parametrize("y_max, repaired", [(5.0, True), (np.inf, False)])
+def test_warm_dual_infeasibility_on_boxed_columns_is_flipped_away(monkeypatch, y_max, repaired):
+    # min x - y  s.t.  x + y >= 1,  x + y <= 3,  x in [0, 1],  y in [0, y_max].
+    # The warm basis holds both slacks with x and y at their lower bounds: it
+    # violates row 1, and y's reduced cost -1 has the wrong sign at its lower
+    # bound.  A boxed y flips to its upper bound and the dual simplex takes
+    # over; an unboxed y leaves nothing to flip, so the solve starts cold.
+    import floodmit.simplex as simplex
+
+    lp = ([1.0, -1.0], [[1.0, 1.0], [1.0, 1.0]], ["G", "L"], [1.0, 3.0], [0.0, 0.0], [1.0, y_max])
+    basis = BasisState(
+        np.array([2, 3]),
+        np.array([simplex.AT_LOWER, simplex.AT_LOWER, simplex.BASIC, simplex.BASIC,
+                  simplex.AT_LOWER, simplex.AT_LOWER], dtype=np.int8),
+    )
+    cold = _solve(*lp)
+    cold_starts = _count_cold_starts(monkeypatch)
+    warm = _solve(*lp, warm=basis)
+    assert cold.status == warm.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12) == -3.0
+    assert (not cold_starts) == repaired
+
+
+def test_boxed_dual_infeasibility_battery_stays_warm(monkeypatch):
+    # Every nonbasic structural of an optimal basis moved to its other bound
+    # is wrong-signed only on boxed columns: the re-solve must stay warm.
+    import floodmit.simplex as simplex
+
+    rng = np.random.default_rng(11)
+    cold_starts = []
+    flipped = 0
+    for _ in range(60):
+        m, n = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+        lp = (
+            np.round(rng.normal(0, 1, n), 2), np.round(rng.normal(0, 1, (m, n)), 2),
+            [str(s) for s in rng.choice(["L", "G"], m)], np.round(rng.normal(0, 2, m), 2),
+            np.zeros(n), np.full(n, 4.0),
+        )
+        cold = _solve(*lp)
+        if cold.status != "optimal":
+            continue
+        status = cold.basis_state.status.copy()
+        structural = status[:n]
+        moved = structural != simplex.BASIC
+        structural[moved] = np.where(
+            structural[moved] == simplex.AT_LOWER, simplex.AT_UPPER, simplex.AT_LOWER
+        )
+        flipped += int(moved.any())
+        with monkeypatch.context() as mp:
+            counted = _count_cold_starts(mp)
+            warm = _solve(*lp, warm=BasisState(cold.basis_state.basis.copy(), status))
+        cold_starts += counted
+        assert warm.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert flipped > 20
+    assert not cold_starts
+
+
+def test_cold_restart_gets_its_own_pivot_budget(monkeypatch):
+    # A warm run that spends the whole max_iter budget must still leave the
+    # cold restart a full budget: the LP reaches the cold optimum, and the
+    # reported count covers both runs.
+    import floodmit.simplex as simplex
+
+    real_warm_start = simplex._Solver.warm_start
+
+    def exhausting_warm_start(self, state):
+        started = real_warm_start(self, state)
+        self.iterations = self.max_iter
+        return started
+
+    for lp, basis in _forbidden_assignment_cases(5):
+        cold = _solve(*lp)
+        budget = cold.iterations + 5
+        with monkeypatch.context() as mp:
+            mp.setattr(simplex._Solver, "warm_start", exhausting_warm_start)
+            warm = _solve(*lp, warm=basis, max_iter=budget)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == cold.objective
+        assert warm.iterations == budget + cold.iterations
+
+
 def test_slack_bounds_follow_row_senses():
     ws = Workspace([1.0, 1.0], sp.csc_matrix(np.ones((3, 2))), ["L", "G", "E"], [1.0, 1.0, 1.0],
                    [0.0, -1.0], [2.0, 3.0])

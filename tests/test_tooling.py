@@ -53,3 +53,32 @@ def test_traced_solve_reports_model_and_dispatch_counts(tmp_path):
     assert metrics["extensive_form.variables"] > 0
     assert metrics["extensive_form.rows"] > 0
     assert metrics["recourse.dispatch_lps"] > 0
+
+
+def test_traced_portfolio_counts_every_dispatch_lp_but_the_reference_as_warm(tmp_path):
+    """Each evaluator solves the no-flood dispatch LP cold once and starts
+    every other dispatch LP from its basis; the tracer must see those solves
+    as warm."""
+    from floodmit import cli
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    assert cli.main(["make-fixture", "star8", "--out-dir", str(tmp_path)]) == 0
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        rc = cli.main([
+            "heuristic", "--portfolio", "--network", str(tmp_path / "network.json"),
+            "--scenarios", str(tmp_path / "scenarios.json"), "--budget", "4",
+            "--out", str(tmp_path / "portfolio"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["solver.solve_milp_calls"] == 0
+    assert metrics["recourse.dispatch_lps"] > 1
+    assert metrics["simplex.lp_solves_warm"] == metrics["recourse.dispatch_lps"] - 1
+    assert metrics["simplex.lp_solves_cold"] == 1
