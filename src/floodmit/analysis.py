@@ -18,7 +18,7 @@ from .extensive_form import ExtensiveForm
 from .grid_model import GridNetwork
 from .heuristic import portfolio
 from .mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, max_useful_budget, plan_cost
-from .recourse import LossWeights, RecourseEvaluator, StatusVector, status_closure
+from .recourse import LossWeights, RecourseCounters, RecourseEvaluator, StatusVector, status_closure
 from .scenario_model import FloodScenarioSet
 from .value_table import build
 from . import solver
@@ -77,6 +77,7 @@ class SweepReport:
     weights: LossWeights
     f_max: int
     relax_status: bool = False
+    recourse_counters: RecourseCounters = field(default_factory=RecourseCounters)
 
 
 @dataclass
@@ -280,6 +281,7 @@ def sweep(
         weights=weights,
         f_max=f_max,
         relax_status=relax_status,
+        recourse_counters=evaluator.counters,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -27,7 +28,7 @@ from .mitigation import (
     plan_cost,
     save_plan,
 )
-from .recourse import LossWeights, RecourseEvaluator
+from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
 from .scenario_model import load_scenarios, save_scenarios
 from .value_table import build
 
@@ -40,8 +41,11 @@ class CliError(Exception):
     """User-facing failure: message to stderr, nonzero exit."""
 
 
-def _envelope(command: str, config: dict, result: dict, started: float) -> dict:
-    return {
+def _envelope(
+    command: str, config: dict, result: dict, started: float,
+    recourse: RecourseCounters | None = None,
+) -> dict:
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "floodmit", "version": __version__},
         "command": command,
@@ -49,6 +53,9 @@ def _envelope(command: str, config: dict, result: dict, started: float) -> dict:
         "timing": {"seconds": round(time.monotonic() - started, 6)},
         "result": result,
     }
+    if recourse is not None:
+        doc["counters"] = {"recourse": dataclasses.asdict(recourse)}
+    return doc
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -187,7 +194,7 @@ def cmd_heuristic(args) -> int:
                 }
             )
         result = {"plans": listing}
-        doc = _envelope("heuristic", _ns_dict(args), result, started)
+        doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters)
         _write_json(doc, out / "envelope.json")
         return 0
 
@@ -199,7 +206,7 @@ def cmd_heuristic(args) -> int:
         "cost": plan_cost(plan, schedule),
         "expected_loss": evaluator.evaluate(plan, scenarios).expected_loss,
     }
-    doc = _envelope("heuristic", _ns_dict(args), result, started)
+    doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters)
     _write_json(doc, out.with_suffix(".envelope.json"))
     return 0
 
@@ -217,12 +224,12 @@ def _solve_one(args, check_unique: bool):
     sol, plan, extras = analysis.solve_instance(
         ef, warm, evaluator, check_unique=check_unique
     )
-    return network, scenarios, schedule, ef, sol, plan, extras
+    return network, schedule, ef, sol, plan, extras, evaluator.counters
 
 
 def cmd_solve(args) -> int:
     started = time.monotonic()
-    network, scenarios, schedule, ef, sol, plan, extras = _solve_one(args, args.check_unique)
+    network, schedule, ef, sol, plan, extras, counters = _solve_one(args, args.check_unique)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_plan(plan, out_dir / "plan.json")
@@ -245,14 +252,14 @@ def cmd_solve(args) -> int:
         result["uniqueness_caveat"] = extras.get("caveat")
         witness = extras.get("witness")
         result["witness"] = None if witness is None else _plan_dict(witness)
-    doc = _envelope("solve", _ns_dict(args), result, started)
+    doc = _envelope("solve", _ns_dict(args), result, started, counters)
     _write_json(doc, out_dir / "envelope.json")
     return 0
 
 
 def cmd_check_unique(args) -> int:
     started = time.monotonic()
-    *_, schedule, ef, sol, plan, extras = _solve_one(args, True)
+    _, _, _, sol, plan, extras, counters = _solve_one(args, True)
     result = {
         "objective": sol.objective,
         "plan": _plan_dict(plan),
@@ -260,7 +267,7 @@ def cmd_check_unique(args) -> int:
         "uniqueness_caveat": extras["caveat"],
         "witness": None if extras["witness"] is None else _plan_dict(extras["witness"]),
     }
-    doc = _envelope("check-unique", _ns_dict(args), result, started)
+    doc = _envelope("check-unique", _ns_dict(args), result, started, counters)
     _write_json(doc, Path(args.out))
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     print()
@@ -275,7 +282,8 @@ def cmd_eval(args) -> int:
     if unknown:
         raise CliError(f"plan names substations absent from the network: {sorted(unknown)}")
     weights = LossWeights(args.lambda_shed, args.lambda_over)
-    evaluation = RecourseEvaluator(network, weights).evaluate(plan, scenarios)
+    evaluator = RecourseEvaluator(network, weights)
+    evaluation = evaluator.evaluate(plan, scenarios)
     result = {
         "expected_loss": evaluation.expected_loss,
         "plan": _plan_dict(plan),
@@ -298,7 +306,7 @@ def cmd_eval(args) -> int:
             for o in evaluation.outcomes
         ],
     }
-    doc = _envelope("eval", _ns_dict(args), result, started)
+    doc = _envelope("eval", _ns_dict(args), result, started, evaluator.counters)
     _write_json(doc, Path(args.out))
     return 0
 
@@ -384,7 +392,7 @@ def cmd_sweep(args) -> int:
         "nestedness_violations": None if nest is None else len(nest.violations),
         "tables": ["objectives.csv", "plans.csv", "spared.csv", "transitions.csv"],
     }
-    doc = _envelope("sweep", _ns_dict(args), result, started)
+    doc = _envelope("sweep", _ns_dict(args), result, started, report.recourse_counters)
     _write_json(doc, out / "envelope.json")
     return 0
 

@@ -24,15 +24,24 @@ a dead bus reads 0 <= 0.
 
 The statuses depend on the plan only through the set of dead substations, so
 one function derives that set and one turns it into statuses; the cached
-evaluator keys its dispatch solves on the same set.  The evaluator solves the
-no-flood LP cold once and warm-starts every other dead set from that
-reference basis on one simplex workspace.  Every solve starts from the same
-basis, so a cached loss does not depend on the order of requests.
+evaluator keys its dispatch solves on the same set.
+
+No row couples two islands (connected components of live buses over live
+branches), so :func:`island_bound` gives a closed-form lower bound on the
+loss: one copper plate per island.  The evaluator settles a new dead set
+without an LP when a witness dispatch that attains the bound passes a DC
+power-flow check of the flow and angle limits; a feasible point whose value
+is a lower bound is optimal.  Only the dead sets that fail the check fall
+back to the LP.  On the first of them the evaluator builds one simplex
+workspace and solves the no-flood LP cold; every fallback then warm-starts
+from that reference basis.  Each dead set is settled the same way whatever
+came before it, so a cached loss does not depend on the order of requests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -268,25 +277,204 @@ def solve_recourse_lp(
     return res.objective + _loss_offset(network, weights), dispatch
 
 
+class _Islands(NamedTuple):
+    """How a dead set splits the live buses: the island of every bus (-1 for
+    a dead bus), the first bus of every island, and every island's load,
+    minimum and maximum generation."""
+
+    labels: np.ndarray
+    first: np.ndarray
+    load: np.ndarray
+    gen_min: np.ndarray
+    gen_max: np.ndarray
+
+
+class _CopperPlate:
+    """The island copper-plate bound of a network and its witness dispatch,
+    on arrays built once per network."""
+
+    def __init__(self, network: GridNetwork):
+        buses = network.buses
+        pos = {b.id: i for i, b in enumerate(buses)}
+        self.network = network
+        self.substation = [b.substation_id for b in buses]
+        self.load, self.gen_min, self.gen_max = (
+            np.array([getattr(b, attr) for b in buses], dtype=float)
+            for attr in ("p_load", "p_gen_min", "p_gen_max")
+        )
+        self.is_reference = np.array([b.is_reference for b in buses], dtype=bool)
+        self.frm = np.array([pos[br.from_bus] for br in network.branches], dtype=int)
+        self.to = np.array([pos[br.to_bus] for br in network.branches], dtype=int)
+        self.ends = list(zip(self.frm.tolist(), self.to.tolist()))
+        # Row e of the incidence matrix is +1 at the from bus, -1 at the to bus.
+        self.incidence = np.zeros((len(self.ends), len(buses)))
+        self.incidence[np.arange(len(self.ends)), self.frm] += 1.0
+        self.incidence[np.arange(len(self.ends)), self.to] -= 1.0
+        # Ohm's law: flow_e = -b_e (theta_from - theta_to).
+        self.conductance = -np.array([br.susceptance for br in network.branches], dtype=float)
+        self.flow_limit = np.array(
+            [min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max) for br in network.branches],
+            dtype=float,
+        )
+
+    def islands(self, dead: tuple[str, ...]) -> _Islands:
+        """Connected components of the live buses over the live branches,
+        numbered in the order of their first bus."""
+        dead_set = set(dead)
+        parent = [-1 if sub in dead_set else i for i, sub in enumerate(self.substation)]
+
+        def root(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for a, b in self.ends:
+            if parent[a] >= 0 and parent[b] >= 0:
+                ra, rb = root(a), root(b)
+                parent[max(ra, rb)] = min(ra, rb)  # a root stays its island's first bus
+        number: dict[int, int] = {}
+        labels = np.array(
+            [number.setdefault(root(i), len(number)) if p >= 0 else -1 for i, p in enumerate(parent)],
+            dtype=int,
+        )
+        live = labels >= 0
+        load, gen_min, gen_max = (
+            np.bincount(labels[live], values[live], len(number))
+            for values in (self.load, self.gen_min, self.gen_max)
+        )
+        return _Islands(labels, np.array(list(number), dtype=int), load, gen_min, gen_max)
+
+    def loss(self, isl: _Islands, weights: LossWeights) -> tuple[float, float, float, float]:
+        """(loss, served, shed, overgeneration) with one copper plate per island.
+
+        An island serves min(L, Gmax) and overgenerates max(0, Gmin - L):
+        the least shed and the least overgeneration of any dispatch.  With a
+        zero weight a dispatch LP may shed or overgenerate more at the same
+        loss, so there the split is not unique; the loss is.
+        """
+        served = float(np.minimum(isl.load, isl.gen_max).sum())
+        over = float(np.maximum(isl.gen_min - isl.load, 0.0).sum())
+        shed = self.network.total_load - served
+        return weights.lambda_shed * shed + weights.lambda_over * over, served, shed, over
+
+    def witness_is_feasible(self, isl: _Islands) -> bool:
+        """Does a dispatch whose loss is the island bound satisfy the dispatch LP?
+
+        The witness, per island: with L > Gmax every generator runs at its
+        maximum and every load is served at the fraction Gmax/L; with
+        Gmin > L generators run at their minimum and p_check_i =
+        gen_min_i (1 - L/Gmin) absorbs the excess; otherwise generation is
+        gen_min + s (gen_max - gen_min) with one s per island, and every load
+        is served in full.
+
+        Its DC power flow is solved once on the Laplacian of the live
+        branches, grounded at the reference bus and at the first bus of
+        every island without it.  The balance residual must lie within
+        ``RESIDUAL_TOL`` and the flow and angle limits hold within
+        ``TOL_FEAS``, after each island without the reference bus is shifted
+        to the middle of its angle range.  Dead buses keep angle 0, which
+        every dead branch's relief column absorbs.
+        """
+        live = isl.labels >= 0
+        lab = isl.labels[live]
+        load, gen_min, gen_max = isl.load, isl.gen_min, isl.gen_max
+        with np.errstate(divide="ignore", invalid="ignore"):
+            served = np.where(load > gen_max, gen_max / load, 1.0)
+            absorbed = np.where(gen_min > load, 1.0 - load / gen_min, 0.0)
+            step = np.where(gen_max > gen_min, (load - gen_min) / (gen_max - gen_min), 0.0)
+        step = step.clip(0.0, 1.0)  # 1 when short of generation, 0 with a surplus
+        gen = self.gen_min[live] + step[lab] * (self.gen_max[live] - self.gen_min[live])
+        injection = np.zeros(len(live))
+        injection[live] = gen - gen * absorbed[lab] - self.load[live] * served[lab]
+
+        # A reference bus keeps angle 0; so does the first bus of an island
+        # without one.  Should two reference buses share an island, the
+        # balance residual at the grounded rows refuses the witness.
+        grounded = live & self.is_reference
+        anchored = np.zeros(len(load), dtype=bool)
+        anchored[isl.labels[grounded]] = True
+        grounded[isl.first[~anchored]] = True
+        free = live & ~grounded
+        on = live[self.frm] & live[self.to]
+        conductance = np.where(on, self.conductance, 0.0)
+        theta = np.zeros(len(live))
+        if free.any():
+            cut = self.incidence[:, free]
+            try:
+                theta[free] = np.linalg.solve(cut.T @ (conductance[:, None] * cut), injection[free])
+            except np.linalg.LinAlgError:  # susceptances of mixed sign can cancel
+                return False
+        flow = conductance * (self.incidence @ theta)
+        residual = injection - self.incidence.T @ flow
+
+        lo = np.full(len(load), np.inf)
+        hi = np.full(len(load), -np.inf)
+        np.minimum.at(lo, lab, theta[live])
+        np.maximum.at(hi, lab, theta[live])
+        middle = np.where(anchored, 0.0, (lo + hi) / 2.0)
+        return bool(
+            np.all(np.abs(residual[live]) <= simplex.RESIDUAL_TOL)
+            and np.all(np.abs(flow[on]) <= self.flow_limit[on] + simplex.TOL_FEAS)
+            and np.all(np.abs(theta[live] - middle[lab]) <= self.network.angle_abs_max + simplex.TOL_FEAS)
+        )
+
+
+def island_bound(network: GridNetwork, dead: tuple[str, ...], weights: LossWeights) -> float:
+    """Closed-form lower bound on the dispatch loss of a dead set.
+
+    No dispatch row couples two islands (connected components of live buses
+    over live branches), and flows cancel within one, so an island with
+    load L serves G - O <= Gmax and overgenerates O >= Gmin - L:
+
+        loss >= lambda_shed * (dead load + sum max(0, L - Gmax))
+              + lambda_over * sum max(0, Gmin - L)
+
+    summed over the islands.  This is the loss with a copper plate per
+    island, that is, without flow or angle limits.
+    """
+    plate = _CopperPlate(network)
+    return plate.loss(plate.islands(dead), weights)[0]
+
+
+@dataclass
+class RecourseCounters:
+    """What a :class:`RecourseEvaluator` did: scenario outcomes requested,
+    dead sets found in the cache, dead sets settled by the island bound's
+    witness without an LP, and dispatch LPs solved (the reference included)."""
+
+    outcomes: int = 0
+    cache_hits: int = 0
+    settled_without_lp: int = 0
+    lp_solves: int = 0
+
+
 class RecourseEvaluator:
     """Caches scenario losses keyed by the set of dead substations.
 
     Two plans that leave the same substations dead in a scenario face the
-    identical dispatch LP, so sweeps and greedy searches reuse solves.  All
-    dispatch LPs of the network share one simplex workspace: the no-flood LP
-    is solved cold once, and every other dead set only resets the bounds and
-    warm-starts from that reference basis.  Since every solve starts from the
-    same basis, a cached value does not depend on the order of requests.
+    identical dispatch LP, so sweeps and greedy searches reuse solves.  A new
+    dead set is first settled without an LP when the witness dispatch of its
+    island bound is feasible: a feasible point whose value is a lower bound
+    is optimal.  Otherwise its dispatch LP is solved.  All dispatch LPs of the
+    network share one simplex workspace, built on the first dead set that
+    needs an LP: the no-flood LP is solved cold once, and every LP after it
+    only resets the bounds and warm-starts from that reference basis.  Since
+    every dead set is settled the same way whatever came before it, a cached
+    value does not depend on the order of requests.
     """
 
     def __init__(self, network: GridNetwork, weights: LossWeights):
         self.network = network
         self.weights = weights
+        self.counters = RecourseCounters()
+        self._plate = _CopperPlate(network)
         self._cache: dict[tuple[str, ...], tuple[float, float, float, float]] = {}
         self._workspace: simplex.Workspace | None = None
         self._reference: simplex.BasisState | None = None
 
-    def _dispatch(self, dead: tuple[str, ...]) -> simplex.BasisState:
+    def _solve_lp(self, dead: tuple[str, ...]) -> tuple[tuple[float, float, float, float], simplex.BasisState]:
+        self.counters.lp_solves += 1
         loss, dispatch = solve_recourse_lp(
             self.network, statuses_for_dead(self.network, dead), self.weights,
             workspace=self._workspace, warm=self._reference,
@@ -294,23 +482,29 @@ class RecourseEvaluator:
         served = sum(
             b.p_load * dispatch.delta[b.id] for b in self.network.buses
         )
-        shed = self.network.total_load - served
         over = sum(dispatch.p_check.values())
-        self._cache[dead] = (loss, served, shed, over)
-        return dispatch.basis
+        return (loss, served, self.network.total_load - served, over), dispatch.basis
 
     def _solve_for_dead(self, dead: tuple[str, ...]) -> tuple[float, float, float, float]:
-        if self._workspace is None:
-            c, A, senses, b, lb, ub, _, _ = _recourse_arrays(
-                self.network, statuses_for_dead(self.network, ()), self.weights
-            )
-            self._workspace = simplex.Workspace(c, A, senses, b, lb, ub)
-            self._reference = self._dispatch(())
-        if dead not in self._cache:
-            self._dispatch(dead)
+        if dead in self._cache:
+            self.counters.cache_hits += 1
+            return self._cache[dead]
+        islands = self._plate.islands(dead)
+        if self._plate.witness_is_feasible(islands):
+            self.counters.settled_without_lp += 1
+            self._cache[dead] = self._plate.loss(islands, self.weights)
+        else:
+            if self._workspace is None:
+                c, A, senses, b, lb, ub, _, _ = _recourse_arrays(
+                    self.network, statuses_for_dead(self.network, ()), self.weights
+                )
+                self._workspace = simplex.Workspace(c, A, senses, b, lb, ub)
+                _, self._reference = self._solve_lp(())
+            self._cache[dead], _ = self._solve_lp(dead)
         return self._cache[dead]
 
     def scenario_outcome(self, plan: MitigationPlan, scenario: FloodScenario) -> ScenarioOutcome:
+        self.counters.outcomes += 1
         dead = dead_substations(plan, scenario)
         loss, served, shed, over = self._solve_for_dead(dead)
         return ScenarioOutcome(

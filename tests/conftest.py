@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ def ring12():
 @pytest.fixture(scope="session")
 def coastal40():
     return make_fixture("coastal40")
+
+
+def scaled_flow_limits(network: GridNetwork, factor: float) -> GridNetwork:
+    """A copy of ``network`` with every branch's flow limit times ``factor``.
+
+    Tightened limits make lines bind, so that some dead sets need a dispatch
+    LP instead of being settled by the island bound's witness.
+    """
+    branches = tuple(dataclasses.replace(br, flow_limit=br.flow_limit * factor) for br in network.branches)
+    return dataclasses.replace(network, branches=branches, _cache={})
 
 
 def random_network(rng: np.random.Generator, n_subs=None, buses_per_sub=None) -> GridNetwork:

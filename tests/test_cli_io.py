@@ -247,3 +247,32 @@ def test_gen_scenarios_requires_coordinates(tiny3_dir, tmp_path, capsys):
     ])
     assert rc == 2
     assert "coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["star8", "coastal40"])
+def test_envelopes_report_recourse_counters(tmp_path, name):
+    """``solve``, ``sweep``, ``heuristic`` and ``eval`` report what their
+    recourse evaluator did under a top-level ``counters.recourse`` key,
+    outside ``result``.  Every outcome is a cache hit, a dead set settled
+    without an LP, or a dispatch LP after the one reference solve."""
+    fx = tmp_path / "fx"
+    assert main(["make-fixture", name, "--out-dir", str(fx)]) == 0
+    common = ["--network", str(fx / "network.json"), "--scenarios", str(fx / "scenarios.json"), "--rhat", "3"]
+    assert main(["heuristic", "--portfolio", *common, "--budget", "4", "--out", str(tmp_path / "h")]) == 0
+    assert main(["eval", *common[:4], "--plan", str(tmp_path / "h" / "plan_00.json"),
+                 "--out", str(tmp_path / "eval.json")]) == 0
+    assert main(["solve", *common, "--budget", "4", "--out-dir", str(tmp_path / "solve")]) == 0
+    assert main(["sweep", *common, "--max-budget", "3", "--out", str(tmp_path / "sweep")]) == 0
+    for path in ("h/envelope.json", "eval.json", "solve/envelope.json", "sweep/envelope.json"):
+        env = json.loads((tmp_path / path).read_text())
+        counts = env["counters"]["recourse"]
+        assert set(counts) == {"outcomes", "cache_hits", "settled_without_lp", "lp_solves"}
+        assert "counters" not in env["result"]
+        assert counts["settled_without_lp"] > 0
+        assert counts["outcomes"] == (
+            counts["cache_hits"] + counts["settled_without_lp"] + max(0, counts["lp_solves"] - 1)
+        )
+        if name == "star8":  # the witness settles every star8 dead set
+            assert counts["lp_solves"] == 0
+    sweep = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]["recourse"]
+    assert sweep["cache_hits"] > 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,13 +6,14 @@ import pytest
 from scipy.optimize import linprog
 
 from floodmit import simplex
-from conftest import random_network, random_plan, random_scenario_set
+from conftest import random_network, random_plan, random_scenario_set, scaled_flow_limits
 from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
 from floodmit.mitigation import MitigationPlan, ZERO_PLAN
 from floodmit.recourse import (
     LossWeights,
     RecourseEvaluator,
     evaluate_plan,
+    island_bound,
     solve_recourse_lp,
     status_closure,
     statuses_for_dead,
@@ -372,9 +374,12 @@ def _scenario_dead_sets(scenario_set, r_hat=3):
     return list(dict.fromkeys(dead_sets))
 
 
-@pytest.mark.parametrize("name", ["star8", "coastal40"])
-def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, name):
+# star8's flow limits are halved: at its own limits the island bound's
+# witness settles every one of its dead sets, and no LP would run.
+@pytest.mark.parametrize("name, flow_scale", [("star8", 0.5), ("coastal40", 1.0)], ids=["star8", "coastal40"])
+def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, name, flow_scale):
     fx = request.getfixturevalue(name)
+    network = scaled_flow_limits(fx.network, flow_scale)
     weights = LossWeights(1.0, 1.5)
     dead_sets = _scenario_dead_sets(fx.scenarios)
     assert len(dead_sets) > 5
@@ -386,11 +391,13 @@ def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, na
         return real_cold_start(self)
 
     monkeypatch.setattr(simplex._Solver, "cold_start", cold_start)
-    forward = RecourseEvaluator(fx.network, weights)
+    forward = RecourseEvaluator(network, weights)
     for dead in dead_sets:
         forward._solve_for_dead(dead)
     assert len(cold_starts) == 1  # the no-flood reference solve only
-    backward = RecourseEvaluator(fx.network, weights)
+    # Both ways of settling a dead set take part.
+    assert 0 < forward.counters.settled_without_lp < len(dead_sets)
+    backward = RecourseEvaluator(network, weights)
     for dead in reversed(dead_sets):
         backward._solve_for_dead(dead)
     assert len(cold_starts) == 2
@@ -400,7 +407,189 @@ def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, na
 
     assert bits(forward._cache) == bits(backward._cache)
     for loss, served, shed, over in forward._cache.values():
-        assert served + shed == pytest.approx(fx.network.total_load, abs=1e-9)
+        assert served + shed == pytest.approx(network.total_load, abs=1e-9)
         assert loss == pytest.approx(
             weights.lambda_shed * shed + weights.lambda_over * over, abs=1e-9
         )
+
+
+# -- island copper-plate bound and its witness dispatch --------------------
+
+
+def _with_raised_gen_min(rng, network):
+    """Half of the generators get a minimum output of 30-100% of their
+    maximum, so that some islands must overgenerate."""
+    buses = tuple(
+        dataclasses.replace(b, p_gen_min=b.p_gen_max * float(rng.uniform(0.3, 1.0)))
+        if b.p_gen_max > 0 and rng.random() < 0.5 else b
+        for b in network.buses
+    )
+    return dataclasses.replace(network, buses=buses, _cache={})
+
+
+def _unlimited(network):
+    """The network with flow and angle limits too wide to bind."""
+    return dataclasses.replace(
+        scaled_flow_limits(network, 1e4), angle_abs_max=1e3, angle_diff_max=2e3
+    )
+
+
+def _bound_cases(seed, count):
+    """Random networks with raised minimum generation, some with the
+    reference bus cut off from every branch, each with random dead sets, no
+    dead substation, all dead, the reference substation dead, and every
+    substation next to the reference bus dead."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        net = _with_raised_gen_min(rng, random_network(rng))
+        ref = next(b for b in net.buses if b.is_reference)
+        if k % 4 == 0:
+            net = dataclasses.replace(
+                net, branches=tuple(br for br in net.branches if ref.id not in (br.from_bus, br.to_bus)),
+                _cache={},
+            )
+        subs = [s.id for s in net.substations]
+        near = {
+            net.bus_by_id[end].substation_id
+            for br in net.branches if ref.id in (br.from_bus, br.to_bus)
+            for end in (br.from_bus, br.to_bus)
+        } - {ref.substation_id}
+        dead_sets = [tuple(sorted(s for s in subs if rng.random() < 0.4)) for _ in range(3)]
+        dead_sets += [(), tuple(subs), (ref.substation_id,), tuple(sorted(near))]
+        yield net, list(dict.fromkeys(dead_sets))
+
+
+BOUND_WEIGHTS = [LossWeights(), LossWeights(1.0, 2.5), LossWeights(2.0, 0.5), LossWeights(0.0, 1.0), LossWeights(1.0, 0.0)]
+
+
+def test_island_bound_never_exceeds_the_lp_and_is_exact_without_limits():
+    """The bound is valid under every flow and angle limit, and it is the
+    dispatch loss itself once no limit binds: then each island is a copper
+    plate.  A bound that left out the overgeneration term or merged the
+    islands would still be valid, and fails the second check."""
+    for net, dead_sets in _bound_cases(seed=606, count=40):
+        loose = _unlimited(net)
+        for dead in dead_sets:
+            for weights in BOUND_WEIGHTS:
+                bound = island_bound(net, dead, weights)
+                assert island_bound(loose, dead, weights) == bound
+                lp, _ = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
+                assert bound <= lp + 1e-9
+                lp_loose, _ = solve_recourse_lp(loose, statuses_for_dead(loose, dead), weights)
+                assert bound == pytest.approx(lp_loose, abs=1e-9)
+
+
+def _settled_without_lp(evaluator, dead):
+    before = evaluator.counters.settled_without_lp
+    values = evaluator._solve_for_dead(dead)
+    return evaluator.counters.settled_without_lp > before, values
+
+
+@pytest.mark.parametrize("weights", [LossWeights(), LossWeights(1.0, 2.5)])
+def test_dispatch_settled_without_lp_equals_the_cold_lp(coastal40, weights):
+    cases = list(_bound_cases(seed=707, count=60))
+    cases.append((coastal40.network, _scenario_dead_sets(coastal40.scenarios)))
+    settled = total = 0
+    for net, dead_sets in cases:
+        evaluator = RecourseEvaluator(net, weights)
+        for dead in dead_sets:
+            without_lp, (loss, served, shed, over) = _settled_without_lp(evaluator, dead)
+            total += 1
+            if not without_lp:
+                continue
+            settled += 1
+            cold, _ = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
+            assert loss == pytest.approx(cold, abs=1e-9)
+            assert loss == pytest.approx(island_bound(net, dead, weights), abs=1e-12)
+            assert served + shed == pytest.approx(net.total_load, abs=1e-9)
+            assert loss == pytest.approx(
+                weights.lambda_shed * shed + weights.lambda_over * over, abs=1e-12
+            )
+    assert settled > total // 2
+
+
+def overloaded_line_network():
+    """Enough generation at A for B's load, but the line carries 1.2 of 2.0."""
+    return GridNetwork(
+        buses=(
+            Bus("A", "SA", p_gen_min=0.0, p_gen_max=3.0, is_reference=True),
+            Bus("B", "SB", p_load=2.0),
+        ),
+        branches=(Branch("AB", "A", "B", susceptance=-10.0, flow_limit=1.2),),
+        substations=(Substation("SA", "115_161"), Substation("SB", "115_161")),
+    )
+
+
+def angle_bound_at_reference_network():
+    """Y1 - R - Y2 with the reference in the middle: serving Y2's load of 2
+    needs angle -0.2 at Y2, beyond the limit of 0.15, so Y2 gets 1.5.  The
+    witness must hold the reference at angle 0; grounded at the island's
+    first bus Y1 instead, its angles would span only -0.1..0.1."""
+    return GridNetwork(
+        buses=(
+            Bus("Y1", "S1", p_load=1.0),
+            Bus("R", "SR", p_gen_max=4.0, is_reference=True),
+            Bus("Y2", "S2", p_load=2.0),
+        ),
+        branches=(
+            Branch("RY1", "R", "Y1", susceptance=-10.0, flow_limit=5.0),
+            Branch("RY2", "R", "Y2", susceptance=-10.0, flow_limit=5.0),
+        ),
+        substations=(Substation("S1", "115_161"), Substation("SR", "115_161"), Substation("S2", "115_161")),
+        angle_abs_max=0.15,
+        angle_diff_max=0.3,
+    )
+
+
+@pytest.mark.parametrize(
+    "net, served",
+    [(overloaded_line_network(), 1.2), (angle_bound_at_reference_network(), 2.5)],
+    ids=["flow-limit", "angle-limit"],
+)
+def test_witness_that_breaks_a_limit_falls_back_to_the_lp(net, served):
+    shed = net.total_load - served
+    assert island_bound(net, (), LossWeights()) == 0.0
+    evaluator = RecourseEvaluator(net, LossWeights())
+    without_lp, values = _settled_without_lp(evaluator, ())
+    assert not without_lp
+    assert evaluator.counters.lp_solves == 2  # the reference, then the dead set
+    assert values == pytest.approx((shed, served, shed, 0.0), abs=1e-9)
+    cold, _ = solve_recourse_lp(net, statuses_for_dead(net, ()), LossWeights())
+    assert cold == pytest.approx(shed, abs=1e-9)
+
+
+@pytest.mark.parametrize("weights", [LossWeights(0.0, 1.0), LossWeights(1.0, 0.0)])
+def test_zero_weight_witness_reports_the_least_shed_and_overgeneration(weights):
+    """With a zero weight the split of served, shed and overgenerated power
+    is not unique: shedding costs nothing, or overgenerating does.  The
+    witness reports the least shed and overgeneration any optimum has; the
+    loss still equals the LP's and the weighted split."""
+    shortfall = GridNetwork(  # load 2 and generation 0.5-1: shed >= 1, overgeneration optional
+        buses=(
+            Bus("A", "SA", p_gen_min=0.5, p_gen_max=1.0, is_reference=True),
+            Bus("B", "SB", p_load=2.0),
+        ),
+        branches=(Branch("AB", "A", "B", susceptance=-10.0, flow_limit=5.0),),
+        substations=(Substation("SA", "115_161"), Substation("SB", "115_161")),
+    )
+    surplus = dataclasses.replace(  # load 0.5 and generation 1-3: overgeneration >= 0.5
+        shortfall,
+        buses=(Bus("A", "SA", p_gen_min=1.0, p_gen_max=3.0, is_reference=True), Bus("B", "SB", p_load=0.5)),
+        _cache={},
+    )
+    cases = [(shortfall, [()]), (surplus, [()])] + list(_bound_cases(seed=808, count=30))
+    for net, dead_sets in cases:
+        evaluator = RecourseEvaluator(net, weights)
+        for dead in dead_sets:
+            without_lp, (loss, served, shed, over) = _settled_without_lp(evaluator, dead)
+            if not without_lp:
+                continue
+            cold, dispatch = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
+            lp_served = sum(b.p_load * dispatch.delta[b.id] for b in net.buses)
+            assert loss == pytest.approx(cold, abs=1e-9)
+            assert loss == pytest.approx(
+                weights.lambda_shed * shed + weights.lambda_over * over, abs=1e-12
+            )
+            assert served + shed == pytest.approx(net.total_load, abs=1e-9)
+            assert served >= lp_served - 1e-9
+            assert over <= sum(dispatch.p_check.values()) + 1e-9

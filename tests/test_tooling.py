@@ -8,7 +8,22 @@ Installing and uninstalling it here catches that in the test suite.
 import importlib.util
 from pathlib import Path
 
+from conftest import scaled_flow_limits
+from floodmit.fixtures import make_fixture
+from floodmit.grid_model import save_network
+from floodmit.scenario_model import save_scenarios
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _write_tightened_fixture(name, out):
+    """The fixture with halved flow limits: at its own limits the island
+    bound's witness settles every dead set of tiny3 and star8, and no
+    dispatch LP would run."""
+    fx = make_fixture(name)
+    out.mkdir(parents=True, exist_ok=True)
+    save_network(scaled_flow_limits(fx.network, 0.5), out / "network.json")
+    save_scenarios(fx.scenarios, out / "scenarios.json")
 
 
 def test_tracer_installs_and_uninstalls():
@@ -37,7 +52,7 @@ def test_traced_solve_reports_model_and_dispatch_counts(tmp_path):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
 
-    assert cli.main(["make-fixture", "tiny3", "--out-dir", str(tmp_path)]) == 0
+    _write_tightened_fixture("tiny3", tmp_path)
     tracer = tracing.Tracer()
     try:
         tracer.install()
@@ -56,16 +71,16 @@ def test_traced_solve_reports_model_and_dispatch_counts(tmp_path):
 
 
 def test_traced_portfolio_counts_every_dispatch_lp_but_the_reference_as_warm(tmp_path):
-    """Each evaluator solves the no-flood dispatch LP cold once and starts
-    every other dispatch LP from its basis; the tracer must see those solves
-    as warm."""
+    """Each evaluator solves the no-flood dispatch LP cold once, on the first
+    dead set that needs an LP, and starts every other dispatch LP from its
+    basis; the tracer must see those solves as warm."""
     from floodmit import cli
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
 
-    assert cli.main(["make-fixture", "star8", "--out-dir", str(tmp_path)]) == 0
+    _write_tightened_fixture("star8", tmp_path)
     tracer = tracing.Tracer()
     try:
         tracer.install()
