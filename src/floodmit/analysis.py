@@ -147,11 +147,24 @@ def spared_capacity(
     )
 
 
+def _expected_loss(
+    plan: MitigationPlan,
+    evaluator: RecourseEvaluator,
+    scenario_set: FloodScenarioSet,
+    losses: dict,
+) -> float:
+    """The plan's expected loss, evaluated once per key of ``losses``."""
+    key = plan.key()
+    if key not in losses:
+        losses[key] = evaluator.evaluate(plan, scenario_set).expected_loss
+    return losses[key]
+
+
 def _warm_pool(
     ef: ExtensiveForm,
     plans: list[MitigationPlan],
     evaluator: RecourseEvaluator,
-    scenario_set: FloodScenarioSet,
+    losses: dict,
 ) -> list[solver.WarmStartPlan]:
     pool = []
     seen = set()
@@ -159,7 +172,7 @@ def _warm_pool(
         if plan.key() in seen:
             continue
         seen.add(plan.key())
-        value = evaluator.evaluate(plan, scenario_set).expected_loss
+        value = _expected_loss(plan, evaluator, ef.scenario_set, losses)
         pool.append(
             solver.WarmStartPlan(ef.plan_assignment(plan), value, label=f"pool{i}")
         )
@@ -172,9 +185,15 @@ def solve_instance(
     evaluator: RecourseEvaluator,
     root_basis=None,
     check_unique: bool = False,
+    losses: dict | None = None,
 ) -> tuple[solver.MilpSolution, MitigationPlan, dict]:
-    """Solve one budget instance with warm starts; optionally probe uniqueness."""
-    pool = _warm_pool(ef, warm_plans, evaluator, ef.scenario_set)
+    """Solve one budget instance with warm starts; optionally probe uniqueness.
+
+    ``losses`` maps plan keys to expected losses already evaluated with
+    ``evaluator`` (a sweep passes one map for all its budgets); it is
+    filled with the warm plans' losses.
+    """
+    pool = _warm_pool(ef, warm_plans, evaluator, {} if losses is None else losses)
     config = solver.BnbConfig(warm_starts=pool, root_warm_basis=root_basis)
     sol = solver.solve_milp(ef.problem, config)
     if sol.status != "optimal":
@@ -217,17 +236,19 @@ def sweep(
     baseline = zero_plan_statuses(network, scenario_set)
     rows: list[SweepRow] = []
     prior_plans: list[MitigationPlan] = []
+    losses: dict = {}  # plan key -> expected loss, shared by every budget
     root_basis = None
     for f in range(0, f_max + 1):
         ef = base.with_budget(f)
         greedy_plans = portfolio(Budget(f), network, scenario_set, schedule, r_hat)
         warm_plans = greedy_plans + prior_plans
         heur_best = min(
-            evaluator.evaluate(p, scenario_set).expected_loss for p in greedy_plans
+            _expected_loss(p, evaluator, scenario_set, losses) for p in greedy_plans
         )
         try:
             sol, plan, extras = solve_instance(
-                ef, warm_plans, evaluator, root_basis=root_basis, check_unique=check_unique
+                ef, warm_plans, evaluator, root_basis=root_basis, check_unique=check_unique,
+                losses=losses,
             )
         except solver.SolverError as exc:
             log.error("budget %d failed: %s", f, exc)
@@ -240,11 +261,9 @@ def sweep(
             continue
         root_basis = sol.root_basis
         prior_plans.append(plan)
-        gap = None
-        if heur_best is not None and sol.objective > 0:
-            gap = (heur_best - sol.objective) / sol.objective
-        elif heur_best is not None:
-            gap = heur_best - sol.objective
+        gap = heur_best - sol.objective
+        if sol.objective > 0:
+            gap /= sol.objective
         rows.append(
             SweepRow(
                 budget=f,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid_model import GridNetwork
 from .mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN
 from .recourse import status_closure
@@ -68,61 +70,76 @@ def benefit(
     return rho_load * weights.eta_load + rho_gen * weights.eta_gen + rho_flow * weights.eta_flow
 
 
-class _GreedyContext:
-    """Static per-network aggregates reused across greedy iterations."""
+class _UpgradeScorer:
+    """Benefit of every single-substation upgrade, on a scenario x substation
+    level matrix.
 
-    def __init__(self, network: GridNetwork, scenario_set: FloodScenarioSet):
-        self.network = network
-        self.scenario_set = scenario_set
-        self.sub_ids = [s.id for s in network.substations]
-        self.sub_load = {s.id: 0.0 for s in network.substations}
-        self.sub_gen = {s.id: 0.0 for s in network.substations}
-        for bus in network.buses:
-            self.sub_load[bus.substation_id] += bus.p_load
-            self.sub_gen[bus.substation_id] += bus.p_gen_max
-        sub_of = {b.id: b.substation_id for b in network.buses}
-        self.intra_flow = {s.id: 0.0 for s in network.substations}
-        self.cross: dict[str, list[tuple[str, float]]] = {s.id: [] for s in network.substations}
-        for br in network.branches:
-            sf, st = sub_of[br.from_bus], sub_of[br.to_bus]
-            if sf == st:
-                self.intra_flow[sf] += br.flow_limit
-            else:
-                self.cross[sf].append((st, br.flow_limit))
-                self.cross[st].append((sf, br.flow_limit))
+    Arrays are indexed by scenario (rows, in scenario-set order) and
+    substation (columns, in network order).  Raising substation j from
+    level cur_j to t revives it in exactly the scenarios flooded at a level
+    in cur_j+1..t, so with the per-level table
+    ``W[l, j] = sum_s p_s * gained[s, j] * [L[s, j] == l]`` the benefit is
+    ``sum_{l=cur_j+1..t} W[l, j]``.  A revived substation gains its own load,
+    generation and intra-substation flow, plus the capacity of its
+    cross-substation branches whose far end is alive in that scenario.
+    """
 
-    def alive_map(self, plan: MitigationPlan) -> list[dict[str, bool]]:
-        return [
-            {k: plan.level_of(k) >= s.level_of(k) for k in self.sub_ids}
-            for s in self.scenario_set.scenarios
-        ]
-
-    def upgrade_benefit(
+    def __init__(
         self,
-        plan: MitigationPlan,
-        alive: list[dict[str, bool]],
-        sub: str,
-        target: int,
         weights: AttributeWeights,
-    ) -> float:
-        """Benefit of raising one substation, via per-scenario status flips."""
-        cur = plan.level_of(sub)
-        value = 0.0
-        for scenario, alive_w in zip(self.scenario_set.scenarios, alive):
-            level = scenario.level_of(sub)
-            if not (cur < level <= target):
-                continue  # the upgrade does not flip this scenario
-            gained = (
-                self.sub_load[sub] * weights.eta_load
-                + self.sub_gen[sub] * weights.eta_gen
-                + self.intra_flow[sub] * weights.eta_flow
-            )
-            if weights.eta_flow:
-                for other, cap in self.cross[sub]:
-                    if alive_w[other]:
-                        gained += cap * weights.eta_flow
-            value += scenario.probability * gained
-        return value
+        network: GridNetwork,
+        scenario_set: FloodScenarioSet,
+        r_hat: int,
+    ):
+        self.sub_ids = [s.id for s in network.substations]
+        col = {k: j for j, k in enumerate(self.sub_ids)}
+        n = len(self.sub_ids)
+        load, gen, intra = [0.0] * n, [0.0] * n, [0.0] * n
+        for bus in network.buses:
+            load[col[bus.substation_id]] += bus.p_load
+            gen[col[bus.substation_id]] += bus.p_gen_max
+        sub_of = {b.id: col[b.substation_id] for b in network.buses}
+        self.cross = np.zeros((n, n))  # parallel branches summed
+        for br in network.branches:
+            jf, jt = sub_of[br.from_bus], sub_of[br.to_bus]
+            if jf == jt:
+                intra[jf] += br.flow_limit
+            else:
+                self.cross[jf, jt] += br.flow_limit
+                self.cross[jt, jf] += br.flow_limit
+        self.eta_flow = weights.eta_flow
+        self.base = (
+            np.array(load) * weights.eta_load
+            + np.array(gen) * weights.eta_gen
+            + np.array(intra) * weights.eta_flow
+        )
+        scenarios = scenario_set.scenarios
+        self.p = np.array([s.probability for s in scenarios])[:, None]
+        self.levels = np.array(
+            [[s.levels.get(k, 0) for k in self.sub_ids] for s in scenarios], dtype=int
+        )
+        # Only levels below r_hat can ever flip; layer l marks level l.
+        self.level_rows = np.arange(r_hat)[:, None]
+        self.at_level = (self.levels == self.level_rows[:, :, None]).astype(float)
+        self.cur = np.zeros(n, dtype=int)
+        self.alive = (self.levels <= 0).astype(float)
+        self._table = None
+
+    def values(self) -> np.ndarray:
+        """``V[t, j]``: benefit of raising substation j to level t (0 for t <= cur_j)."""
+        if self._table is None:
+            gained = self.base
+            if self.eta_flow:
+                gained = gained + self.eta_flow * (self.alive @ self.cross)
+            self._table = np.einsum("lsj,sj->lj", self.at_level, self.p * gained)
+        return np.cumsum(np.where(self.level_rows > self.cur, self._table, 0.0), axis=0)
+
+    def raise_level(self, j: int, target: int) -> None:
+        """Buy an upgrade: only substation j's alive column changes."""
+        self.cur[j] = target
+        self.alive[:, j] = self.levels[:, j] <= target
+        if self.eta_flow:
+            self._table = None
 
 
 def greedy(
@@ -135,37 +152,41 @@ def greedy(
 ) -> MitigationPlan:
     """One greedy pass: repeatedly buy the best benefit-per-cost upgrade.
 
-    Ties break by (substation id, level), so identical inputs yield the
-    identical plan.
+    Candidates are scanned by substation in network order, then by target
+    level ascending; a candidate replaces the best so far when its ratio is
+    larger by more than 1e-12, and ratios within 1e-12 break by
+    (substation id, level), so identical inputs yield the identical plan.
     """
-    ctx = _GreedyContext(network, scenario_set)
+    if r_hat < 2:
+        return ZERO_PLAN  # no attainable level to buy
+    scorer = _UpgradeScorer(weights, network, scenario_set, r_hat)
+    subs = scorer.sub_ids
+    cumulative = np.array(
+        [[schedule.cumulative_cost(k, t) for k in subs] for t in range(r_hat)], dtype=np.int64
+    )
     plan = ZERO_PLAN
     remaining = budget.units
-    alive = ctx.alive_map(plan)
     while remaining > 0:
-        best = None  # (ratio, sub, target, cost, value)
-        for sub in ctx.sub_ids:
-            cur = plan.level_of(sub)
-            for target in range(cur + 1, r_hat):
-                cost = schedule.upgrade_cost(sub, cur, target)
-                if cost > remaining:
-                    break  # costs grow with the target level
-                value = ctx.upgrade_benefit(plan, alive, sub, target, weights)
-                if value <= 0:
-                    continue
-                ratio = value / cost
-                if best is None or ratio > best[0] + 1e-12:
-                    best = (ratio, sub, target, cost, value)
-                elif abs(ratio - best[0]) <= 1e-12 and (sub, target) < (best[1], best[2]):
-                    best = (ratio, sub, target, cost, value)
+        values = scorer.values()
+        cost = cumulative - cumulative[scorer.cur, np.arange(len(subs))]
+        # Costs grow with the target, so the affordable targets are those a
+        # scan in ascending order meets before its first unaffordable one.
+        ok = ((cost > 0) & (cost <= remaining) & (values > 0)).T
+        js, ts = np.nonzero(ok)  # substations in network order, then targets
+        ratios = (values.T[ok] / cost.T[ok]).tolist()
+        best = None  # (ratio, sub, target, j)
+        for j, t, ratio in zip(js.tolist(), ts.tolist(), ratios):
+            sub = subs[j]
+            if best is None or ratio > best[0] + 1e-12:
+                best = (ratio, sub, t, j)
+            elif abs(ratio - best[0]) <= 1e-12 and (sub, t) < (best[1], best[2]):
+                best = (ratio, sub, t, j)
         if best is None:
             break
-        _, sub, target, cost, _ = best
+        _, sub, target, j = best
         plan = plan.with_level(sub, target)
-        remaining -= cost
-        # Only the bought substation's status can change.
-        for scenario, alive_w in zip(scenario_set.scenarios, alive):
-            alive_w[sub] = target >= scenario.level_of(sub)
+        remaining -= int(cost[target, j])
+        scorer.raise_level(j, target)
     return plan
 
 

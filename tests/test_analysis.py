@@ -19,7 +19,7 @@ from floodmit.mitigation import (
     ZERO_PLAN,
     max_useful_budget,
 )
-from floodmit.recourse import LossWeights, evaluate_plan
+from floodmit.recourse import LossWeights, RecourseEvaluator, evaluate_plan
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 
 W = LossWeights()
@@ -129,6 +129,23 @@ def test_sweep_star8_monotone_and_endpoints(star8):
         assert row.heuristic_best is not None
         assert row.heuristic_gap is not None and np.isfinite(row.heuristic_gap)
         assert row.heuristic_gap >= -1e-9
+
+
+def test_sweep_evaluates_each_distinct_plan_once(star8, monkeypatch):
+    # The greedy plans' best loss and every budget's warm pool (greedy plans
+    # plus all earlier optima) share one plan-key -> loss map.
+    evaluated = []
+    original = RecourseEvaluator.evaluate
+
+    def counting(self, plan, scenario_set):
+        evaluated.append(plan.key())
+        return original(self, plan, scenario_set)
+
+    monkeypatch.setattr(RecourseEvaluator, "evaluate", counting)
+    report = sweep(star8.network, star8.scenarios, CostSchedule.for_network(star8.network),
+                   r_hat=3, f_max=8)
+    assert all(r.status == "optimal" for r in report.rows)
+    assert evaluated and len(evaluated) == len(set(evaluated))
 
 
 def test_sweep_uniqueness_probe(tiny3):

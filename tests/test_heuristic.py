@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_plan
+from conftest import random_network, random_plan, random_scenario_set
 from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
 from floodmit.heuristic import (
     ETA_FLOW_GRID,
     AttributeWeights,
+    _UpgradeScorer,
     benefit,
     greedy,
     portfolio,
@@ -142,21 +143,178 @@ def test_greedy_deterministic(star8):
     assert len(plans) == 1
 
 
-def test_greedy_matches_public_benefit_ranking(star8):
-    # The incremental scorer inside greedy must agree with the plain
-    # closure-diff benefit on every candidate of the first iteration.
-    sched = CostSchedule.for_network(star8.network)
-    eta = AttributeWeights(1.0, 0.3, 0.2)
-    from floodmit.heuristic import _GreedyContext
+def _walk_scorer_against_benefit(network, scenarios, eta, budget, r_hat=3) -> int:
+    """Run a greedy pass on the array scorer and, before every purchase,
+    compare its value for every affordable candidate with the plain
+    closure-diff benefit; return the number of purchases."""
+    sched = CostSchedule.for_network(network)
+    scorer = _UpgradeScorer(eta, network, scenarios, r_hat)
+    plan, remaining, steps = ZERO_PLAN, budget, 0
+    while True:
+        values = scorer.values()
+        best = None
+        for j, sub in enumerate(scorer.sub_ids):
+            cur = plan.level_of(sub)
+            for target in range(cur + 1, r_hat):
+                cost = sched.upgrade_cost(sub, cur, target)
+                if cost > remaining:
+                    break
+                slow = benefit(plan, plan.with_level(sub, target), eta, network, scenarios)
+                assert values[target, j] == pytest.approx(slow, abs=1e-12), (plan.levels, sub, target)
+                if slow > 0 and (best is None or slow / cost > best[0]):
+                    best = (slow / cost, j, sub, target, cost)
+        if best is None:
+            return steps
+        _, j, sub, target, cost = best
+        plan = plan.with_level(sub, target)
+        remaining -= cost
+        scorer.raise_level(j, target)
+        steps += 1
 
-    ctx = _GreedyContext(star8.network, star8.scenarios)
-    alive = ctx.alive_map(ZERO_PLAN)
-    for sub in [s.id for s in star8.network.substations]:
-        for target in (1, 2):
-            fast = ctx.upgrade_benefit(ZERO_PLAN, alive, sub, target, eta)
-            slow = benefit(ZERO_PLAN, MitigationPlan({sub: target}), eta,
-                           star8.network, star8.scenarios)
-            assert fast == pytest.approx(slow, abs=1e-12), (sub, target)
+
+def test_greedy_matches_public_benefit_ranking(star8):
+    # The level-matrix scorer inside greedy must agree with the plain
+    # closure-diff benefit on every affordable candidate of every step, so
+    # each purchase must update the bought substation's alive column.
+    eta = AttributeWeights(1.0, 0.3, 0.2)
+    assert _walk_scorer_against_benefit(star8.network, star8.scenarios, eta, 12) >= 4
+    rng = np.random.default_rng(23)
+    steps = 0
+    for _ in range(20):
+        net = random_network(rng, n_subs=int(rng.integers(3, 6)))
+        ss = random_scenario_set(rng, net, count=int(rng.integers(3, 6)))
+        steps += _walk_scorer_against_benefit(net, ss, eta, int(rng.integers(6, 14)))
+    assert steps >= 40
+
+
+# -- the dict-based greedy the array scorer replaced, kept as the reference --
+
+
+class _DictGreedyContext:
+    """Static per-network aggregates reused across greedy iterations."""
+
+    def __init__(self, network, scenario_set):
+        self.scenario_set = scenario_set
+        self.sub_ids = [s.id for s in network.substations]
+        self.sub_load = {s.id: 0.0 for s in network.substations}
+        self.sub_gen = {s.id: 0.0 for s in network.substations}
+        for bus in network.buses:
+            self.sub_load[bus.substation_id] += bus.p_load
+            self.sub_gen[bus.substation_id] += bus.p_gen_max
+        sub_of = {b.id: b.substation_id for b in network.buses}
+        self.intra_flow = {s.id: 0.0 for s in network.substations}
+        self.cross = {s.id: [] for s in network.substations}
+        for br in network.branches:
+            sf, st = sub_of[br.from_bus], sub_of[br.to_bus]
+            if sf == st:
+                self.intra_flow[sf] += br.flow_limit
+            else:
+                self.cross[sf].append((st, br.flow_limit))
+                self.cross[st].append((sf, br.flow_limit))
+
+    def alive_map(self, plan):
+        return [
+            {k: plan.level_of(k) >= s.level_of(k) for k in self.sub_ids}
+            for s in self.scenario_set.scenarios
+        ]
+
+    def upgrade_benefit(self, plan, alive, sub, target, weights):
+        cur = plan.level_of(sub)
+        value = 0.0
+        for scenario, alive_w in zip(self.scenario_set.scenarios, alive):
+            level = scenario.level_of(sub)
+            if not (cur < level <= target):
+                continue
+            gained = (
+                self.sub_load[sub] * weights.eta_load
+                + self.sub_gen[sub] * weights.eta_gen
+                + self.intra_flow[sub] * weights.eta_flow
+            )
+            if weights.eta_flow:
+                for other, cap in self.cross[sub]:
+                    if alive_w[other]:
+                        gained += cap * weights.eta_flow
+            value += scenario.probability * gained
+        return value
+
+
+def _dict_greedy(weights, budget, network, scenario_set, schedule, r_hat):
+    ctx = _DictGreedyContext(network, scenario_set)
+    plan = ZERO_PLAN
+    remaining = budget.units
+    alive = ctx.alive_map(plan)
+    while remaining > 0:
+        best = None  # (ratio, sub, target, cost)
+        for sub in ctx.sub_ids:
+            cur = plan.level_of(sub)
+            for target in range(cur + 1, r_hat):
+                cost = schedule.upgrade_cost(sub, cur, target)
+                if cost > remaining:
+                    break
+                value = ctx.upgrade_benefit(plan, alive, sub, target, weights)
+                if value <= 0:
+                    continue
+                ratio = value / cost
+                if best is None or ratio > best[0] + 1e-12:
+                    best = (ratio, sub, target, cost)
+                elif abs(ratio - best[0]) <= 1e-12 and (sub, target) < (best[1], best[2]):
+                    best = (ratio, sub, target, cost)
+        if best is None:
+            break
+        _, sub, target, cost = best
+        plan = plan.with_level(sub, target)
+        remaining -= cost
+        for scenario, alive_w in zip(scenario_set.scenarios, alive):
+            alive_w[sub] = target >= scenario.level_of(sub)
+    return plan
+
+
+def _tie_prone_instance(rng, r_hat):
+    """A random greedy input built to tie: a few discrete loads, capacities
+    and flow limits, equiprobable scenarios, parallel cross-substation
+    branches, and substations listed out of id order so that the scan order
+    and the (id, level) tie-break disagree."""
+    n = int(rng.integers(2, 9))
+    ids = [f"S{k}" for k in range(n)]
+    classes = ("115_161", "230", "500")
+    substations = tuple(Substation(ids[k], classes[int(rng.integers(0, 3))]) for k in rng.permutation(n))
+    buses = [
+        Bus(f"B{k}_{b}", ids[k], p_load=float(rng.choice([0.0, 0.5, 1.0])),
+            p_gen_max=float(rng.choice([0.0, 0.0, 1.0])))
+        for k in range(n)
+        for b in range(int(rng.integers(1, 3)))
+    ]
+    branches = []
+    for e in range(int(rng.integers(1, 2 * n + 1))):
+        a, b = rng.choice(len(buses), size=2, replace=False)
+        copies = 2 if rng.random() < 0.3 else 1  # parallel branches
+        for c in range(copies):
+            branches.append(Branch(f"L{e}_{c}", buses[a].id, buses[b].id, 5.0,
+                                   float(rng.choice([0.5, 1.0]))))
+    count = int(rng.integers(1, 7))
+    scenarios = tuple(
+        FloodScenario(f"w{i}", 1.0 / count,
+                      {k: int(rng.integers(1, r_hat + 1)) for k in ids if rng.random() < 0.5})
+        for i in range(count)
+    )
+    net = GridNetwork(buses=tuple(buses), branches=tuple(branches), substations=substations)
+    return net, FloodScenarioSet(scenarios, level_count=r_hat, unattainable_level=r_hat)
+
+
+def test_greedy_matches_dict_reference_on_random_ties():
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for i in range(360):
+        r_hat = (2, 3, 4)[i % 3]
+        net, ss = _tie_prone_instance(rng, r_hat)
+        sched = CostSchedule.for_network(net)
+        eta = AttributeWeights(1.0, float(rng.choice([0.0, 0.5])), float(rng.choice([0.0, 0.05, 0.15])))
+        budget = Budget(int(rng.integers(0, 12)))
+        fast = greedy(eta, budget, net, ss, sched, r_hat)
+        slow = _dict_greedy(eta, budget, net, ss, sched, r_hat)
+        assert fast.key() == slow.key(), (i, budget, eta)
+        cases += bool(slow.levels)
+    assert cases >= 200
 
 
 def test_portfolio_grid_and_dedupe(star8):

@@ -97,3 +97,34 @@ def test_traced_portfolio_counts_every_dispatch_lp_but_the_reference_as_warm(tmp
     assert metrics["recourse.dispatch_lps"] > 1
     assert metrics["simplex.lp_solves_warm"] == metrics["recourse.dispatch_lps"] - 1
     assert metrics["simplex.lp_solves_cold"] == 1
+
+
+def test_traced_portfolio_reaches_the_wrapped_greedy_once_per_flow_weight(tmp_path):
+    """``heuristic.portfolio`` must call the module-level ``greedy`` for each
+    flow weight, so the tracer's ``heuristic.greedy_calls`` keeps counting
+    greedy passes."""
+    from floodmit import cli
+    from floodmit.heuristic import ETA_FLOW_GRID
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    fx = make_fixture("star8")
+    save_network(fx.network, tmp_path / "network.json")
+    save_scenarios(fx.scenarios, tmp_path / "scenarios.json")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        rc = cli.main([
+            "heuristic", "--portfolio", "--network", str(tmp_path / "network.json"),
+            "--scenarios", str(tmp_path / "scenarios.json"), "--budget", "6",
+            "--out", str(tmp_path / "portfolio"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracer.layer_metrics()
+    assert len(ETA_FLOW_GRID) == 7
+    assert metrics["heuristic.portfolio_calls"] == 1
+    assert metrics["heuristic.greedy_calls"] == 7 * metrics["heuristic.portfolio_calls"]
