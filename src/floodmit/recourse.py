@@ -33,9 +33,11 @@ without an LP when a witness dispatch that attains the bound passes a DC
 power-flow check of the flow and angle limits; a feasible point whose value
 is a lower bound is optimal.  Only the dead sets that fail the check fall
 back to the LP.  On the first of them the evaluator builds one simplex
-workspace and solves the no-flood LP cold; every fallback then warm-starts
-from that reference basis.  Each dead set is settled the same way whatever
-came before it, so a cached loss does not depend on the order of requests.
+workspace and solves the no-flood LP from the basis of the dispatch that
+serves nothing, with the dual simplex and no phase 1; every fallback then
+warm-starts from that reference basis.  Each dead set is settled the same
+way whatever came before it, so a cached loss does not depend on the order
+of requests.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ class DispatchState:
     theta: dict[str, float]
     # Optimal basis of the dispatch LP: the warm start of later solves.
     basis: simplex.BasisState | None = field(default=None, repr=False, compare=False)
+    # Simplex pivots the solve took.
+    pivots: int = field(default=0, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,14 @@ def _layout(network: GridNetwork) -> tuple[int, int, int, int, int, int]:
     """Column offsets of [p_hat | p_check | delta | theta | p_flow | u]."""
     nb, ne = len(network.buses), len(network.branches)
     return 0, nb, 2 * nb, 3 * nb, 4 * nb, 4 * nb + ne
+
+
+def _row_layout(network: GridNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices of the Ohm rows (one per branch, first), then per bus its
+    balance row and its overgeneration row, interleaved."""
+    nb, ne = len(network.buses), len(network.branches)
+    balance = ne + 2 * np.arange(nb)
+    return np.arange(ne), balance, balance + 1
 
 
 def _recourse_bounds(network: GridNetwork, statuses: StatusVector) -> tuple[np.ndarray, np.ndarray]:
@@ -190,28 +202,28 @@ def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: Loss
         c[i_chk + i] = weights.lambda_over
         c[i_del + i] = -weights.lambda_shed * bus.p_load
 
+    ohm, balance, overgen = _row_layout(network)
+    n_rows = len(ohm) + len(balance) + len(overgen)
     rows_i, rows_j, rows_v = [], [], []
-    senses: list[str] = []
+    senses = ["E"] * n_rows
 
-    def add_row(terms, sense):
-        k = len(senses)
+    def add_row(k, terms):
         for j, v in terms:
             rows_i.append(k)
             rows_j.append(j)
             rows_v.append(v)
-        senses.append(sense)
 
     for e, br in enumerate(branches):
         nf, nt = bus_pos[br.from_bus], bus_pos[br.to_bus]
         # Ohm's law, literal sign convention: flow = -b * (theta_n - theta_m).
         add_row(
+            ohm[e],
             [
                 (i_flo + e, 1.0),
                 (i_the + nf, br.susceptance),
                 (i_the + nt, -br.susceptance),
                 (i_rel + e, 1.0),
             ],
-            "E",
         )
 
     for i, bus in enumerate(buses):
@@ -220,14 +232,37 @@ def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: Loss
             br = network.branch_by_id[br_id]
             e = branch_pos[br_id]
             terms.append((i_flo + e, 1.0 if br.to_bus == bus.id else -1.0))
-        add_row(terms, "E")
+        add_row(balance[i], terms)
         # Overgeneration never exceeds generation.
-        add_row([(i_chk + i, 1.0), (i_hat + i, -1.0)], "L")
+        add_row(overgen[i], [(i_chk + i, 1.0), (i_hat + i, -1.0)])
+        senses[overgen[i]] = "L"
 
-    A = sp.csc_matrix(
-        (rows_v, (rows_i, rows_j)), shape=(len(senses), n_var)
-    )
-    return c, A, senses, np.zeros(len(senses)), lb, ub, _loss_offset(network, weights), layout
+    A = sp.csc_matrix((rows_v, (rows_i, rows_j)), shape=(n_rows, n_var))
+    return c, A, senses, np.zeros(n_rows), lb, ub, _loss_offset(network, weights), layout
+
+
+def _zero_dispatch_basis(network: GridNetwork) -> simplex.BasisState:
+    """Starting basis of the no-flood dispatch LP: the dispatch that serves nothing.
+
+    Flow e is basic in its Ohm row, p_check_i in bus i's balance row, and the
+    slack of bus i's overgeneration row in that row; every other column sits
+    at its lower bound and the artificials stay pinned.  The basis matrix is
+    block triangular with +-1 on its diagonal, so it factorizes on every
+    network.  Every nonbasic column is boxed (p_hat, delta, theta, the
+    pinned u and the equality-row slacks), so bound flips make the basis
+    dual feasible and the dual simplex needs no phase 1.
+    """
+    _, i_chk, _, _, i_flo, i_rel = _layout(network)
+    n_var = i_rel + len(network.branches)
+    ohm, balance, overgen = _row_layout(network)
+    n_rows = len(ohm) + len(balance) + len(overgen)
+    basis = np.empty(n_rows, dtype=np.int64)
+    basis[ohm] = i_flo + np.arange(len(ohm))
+    basis[balance] = i_chk + np.arange(len(balance))
+    basis[overgen] = n_var + overgen  # the slack column of each row
+    status = np.full(n_var + 2 * n_rows, simplex.AT_LOWER, dtype=np.int8)
+    status[basis] = simplex.BASIC
+    return simplex.BasisState(basis, status)
 
 
 def _loss_offset(network: GridNetwork, weights: LossWeights) -> float:
@@ -273,6 +308,7 @@ def solve_recourse_lp(
         theta={b_.id: float(x[i_the + i]) for i, b_ in enumerate(network.buses)},
         p_flow={br.id: float(x[i_flo + e]) for e, br in enumerate(network.branches)},
         basis=res.basis_state,
+        pivots=res.iterations,
     )
     return res.objective + _loss_offset(network, weights), dispatch
 
@@ -441,12 +477,14 @@ def island_bound(network: GridNetwork, dead: tuple[str, ...], weights: LossWeigh
 class RecourseCounters:
     """What a :class:`RecourseEvaluator` did: scenario outcomes requested,
     dead sets found in the cache, dead sets settled by the island bound's
-    witness without an LP, and dispatch LPs solved (the reference included)."""
+    witness without an LP, dispatch LPs solved (the reference included) and
+    the simplex pivots those LPs took."""
 
     outcomes: int = 0
     cache_hits: int = 0
     settled_without_lp: int = 0
     lp_solves: int = 0
+    lp_pivots: int = 0
 
 
 class RecourseEvaluator:
@@ -458,10 +496,11 @@ class RecourseEvaluator:
     island bound is feasible: a feasible point whose value is a lower bound
     is optimal.  Otherwise its dispatch LP is solved.  All dispatch LPs of the
     network share one simplex workspace, built on the first dead set that
-    needs an LP: the no-flood LP is solved cold once, and every LP after it
-    only resets the bounds and warm-starts from that reference basis.  Since
-    every dead set is settled the same way whatever came before it, a cached
-    value does not depend on the order of requests.
+    needs an LP: the no-flood LP is solved once from the zero-dispatch basis
+    of :func:`_zero_dispatch_basis`, and every LP after it only resets the
+    bounds and warm-starts from that reference basis.  Since every dead set
+    is settled the same way whatever came before it, a cached value does not
+    depend on the order of requests.
     """
 
     def __init__(self, network: GridNetwork, weights: LossWeights):
@@ -479,6 +518,7 @@ class RecourseEvaluator:
             self.network, statuses_for_dead(self.network, dead), self.weights,
             workspace=self._workspace, warm=self._reference,
         )
+        self.counters.lp_pivots += dispatch.pivots
         served = sum(
             b.p_load * dispatch.delta[b.id] for b in self.network.buses
         )
@@ -499,6 +539,8 @@ class RecourseEvaluator:
                     self.network, statuses_for_dead(self.network, ()), self.weights
                 )
                 self._workspace = simplex.Workspace(c, A, senses, b, lb, ub)
+                # The reference itself starts from the zero-dispatch basis.
+                self._reference = _zero_dispatch_basis(self.network)
                 _, self._reference = self._solve_lp(())
             self._cache[dead], _ = self._solve_lp(dead)
         return self._cache[dead]

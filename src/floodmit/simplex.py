@@ -88,11 +88,25 @@ def _failed(status: str, iterations: int, infeasibility: float = 0.0) -> Simplex
     )
 
 
+def _basis_matrix(A_csc: sp.csc_matrix, basis: np.ndarray) -> sp.csc_matrix:
+    """The columns ``basis`` of ``A_csc``, copied slice by slice from its
+    index arrays: the same matrix as ``A_csc[:, basis]``, without scipy's
+    generic fancy indexing."""
+    starts = A_csc.indptr[basis]
+    counts = A_csc.indptr[basis + 1] - starts
+    indptr = np.zeros(len(basis) + 1, dtype=A_csc.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    take = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+    return sp.csc_matrix(
+        (A_csc.data[take], A_csc.indices[take], indptr), shape=(A_csc.shape[0], len(basis))
+    )
+
+
 class _Factorization:
     """Sparse LU of the basis plus product-form eta updates."""
 
     def __init__(self, A_csc: sp.csc_matrix, basis: np.ndarray):
-        self.lu = spla.splu(A_csc[:, basis].tocsc())
+        self.lu = spla.splu(_basis_matrix(A_csc, basis))
         self.etas: list[tuple[int, np.ndarray]] = []
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
@@ -128,6 +142,8 @@ class Workspace:
         m = self.m
         eye = sp.identity(m, format="csc")
         self.A_ext = sp.hstack([A, eye, eye], format="csc")
+        # Structurals and slacks: the original system the residual check uses.
+        self.A_orig = self.A_ext[:, : self.n + m]
         self.At = self.A_ext.T.tocsr()
         self.c_ext = np.concatenate([np.asarray(c, dtype=float), np.zeros(2 * m)])
         self.b = np.asarray(b, dtype=float).copy()
@@ -578,7 +594,7 @@ def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResu
     x_full = solver.x
     objective = float(ws.c_ext @ x_full)
     # Residual of the original system: structurals plus slacks against b.
-    resid_vec = ws.A_ext[:, : n + m] @ x_full[: n + m] - ws.b
+    resid_vec = ws.A_orig @ x_full[: n + m] - ws.b
     residual = float(np.abs(resid_vec).max()) if m else 0.0
 
     dual_obj = float(y @ ws.b)

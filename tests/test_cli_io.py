@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from floodmit import simplex
 from floodmit.cli import main
 from floodmit.fixtures import FIXTURE_NAMES
 
@@ -254,11 +255,25 @@ def test_envelopes_report_recourse_counters(tmp_path, name):
     """``solve``, ``sweep``, ``heuristic`` and ``eval`` report what their
     recourse evaluator did under a top-level ``counters.recourse`` key,
     outside ``result``.  Every outcome is a cache hit, a dead set settled
-    without an LP, or a dispatch LP after the one reference solve."""
+    without an LP, or a dispatch LP after the one reference solve, and
+    ``lp_pivots`` sums the simplex pivots of those LPs."""
     fx = tmp_path / "fx"
     assert main(["make-fixture", name, "--out-dir", str(fx)]) == 0
     common = ["--network", str(fx / "network.json"), "--scenarios", str(fx / "scenarios.json"), "--rhat", "3"]
-    assert main(["heuristic", "--portfolio", *common, "--budget", "4", "--out", str(tmp_path / "h")]) == 0
+    # The portfolio runs no MILP, so every LP it solves is a dispatch LP.
+    real_solve = simplex.solve_linear_program
+    pivots = []
+
+    def counting_solve(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        pivots.append(res.iterations)
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "solve_linear_program", counting_solve)
+        assert main(["heuristic", "--portfolio", *common, "--budget", "4", "--out", str(tmp_path / "h")]) == 0
+    portfolio = json.loads((tmp_path / "h" / "envelope.json").read_text())["counters"]["recourse"]
+    assert (portfolio["lp_solves"], portfolio["lp_pivots"]) == (len(pivots), sum(pivots))
     assert main(["eval", *common[:4], "--plan", str(tmp_path / "h" / "plan_00.json"),
                  "--out", str(tmp_path / "eval.json")]) == 0
     assert main(["solve", *common, "--budget", "4", "--out-dir", str(tmp_path / "solve")]) == 0
@@ -266,12 +281,13 @@ def test_envelopes_report_recourse_counters(tmp_path, name):
     for path in ("h/envelope.json", "eval.json", "solve/envelope.json", "sweep/envelope.json"):
         env = json.loads((tmp_path / path).read_text())
         counts = env["counters"]["recourse"]
-        assert set(counts) == {"outcomes", "cache_hits", "settled_without_lp", "lp_solves"}
+        assert set(counts) == {"outcomes", "cache_hits", "settled_without_lp", "lp_solves", "lp_pivots"}
         assert "counters" not in env["result"]
         assert counts["settled_without_lp"] > 0
         assert counts["outcomes"] == (
             counts["cache_hits"] + counts["settled_without_lp"] + max(0, counts["lp_solves"] - 1)
         )
+        assert (counts["lp_pivots"] > 0) == (counts["lp_solves"] > 0)
         if name == "star8":  # the witness settles every star8 dead set
             assert counts["lp_solves"] == 0
     sweep = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]["recourse"]

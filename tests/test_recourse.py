@@ -12,6 +12,8 @@ from floodmit.mitigation import MitigationPlan, ZERO_PLAN
 from floodmit.recourse import (
     LossWeights,
     RecourseEvaluator,
+    _recourse_arrays,
+    _zero_dispatch_basis,
     evaluate_plan,
     island_bound,
     solve_recourse_lp,
@@ -374,6 +376,19 @@ def _scenario_dead_sets(scenario_set, r_hat=3):
     return list(dict.fromkeys(dead_sets))
 
 
+def _record_cold_starts(monkeypatch):
+    """Patch ``_Solver.cold_start`` to record each call; returns the record."""
+    real_cold_start = simplex._Solver.cold_start
+    cold_starts = []
+
+    def cold_start(self):
+        cold_starts.append(self.iterations)
+        return real_cold_start(self)
+
+    monkeypatch.setattr(simplex._Solver, "cold_start", cold_start)
+    return cold_starts
+
+
 # star8's flow limits are halved: at its own limits the island bound's
 # witness settles every one of its dead sets, and no LP would run.
 @pytest.mark.parametrize("name, flow_scale", [("star8", 0.5), ("coastal40", 1.0)], ids=["star8", "coastal40"])
@@ -383,24 +398,18 @@ def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, na
     weights = LossWeights(1.0, 1.5)
     dead_sets = _scenario_dead_sets(fx.scenarios)
     assert len(dead_sets) > 5
-    real_cold_start = simplex._Solver.cold_start
-    cold_starts = []
-
-    def cold_start(self):
-        cold_starts.append(self.iterations)
-        return real_cold_start(self)
-
-    monkeypatch.setattr(simplex._Solver, "cold_start", cold_start)
+    cold_starts = _record_cold_starts(monkeypatch)
     forward = RecourseEvaluator(network, weights)
     for dead in dead_sets:
         forward._solve_for_dead(dead)
-    assert len(cold_starts) == 1  # the no-flood reference solve only
+    assert forward.counters.lp_solves > 1
+    assert cold_starts == []  # the reference starts from the zero-dispatch basis
     # Both ways of settling a dead set take part.
     assert 0 < forward.counters.settled_without_lp < len(dead_sets)
     backward = RecourseEvaluator(network, weights)
     for dead in reversed(dead_sets):
         backward._solve_for_dead(dead)
-    assert len(cold_starts) == 2
+    assert cold_starts == []
 
     def bits(cache):
         return {dead: tuple(v.hex() for v in values) for dead, values in cache.items()}
@@ -593,3 +602,66 @@ def test_zero_weight_witness_reports_the_least_shed_and_overgeneration(weights):
             assert served + shed == pytest.approx(net.total_load, abs=1e-9)
             assert served >= lp_served - 1e-9
             assert over <= sum(dispatch.p_check.values()) + 1e-9
+
+
+# -- the reference solve's zero-dispatch starting basis ----------------------
+
+
+def _reference_solve(net, weights):
+    """The evaluator's reference solve: the no-flood LP on a fresh workspace,
+    started from the zero-dispatch basis.  Returns the loss, the pivots and
+    the workspace."""
+    no_flood = statuses_for_dead(net, ())
+    c, A, senses, b, lb, ub, _, _ = _recourse_arrays(net, no_flood, weights)
+    ws = simplex.Workspace(c, A, senses, b, lb, ub)
+    loss, dispatch = solve_recourse_lp(net, no_flood, weights, workspace=ws, warm=_zero_dispatch_basis(net))
+    return loss, dispatch.pivots, ws
+
+
+REFERENCE_WEIGHTS = [LossWeights(), LossWeights(1.0, 2.5), LossWeights(0.0, 1.0), LossWeights(1.0, 0.0)]
+
+
+def test_zero_dispatch_basis_starts_every_reference_solve_warm(monkeypatch):
+    """On random networks, half of them with raised minimum generation, the
+    zero-dispatch basis factorizes, every nonbasic column is boxed (so bound
+    flips make it dual feasible), and the reference solve reaches the cold
+    LP's loss without a cold start.  A basis that put all balance rows before
+    all overgeneration rows would leave unboxed slacks nonbasic."""
+    cold_starts = _record_cold_starts(monkeypatch)
+    rng = np.random.default_rng(808)
+    for k in range(200):
+        net = random_network(rng)
+        if k % 2:
+            net = _with_raised_gen_min(rng, net)
+        state = _zero_dispatch_basis(net)
+        for weights in REFERENCE_WEIGHTS:
+            loss, _, ws = _reference_solve(net, weights)
+            assert cold_starts == []
+            simplex._Factorization(ws.A_ext, state.basis)  # raises if singular
+            nonbasic = np.ones(ws.n + 2 * ws.m, dtype=bool)
+            nonbasic[state.basis] = False
+            assert (state.status[nonbasic] == simplex.AT_LOWER).all()
+            assert np.isfinite(ws.lo[nonbasic]).all() and np.isfinite(ws.hi[nonbasic]).all()
+            cold, _ = solve_recourse_lp(net, statuses_for_dead(net, ()), weights)
+            assert loss == pytest.approx(cold, abs=1e-9)
+            cold_starts.clear()
+
+
+def test_reference_solve_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal40):
+    """A dual run that ends in ``numerical-error`` (as on a detected cycle or
+    a tiny pivot) still gives the reference an optimum with the cold LP's
+    loss, through the cold restart."""
+    weights = LossWeights(1.0, 1.5)
+    expected, _ = solve_recourse_lp(coastal40.network, statuses_for_dead(coastal40.network, ()), weights)
+    dual_runs = []
+
+    def run_dual(self, costs):
+        dual_runs.append(self.iterations)
+        return simplex.STATUS_NUMERICAL
+
+    monkeypatch.setattr(simplex._Solver, "run_dual", run_dual)
+    cold_starts = _record_cold_starts(monkeypatch)
+    loss, pivots, _ = _reference_solve(coastal40.network, weights)
+    assert len(dual_runs) == len(cold_starts) == 1
+    assert pivots > 0
+    assert loss == pytest.approx(expected, abs=1e-9)

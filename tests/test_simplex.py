@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from floodmit.simplex import BasisState, Workspace, solve_linear_program
+from floodmit.simplex import BasisState, Workspace, _basis_matrix, solve_linear_program
 
 DUAL_TOL = 1e-6
 
@@ -434,3 +434,21 @@ def test_gate_failure_surfaces_on_every_lp_path(monkeypatch, tol):
         solve_recourse_lp(network, statuses, LossWeights())
     with pytest.raises(RuntimeError, match="numerical-error"):
         geo_remap.remap(points, points)
+
+
+def test_basis_matrix_equals_scipy_column_indexing():
+    """The basis matrix assembled from the index arrays is exactly
+    ``A[:, basis]``, empty and repeated columns included."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 12)), int(rng.integers(1, 30))
+        keep = np.ones(n)
+        keep[rng.integers(0, n, size=2)] = 0.0  # some empty columns whatever the density
+        A = sp.random(m, n, density=float(rng.uniform(0.0, 0.6)), format="csc", random_state=rng)
+        A = (A @ sp.diags(keep)).tocsc()
+        A.eliminate_zeros()
+        basis = rng.integers(0, n, size=m).astype(np.int64)
+        got, want = _basis_matrix(A, basis), A[:, basis].tocsc()
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
