@@ -73,10 +73,7 @@ class Transition:
 class SweepReport:
     rows: list[SweepRow]
     transitions: list[Transition]
-    r_hat: int
-    weights: LossWeights
     f_max: int
-    relax_status: bool = False
     recourse_counters: RecourseCounters = field(default_factory=RecourseCounters)
 
 
@@ -219,7 +216,6 @@ def sweep(
     weights: LossWeights = LossWeights(),
     f_max: int | None = None,
     check_unique: bool = False,
-    relax_status: bool = False,
 ) -> SweepReport:
     """Solve every budget 0..f_max ascending, chaining warm starts.
 
@@ -229,9 +225,7 @@ def sweep(
     if f_max is None:
         f_max = max_useful_budget(network, scenario_set, schedule, r_hat)
     evaluator = RecourseEvaluator(network, weights)
-    base = build(
-        network, scenario_set, schedule, Budget(f_max), r_hat, evaluator, relax_status=relax_status
-    )
+    base = build(network, scenario_set, schedule, Budget(f_max), r_hat, evaluator)
 
     baseline = zero_plan_statuses(network, scenario_set)
     rows: list[SweepRow] = []
@@ -296,10 +290,7 @@ def sweep(
     return SweepReport(
         rows=rows,
         transitions=transitions,
-        r_hat=r_hat,
-        weights=weights,
         f_max=f_max,
-        relax_status=relax_status,
         recourse_counters=evaluator.counters,
     )
 
@@ -338,7 +329,6 @@ def compare_rhat(
     weights: LossWeights,
     f: int,
     r_hat_values: tuple[int, ...] = (3, 4),
-    relax_status: bool = False,
 ) -> list[RhatComparison]:
     """Optimal objective and plan at a fixed budget for each attainability cap.
 
@@ -351,9 +341,7 @@ def compare_rhat(
     results: list[RhatComparison] = []
     evaluator = RecourseEvaluator(network, weights)
     for r_hat in r_hat_values:
-        ef = build(
-            network, scenario_set, schedule, Budget(f), r_hat, evaluator, relax_status=relax_status
-        )
+        ef = build(network, scenario_set, schedule, Budget(f), r_hat, evaluator)
         warm = portfolio(Budget(f), network, scenario_set, schedule, r_hat)
         sol, plan, _ = solve_instance(ef, warm, evaluator)
         results.append(RhatComparison(r_hat=r_hat, objective=sol.objective, plan=plan, plan_diff={}))

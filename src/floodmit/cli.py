@@ -216,10 +216,7 @@ def _solve_one(args, check_unique: bool):
     schedule = CostSchedule.for_network(network)
     weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, weights)
-    ef = build(
-        network, scenarios, schedule, Budget(args.budget), args.rhat, evaluator,
-        relax_status=args.relax_status,
-    )
+    ef = build(network, scenarios, schedule, Budget(args.budget), args.rhat, evaluator)
     warm = heuristic.portfolio(Budget(args.budget), network, scenarios, schedule, args.rhat)
     sol, plan, extras = analysis.solve_instance(
         ef, warm, evaluator, check_unique=check_unique
@@ -328,7 +325,6 @@ def cmd_sweep(args) -> int:
         weights=weights,
         f_max=f_max,
         check_unique=args.check_unique,
-        relax_status=args.relax_status,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -507,9 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the planning problem at one budget")
     _add_common_model_args(p)
-    p.add_argument("--relax-status", action="store_true", dest="relax_status",
-                   help="declare the status variables of scenarios solved with a dispatch "
-                        "block continuous (first stage stays binary)")
     p.add_argument("--check-unique", action="store_true", dest="check_unique")
     p.add_argument("--export-lp", action="store_true", dest="export_lp",
                    help="also write the model in LP text format")
@@ -518,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-unique", help="solve, then probe optimum uniqueness")
     _add_common_model_args(p)
-    p.add_argument("--relax-status", action="store_true", dest="relax_status")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_check_unique)
 
@@ -532,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_model_args(p, budget=False)
     p.add_argument("--max-budget", default="auto", dest="max_budget",
                    help='integer, or "auto" for the largest budget that can still help')
-    p.add_argument("--relax-status", action="store_true", dest="relax_status")
     p.add_argument("--check-unique", action="store_true", dest="check_unique")
     p.add_argument("--out", required=True, help="report directory")
     p.set_defaults(func=cmd_sweep)

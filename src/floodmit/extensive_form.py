@@ -165,13 +165,12 @@ def add_dispatch_block(
     r_hat: int,
     weights: LossWeights,
     x_idx: dict[tuple[str, int], int],
-    binary_status: bool = True,
 ) -> tuple[int, int]:
     """Add one scenario's status variables and dispatch block to ``pb``.
 
     The block's objective terms are weighted by the scenario probability.
-    ``binary_status`` False declares the status variables continuous; the
-    link rows still force them to 0/1 at binary first-stage decisions.
+    The status variables are binary; the link rows also force them to 0/1
+    at binary first-stage decisions.
     Returns the numbers of (alpha, beta) status variables added.
     """
     n_alpha = 0
@@ -192,9 +191,7 @@ def add_dispatch_block(
             alpha_const[sub.id] = 0
         else:
             name = f"alpha_{tag}_{sanitize_name(sub.id)}"
-            idx = pb.add_variable(
-                name, 0.0, 1.0, binary=binary_status, meta=("alpha", scenario.id, sub.id)
-            )
+            idx = pb.add_variable(name, 0.0, 1.0, binary=True, meta=("alpha", scenario.id, sub.id))
             alpha_var[sub.id] = idx
             n_alpha += 1
             _, rows = alpha_link_rows(level_to_indicators(level, r_hat))
@@ -229,9 +226,7 @@ def add_dispatch_block(
             beta_var[br.id] = fa[1]  # both buses share one substation
         else:
             name = f"beta_{tag}_{sanitize_name(br.id)}"
-            idx = pb.add_variable(
-                name, 0.0, 1.0, binary=binary_status, meta=("beta", scenario.id, br.id)
-            )
+            idx = pb.add_variable(name, 0.0, 1.0, binary=True, meta=("beta", scenario.id, br.id))
             beta_var[br.id] = idx
             n_beta += 1
             safe = sanitize_name(br.id)
@@ -394,15 +389,12 @@ def build(
     budget: Budget,
     r_hat: int,
     weights: LossWeights = LossWeights(),
-    relax_status: bool = False,
 ) -> ExtensiveForm:
     """Assemble the deterministic-equivalent MILP: every scenario gets a
     dispatch block.  This monolithic model is the reference the solve path's
     value-table model (:mod:`floodmit.value_table`) is checked against.
 
-    ``relax_status`` declares the status variables continuous; the linear
-    rows still force them to 0/1 at binary first-stage decisions.  Raises on
-    dimension mismatches (see :func:`check_inputs`).
+    Raises on dimension mismatches (see :func:`check_inputs`).
     """
     check_inputs(network, scenario_set, schedule, r_hat)
     pb = ProblemBuilder("extensive_form")
@@ -410,9 +402,7 @@ def build(
     n_alpha_vars = 0
     n_beta_vars = 0
     for scenario in scenario_set.scenarios:
-        n_alpha, n_beta = add_dispatch_block(
-            pb, network, scenario, r_hat, weights, x_idx, binary_status=not relax_status
-        )
+        n_alpha, n_beta = add_dispatch_block(pb, network, scenario, r_hat, weights, x_idx)
         n_alpha_vars += n_alpha
         n_beta_vars += n_beta
 

@@ -115,11 +115,6 @@ class GridNetwork:
         return self._cache["branches_at_bus"]
 
     @property
-    def reference_bus(self) -> str | None:
-        refs = [b.id for b in self.buses if b.is_reference]
-        return refs[0] if len(refs) == 1 else None
-
-    @property
     def total_load(self) -> float:
         return sum(b.p_load for b in self.buses)
 

@@ -196,12 +196,11 @@ def portfolio(
     scenario_set: FloodScenarioSet,
     schedule: CostSchedule,
     r_hat: int,
-    eta_flow_grid: tuple[float, ...] = ETA_FLOW_GRID,
 ) -> list[MitigationPlan]:
     """Deduplicated greedy plans across the flow-weight grid."""
     plans: list[MitigationPlan] = []
     seen = set()
-    for eta_flow in eta_flow_grid:
+    for eta_flow in ETA_FLOW_GRID:
         plan = greedy(
             AttributeWeights(eta_load=1.0, eta_gen=0.0, eta_flow=eta_flow),
             budget,

@@ -148,7 +148,7 @@ def sanitize_name(raw: str) -> str:
     return re.sub(r"[^A-Za-z0-9_]", "_", raw)
 
 
-def with_no_good_cut(problem: MilpProblem, assignment: dict[str, int], tag: str = "") -> MilpProblem:
+def with_no_good_cut(problem: MilpProblem, assignment: dict[str, int]) -> MilpProblem:
     """Append the row  sum of x over the assignment's zero positions >= 1.
 
     Survivors must select at least one unit the assignment left out, so the
@@ -165,7 +165,7 @@ def with_no_good_cut(problem: MilpProblem, assignment: dict[str, int], tag: str 
         A=sp.vstack([problem.A, sp.csr_matrix(row)], format="csc"),
         senses=problem.senses + ("G",),
         b=np.append(problem.b, 1.0),
-        row_names=problem.row_names + (f"no_good{tag}",),
+        row_names=problem.row_names + ("no_good",),
         name=problem.name + "+cut",
     )
 

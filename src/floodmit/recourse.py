@@ -572,9 +572,6 @@ def evaluate_plan(
     plan: MitigationPlan,
     scenario_set: FloodScenarioSet,
     weights: LossWeights = LossWeights(),
-    evaluator: RecourseEvaluator | None = None,
 ) -> PlanEvaluation:
     """Probability-weighted dispatch loss of a plan across all scenarios."""
-    if evaluator is None:
-        evaluator = RecourseEvaluator(network, weights)
-    return evaluator.evaluate(plan, scenario_set)
+    return RecourseEvaluator(network, weights).evaluate(plan, scenario_set)

@@ -172,9 +172,6 @@ class Workspace:
         self.lo = lo
         self.hi = hi
 
-    def set_rhs(self, b) -> None:
-        self.b = np.asarray(b, dtype=float).copy()
-
     def column(self, j: int) -> np.ndarray:
         col = np.zeros(self.m)
         A = self.A_ext
@@ -338,7 +335,7 @@ class _Solver:
 
     # -- dual simplex --------------------------------------------------------
 
-    def dual_feasible(self, costs: np.ndarray, slack: float = 1e-7) -> bool:
+    def dual_feasible(self, costs: np.ndarray) -> bool:
         """Whether the basis is dual feasible once every boxed nonbasic column
         whose reduced cost has the wrong sign moves to its other bound.
 
@@ -347,7 +344,7 @@ class _Solver:
         """
         ws = self.ws
         _, d = self._duals(costs)
-        wrong = self._improving(d, slack)
+        wrong = self._improving(d, 1e-7)
         if not wrong.any():
             return True
         boxed = np.isfinite(ws.lo) & np.isfinite(ws.hi) & (self.status_arr != FREE)

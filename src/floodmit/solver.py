@@ -106,9 +106,7 @@ def solve_lp(
     )
 
 
-def _warm_start_fixings(
-    problem: MilpProblem, assignment: dict[str, int], tol: float = 1e-9
-) -> dict[int, int] | None:
+def _warm_start_fixings(problem: MilpProblem, assignment: dict[str, int]) -> dict[int, int] | None:
     """Index fixings of the assignment, or None if it violates a covered row.
 
     A row is covered when every variable it touches is assigned.  Rows
@@ -116,6 +114,7 @@ def _warm_start_fixings(
     feasible completion by construction of the model.  Values outside a
     variable's bounds also reject the assignment.
     """
+    tol = 1e-9
     fixings = {}
     for name, val in assignment.items():
         if name not in problem.index_of:
@@ -310,7 +309,6 @@ def check_uniqueness(
     problem: MilpProblem,
     optimal_assignment: dict[str, int],
     optimal_objective: float,
-    tol: float = 1e-6,
 ) -> tuple[bool, dict[str, int] | None]:
     """Probe whether the optimum is unique over the given binary assignment.
 
@@ -326,7 +324,7 @@ def check_uniqueness(
         return True, None
     if res.status != "optimal":
         raise SolverError("uniqueness probe did not solve to optimality")
-    if res.objective > optimal_objective + tol:
+    if res.objective > optimal_objective + 1e-6:
         return True, None
     witness = {name: int(round(res.values[name])) for name in optimal_assignment}
     return False, witness

@@ -19,7 +19,9 @@ objective offset.  The losses come from the caller's
 :class:`~floodmit.recourse.RecourseEvaluator`, so tables, warm-start values and
 plan evaluations share one status closure and one dead-set cache.
 
-A table has 2^|U_s| entries, one dispatch LP each (fewer after cache hits).
+A table has 2^|U_s| entries.  The evaluator settles most of them with no LP,
+by the island copper-plate bound and its DC power-flow witness, and solves a
+dispatch LP for the rest (fewer after cache hits).
 A scenario with more than ``MAX_TABLE_UNCERTAIN`` uncertain substations keeps
 the extensive form's dispatch block instead, built by the same helper
 :func:`floodmit.extensive_form.add_dispatch_block`.  The first stage is the
@@ -81,14 +83,12 @@ def build(
     budget: Budget,
     r_hat: int,
     evaluator: RecourseEvaluator,
-    relax_status: bool = False,
 ) -> ExtensiveForm:
     """Assemble the planning MILP with a value table per scenario.
 
     Same first stage and optimum as :func:`floodmit.extensive_form.build`,
-    with the loss weights of ``evaluator``.  ``relax_status`` declares the
-    status variables of over-cap scenarios (the only ones that have any)
-    continuous.  Raises on the same input mismatches.
+    with the loss weights of ``evaluator``.  Raises on the same input
+    mismatches.
     """
     check_inputs(network, scenario_set, schedule, r_hat)
     pb = ProblemBuilder("value_table")
@@ -97,10 +97,7 @@ def build(
     for scenario in scenario_set.scenarios:
         uncertain = [s.id for s in network.substations if 0 < scenario.level_of(s.id) < r_hat]
         if len(uncertain) > MAX_TABLE_UNCERTAIN:
-            add_dispatch_block(
-                pb, network, scenario, r_hat, evaluator.weights, x_idx,
-                binary_status=not relax_status,
-            )
+            add_dispatch_block(pb, network, scenario, r_hat, evaluator.weights, x_idx)
             n_dispatch += 1
         else:
             _add_table(pb, scenario, uncertain, x_idx, evaluator)

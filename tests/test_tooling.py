@@ -1,11 +1,14 @@
-"""The benchmark's tracer must keep finding every name it wraps.
+"""The benchmark's tracer must keep finding every name it wraps, and the
+README must advertise only flags the command line accepts.
 
 ``perfbench/tracing.py`` replaces entry points of the package by name; a
 rename or deletion in ``src/`` would only surface in a traced benchmark run.
 Installing and uninstalling it here catches that in the test suite.
 """
 
+import argparse
 import importlib.util
+import re
 from pathlib import Path
 
 from conftest import scaled_flow_limits
@@ -13,7 +16,8 @@ from floodmit.fixtures import make_fixture
 from floodmit.grid_model import save_network
 from floodmit.scenario_model import save_scenarios
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _write_tightened_fixture(name, out):
@@ -130,3 +134,24 @@ def test_traced_portfolio_reaches_the_wrapped_greedy_once_per_flow_weight(tmp_pa
     assert len(ETA_FLOW_GRID) == 7
     assert metrics["heuristic.portfolio_calls"] == 1
     assert metrics["heuristic.greedy_calls"] == 7 * metrics["heuristic.portfolio_calls"]
+
+
+def test_readme_command_line_flags_are_accepted():
+    """Every ``--flag`` on a ``floodmit <subcommand>`` line of the README's
+    command-line block must be an option of that subcommand's parser."""
+    from floodmit.cli import build_parser
+
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [ln.split() for ln in block.splitlines() if ln.startswith("floodmit ")]
+    assert lines
+    for words in lines:
+        sub = subparsers[words[1]]
+        flags = re.findall(r"(?<![\w-])--[a-z][a-z-]*", " ".join(words[2:]))
+        assert flags, words
+        unknown = [f for f in flags if f not in sub._option_string_actions]
+        assert not unknown, (words[1], unknown)

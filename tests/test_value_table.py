@@ -28,14 +28,10 @@ def _solve(ef):
     return sol
 
 
-def _assert_models_agree(net, scen, sched, r_hat, budgets, relax_status=False):
+def _assert_models_agree(net, scen, sched, r_hat, budgets):
     evaluator = RecourseEvaluator(net, W)
-    ef = extensive_form.build(
-        net, scen, sched, Budget(max(budgets)), r_hat, W, relax_status=relax_status
-    )
-    vt = value_table.build(
-        net, scen, sched, Budget(max(budgets)), r_hat, evaluator, relax_status=relax_status
-    )
+    ef = extensive_form.build(net, scen, sched, Budget(max(budgets)), r_hat, W)
+    vt = value_table.build(net, scen, sched, Budget(max(budgets)), r_hat, evaluator)
     assert vt.x_names == ef.x_names
     for f in budgets:
         ref = _solve(ef.with_budget(f))
@@ -83,21 +79,18 @@ def _mixed_instance():
     return net, scen
 
 
-@pytest.mark.parametrize("relax_status", [False, True])
-def test_scenario_over_the_cap_keeps_a_dispatch_block(relax_status):
+def test_scenario_over_the_cap_keeps_a_dispatch_block():
     net, scen = _mixed_instance()
     sched = CostSchedule.for_network(net)
     fmax = max_useful_budget(net, scen, sched, 3)
-    vt = _assert_models_agree(
-        net, scen, sched, 3, [0, 2, 5, fmax // 2, fmax], relax_status=relax_status
-    )
+    vt = _assert_models_agree(net, scen, sched, 3, [0, 2, 5, fmax // 2, fmax])
     # "narrow" has two uncertain substations, "dry" none.
     assert vt.stats["dispatch_scenarios"] == 1
     assert vt.stats["table_scenarios"] == 2
     assert vt.stats["table_entries"] == 4 + 1
     alphas = [i for i, m in enumerate(vt.problem.meta) if m[0] == "alpha"]
     assert len(alphas) == 7 and {vt.problem.meta[i][1] for i in alphas} == {"wide"}
-    assert bool(vt.problem.is_binary[alphas].any()) is not relax_status
+    assert vt.problem.is_binary[alphas].all()
 
 
 def test_tables_share_the_evaluators_dead_set_cache(star8):
