@@ -32,12 +32,11 @@ loss: one copper plate per island.  The evaluator settles a new dead set
 without an LP when a witness dispatch that attains the bound passes a DC
 power-flow check of the flow and angle limits; a feasible point whose value
 is a lower bound is optimal.  Only the dead sets that fail the check fall
-back to the LP.  On the first of them the evaluator builds one simplex
-workspace and solves the no-flood LP from the basis of the dispatch that
-serves nothing, with the dual simplex and no phase 1; every fallback then
-warm-starts from that reference basis.  Each dead set is settled the same
-way whatever came before it, so a cached loss does not depend on the order
-of requests.
+back to the LP, on one simplex workspace per evaluator.  Each fallback
+starts from the basis of its own island copper-plate dispatch, which is
+dual feasible, so the dual simplex only repairs the flow and angle limits
+that bind.  Each dead set is settled the same way whatever came before it,
+so a cached loss does not depend on the order of requests.
 """
 
 from __future__ import annotations
@@ -81,8 +80,6 @@ class DispatchState:
     p_flow: dict[str, float]
     delta: dict[str, float]
     theta: dict[str, float]
-    # Optimal basis of the dispatch LP: the warm start of later solves.
-    basis: simplex.BasisState | None = field(default=None, repr=False, compare=False)
     # Simplex pivots the solve took.
     pivots: int = field(default=0, repr=False, compare=False)
 
@@ -241,30 +238,6 @@ def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: Loss
     return c, A, senses, np.zeros(n_rows), lb, ub, _loss_offset(network, weights), layout
 
 
-def _zero_dispatch_basis(network: GridNetwork) -> simplex.BasisState:
-    """Starting basis of the no-flood dispatch LP: the dispatch that serves nothing.
-
-    Flow e is basic in its Ohm row, p_check_i in bus i's balance row, and the
-    slack of bus i's overgeneration row in that row; every other column sits
-    at its lower bound and the artificials stay pinned.  The basis matrix is
-    block triangular with +-1 on its diagonal, so it factorizes on every
-    network.  Every nonbasic column is boxed (p_hat, delta, theta, the
-    pinned u and the equality-row slacks), so bound flips make the basis
-    dual feasible and the dual simplex needs no phase 1.
-    """
-    _, i_chk, _, _, i_flo, i_rel = _layout(network)
-    n_var = i_rel + len(network.branches)
-    ohm, balance, overgen = _row_layout(network)
-    n_rows = len(ohm) + len(balance) + len(overgen)
-    basis = np.empty(n_rows, dtype=np.int64)
-    basis[ohm] = i_flo + np.arange(len(ohm))
-    basis[balance] = i_chk + np.arange(len(balance))
-    basis[overgen] = n_var + overgen  # the slack column of each row
-    status = np.full(n_var + 2 * n_rows, simplex.AT_LOWER, dtype=np.int8)
-    status[basis] = simplex.BASIC
-    return simplex.BasisState(basis, status)
-
-
 def _loss_offset(network: GridNetwork, weights: LossWeights) -> float:
     """Constant term of the loss: its value when all load is shed."""
     return sum(weights.lambda_shed * bus.p_load for bus in network.buses)
@@ -283,8 +256,7 @@ def solve_recourse_lp(
     Without ``workspace`` the LP is assembled and solved cold.  A workspace
     built from :func:`_recourse_arrays` for the same network and weights
     (under any statuses) only gets this LP's bounds, and the solve starts
-    from the ``warm`` basis.  The returned dispatch carries the optimal
-    basis as the warm start of later solves.
+    from the ``warm`` basis.
 
     The problem is feasible for any status vector, so anything but a verified
     optimum (including one that fails the simplex duality or residual gate)
@@ -307,7 +279,6 @@ def solve_recourse_lp(
         delta={b_.id: float(x[i_del + i]) for i, b_ in enumerate(network.buses)},
         theta={b_.id: float(x[i_the + i]) for i, b_ in enumerate(network.buses)},
         p_flow={br.id: float(x[i_flo + e]) for e, br in enumerate(network.branches)},
-        basis=res.basis_state,
         pivots=res.iterations,
     )
     return res.objective + _loss_offset(network, weights), dispatch
@@ -473,12 +444,96 @@ def island_bound(network: GridNetwork, dead: tuple[str, ...], weights: LossWeigh
     return plate.loss(plate.islands(dead), weights)[0]
 
 
+def _fill(order: np.ndarray, size: np.ndarray, amount: float) -> tuple[np.ndarray, int]:
+    """Spread ``amount`` over the buses of ``order`` in turn, each taking its
+    ``size`` in full while more remains: (the buses filled in full, the
+    marginal bus, which takes the rest)."""
+    for n, i in enumerate(order[:-1]):
+        if amount <= size[i]:
+            return order[:n], int(i)
+        amount -= size[i]
+    return order[:-1], int(order[-1])
+
+
+def _island_basis(network: GridNetwork, islands: _Islands) -> simplex.BasisState:
+    """Basis of the island copper-plate optimum of a dead set: the vertex the
+    dispatch LP reaches once flow and angle limits are dropped.
+
+    Each Ohm row has its flow basic on a live branch and its relief column
+    on a dead one, and each bus the slack of its overgeneration row.  A dead
+    bus keeps p_check basic in its balance row.  In each island theta is
+    basic at every bus but one grounded bus (the reference bus, or else the
+    island's first bus, at its lower bound), and one marginal column sets
+    the island's price:
+
+    - balanced (Gmin <= L <= Gmax): every load is served; generators fill in
+      bus order from gen_min, at their maximum up to the marginal p_hat;
+    - short (L > Gmax): every generator runs at its maximum; loads are
+      served in bus order up to the marginal delta;
+    - surplus (Gmin > L): every generator runs at its minimum; buses absorb
+      the excess in bus order with p_check, which replaces the overgeneration
+      slack of a bus that absorbs its whole gen_min, up to the marginal
+      p_check.
+
+    Every basic column of a live island then prices at the island's one
+    balance dual (0, lambda_shed or -lambda_over), so the basis is dual
+    feasible and the dual simplex only repairs the limits that bind.
+    """
+    buses = network.buses
+    i_hat, i_chk, i_del, i_the, i_flo, i_rel = _layout(network)
+    n_var = i_rel + len(network.branches)
+    ohm, balance, overgen = _row_layout(network)
+    n_rows = len(ohm) + len(balance) + len(overgen)
+    labels = islands.labels
+    pos = {b.id: i for i, b in enumerate(buses)}
+    load, gen_min, gen_max = (
+        np.array([getattr(b, attr) for b in buses], dtype=float)
+        for attr in ("p_load", "p_gen_min", "p_gen_max")
+    )
+    is_reference = np.array([b.is_reference for b in buses], dtype=bool)
+
+    basis = np.empty(n_rows, dtype=np.int64)
+    status = np.full(n_var + 2 * n_rows, simplex.AT_LOWER, dtype=np.int8)
+    for e, br in enumerate(network.branches):
+        live = labels[pos[br.from_bus]] >= 0 and labels[pos[br.to_bus]] >= 0
+        basis[ohm[e]] = (i_flo if live else i_rel) + e
+    basis[overgen] = n_var + overgen  # the slack column of each row
+    basis[balance] = np.where(labels >= 0, i_the, i_chk) + np.arange(len(buses))
+
+    for k, first in enumerate(islands.first):
+        island = np.flatnonzero(labels == k)
+        refs = island[is_reference[island]]
+        ground = refs[0] if refs.size else first
+        flexible = island[gen_max[island] > gen_min[island]]
+        if islands.load[k] > islands.gen_max[k]:
+            status[i_hat + island] = simplex.AT_UPPER
+            full, i = _fill(island[load[island] > 0], load, islands.gen_max[k])
+            status[i_del + full] = simplex.AT_UPPER
+            marginal = i_del + i
+        elif islands.load[k] >= islands.gen_min[k] and flexible.size:
+            status[i_del + island] = simplex.AT_UPPER
+            full, i = _fill(flexible, gen_max - gen_min, islands.load[k] - islands.gen_min[k])
+            status[i_hat + full] = simplex.AT_UPPER
+            marginal = i_hat + i
+        else:  # surplus, or a balanced island with no flexible generator
+            status[i_del + island] = simplex.AT_UPPER
+            absorbers = island[gen_min[island] > 0]
+            if not absorbers.size:
+                absorbers = island[:1]
+            full, i = _fill(absorbers, gen_min, islands.gen_min[k] - islands.load[k])
+            basis[overgen[full]] = i_chk + full
+            marginal = i_chk + i
+        basis[balance[ground]] = marginal
+    status[basis] = simplex.BASIC
+    return simplex.BasisState(basis, status)
+
+
 @dataclass
 class RecourseCounters:
     """What a :class:`RecourseEvaluator` did: scenario outcomes requested,
     dead sets found in the cache, dead sets settled by the island bound's
-    witness without an LP, dispatch LPs solved (the reference included) and
-    the simplex pivots those LPs took."""
+    witness without an LP, dispatch LPs solved and the simplex pivots those
+    LPs took."""
 
     outcomes: int = 0
     cache_hits: int = 0
@@ -496,11 +551,10 @@ class RecourseEvaluator:
     island bound is feasible: a feasible point whose value is a lower bound
     is optimal.  Otherwise its dispatch LP is solved.  All dispatch LPs of the
     network share one simplex workspace, built on the first dead set that
-    needs an LP: the no-flood LP is solved once from the zero-dispatch basis
-    of :func:`_zero_dispatch_basis`, and every LP after it only resets the
-    bounds and warm-starts from that reference basis.  Since every dead set
-    is settled the same way whatever came before it, a cached value does not
-    depend on the order of requests.
+    needs an LP; each LP only resets the bounds and warm-starts the dual
+    simplex from :func:`_island_basis`, the vertex of its own island
+    copper-plate dispatch.  Since each start depends only on the dead set, a
+    cached value does not depend on the order of requests.
     """
 
     def __init__(self, network: GridNetwork, weights: LossWeights):
@@ -510,20 +564,24 @@ class RecourseEvaluator:
         self._plate = _CopperPlate(network)
         self._cache: dict[tuple[str, ...], tuple[float, float, float, float]] = {}
         self._workspace: simplex.Workspace | None = None
-        self._reference: simplex.BasisState | None = None
 
-    def _solve_lp(self, dead: tuple[str, ...]) -> tuple[tuple[float, float, float, float], simplex.BasisState]:
+    def _solve_lp(self, dead: tuple[str, ...], islands: _Islands) -> tuple[float, float, float, float]:
+        if self._workspace is None:
+            c, A, senses, b, lb, ub, _, _ = _recourse_arrays(
+                self.network, statuses_for_dead(self.network, ()), self.weights
+            )
+            self._workspace = simplex.Workspace(c, A, senses, b, lb, ub)
         self.counters.lp_solves += 1
         loss, dispatch = solve_recourse_lp(
             self.network, statuses_for_dead(self.network, dead), self.weights,
-            workspace=self._workspace, warm=self._reference,
+            workspace=self._workspace, warm=_island_basis(self.network, islands),
         )
         self.counters.lp_pivots += dispatch.pivots
         served = sum(
             b.p_load * dispatch.delta[b.id] for b in self.network.buses
         )
         over = sum(dispatch.p_check.values())
-        return (loss, served, self.network.total_load - served, over), dispatch.basis
+        return loss, served, self.network.total_load - served, over
 
     def _solve_for_dead(self, dead: tuple[str, ...]) -> tuple[float, float, float, float]:
         if dead in self._cache:
@@ -534,15 +592,7 @@ class RecourseEvaluator:
             self.counters.settled_without_lp += 1
             self._cache[dead] = self._plate.loss(islands, self.weights)
         else:
-            if self._workspace is None:
-                c, A, senses, b, lb, ub, _, _ = _recourse_arrays(
-                    self.network, statuses_for_dead(self.network, ()), self.weights
-                )
-                self._workspace = simplex.Workspace(c, A, senses, b, lb, ub)
-                # The reference itself starts from the zero-dispatch basis.
-                self._reference = _zero_dispatch_basis(self.network)
-                _, self._reference = self._solve_lp(())
-            self._cache[dead], _ = self._solve_lp(dead)
+            self._cache[dead] = self._solve_lp(dead, islands)
         return self._cache[dead]
 
     def scenario_outcome(self, plan: MitigationPlan, scenario: FloodScenario) -> ScenarioOutcome:

@@ -12,8 +12,9 @@ from floodmit.mitigation import MitigationPlan, ZERO_PLAN
 from floodmit.recourse import (
     LossWeights,
     RecourseEvaluator,
+    _CopperPlate,
+    _island_basis,
     _recourse_arrays,
-    _zero_dispatch_basis,
     evaluate_plan,
     island_bound,
     solve_recourse_lp,
@@ -403,7 +404,7 @@ def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, na
     for dead in dead_sets:
         forward._solve_for_dead(dead)
     assert forward.counters.lp_solves > 1
-    assert cold_starts == []  # the reference starts from the zero-dispatch basis
+    assert cold_starts == []  # each LP starts from its own island basis
     # Both ways of settling a dead set take part.
     assert 0 < forward.counters.settled_without_lp < len(dead_sets)
     backward = RecourseEvaluator(network, weights)
@@ -561,7 +562,7 @@ def test_witness_that_breaks_a_limit_falls_back_to_the_lp(net, served):
     evaluator = RecourseEvaluator(net, LossWeights())
     without_lp, values = _settled_without_lp(evaluator, ())
     assert not without_lp
-    assert evaluator.counters.lp_solves == 2  # the reference, then the dead set
+    assert evaluator.counters.lp_solves == 1
     assert values == pytest.approx((shed, served, shed, 0.0), abs=1e-9)
     cold, _ = solve_recourse_lp(net, statuses_for_dead(net, ()), LossWeights())
     assert cold == pytest.approx(shed, abs=1e-9)
@@ -604,55 +605,71 @@ def test_zero_weight_witness_reports_the_least_shed_and_overgeneration(weights):
             assert over <= sum(dispatch.p_check.values()) + 1e-9
 
 
-# -- the reference solve's zero-dispatch starting basis ----------------------
+# -- the island copper-plate basis that starts every dispatch LP -----------
 
 
-def _reference_solve(net, weights):
-    """The evaluator's reference solve: the no-flood LP on a fresh workspace,
-    started from the zero-dispatch basis.  Returns the loss, the pivots and
-    the workspace."""
-    no_flood = statuses_for_dead(net, ())
-    c, A, senses, b, lb, ub, _, _ = _recourse_arrays(net, no_flood, weights)
+def _island_solve(net, dead, weights):
+    """The evaluator's fallback solve of one dead set on a fresh workspace,
+    started from its island basis.  Returns the loss, the pivots, the
+    workspace, the basis and the islands."""
+    islands = _CopperPlate(net).islands(dead)
+    c, A, senses, b, lb, ub, _, _ = _recourse_arrays(net, statuses_for_dead(net, ()), weights)
     ws = simplex.Workspace(c, A, senses, b, lb, ub)
-    loss, dispatch = solve_recourse_lp(net, no_flood, weights, workspace=ws, warm=_zero_dispatch_basis(net))
-    return loss, dispatch.pivots, ws
+    state = _island_basis(net, islands)
+    loss, dispatch = solve_recourse_lp(net, statuses_for_dead(net, dead), weights, workspace=ws, warm=state)
+    return loss, dispatch.pivots, ws, state, islands
 
 
-REFERENCE_WEIGHTS = [LossWeights(), LossWeights(1.0, 2.5), LossWeights(0.0, 1.0), LossWeights(1.0, 0.0)]
+def _floating_islands(net, islands):
+    """Islands of two or more buses without the reference bus: the ones
+    grounded at their first bus's lower angle bound."""
+    ref = next(i for i, b in enumerate(net.buses) if b.is_reference)
+    sizes = np.bincount(islands.labels[islands.labels >= 0], minlength=len(islands.first))
+    return int(np.sum(sizes >= 2)) - int(islands.labels[ref] >= 0 and sizes[islands.labels[ref]] >= 2)
 
 
-def test_zero_dispatch_basis_starts_every_reference_solve_warm(monkeypatch):
-    """On random networks, half of them with raised minimum generation, the
-    zero-dispatch basis factorizes, every nonbasic column is boxed (so bound
-    flips make it dual feasible), and the reference solve reaches the cold
-    LP's loss without a cold start.  A basis that put all balance rows before
-    all overgeneration rows would leave unboxed slacks nonbasic."""
+def test_island_basis_starts_every_dispatch_lp_warm_at_the_copper_plate_optimum(monkeypatch):
+    """On random networks with raised minimum generation, a cut-off
+    reference bus, all and no substations dead: the island basis factorizes
+    and is dual feasible with no bound flip, the LP reaches the cold LP's
+    loss without a cold start, and with no limit binding it is the island
+    bound itself.  Then the only pivots left ground the angles of an island
+    without the reference bus, at most one per such island.  A balanced
+    island left serving nothing, an island with every angle basic, or a
+    surplus bus that absorbs without giving up its overgeneration slack each
+    fails this."""
     cold_starts = _record_cold_starts(monkeypatch)
-    rng = np.random.default_rng(808)
-    for k in range(200):
-        net = random_network(rng)
-        if k % 2:
-            net = _with_raised_gen_min(rng, net)
-        state = _zero_dispatch_basis(net)
-        for weights in REFERENCE_WEIGHTS:
-            loss, _, ws = _reference_solve(net, weights)
-            assert cold_starts == []
-            simplex._Factorization(ws.A_ext, state.basis)  # raises if singular
-            nonbasic = np.ones(ws.n + 2 * ws.m, dtype=bool)
-            nonbasic[state.basis] = False
-            assert (state.status[nonbasic] == simplex.AT_LOWER).all()
-            assert np.isfinite(ws.lo[nonbasic]).all() and np.isfinite(ws.hi[nonbasic]).all()
-            cold, _ = solve_recourse_lp(net, statuses_for_dead(net, ()), weights)
-            assert loss == pytest.approx(cold, abs=1e-9)
-            cold_starts.clear()
+    for net, dead_sets in _bound_cases(seed=909, count=40):
+        loose = _unlimited(net)
+        for dead in dead_sets:
+            for weights in BOUND_WEIGHTS:
+                loss, _, ws, state, _ = _island_solve(net, dead, weights)
+                loose_loss, pivots, loose_ws, _, islands = _island_solve(loose, dead, weights)
+                assert cold_starts == []
+                simplex._Factorization(ws.A_ext, state.basis)  # raises if singular
+                start = simplex._Solver(loose_ws, max_iter=0)
+                assert start.warm_start(state) is not None
+                _, d = start._duals(loose_ws.c_ext)
+                assert not start._improving(d, 1e-7).any()
+                assert loose_loss == pytest.approx(island_bound(net, dead, weights), abs=1e-9)
+                assert pivots <= _floating_islands(net, islands)
+                cold, _ = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
+                assert loss == pytest.approx(cold, abs=1e-9)
+                cold_starts.clear()
 
 
-def test_reference_solve_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal40):
+def test_fallback_lp_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal40):
     """A dual run that ends in ``numerical-error`` (as on a detected cycle or
-    a tiny pivot) still gives the reference an optimum with the cold LP's
-    loss, through the cold restart."""
+    a tiny pivot) still gives a coastal40 dead set whose witness fails the
+    cold LP's loss, through one cold restart."""
+    net = coastal40.network
     weights = LossWeights(1.0, 1.5)
-    expected, _ = solve_recourse_lp(coastal40.network, statuses_for_dead(coastal40.network, ()), weights)
+    plate = _CopperPlate(net)
+    dead = next(
+        d for d in _scenario_dead_sets(coastal40.scenarios)
+        if not plate.witness_is_feasible(plate.islands(d))
+    )
+    expected, _ = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
     dual_runs = []
 
     def run_dual(self, costs):
@@ -661,7 +678,9 @@ def test_reference_solve_restarts_cold_when_the_dual_run_fails(monkeypatch, coas
 
     monkeypatch.setattr(simplex._Solver, "run_dual", run_dual)
     cold_starts = _record_cold_starts(monkeypatch)
-    loss, pivots, _ = _reference_solve(coastal40.network, weights)
+    evaluator = RecourseEvaluator(net, weights)
+    loss, *_ = evaluator._solve_for_dead(dead)
     assert len(dual_runs) == len(cold_starts) == 1
-    assert pivots > 0
+    assert evaluator.counters.lp_solves == 1
+    assert evaluator.counters.lp_pivots > 0
     assert loss == pytest.approx(expected, abs=1e-9)

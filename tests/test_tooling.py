@@ -75,11 +75,10 @@ def test_traced_solve_reports_model_and_dispatch_counts(tmp_path):
 
 
 def test_traced_portfolio_counts_every_dispatch_lp_but_the_reference_as_warm(tmp_path):
-    """Each evaluator solves the no-flood dispatch LP once, on the first dead
-    set that needs an LP, from the zero-dispatch basis, and starts every
-    other dispatch LP from its optimal basis.  So the reference is no longer
-    the exception the name keeps: the tracer must see every dispatch LP as
-    warm and none as cold."""
+    """Every dispatch LP starts from the basis of its own island
+    copper-plate dispatch, and no evaluator solves a no-flood reference LP
+    any more, so the exception the name keeps is gone: the tracer must see
+    every LP as a dispatch LP, every dispatch LP as warm and none as cold."""
     from floodmit import cli
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -101,6 +100,7 @@ def test_traced_portfolio_counts_every_dispatch_lp_but_the_reference_as_warm(tmp
     metrics = tracer.layer_metrics()
     assert metrics["solver.solve_milp_calls"] == 0
     assert metrics["recourse.dispatch_lps"] > 1
+    assert metrics["simplex.lp_solves"] == metrics["recourse.dispatch_lps"]
     assert metrics["simplex.lp_solves_warm"] == metrics["recourse.dispatch_lps"]
     assert metrics["simplex.lp_solves_cold"] == 0
 
