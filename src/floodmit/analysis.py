@@ -7,6 +7,12 @@ final simplex basis of one budget seeds the root relaxation of the next
 (only the budget right-hand side changes).  Objectives are therefore
 monotone nonincreasing across the sweep, while the plans themselves usually
 are not nested; the diagnostics here quantify that.
+
+Everything that depends only on the instance is built once per sweep: the
+model, one simplex workspace over its matrix (each budget only resets the
+right-hand side, so the chained root basis keeps its LU), and one
+:class:`~floodmit.heuristic.LevelMatrix` that every budget's greedy
+portfolio and spared-capacity row read.
 """
 
 from __future__ import annotations
@@ -14,12 +20,16 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .extensive_form import ExtensiveForm
 from .grid_model import GridNetwork
-from .heuristic import portfolio
-from .mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, max_useful_budget, plan_cost
-from .recourse import LossWeights, RecourseCounters, RecourseEvaluator, StatusVector, status_closure
+from .heuristic import LevelMatrix, left_sums, portfolio
+from .mitigation import Budget, CostSchedule, MitigationPlan, max_useful_budget, plan_cost
+from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
+from .recourse import status_closure  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario_model import FloodScenarioSet
+from .simplex import SimplexCounters, Workspace
 from .value_table import build
 from . import solver
 
@@ -75,6 +85,7 @@ class SweepReport:
     transitions: list[Transition]
     f_max: int
     recourse_counters: RecourseCounters = field(default_factory=RecourseCounters)
+    simplex_counters: SimplexCounters = field(default_factory=SimplexCounters)
 
 
 @dataclass
@@ -89,58 +100,48 @@ class NestednessReport:
         return not self.violations
 
 
-def zero_plan_statuses(network: GridNetwork, scenario_set: FloodScenarioSet) -> list[StatusVector]:
-    """Per-scenario statuses without mitigation: the baseline of spared capacity."""
-    return [status_closure(network, ZERO_PLAN, s) for s in scenario_set.scenarios]
-
-
 def spared_capacity(
     plan: MitigationPlan,
     network: GridNetwork,
     scenario_set: FloodScenarioSet,
     *,
-    baseline: list[StatusVector] | None = None,
+    levels: LevelMatrix | None = None,
 ) -> SparedCapacity:
     """Expected proportion of flood-lost capacity that the plan keeps running.
 
-    Per scenario, the baseline statuses come from the zero plan (computed
-    here unless ``baseline`` passes :func:`zero_plan_statuses`); the ratio of
-    spared to lost capacity is averaged over scenarios with a scenario
+    Per scenario, the baseline statuses come from the zero plan; the ratio
+    of spared to lost capacity is averaged over scenarios with a scenario
     contributing zero when it loses nothing (there is nothing to spare).
+    ``levels`` is the instance's level matrix when the caller keeps one (a
+    sweep does); it holds the zero plan's lost capacity.  Every sum adds its
+    terms in network (or scenario) order, one at a time from 0.0.
     """
-    if baseline is None:
-        baseline = zero_plan_statuses(network, scenario_set)
-    props = [0.0, 0.0, 0.0]
-    absol = [0.0, 0.0, 0.0]
-    for scenario, base in zip(scenario_set.scenarios, baseline, strict=True):
-        mit = status_closure(network, plan, scenario)
-        spared_load = lost_load = 0.0
-        spared_gen = lost_gen = 0.0
-        for bus in network.buses:
-            gain = mit.alpha[bus.id] - base.alpha[bus.id]
-            lost = 1 - base.alpha[bus.id]
-            spared_load += gain * bus.p_load
-            lost_load += lost * bus.p_load
-            spared_gen += gain * bus.p_gen_max
-            lost_gen += lost * bus.p_gen_max
-        spared_flow = lost_flow = 0.0
-        for br in network.branches:
-            spared_flow += (mit.beta[br.id] - base.beta[br.id]) * br.flow_limit
-            lost_flow += (1 - base.beta[br.id]) * br.flow_limit
-        p = scenario.probability
-        for slot, (num, den) in enumerate(
-            ((spared_load, lost_load), (spared_gen, lost_gen), (spared_flow, lost_flow))
-        ):
-            if den > 0:
-                props[slot] += p * num / den
-            absol[slot] += p * num
+    if levels is None:  # the instance's own schedule and cap; only the greedy reads those
+        levels = LevelMatrix(
+            network, scenario_set, CostSchedule.for_network(network), scenario_set.unattainable_level
+        )
+    bus, branch = levels.statuses(plan)
+    gain_bus, gain_branch = bus - levels.zero_bus, branch - levels.zero_branch
+    spared = np.stack(
+        [
+            left_sums(gain_bus * levels.bus_load),
+            left_sums(gain_bus * levels.bus_gen),
+            left_sums(gain_branch * levels.flow_limit),
+        ],
+        axis=1,
+    )
+    lost = levels.zero_lost
+    p = levels.p[:, None]
+    has_loss = lost > 0
+    props = left_sums(np.where(has_loss, p * spared / np.where(has_loss, lost, 1.0), 0.0), axis=0)
+    absol = left_sums(p * spared, axis=0)
     return SparedCapacity(
-        load_proportion=props[0],
-        gen_proportion=props[1],
-        flow_proportion=props[2],
-        load_abs=absol[0],
-        gen_abs=absol[1],
-        flow_abs=absol[2],
+        load_proportion=float(props[0]),
+        gen_proportion=float(props[1]),
+        flow_proportion=float(props[2]),
+        load_abs=float(absol[0]),
+        gen_abs=float(absol[1]),
+        flow_abs=float(absol[2]),
     )
 
 
@@ -183,23 +184,28 @@ def solve_instance(
     root_basis=None,
     check_unique: bool = False,
     losses: dict | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[solver.MilpSolution, MitigationPlan, dict]:
     """Solve one budget instance with warm starts; optionally probe uniqueness.
 
     ``losses`` maps plan keys to expected losses already evaluated with
     ``evaluator`` (a sweep passes one map for all its budgets); it is
-    filled with the warm plans' losses.
+    filled with the warm plans' losses.  ``workspace`` is the caller's
+    :func:`solver.milp_workspace` over this instance's matrix, if any.  The
+    solution's ``counters`` also count the uniqueness probe.
     """
     pool = _warm_pool(ef, warm_plans, evaluator, {} if losses is None else losses)
     config = solver.BnbConfig(warm_starts=pool, root_warm_basis=root_basis)
-    sol = solver.solve_milp(ef.problem, config)
+    sol = solver.solve_milp(ef.problem, config, workspace=workspace)
     if sol.status != "optimal":
         raise solver.SolverError(f"budget {ef.budget.units}: solver stopped with {sol.status}")
     plan = ef.plan_from_values(sol.values)
     extras: dict = {}
     if check_unique:
         assignment = ef.plan_assignment(plan)
-        unique, witness = solver.check_uniqueness(ef.problem, assignment, sol.objective)
+        unique, witness = solver.check_uniqueness(
+            ef.problem, assignment, sol.objective, counters=sol.counters
+        )
         extras["unique"] = unique
         extras["witness"] = None if witness is None else ef.plan_from_values(
             {k: float(v) for k, v in witness.items()}
@@ -226,15 +232,17 @@ def sweep(
         f_max = max_useful_budget(network, scenario_set, schedule, r_hat)
     evaluator = RecourseEvaluator(network, weights)
     base = build(network, scenario_set, schedule, Budget(f_max), r_hat, evaluator)
+    workspace = solver.milp_workspace(base.problem)
+    counters = SimplexCounters(workspaces=1)
+    levels = LevelMatrix(network, scenario_set, schedule, r_hat)
 
-    baseline = zero_plan_statuses(network, scenario_set)
     rows: list[SweepRow] = []
     prior_plans: list[MitigationPlan] = []
     losses: dict = {}  # plan key -> expected loss, shared by every budget
     root_basis = None
     for f in range(0, f_max + 1):
         ef = base.with_budget(f)
-        greedy_plans = portfolio(Budget(f), network, scenario_set, schedule, r_hat)
+        greedy_plans = portfolio(Budget(f), network, scenario_set, schedule, r_hat, levels=levels)
         warm_plans = greedy_plans + prior_plans
         heur_best = min(
             _expected_loss(p, evaluator, scenario_set, losses) for p in greedy_plans
@@ -242,7 +250,7 @@ def sweep(
         try:
             sol, plan, extras = solve_instance(
                 ef, warm_plans, evaluator, root_basis=root_basis, check_unique=check_unique,
-                losses=losses,
+                losses=losses, workspace=workspace,
             )
         except solver.SolverError as exc:
             log.error("budget %d failed: %s", f, exc)
@@ -253,6 +261,7 @@ def sweep(
                 )
             )
             continue
+        counters.add(sol.counters)
         root_basis = sol.root_basis
         prior_plans.append(plan)
         gap = heur_best - sol.objective
@@ -265,7 +274,7 @@ def sweep(
                 objective=sol.objective,
                 plan=plan,
                 plan_cost=plan_cost(plan, schedule),
-                spared=spared_capacity(plan, network, scenario_set, baseline=baseline),
+                spared=spared_capacity(plan, network, scenario_set, levels=levels),
                 heuristic_best=heur_best,
                 heuristic_gap=gap,
                 nodes=sol.nodes_explored,
@@ -292,6 +301,7 @@ def sweep(
         transitions=transitions,
         f_max=f_max,
         recourse_counters=evaluator.counters,
+        simplex_counters=counters,
     )
 
 

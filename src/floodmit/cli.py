@@ -30,6 +30,7 @@ from .mitigation import (
 )
 from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
 from .scenario_model import load_scenarios, save_scenarios
+from .simplex import SimplexCounters
 from .value_table import build
 
 SCHEMA_VERSION = 1
@@ -44,6 +45,7 @@ class CliError(Exception):
 def _envelope(
     command: str, config: dict, result: dict, started: float,
     recourse: RecourseCounters | None = None,
+    simplex: SimplexCounters | None = None,
 ) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -53,8 +55,13 @@ def _envelope(
         "timing": {"seconds": round(time.monotonic() - started, 6)},
         "result": result,
     }
-    if recourse is not None:
-        doc["counters"] = {"recourse": dataclasses.asdict(recourse)}
+    counters = {
+        name: dataclasses.asdict(value)
+        for name, value in (("recourse", recourse), ("simplex", simplex))
+        if value is not None
+    }
+    if counters:
+        doc["counters"] = counters
     return doc
 
 
@@ -249,7 +256,7 @@ def cmd_solve(args) -> int:
         result["uniqueness_caveat"] = extras.get("caveat")
         witness = extras.get("witness")
         result["witness"] = None if witness is None else _plan_dict(witness)
-    doc = _envelope("solve", _ns_dict(args), result, started, counters)
+    doc = _envelope("solve", _ns_dict(args), result, started, counters, sol.counters)
     _write_json(doc, out_dir / "envelope.json")
     return 0
 
@@ -264,7 +271,7 @@ def cmd_check_unique(args) -> int:
         "uniqueness_caveat": extras["caveat"],
         "witness": None if extras["witness"] is None else _plan_dict(extras["witness"]),
     }
-    doc = _envelope("check-unique", _ns_dict(args), result, started, counters)
+    doc = _envelope("check-unique", _ns_dict(args), result, started, counters, sol.counters)
     _write_json(doc, Path(args.out))
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     print()
@@ -388,7 +395,9 @@ def cmd_sweep(args) -> int:
         "nestedness_violations": None if nest is None else len(nest.violations),
         "tables": ["objectives.csv", "plans.csv", "spared.csv", "transitions.csv"],
     }
-    doc = _envelope("sweep", _ns_dict(args), result, started, report.recourse_counters)
+    doc = _envelope(
+        "sweep", _ns_dict(args), result, started, report.recourse_counters, report.simplex_counters
+    )
     _write_json(doc, out / "envelope.json")
     return 0
 

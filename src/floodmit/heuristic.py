@@ -9,7 +9,9 @@ when the budget is spent, no affordable upgrade remains, or no upgrade helps.
 
 A portfolio of plans for warm starts comes from fixing the load weight at 1,
 dropping the generation weight (capacity is rarely binding), and sweeping the
-flow weight over a small grid.
+flow weight over a small grid.  Every pass reads one :class:`LevelMatrix`,
+the instance as arrays, which a caller solving many budgets (a sweep) builds
+once and passes in.
 """
 
 from __future__ import annotations
@@ -70,25 +72,38 @@ def benefit(
     return rho_load * weights.eta_load + rho_gen * weights.eta_gen + rho_flow * weights.eta_flow
 
 
-class _UpgradeScorer:
-    """Benefit of every single-substation upgrade, on a scenario x substation
-    level matrix.
+def left_sums(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sums along ``axis`` added one term at a time from 0.0, in order: the
+    same floats as a Python ``total += term`` loop (``np.sum`` adds
+    pairwise and may round differently)."""
+    terms = np.moveaxis(terms, axis, -1)
+    padded = np.concatenate([np.zeros(terms.shape[:-1] + (1,)), terms], axis=-1)
+    return np.cumsum(padded, axis=-1)[..., -1]
 
-    Arrays are indexed by scenario (rows, in scenario-set order) and
-    substation (columns, in network order).  Raising substation j from
-    level cur_j to t revives it in exactly the scenarios flooded at a level
-    in cur_j+1..t, so with the per-level table
-    ``W[l, j] = sum_s p_s * gained[s, j] * [L[s, j] == l]`` the benefit is
-    ``sum_{l=cur_j+1..t} W[l, j]``.  A revived substation gains its own load,
-    generation and intra-substation flow, plus the capacity of its
-    cross-substation branches whose far end is alive in that scenario.
+
+class LevelMatrix:
+    """One instance as arrays, built once and shared by every greedy pass
+    and spared-capacity evaluation over it.
+
+    Rows are scenarios (in scenario-set order) and columns substations (in
+    network order): ``levels[s, j]`` is substation j's flood level in
+    scenario s (0 when dry), and ``p`` holds the scenario probabilities.
+    Per substation there are the load, generation capacity and
+    intra-substation flow capacity, plus a symmetric cross-substation
+    capacity matrix ``cross`` (parallel branches summed).  Per bus and per
+    branch, in network order, there are the substation column of each bus,
+    the bus indices of each branch's ends, and their capacities.  For the
+    greedy, ``at_level[l, s, j]`` marks ``levels[s, j] == l`` for
+    ``l < r_hat`` and ``cumulative[t, j]`` is the cost of reaching level t.
+    ``zero_lost[s]`` is the load, generation and flow capacity that
+    scenario s loses with no mitigation.
     """
 
     def __init__(
         self,
-        weights: AttributeWeights,
         network: GridNetwork,
         scenario_set: FloodScenarioSet,
+        schedule: CostSchedule,
         r_hat: int,
     ):
         self.sub_ids = [s.id for s in network.substations]
@@ -99,7 +114,7 @@ class _UpgradeScorer:
             load[col[bus.substation_id]] += bus.p_load
             gen[col[bus.substation_id]] += bus.p_gen_max
         sub_of = {b.id: col[b.substation_id] for b in network.buses}
-        self.cross = np.zeros((n, n))  # parallel branches summed
+        self.cross = np.zeros((n, n))
         for br in network.branches:
             jf, jt = sub_of[br.from_bus], sub_of[br.to_bus]
             if jf == jt:
@@ -107,37 +122,89 @@ class _UpgradeScorer:
             else:
                 self.cross[jf, jt] += br.flow_limit
                 self.cross[jt, jf] += br.flow_limit
-        self.eta_flow = weights.eta_flow
-        self.base = (
-            np.array(load) * weights.eta_load
-            + np.array(gen) * weights.eta_gen
-            + np.array(intra) * weights.eta_flow
-        )
+        self.load, self.gen, self.intra = np.array(load), np.array(gen), np.array(intra)
+
+        bus_index = {b.id: i for i, b in enumerate(network.buses)}
+        self.bus_col = np.array([col[b.substation_id] for b in network.buses], dtype=int)
+        self.bus_load = np.array([b.p_load for b in network.buses], dtype=float)
+        self.bus_gen = np.array([b.p_gen_max for b in network.buses], dtype=float)
+        self.branch_ends = np.array(
+            [[bus_index[br.from_bus], bus_index[br.to_bus]] for br in network.branches], dtype=int
+        ).reshape(-1, 2)
+        self.flow_limit = np.array([br.flow_limit for br in network.branches], dtype=float)
+
         scenarios = scenario_set.scenarios
-        self.p = np.array([s.probability for s in scenarios])[:, None]
+        self.p = np.array([s.probability for s in scenarios])
         self.levels = np.array(
             [[s.levels.get(k, 0) for k in self.sub_ids] for s in scenarios], dtype=int
-        )
+        ).reshape(len(scenarios), n)
         # Only levels below r_hat can ever flip; layer l marks level l.
+        self.r_hat = r_hat
         self.level_rows = np.arange(r_hat)[:, None]
         self.at_level = (self.levels == self.level_rows[:, :, None]).astype(float)
-        self.cur = np.zeros(n, dtype=int)
-        self.alive = (self.levels <= 0).astype(float)
+        self.cumulative = np.array(
+            [[schedule.cumulative_cost(k, t) for k in self.sub_ids] for t in range(r_hat)],
+            dtype=np.int64,
+        ).reshape(r_hat, n)
+
+        self.zero_bus, self.zero_branch = self.statuses(ZERO_PLAN)
+        self.zero_lost = np.stack(
+            [
+                left_sums((1.0 - self.zero_bus) * self.bus_load),
+                left_sums((1.0 - self.zero_bus) * self.bus_gen),
+                left_sums((1.0 - self.zero_branch) * self.flow_limit),
+            ],
+            axis=1,
+        )
+
+    def statuses(self, plan: MitigationPlan) -> tuple[np.ndarray, np.ndarray]:
+        """0/1 statuses per scenario and bus, and per scenario and branch:
+        a substation survives iff its flood level is at most the plan's
+        level, a bus follows its substation, and a branch needs both ends."""
+        planned = np.array([plan.level_of(k) for k in self.sub_ids], dtype=int)
+        bus = (self.levels <= planned)[:, self.bus_col]
+        branch = bus[:, self.branch_ends[:, 0]] & bus[:, self.branch_ends[:, 1]]
+        return bus.astype(float), branch.astype(float)
+
+
+class _UpgradeScorer:
+    """Benefit of every single-substation upgrade, on the level matrix.
+
+    Raising substation j from level cur_j to t revives it in exactly the
+    scenarios flooded at a level in cur_j+1..t, so with the per-level table
+    ``W[l, j] = sum_s p_s * gained[s, j] * [L[s, j] == l]`` the benefit is
+    ``sum_{l=cur_j+1..t} W[l, j]``.  A revived substation gains its own load,
+    generation and intra-substation flow, plus the capacity of its
+    cross-substation branches whose far end is alive in that scenario.
+    """
+
+    def __init__(self, weights: AttributeWeights, levels: LevelMatrix):
+        self.lm = levels
+        self.sub_ids = levels.sub_ids
+        self.eta_flow = weights.eta_flow
+        self.base = (
+            levels.load * weights.eta_load
+            + levels.gen * weights.eta_gen
+            + levels.intra * weights.eta_flow
+        )
+        self.cur = np.zeros(len(self.sub_ids), dtype=int)
+        self.alive = (levels.levels <= 0).astype(float)
         self._table = None
 
     def values(self) -> np.ndarray:
         """``V[t, j]``: benefit of raising substation j to level t (0 for t <= cur_j)."""
+        lm = self.lm
         if self._table is None:
             gained = self.base
             if self.eta_flow:
-                gained = gained + self.eta_flow * (self.alive @ self.cross)
-            self._table = np.einsum("lsj,sj->lj", self.at_level, self.p * gained)
-        return np.cumsum(np.where(self.level_rows > self.cur, self._table, 0.0), axis=0)
+                gained = gained + self.eta_flow * (self.alive @ lm.cross)
+            self._table = np.einsum("lsj,sj->lj", lm.at_level, lm.p[:, None] * gained)
+        return np.cumsum(np.where(lm.level_rows > self.cur, self._table, 0.0), axis=0)
 
     def raise_level(self, j: int, target: int) -> None:
         """Buy an upgrade: only substation j's alive column changes."""
         self.cur[j] = target
-        self.alive[:, j] = self.levels[:, j] <= target
+        self.alive[:, j] = self.lm.levels[:, j] <= target
         if self.eta_flow:
             self._table = None
 
@@ -149,6 +216,7 @@ def greedy(
     scenario_set: FloodScenarioSet,
     schedule: CostSchedule,
     r_hat: int,
+    levels: LevelMatrix | None = None,
 ) -> MitigationPlan:
     """One greedy pass: repeatedly buy the best benefit-per-cost upgrade.
 
@@ -156,14 +224,18 @@ def greedy(
     level ascending; a candidate replaces the best so far when its ratio is
     larger by more than 1e-12, and ratios within 1e-12 break by
     (substation id, level), so identical inputs yield the identical plan.
+    ``levels`` is the instance's :class:`LevelMatrix` when the caller keeps
+    one; otherwise the pass builds its own.
     """
     if r_hat < 2:
         return ZERO_PLAN  # no attainable level to buy
-    scorer = _UpgradeScorer(weights, network, scenario_set, r_hat)
-    subs = scorer.sub_ids
-    cumulative = np.array(
-        [[schedule.cumulative_cost(k, t) for k in subs] for t in range(r_hat)], dtype=np.int64
-    )
+    if levels is None:
+        levels = LevelMatrix(network, scenario_set, schedule, r_hat)
+    elif levels.r_hat != r_hat:
+        raise ValueError(f"level matrix is for r_hat={levels.r_hat}, not {r_hat}")
+    scorer = _UpgradeScorer(weights, levels)
+    subs = levels.sub_ids
+    cumulative = levels.cumulative
     plan = ZERO_PLAN
     remaining = budget.units
     while remaining > 0:
@@ -196,8 +268,12 @@ def portfolio(
     scenario_set: FloodScenarioSet,
     schedule: CostSchedule,
     r_hat: int,
+    levels: LevelMatrix | None = None,
 ) -> list[MitigationPlan]:
-    """Deduplicated greedy plans across the flow-weight grid."""
+    """Deduplicated greedy plans across the flow-weight grid, all on one
+    :class:`LevelMatrix` (the caller's, or one built here)."""
+    if levels is None:
+        levels = LevelMatrix(network, scenario_set, schedule, r_hat)
     plans: list[MitigationPlan] = []
     seen = set()
     for eta_flow in ETA_FLOW_GRID:
@@ -208,6 +284,7 @@ def portfolio(
             scenario_set,
             schedule,
             r_hat,
+            levels,
         )
         if plan.key() not in seen:
             seen.add(plan.key())

@@ -13,6 +13,12 @@ a streak of degenerate pivots.  A dual simplex over the same machinery
 supports warm re-solves after bound or right-hand-side changes, which is how
 branch-and-bound children and budget-sweep re-solves stay cheap.
 
+A reported basis carries the LU of exactly that basis and the workspace it
+factors.  A warm start on the same workspace adopts that LU instead of
+factorizing again: bound and right-hand-side changes leave the basis matrix
+as it was, and the same LU over the same basis yields the same bits.  The LU
+is only read, so sibling nodes share it; eta updates stay per solve.
+
 All tie-breaks resolve to the smallest column index, so a given input always
 follows the identical pivot path.
 
@@ -20,13 +26,16 @@ Every claimed optimum passes one verification gate before it is reported:
 the primal/dual objective gap must lie within ``DUALITY_TOL`` (scaled by
 max(1, |objective|)) and the primal residual within ``RESIDUAL_TOL``.  An
 optimum that fails either comes back as ``numerical-error``, so callers only
-need to check the status.
+need to check the status.  Before the gate, a claimed optimum is
+refactorized and its values recomputed, unless the factorization has no
+eta updates and the values were recomputed from it with no pivot or bound
+flip since; a second LU of the same basis would give the same bits.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,10 +64,17 @@ STATUS_NUMERICAL = "numerical-error"
 
 @dataclass
 class BasisState:
-    """Opaque warm-start token: basis column indices and column statuses."""
+    """Opaque warm-start token: basis column indices and column statuses.
+
+    A state the simplex reports also carries the sparse LU of exactly this
+    basis and the workspace whose matrix it factors; a warm start on that
+    workspace reuses it.  A hand-built state has neither.
+    """
 
     basis: np.ndarray
     status: np.ndarray
+    lu: object | None = field(default=None, repr=False, compare=False)
+    workspace: "Workspace | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -72,6 +88,31 @@ class SimplexResult:
     primal_residual: float
     basis_state: BasisState | None
     infeasibility: float = 0.0
+    lu_factorizations: int = 0  # sparse LU factorizations this solve ran
+    lu_reused: bool = False     # whether the warm start adopted its state's LU
+
+
+@dataclass
+class SimplexCounters:
+    """What a series of LP solves did: solves, pivots, sparse LU
+    factorizations, warm starts that reused their basis's LU, and
+    workspaces built for them."""
+
+    lp_solves: int = 0
+    pivots: int = 0
+    lu_factorizations: int = 0
+    lu_reused: int = 0
+    workspaces: int = 0
+
+    def record(self, res: SimplexResult) -> None:
+        self.lp_solves += 1
+        self.pivots += res.iterations
+        self.lu_factorizations += res.lu_factorizations
+        self.lu_reused += int(res.lu_reused)
+
+    def add(self, other: "SimplexCounters") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 def _failed(status: str, iterations: int, infeasibility: float = 0.0) -> SimplexResult:
@@ -103,10 +144,11 @@ def _basis_matrix(A_csc: sp.csc_matrix, basis: np.ndarray) -> sp.csc_matrix:
 
 
 class _Factorization:
-    """Sparse LU of the basis plus product-form eta updates."""
+    """Sparse LU of the basis (only read, so solves may share it) plus
+    product-form eta updates."""
 
-    def __init__(self, A_csc: sp.csc_matrix, basis: np.ndarray):
-        self.lu = spla.splu(_basis_matrix(A_csc, basis))
+    def __init__(self, lu):
+        self.lu = lu
         self.etas: list[tuple[int, np.ndarray]] = []
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
@@ -137,7 +179,7 @@ class Workspace:
     """One LP structure, reusable across bound and right-hand-side changes."""
 
     def __init__(self, c, A, senses, b, lb, ub):
-        A = sp.csc_matrix(A)
+        A_in, A = A, sp.csc_matrix(A)
         self.m, self.n = A.shape
         m = self.m
         eye = sp.identity(m, format="csc")
@@ -156,7 +198,23 @@ class Workspace:
             raise ValueError(f"unknown row sense {unknown[0]!r}")
         self.slack_lo = np.where(senses == "G", -np.inf, 0.0)
         self.slack_hi = np.where(senses == "L", np.inf, 0.0)
+        self.A_source, self.senses = A_in, senses
         self.set_bounds(lb, ub)
+
+    def built_over(self, c, A, senses) -> bool:
+        """Whether this workspace was built over the matrix object ``A``
+        with equal costs and row senses."""
+        return (
+            A is self.A_source
+            and np.array_equal(self.c_ext[: self.n], np.asarray(c, dtype=float))
+            and np.array_equal(self.senses, np.asarray(senses, dtype=object).reshape(self.m))
+        )
+
+    def set_rhs(self, b) -> None:
+        b = np.asarray(b, dtype=float)
+        if b.shape != (self.m,):
+            raise ValueError(f"right-hand side has shape {b.shape}, expected ({self.m},)")
+        self.b = b.copy()
 
     def set_bounds(self, lb, ub) -> None:
         m, n = self.m, self.n
@@ -191,6 +249,11 @@ class _Solver:
         self.fact: _Factorization | None = None
         self.degen_streak = 0
         self.infeasibility = 0.0
+        self.lu_factorizations = 0
+        self.lu_reused = False
+        # True while x is exactly what _refresh_x computed from an LU with
+        # no etas: no pivot, bound flip or hand edit of x since.
+        self.x_fresh = False
 
     # -- shared plumbing -------------------------------------------------
 
@@ -215,12 +278,15 @@ class _Solver:
         xn = x.copy()
         xn[self.basis] = 0.0
         x[self.basis] = self.fact.ftran(ws.b - ws.A_ext @ xn)
+        self.x_fresh = self.fact.age == 0
 
     def _refactorize(self) -> bool:
+        self.lu_factorizations += 1
         try:
-            self.fact = _Factorization(self.ws.A_ext, self.basis)
+            lu = spla.splu(_basis_matrix(self.ws.A_ext, self.basis))
         except (RuntimeError, ValueError):
             return False
+        self.fact = _Factorization(lu)
         self._refresh_x()
         return True
 
@@ -233,6 +299,7 @@ class _Solver:
         """Entering q moves by ``step``; basis position r leaves to a bound."""
         ws = self.ws
         leaving = self.basis[r]
+        self.x_fresh = False
         self.x[self.basis] -= step * w
         self.x[leaving] = ws.lo[leaving] if leave_to == AT_LOWER else ws.hi[leaving]
         self.status_arr[leaving] = leave_to
@@ -321,6 +388,7 @@ class _Solver:
                 self.x[self.basis] -= (sigma * t) * w
                 self.status_arr[q] = AT_UPPER if self.status_arr[q] == AT_LOWER else AT_LOWER
                 self.x[q] = self._nonbasic_value(q)
+                self.x_fresh = False
                 self.degen_streak = 0
                 continue
             new_val = self._nonbasic_value(q) + sigma * t
@@ -486,10 +554,15 @@ class _Solver:
                 if not in_basis[j]:
                     self.status_arr[j] = AT_LOWER
                     self.x[j] = 0.0
+            self.x_fresh = False
         return "feasible"
 
     def warm_start(self, state: BasisState) -> str | None:
-        """Adopt a previous basis; returns a dispatch hint or None if unusable."""
+        """Adopt a previous basis; returns a dispatch hint or None if unusable.
+
+        The state's LU is adopted when it factors this workspace's matrix;
+        otherwise the basis is factorized afresh.
+        """
         ws = self.ws
         total = ws.n + 2 * ws.m
         if state.basis.shape != (ws.m,) or state.status.shape != (total,):
@@ -497,7 +570,11 @@ class _Solver:
         self.basis = state.basis.copy()
         self.status_arr = state.status.copy()
         self.x = np.zeros(total)
-        if not self._refactorize():
+        if state.lu is not None and state.workspace is ws:
+            self.fact = _Factorization(state.lu)
+            self.lu_reused = True
+            self._refresh_x()
+        elif not self._refactorize():
             return None
         xb = self.x[self.basis]
         lo_ok = xb >= ws.lo[self.basis] - TOL_FEAS
@@ -533,13 +610,26 @@ def solve_linear_program(
         abs(res.objective - res.dual_objective) > DUALITY_TOL * max(1.0, abs(res.objective))
         or res.primal_residual > RESIDUAL_TOL
     ):
-        return _failed(STATUS_NUMERICAL, res.iterations)
+        return replace(
+            _failed(STATUS_NUMERICAL, res.iterations),
+            lu_factorizations=res.lu_factorizations,
+            lu_reused=res.lu_reused,
+        )
     return res
 
 
 def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResult:
-    m, n = ws.m, ws.n
     solver = _Solver(ws, max_iter)
+    res = _run(solver, warm)
+    res.lu_factorizations = solver.lu_factorizations
+    res.lu_reused = solver.lu_reused
+    return res
+
+
+def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
+    ws = solver.ws
+    m, n = ws.m, ws.n
+    max_iter = solver.max_iter
 
     status = None
     if warm is not None:
@@ -576,8 +666,10 @@ def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResu
         return _failed(STATUS_NUMERICAL, solver.iterations)
 
     # Claimed optimal: refactorize, recompute, and re-verify before reporting.
+    # Values freshly computed from an eta-free LU of this basis are exactly
+    # what a refactorization would recompute, so that one is skipped.
     for _ in range(5):
-        if not solver._refactorize():
+        if not solver.x_fresh and not solver._refactorize():
             return _failed(STATUS_NUMERICAL, solver.iterations)
         y, d = solver._duals(ws.c_ext)
         if not solver._improving(d, 1e-7).any():
@@ -611,7 +703,9 @@ def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResu
         dual_objective=dual_obj,
         iterations=solver.iterations,
         primal_residual=residual,
-        basis_state=BasisState(solver.basis.copy(), solver.status_arr.copy()),
+        basis_state=BasisState(
+            solver.basis.copy(), solver.status_arr.copy(), lu=solver.fact.lu, workspace=ws
+        ),
     )
 
 

@@ -8,6 +8,11 @@ first node; each is checked against the rows it fully covers with one sparse
 mat-vec over the problem's constraint matrix.  Without node or time limits
 the returned incumbent is provably optimal.
 
+A caller that solves several problems over one constraint matrix (a budget
+sweep changes only the right-hand side) builds one simplex workspace with
+:func:`milp_workspace` and passes it to every solve; a root basis carried
+from one solve to the next then keeps its LU.
+
 Everything is single-threaded and tie-broken by index, so identical inputs
 reproduce identical incumbents and node counts.
 """
@@ -68,6 +73,8 @@ class MilpSolution:
     # Basis of the root relaxation: the right seed for a re-solve of the same
     # structure with a loosened right-hand side (budget sweeps).
     root_basis: simplex.BasisState | None = None
+    # The node LPs and the workspace built for them (none when passed in).
+    counters: simplex.SimplexCounters = field(default_factory=simplex.SimplexCounters)
 
 
 class SolverError(RuntimeError):
@@ -106,13 +113,23 @@ def solve_lp(
     )
 
 
-def _warm_start_fixings(problem: MilpProblem, assignment: dict[str, int]) -> dict[int, int] | None:
+def milp_workspace(problem: MilpProblem) -> simplex.Workspace:
+    """A simplex workspace over the problem's costs, matrix and row senses,
+    which :func:`solve_milp` accepts for every problem sharing them."""
+    A, senses, b = problem.constraint_arrays()
+    return simplex.Workspace(problem.objective, A, senses, b, problem.lb, problem.ub)
+
+
+def _warm_start_fixings(
+    problem: MilpProblem, assignment: dict[str, int], covered_rows: dict | None = None
+) -> dict[int, int] | None:
     """Index fixings of the assignment, or None if it violates a covered row.
 
     A row is covered when every variable it touches is assigned.  Rows
     touching unassigned variables are the recourse blocks, which admit a
     feasible completion by construction of the model.  Values outside a
-    variable's bounds also reject the assignment.
+    variable's bounds also reject the assignment.  ``covered_rows`` keeps
+    the covered-row mask of each assigned-index set across calls.
     """
     tol = 1e-9
     fixings = {}
@@ -124,9 +141,15 @@ def _warm_start_fixings(problem: MilpProblem, assignment: dict[str, int]) -> dic
     vals = np.array(list(fixings.values()), dtype=float)
     if np.any(vals < problem.lb[idx] - tol) or np.any(vals > problem.ub[idx] + tol):
         return None
-    x, free = np.zeros(problem.n_variables), np.ones(problem.n_variables)
-    x[idx], free[idx] = vals, 0.0
-    covered = abs(problem.A) @ free == 0
+    covered_rows = {} if covered_rows is None else covered_rows
+    key = idx.tobytes()
+    if key not in covered_rows:
+        free = np.ones(problem.n_variables)
+        free[idx] = 0.0
+        covered_rows[key] = abs(problem.A) @ free == 0
+    covered = covered_rows[key]
+    x = np.zeros(problem.n_variables)
+    x[idx] = vals
     act, b = (problem.A @ x)[covered], problem.b[covered]
     senses = np.array(problem.senses)[covered]
     bad = (
@@ -145,8 +168,16 @@ class _Node:
     warm: simplex.BasisState | None = field(compare=False, default=None)
 
 
-def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSolution:
+def solve_milp(
+    problem: MilpProblem,
+    config: BnbConfig | None = None,
+    workspace: simplex.Workspace | None = None,
+) -> MilpSolution:
     """Branch and bound over the problem's binaries.
+
+    ``workspace`` is one from :func:`milp_workspace` for a problem with the
+    same matrix object, costs and row senses; it takes this problem's
+    right-hand side.  Without it the solve builds its own.
 
     Returns a provably optimal incumbent when no limit binds.  Raises
     :class:`SolverError` on unrecoverable numerical failure.
@@ -154,10 +185,17 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
     config = config or BnbConfig()
     t_start = time.monotonic()
     offset = problem.objective_offset
+    counters = simplex.SimplexCounters()
 
-    A, senses, b = problem.constraint_arrays()
     root_lb, root_ub = problem.bounds_arrays()
-    ws = simplex.Workspace(problem.objective, A, senses, b, root_lb, root_ub)
+    if workspace is None:
+        ws = milp_workspace(problem)
+        counters.workspaces = 1
+    elif workspace.built_over(problem.objective, problem.A, problem.senses):
+        ws = workspace
+        ws.set_rhs(problem.b)
+    else:
+        raise ValueError(f"workspace was not built over the matrix of {problem.name}")
     bin_idx = problem.binary_indices()
 
     incumbent_obj = np.inf
@@ -168,8 +206,9 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
 
     # Warm starts: verify against the rows they fully cover, then seed the
     # incumbent with the best objective.
+    covered_rows: dict = {}
     for plan in config.warm_starts:
-        fixings = _warm_start_fixings(problem, plan.assignment)
+        fixings = _warm_start_fixings(problem, plan.assignment, covered_rows)
         if fixings is None:
             log.info("warm start %s rejected: infeasible", plan.label or "?")
             continue
@@ -185,6 +224,7 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
             lo[idx] = hi[idx] = float(val)
         ws.set_bounds(lo, hi)
         res = simplex.solve_linear_program(workspace=ws, warm=node.warm)
+        counters.record(res)
         lp_iterations += res.iterations
         if res.status == simplex.STATUS_NUMERICAL:
             raise SolverError(f"node LP numerical failure in {problem.name}")
@@ -265,9 +305,11 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
         proven = True
 
     if incumbent_obj == np.inf:
-        if proven:
-            return MilpSolution("infeasible", None, None, np.inf, nodes_explored, lp_iterations, stop_reason)
-        return MilpSolution("node-limit", None, None, final_bound, nodes_explored, lp_iterations, stop_reason)
+        return MilpSolution(
+            "infeasible" if proven else "node-limit", None, None,
+            np.inf if proven else final_bound, nodes_explored, lp_iterations, stop_reason,
+            counters=counters,
+        )
 
     # A warm start may remain the incumbent without any node reproducing its
     # values; rebuild them by solving its fixings as a node from the root basis.
@@ -302,6 +344,7 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
         stop_reason=stop_reason,
         warm_start_used=warm_used,
         root_basis=root_basis,
+        counters=counters,
     )
 
 
@@ -309,6 +352,7 @@ def check_uniqueness(
     problem: MilpProblem,
     optimal_assignment: dict[str, int],
     optimal_objective: float,
+    counters: simplex.SimplexCounters | None = None,
 ) -> tuple[bool, dict[str, int] | None]:
     """Probe whether the optimum is unique over the given binary assignment.
 
@@ -318,8 +362,12 @@ def check_uniqueness(
     removes the assignment together with everything inside its support, so a
     "unique" verdict cannot see tie-optima that merely drop ineffective
     deployments; callers flag that caveat when the plan underuses its budget.
+    The cut problem has a matrix of its own, so the probe builds its own
+    workspace; its simplex counts are added to ``counters`` when given.
     """
     res = solve_milp(with_no_good_cut(problem, optimal_assignment))
+    if counters is not None:
+        counters.add(res.counters)
     if res.status == "infeasible":
         return True, None
     if res.status != "optimal":

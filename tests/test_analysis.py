@@ -91,6 +91,81 @@ def test_spared_matches_brute_force_recomputation(star8):
         assert sc.load_proportion == pytest.approx(exp_load, abs=1e-12)
 
 
+# -- the per-bus/per-branch loop spared_capacity replaced, kept as the reference --
+
+
+def _loop_spared_capacity(plan, network, scenario_set):
+    from floodmit.analysis import SparedCapacity
+    from floodmit.recourse import status_closure
+
+    props = [0.0, 0.0, 0.0]
+    absol = [0.0, 0.0, 0.0]
+    for scenario in scenario_set.scenarios:
+        base = status_closure(network, ZERO_PLAN, scenario)
+        mit = status_closure(network, plan, scenario)
+        spared_load = lost_load = 0.0
+        spared_gen = lost_gen = 0.0
+        for bus in network.buses:
+            gain = mit.alpha[bus.id] - base.alpha[bus.id]
+            lost = 1 - base.alpha[bus.id]
+            spared_load += gain * bus.p_load
+            lost_load += lost * bus.p_load
+            spared_gen += gain * bus.p_gen_max
+            lost_gen += lost * bus.p_gen_max
+        spared_flow = lost_flow = 0.0
+        for br in network.branches:
+            spared_flow += (mit.beta[br.id] - base.beta[br.id]) * br.flow_limit
+            lost_flow += (1 - base.beta[br.id]) * br.flow_limit
+        p = scenario.probability
+        for slot, (num, den) in enumerate(
+            ((spared_load, lost_load), (spared_gen, lost_gen), (spared_flow, lost_flow))
+        ):
+            if den > 0:
+                props[slot] += p * num / den
+            absol[slot] += p * num
+    return SparedCapacity(*props, *absol)
+
+
+@pytest.mark.parametrize("name", ["tiny3", "star8", "ring12", "coastal40"])
+def test_spared_equals_the_loop_reference_bitwise(request, name):
+    """Array spared capacity against the status-closure loop, compared with
+    ``==``: every sum is a left fold in network order, so the floats match."""
+    from conftest import random_plan
+
+    fx = request.getfixturevalue(name)
+    rng = np.random.default_rng(len(name))
+    plans = [ZERO_PLAN, MitigationPlan({s.id: 2 for s in fx.network.substations})]
+    plans += [random_plan(rng, fx.network) for _ in range(25)]
+    for plan in plans:
+        assert spared_capacity(plan, fx.network, fx.scenarios) == _loop_spared_capacity(
+            plan, fx.network, fx.scenarios
+        ), plan.levels
+
+
+def test_spared_equals_the_loop_reference_on_random_instances():
+    """Random loads, capacities and limits round differently when summed in
+    another order (pairwise, say), so ``==`` here pins the order too."""
+    from conftest import random_network, random_plan, random_scenario_set
+
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        net = random_network(rng, n_subs=int(rng.integers(2, 14)))
+        ss = random_scenario_set(rng, net, count=int(rng.integers(1, 24)))
+        for _ in range(5):
+            plan = random_plan(rng, net)
+            assert spared_capacity(plan, net, ss) == _loop_spared_capacity(plan, net, ss)
+
+
+def test_sweep_spared_rows_equal_the_loop_reference(coastal40):
+    """Every row of a coastal40 sweep over budgets 0..11, whose spared
+    capacity reads the sweep's shared level matrix."""
+    report = sweep(coastal40.network, coastal40.scenarios,
+                   CostSchedule.for_network(coastal40.network), r_hat=3, f_max=11)
+    assert len(report.rows) == 12
+    for row in report.rows:
+        assert row.spared == _loop_spared_capacity(row.plan, coastal40.network, coastal40.scenarios)
+
+
 # -- sweep -----------------------------------------------------------------
 
 

@@ -292,3 +292,44 @@ def test_envelopes_report_recourse_counters(tmp_path, name):
             assert counts["lp_solves"] == 0
     sweep = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]["recourse"]
     assert sweep["cache_hits"] > 0
+
+
+def test_solve_sweep_and_check_unique_envelopes_report_simplex_counters(tmp_path):
+    """``counters.simplex`` sits beside ``counters.recourse``, outside
+    ``result`` and the CSVs, and counts the branch-and-bound LPs: their
+    pivots are the ``lp_iterations`` the results report."""
+    import csv
+
+    fx = tmp_path / "fx"
+    assert main(["make-fixture", "coastal40", "--out-dir", str(fx)]) == 0
+    common = ["--network", str(fx / "network.json"), "--scenarios", str(fx / "scenarios.json"), "--rhat", "3"]
+    assert main(["solve", *common, "--budget", "11", "--out-dir", str(tmp_path / "solve")]) == 0
+    assert main(["check-unique", *common, "--budget", "11", "--out", str(tmp_path / "cu.json")]) == 0
+    assert main(["sweep", *common, "--max-budget", "11", "--out", str(tmp_path / "sweep")]) == 0
+    keys = {"lp_solves", "pivots", "lu_factorizations", "lu_reused", "workspaces"}
+    envs = {
+        path: json.loads((tmp_path / path).read_text())
+        for path in ("solve/envelope.json", "cu.json", "sweep/envelope.json")
+    }
+    for path, env in envs.items():
+        counts = env["counters"]["simplex"]
+        assert set(counts) == keys, path
+        assert "simplex" not in json.dumps(env["result"])
+        assert counts["lu_factorizations"] > 0
+        # Child nodes warm-start from their parent's LU; a tree's root starts cold.
+        assert 0 < counts["lu_reused"] < counts["lp_solves"]
+    solve = envs["solve/envelope.json"]
+    assert solve["counters"]["simplex"]["pivots"] == solve["result"]["lp_iterations"]
+    assert solve["counters"]["simplex"]["lp_solves"] >= solve["result"]["nodes"]
+    assert solve["counters"]["simplex"]["workspaces"] == 1
+    # The uniqueness probe's cut has its own matrix, so its own workspace.
+    assert envs["cu.json"]["counters"]["simplex"]["workspaces"] == 2
+    with open(tmp_path / "sweep" / "objectives.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    sweep = envs["sweep/envelope.json"]["counters"]["simplex"]
+    assert sweep["workspaces"] == 1
+    assert sweep["lu_factorizations"] < sweep["lp_solves"]
+    assert sweep["pivots"] == sum(int(r["lp_iterations"]) for r in rows)
+    for name in ("objectives", "plans", "spared", "transitions"):
+        header = (tmp_path / "sweep" / f"{name}.csv").read_text().splitlines()[0]
+        assert not keys & set(header.split(",")), name

@@ -6,6 +6,7 @@ from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
 from floodmit.heuristic import (
     ETA_FLOW_GRID,
     AttributeWeights,
+    LevelMatrix,
     _UpgradeScorer,
     benefit,
     greedy,
@@ -148,7 +149,7 @@ def _walk_scorer_against_benefit(network, scenarios, eta, budget, r_hat=3) -> in
     compare its value for every affordable candidate with the plain
     closure-diff benefit; return the number of purchases."""
     sched = CostSchedule.for_network(network)
-    scorer = _UpgradeScorer(eta, network, scenarios, r_hat)
+    scorer = _UpgradeScorer(eta, LevelMatrix(network, scenarios, sched, r_hat))
     plan, remaining, steps = ZERO_PLAN, budget, 0
     while True:
         values = scorer.values()

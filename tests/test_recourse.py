@@ -646,7 +646,7 @@ def test_island_basis_starts_every_dispatch_lp_warm_at_the_copper_plate_optimum(
                 loss, _, ws, state, _ = _island_solve(net, dead, weights)
                 loose_loss, pivots, loose_ws, _, islands = _island_solve(loose, dead, weights)
                 assert cold_starts == []
-                simplex._Factorization(ws.A_ext, state.basis)  # raises if singular
+                simplex.spla.splu(simplex._basis_matrix(ws.A_ext, state.basis))  # raises if singular
                 start = simplex._Solver(loose_ws, max_iter=0)
                 assert start.warm_start(state) is not None
                 _, d = start._duals(loose_ws.c_ext)

@@ -187,7 +187,8 @@ def test_warm_restart_after_rhs_and_bound_changes():
         lb2, ub2 = lb.copy(), ub.copy()
         j = int(rng.integers(0, n))
         lb2[j] = ub2[j] = float(rng.integers(0, 2))
-        # A new right-hand side means a fresh workspace, as in a budget sweep.
+        # A fresh workspace with the new right-hand side: the carried LU is
+        # not adopted across workspaces, so the basis is factorized again.
         ws = Workspace(c, sp.csc_matrix(A), senses, b2, lb, ub)
         ws.set_bounds(lb2, ub2)
         warm = solve_linear_program(workspace=ws, warm=first.basis_state)
@@ -453,3 +454,107 @@ def test_basis_matrix_equals_scipy_column_indexing():
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+# -- the LU a reported basis carries ------------------------------------------
+
+
+def _assert_bitwise_same(a, b):
+    assert a.status == b.status
+    assert a.iterations == b.iterations
+    assert a.objective == b.objective
+    for attr in ("x", "row_duals"):
+        va, vb = getattr(a, attr), getattr(b, attr)
+        assert (va is None) == (vb is None)
+        assert va is None or np.array_equal(va, vb), attr
+
+
+def _warm_with_and_without_lu(ws, state):
+    """Warm-start ``ws`` from ``state`` as carried and from the same basis
+    and statuses with the LU stripped; the two solves must agree bit for
+    bit.  Returns the carried solve."""
+    carried = solve_linear_program(workspace=ws, warm=state)
+    stripped = solve_linear_program(workspace=ws, warm=BasisState(state.basis, state.status))
+    _assert_bitwise_same(carried, stripped)
+    assert not stripped.lu_reused
+    reusable = state.workspace is ws
+    assert carried.lu_reused == reusable
+    assert carried.lu_factorizations == stripped.lu_factorizations - int(reusable)
+    return carried
+
+
+def test_warm_start_from_a_carried_lu_is_bitwise_the_factorized_one():
+    """A reported basis carries its LU; a warm start on the same workspace
+    adopts it after a bound change (a branch-and-bound child) or a
+    right-hand-side change (the next budget of a sweep), and must give the
+    same bits as factorizing the basis again.  A workspace over another
+    matrix of the same shape must factorize afresh."""
+    rng = np.random.default_rng(41)
+    hits = 0
+    for _ in range(80):
+        m, n = int(rng.integers(2, 7)), int(rng.integers(2, 8))
+        A = np.round(rng.normal(0, 1, (m, n)), 2)
+        c = np.round(rng.normal(0, 1, n), 2)
+        b = np.round(rng.normal(0, 2, m), 2)
+        senses = [str(s) for s in rng.choice(["L", "G", "E"], m, p=[0.45, 0.45, 0.1])]
+        lb, ub = np.zeros(n), np.full(n, 4.0)
+        ws = Workspace(c, sp.csc_matrix(A), senses, b, lb, ub)
+        first = solve_linear_program(workspace=ws)
+        if first.status != "optimal":
+            continue
+        hits += 1
+        state = first.basis_state
+        assert state.workspace is ws and state.lu is not None
+        lb2, ub2 = lb.copy(), ub.copy()
+        j = int(rng.integers(0, n))
+        lb2[j] = ub2[j] = float(rng.integers(0, 2))
+        ws.set_bounds(lb2, ub2)
+        _warm_with_and_without_lu(ws, state)
+        ws.set_bounds(lb, ub)
+        ws.set_rhs(b + np.round(rng.normal(0, 0.6, m), 2))
+        _warm_with_and_without_lu(ws, state)
+        other = Workspace(c, sp.csc_matrix(A + np.round(rng.normal(0, 0.3, (m, n)), 2)), senses, b, lb, ub)
+        _warm_with_and_without_lu(other, state)
+    assert hits > 25
+
+
+@pytest.mark.parametrize("name, budget", [("star8", 6), ("ring12", 3), ("coastal40", 11)])
+def test_branch_and_bound_children_reuse_their_parents_lu_exactly(request, name, budget):
+    """Every child of a breadth-first walk down the value-table model's tree
+    warm-starts from its parent's carried LU with the same bits as from the
+    refactorized basis, and so does the next budget's root."""
+    from floodmit.mitigation import Budget, CostSchedule
+    from floodmit.recourse import LossWeights, RecourseEvaluator
+    from floodmit.solver import milp_workspace
+    from floodmit.value_table import build
+
+    fx = request.getfixturevalue(name)
+    schedule = CostSchedule.for_network(fx.network)
+    evaluator = RecourseEvaluator(fx.network, LossWeights())
+    ef = build(fx.network, fx.scenarios, schedule, Budget(budget), 3, evaluator)
+    problem = ef.problem
+    bin_idx = problem.binary_indices()
+    ws = milp_workspace(problem)
+    root = solve_linear_program(workspace=ws)
+    assert root.status == "optimal"
+    queue, children = [({}, root)], 0
+    while queue and children < 30:
+        fixings, parent = queue.pop(0)
+        frac = np.abs(parent.x[bin_idx] - np.round(parent.x[bin_idx])) > 1e-6
+        if not frac.any():
+            continue
+        j = int(bin_idx[np.flatnonzero(frac)[0]])
+        for val in (0.0, 1.0):
+            child = {**fixings, j: val}
+            lo, hi = problem.lb.copy(), problem.ub.copy()
+            for k, v in child.items():
+                lo[k] = hi[k] = v
+            ws.set_bounds(lo, hi)
+            res = _warm_with_and_without_lu(ws, parent.basis_state)
+            children += 1
+            if res.status == "optimal":
+                queue.append((child, res))
+    assert children >= 8
+    ws.set_bounds(problem.lb, problem.ub)
+    ws.set_rhs(ef.with_budget(budget + 1).problem.b)
+    _warm_with_and_without_lu(ws, root.basis_state)

@@ -8,6 +8,7 @@ from floodmit.solver import (
     WarmStartPlan,
     _warm_start_fixings,
     check_uniqueness,
+    milp_workspace,
     solve_lp,
     solve_milp,
 )
@@ -239,8 +240,14 @@ def test_warm_start_check_matches_row_by_row_reference():
         if len(assignment) < n:
             seen.add("partial")
         expected = _reference_fixings(lb, ub, rows, assignment)
-        got = _warm_start_fixings(prob, {f"v{i}": v for i, v in assignment.items()})
+        named = {f"v{i}": v for i, v in assignment.items()}
+        got = _warm_start_fixings(prob, named)
         assert got == expected, (rows, assignment)
+        # A second plan over the same assigned indices reads the covered rows
+        # the first one stored.
+        covered_rows: dict = {}
+        assert _warm_start_fixings(prob, named, covered_rows) == expected
+        assert _warm_start_fixings(prob, named, covered_rows) == expected
         outcomes.add(expected is None)
     assert outcomes == {True, False}  # both verdicts exercised
     assert seen == {"L", "G", "E", "empty", "bounds", "partial"}
@@ -249,3 +256,26 @@ def test_warm_start_check_matches_row_by_row_reference():
 def test_warm_start_check_rejects_unknown_names():
     with pytest.raises(KeyError, match="unknown variable"):
         _warm_start_fixings(knapsack_problem(7), {"w9": 1})
+
+
+def test_shared_workspace_solves_budget_variants_like_their_own_and_refuses_other_matrices():
+    """``with_rhs`` keeps the matrix, so one workspace serves every budget
+    with the same answer, node count and pivots as a workspace of its own;
+    a no-good cut makes another matrix, and a workspace of the same shape
+    over different costs is refused too."""
+    base = knapsack_problem(7)
+    ws = milp_workspace(base)
+    root_basis = None
+    for cap in (7.0, 8.0, 11.0, 3.0):
+        prob = base.with_rhs("cap", cap)
+        shared = solve_milp(prob, BnbConfig(root_warm_basis=root_basis), workspace=ws)
+        own = solve_milp(prob, BnbConfig(root_warm_basis=root_basis))
+        for attr in ("status", "objective", "values", "nodes_explored", "lp_iterations"):
+            assert getattr(shared, attr) == getattr(own, attr), (cap, attr)
+        assert (shared.counters.workspaces, own.counters.workspaces) == (0, 1)
+        assert shared.counters.pivots == shared.lp_iterations
+        root_basis = shared.root_basis
+    with pytest.raises(ValueError, match="workspace"):
+        solve_milp(with_no_good_cut(base, {"w1": 1, "w2": 0, "w3": 1}), None, workspace=ws)
+    with pytest.raises(ValueError, match="workspace"):
+        solve_milp(knapsack_problem(7, values=(3.0, 5.0, 2.0)), workspace=ws)

@@ -136,6 +136,45 @@ def test_traced_portfolio_reaches_the_wrapped_greedy_once_per_flow_weight(tmp_pa
     assert metrics["heuristic.greedy_calls"] == 7 * metrics["heuristic.portfolio_calls"]
 
 
+def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path):
+    """A coastal40 sweep over budgets 0..11 builds one workspace for all its
+    budgets' node LPs and one for the dispatch LPs, and its warm starts
+    reuse carried LUs, so it factorizes fewer times than it solves LPs.  The
+    tracer counts ``splu`` through ``simplex.spla``, so a factorization that
+    bypasses it would also read as too few here."""
+    import json
+
+    from floodmit import cli
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    fx = make_fixture("coastal40")
+    save_network(fx.network, tmp_path / "network.json")
+    save_scenarios(fx.scenarios, tmp_path / "scenarios.json")
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        rc = cli.main([
+            "sweep", "--network", str(tmp_path / "network.json"),
+            "--scenarios", str(tmp_path / "scenarios.json"), "--rhat", "3",
+            "--max-budget", "11", "--out", str(tmp_path / "sweep"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    metrics = tracer.layer_metrics()
+    assert metrics["simplex.workspaces"] == 2
+    assert 0 < metrics["simplex.lu_factorizations"] < metrics["simplex.lp_solves"]
+    # The envelope counts the node LPs; the dispatch LPs are the rest.
+    counters = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]
+    assert counters["simplex"]["workspaces"] == 1
+    assert counters["simplex"]["lp_solves"] + counters["recourse"]["lp_solves"] == metrics["simplex.lp_solves"]
+    assert counters["simplex"]["pivots"] + counters["recourse"]["lp_pivots"] == metrics["simplex.iterations"]
+    assert counters["simplex"]["lu_factorizations"] < metrics["simplex.lu_factorizations"]
+
+
 def test_readme_command_line_flags_are_accepted():
     """Every ``--flag`` on a ``floodmit <subcommand>`` line of the README's
     command-line block must be an option of that subcommand's parser."""
