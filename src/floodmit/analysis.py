@@ -35,8 +35,6 @@ from . import solver
 
 log = logging.getLogger("floodmit.analysis")
 
-OBJECTIVE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SparedCapacity:
@@ -124,9 +122,9 @@ def spared_capacity(
     gain_bus, gain_branch = bus - levels.zero_bus, branch - levels.zero_branch
     spared = np.stack(
         [
-            left_sums(gain_bus * levels.bus_load),
-            left_sums(gain_bus * levels.bus_gen),
-            left_sums(gain_branch * levels.flow_limit),
+            left_sums(gain_bus * levels.arrays.load),
+            left_sums(gain_bus * levels.arrays.gen_max),
+            left_sums(gain_branch * levels.arrays.flow_limit),
         ],
         axis=1,
     )
@@ -322,53 +320,3 @@ def nestedness(report: SweepReport) -> NestednessReport:
     return NestednessReport(
         violations=violations, transition_counts=counts, crossing_intervals=intervals
     )
-
-
-@dataclass
-class RhatComparison:
-    r_hat: int
-    objective: float
-    plan: MitigationPlan
-    plan_diff: dict[str, tuple[int, int]]  # substation -> (level at base r_hat, level here)
-
-
-def compare_rhat(
-    network: GridNetwork,
-    scenario_set: FloodScenarioSet,
-    schedule: CostSchedule,
-    weights: LossWeights,
-    f: int,
-    r_hat_values: tuple[int, ...] = (3, 4),
-) -> list[RhatComparison]:
-    """Optimal objective and plan at a fixed budget for each attainability cap.
-
-    A larger cap enlarges the feasible first-stage set, so objectives must be
-    ordered accordingly; a violation indicates a solver defect and raises.
-    """
-    for r_hat in r_hat_values:
-        if r_hat < 2:
-            raise ValueError("r_hat must be at least 2 to allow any mitigation")
-    results: list[RhatComparison] = []
-    evaluator = RecourseEvaluator(network, weights)
-    for r_hat in r_hat_values:
-        ef = build(network, scenario_set, schedule, Budget(f), r_hat, evaluator)
-        warm = portfolio(Budget(f), network, scenario_set, schedule, r_hat)
-        sol, plan, _ = solve_instance(ef, warm, evaluator)
-        results.append(RhatComparison(r_hat=r_hat, objective=sol.objective, plan=plan, plan_diff={}))
-
-    base = results[0]
-    for res in results:
-        subs = sorted(set(base.plan.levels) | set(res.plan.levels))
-        res.plan_diff = {
-            s: (base.plan.level_of(s), res.plan.level_of(s))
-            for s in subs
-            if base.plan.level_of(s) != res.plan.level_of(s)
-        }
-    ordered = sorted(results, key=lambda r: r.r_hat)
-    for small, big in zip(ordered, ordered[1:]):
-        if big.objective > small.objective + OBJECTIVE_TOL:
-            raise solver.SolverError(
-                f"objective regressed when raising the attainable cap: "
-                f"{small.r_hat}->{big.r_hat} gave {small.objective}->{big.objective}"
-            )
-    return results

@@ -12,6 +12,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 VOLTAGE_CLASSES = ("115_161", "230", "500")
 
 DEFAULT_ANGLE_ABS_MAX = math.pi / 2
@@ -119,8 +121,50 @@ class GridNetwork:
         return sum(b.p_load for b in self.buses)
 
     @property
-    def total_gen_capacity(self) -> float:
-        return sum(b.p_gen_max for b in self.buses)
+    def arrays(self) -> GridArrays:
+        if "arrays" not in self._cache:
+            self._cache["arrays"] = GridArrays(self)
+        return self._cache["arrays"]
+
+
+class GridArrays:
+    """A network's buses and branches as arrays in declaration order, and
+    the one status rule over them.
+
+    Per bus: its substation's column ``bus_sub`` in ``sub_ids``, ``load``,
+    ``gen_min``, ``gen_max`` and ``is_reference``; per branch: its end buses
+    ``frm`` and ``to``, ``susceptance`` and ``flow_limit``.  No angle limit
+    is held, so copies of a network with other limits may share them.
+    """
+
+    def __init__(self, network: GridNetwork):
+        buses, branches = network.buses, network.branches
+        col = self.sub_col = {s.id: j for j, s in enumerate(network.substations)}
+        self.bus_sub = np.array([col.setdefault(b.substation_id, len(col)) for b in buses], dtype=int)
+        self.sub_ids = tuple(col)
+        self.bus_ids = tuple(b.id for b in buses)
+        self.branch_ids = tuple(br.id for br in branches)
+        self.load = np.array([b.p_load for b in buses], dtype=float)
+        self.gen_min = np.array([b.p_gen_min for b in buses], dtype=float)
+        self.gen_max = np.array([b.p_gen_max for b in buses], dtype=float)
+        self.is_reference = np.array([b.is_reference for b in buses], dtype=bool)
+        pos = {b.id: i for i, b in enumerate(buses)}
+        self.frm = np.array([pos[br.from_bus] for br in branches], dtype=int)
+        self.to = np.array([pos[br.to_bus] for br in branches], dtype=int)
+        self.susceptance = np.array([br.susceptance for br in branches], dtype=float)
+        self.flow_limit = np.array([br.flow_limit for br in branches], dtype=float)
+
+    def sub_up(self, dead) -> np.ndarray:
+        """Substation mask with the ``dead`` ids down; unknown ids are ignored."""
+        up = np.ones(len(self.sub_ids), dtype=bool)
+        up[[self.sub_col[k] for k in dead if k in self.sub_col]] = False
+        return up
+
+    def closure(self, sub_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bus and branch masks from a substation mask, over any leading axes:
+        a bus is up iff its substation is, and a branch iff both its ends are."""
+        bus_up = sub_up.take(self.bus_sub, axis=-1)
+        return bus_up, bus_up.take(self.frm, axis=-1) & bus_up.take(self.to, axis=-1)
 
 
 def validate(network: GridNetwork) -> list[str]:

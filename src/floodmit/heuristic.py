@@ -86,17 +86,16 @@ class LevelMatrix:
     and spared-capacity evaluation over it.
 
     Rows are scenarios (in scenario-set order) and columns substations (in
-    network order): ``levels[s, j]`` is substation j's flood level in
-    scenario s (0 when dry), and ``p`` holds the scenario probabilities.
-    Per substation there are the load, generation capacity and
-    intra-substation flow capacity, plus a symmetric cross-substation
-    capacity matrix ``cross`` (parallel branches summed).  Per bus and per
-    branch, in network order, there are the substation column of each bus,
-    the bus indices of each branch's ends, and their capacities.  For the
-    greedy, ``at_level[l, s, j]`` marks ``levels[s, j] == l`` for
-    ``l < r_hat`` and ``cumulative[t, j]`` is the cost of reaching level t.
-    ``zero_lost[s]`` is the load, generation and flow capacity that
-    scenario s loses with no mitigation.
+    the order of ``network.arrays``): ``levels[s, j]`` is substation j's
+    flood level in scenario s (0 when dry), and ``p`` holds the scenario
+    probabilities.  Per substation there are the load, generation capacity
+    and intra-substation flow capacity, plus a symmetric cross-substation
+    capacity matrix ``cross`` (parallel branches summed); per bus and per
+    branch, ``arrays`` is the network's own.  For the greedy,
+    ``at_level[l, s, j]`` marks ``levels[s, j] == l`` for ``l < r_hat`` and
+    ``cumulative[t, j]`` is the cost of reaching level t.  ``zero_lost[s]``
+    is the load, generation and flow capacity that scenario s loses with no
+    mitigation.
     """
 
     def __init__(
@@ -106,32 +105,18 @@ class LevelMatrix:
         schedule: CostSchedule,
         r_hat: int,
     ):
-        self.sub_ids = [s.id for s in network.substations]
-        col = {k: j for j, k in enumerate(self.sub_ids)}
+        a = self.arrays = network.arrays
+        self.sub_ids = a.sub_ids
         n = len(self.sub_ids)
-        load, gen, intra = [0.0] * n, [0.0] * n, [0.0] * n
-        for bus in network.buses:
-            load[col[bus.substation_id]] += bus.p_load
-            gen[col[bus.substation_id]] += bus.p_gen_max
-        sub_of = {b.id: col[b.substation_id] for b in network.buses}
+        # Every sum adds in bus or branch order from 0.0, as a loop would.
+        self.load = np.bincount(a.bus_sub, a.load, n)
+        self.gen = np.bincount(a.bus_sub, a.gen_max, n)
+        jf, jt = a.bus_sub[a.frm], a.bus_sub[a.to]
+        same = jf == jt
+        self.intra = np.bincount(jf[same], a.flow_limit[same], n)
         self.cross = np.zeros((n, n))
-        for br in network.branches:
-            jf, jt = sub_of[br.from_bus], sub_of[br.to_bus]
-            if jf == jt:
-                intra[jf] += br.flow_limit
-            else:
-                self.cross[jf, jt] += br.flow_limit
-                self.cross[jt, jf] += br.flow_limit
-        self.load, self.gen, self.intra = np.array(load), np.array(gen), np.array(intra)
-
-        bus_index = {b.id: i for i, b in enumerate(network.buses)}
-        self.bus_col = np.array([col[b.substation_id] for b in network.buses], dtype=int)
-        self.bus_load = np.array([b.p_load for b in network.buses], dtype=float)
-        self.bus_gen = np.array([b.p_gen_max for b in network.buses], dtype=float)
-        self.branch_ends = np.array(
-            [[bus_index[br.from_bus], bus_index[br.to_bus]] for br in network.branches], dtype=int
-        ).reshape(-1, 2)
-        self.flow_limit = np.array([br.flow_limit for br in network.branches], dtype=float)
+        pairs = np.stack([jf, jt], axis=1)[~same]  # (from, to), then (to, from)
+        np.add.at(self.cross, (pairs.ravel(), pairs[:, ::-1].ravel()), np.repeat(a.flow_limit[~same], 2))
 
         scenarios = scenario_set.scenarios
         self.p = np.array([s.probability for s in scenarios])
@@ -150,20 +135,19 @@ class LevelMatrix:
         self.zero_bus, self.zero_branch = self.statuses(ZERO_PLAN)
         self.zero_lost = np.stack(
             [
-                left_sums((1.0 - self.zero_bus) * self.bus_load),
-                left_sums((1.0 - self.zero_bus) * self.bus_gen),
-                left_sums((1.0 - self.zero_branch) * self.flow_limit),
+                left_sums((1.0 - self.zero_bus) * a.load),
+                left_sums((1.0 - self.zero_bus) * a.gen_max),
+                left_sums((1.0 - self.zero_branch) * a.flow_limit),
             ],
             axis=1,
         )
 
     def statuses(self, plan: MitigationPlan) -> tuple[np.ndarray, np.ndarray]:
-        """0/1 statuses per scenario and bus, and per scenario and branch:
-        a substation survives iff its flood level is at most the plan's
-        level, a bus follows its substation, and a branch needs both ends."""
+        """0/1 statuses per scenario and bus, and per scenario and branch,
+        from :meth:`~floodmit.grid_model.GridArrays.closure`: a substation
+        survives iff its flood level is at most the plan's level."""
         planned = np.array([plan.level_of(k) for k in self.sub_ids], dtype=int)
-        bus = (self.levels <= planned)[:, self.bus_col]
-        branch = bus[:, self.branch_ends[:, 0]] & bus[:, self.branch_ends[:, 1]]
+        bus, branch = self.arrays.closure(self.levels <= planned)
         return bus.astype(float), branch.astype(float)
 
 

@@ -23,7 +23,8 @@ angles of its endpoints.  Every bus keeps its overgeneration row, which for
 a dead bus reads 0 <= 0.
 
 The statuses depend on the plan only through the set of dead substations, so
-one function derives that set and one turns it into statuses; the cached
+one function derives that set and :meth:`GridArrays.closure
+<floodmit.grid_model.GridArrays.closure>` turns it into statuses; the cached
 evaluator keys its dispatch solves on the same set.
 
 No row couples two islands (connected components of live buses over live
@@ -72,6 +73,14 @@ class StatusVector:
     alpha: dict[str, int]
     beta: dict[str, int]
 
+    def masks(self, network: GridNetwork) -> tuple[np.ndarray, np.ndarray]:
+        """The statuses as bus and branch masks in network order."""
+        a = network.arrays
+        return (
+            np.array([self.alpha[k] for k in a.bus_ids], dtype=bool),
+            np.array([self.beta[k] for k in a.branch_ids], dtype=bool),
+        )
+
 
 @dataclass(frozen=True)
 class DispatchState:
@@ -112,13 +121,13 @@ def dead_substations(plan: MitigationPlan, scenario: FloodScenario) -> tuple[str
 
 
 def statuses_for_dead(network: GridNetwork, dead: tuple[str, ...]) -> StatusVector:
-    """A bus is up iff its substation is not dead; a branch needs both ends up."""
-    dead_set = set(dead)
-    alpha = {b.id: 0 if b.substation_id in dead_set else 1 for b in network.buses}
-    beta = {
-        br.id: alpha[br.from_bus] * alpha[br.to_bus] for br in network.branches
-    }
-    return StatusVector(alpha=alpha, beta=beta)
+    """The dict view of :meth:`~floodmit.grid_model.GridArrays.closure`."""
+    a = network.arrays
+    bus_up, branch_up = a.closure(a.sub_up(dead))
+    return StatusVector(
+        alpha=dict(zip(a.bus_ids, bus_up.astype(int).tolist())),
+        beta=dict(zip(a.branch_ids, branch_up.astype(int).tolist())),
+    )
 
 
 def status_closure(
@@ -142,7 +151,9 @@ def _row_layout(network: GridNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.arange(ne), balance, balance + 1
 
 
-def _recourse_bounds(network: GridNetwork, statuses: StatusVector) -> tuple[np.ndarray, np.ndarray]:
+def _recourse_bounds(
+    network: GridNetwork, bus_up: np.ndarray, branch_up: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Variable bounds of the dispatch LP, the only part statuses change.
 
     A live branch's angle-difference limit folds into its flow bound through
@@ -151,25 +162,22 @@ def _recourse_bounds(network: GridNetwork, statuses: StatusVector) -> tuple[np.n
     relief is boxed by 2 |b| angle_abs_max, which any pair of angles within
     their limits satisfies, so its Ohm row no longer couples its endpoints.
     """
-    i_hat, i_chk, i_del, i_the, i_flo, i_rel = _layout(network)
-    n_var = i_rel + len(network.branches)
-    lb = np.zeros(n_var)
-    ub = np.zeros(n_var)
-    for i, bus in enumerate(network.buses):
-        a = statuses.alpha[bus.id]
-        lb[i_hat + i], ub[i_hat + i] = bus.p_gen_min * a, bus.p_gen_max * a
-        lb[i_chk + i], ub[i_chk + i] = 0.0, np.inf if a else 0.0
-        lb[i_del + i], ub[i_del + i] = 0.0, float(a)
-        lb[i_the + i], ub[i_the + i] = -network.angle_abs_max, network.angle_abs_max
-        if bus.is_reference:
-            lb[i_the + i] = ub[i_the + i] = 0.0
-    for e, br in enumerate(network.branches):
-        if statuses.beta[br.id]:
-            limit = min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max)
-            lb[i_flo + e], ub[i_flo + e] = -limit, limit
-        else:
-            relief = 2.0 * abs(br.susceptance) * network.angle_abs_max
-            lb[i_rel + e], ub[i_rel + e] = -relief, relief
+    a = network.arrays
+    zero = np.zeros(len(bus_up))
+    limit = np.minimum(a.flow_limit, np.abs(a.susceptance) * network.angle_diff_max)
+    relief = 2.0 * np.abs(a.susceptance) * network.angle_abs_max
+    lb = np.concatenate([
+        a.gen_min * bus_up, zero, zero,
+        np.where(a.is_reference, 0.0, -network.angle_abs_max),
+        np.where(branch_up, -limit, 0.0),
+        np.where(branch_up, 0.0, -relief),
+    ])
+    ub = np.concatenate([
+        a.gen_max * bus_up, np.where(bus_up, np.inf, 0.0), bus_up.astype(float),
+        np.where(a.is_reference, 0.0, network.angle_abs_max),
+        np.where(branch_up, limit, 0.0),
+        np.where(branch_up, 0.0, relief),
+    ])
     return lb, ub
 
 
@@ -185,57 +193,40 @@ def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: Loss
     objective, matrix, senses and right-hand side depend only on the network
     and the weights, and no big-M rows are needed.
     """
-    buses = network.buses
-    branches = network.branches
-    bus_pos = {b.id: i for i, b in enumerate(buses)}
-    branch_pos = {br.id: e for e, br in enumerate(branches)}
+    a = network.arrays
+    nb, ne = len(a.load), len(a.frm)
     layout = _layout(network)
     i_hat, i_chk, i_del, i_the, i_flo, i_rel = layout
+    bus, e = np.arange(nb), np.arange(ne)
 
-    lb, ub = _recourse_bounds(network, statuses)
-    n_var = len(lb)
-    c = np.zeros(n_var)
-    for i, bus in enumerate(buses):
-        c[i_chk + i] = weights.lambda_over
-        c[i_del + i] = -weights.lambda_shed * bus.p_load
+    lb, ub = _recourse_bounds(network, *statuses.masks(network))
+    c = np.zeros(len(lb))
+    c[i_chk + bus] = weights.lambda_over
+    c[i_del + bus] = -weights.lambda_shed * a.load
 
     ohm, balance, overgen = _row_layout(network)
-    n_rows = len(ohm) + len(balance) + len(overgen)
-    rows_i, rows_j, rows_v = [], [], []
-    senses = ["E"] * n_rows
-
-    def add_row(k, terms):
-        for j, v in terms:
-            rows_i.append(k)
-            rows_j.append(j)
-            rows_v.append(v)
-
-    for e, br in enumerate(branches):
-        nf, nt = bus_pos[br.from_bus], bus_pos[br.to_bus]
-        # Ohm's law, literal sign convention: flow = -b * (theta_n - theta_m).
-        add_row(
-            ohm[e],
-            [
-                (i_flo + e, 1.0),
-                (i_the + nf, br.susceptance),
-                (i_the + nt, -br.susceptance),
-                (i_rel + e, 1.0),
-            ],
-        )
-
-    for i, bus in enumerate(buses):
-        terms = [(i_hat + i, 1.0), (i_chk + i, -1.0), (i_del + i, -bus.p_load)]
-        for br_id in network.branches_at_bus[bus.id]:
-            br = network.branch_by_id[br_id]
-            e = branch_pos[br_id]
-            terms.append((i_flo + e, 1.0 if br.to_bus == bus.id else -1.0))
-        add_row(balance[i], terms)
-        # Overgeneration never exceeds generation.
-        add_row(overgen[i], [(i_chk + i, 1.0), (i_hat + i, -1.0)])
-        senses[overgen[i]] = "L"
-
-    A = sp.csc_matrix((rows_v, (rows_i, rows_j)), shape=(n_rows, n_var))
-    return c, A, senses, np.zeros(n_rows), lb, ub, _loss_offset(network, weights), layout
+    ones = np.ones(ne)
+    # (row, column, value) blocks.  Ohm's law, literal sign convention:
+    # flow = -b * (theta_n - theta_m).  A balance row takes a branch's flow
+    # in at its to bus and out at its from bus.  Overgeneration never
+    # exceeds generation.
+    blocks = [
+        (ohm, i_flo + e, ones),
+        (ohm, i_the + a.frm, a.susceptance),
+        (ohm, i_the + a.to, -a.susceptance),
+        (ohm, i_rel + e, ones),
+        (balance, i_hat + bus, np.ones(nb)),
+        (balance, i_chk + bus, -np.ones(nb)),
+        (balance, i_del + bus, -a.load),
+        (balance[a.frm], i_flo + e, -ones),
+        (balance[a.to], i_flo + e, ones),
+        (overgen, i_chk + bus, np.ones(nb)),
+        (overgen, i_hat + bus, -np.ones(nb)),
+    ]
+    rows_i, rows_j, rows_v = (np.concatenate(part) for part in zip(*blocks))
+    senses = ["E"] * ne + ["E", "L"] * nb
+    A = sp.csc_matrix((rows_v, (rows_i, rows_j)), shape=(len(senses), len(lb)))
+    return c, A, senses, np.zeros(len(senses)), lb, ub, _loss_offset(network, weights), layout
 
 
 def _loss_offset(network: GridNetwork, weights: LossWeights) -> float:
@@ -253,21 +244,19 @@ def solve_recourse_lp(
 ) -> tuple[float, DispatchState]:
     """Optimal dispatch loss under fixed statuses.
 
-    Without ``workspace`` the LP is assembled and solved cold.  A workspace
-    built from :func:`_recourse_arrays` for the same network and weights
-    (under any statuses) only gets this LP's bounds, and the solve starts
-    from the ``warm`` basis.
+    ``workspace`` is one built from :func:`_recourse_arrays` for the same
+    network and weights (under any statuses); without one, this LP's own is
+    built.  The workspace gets this LP's bounds, and the solve starts from
+    the ``warm`` basis, or cold without one.
 
     The problem is feasible for any status vector, so anything but a verified
     optimum (including one that fails the simplex duality or residual gate)
     indicates a defect and raises instead of returning.
     """
     if workspace is None:
-        c, A, senses, b, lb, ub, _, _ = _recourse_arrays(network, statuses, weights)
-        res = simplex.solve_linear_program(c, A, senses, b, lb, ub)
-    else:
-        workspace.set_bounds(*_recourse_bounds(network, statuses))
-        res = simplex.solve_linear_program(workspace=workspace, warm=warm)
+        workspace = simplex.Workspace(*_recourse_arrays(network, statuses, weights)[:6])
+    workspace.set_bounds(*_recourse_bounds(network, *statuses.masks(network)))
+    res = simplex.solve_linear_program(workspace=workspace, warm=warm)
     if res.status != simplex.STATUS_OPTIMAL:
         raise RuntimeError(f"recourse LP unexpectedly terminated {res.status}")
 
@@ -286,10 +275,11 @@ def solve_recourse_lp(
 
 class _Islands(NamedTuple):
     """How a dead set splits the live buses: the island of every bus (-1 for
-    a dead bus), the first bus of every island, and every island's load,
-    minimum and maximum generation."""
+    a dead bus), the live-branch mask, the first bus of every island, and
+    every island's load, minimum and maximum generation."""
 
     labels: np.ndarray
+    live_branches: np.ndarray
     first: np.ndarray
     load: np.ndarray
     gen_min: np.ndarray
@@ -298,59 +288,46 @@ class _Islands(NamedTuple):
 
 class _CopperPlate:
     """The island copper-plate bound of a network and its witness dispatch,
-    on arrays built once per network."""
+    on the network's arrays."""
 
     def __init__(self, network: GridNetwork):
-        buses = network.buses
-        pos = {b.id: i for i, b in enumerate(buses)}
+        a = network.arrays
         self.network = network
-        self.substation = [b.substation_id for b in buses]
-        self.load, self.gen_min, self.gen_max = (
-            np.array([getattr(b, attr) for b in buses], dtype=float)
-            for attr in ("p_load", "p_gen_min", "p_gen_max")
-        )
-        self.is_reference = np.array([b.is_reference for b in buses], dtype=bool)
-        self.frm = np.array([pos[br.from_bus] for br in network.branches], dtype=int)
-        self.to = np.array([pos[br.to_bus] for br in network.branches], dtype=int)
-        self.ends = list(zip(self.frm.tolist(), self.to.tolist()))
+        self.arrays = a
         # Row e of the incidence matrix is +1 at the from bus, -1 at the to bus.
-        self.incidence = np.zeros((len(self.ends), len(buses)))
-        self.incidence[np.arange(len(self.ends)), self.frm] += 1.0
-        self.incidence[np.arange(len(self.ends)), self.to] -= 1.0
-        # Ohm's law: flow_e = -b_e (theta_from - theta_to).
-        self.conductance = -np.array([br.susceptance for br in network.branches], dtype=float)
-        self.flow_limit = np.array(
-            [min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max) for br in network.branches],
-            dtype=float,
-        )
+        self.incidence = np.eye(len(a.load))[a.frm] - np.eye(len(a.load))[a.to]
+        self.flow_limit = np.minimum(a.flow_limit, np.abs(a.susceptance) * network.angle_diff_max)
 
     def islands(self, dead: tuple[str, ...]) -> _Islands:
         """Connected components of the live buses over the live branches,
         numbered in the order of their first bus."""
-        dead_set = set(dead)
-        parent = [-1 if sub in dead_set else i for i, sub in enumerate(self.substation)]
-
-        def root(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, b in self.ends:
-            if parent[a] >= 0 and parent[b] >= 0:
-                ra, rb = root(a), root(b)
-                parent[max(ra, rb)] = min(ra, rb)  # a root stays its island's first bus
-        number: dict[int, int] = {}
-        labels = np.array(
-            [number.setdefault(root(i), len(number)) if p >= 0 else -1 for i, p in enumerate(parent)],
-            dtype=int,
-        )
-        live = labels >= 0
+        a = self.arrays
+        bus_up, branch_up = a.closure(a.sub_up(dead))
+        up = bus_up.tolist()
+        parent = list(range(len(up)))
+        for u, v in zip(a.frm[branch_up].tolist(), a.to[branch_up].tolist()):
+            while parent[u] != u:  # find the roots, halving the paths
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            parent[max(u, v)] = min(u, v)  # a root stays its island's first bus
+        # So parent[i] <= i: a live bus in bus order is a new island's first
+        # bus or joins its parent's island, which is already numbered.
+        labels, first = [], []
+        for i, p in enumerate(parent):
+            if not up[i]:
+                labels.append(-1)
+            elif p == i:
+                labels.append(len(first))
+                first.append(i)
+            else:
+                labels.append(labels[p])
+        labels = np.array(labels, dtype=int)
+        # Dead buses sum into bin 0, which is dropped.
         load, gen_min, gen_max = (
-            np.bincount(labels[live], values[live], len(number))
-            for values in (self.load, self.gen_min, self.gen_max)
+            np.bincount(labels + 1, values, len(first) + 1)[1:] for values in (a.load, a.gen_min, a.gen_max)
         )
-        return _Islands(labels, np.array(list(number), dtype=int), load, gen_min, gen_max)
+        return _Islands(labels, branch_up, np.array(first, dtype=int), load, gen_min, gen_max)
 
     def loss(self, isl: _Islands, weights: LossWeights) -> tuple[float, float, float, float]:
         """(loss, served, shed, overgeneration) with one copper plate per island.
@@ -383,6 +360,7 @@ class _CopperPlate:
         to the middle of its angle range.  Dead buses keep angle 0, which
         every dead branch's relief column absorbs.
         """
+        a = self.arrays
         live = isl.labels >= 0
         lab = isl.labels[live]
         load, gen_min, gen_max = isl.load, isl.gen_min, isl.gen_max
@@ -391,20 +369,21 @@ class _CopperPlate:
             absorbed = np.where(gen_min > load, 1.0 - load / gen_min, 0.0)
             step = np.where(gen_max > gen_min, (load - gen_min) / (gen_max - gen_min), 0.0)
         step = step.clip(0.0, 1.0)  # 1 when short of generation, 0 with a surplus
-        gen = self.gen_min[live] + step[lab] * (self.gen_max[live] - self.gen_min[live])
+        gen = a.gen_min[live] + step[lab] * (a.gen_max[live] - a.gen_min[live])
         injection = np.zeros(len(live))
-        injection[live] = gen - gen * absorbed[lab] - self.load[live] * served[lab]
+        injection[live] = gen - gen * absorbed[lab] - a.load[live] * served[lab]
 
         # A reference bus keeps angle 0; so does the first bus of an island
         # without one.  Should two reference buses share an island, the
         # balance residual at the grounded rows refuses the witness.
-        grounded = live & self.is_reference
+        grounded = live & a.is_reference
         anchored = np.zeros(len(load), dtype=bool)
         anchored[isl.labels[grounded]] = True
         grounded[isl.first[~anchored]] = True
         free = live & ~grounded
-        on = live[self.frm] & live[self.to]
-        conductance = np.where(on, self.conductance, 0.0)
+        on = isl.live_branches
+        # Ohm's law: flow_e = -b_e (theta_from - theta_to).
+        conductance = np.where(on, -a.susceptance, 0.0)
         theta = np.zeros(len(live))
         if free.any():
             cut = self.incidence[:, free]
@@ -479,48 +458,40 @@ def _island_basis(network: GridNetwork, islands: _Islands) -> simplex.BasisState
     balance dual (0, lambda_shed or -lambda_over), so the basis is dual
     feasible and the dual simplex only repairs the limits that bind.
     """
-    buses = network.buses
+    a = network.arrays
     i_hat, i_chk, i_del, i_the, i_flo, i_rel = _layout(network)
-    n_var = i_rel + len(network.branches)
+    n_var = i_rel + len(a.frm)
     ohm, balance, overgen = _row_layout(network)
     n_rows = len(ohm) + len(balance) + len(overgen)
     labels = islands.labels
-    pos = {b.id: i for i, b in enumerate(buses)}
-    load, gen_min, gen_max = (
-        np.array([getattr(b, attr) for b in buses], dtype=float)
-        for attr in ("p_load", "p_gen_min", "p_gen_max")
-    )
-    is_reference = np.array([b.is_reference for b in buses], dtype=bool)
 
     basis = np.empty(n_rows, dtype=np.int64)
     status = np.full(n_var + 2 * n_rows, simplex.AT_LOWER, dtype=np.int8)
-    for e, br in enumerate(network.branches):
-        live = labels[pos[br.from_bus]] >= 0 and labels[pos[br.to_bus]] >= 0
-        basis[ohm[e]] = (i_flo if live else i_rel) + e
+    basis[ohm] = np.where(islands.live_branches, i_flo, i_rel) + ohm
     basis[overgen] = n_var + overgen  # the slack column of each row
-    basis[balance] = np.where(labels >= 0, i_the, i_chk) + np.arange(len(buses))
+    basis[balance] = np.where(labels >= 0, i_the, i_chk) + np.arange(len(labels))
 
     for k, first in enumerate(islands.first):
         island = np.flatnonzero(labels == k)
-        refs = island[is_reference[island]]
+        refs = island[a.is_reference[island]]
         ground = refs[0] if refs.size else first
-        flexible = island[gen_max[island] > gen_min[island]]
+        flexible = island[a.gen_max[island] > a.gen_min[island]]
         if islands.load[k] > islands.gen_max[k]:
             status[i_hat + island] = simplex.AT_UPPER
-            full, i = _fill(island[load[island] > 0], load, islands.gen_max[k])
+            full, i = _fill(island[a.load[island] > 0], a.load, islands.gen_max[k])
             status[i_del + full] = simplex.AT_UPPER
             marginal = i_del + i
         elif islands.load[k] >= islands.gen_min[k] and flexible.size:
             status[i_del + island] = simplex.AT_UPPER
-            full, i = _fill(flexible, gen_max - gen_min, islands.load[k] - islands.gen_min[k])
+            full, i = _fill(flexible, a.gen_max - a.gen_min, islands.load[k] - islands.gen_min[k])
             status[i_hat + full] = simplex.AT_UPPER
             marginal = i_hat + i
         else:  # surplus, or a balanced island with no flexible generator
             status[i_del + island] = simplex.AT_UPPER
-            absorbers = island[gen_min[island] > 0]
+            absorbers = island[a.gen_min[island] > 0]
             if not absorbers.size:
                 absorbers = island[:1]
-            full, i = _fill(absorbers, gen_min, islands.gen_min[k] - islands.load[k])
+            full, i = _fill(absorbers, a.gen_min, islands.gen_min[k] - islands.load[k])
             basis[overgen[full]] = i_chk + full
             marginal = i_chk + i
         basis[balance[ground]] = marginal
@@ -567,19 +538,15 @@ class RecourseEvaluator:
 
     def _solve_lp(self, dead: tuple[str, ...], islands: _Islands) -> tuple[float, float, float, float]:
         if self._workspace is None:
-            c, A, senses, b, lb, ub, _, _ = _recourse_arrays(
-                self.network, statuses_for_dead(self.network, ()), self.weights
-            )
-            self._workspace = simplex.Workspace(c, A, senses, b, lb, ub)
+            arrays = _recourse_arrays(self.network, statuses_for_dead(self.network, ()), self.weights)
+            self._workspace = simplex.Workspace(*arrays[:6])
         self.counters.lp_solves += 1
         loss, dispatch = solve_recourse_lp(
             self.network, statuses_for_dead(self.network, dead), self.weights,
             workspace=self._workspace, warm=_island_basis(self.network, islands),
         )
         self.counters.lp_pivots += dispatch.pivots
-        served = sum(
-            b.p_load * dispatch.delta[b.id] for b in self.network.buses
-        )
+        served = sum(b.p_load * dispatch.delta[b.id] for b in self.network.buses)
         over = sum(dispatch.p_check.values())
         return loss, served, self.network.total_load - served, over
 

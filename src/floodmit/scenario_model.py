@@ -89,15 +89,6 @@ class FloodScenarioSet:
             ids.update(s.levels)
         return ids
 
-    def worst_levels(self) -> dict[str, int]:
-        """Worst flood level per substation across all scenarios."""
-        worst: dict[str, int] = {}
-        for s in self.scenarios:
-            for sub, lvl in s.levels.items():
-                if lvl > worst.get(sub, 0):
-                    worst[sub] = lvl
-        return worst
-
 
 def depth_to_level(depth: float, thresholds: DepthThresholds) -> int:
     """Smallest resilience level whose barrier height covers ``depth``.

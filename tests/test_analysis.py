@@ -6,7 +6,6 @@ from floodmit.analysis import (
     SweepReport,
     SweepRow,
     Transition,
-    compare_rhat,
     nestedness,
     spared_capacity,
     sweep,
@@ -292,38 +291,3 @@ def test_sweep_on_tiny3_is_nested(tiny3):
     diag = nestedness(report)
     assert isinstance(diag, NestednessReport)
     assert diag.nested  # two substations, one flood level: no reshuffling possible
-
-
-# -- attainability-cap comparison ---------------------------------------------
-
-
-def test_compare_rhat_identical_when_floods_shallow(tiny3):
-    # All floods at level 1: allowing level-2 barriers cannot help.
-    results = compare_rhat(tiny3.network, _single_wet_set(),
-                           CostSchedule.for_network(tiny3.network), W, f=2,
-                           r_hat_values=(2, 3))
-    assert results[0].objective == pytest.approx(results[1].objective, abs=1e-9)
-
-
-def test_compare_rhat_small_budget_identical_plans(star8):
-    # One segment buys level 1 somewhere; level-3 availability is moot.
-    sched = CostSchedule.for_network(star8.network)
-    results = compare_rhat(star8.network, star8.scenarios, sched, W, f=1, r_hat_values=(3, 4))
-    assert results[0].objective == pytest.approx(results[1].objective, abs=1e-9)
-    assert results[0].plan == results[1].plan
-    assert results[1].plan_diff == {}
-
-
-def test_compare_rhat_strict_improvement_with_level3_floods(star8):
-    # star8 carries level-3 floods; with enough budget the raised cap wins.
-    sched = CostSchedule.for_network(star8.network)
-    results = compare_rhat(star8.network, star8.scenarios, sched, W, f=12, r_hat_values=(3, 4))
-    assert results[1].objective <= results[0].objective + 1e-6
-    assert results[1].objective < results[0].objective - 1e-6
-    assert results[1].plan_diff  # the plans genuinely differ
-
-
-def test_compare_rhat_rejects_degenerate_cap(star8):
-    sched = CostSchedule.for_network(star8.network)
-    with pytest.raises(ValueError):
-        compare_rhat(star8.network, star8.scenarios, sched, W, f=1, r_hat_values=(1, 3))

@@ -80,7 +80,6 @@ def test_substation_partition_and_totals(star8):
     sizes = sum(len(v) for v in net.substation_buses.values())
     assert sizes == len(net.buses)
     assert net.total_load == pytest.approx(sum(b.p_load for b in net.buses))
-    assert math.isfinite(net.total_gen_capacity) and net.total_gen_capacity >= 0
 
 
 def test_incident_branches_isolated_bus():

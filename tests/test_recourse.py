@@ -8,7 +8,8 @@ from scipy.optimize import linprog
 from floodmit import simplex
 from conftest import random_network, random_plan, random_scenario_set, scaled_flow_limits
 from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
-from floodmit.mitigation import MitigationPlan, ZERO_PLAN
+from floodmit.heuristic import LevelMatrix
+from floodmit.mitigation import CostSchedule, MitigationPlan, ZERO_PLAN
 from floodmit.recourse import (
     LossWeights,
     RecourseEvaluator,
@@ -76,6 +77,54 @@ def test_closure_statuses_consistent_within_substation(star8):
             assert len(vals) == 1
         for br in star8.network.branches:
             assert st.beta[br.id] == st.alpha[br.from_bus] * st.alpha[br.to_bus]
+
+
+def _loop_closure(network, dead):
+    """The status rule as a literal loop: a bus is up iff its substation is
+    not dead, and a branch iff both its ends are up."""
+    bus_up = {bus.id: bus.substation_id not in dead for bus in network.buses}
+    branch_up = {}
+    for br in network.branches:
+        branch_up[br.id] = bus_up[br.from_bus] and bus_up[br.to_bus]
+    return list(bus_up.values()), list(branch_up.values())
+
+
+def test_every_status_consumer_follows_the_loop_closure():
+    """The arrays' closure, ``statuses_for_dead``, ``LevelMatrix.statuses``
+    (per scenario) and the live masks of ``_CopperPlate.islands`` all give
+    the loop's statuses, on random networks with random, no and all
+    substations dead.  A closure that keeps a branch with one dead end alive
+    fails this."""
+    rng = np.random.default_rng(1212)
+    for _ in range(40):
+        net = random_network(rng)
+        subs = [s.id for s in net.substations]
+        floods = [s.levels for s in random_scenario_set(rng, net, count=4).scenarios]
+        floods += [{}, {k: 4 for k in subs}]  # none dead, then all dead
+        scenarios = tuple(FloodScenario(f"s{i}", 1 / len(floods), f) for i, f in enumerate(floods))
+        scenario_set = FloodScenarioSet(scenarios, level_count=3, unattainable_level=3)
+        plan = random_plan(rng, net)
+        levels = LevelMatrix(net, scenario_set, CostSchedule.for_network(net), 3)
+        bus_rows, branch_rows = levels.statuses(plan)
+        plate = _CopperPlate(net)
+        for s, scenario in enumerate(scenarios):
+            dead = tuple(k for k, lvl in scenario.levels.items() if plan.level_of(k) < lvl)
+            bus_ref, branch_ref = _loop_closure(net, set(dead))
+            a = net.arrays
+            bus_up, branch_up = a.closure(a.sub_up(dead))
+            assert bus_up.tolist() == bus_ref and branch_up.tolist() == branch_ref
+            statuses = statuses_for_dead(net, dead)
+            assert list(statuses.alpha) == [b.id for b in net.buses]
+            assert list(statuses.alpha.values()) == [int(up) for up in bus_ref]
+            assert list(statuses.beta) == [br.id for br in net.branches]
+            assert list(statuses.beta.values()) == [int(up) for up in branch_ref]
+            assert bus_rows[s].tolist() == [float(up) for up in bus_ref]
+            assert branch_rows[s].tolist() == [float(up) for up in branch_ref]
+            islands = plate.islands(dead)
+            assert (islands.labels >= 0).tolist() == bus_ref
+            assert islands.live_branches.tolist() == branch_ref
+        assert not any(bus_rows[-1]) and not any(branch_rows[-1])
+        assert all(bus_rows[-2]) and all(branch_rows[-2])
 
 
 def test_closure_monotone_in_plan(star8):

@@ -126,11 +126,6 @@ def test_file_round_trip(tmp_path, star8):
     assert again == star8.scenarios
 
 
-def test_worst_levels(star8):
-    worst = star8.scenarios.worst_levels()
-    assert worst == {"S0": 1, "S1": 3, "S2": 3, "S3": 2}
-
-
 def test_bad_unattainable_level():
     with pytest.raises(ValueError):
         FloodScenarioSet((FloodScenario("w", 1.0, {}),), level_count=3, unattainable_level=4)

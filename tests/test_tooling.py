@@ -74,11 +74,11 @@ def test_traced_solve_reports_model_and_dispatch_counts(tmp_path):
     assert metrics["recourse.dispatch_lps"] > 0
 
 
-def test_traced_portfolio_counts_every_dispatch_lp_but_the_reference_as_warm(tmp_path):
+def test_traced_portfolio_counts_every_dispatch_lp_as_warm(tmp_path):
     """Every dispatch LP starts from the basis of its own island
-    copper-plate dispatch, and no evaluator solves a no-flood reference LP
-    any more, so the exception the name keeps is gone: the tracer must see
-    every LP as a dispatch LP, every dispatch LP as warm and none as cold."""
+    copper-plate dispatch, and no evaluator solves a no-flood reference LP:
+    the tracer must see every LP as a dispatch LP, every dispatch LP as warm
+    and none as cold."""
     from floodmit import cli
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
