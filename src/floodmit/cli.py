@@ -285,6 +285,12 @@ def cmd_eval(args) -> int:
     unknown = set(plan.levels) - {s.id for s in network.substations}
     if unknown:
         raise CliError(f"plan names substations absent from the network: {sorted(unknown)}")
+    beyond = sorted((k, v) for k, v in plan.levels.items() if v >= args.rhat)
+    if beyond:
+        raise CliError(
+            f"plan levels must lie below --rhat {args.rhat}: "
+            + ", ".join(f"substation {k} at level {v}" for k, v in beyond)
+        )
     weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, weights)
     evaluation = evaluator.evaluate(plan, scenarios)

@@ -77,22 +77,10 @@ class GridNetwork:
     # -- index helpers -------------------------------------------------
 
     @property
-    def bus_by_id(self) -> dict[str, Bus]:
-        if "bus_by_id" not in self._cache:
-            self._cache["bus_by_id"] = {b.id: b for b in self.buses}
-        return self._cache["bus_by_id"]
-
-    @property
     def branch_by_id(self) -> dict[str, Branch]:
         if "branch_by_id" not in self._cache:
             self._cache["branch_by_id"] = {br.id: br for br in self.branches}
         return self._cache["branch_by_id"]
-
-    @property
-    def substation_by_id(self) -> dict[str, Substation]:
-        if "substation_by_id" not in self._cache:
-            self._cache["substation_by_id"] = {s.id: s for s in self.substations}
-        return self._cache["substation_by_id"]
 
     @property
     def substation_buses(self) -> dict[str, tuple[str, ...]]:

@@ -55,20 +55,17 @@ def benefit(
     """
     if not candidate.dominates(plan):
         raise ValueError("candidate must dominate the current plan")
+    a = network.arrays
     rho_load = rho_gen = rho_flow = 0.0
     for scenario in scenario_set.scenarios:
-        base = status_closure(network, plan, scenario)
-        lift = status_closure(network, candidate, scenario)
+        base_bus, base_branch = status_closure(network, plan, scenario)
+        lift_bus, lift_branch = status_closure(network, candidate, scenario)
         p = scenario.probability
-        for bus in network.buses:
-            gain = lift.alpha[bus.id] - base.alpha[bus.id]
-            if gain:
-                rho_load += p * gain * bus.p_load
-                rho_gen += p * gain * bus.p_gen_max
-        for br in network.branches:
-            gain = lift.beta[br.id] - base.beta[br.id]
-            if gain:
-                rho_flow += p * gain * br.flow_limit
+        bus, branch = lift_bus & ~base_bus, lift_branch & ~base_branch
+        # Running sums in network order, as a loop over the gains would add.
+        rho_load = sum((p * a.load[bus]).tolist(), rho_load)
+        rho_gen = sum((p * a.gen_max[bus]).tolist(), rho_gen)
+        rho_flow = sum((p * a.flow_limit[branch]).tolist(), rho_flow)
     return rho_load * weights.eta_load + rho_gen * weights.eta_gen + rho_flow * weights.eta_flow
 
 

@@ -42,7 +42,7 @@ so a cached loss does not depend on the order of requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -66,31 +66,17 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-@dataclass(frozen=True)
-class StatusVector:
-    """Operational 0/1 status per bus (alpha) and per branch (beta)."""
+class Dispatch(NamedTuple):
+    """An optimal dispatch in network order: generation, overgeneration,
+    served fraction and angle per bus, flow per branch, and the simplex
+    pivots the solve took."""
 
-    alpha: dict[str, int]
-    beta: dict[str, int]
-
-    def masks(self, network: GridNetwork) -> tuple[np.ndarray, np.ndarray]:
-        """The statuses as bus and branch masks in network order."""
-        a = network.arrays
-        return (
-            np.array([self.alpha[k] for k in a.bus_ids], dtype=bool),
-            np.array([self.beta[k] for k in a.branch_ids], dtype=bool),
-        )
-
-
-@dataclass(frozen=True)
-class DispatchState:
-    p_hat: dict[str, float]
-    p_check: dict[str, float]
-    p_flow: dict[str, float]
-    delta: dict[str, float]
-    theta: dict[str, float]
-    # Simplex pivots the solve took.
-    pivots: int = field(default=0, repr=False, compare=False)
+    p_hat: np.ndarray
+    p_check: np.ndarray
+    delta: np.ndarray
+    theta: np.ndarray
+    p_flow: np.ndarray
+    pivots: int
 
 
 @dataclass(frozen=True)
@@ -120,21 +106,13 @@ def dead_substations(plan: MitigationPlan, scenario: FloodScenario) -> tuple[str
     )
 
 
-def statuses_for_dead(network: GridNetwork, dead: tuple[str, ...]) -> StatusVector:
-    """The dict view of :meth:`~floodmit.grid_model.GridArrays.closure`."""
-    a = network.arrays
-    bus_up, branch_up = a.closure(a.sub_up(dead))
-    return StatusVector(
-        alpha=dict(zip(a.bus_ids, bus_up.astype(int).tolist())),
-        beta=dict(zip(a.branch_ids, branch_up.astype(int).tolist())),
-    )
-
-
 def status_closure(
     network: GridNetwork, plan: MitigationPlan, scenario: FloodScenario
-) -> StatusVector:
-    """Statuses implied by a plan under one flooding realization."""
-    return statuses_for_dead(network, dead_substations(plan, scenario))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bus and branch masks, in network order, implied by a plan under one
+    flooding realization."""
+    a = network.arrays
+    return a.closure(a.sub_up(dead_substations(plan, scenario)))
 
 
 def _layout(network: GridNetwork) -> tuple[int, int, int, int, int, int]:
@@ -151,20 +129,27 @@ def _row_layout(network: GridNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return np.arange(ne), balance, balance + 1
 
 
+def _flow_bound(network: GridNetwork) -> np.ndarray:
+    """Every branch's flow bound while it is live: its angle-difference
+    limit folds in through Ohm's law (|flow| = |b| * |angle diff| <= |b| *
+    diff_max)."""
+    a = network.arrays
+    return np.minimum(a.flow_limit, np.abs(a.susceptance) * network.angle_diff_max)
+
+
 def _recourse_bounds(
     network: GridNetwork, bus_up: np.ndarray, branch_up: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Variable bounds of the dispatch LP, the only part statuses change.
 
-    A live branch's angle-difference limit folds into its flow bound through
-    Ohm's law (|flow| = |b| * |angle diff| <= |b| * diff_max) and its relief
+    A live branch's flow is bounded by :func:`_flow_bound` and its relief
     column is pinned to zero.  A dead branch's flow is pinned to zero and its
     relief is boxed by 2 |b| angle_abs_max, which any pair of angles within
     their limits satisfies, so its Ohm row no longer couples its endpoints.
     """
     a = network.arrays
     zero = np.zeros(len(bus_up))
-    limit = np.minimum(a.flow_limit, np.abs(a.susceptance) * network.angle_diff_max)
+    limit = _flow_bound(network)
     relief = 2.0 * np.abs(a.susceptance) * network.angle_abs_max
     lb = np.concatenate([
         a.gen_min * bus_up, zero, zero,
@@ -181,8 +166,8 @@ def _recourse_bounds(
     return lb, ub
 
 
-def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: LossWeights):
-    """Assemble the fixed-status dispatch LP in raw array form.
+def _recourse_arrays(network: GridNetwork, weights: LossWeights):
+    """Assemble the dispatch LP in raw array form, with every component live.
 
     Variable layout: [p_hat | p_check | delta | theta | p_flow | u].  Every
     branch has an Ohm row  flow - b (theta_to - theta_from) + u = 0  and
@@ -195,11 +180,10 @@ def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: Loss
     """
     a = network.arrays
     nb, ne = len(a.load), len(a.frm)
-    layout = _layout(network)
-    i_hat, i_chk, i_del, i_the, i_flo, i_rel = layout
+    i_hat, i_chk, i_del, i_the, i_flo, i_rel = _layout(network)
     bus, e = np.arange(nb), np.arange(ne)
 
-    lb, ub = _recourse_bounds(network, *statuses.masks(network))
+    lb, ub = _recourse_bounds(network, np.ones(nb, dtype=bool), np.ones(ne, dtype=bool))
     c = np.zeros(len(lb))
     c[i_chk + bus] = weights.lambda_over
     c[i_del + bus] = -weights.lambda_shed * a.load
@@ -226,51 +210,42 @@ def _recourse_arrays(network: GridNetwork, statuses: StatusVector, weights: Loss
     rows_i, rows_j, rows_v = (np.concatenate(part) for part in zip(*blocks))
     senses = ["E"] * ne + ["E", "L"] * nb
     A = sp.csc_matrix((rows_v, (rows_i, rows_j)), shape=(len(senses), len(lb)))
-    return c, A, senses, np.zeros(len(senses)), lb, ub, _loss_offset(network, weights), layout
+    return c, A, senses, np.zeros(len(senses)), lb, ub
 
 
 def _loss_offset(network: GridNetwork, weights: LossWeights) -> float:
     """Constant term of the loss: its value when all load is shed."""
-    return sum(weights.lambda_shed * bus.p_load for bus in network.buses)
+    return sum((weights.lambda_shed * network.arrays.load).tolist())
 
 
 def solve_recourse_lp(
     network: GridNetwork,
-    statuses: StatusVector,
+    statuses: tuple[np.ndarray, np.ndarray],
     weights: LossWeights,
     *,
     workspace: simplex.Workspace | None = None,
     warm: simplex.BasisState | None = None,
-) -> tuple[float, DispatchState]:
-    """Optimal dispatch loss under fixed statuses.
+) -> tuple[float, Dispatch]:
+    """Optimal dispatch loss under fixed statuses, the bus and branch masks
+    ``(bus_up, branch_up)`` in network order.
 
     ``workspace`` is one built from :func:`_recourse_arrays` for the same
-    network and weights (under any statuses); without one, this LP's own is
-    built.  The workspace gets this LP's bounds, and the solve starts from
-    the ``warm`` basis, or cold without one.
+    network and weights; without one, it is built here.  The workspace gets
+    this LP's bounds, and the solve starts from the ``warm`` basis, or cold
+    without one.
 
-    The problem is feasible for any status vector, so anything but a verified
+    The problem is feasible for any statuses, so anything but a verified
     optimum (including one that fails the simplex duality or residual gate)
     indicates a defect and raises instead of returning.
     """
     if workspace is None:
-        workspace = simplex.Workspace(*_recourse_arrays(network, statuses, weights)[:6])
-    workspace.set_bounds(*_recourse_bounds(network, *statuses.masks(network)))
+        workspace = simplex.Workspace(*_recourse_arrays(network, weights))
+    workspace.set_bounds(*_recourse_bounds(network, *statuses))
     res = simplex.solve_linear_program(workspace=workspace, warm=warm)
     if res.status != simplex.STATUS_OPTIMAL:
         raise RuntimeError(f"recourse LP unexpectedly terminated {res.status}")
-
-    i_hat, i_chk, i_del, i_the, i_flo, _ = _layout(network)
-    x = res.x
-    dispatch = DispatchState(
-        p_hat={b_.id: float(x[i_hat + i]) for i, b_ in enumerate(network.buses)},
-        p_check={b_.id: float(x[i_chk + i]) for i, b_ in enumerate(network.buses)},
-        delta={b_.id: float(x[i_del + i]) for i, b_ in enumerate(network.buses)},
-        theta={b_.id: float(x[i_the + i]) for i, b_ in enumerate(network.buses)},
-        p_flow={br.id: float(x[i_flo + e]) for e, br in enumerate(network.branches)},
-        pivots=res.iterations,
-    )
-    return res.objective + _loss_offset(network, weights), dispatch
+    columns = np.split(res.x, _layout(network)[1:])[:5]  # all but the relief u
+    return res.objective + _loss_offset(network, weights), Dispatch(*columns, res.iterations)
 
 
 class _Islands(NamedTuple):
@@ -296,7 +271,7 @@ class _CopperPlate:
         self.arrays = a
         # Row e of the incidence matrix is +1 at the from bus, -1 at the to bus.
         self.incidence = np.eye(len(a.load))[a.frm] - np.eye(len(a.load))[a.to]
-        self.flow_limit = np.minimum(a.flow_limit, np.abs(a.susceptance) * network.angle_diff_max)
+        self.flow_limit = _flow_bound(network)
 
     def islands(self, dead: tuple[str, ...]) -> _Islands:
         """Connected components of the live buses over the live branches,
@@ -536,18 +511,17 @@ class RecourseEvaluator:
         self._cache: dict[tuple[str, ...], tuple[float, float, float, float]] = {}
         self._workspace: simplex.Workspace | None = None
 
-    def _solve_lp(self, dead: tuple[str, ...], islands: _Islands) -> tuple[float, float, float, float]:
+    def _solve_lp(self, islands: _Islands) -> tuple[float, float, float, float]:
         if self._workspace is None:
-            arrays = _recourse_arrays(self.network, statuses_for_dead(self.network, ()), self.weights)
-            self._workspace = simplex.Workspace(*arrays[:6])
+            self._workspace = simplex.Workspace(*_recourse_arrays(self.network, self.weights))
         self.counters.lp_solves += 1
         loss, dispatch = solve_recourse_lp(
-            self.network, statuses_for_dead(self.network, dead), self.weights,
+            self.network, (islands.labels >= 0, islands.live_branches), self.weights,
             workspace=self._workspace, warm=_island_basis(self.network, islands),
         )
         self.counters.lp_pivots += dispatch.pivots
-        served = sum(b.p_load * dispatch.delta[b.id] for b in self.network.buses)
-        over = sum(dispatch.p_check.values())
+        served = sum((self.network.arrays.load * dispatch.delta).tolist())
+        over = sum(dispatch.p_check.tolist())
         return loss, served, self.network.total_load - served, over
 
     def _solve_for_dead(self, dead: tuple[str, ...]) -> tuple[float, float, float, float]:
@@ -559,7 +533,7 @@ class RecourseEvaluator:
             self.counters.settled_without_lp += 1
             self._cache[dead] = self._plate.loss(islands, self.weights)
         else:
-            self._cache[dead] = self._solve_lp(dead, islands)
+            self._cache[dead] = self._solve_lp(islands)
         return self._cache[dead]
 
     def scenario_outcome(self, plan: MitigationPlan, scenario: FloodScenario) -> ScenarioOutcome:

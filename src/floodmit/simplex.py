@@ -603,6 +603,8 @@ def solve_linear_program(
     ``numerical-error``.
     """
     ws = workspace if workspace is not None else Workspace(c, A, senses, b, lb, ub)
+    if (ws.lo > ws.hi).any():  # crossed bounds: no point satisfies them
+        return _failed(STATUS_INFEASIBLE, 0)
     if max_iter is None:
         max_iter = 50 * (ws.m + ws.n) + 2000
     res = _solve_unconstrained(ws) if ws.m == 0 else _solve(ws, warm, max_iter)

@@ -39,6 +39,17 @@ def scaled_flow_limits(network: GridNetwork, factor: float) -> GridNetwork:
     return dataclasses.replace(network, branches=branches, _cache={})
 
 
+def _loop_closure(network: GridNetwork, dead) -> tuple[list[bool], list[bool]]:
+    """The status rule as a literal loop, independent of ``GridArrays``: a
+    bus is up iff its substation is not ``dead``, and a branch iff both its
+    ends are up.  Bus and branch statuses in network order."""
+    bus_up = {bus.id: bus.substation_id not in dead for bus in network.buses}
+    branch_up = {}
+    for br in network.branches:
+        branch_up[br.id] = bus_up[br.from_bus] and bus_up[br.to_bus]
+    return list(bus_up.values()), list(branch_up.values())
+
+
 def random_network(rng: np.random.Generator, n_subs=None, buses_per_sub=None) -> GridNetwork:
     """Small random connected-ish network with nonnegative generation caps."""
     n_subs = int(rng.integers(2, 5)) if n_subs is None else n_subs

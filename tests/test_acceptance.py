@@ -8,7 +8,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from conftest import random_network, random_plan, random_scenario_set
 from floodmit.analysis import spared_capacity, sweep
@@ -34,7 +33,7 @@ from floodmit.recourse import (
 )
 from floodmit.scenario_gen import _norm_cdf, sigma_from_cone
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
-from floodmit.solver import BnbConfig, WarmStartPlan, solve_lp, solve_milp
+from floodmit.solver import solve_lp, solve_milp
 
 W = LossWeights()
 
@@ -314,10 +313,11 @@ def test_criterion_11_lp_duality_everywhere():
         net = random_network(rng)
         scen = random_scenario_set(rng, net, count=1).scenarios[0]
         st = status_closure(net, random_plan(rng, net), scen)
-        from floodmit.recourse import _recourse_arrays
+        from floodmit.recourse import _recourse_arrays, _recourse_bounds
         from floodmit import simplex
 
-        c, A, senses, b, lb, ub, offset, _ = _recourse_arrays(net, st, W)
+        c, A, senses, b, _, _ = _recourse_arrays(net, W)
+        lb, ub = _recourse_bounds(net, *st)
         res = simplex.solve_linear_program(c, A, senses, b, lb, ub)
         assert res.status == "optimal"
         gaps.append(abs(res.objective - res.dual_objective))

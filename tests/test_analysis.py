@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import _loop_closure
 from floodmit.analysis import (
     NestednessReport,
     SweepReport,
@@ -10,9 +11,7 @@ from floodmit.analysis import (
     spared_capacity,
     sweep,
 )
-from floodmit.grid_model import Bus, GridNetwork, Substation
 from floodmit.mitigation import (
-    Budget,
     CostSchedule,
     MitigationPlan,
     ZERO_PLAN,
@@ -70,8 +69,6 @@ def test_spared_zero_loss_scenario_contributes_zero(tiny3):
 
 def test_spared_matches_brute_force_recomputation(star8):
     rng = np.random.default_rng(6)
-    from floodmit.recourse import status_closure
-
     for _ in range(10):
         plan = MitigationPlan(
             {s.id: int(rng.integers(0, 3)) for s in star8.network.substations}
@@ -79,12 +76,11 @@ def test_spared_matches_brute_force_recomputation(star8):
         sc = spared_capacity(plan, star8.network, star8.scenarios)
         exp_load = 0.0
         for scenario in star8.scenarios.scenarios:
-            base = status_closure(star8.network, ZERO_PLAN, scenario)
-            mit = status_closure(star8.network, plan, scenario)
-            num = sum(
-                (mit.alpha[b.id] - base.alpha[b.id]) * b.p_load for b in star8.network.buses
-            )
-            den = sum((1 - base.alpha[b.id]) * b.p_load for b in star8.network.buses)
+            base, _ = _loop_closure(star8.network, _dead(ZERO_PLAN, scenario))
+            mit, _ = _loop_closure(star8.network, _dead(plan, scenario))
+            buses = star8.network.buses
+            num = sum((m - z) * b.p_load for b, m, z in zip(buses, mit, base))
+            den = sum((1 - z) * b.p_load for b, z in zip(buses, base))
             if den > 0:
                 exp_load += scenario.probability * num / den
         assert sc.load_proportion == pytest.approx(exp_load, abs=1e-12)
@@ -93,28 +89,32 @@ def test_spared_matches_brute_force_recomputation(star8):
 # -- the per-bus/per-branch loop spared_capacity replaced, kept as the reference --
 
 
+def _dead(plan, scenario):
+    """The substations a plan leaves dead in a scenario, as a plain loop."""
+    return {k for k, lvl in scenario.levels.items() if plan.level_of(k) < lvl}
+
+
 def _loop_spared_capacity(plan, network, scenario_set):
     from floodmit.analysis import SparedCapacity
-    from floodmit.recourse import status_closure
 
     props = [0.0, 0.0, 0.0]
     absol = [0.0, 0.0, 0.0]
     for scenario in scenario_set.scenarios:
-        base = status_closure(network, ZERO_PLAN, scenario)
-        mit = status_closure(network, plan, scenario)
+        base_bus, base_branch = _loop_closure(network, _dead(ZERO_PLAN, scenario))
+        mit_bus, mit_branch = _loop_closure(network, _dead(plan, scenario))
         spared_load = lost_load = 0.0
         spared_gen = lost_gen = 0.0
-        for bus in network.buses:
-            gain = mit.alpha[bus.id] - base.alpha[bus.id]
-            lost = 1 - base.alpha[bus.id]
+        for bus, m, z in zip(network.buses, mit_bus, base_bus):
+            gain = int(m) - int(z)
+            lost = 1 - int(z)
             spared_load += gain * bus.p_load
             lost_load += lost * bus.p_load
             spared_gen += gain * bus.p_gen_max
             lost_gen += lost * bus.p_gen_max
         spared_flow = lost_flow = 0.0
-        for br in network.branches:
-            spared_flow += (mit.beta[br.id] - base.beta[br.id]) * br.flow_limit
-            lost_flow += (1 - base.beta[br.id]) * br.flow_limit
+        for br, m, z in zip(network.branches, mit_branch, base_branch):
+            spared_flow += (int(m) - int(z)) * br.flow_limit
+            lost_flow += (1 - int(z)) * br.flow_limit
         p = scenario.probability
         for slot, (num, den) in enumerate(
             ((spared_load, lost_load), (spared_gen, lost_gen), (spared_flow, lost_flow))

@@ -190,6 +190,23 @@ def test_eval_rejects_plan_with_unknown_substation(tiny3_dir, tmp_path, capsys):
     assert "GHOST" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("level", [3, 9])
+def test_eval_rejects_plan_level_at_or_above_rhat(tiny3_dir, tmp_path, capsys, level):
+    """Level r̂ and above are beyond any barrier stack; a plan claiming one
+    would cover every flood.  A level below r̂ still evaluates."""
+    plan = tmp_path / "plan.json"
+    out = tmp_path / "e.json"
+    plan.write_text('{"levels": {"S2": %d}}' % level, encoding="utf-8")
+    args = ["eval", "--network", _net(tiny3_dir), "--scenarios", _scen(tiny3_dir), "--rhat", "3", "--plan", str(plan)]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "S2" in err and f"level {level}" in err
+    assert not out.exists()
+    plan.write_text('{"levels": {"S2": 2}}', encoding="utf-8")
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.exists()
+
+
 def test_sweep_ring12_byte_determinism(tmp_path):
     fix = tmp_path / "ring12"
     assert main(["make-fixture", "ring12", "--out-dir", str(fix)]) == 0

@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_plan
+from conftest import _loop_closure, random_plan
 from floodmit.extensive_form import alpha_link_rows, build
-from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
+from floodmit.grid_model import Bus, GridNetwork, Substation
 from floodmit.milp import with_no_good_cut
 from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, enumerate_plans
-from floodmit.recourse import LossWeights, evaluate_plan, status_closure
+from floodmit.recourse import LossWeights, dead_substations, evaluate_plan
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
-from floodmit.solver import BnbConfig, solve_lp, solve_milp
+from floodmit.solver import solve_lp, solve_milp
 
 W = LossWeights()
 
@@ -200,6 +200,8 @@ def test_solution_statuses_match_closure(star8):
     ef = build(star8.network, star8.scenarios, sched, Budget(7), 3, W)
     sol = solve_milp(ef.problem)
     plan = ef.plan_from_values(sol.values)
+    bus_pos = {b.id: i for i, b in enumerate(star8.network.buses)}
+    branch_pos = {br.id: e for e, br in enumerate(star8.network.branches)}
     for name, meta in zip(ef.problem.names, ef.problem.meta):
         if not meta:
             continue
@@ -207,14 +209,14 @@ def test_solution_statuses_match_closure(star8):
         if kind == "alpha":
             _, scen_id, sub = meta
             scenario = next(s for s in star8.scenarios.scenarios if s.id == scen_id)
-            st = status_closure(star8.network, plan, scenario)
+            bus_up, _ = _loop_closure(star8.network, set(dead_substations(plan, scenario)))
             bus = star8.network.substation_buses[sub][0]
-            assert round(sol.values[name]) == st.alpha[bus], name
+            assert round(sol.values[name]) == bus_up[bus_pos[bus]], name
         elif kind == "beta":
             _, scen_id, br = meta
             scenario = next(s for s in star8.scenarios.scenarios if s.id == scen_id)
-            st = status_closure(star8.network, plan, scenario)
-            assert round(sol.values[name]) == st.beta[br], name
+            _, branch_up = _loop_closure(star8.network, set(dead_substations(plan, scenario)))
+            assert round(sol.values[name]) == branch_up[branch_pos[br]], name
 
 
 def test_with_budget_changes_single_rhs(star8):

@@ -1,11 +1,9 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
 from floodmit.geo_remap import (
-    EARTH_RADIUS_KM,
     LabeledPoint,
     PointSet,
     distance,

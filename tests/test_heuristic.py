@@ -12,7 +12,7 @@ from floodmit.heuristic import (
     greedy,
     portfolio,
 )
-from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, is_feasible, plan_cost
+from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, is_feasible
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import linprog
 
 from floodmit import simplex
-from conftest import random_network, random_plan, random_scenario_set, scaled_flow_limits
+from conftest import _loop_closure, random_network, random_plan, random_scenario_set, scaled_flow_limits
 from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
 from floodmit.heuristic import LevelMatrix
 from floodmit.mitigation import CostSchedule, MitigationPlan, ZERO_PLAN
@@ -20,9 +20,14 @@ from floodmit.recourse import (
     island_bound,
     solve_recourse_lp,
     status_closure,
-    statuses_for_dead,
 )
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
+
+
+def _masks(network, dead):
+    """Bus and branch masks of a dead set, from the arrays' closure."""
+    a = network.arrays
+    return a.closure(a.sub_up(dead))
 
 
 def two_bus_network():
@@ -47,50 +52,43 @@ def test_weights_validation():
 
 
 def test_closure_unprotected_flood_kills_substation(tiny3):
-    st = status_closure(tiny3.network, ZERO_PLAN, FloodScenario("w", 1.0, {"S2": 1}))
-    assert st.alpha == {"B1": 1, "B2": 0, "B3": 0}
-    assert st.beta == {"L1": 0, "L2": 0}  # incident branches go down too
+    bus_up, branch_up = status_closure(tiny3.network, ZERO_PLAN, FloodScenario("w", 1.0, {"S2": 1}))
+    assert tiny3.network.arrays.bus_ids == ("B1", "B2", "B3")
+    assert tiny3.network.arrays.branch_ids == ("L1", "L2")
+    assert bus_up.tolist() == [True, False, False]
+    assert branch_up.tolist() == [False, False]  # incident branches go down too
 
 
 def test_closure_sufficient_protection(tiny3):
     plan = MitigationPlan({"S2": 2})
-    st = status_closure(tiny3.network, plan, FloodScenario("w", 1.0, {"S2": 2}))
-    assert st.alpha == {"B1": 1, "B2": 1, "B3": 1}
-    assert st.beta == {"L1": 1, "L2": 1}
+    bus_up, branch_up = status_closure(tiny3.network, plan, FloodScenario("w", 1.0, {"S2": 2}))
+    assert bus_up.tolist() == [True, True, True]
+    assert branch_up.tolist() == [True, True]
 
 
 def test_closure_flood_at_unattainable_level(tiny3):
     # Plans never reach level 3, so a level-3 flood always wins.
     plan = MitigationPlan({"S2": 2})
-    st = status_closure(tiny3.network, plan, FloodScenario("w", 1.0, {"S2": 3}))
-    assert st.alpha["B2"] == 0 and st.alpha["B3"] == 0
+    bus_up, _ = status_closure(tiny3.network, plan, FloodScenario("w", 1.0, {"S2": 3}))
+    assert not bus_up[1] and not bus_up[2]  # B2 and B3
 
 
 def test_closure_statuses_consistent_within_substation(star8):
     rng = np.random.default_rng(0)
+    pos = {b.id: i for i, b in enumerate(star8.network.buses)}
     for _ in range(20):
         plan = random_plan(rng, star8.network)
         scenario = star8.scenarios.scenarios[int(rng.integers(0, 4))]
-        st = status_closure(star8.network, plan, scenario)
+        bus_up, branch_up = status_closure(star8.network, plan, scenario)
         for sub, bus_ids in star8.network.substation_buses.items():
-            vals = {st.alpha[b] for b in bus_ids}
+            vals = {bool(bus_up[pos[b]]) for b in bus_ids}
             assert len(vals) == 1
-        for br in star8.network.branches:
-            assert st.beta[br.id] == st.alpha[br.from_bus] * st.alpha[br.to_bus]
-
-
-def _loop_closure(network, dead):
-    """The status rule as a literal loop: a bus is up iff its substation is
-    not dead, and a branch iff both its ends are up."""
-    bus_up = {bus.id: bus.substation_id not in dead for bus in network.buses}
-    branch_up = {}
-    for br in network.branches:
-        branch_up[br.id] = bus_up[br.from_bus] and bus_up[br.to_bus]
-    return list(bus_up.values()), list(branch_up.values())
+        for e, br in enumerate(star8.network.branches):
+            assert branch_up[e] == bus_up[pos[br.from_bus]] * bus_up[pos[br.to_bus]]
 
 
 def test_every_status_consumer_follows_the_loop_closure():
-    """The arrays' closure, ``statuses_for_dead``, ``LevelMatrix.statuses``
+    """The arrays' closure, ``status_closure``, ``LevelMatrix.statuses``
     (per scenario) and the live masks of ``_CopperPlate.islands`` all give
     the loop's statuses, on random networks with random, no and all
     substations dead.  A closure that keeps a branch with one dead end alive
@@ -113,11 +111,10 @@ def test_every_status_consumer_follows_the_loop_closure():
             a = net.arrays
             bus_up, branch_up = a.closure(a.sub_up(dead))
             assert bus_up.tolist() == bus_ref and branch_up.tolist() == branch_ref
-            statuses = statuses_for_dead(net, dead)
-            assert list(statuses.alpha) == [b.id for b in net.buses]
-            assert list(statuses.alpha.values()) == [int(up) for up in bus_ref]
-            assert list(statuses.beta) == [br.id for br in net.branches]
-            assert list(statuses.beta.values()) == [int(up) for up in branch_ref]
+            assert a.bus_ids == tuple(b.id for b in net.buses)
+            assert a.branch_ids == tuple(br.id for br in net.branches)
+            bus_mask, branch_mask = status_closure(net, plan, scenario)
+            assert bus_mask.tolist() == bus_ref and branch_mask.tolist() == branch_ref
             assert bus_rows[s].tolist() == [float(up) for up in bus_ref]
             assert branch_rows[s].tolist() == [float(up) for up in branch_ref]
             islands = plate.islands(dead)
@@ -135,10 +132,10 @@ def test_closure_monotone_in_plan(star8):
             {k: min(2, v + int(rng.integers(0, 2))) for k, v in base.levels.items()}
         )
         for scenario in star8.scenarios.scenarios:
-            lo = status_closure(star8.network, base, scenario)
-            hi = status_closure(star8.network, bigger, scenario)
-            assert all(hi.alpha[b] >= lo.alpha[b] for b in lo.alpha)
-            assert all(hi.beta[b] >= lo.beta[b] for b in lo.beta)
+            lo_bus, lo_branch = status_closure(star8.network, base, scenario)
+            hi_bus, hi_branch = status_closure(star8.network, bigger, scenario)
+            assert all(hi_bus >= lo_bus)
+            assert all(hi_branch >= lo_branch)
 
 
 # -- dispatch LP ---------------------------------------------------------
@@ -149,8 +146,8 @@ def test_two_bus_fully_operational():
     st = status_closure(net, ZERO_PLAN, FloodScenario("dry", 1.0, {}))
     loss, disp = solve_recourse_lp(net, st, LossWeights())
     assert loss == pytest.approx(0.0, abs=1e-9)
-    assert disp.p_flow["AB"] == pytest.approx(1.0, abs=1e-9)
-    assert disp.delta["B"] == pytest.approx(1.0, abs=1e-9)
+    assert disp.p_flow[0] == pytest.approx(1.0, abs=1e-9)  # AB
+    assert disp.delta[1] == pytest.approx(1.0, abs=1e-9)  # B
 
 
 def test_flooded_load_bus_sheds_its_load():
@@ -158,8 +155,8 @@ def test_flooded_load_bus_sheds_its_load():
     st = status_closure(net, ZERO_PLAN, FloodScenario("w", 1.0, {"SB": 1}))
     loss, disp = solve_recourse_lp(net, st, LossWeights())
     assert loss >= 1.0 - 1e-9  # at least lambda_shed * p_load
-    assert disp.delta["B"] == 0.0
-    assert disp.p_flow["AB"] == 0.0  # island consistency
+    assert disp.delta[1] == 0.0  # B
+    assert disp.p_flow[0] == 0.0  # AB: island consistency
 
 
 def test_everything_down_total_shed(tiny3):
@@ -168,8 +165,8 @@ def test_everything_down_total_shed(tiny3):
     )
     loss, disp = solve_recourse_lp(tiny3.network, st, LossWeights())
     assert loss == pytest.approx(tiny3.network.total_load, abs=1e-9)
-    assert all(v == 0.0 for v in disp.p_hat.values())
-    assert all(v == 0.0 for v in disp.p_flow.values())
+    assert all(v == 0.0 for v in disp.p_hat)
+    assert all(v == 0.0 for v in disp.p_flow)
 
 
 def test_forced_minimum_generation_pays_overgen():
@@ -183,8 +180,8 @@ def test_forced_minimum_generation_pays_overgen():
     st = status_closure(net, ZERO_PLAN, FloodScenario("dry", 1.0, {}))
     loss, disp = solve_recourse_lp(net, st, LossWeights(lambda_shed=1.0, lambda_over=2.0))
     assert loss == pytest.approx(1.0, abs=1e-9)  # 2.0 * 0.5
-    assert disp.p_hat["G"] == pytest.approx(0.5)
-    assert disp.p_check["G"] == pytest.approx(0.5)
+    assert disp.p_hat[0] == pytest.approx(0.5)  # G
+    assert disp.p_check[0] == pytest.approx(0.5)
 
 
 def test_delta_zero_when_cut_off_from_generation():
@@ -200,7 +197,7 @@ def test_delta_zero_when_cut_off_from_generation():
     )
     st = status_closure(net, ZERO_PLAN, FloodScenario("dry", 1.0, {}))
     loss, disp = solve_recourse_lp(net, st, LossWeights())
-    assert disp.delta["B"] == pytest.approx(0.0, abs=1e-9)
+    assert disp.delta[1] == pytest.approx(0.0, abs=1e-9)  # B
     assert loss == pytest.approx(1.0, abs=1e-9)
 
 
@@ -215,7 +212,7 @@ def test_flow_limit_binds():
     )
     st = status_closure(net, ZERO_PLAN, FloodScenario("dry", 1.0, {}))
     loss, disp = solve_recourse_lp(net, st, LossWeights())
-    assert disp.p_flow["AB"] == pytest.approx(1.2, abs=1e-9)
+    assert disp.p_flow[0] == pytest.approx(1.2, abs=1e-9)  # AB
     assert loss == pytest.approx(0.8, abs=1e-9)  # 2.0 - 1.2 shed
 
 
@@ -233,7 +230,7 @@ def test_angle_difference_limits_flow():
     )
     st = status_closure(net, ZERO_PLAN, FloodScenario("dry", 1.0, {}))
     loss, disp = solve_recourse_lp(net, st, LossWeights())
-    assert abs(disp.p_flow["AB"]) <= 0.2 + 1e-9
+    assert abs(disp.p_flow[0]) <= 0.2 + 1e-9  # AB
     assert loss == pytest.approx(0.8, abs=1e-9)
 
 
@@ -316,10 +313,12 @@ def test_evaluator_cache_consistency(star8):
 # -- fixed-structure dispatch LP against independent formulations ---------
 
 
-def _dropped_rows_loss(network, statuses, weights):
+def _dropped_rows_loss(network, dead, weights):
     """Dispatch loss by HiGHS on the LP that leaves out the Ohm rows of dead
     branches and the overgeneration rows of dead buses, instead of relaxing
-    them through bounds.  Layout: [p_hat | p_check | delta | theta | p_flow]."""
+    them through bounds, with the statuses of ``_loop_closure``.  Layout:
+    [p_hat | p_check | delta | theta | p_flow]."""
+    bus_up, branch_up = _loop_closure(network, set(dead))
     buses, branches = network.buses, network.branches
     nb = len(buses)
     pos = {b.id: i for i, b in enumerate(buses)}
@@ -328,7 +327,7 @@ def _dropped_rows_loss(network, statuses, weights):
     bounds = [None] * n
     a_eq, a_ub = [], []
     for i, bus in enumerate(buses):
-        a = statuses.alpha[bus.id]
+        a = int(bus_up[i])
         c[nb + i] = weights.lambda_over
         c[2 * nb + i] = -weights.lambda_shed * bus.p_load
         bounds[i] = (bus.p_gen_min * a, bus.p_gen_max * a)
@@ -346,7 +345,7 @@ def _dropped_rows_loss(network, statuses, weights):
             row[nb + i], row[i] = 1.0, -1.0
             a_ub.append(row)
     for e, br in enumerate(branches):
-        if statuses.beta[br.id]:
+        if branch_up[e]:
             limit = min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max)
             bounds[4 * nb + e] = (-limit, limit)
             row = np.zeros(n)
@@ -387,9 +386,9 @@ def bridged_network():
 
 def test_dead_bus_between_live_buses_does_not_tie_their_angles():
     net = bridged_network()
-    loss, disp = solve_recourse_lp(net, statuses_for_dead(net, ("SM",)), LossWeights())
+    loss, disp = solve_recourse_lp(net, _masks(net, ("SM",)), LossWeights())
     assert loss == pytest.approx(0.0, abs=1e-9)
-    assert disp.p_flow["AB"] == pytest.approx(1.0, abs=1e-9)
+    assert disp.p_flow[2] == pytest.approx(1.0, abs=1e-9)  # AB
     warm = RecourseEvaluator(net, LossWeights())._solve_for_dead(("SM",))
     assert warm[0] == pytest.approx(0.0, abs=1e-9)
 
@@ -407,9 +406,8 @@ def test_fixed_structure_lp_matches_dropped_row_formulation(weights):
     for net, dead_sets in cases:
         evaluator = RecourseEvaluator(net, weights)
         for dead in dead_sets:
-            statuses = statuses_for_dead(net, dead)
-            expected = _dropped_rows_loss(net, statuses, weights)
-            cold, _ = solve_recourse_lp(net, statuses, weights)
+            expected = _dropped_rows_loss(net, dead, weights)
+            cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
             assert cold == pytest.approx(expected, abs=1e-9)
             assert evaluator._solve_for_dead(dead)[0] == pytest.approx(expected, abs=1e-9)
 
@@ -508,8 +506,9 @@ def _bound_cases(seed, count):
                 _cache={},
             )
         subs = [s.id for s in net.substations]
+        sub_of = {b.id: b.substation_id for b in net.buses}
         near = {
-            net.bus_by_id[end].substation_id
+            sub_of[end]
             for br in net.branches if ref.id in (br.from_bus, br.to_bus)
             for end in (br.from_bus, br.to_bus)
         } - {ref.substation_id}
@@ -532,9 +531,9 @@ def test_island_bound_never_exceeds_the_lp_and_is_exact_without_limits():
             for weights in BOUND_WEIGHTS:
                 bound = island_bound(net, dead, weights)
                 assert island_bound(loose, dead, weights) == bound
-                lp, _ = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
+                lp, _ = solve_recourse_lp(net, _masks(net, dead), weights)
                 assert bound <= lp + 1e-9
-                lp_loose, _ = solve_recourse_lp(loose, statuses_for_dead(loose, dead), weights)
+                lp_loose, _ = solve_recourse_lp(loose, _masks(loose, dead), weights)
                 assert bound == pytest.approx(lp_loose, abs=1e-9)
 
 
@@ -557,7 +556,7 @@ def test_dispatch_settled_without_lp_equals_the_cold_lp(coastal40, weights):
             if not without_lp:
                 continue
             settled += 1
-            cold, _ = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
+            cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
             assert loss == pytest.approx(cold, abs=1e-9)
             assert loss == pytest.approx(island_bound(net, dead, weights), abs=1e-12)
             assert served + shed == pytest.approx(net.total_load, abs=1e-9)
@@ -613,7 +612,7 @@ def test_witness_that_breaks_a_limit_falls_back_to_the_lp(net, served):
     assert not without_lp
     assert evaluator.counters.lp_solves == 1
     assert values == pytest.approx((shed, served, shed, 0.0), abs=1e-9)
-    cold, _ = solve_recourse_lp(net, statuses_for_dead(net, ()), LossWeights())
+    cold, _ = solve_recourse_lp(net, _masks(net, ()), LossWeights())
     assert cold == pytest.approx(shed, abs=1e-9)
 
 
@@ -643,15 +642,15 @@ def test_zero_weight_witness_reports_the_least_shed_and_overgeneration(weights):
             without_lp, (loss, served, shed, over) = _settled_without_lp(evaluator, dead)
             if not without_lp:
                 continue
-            cold, dispatch = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
-            lp_served = sum(b.p_load * dispatch.delta[b.id] for b in net.buses)
+            cold, dispatch = solve_recourse_lp(net, _masks(net, dead), weights)
+            lp_served = sum(b.p_load * delta for b, delta in zip(net.buses, dispatch.delta))
             assert loss == pytest.approx(cold, abs=1e-9)
             assert loss == pytest.approx(
                 weights.lambda_shed * shed + weights.lambda_over * over, abs=1e-12
             )
             assert served + shed == pytest.approx(net.total_load, abs=1e-9)
             assert served >= lp_served - 1e-9
-            assert over <= sum(dispatch.p_check.values()) + 1e-9
+            assert over <= sum(dispatch.p_check) + 1e-9
 
 
 # -- the island copper-plate basis that starts every dispatch LP -----------
@@ -662,10 +661,9 @@ def _island_solve(net, dead, weights):
     started from its island basis.  Returns the loss, the pivots, the
     workspace, the basis and the islands."""
     islands = _CopperPlate(net).islands(dead)
-    c, A, senses, b, lb, ub, _, _ = _recourse_arrays(net, statuses_for_dead(net, ()), weights)
-    ws = simplex.Workspace(c, A, senses, b, lb, ub)
+    ws = simplex.Workspace(*_recourse_arrays(net, weights))
     state = _island_basis(net, islands)
-    loss, dispatch = solve_recourse_lp(net, statuses_for_dead(net, dead), weights, workspace=ws, warm=state)
+    loss, dispatch = solve_recourse_lp(net, _masks(net, dead), weights, workspace=ws, warm=state)
     return loss, dispatch.pivots, ws, state, islands
 
 
@@ -702,7 +700,7 @@ def test_island_basis_starts_every_dispatch_lp_warm_at_the_copper_plate_optimum(
                 assert not start._improving(d, 1e-7).any()
                 assert loose_loss == pytest.approx(island_bound(net, dead, weights), abs=1e-9)
                 assert pivots <= _floating_islands(net, islands)
-                cold, _ = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
+                cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
                 assert loss == pytest.approx(cold, abs=1e-9)
                 cold_starts.clear()
 
@@ -718,7 +716,7 @@ def test_fallback_lp_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal4
         d for d in _scenario_dead_sets(coastal40.scenarios)
         if not plate.witness_is_feasible(plate.islands(d))
     )
-    expected, _ = solve_recourse_lp(net, statuses_for_dead(net, dead), weights)
+    expected, _ = solve_recourse_lp(net, _masks(net, dead), weights)
     dual_runs = []
 
     def run_dual(self, costs):

@@ -1,15 +1,13 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from floodmit.fixtures import COASTAL40_COASTLINE, make_fixture
+from floodmit.fixtures import COASTAL40_COASTLINE
 from floodmit.scenario_gen import (
     Coastline,
     InundationKernel,
     LandfallDistribution,
-    KM_PER_NAUTICAL_MILE,
     generate_scenarios,
     load_coastline,
     save_coastline,
@@ -154,7 +152,7 @@ def test_generate_zero_peak_all_dry(star8):
 def test_generate_on_track_substation_level(star8):
     # Put the landfall at a substation's exact location with a peak of 0.9 m:
     # level 2 protection is sufficient and not excessive there.
-    sub = star8.network.substation_by_id["S0"]
+    sub = next(s for s in star8.network.substations if s.id == "S0")
     line = Coastline(((sub.lon, sub.lat), (sub.lon + 2.0, sub.lat)))
     dist = LandfallDistribution(line, 0.0, 0.001)  # essentially a point mass
     kernel = InundationKernel(0.9, 30.0, track_bearing_deg=90.0)

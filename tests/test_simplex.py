@@ -200,6 +200,87 @@ def test_warm_restart_after_rhs_and_bound_changes():
     assert hits > 20
 
 
+FLIPPED = {"L": "G", "G": "L", "E": "E"}
+LINPROG_OUTCOME = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def _degenerate_lp(rng):
+    """A small LP built for degeneracy: integer data in -2..2 (so costs tie
+    and vertices coincide), plus redundant rows, each a copy of a row scaled
+    by 1, 1/2 or -1/2 (the sense flipped when negative)."""
+    m, n = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+    A = (rng.integers(-2, 3, (m, n)) * (rng.random((m, n)) < 0.7)).astype(float)
+    c = rng.integers(-2, 3, n).astype(float)
+    b = rng.integers(-2, 3, m).astype(float)
+    senses = [str(s) for s in rng.choice(["L", "G", "E"], m, p=[0.45, 0.35, 0.2])]
+    rows, rhs = list(A), list(b)
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(0, m))
+        scale = float(rng.choice([1.0, 0.5, -0.5]))
+        rows.append(A[i] * scale)
+        rhs.append(b[i] * scale)
+        senses.append(FLIPPED[senses[i]] if scale < 0 else senses[i])
+    lb = np.where(rng.random(n) < 0.8, rng.integers(-2, 1, n), -np.inf)
+    ub = np.where(rng.random(n) < 0.8, rng.integers(0, 3, n), np.inf)
+    return c, np.array(rows), senses, np.array(rhs), lb, ub
+
+
+def _assert_matches_linprog(mine, c, A, senses, b, lb, ub):
+    ref = _scipy_solve(c, A, senses, b, lb, ub)
+    expect = LINPROG_OUTCOME[ref.status]
+    assert mine.status == expect, (mine.status, expect)
+    if expect == "optimal":
+        assert mine.objective == pytest.approx(ref.fun, abs=1e-6)
+        assert abs(mine.objective - mine.dual_objective) <= DUAL_TOL
+        assert mine.primal_residual < 1e-8
+    return expect
+
+
+def test_degenerate_battery_against_scipy():
+    """Cold solves of degenerate LPs, then warm re-solves of their children
+    on one workspace, as branch and bound makes them: a variable fixed or
+    branched on (a branch on an integral value crosses its bounds, which
+    must read infeasible), or a right-hand side moved.  Every child starts
+    from its parent's basis, and every optimal, infeasible and unbounded
+    outcome must be HiGHS's."""
+    rng = np.random.default_rng(2718)
+    cold = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        lp = _degenerate_lp(rng)
+        mine = _solve(*lp)
+        cold[_assert_matches_linprog(mine, *lp)] += 1
+    assert min(cold.values()) > 15, cold
+
+    warm = {"optimal": 0, "infeasible": 0, "crossed": 0}
+    for _ in range(120):
+        c, A, senses, b, lb, ub = _degenerate_lp(rng)
+        ws = Workspace(c, sp.csc_matrix(A), senses, b, lb, ub)
+        parent = solve_linear_program(workspace=ws)
+        if parent.status != "optimal":
+            continue
+        for _ in range(5):
+            lb2, ub2, b2 = lb.copy(), ub.copy(), b.copy()
+            j = int(rng.integers(0, len(c)))
+            v = parent.x[j]
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                lb2[j] = ub2[j] = np.clip(np.round(v) + rng.integers(-1, 2), lb[j], ub[j])
+            elif kind == 1 and rng.random() < 0.5:
+                ub2[j] = np.ceil(v) - 1
+            elif kind == 1:
+                lb2[j] = np.floor(v) + 1
+            else:
+                b2[int(rng.integers(0, len(b)))] += float(rng.integers(-2, 3))
+            ws.set_bounds(lb2, ub2)
+            ws.set_rhs(b2)
+            mine = solve_linear_program(workspace=ws, warm=parent.basis_state)
+            warm[_assert_matches_linprog(mine, c, A, senses, b2, lb2, ub2)] += 1
+            warm["crossed"] += int((lb2 > ub2).any())
+        ws.set_bounds(lb, ub)
+        ws.set_rhs(b)
+    assert min(warm.values()) > 15, warm
+
+
 def _forbidden_assignment_cases(count):
     """Assignment LPs (every basis highly degenerate) with bounds forbidding
     most of their optimal assignment, plus the optimal basis: a warm re-solve
@@ -404,7 +485,7 @@ def test_gate_failure_surfaces_on_every_lp_path(monkeypatch, tol):
     from floodmit.geo_remap import LabeledPoint, PointSet
     from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
     from floodmit.milp import ProblemBuilder
-    from floodmit.recourse import LossWeights, StatusVector, solve_recourse_lp
+    from floodmit.recourse import LossWeights, solve_recourse_lp
     from floodmit.solver import SolverError, solve_lp, solve_milp
 
     pb = ProblemBuilder("gate")
@@ -421,7 +502,7 @@ def test_gate_failure_surfaces_on_every_lp_path(monkeypatch, tol):
         branches=(Branch("AB", "A", "B", susceptance=-10.0, flow_limit=1.5),),
         substations=(Substation("SA", "115_161"), Substation("SB", "115_161")),
     )
-    statuses = StatusVector({"A": 1, "B": 1}, {"AB": 1})
+    statuses = (np.ones(2, dtype=bool), np.ones(1, dtype=bool))  # all up
     points = PointSet((LabeledPoint("p0", -95.0, 29.0), LabeledPoint("p1", -94.0, 30.0)))
 
     # The same LP solves optimally with the gate at its real tolerance.

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from floodmit.milp import MilpProblem, ProblemBuilder, with_no_good_cut, write_lp_text
+from floodmit.milp import ProblemBuilder, with_no_good_cut, write_lp_text
 from floodmit.solver import (
     BnbConfig,
-    SolverError,
     WarmStartPlan,
     _warm_start_fixings,
     check_uniqueness,

@@ -1,5 +1,6 @@
-"""The benchmark's tracer must keep finding every name it wraps, and the
-README must advertise only flags the command line accepts.
+"""The benchmark's tracer must keep finding every name it wraps, the
+README must advertise only flags the command line accepts, and no module
+imports a name it never uses.
 
 ``perfbench/tracing.py`` replaces entry points of the package by name; a
 rename or deletion in ``src/`` would only surface in a traced benchmark run.
@@ -7,6 +8,7 @@ Installing and uninstalling it here catches that in the test suite.
 """
 
 import argparse
+import ast
 import importlib.util
 import re
 from pathlib import Path
@@ -194,3 +196,33 @@ def test_readme_command_line_flags_are_accepted():
         assert flags, words
         unknown = [f for f in flags if f not in sub._option_string_actions]
         assert not unknown, (words[1], unknown)
+
+
+def _unused_imports(path):
+    """Names that ``path`` imports and never reads, as "file:line name".
+
+    ``from __future__`` imports and import statements marked ``# noqa``
+    (re-exports, and names the tracer wraps) are left out.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(paths) > 20
+    unused = [entry for path in paths for entry in _unused_imports(path)]
+    assert not unused, unused
