@@ -24,7 +24,7 @@ import numpy as np
 
 from .extensive_form import ExtensiveForm
 from .grid_model import GridNetwork
-from .heuristic import LevelMatrix, left_sums, portfolio
+from .heuristic import GreedyCounters, LevelMatrix, left_sums, portfolio
 from .mitigation import Budget, CostSchedule, MitigationPlan, max_useful_budget, plan_cost
 from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
 from .recourse import status_closure  # noqa: F401  (perfbench/tracing.py wraps this name)
@@ -84,6 +84,7 @@ class SweepReport:
     f_max: int
     recourse_counters: RecourseCounters = field(default_factory=RecourseCounters)
     simplex_counters: SimplexCounters = field(default_factory=SimplexCounters)
+    greedy_counters: GreedyCounters = field(default_factory=GreedyCounters)
 
 
 @dataclass
@@ -300,6 +301,7 @@ def sweep(
         f_max=f_max,
         recourse_counters=evaluator.counters,
         simplex_counters=counters,
+        greedy_counters=levels.counters,
     )
 
 

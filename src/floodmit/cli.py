@@ -28,7 +28,7 @@ from .mitigation import (
     plan_cost,
     save_plan,
 )
-from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
+from .recourse import LossWeights, RecourseCounters, RecourseEvaluator, dead_substations
 from .scenario_model import load_scenarios, save_scenarios
 from .simplex import SimplexCounters
 from .value_table import build
@@ -46,6 +46,7 @@ def _envelope(
     command: str, config: dict, result: dict, started: float,
     recourse: RecourseCounters | None = None,
     simplex: SimplexCounters | None = None,
+    greedy: heuristic.GreedyCounters | None = None,
 ) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -57,7 +58,7 @@ def _envelope(
     }
     counters = {
         name: dataclasses.asdict(value)
-        for name, value in (("recourse", recourse), ("simplex", simplex))
+        for name, value in (("recourse", recourse), ("simplex", simplex), ("greedy", greedy))
         if value is not None
     }
     if counters:
@@ -178,10 +179,12 @@ def cmd_heuristic(args) -> int:
     budget = Budget(args.budget)
     weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, weights)
+    levels = heuristic.LevelMatrix(network, scenarios, schedule, args.rhat)
 
     out = Path(args.out)
     if args.portfolio:
-        plans = heuristic.portfolio(budget, network, scenarios, schedule, args.rhat)
+        plans = heuristic.portfolio(budget, network, scenarios, schedule, args.rhat, levels)
+        evaluator.settle(dead_substations(p, s) for p in plans for s in scenarios.scenarios)
         ranked = sorted(
             (evaluator.evaluate(p, scenarios).expected_loss, i, p)
             for i, p in enumerate(plans)
@@ -201,19 +204,19 @@ def cmd_heuristic(args) -> int:
                 }
             )
         result = {"plans": listing}
-        doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters)
+        doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters, greedy=levels.counters)
         _write_json(doc, out / "envelope.json")
         return 0
 
     eta = heuristic.AttributeWeights(args.eta_load, args.eta_gen, args.eta_flow)
-    plan = heuristic.greedy(eta, budget, network, scenarios, schedule, args.rhat)
+    plan = heuristic.greedy(eta, budget, network, scenarios, schedule, args.rhat, levels)
     save_plan(plan, out)
     result = {
         "levels": _plan_dict(plan),
         "cost": plan_cost(plan, schedule),
         "expected_loss": evaluator.evaluate(plan, scenarios).expected_loss,
     }
-    doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters)
+    doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters, greedy=levels.counters)
     _write_json(doc, out.with_suffix(".envelope.json"))
     return 0
 
@@ -224,11 +227,12 @@ def _solve_one(args, check_unique: bool):
     weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, weights)
     ef = build(network, scenarios, schedule, Budget(args.budget), args.rhat, evaluator)
-    warm = heuristic.portfolio(Budget(args.budget), network, scenarios, schedule, args.rhat)
+    levels = heuristic.LevelMatrix(network, scenarios, schedule, args.rhat)
+    warm = heuristic.portfolio(Budget(args.budget), network, scenarios, schedule, args.rhat, levels)
     sol, plan, extras = analysis.solve_instance(
         ef, warm, evaluator, check_unique=check_unique
     )
-    return network, schedule, ef, sol, plan, extras, evaluator.counters
+    return network, schedule, ef, sol, plan, extras, (evaluator.counters, sol.counters, levels.counters)
 
 
 def cmd_solve(args) -> int:
@@ -256,7 +260,7 @@ def cmd_solve(args) -> int:
         result["uniqueness_caveat"] = extras.get("caveat")
         witness = extras.get("witness")
         result["witness"] = None if witness is None else _plan_dict(witness)
-    doc = _envelope("solve", _ns_dict(args), result, started, counters, sol.counters)
+    doc = _envelope("solve", _ns_dict(args), result, started, *counters)
     _write_json(doc, out_dir / "envelope.json")
     return 0
 
@@ -271,7 +275,7 @@ def cmd_check_unique(args) -> int:
         "uniqueness_caveat": extras["caveat"],
         "witness": None if extras["witness"] is None else _plan_dict(extras["witness"]),
     }
-    doc = _envelope("check-unique", _ns_dict(args), result, started, counters, sol.counters)
+    doc = _envelope("check-unique", _ns_dict(args), result, started, *counters)
     _write_json(doc, Path(args.out))
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     print()
@@ -402,7 +406,8 @@ def cmd_sweep(args) -> int:
         "tables": ["objectives.csv", "plans.csv", "spared.csv", "transitions.csv"],
     }
     doc = _envelope(
-        "sweep", _ns_dict(args), result, started, report.recourse_counters, report.simplex_counters
+        "sweep", _ns_dict(args), result, started,
+        report.recourse_counters, report.simplex_counters, report.greedy_counters,
     )
     _write_json(doc, out / "envelope.json")
     return 0

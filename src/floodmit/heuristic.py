@@ -11,12 +11,15 @@ A portfolio of plans for warm starts comes from fixing the load weight at 1,
 dropping the generation weight (capacity is rarely binding), and sweeping the
 flow weight over a small grid.  Every pass reads one :class:`LevelMatrix`,
 the instance as arrays, which a caller solving many budgets (a sweep) builds
-once and passes in.
+once and passes in.  A step's scores depend only on the attribute weights
+and the current levels, so the matrix scores each such state once, however
+many passes and budgets reach it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,6 +81,27 @@ def left_sums(terms: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.cumsum(padded, axis=-1)[..., -1]
 
 
+@dataclass
+class GreedyCounters:
+    """What the greedy passes over one :class:`LevelMatrix` did: passes run
+    and distinct states (attribute weights and current levels) scored."""
+
+    passes: int = 0
+    states_scored: int = 0
+
+
+class Candidates(NamedTuple):
+    """The upgrades that help from one greedy state: cost, benefit-per-cost
+    ratio, substation column and target level of each, and their order by
+    ratio, largest first."""
+
+    cost: np.ndarray
+    ratio: np.ndarray
+    column: np.ndarray
+    target: np.ndarray
+    rank: np.ndarray
+
+
 class LevelMatrix:
     """One instance as arrays, built once and shared by every greedy pass
     and spared-capacity evaluation over it.
@@ -89,10 +113,15 @@ class LevelMatrix:
     and intra-substation flow capacity, plus a symmetric cross-substation
     capacity matrix ``cross`` (parallel branches summed); per bus and per
     branch, ``arrays`` is the network's own.  For the greedy,
-    ``at_level[l, s, j]`` marks ``levels[s, j] == l`` for ``l < r_hat`` and
-    ``cumulative[t, j]`` is the cost of reaching level t.  ``zero_lost[s]``
+    ``at_level[l, s, j]`` is ``p[s]`` where ``levels[s, j] == l`` (for
+    ``l < r_hat``) and 0 elsewhere, and ``cumulative[j, t]`` is the cost of
+    raising substation j to level t.  ``zero_lost[s]``
     is the load, generation and flow capacity that scenario s loses with no
     mitigation.
+
+    A greedy step's candidates depend only on the attribute weights and the
+    current levels, so :meth:`candidates` scores each such state once and
+    keeps it for every later pass; ``counters`` counts passes and states.
     """
 
     def __init__(
@@ -123,11 +152,12 @@ class LevelMatrix:
         # Only levels below r_hat can ever flip; layer l marks level l.
         self.r_hat = r_hat
         self.level_rows = np.arange(r_hat)[:, None]
-        self.at_level = (self.levels == self.level_rows[:, :, None]).astype(float)
+        self.at_level = (self.levels == self.level_rows[:, :, None]) * self.p[:, None]
         self.cumulative = np.array(
-            [[schedule.cumulative_cost(k, t) for k in self.sub_ids] for t in range(r_hat)],
+            [[schedule.cumulative_cost(k, t) for t in range(r_hat)] for k in self.sub_ids],
             dtype=np.int64,
-        ).reshape(r_hat, n)
+        ).reshape(n, r_hat)
+        self.columns = np.arange(n)
 
         self.zero_bus, self.zero_branch = self.statuses(ZERO_PLAN)
         self.zero_lost = np.stack(
@@ -138,6 +168,44 @@ class LevelMatrix:
             ],
             axis=1,
         )
+        self.counters = GreedyCounters()
+        self._own: dict[AttributeWeights, np.ndarray] = {}  # gains without the cross flow
+        self._scored: dict[tuple[float, float, float, bytes], Candidates] = {}
+
+    def candidates(self, weights: AttributeWeights, cur: np.ndarray) -> Candidates:
+        """Every upgrade of positive cost and benefit from the levels ``cur``
+        (one per substation), by substation in network order, then by target
+        ascending.
+
+        Raising substation j from level cur_j to t revives it in exactly the
+        scenarios flooded at a level in cur_j+1..t, so with the per-level
+        table ``W[l, j] = sum_s p_s * [L[s, j] == l] * gained[s, j]`` the
+        benefit is ``sum_{l=cur_j+1..t} W[l, j]``.  A revived substation
+        gains its own load, generation and intra-substation flow, plus the
+        capacity of its cross-substation branches whose far end is alive
+        (``L[s, k] <= cur_k``) in that scenario.
+        """
+        key = (weights.eta_load, weights.eta_gen, weights.eta_flow, cur.tobytes())
+        scored = self._scored.get(key)
+        if scored is None:
+            self.counters.states_scored += 1
+            gained = self._own.get(weights)
+            if gained is None:
+                own = self.load * weights.eta_load + self.gen * weights.eta_gen + self.intra * weights.eta_flow
+                gained = self._own[weights] = np.repeat(own[None, :], len(self.p), axis=0)
+            if weights.eta_flow:
+                gained = gained + weights.eta_flow * ((self.levels <= cur) @ self.cross)
+            table = np.einsum("lsj,sj->lj", self.at_level, gained)
+            values = np.cumsum(np.where(self.level_rows > cur, table, 0.0), axis=0).T
+            cost = self.cumulative - self.cumulative[self.columns, cur][:, None]
+            ok = (cost > 0) & (values > 0)
+            column, target = np.nonzero(ok)
+            cost = cost[ok]
+            ratio = values[ok] / cost
+            scored = self._scored[key] = Candidates(
+                cost, ratio, column, target, np.argsort(-ratio, kind="stable")
+            )
+        return scored
 
     def statuses(self, plan: MitigationPlan) -> tuple[np.ndarray, np.ndarray]:
         """0/1 statuses per scenario and bus, and per scenario and branch,
@@ -148,46 +216,34 @@ class LevelMatrix:
         return bus.astype(float), branch.astype(float)
 
 
-class _UpgradeScorer:
-    """Benefit of every single-substation upgrade, on the level matrix.
+def _best_upgrade(cand: Candidates, remaining: int, subs: tuple[str, ...]) -> int | None:
+    """The affordable candidate that a scan by substation in network order,
+    then by target, picks: one replaces the best so far when its ratio is
+    larger by more than 1e-12, and ratios within 1e-12 break by (substation
+    id, level).  None when no candidate is affordable.
 
-    Raising substation j from level cur_j to t revives it in exactly the
-    scenarios flooded at a level in cur_j+1..t, so with the per-level table
-    ``W[l, j] = sum_s p_s * gained[s, j] * [L[s, j] == l]`` the benefit is
-    ``sum_{l=cur_j+1..t} W[l, j]``.  A revived substation gains its own load,
-    generation and intra-substation flow, plus the capacity of its
-    cross-substation branches whose far end is alive in that scenario.
+    Only the affordable ratios that chain down from the largest in steps of
+    at most 2e-12 can win that scan: every other one lies more than 1e-12
+    below each of them, so it neither replaces one nor holds one off, and
+    the scan skips it.
     """
-
-    def __init__(self, weights: AttributeWeights, levels: LevelMatrix):
-        self.lm = levels
-        self.sub_ids = levels.sub_ids
-        self.eta_flow = weights.eta_flow
-        self.base = (
-            levels.load * weights.eta_load
-            + levels.gen * weights.eta_gen
-            + levels.intra * weights.eta_flow
-        )
-        self.cur = np.zeros(len(self.sub_ids), dtype=int)
-        self.alive = (levels.levels <= 0).astype(float)
-        self._table = None
-
-    def values(self) -> np.ndarray:
-        """``V[t, j]``: benefit of raising substation j to level t (0 for t <= cur_j)."""
-        lm = self.lm
-        if self._table is None:
-            gained = self.base
-            if self.eta_flow:
-                gained = gained + self.eta_flow * (self.alive @ lm.cross)
-            self._table = np.einsum("lsj,sj->lj", lm.at_level, lm.p[:, None] * gained)
-        return np.cumsum(np.where(lm.level_rows > self.cur, self._table, 0.0), axis=0)
-
-    def raise_level(self, j: int, target: int) -> None:
-        """Buy an upgrade: only substation j's alive column changes."""
-        self.cur[j] = target
-        self.alive[:, j] = self.lm.levels[:, j] <= target
-        if self.eta_flow:
-            self._table = None
+    costs, ratios = cand.cost.tolist(), cand.ratio.tolist()
+    contenders, last = [], None
+    for k in cand.rank.tolist():
+        if costs[k] > remaining:
+            continue
+        if last is not None and last - ratios[k] > 2e-12:
+            break
+        contenders.append(k)
+        last = ratios[k]
+    best = None  # (ratio, sub, target, k)
+    for k in sorted(contenders):  # candidates are in scan order
+        ratio, sub, t = ratios[k], subs[cand.column[k]], int(cand.target[k])
+        if best is None or ratio > best[0] + 1e-12:
+            best = (ratio, sub, t, k)
+        elif abs(ratio - best[0]) <= 1e-12 and (sub, t) < (best[1], best[2]):
+            best = (ratio, sub, t, k)
+    return None if best is None else best[3]
 
 
 def greedy(
@@ -199,14 +255,13 @@ def greedy(
     r_hat: int,
     levels: LevelMatrix | None = None,
 ) -> MitigationPlan:
-    """One greedy pass: repeatedly buy the best benefit-per-cost upgrade.
+    """One greedy pass: repeatedly buy the best benefit-per-cost upgrade,
+    the affordable one that :func:`_best_upgrade` picks, so identical inputs
+    yield the identical plan.
 
-    Candidates are scanned by substation in network order, then by target
-    level ascending; a candidate replaces the best so far when its ratio is
-    larger by more than 1e-12, and ratios within 1e-12 break by
-    (substation id, level), so identical inputs yield the identical plan.
     ``levels`` is the instance's :class:`LevelMatrix` when the caller keeps
-    one; otherwise the pass builds its own.
+    one; otherwise the pass builds its own.  Each step reads the scored
+    candidates of its state from the matrix, which scores every state once.
     """
     if r_hat < 2:
         return ZERO_PLAN  # no attainable level to buy
@@ -214,32 +269,20 @@ def greedy(
         levels = LevelMatrix(network, scenario_set, schedule, r_hat)
     elif levels.r_hat != r_hat:
         raise ValueError(f"level matrix is for r_hat={levels.r_hat}, not {r_hat}")
-    scorer = _UpgradeScorer(weights, levels)
+    levels.counters.passes += 1
     subs = levels.sub_ids
-    cumulative = levels.cumulative
+    cur = np.zeros(len(subs), dtype=int)
     plan = ZERO_PLAN
     remaining = budget.units
     while remaining > 0:
-        values = scorer.values()
-        cost = cumulative - cumulative[scorer.cur, np.arange(len(subs))]
-        # Costs grow with the target, so the affordable targets are those a
-        # scan in ascending order meets before its first unaffordable one.
-        ok = ((cost > 0) & (cost <= remaining) & (values > 0)).T
-        js, ts = np.nonzero(ok)  # substations in network order, then targets
-        ratios = (values.T[ok] / cost.T[ok]).tolist()
-        best = None  # (ratio, sub, target, j)
-        for j, t, ratio in zip(js.tolist(), ts.tolist(), ratios):
-            sub = subs[j]
-            if best is None or ratio > best[0] + 1e-12:
-                best = (ratio, sub, t, j)
-            elif abs(ratio - best[0]) <= 1e-12 and (sub, t) < (best[1], best[2]):
-                best = (ratio, sub, t, j)
-        if best is None:
+        cand = levels.candidates(weights, cur)
+        k = _best_upgrade(cand, remaining, subs)
+        if k is None:
             break
-        _, sub, target, j = best
-        plan = plan.with_level(sub, target)
-        remaining -= int(cost[target, j])
-        scorer.raise_level(j, target)
+        j, target = int(cand.column[k]), int(cand.target[k])
+        plan = plan.with_level(subs[j], target)
+        remaining -= int(cand.cost[k])
+        cur[j] = target
     return plan
 
 

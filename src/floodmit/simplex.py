@@ -3,7 +3,10 @@
 Solves   min c.x   s.t.  A x {<=,=,>=} b,   lb <= x <= ub
 with infinite bounds allowed.  Every row receives a slack column (bounded by
 the row sense) plus an artificial column used only by the cold-start phase 1,
-so the working problem is always   min c.x : [A | I | I] x = b.
+so the working problem is always   min c.x : [A | I | I] x = b.  The cold
+start's crash basis gives a row its slack, else a structural that appears in
+that row alone, and its artificial only when neither can take the row's
+residual within bounds.
 
 The basis inverse is never formed: the basis is factorized with a sparse LU
 and updated between refactorizations by product-form eta vectors.  Pricing is
@@ -141,6 +144,21 @@ def _basis_matrix(A_csc: sp.csc_matrix, basis: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix(
         (A_csc.data[take], A_csc.indices[take], indptr), shape=(A_csc.shape[0], len(basis))
     )
+
+
+def _row_singletons(A_csc: sp.csc_matrix, n: int) -> dict[int, list[tuple[int, float]]]:
+    """Per row, the columns among the first ``n`` whose only nonzero entry
+    lies in that row, in ascending order, each with that entry.  Explicitly
+    stored zeros do not count as entries."""
+    end = A_csc.indptr[n]
+    values = A_csc.data[:end]
+    nonzero = values != 0
+    cols = np.repeat(np.arange(n), np.diff(A_csc.indptr[: n + 1]))
+    sole = nonzero & (np.bincount(cols[nonzero], minlength=n)[cols] == 1)
+    singletons: dict[int, list[tuple[int, float]]] = {}
+    for i, j, a in zip(A_csc.indices[:end][sole].tolist(), cols[sole].tolist(), values[sole].tolist()):
+        singletons.setdefault(i, []).append((j, a))
+    return singletons
 
 
 class _Factorization:
@@ -486,7 +504,16 @@ class _Solver:
     # -- start procedures ---------------------------------------------------
 
     def cold_start(self) -> str:
-        """Slack/artificial crash basis, then phase-1 infeasibility minimization."""
+        """Crash basis of slacks, column singletons and artificials, then
+        phase-1 infeasibility minimization.
+
+        Each row takes its slack when the slack can hold the row's residual
+        at the start point (every structural at its bound nearest zero).
+        Otherwise the slack parks at its bound nearest the residual and the
+        lowest-index structural whose only nonzero lies in that row takes
+        the rest, if that keeps it within its bounds; failing that, the
+        row's artificial does, and phase 1 drives the artificials to zero.
+        """
         ws = self.ws
         m, n = ws.m, ws.n
         total = n + 2 * m
@@ -505,6 +532,7 @@ class _Solver:
                 self.x[j] = hi
 
         resid = ws.b - ws.A_ext[:, :n] @ self.x[:n]
+        singletons = _row_singletons(ws.A_ext, n)
         basis = np.empty(m, dtype=np.int64)
         phase1_cost = np.zeros(total)
         ws.lo[n + m :] = 0.0
@@ -516,12 +544,22 @@ class _Solver:
                 basis[i] = slack
                 self.status_arr[slack] = BASIC
                 self.x[slack] = resid[i]
+                continue
+            # Slack parks at the bound nearest the residual.  A structural
+            # that appears in this row only absorbs the rest if it can
+            # within its bounds; otherwise the artificial does, and phase 1
+            # drives it to zero.
+            sv = min(max(resid[i], ws.lo[slack]), ws.hi[slack])
+            self.x[slack] = sv
+            self.status_arr[slack] = AT_LOWER if sv == ws.lo[slack] else AT_UPPER
+            for j, a in singletons.get(i, ()):
+                value = self.x[j] + (resid[i] - sv) / a
+                if ws.lo[j] <= value <= ws.hi[j]:
+                    basis[i] = j
+                    self.status_arr[j] = BASIC
+                    self.x[j] = value
+                    break
             else:
-                # Slack parks at the bound nearest the residual; the
-                # artificial absorbs the rest and phase 1 drives it to zero.
-                sv = min(max(resid[i], ws.lo[slack]), ws.hi[slack])
-                self.x[slack] = sv
-                self.status_arr[slack] = AT_LOWER if sv == ws.lo[slack] else AT_UPPER
                 basis[i] = art
                 self.status_arr[art] = BASIC
                 z = resid[i] - sv

@@ -19,9 +19,10 @@ objective offset.  The losses come from the caller's
 :class:`~floodmit.recourse.RecourseEvaluator`, so tables, warm-start values and
 plan evaluations share one status closure and one dead-set cache.
 
-A table has 2^|U_s| entries.  The evaluator settles most of them with no LP,
-by the island copper-plate bound and its DC power-flow witness, and solves a
-dispatch LP for the rest (fewer after cache hits).
+A table has 2^|U_s| entries.  The evaluator settles the entries of every
+table in one call, in stacked array passes: most with no LP, by the island
+copper-plate bound and its DC power-flow witness, and a dispatch LP for the
+rest (fewer after cache hits).
 A scenario with more than ``MAX_TABLE_UNCERTAIN`` uncertain substations keeps
 the extensive form's dispatch block instead, built by the same helper
 :func:`floodmit.extensive_form.add_dispatch_block`.  The first stage is the
@@ -35,7 +36,7 @@ from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, 
 from .grid_model import GridNetwork
 from .milp import ProblemBuilder, sanitize_name
 from .mitigation import Budget, CostSchedule, MitigationPlan
-from .recourse import RecourseEvaluator
+from .recourse import RecourseEvaluator, dead_substations
 from .scenario_model import FloodScenario, FloodScenarioSet
 
 # Largest uncertain set that gets a table (2^6 = 64 entries); larger ones
@@ -46,20 +47,29 @@ from .scenario_model import FloodScenario, FloodScenarioSet
 MAX_TABLE_UNCERTAIN = 6
 
 
+def _table_entries(
+    scenario: FloodScenario, uncertain: list[str]
+) -> list[tuple[MitigationPlan, tuple[str, ...]]]:
+    """Entry ``mask``'s plan and dead set: the survivors are ``uncertain[j]``
+    for every set bit j of ``mask``, each protected at its flood level."""
+    plans = (
+        MitigationPlan({k: scenario.level_of(k) for j, k in enumerate(uncertain) if mask >> j & 1})
+        for mask in range(2 ** len(uncertain))
+    )
+    return [(plan, dead_substations(plan, scenario)) for plan in plans]
+
+
 def _add_table(
     pb: ProblemBuilder,
     scenario: FloodScenario,
     uncertain: list[str],
+    entries: list[tuple[MitigationPlan, tuple[str, ...]]],
     x_idx: dict[tuple[str, int], int],
     evaluator: RecourseEvaluator,
 ) -> None:
-    """Entry ``mask`` is the subset whose members are ``uncertain[j]`` for
-    every set bit j of ``mask``."""
+    """Entry ``mask`` is the one of :func:`_table_entries`."""
     prob = scenario.probability
-    losses = []
-    for mask in range(2 ** len(uncertain)):
-        survivors = {k: scenario.level_of(k) for j, k in enumerate(uncertain) if mask >> j & 1}
-        losses.append(evaluator.scenario_outcome(MitigationPlan(survivors), scenario).loss)
+    losses = [evaluator.scenario_outcome(plan, scenario, dead).loss for plan, dead in entries]
     if not uncertain:
         pb.add_objective_offset(prob * losses[0])
         return
@@ -93,14 +103,22 @@ def build(
     check_inputs(network, scenario_set, schedule, r_hat)
     pb = ProblemBuilder("value_table")
     x_names, x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
+    uncertain_sets = [
+        [s.id for s in network.substations if 0 < scenario.level_of(s.id) < r_hat]
+        for scenario in scenario_set.scenarios
+    ]
+    tables = [
+        _table_entries(scenario, uncertain) if len(uncertain) <= MAX_TABLE_UNCERTAIN else None
+        for scenario, uncertain in zip(scenario_set.scenarios, uncertain_sets)
+    ]
+    evaluator.settle(dead for entries in tables if entries is not None for _, dead in entries)
     n_tables = n_entries = n_dispatch = 0
-    for scenario in scenario_set.scenarios:
-        uncertain = [s.id for s in network.substations if 0 < scenario.level_of(s.id) < r_hat]
-        if len(uncertain) > MAX_TABLE_UNCERTAIN:
+    for scenario, uncertain, entries in zip(scenario_set.scenarios, uncertain_sets, tables):
+        if entries is None:
             add_dispatch_block(pb, network, scenario, r_hat, evaluator.weights, x_idx)
             n_dispatch += 1
         else:
-            _add_table(pb, scenario, uncertain, x_idx, evaluator)
+            _add_table(pb, scenario, uncertain, entries, x_idx, evaluator)
             n_tables += 1
             n_entries += 2 ** len(uncertain)
 

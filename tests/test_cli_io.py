@@ -273,7 +273,9 @@ def test_envelopes_report_recourse_counters(tmp_path, name):
     recourse evaluator did under a top-level ``counters.recourse`` key,
     outside ``result``.  Every outcome is exactly one of a cache hit, a dead
     set settled without an LP, or a dispatch LP, and ``lp_pivots`` sums the
-    simplex pivots of those LPs."""
+    simplex pivots of those LPs.  New dead sets are settled in stacks
+    (``batches``), and the commands that run the greedy report its passes
+    and the states it scored under ``counters.greedy``."""
     fx = tmp_path / "fx"
     assert main(["make-fixture", name, "--out-dir", str(fx)]) == 0
     common = ["--network", str(fx / "network.json"), "--scenarios", str(fx / "scenarios.json"), "--rhat", "3"]
@@ -298,8 +300,15 @@ def test_envelopes_report_recourse_counters(tmp_path, name):
     for path in ("h/envelope.json", "eval.json", "solve/envelope.json", "sweep/envelope.json"):
         env = json.loads((tmp_path / path).read_text())
         counts = env["counters"]["recourse"]
-        assert set(counts) == {"outcomes", "cache_hits", "settled_without_lp", "lp_solves", "lp_pivots"}
+        assert set(counts) == {"outcomes", "cache_hits", "settled_without_lp", "lp_solves", "lp_pivots", "batches"}
         assert "counters" not in env["result"]
+        assert 0 < counts["batches"] <= counts["settled_without_lp"] + counts["lp_solves"]
+        if path == "eval.json":
+            assert "greedy" not in env["counters"]
+        else:
+            greedy = env["counters"]["greedy"]
+            assert set(greedy) == {"passes", "states_scored"}
+            assert 0 < greedy["states_scored"]
         assert counts["settled_without_lp"] > 0
         assert counts["outcomes"] == (
             counts["cache_hits"] + counts["settled_without_lp"] + counts["lp_solves"]

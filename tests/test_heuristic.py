@@ -6,13 +6,14 @@ from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
 from floodmit.heuristic import (
     ETA_FLOW_GRID,
     AttributeWeights,
+    Candidates,
     LevelMatrix,
-    _UpgradeScorer,
+    _best_upgrade,
     benefit,
     greedy,
     portfolio,
 )
-from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, is_feasible
+from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, is_feasible, max_useful_budget
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 
 
@@ -144,24 +145,33 @@ def test_greedy_deterministic(star8):
     assert len(plans) == 1
 
 
-def _walk_scorer_against_benefit(network, scenarios, eta, budget, r_hat=3) -> int:
-    """Run a greedy pass on the array scorer and, before every purchase,
-    compare its value for every affordable candidate with the plain
-    closure-diff benefit; return the number of purchases."""
+def _walk_states_against_benefit(network, scenarios, eta, budget, r_hat=3) -> int:
+    """Run a greedy pass on the level matrix's state function and, before
+    every purchase, compare its value for every affordable candidate with
+    the plain closure-diff benefit; return the number of purchases."""
     sched = CostSchedule.for_network(network)
-    scorer = _UpgradeScorer(eta, LevelMatrix(network, scenarios, sched, r_hat))
+    levels = LevelMatrix(network, scenarios, sched, r_hat)
+    cur = np.zeros(len(levels.sub_ids), dtype=int)
     plan, remaining, steps = ZERO_PLAN, budget, 0
     while True:
-        values = scorer.values()
+        cand = levels.candidates(eta, cur)
+        # A state lists only the candidates that help; the rest are worth 0.
+        values = {
+            (j, t): (ratio * cost, cost)
+            for j, t, ratio, cost in zip(cand.column.tolist(), cand.target.tolist(), cand.ratio.tolist(), cand.cost.tolist())
+        }
         best = None
-        for j, sub in enumerate(scorer.sub_ids):
-            cur = plan.level_of(sub)
-            for target in range(cur + 1, r_hat):
-                cost = sched.upgrade_cost(sub, cur, target)
+        for j, sub in enumerate(levels.sub_ids):
+            cur_level = plan.level_of(sub)
+            assert cur[j] == cur_level
+            for target in range(cur_level + 1, r_hat):
+                cost = sched.upgrade_cost(sub, cur_level, target)
                 if cost > remaining:
                     break
                 slow = benefit(plan, plan.with_level(sub, target), eta, network, scenarios)
-                assert values[target, j] == pytest.approx(slow, abs=1e-12), (plan.levels, sub, target)
+                value, listed_cost = values.get((j, target), (0.0, cost))
+                assert listed_cost == cost
+                assert value == pytest.approx(slow, abs=1e-12), (plan.levels, sub, target)
                 if slow > 0 and (best is None or slow / cost > best[0]):
                     best = (slow / cost, j, sub, target, cost)
         if best is None:
@@ -169,22 +179,22 @@ def _walk_scorer_against_benefit(network, scenarios, eta, budget, r_hat=3) -> in
         _, j, sub, target, cost = best
         plan = plan.with_level(sub, target)
         remaining -= cost
-        scorer.raise_level(j, target)
+        cur[j] = target
         steps += 1
 
 
 def test_greedy_matches_public_benefit_ranking(star8):
-    # The level-matrix scorer inside greedy must agree with the plain
-    # closure-diff benefit on every affordable candidate of every step, so
-    # each purchase must update the bought substation's alive column.
+    # The level matrix's state function inside greedy must agree with the
+    # plain closure-diff benefit on every affordable candidate of every
+    # step, so each state's alive matrix must follow its current levels.
     eta = AttributeWeights(1.0, 0.3, 0.2)
-    assert _walk_scorer_against_benefit(star8.network, star8.scenarios, eta, 12) >= 4
+    assert _walk_states_against_benefit(star8.network, star8.scenarios, eta, 12) >= 4
     rng = np.random.default_rng(23)
     steps = 0
     for _ in range(20):
         net = random_network(rng, n_subs=int(rng.integers(3, 6)))
         ss = random_scenario_set(rng, net, count=int(rng.integers(3, 6)))
-        steps += _walk_scorer_against_benefit(net, ss, eta, int(rng.integers(6, 14)))
+        steps += _walk_states_against_benefit(net, ss, eta, int(rng.integers(6, 14)))
     assert steps >= 40
 
 
@@ -316,6 +326,97 @@ def test_greedy_matches_dict_reference_on_random_ties():
         assert fast.key() == slow.key(), (i, budget, eta)
         cases += bool(slow.levels)
     assert cases >= 200
+
+
+def _shared_matrix_matches_dict_reference(net, ss, r_hat, budgets, monkeypatch):
+    """Greedy passes over ``budgets`` x ``ETA_FLOW_GRID`` on one level
+    matrix give the dict greedy's plans, and the matrix scores each state
+    it is asked for exactly once.  Returns the number of state requests
+    and of states scored."""
+    sched = CostSchedule.for_network(net)
+    levels = LevelMatrix(net, ss, sched, r_hat)
+    requested = []
+    real = LevelMatrix.candidates
+
+    def candidates(self, weights, cur):
+        requested.append((weights, cur.tobytes()))
+        return real(self, weights, cur)
+
+    monkeypatch.setattr(LevelMatrix, "candidates", candidates)
+    for f in budgets:
+        for eta_flow in ETA_FLOW_GRID:
+            eta = AttributeWeights(1.0, 0.0, eta_flow)
+            fast = greedy(eta, Budget(f), net, ss, sched, r_hat, levels)
+            assert fast.key() == _dict_greedy(eta, Budget(f), net, ss, sched, r_hat).key(), (f, eta_flow)
+    assert levels.counters.passes == len(budgets) * len(ETA_FLOW_GRID)
+    assert levels.counters.states_scored == len(set(requested))
+    return len(requested), levels.counters.states_scored
+
+
+@pytest.mark.parametrize("name", ["star8", "coastal40"])
+def test_one_level_matrix_across_budgets_and_flow_weights(request, monkeypatch, name):
+    fx = request.getfixturevalue(name)
+    f_max = max_useful_budget(fx.network, fx.scenarios, CostSchedule.for_network(fx.network), 3)
+    requests, scored = _shared_matrix_matches_dict_reference(
+        fx.network, fx.scenarios, 3, range(f_max + 1), monkeypatch
+    )
+    assert requests > 2 * scored  # states repeat across budgets and weights
+
+
+def test_one_level_matrix_on_random_ties(monkeypatch):
+    rng = np.random.default_rng(77)
+    repeated = 0
+    for i in range(60):
+        r_hat = (2, 3, 4)[i % 3]
+        net, ss = _tie_prone_instance(rng, r_hat)
+        requests, scored = _shared_matrix_matches_dict_reference(net, ss, r_hat, range(12), monkeypatch)
+        repeated += requests > scored
+    assert repeated > 40
+
+
+def _full_scan(cand, remaining, subs):
+    """The greedy's candidate rule as a literal scan over every candidate."""
+    best = None
+    for k, (cost, j, t, ratio) in enumerate(
+        zip(cand.cost.tolist(), cand.column.tolist(), cand.target.tolist(), cand.ratio.tolist())
+    ):
+        if cost > remaining:
+            continue
+        sub = subs[j]
+        if best is None or ratio > best[0] + 1e-12:
+            best = (ratio, sub, t, k)
+        elif abs(ratio - best[0]) <= 1e-12 and (sub, t) < (best[1], best[2]):
+            best = (ratio, sub, t, k)
+    return None if best is None else best[3]
+
+
+def test_best_upgrade_equals_the_full_scan_on_chains_of_near_ties():
+    """Ratios on rungs 0.85e-12 apart form chains of near ties, where the
+    scan's pick depends on candidates several rungs below the largest ratio;
+    skipping the ones that cannot win must not change the pick.  Keeping
+    only the ratios within 2e-12 of the largest fails this."""
+    rng = np.random.default_rng(4242)
+    picked_below_max = 0
+    for _ in range(3000):
+        n_subs = int(rng.integers(1, 8))
+        subs = tuple(f"S{k}" for k in rng.permutation(n_subs))  # scan order differs from id order
+        pairs = [(j, t) for j in range(n_subs) for t in (1, 2) if rng.random() < 0.8]
+        if not pairs:
+            continue
+        # Rungs 0.85e-12 apart: neighbours tie, rungs two apart do not.
+        rungs = rng.integers(0, 6, len(pairs)) * 0.85e-12 + (rng.random(len(pairs)) < 0.2) * 1e-9
+        ratio = float(rng.choice([0.5, 1.0, 37.0])) + rungs
+        cost = rng.integers(1, 6, len(pairs))
+        cand = Candidates(
+            cost, ratio, np.array([j for j, _ in pairs]), np.array([t for _, t in pairs]),
+            np.argsort(-ratio, kind="stable"),
+        )
+        remaining = int(rng.integers(0, 7))
+        expected = _full_scan(cand, remaining, subs)
+        assert _best_upgrade(cand, remaining, subs) == expected
+        if expected is not None and ratio[expected] < ratio[cost <= remaining].max():
+            picked_below_max += 1
+    assert picked_below_max > 100
 
 
 def test_portfolio_grid_and_dedupe(star8):

@@ -89,10 +89,10 @@ def test_closure_statuses_consistent_within_substation(star8):
 
 def test_every_status_consumer_follows_the_loop_closure():
     """The arrays' closure, ``status_closure``, ``LevelMatrix.statuses``
-    (per scenario) and the live masks of ``_CopperPlate.islands`` all give
-    the loop's statuses, on random networks with random, no and all
-    substations dead.  A closure that keeps a branch with one dead end alive
-    fails this."""
+    (per scenario) and the live masks of ``_CopperPlate.islands`` (one stack
+    of every scenario's dead set) all give the loop's statuses, on random
+    networks with random, no and all substations dead.  A closure that keeps
+    a branch with one dead end alive fails this."""
     rng = np.random.default_rng(1212)
     for _ in range(40):
         net = random_network(rng)
@@ -104,9 +104,9 @@ def test_every_status_consumer_follows_the_loop_closure():
         plan = random_plan(rng, net)
         levels = LevelMatrix(net, scenario_set, CostSchedule.for_network(net), 3)
         bus_rows, branch_rows = levels.statuses(plan)
-        plate = _CopperPlate(net)
-        for s, scenario in enumerate(scenarios):
-            dead = tuple(k for k, lvl in scenario.levels.items() if plan.level_of(k) < lvl)
+        dead_sets = [tuple(k for k, lvl in sc.levels.items() if plan.level_of(k) < lvl) for sc in scenarios]
+        stack = _CopperPlate(net).islands(dead_sets)
+        for s, (scenario, dead) in enumerate(zip(scenarios, dead_sets)):
             bus_ref, branch_ref = _loop_closure(net, set(dead))
             a = net.arrays
             bus_up, branch_up = a.closure(a.sub_up(dead))
@@ -117,7 +117,7 @@ def test_every_status_consumer_follows_the_loop_closure():
             assert bus_mask.tolist() == bus_ref and branch_mask.tolist() == branch_ref
             assert bus_rows[s].tolist() == [float(up) for up in bus_ref]
             assert branch_rows[s].tolist() == [float(up) for up in branch_ref]
-            islands = plate.islands(dead)
+            islands = stack.island(s)
             assert (islands.labels >= 0).tolist() == bus_ref
             assert islands.live_branches.tolist() == branch_ref
         assert not any(bus_rows[-1]) and not any(branch_rows[-1])
@@ -566,6 +566,139 @@ def test_dispatch_settled_without_lp_equals_the_cold_lp(coastal40, weights):
     assert settled > total // 2
 
 
+def _positive_susceptances(network):
+    """The network with every susceptance made positive, so that no two
+    parallel branches cancel and every grounded island's Laplacian is
+    nonsingular."""
+    branches = tuple(dataclasses.replace(br, susceptance=abs(br.susceptance)) for br in network.branches)
+    return dataclasses.replace(network, branches=branches, _cache={})
+
+
+def cancelling_pair_network():
+    """A - B - C with B and C joined by two branches of opposite
+    susceptance, which cancel: with C live, the grounded Laplacian of the
+    no-flood dead set is singular, so its witness is refused."""
+    return GridNetwork(
+        buses=(
+            Bus("A", "SA", p_gen_max=3.0, is_reference=True),
+            Bus("B", "SB", p_load=1.0),
+            Bus("C", "SC", p_load=0.5),
+        ),
+        branches=(
+            Branch("AB", "A", "B", susceptance=-10.0, flow_limit=5.0),
+            Branch("BC1", "B", "C", susceptance=-5.0, flow_limit=5.0),
+            Branch("BC2", "B", "C", susceptance=5.0, flow_limit=5.0),
+        ),
+        substations=(Substation("SA", "115_161"), Substation("SB", "115_161"), Substation("SC", "115_161")),
+    )
+
+
+def _loop_islands(network, dead):
+    """Islands of one dead set by a literal search over the live branches:
+    every bus's island (-1 when dead), numbered in the order of their first
+    bus, and each island's load, minimum and maximum generation added bus
+    by bus in bus order."""
+    bus_up, branch_up = _loop_closure(network, set(dead))
+    pos = {b.id: i for i, b in enumerate(network.buses)}
+    neighbours = {i: [] for i in range(len(network.buses))}
+    for br, up in zip(network.branches, branch_up):
+        if up:
+            neighbours[pos[br.from_bus]].append(pos[br.to_bus])
+            neighbours[pos[br.to_bus]].append(pos[br.from_bus])
+    labels = [-1] * len(network.buses)
+    first = []
+    for i, up in enumerate(bus_up):
+        if up and labels[i] < 0:
+            labels[i] = len(first)
+            todo = [i]
+            while todo:
+                for k in neighbours[todo.pop()]:
+                    if labels[k] < 0:
+                        labels[k] = len(first)
+                        todo.append(k)
+            first.append(i)
+    sums = [[0.0, 0.0, 0.0] for _ in first]
+    for bus, label in zip(network.buses, labels):
+        if label >= 0:
+            sums[label][0] += bus.p_load
+            sums[label][1] += bus.p_gen_min
+            sums[label][2] += bus.p_gen_max
+    return labels, first, sums
+
+
+def test_stacked_islands_equal_the_loop_reference():
+    """Every member of a stack gets the islands and island sums of a
+    literal graph search on its own, bit for bit, on random networks with
+    stacks of random, no and all substations dead."""
+    rng = np.random.default_rng(2727)
+    for _ in range(60):
+        net = random_network(rng, n_subs=int(rng.integers(2, 7)))
+        subs = [s.id for s in net.substations]
+        stack = [tuple(sorted(s for s in subs if rng.random() < 0.4)) for _ in range(int(rng.integers(1, 9)))]
+        stack += [(), tuple(subs)]
+        islands = _CopperPlate(net).islands(stack)
+        for b, dead in enumerate(stack):
+            labels, first, sums = _loop_islands(net, dead)
+            isl = islands.island(b)
+            assert isl.labels.tolist() == labels
+            assert isl.first.tolist() == first
+            assert [list(v) for v in zip(isl.load.tolist(), isl.gen_min.tolist(), isl.gen_max.tolist())] == sums
+
+
+def _settle_in_chunks(network, weights, dead_sets, sizes):
+    """An evaluator that settled ``dead_sets`` in consecutive calls of the
+    given sizes (cycled)."""
+    evaluator = RecourseEvaluator(network, weights)
+    begin, k = 0, 0
+    while begin < len(dead_sets):
+        size = sizes[k % len(sizes)]
+        evaluator.settle(dead_sets[begin : begin + size])
+        begin, k = begin + size, k + 1
+    return evaluator
+
+
+@pytest.mark.parametrize("weights", [LossWeights(), LossWeights(1.0, 2.5)])
+def test_stacked_settlement_matches_the_cold_lp_and_ignores_stacking(weights):
+    """Every dead set that one ``settle`` call settles gets the cold LP's
+    loss within 1e-9, whether its stack's witness settled it or its LP did,
+    on random networks with raised minimum generation, a cut-off or dead
+    reference bus, all and no substations dead, and a network whose
+    Laplacian is singular for one member of the stack.  With positive
+    susceptances and no binding limit, the witness settles every member.
+    Splitting the stack or reversing its order leaves every cached value
+    the same to the bit.  Grounding a bus without its identity row, or
+    numbering the buses of all members alike (so that islands merge across
+    members), fails this."""
+
+    def bits(cache):
+        return {dead: tuple(v.hex() for v in values) for dead, values in cache.items()}
+
+    cases = list(_bound_cases(seed=1414, count=30))
+    cases.append((cancelling_pair_network(), [(), ("SC",), ("SB",), ("SA",), ("SB", "SC")]))
+    for net, dead_sets in cases:
+        for copy in (net, _unlimited(_positive_susceptances(net))):
+            stack = dead_sets + dead_sets[:2]  # a stack may repeat a dead set
+            evaluator = RecourseEvaluator(copy, weights)
+            evaluator.settle(stack)
+            assert evaluator.counters.batches == 1
+            assert evaluator.counters.settled_without_lp + evaluator.counters.lp_solves == len(dead_sets)
+            if copy is not net:
+                assert evaluator.counters.lp_solves == 0, dead_sets
+            for dead in dead_sets:
+                cold, _ = solve_recourse_lp(copy, _masks(copy, dead), weights)
+                loss, served, shed, over = evaluator._cache[dead]
+                assert loss == pytest.approx(cold, abs=1e-9), dead
+                assert served + shed == pytest.approx(copy.total_load, abs=1e-9)
+            expected = bits(evaluator._cache)
+            for sizes in ([1], [2, 3]):
+                assert bits(_settle_in_chunks(copy, weights, stack, sizes)._cache) == expected
+                assert bits(_settle_in_chunks(copy, weights, stack[::-1], sizes)._cache) == expected
+    # At its own susceptances the cancelling pair's no-flood member has a
+    # singular Laplacian: the stack refuses its witness only.
+    plate = _CopperPlate(cancelling_pair_network())
+    assert plate.witness(plate.islands([("SC",), (), ("SB",)])).tolist() == [True, False, True]
+
+
 def overloaded_line_network():
     """Enough generation at A for B's load, but the line carries 1.2 of 2.0."""
     return GridNetwork(
@@ -660,7 +793,7 @@ def _island_solve(net, dead, weights):
     """The evaluator's fallback solve of one dead set on a fresh workspace,
     started from its island basis.  Returns the loss, the pivots, the
     workspace, the basis and the islands."""
-    islands = _CopperPlate(net).islands(dead)
+    islands = _CopperPlate(net).islands([dead]).island(0)
     ws = simplex.Workspace(*_recourse_arrays(net, weights))
     state = _island_basis(net, islands)
     loss, dispatch = solve_recourse_lp(net, _masks(net, dead), weights, workspace=ws, warm=state)
@@ -714,7 +847,7 @@ def test_fallback_lp_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal4
     plate = _CopperPlate(net)
     dead = next(
         d for d in _scenario_dead_sets(coastal40.scenarios)
-        if not plate.witness_is_feasible(plate.islands(d))
+        if not plate.witness(plate.islands([d]))[0]
     )
     expected, _ = solve_recourse_lp(net, _masks(net, dead), weights)
     dual_runs = []

@@ -10,7 +10,10 @@ Installing and uninstalling it here catches that in the test suite.
 import argparse
 import ast
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from conftest import scaled_flow_limits
@@ -175,6 +178,20 @@ def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path):
     assert counters["simplex"]["lp_solves"] + counters["recourse"]["lp_solves"] == metrics["simplex.lp_solves"]
     assert counters["simplex"]["pivots"] + counters["recourse"]["lp_pivots"] == metrics["simplex.iterations"]
     assert counters["simplex"]["lu_factorizations"] < metrics["simplex.lu_factorizations"]
+
+
+def test_cli_import_loads_no_graph_or_optimize_module():
+    """Starting the command line must not import ``scipy.sparse.csgraph`` or
+    ``scipy.optimize``: the benchmark's ``setup_s`` counts every import at
+    start, and the program needs neither (islands are labelled with numpy
+    alone; ``linprog`` is only a test oracle)."""
+    probe = (
+        "import sys, floodmit.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse.csgraph', 'scipy.optimize'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_readme_command_line_flags_are_accepted():
