@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -481,6 +482,7 @@ def _add_common_model_args(p, budget=True):
         p.add_argument("--budget", type=int, required=True, help="resource budget in segments")
 
 
+@functools.cache  # built once per process: each build takes milliseconds
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floodmit",

@@ -272,18 +272,15 @@ def greedy(
     levels.counters.passes += 1
     subs = levels.sub_ids
     cur = np.zeros(len(subs), dtype=int)
-    plan = ZERO_PLAN
     remaining = budget.units
     while remaining > 0:
         cand = levels.candidates(weights, cur)
         k = _best_upgrade(cand, remaining, subs)
         if k is None:
             break
-        j, target = int(cand.column[k]), int(cand.target[k])
-        plan = plan.with_level(subs[j], target)
+        cur[int(cand.column[k])] = int(cand.target[k])
         remaining -= int(cand.cost[k])
-        cur[j] = target
-    return plan
+    return MitigationPlan(dict(zip(subs, cur.tolist())))
 
 
 def portfolio(

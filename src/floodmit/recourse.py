@@ -28,19 +28,20 @@ one function derives that set and :meth:`GridArrays.closure
 evaluator keys its dispatch solves on the same set.
 
 No row couples two islands (connected components of live buses over live
-branches), so :func:`island_bound` gives a closed-form lower bound on the
-loss: one copper plate per island.  The evaluator settles a new dead set
+branches), so one copper plate per island gives a closed-form lower bound on
+the loss (:meth:`_CopperPlate.loss`).  The evaluator settles a new dead set
 without an LP when a witness dispatch that attains the bound passes a DC
 power-flow check of the flow and angle limits; a feasible point whose value
-is a lower bound is optimal.  New dead sets are settled in stacks: their
-islands, island sums and witness power flows are array passes over the
-whole stack, and a single request is a stack of one.  Only the dead sets
-that fail the check fall back to the LP, on one simplex workspace per
-evaluator.  Each fallback starts from the basis of its own island
-copper-plate dispatch, which is dual feasible, so the dual simplex only
-repairs the flow and angle limits that bind.  Each dead set is settled the
-same way whatever else shares its stack or came before it, so a cached
-loss does not depend on the order of requests.
+is a lower bound is optimal.  New dead sets are settled in stacks, the only
+island structure: their islands, island sums and witness power flows are
+array passes over the whole stack, a single request is a stack of one, and
+the bound, the witness and the LP's start basis read each member's islands
+from the stack.  Only the dead sets that fail the check fall back to the
+LP, on one simplex workspace per evaluator.  Each fallback starts from the
+basis of its own island copper-plate dispatch, which is dual feasible, so
+the dual simplex only repairs the flow and angle limits that bind.  Each
+dead set is settled the same way whatever else shares its stack or came
+before it, so a cached loss does not depend on the order of requests.
 """
 
 from __future__ import annotations
@@ -251,19 +252,6 @@ def solve_recourse_lp(
     return res.objective + _loss_offset(network, weights), Dispatch(*columns, res.iterations)
 
 
-class _Islands(NamedTuple):
-    """How a dead set splits the live buses: the island of every bus (-1 for
-    a dead bus), the live-branch mask, the first bus of every island, and
-    every island's load, minimum and maximum generation."""
-
-    labels: np.ndarray
-    live_branches: np.ndarray
-    first: np.ndarray
-    load: np.ndarray
-    gen_min: np.ndarray
-    gen_max: np.ndarray
-
-
 class _Stack(NamedTuple):
     """The islands of a stack of dead sets, numbered across the stack in
     member order, then in the order of their first bus.
@@ -282,15 +270,6 @@ class _Stack(NamedTuple):
     load: np.ndarray
     gen_min: np.ndarray
     gen_max: np.ndarray
-
-    def island(self, b: int) -> _Islands:
-        """Member b's islands on their own, numbered from 0."""
-        lo, hi = self.start[b], self.start[b + 1]
-        labels = np.where(self.labels[b] >= 0, self.labels[b] - lo, -1)
-        return _Islands(
-            labels, self.live_branches[b], self.first[lo:hi],
-            self.load[lo:hi], self.gen_min[lo:hi], self.gen_max[lo:hi],
-        )
 
 
 class _CopperPlate:
@@ -343,16 +322,28 @@ class _CopperPlate:
         start = np.searchsorted(member, np.arange(len(dead_sets) + 1))
         return _Stack(labels.reshape(bus_up.shape), branch_up, member, first, start, load, gen_min, gen_max)
 
-    def loss(self, isl: _Islands, weights: LossWeights) -> tuple[float, float, float, float]:
-        """(loss, served, shed, overgeneration) with one copper plate per island.
+    def loss(self, stack: _Stack, b: int, weights: LossWeights) -> tuple[float, float, float, float]:
+        """(loss, served, shed, overgeneration) of member b of the stack with
+        one copper plate per island: a closed-form lower bound on its
+        dispatch loss.
 
-        An island serves min(L, Gmax) and overgenerates max(0, Gmin - L):
-        the least shed and the least overgeneration of any dispatch.  With a
-        zero weight a dispatch LP may shed or overgenerate more at the same
-        loss, so there the split is not unique; the loss is.
+        No dispatch row couples two islands (connected components of live
+        buses over live branches), and flows cancel within one, so an island
+        with load L serves G - O <= Gmax and overgenerates O >= Gmin - L:
+
+            loss >= lambda_shed * (dead load + sum max(0, L - Gmax))
+                  + lambda_over * sum max(0, Gmin - L)
+
+        summed over the islands.  This is the loss without flow or angle
+        limits.  An island serves min(L, Gmax) and overgenerates
+        max(0, Gmin - L): the least shed and the least overgeneration of any
+        dispatch.  With a zero weight a dispatch LP may shed or overgenerate
+        more at the same loss, so there the split is not unique; the loss is.
         """
-        served = float(np.minimum(isl.load, isl.gen_max).sum())
-        over = float(np.maximum(isl.gen_min - isl.load, 0.0).sum())
+        isl = slice(stack.start[b], stack.start[b + 1])
+        load = stack.load[isl]
+        served = float(np.minimum(load, stack.gen_max[isl]).sum())
+        over = float(np.maximum(stack.gen_min[isl] - load, 0.0).sum())
         shed = self.network.total_load - served
         return weights.lambda_shed * shed + weights.lambda_over * over, served, shed, over
 
@@ -445,23 +436,6 @@ class _CopperPlate:
         )
 
 
-def island_bound(network: GridNetwork, dead: tuple[str, ...], weights: LossWeights) -> float:
-    """Closed-form lower bound on the dispatch loss of a dead set.
-
-    No dispatch row couples two islands (connected components of live buses
-    over live branches), and flows cancel within one, so an island with
-    load L serves G - O <= Gmax and overgenerates O >= Gmin - L:
-
-        loss >= lambda_shed * (dead load + sum max(0, L - Gmax))
-              + lambda_over * sum max(0, Gmin - L)
-
-    summed over the islands.  This is the loss with a copper plate per
-    island, that is, without flow or angle limits.
-    """
-    plate = _CopperPlate(network)
-    return plate.loss(plate.islands([dead]).island(0), weights)[0]
-
-
 def _fill(order: np.ndarray, size: np.ndarray, amount: float) -> tuple[np.ndarray, int]:
     """Spread ``amount`` over the buses of ``order`` in turn, each taking its
     ``size`` in full while more remains: (the buses filled in full, the
@@ -473,9 +447,9 @@ def _fill(order: np.ndarray, size: np.ndarray, amount: float) -> tuple[np.ndarra
     return order[:-1], int(order[-1])
 
 
-def _island_basis(network: GridNetwork, islands: _Islands) -> simplex.BasisState:
-    """Basis of the island copper-plate optimum of a dead set: the vertex the
-    dispatch LP reaches once flow and angle limits are dropped.
+def _island_basis(network: GridNetwork, stack: _Stack, b: int) -> simplex.BasisState:
+    """Basis of the island copper-plate optimum of member b of the stack: the
+    vertex the dispatch LP reaches once flow and angle limits are dropped.
 
     Each Ohm row has its flow basic on a live branch and its relief column
     on a dead one, and each bus the slack of its overgeneration row.  A dead
@@ -502,27 +476,28 @@ def _island_basis(network: GridNetwork, islands: _Islands) -> simplex.BasisState
     n_var = i_rel + len(a.frm)
     ohm, balance, overgen = _row_layout(network)
     n_rows = len(ohm) + len(balance) + len(overgen)
-    labels = islands.labels
+    labels = stack.labels[b]
 
     basis = np.empty(n_rows, dtype=np.int64)
     status = np.full(n_var + 2 * n_rows, simplex.AT_LOWER, dtype=np.int8)
-    basis[ohm] = np.where(islands.live_branches, i_flo, i_rel) + ohm
+    basis[ohm] = np.where(stack.live_branches[b], i_flo, i_rel) + ohm
     basis[overgen] = n_var + overgen  # the slack column of each row
     basis[balance] = np.where(labels >= 0, i_the, i_chk) + np.arange(len(labels))
 
-    for k, first in enumerate(islands.first):
+    for k in range(stack.start[b], stack.start[b + 1]):
         island = np.flatnonzero(labels == k)
         refs = island[a.is_reference[island]]
-        ground = refs[0] if refs.size else first
+        ground = refs[0] if refs.size else stack.first[k]
         flexible = island[a.gen_max[island] > a.gen_min[island]]
-        if islands.load[k] > islands.gen_max[k]:
+        load, gen_min, gen_max = stack.load[k], stack.gen_min[k], stack.gen_max[k]
+        if load > gen_max:
             status[i_hat + island] = simplex.AT_UPPER
-            full, i = _fill(island[a.load[island] > 0], a.load, islands.gen_max[k])
+            full, i = _fill(island[a.load[island] > 0], a.load, gen_max)
             status[i_del + full] = simplex.AT_UPPER
             marginal = i_del + i
-        elif islands.load[k] >= islands.gen_min[k] and flexible.size:
+        elif load >= gen_min and flexible.size:
             status[i_del + island] = simplex.AT_UPPER
-            full, i = _fill(flexible, a.gen_max - a.gen_min, islands.load[k] - islands.gen_min[k])
+            full, i = _fill(flexible, a.gen_max - a.gen_min, load - gen_min)
             status[i_hat + full] = simplex.AT_UPPER
             marginal = i_hat + i
         else:  # surplus, or a balanced island with no flexible generator
@@ -530,7 +505,7 @@ def _island_basis(network: GridNetwork, islands: _Islands) -> simplex.BasisState
             absorbers = island[a.gen_min[island] > 0]
             if not absorbers.size:
                 absorbers = island[:1]
-            full, i = _fill(absorbers, a.gen_min, islands.gen_min[k] - islands.load[k])
+            full, i = _fill(absorbers, a.gen_min, gen_min - load)
             basis[overgen[full]] = i_chk + full
             marginal = i_chk + i
         basis[balance[ground]] = marginal
@@ -594,13 +569,13 @@ class RecourseEvaluator:
         self._unclaimed: set[tuple[str, ...]] = set()  # settled, not yet requested
         self._workspace: simplex.Workspace | None = None
 
-    def _solve_lp(self, islands: _Islands) -> tuple[float, float, float, float]:
+    def _solve_lp(self, stack: _Stack, b: int) -> tuple[float, float, float, float]:
         if self._workspace is None:
             self._workspace = simplex.Workspace(*_recourse_arrays(self.network, self.weights))
         self.counters.lp_solves += 1
         loss, dispatch = solve_recourse_lp(
-            self.network, (islands.labels >= 0, islands.live_branches), self.weights,
-            workspace=self._workspace, warm=_island_basis(self.network, islands),
+            self.network, (stack.labels[b] >= 0, stack.live_branches[b]), self.weights,
+            workspace=self._workspace, warm=_island_basis(self.network, stack, b),
         )
         self.counters.lp_pivots += dispatch.pivots
         served = sum((self.network.arrays.load * dispatch.delta).tolist())
@@ -617,32 +592,24 @@ class RecourseEvaluator:
             stack = self._plate.islands(chunk)
             feasible = self._plate.witness(stack).tolist()
             for b, dead in enumerate(chunk):
-                islands = stack.island(b)
                 if feasible[b]:
                     self.counters.settled_without_lp += 1
-                    self._cache[dead] = self._plate.loss(islands, self.weights)
+                    self._cache[dead] = self._plate.loss(stack, b, self.weights)
                 else:
-                    self._cache[dead] = self._solve_lp(islands)
+                    self._cache[dead] = self._solve_lp(stack, b)
         self._unclaimed.update(new)
 
-    def _solve_for_dead(self, dead: tuple[str, ...]) -> tuple[float, float, float, float]:
+    def scenario_outcome(self, scenario: FloodScenario, dead: tuple[str, ...]) -> ScenarioOutcome:
+        """The outcome in one scenario of a plan that leaves the substations
+        ``dead`` dead (as :func:`dead_substations` gives them)."""
+        self.counters.outcomes += 1
         if dead not in self._cache:
             self.settle([dead])
         if dead in self._unclaimed:
             self._unclaimed.remove(dead)
         else:
             self.counters.cache_hits += 1
-        return self._cache[dead]
-
-    def scenario_outcome(
-        self, plan: MitigationPlan, scenario: FloodScenario, dead: tuple[str, ...] | None = None
-    ) -> ScenarioOutcome:
-        """The plan's outcome in one scenario; ``dead`` is its dead set, when
-        the caller has computed it already."""
-        self.counters.outcomes += 1
-        if dead is None:
-            dead = dead_substations(plan, scenario)
-        loss, served, shed, over = self._solve_for_dead(dead)
+        loss, served, shed, over = self._cache[dead]
         return ScenarioOutcome(
             scenario_id=scenario.id,
             probability=scenario.probability,
@@ -657,7 +624,7 @@ class RecourseEvaluator:
         dead_sets = [dead_substations(plan, s) for s in scenario_set.scenarios]
         self.settle(dead_sets)
         outcomes = tuple(
-            self.scenario_outcome(plan, s, dead) for s, dead in zip(scenario_set.scenarios, dead_sets)
+            self.scenario_outcome(s, dead) for s, dead in zip(scenario_set.scenarios, dead_sets)
         )
         expected = sum(o.probability * o.loss for o in outcomes)
         return PlanEvaluation(expected_loss=expected, outcomes=outcomes)

@@ -14,7 +14,10 @@ a full sparse mat-vec per iteration; the entering rule is a steepest-edge
 flavored score d^2 / (1 + ||A_j||^2) with a Bland fallback that engages after
 a streak of degenerate pivots.  A dual simplex over the same machinery
 supports warm re-solves after bound or right-hand-side changes, which is how
-branch-and-bound children and budget-sweep re-solves stay cheap.
+branch-and-bound children and budget-sweep re-solves stay cheap.  A warm
+start takes one path: a dual-feasible basis runs the dual simplex, then a
+primal polish; any other basis, and a dual run that cycles or meets a tiny
+pivot, starts cold.
 
 A reported basis carries the LU of exactly that basis and the workspace it
 factors.  A warm start on the same workspace adopts that LU instead of
@@ -422,23 +425,9 @@ class _Solver:
     # -- dual simplex --------------------------------------------------------
 
     def dual_feasible(self, costs: np.ndarray) -> bool:
-        """Whether the basis is dual feasible once every boxed nonbasic column
-        whose reduced cost has the wrong sign moves to its other bound.
-
-        A wrong-signed column with an infinite bound cannot be repaired by a
-        flip, so the basis is reported dual infeasible and left as it was.
-        """
-        ws = self.ws
+        """Whether no nonbasic column's reduced cost has the wrong sign."""
         _, d = self._duals(costs)
-        wrong = self._improving(d, 1e-7)
-        if not wrong.any():
-            return True
-        boxed = np.isfinite(ws.lo) & np.isfinite(ws.hi) & (self.status_arr != FREE)
-        if not boxed[wrong].all():
-            return False
-        self.status_arr[wrong] = np.where(self.status_arr[wrong] == AT_LOWER, AT_UPPER, AT_LOWER)
-        self._refresh_x()
-        return True
+        return not self._improving(d, 1e-7).any()
 
     def run_dual(self, costs: np.ndarray) -> str:
         """Dual simplex from a dual-feasible basis toward primal feasibility.
@@ -595,8 +584,8 @@ class _Solver:
             self.x_fresh = False
         return "feasible"
 
-    def warm_start(self, state: BasisState) -> str | None:
-        """Adopt a previous basis; returns a dispatch hint or None if unusable.
+    def warm_start(self, state: BasisState) -> bool:
+        """Adopt a previous basis; returns whether it could be adopted.
 
         The state's LU is adopted when it factors this workspace's matrix;
         otherwise the basis is factorized afresh.
@@ -604,7 +593,7 @@ class _Solver:
         ws = self.ws
         total = ws.n + 2 * ws.m
         if state.basis.shape != (ws.m,) or state.status.shape != (total,):
-            return None
+            return False
         self.basis = state.basis.copy()
         self.status_arr = state.status.copy()
         self.x = np.zeros(total)
@@ -612,12 +601,8 @@ class _Solver:
             self.fact = _Factorization(state.lu)
             self.lu_reused = True
             self._refresh_x()
-        elif not self._refactorize():
-            return None
-        xb = self.x[self.basis]
-        lo_ok = xb >= ws.lo[self.basis] - TOL_FEAS
-        hi_ok = xb <= ws.hi[self.basis] + TOL_FEAS
-        return "primal" if bool((lo_ok & hi_ok).all()) else "dual"
+            return True
+        return self._refactorize()
 
 
 def solve_linear_program(
@@ -676,10 +661,7 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
         # Artificials stay pinned on the warm path.
         ws.lo[n + m :] = 0.0
         ws.hi[n + m :] = 0.0
-        started = solver.warm_start(warm)
-        if started == "primal":
-            status = solver.run_primal(ws.c_ext)
-        elif started == "dual" and solver.dual_feasible(ws.c_ext):
+        if solver.warm_start(warm) and solver.dual_feasible(ws.c_ext):
             status = solver.run_dual(ws.c_ext)
             if status == STATUS_OPTIMAL:
                 # Dual termination is primal feasible; polish any dual noise.

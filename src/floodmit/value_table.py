@@ -35,8 +35,8 @@ from __future__ import annotations
 from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, check_inputs
 from .grid_model import GridNetwork
 from .milp import ProblemBuilder, sanitize_name
-from .mitigation import Budget, CostSchedule, MitigationPlan
-from .recourse import RecourseEvaluator, dead_substations
+from .mitigation import Budget, CostSchedule
+from .recourse import RecourseEvaluator
 from .scenario_model import FloodScenario, FloodScenarioSet
 
 # Largest uncertain set that gets a table (2^6 = 64 entries); larger ones
@@ -47,29 +47,29 @@ from .scenario_model import FloodScenario, FloodScenarioSet
 MAX_TABLE_UNCERTAIN = 6
 
 
-def _table_entries(
-    scenario: FloodScenario, uncertain: list[str]
-) -> list[tuple[MitigationPlan, tuple[str, ...]]]:
-    """Entry ``mask``'s plan and dead set: the survivors are ``uncertain[j]``
-    for every set bit j of ``mask``, each protected at its flood level."""
-    plans = (
-        MitigationPlan({k: scenario.level_of(k) for j, k in enumerate(uncertain) if mask >> j & 1})
-        for mask in range(2 ** len(uncertain))
-    )
-    return [(plan, dead_substations(plan, scenario)) for plan in plans]
+def _table_entries(scenario: FloodScenario, uncertain: list[str]) -> list[tuple[str, ...]]:
+    """Entry ``mask``'s dead set: the survivors are ``uncertain[j]`` for every
+    set bit j of ``mask``, each protected at its flood level, and every
+    other flooded substation is dead."""
+    flooded = sorted(k for k, lvl in scenario.levels.items() if lvl > 0)
+    entries = []
+    for mask in range(2 ** len(uncertain)):
+        saved = {k for j, k in enumerate(uncertain) if mask >> j & 1}
+        entries.append(tuple(k for k in flooded if k not in saved))
+    return entries
 
 
 def _add_table(
     pb: ProblemBuilder,
     scenario: FloodScenario,
     uncertain: list[str],
-    entries: list[tuple[MitigationPlan, tuple[str, ...]]],
+    entries: list[tuple[str, ...]],
     x_idx: dict[tuple[str, int], int],
     evaluator: RecourseEvaluator,
 ) -> None:
     """Entry ``mask`` is the one of :func:`_table_entries`."""
     prob = scenario.probability
-    losses = [evaluator.scenario_outcome(plan, scenario, dead).loss for plan, dead in entries]
+    losses = [evaluator.scenario_outcome(scenario, dead).loss for dead in entries]
     if not uncertain:
         pb.add_objective_offset(prob * losses[0])
         return
@@ -111,7 +111,7 @@ def build(
         _table_entries(scenario, uncertain) if len(uncertain) <= MAX_TABLE_UNCERTAIN else None
         for scenario, uncertain in zip(scenario_set.scenarios, uncertain_sets)
     ]
-    evaluator.settle(dead for entries in tables if entries is not None for _, dead in entries)
+    evaluator.settle(dead for entries in tables if entries is not None for dead in entries)
     n_tables = n_entries = n_dispatch = 0
     for scenario, uncertain, entries in zip(scenario_set.scenarios, uncertain_sets, tables):
         if entries is None:

@@ -17,7 +17,6 @@ from floodmit.recourse import (
     _island_basis,
     _recourse_arrays,
     evaluate_plan,
-    island_bound,
     solve_recourse_lp,
     status_closure,
 )
@@ -28,6 +27,19 @@ def _masks(network, dead):
     """Bus and branch masks of a dead set, from the arrays' closure."""
     a = network.arrays
     return a.closure(a.sub_up(dead))
+
+
+def _outcome(evaluator, dead):
+    """(loss, served, shed, overgeneration) of one dead set, requested as
+    the outcome of a scenario that floods exactly those substations."""
+    o = evaluator.scenario_outcome(FloodScenario("s", 1.0, dict.fromkeys(dead, 3)), dead)
+    return o.loss, o.served_load, o.shed_load, o.overgeneration
+
+
+def _island_bound(network, dead, weights):
+    """The island copper-plate bound of one dead set, as a stack of one."""
+    plate = _CopperPlate(network)
+    return plate.loss(plate.islands([dead]), 0, weights)[0]
 
 
 def two_bus_network():
@@ -117,9 +129,8 @@ def test_every_status_consumer_follows_the_loop_closure():
             assert bus_mask.tolist() == bus_ref and branch_mask.tolist() == branch_ref
             assert bus_rows[s].tolist() == [float(up) for up in bus_ref]
             assert branch_rows[s].tolist() == [float(up) for up in branch_ref]
-            islands = stack.island(s)
-            assert (islands.labels >= 0).tolist() == bus_ref
-            assert islands.live_branches.tolist() == branch_ref
+            assert (stack.labels[s] >= 0).tolist() == bus_ref
+            assert stack.live_branches[s].tolist() == branch_ref
         assert not any(bus_rows[-1]) and not any(branch_rows[-1])
         assert all(bus_rows[-2]) and all(branch_rows[-2])
 
@@ -389,7 +400,7 @@ def test_dead_bus_between_live_buses_does_not_tie_their_angles():
     loss, disp = solve_recourse_lp(net, _masks(net, ("SM",)), LossWeights())
     assert loss == pytest.approx(0.0, abs=1e-9)
     assert disp.p_flow[2] == pytest.approx(1.0, abs=1e-9)  # AB
-    warm = RecourseEvaluator(net, LossWeights())._solve_for_dead(("SM",))
+    warm = _outcome(RecourseEvaluator(net, LossWeights()), ("SM",))
     assert warm[0] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -409,7 +420,7 @@ def test_fixed_structure_lp_matches_dropped_row_formulation(weights):
             expected = _dropped_rows_loss(net, dead, weights)
             cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
             assert cold == pytest.approx(expected, abs=1e-9)
-            assert evaluator._solve_for_dead(dead)[0] == pytest.approx(expected, abs=1e-9)
+            assert _outcome(evaluator, dead)[0] == pytest.approx(expected, abs=1e-9)
 
 
 def _scenario_dead_sets(scenario_set, r_hat=3):
@@ -449,14 +460,14 @@ def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, na
     cold_starts = _record_cold_starts(monkeypatch)
     forward = RecourseEvaluator(network, weights)
     for dead in dead_sets:
-        forward._solve_for_dead(dead)
+        _outcome(forward, dead)
     assert forward.counters.lp_solves > 1
     assert cold_starts == []  # each LP starts from its own island basis
     # Both ways of settling a dead set take part.
     assert 0 < forward.counters.settled_without_lp < len(dead_sets)
     backward = RecourseEvaluator(network, weights)
     for dead in reversed(dead_sets):
-        backward._solve_for_dead(dead)
+        _outcome(backward, dead)
     assert cold_starts == []
 
     def bits(cache):
@@ -529,8 +540,8 @@ def test_island_bound_never_exceeds_the_lp_and_is_exact_without_limits():
         loose = _unlimited(net)
         for dead in dead_sets:
             for weights in BOUND_WEIGHTS:
-                bound = island_bound(net, dead, weights)
-                assert island_bound(loose, dead, weights) == bound
+                bound = _island_bound(net, dead, weights)
+                assert _island_bound(loose, dead, weights) == bound
                 lp, _ = solve_recourse_lp(net, _masks(net, dead), weights)
                 assert bound <= lp + 1e-9
                 lp_loose, _ = solve_recourse_lp(loose, _masks(loose, dead), weights)
@@ -539,7 +550,7 @@ def test_island_bound_never_exceeds_the_lp_and_is_exact_without_limits():
 
 def _settled_without_lp(evaluator, dead):
     before = evaluator.counters.settled_without_lp
-    values = evaluator._solve_for_dead(dead)
+    values = _outcome(evaluator, dead)
     return evaluator.counters.settled_without_lp > before, values
 
 
@@ -558,7 +569,7 @@ def test_dispatch_settled_without_lp_equals_the_cold_lp(coastal40, weights):
             settled += 1
             cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
             assert loss == pytest.approx(cold, abs=1e-9)
-            assert loss == pytest.approx(island_bound(net, dead, weights), abs=1e-12)
+            assert loss == pytest.approx(_island_bound(net, dead, weights), abs=1e-12)
             assert served + shed == pytest.approx(net.total_load, abs=1e-9)
             assert loss == pytest.approx(
                 weights.lambda_shed * shed + weights.lambda_over * over, abs=1e-12
@@ -639,10 +650,13 @@ def test_stacked_islands_equal_the_loop_reference():
         islands = _CopperPlate(net).islands(stack)
         for b, dead in enumerate(stack):
             labels, first, sums = _loop_islands(net, dead)
-            isl = islands.island(b)
-            assert isl.labels.tolist() == labels
-            assert isl.first.tolist() == first
-            assert [list(v) for v in zip(isl.load.tolist(), isl.gen_min.tolist(), isl.gen_max.tolist())] == sums
+            own = slice(islands.start[b], islands.start[b + 1])
+            assert (islands.member[own] == b).all()
+            assert np.where(islands.labels[b] >= 0, islands.labels[b] - own.start, -1).tolist() == labels
+            assert islands.first[own].tolist() == first
+            sums_b = zip(islands.load[own].tolist(), islands.gen_min[own].tolist(), islands.gen_max[own].tolist())
+            assert [list(v) for v in sums_b] == sums
+        assert islands.start[-1] == len(islands.member)
 
 
 def _settle_in_chunks(network, weights, dead_sets, sizes):
@@ -739,7 +753,7 @@ def angle_bound_at_reference_network():
 )
 def test_witness_that_breaks_a_limit_falls_back_to_the_lp(net, served):
     shed = net.total_load - served
-    assert island_bound(net, (), LossWeights()) == 0.0
+    assert _island_bound(net, (), LossWeights()) == 0.0
     evaluator = RecourseEvaluator(net, LossWeights())
     without_lp, values = _settled_without_lp(evaluator, ())
     assert not without_lp
@@ -792,26 +806,27 @@ def test_zero_weight_witness_reports_the_least_shed_and_overgeneration(weights):
 def _island_solve(net, dead, weights):
     """The evaluator's fallback solve of one dead set on a fresh workspace,
     started from its island basis.  Returns the loss, the pivots, the
-    workspace, the basis and the islands."""
-    islands = _CopperPlate(net).islands([dead]).island(0)
+    workspace, the basis and the stack of one that holds its islands."""
+    stack = _CopperPlate(net).islands([dead])
     ws = simplex.Workspace(*_recourse_arrays(net, weights))
-    state = _island_basis(net, islands)
+    state = _island_basis(net, stack, 0)
     loss, dispatch = solve_recourse_lp(net, _masks(net, dead), weights, workspace=ws, warm=state)
-    return loss, dispatch.pivots, ws, state, islands
+    return loss, dispatch.pivots, ws, state, stack
 
 
-def _floating_islands(net, islands):
-    """Islands of two or more buses without the reference bus: the ones
-    grounded at their first bus's lower angle bound."""
+def _floating_islands(net, stack):
+    """Islands of two or more buses without the reference bus, in a stack of
+    one: the ones grounded at their first bus's lower angle bound."""
     ref = next(i for i, b in enumerate(net.buses) if b.is_reference)
-    sizes = np.bincount(islands.labels[islands.labels >= 0], minlength=len(islands.first))
-    return int(np.sum(sizes >= 2)) - int(islands.labels[ref] >= 0 and sizes[islands.labels[ref]] >= 2)
+    labels = stack.labels[0]
+    sizes = np.bincount(labels[labels >= 0], minlength=len(stack.first))
+    return int(np.sum(sizes >= 2)) - int(labels[ref] >= 0 and sizes[labels[ref]] >= 2)
 
 
 def test_island_basis_starts_every_dispatch_lp_warm_at_the_copper_plate_optimum(monkeypatch):
     """On random networks with raised minimum generation, a cut-off
     reference bus, all and no substations dead: the island basis factorizes
-    and is dual feasible with no bound flip, the LP reaches the cold LP's
+    and is dual feasible, the LP reaches the cold LP's
     loss without a cold start, and with no limit binding it is the island
     bound itself.  Then the only pivots left ground the angles of an island
     without the reference bus, at most one per such island.  A balanced
@@ -824,15 +839,14 @@ def test_island_basis_starts_every_dispatch_lp_warm_at_the_copper_plate_optimum(
         for dead in dead_sets:
             for weights in BOUND_WEIGHTS:
                 loss, _, ws, state, _ = _island_solve(net, dead, weights)
-                loose_loss, pivots, loose_ws, _, islands = _island_solve(loose, dead, weights)
+                loose_loss, pivots, loose_ws, _, stack = _island_solve(loose, dead, weights)
                 assert cold_starts == []
                 simplex.spla.splu(simplex._basis_matrix(ws.A_ext, state.basis))  # raises if singular
                 start = simplex._Solver(loose_ws, max_iter=0)
-                assert start.warm_start(state) is not None
-                _, d = start._duals(loose_ws.c_ext)
-                assert not start._improving(d, 1e-7).any()
-                assert loose_loss == pytest.approx(island_bound(net, dead, weights), abs=1e-9)
-                assert pivots <= _floating_islands(net, islands)
+                assert start.warm_start(state)
+                assert start.dual_feasible(loose_ws.c_ext)
+                assert loose_loss == pytest.approx(_island_bound(net, dead, weights), abs=1e-9)
+                assert pivots <= _floating_islands(net, stack)
                 cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
                 assert loss == pytest.approx(cold, abs=1e-9)
                 cold_starts.clear()
@@ -859,7 +873,7 @@ def test_fallback_lp_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal4
     monkeypatch.setattr(simplex._Solver, "run_dual", run_dual)
     cold_starts = _record_cold_starts(monkeypatch)
     evaluator = RecourseEvaluator(net, weights)
-    loss, *_ = evaluator._solve_for_dead(dead)
+    loss, *_ = _outcome(evaluator, dead)
     assert len(dual_runs) == len(cold_starts) == 1
     assert evaluator.counters.lp_solves == 1
     assert evaluator.counters.lp_pivots > 0

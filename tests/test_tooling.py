@@ -141,15 +141,26 @@ def test_traced_portfolio_reaches_the_wrapped_greedy_once_per_flow_weight(tmp_pa
     assert metrics["heuristic.greedy_calls"] == 7 * metrics["heuristic.portfolio_calls"]
 
 
-def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path):
+def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch):
     """A coastal40 sweep over budgets 0..11 builds one workspace for all its
     budgets' node LPs and one for the dispatch LPs, and its warm starts
     reuse carried LUs, so it factorizes fewer times than it solves LPs.  The
     tracer counts ``splu`` through ``simplex.spla``, so a factorization that
-    bypasses it would also read as too few here."""
+    bypasses it would also read as too few here.  Every warm start is dual
+    feasible and never restarts cold: the budget-0 root is the one LP that
+    starts cold."""
     import json
 
-    from floodmit import cli
+    from floodmit import cli, simplex
+
+    real_cold_start = simplex._Solver.cold_start
+    cold_starts = []
+
+    def cold_start(self):
+        cold_starts.append(self.iterations)
+        return real_cold_start(self)
+
+    monkeypatch.setattr(simplex._Solver, "cold_start", cold_start)
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
@@ -171,6 +182,8 @@ def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path):
     assert rc == 0
     metrics = tracer.layer_metrics()
     assert metrics["simplex.workspaces"] == 2
+    assert metrics["simplex.lp_solves_cold"] == 1
+    assert cold_starts == [0]
     assert 0 < metrics["simplex.lu_factorizations"] < metrics["simplex.lp_solves"]
     # The envelope counts the node LPs; the dispatch LPs are the rest.
     counters = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]
