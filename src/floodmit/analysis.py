@@ -162,18 +162,15 @@ def _warm_pool(
     plans: list[MitigationPlan],
     evaluator: RecourseEvaluator,
     losses: dict,
-) -> list[solver.WarmStartPlan]:
-    pool = []
-    seen = set()
-    for i, plan in enumerate(plans):
-        if plan.key() in seen:
-            continue
-        seen.add(plan.key())
-        value = _expected_loss(plan, evaluator, ef.scenario_set, losses)
-        pool.append(
-            solver.WarmStartPlan(ef.plan_assignment(plan), value, label=f"pool{i}")
-        )
-    return pool
+) -> solver.WarmStarts:
+    """The distinct plans as warm starts over the free first-stage columns."""
+    pool = list({plan.key(): plan for plan in plans}.values())  # equal keys, equal plans
+    cols = ef.free_columns
+    return solver.WarmStarts(
+        cols,
+        np.array([ef.plan_assignment(plan) for plan in pool]).reshape(len(pool), len(cols)),
+        np.array([_expected_loss(plan, evaluator, ef.scenario_set, losses) for plan in pool]),
+    )
 
 
 def solve_instance(
@@ -198,17 +195,15 @@ def solve_instance(
     sol = solver.solve_milp(ef.problem, config, workspace=workspace)
     if sol.status != "optimal":
         raise solver.SolverError(f"budget {ef.budget.units}: solver stopped with {sol.status}")
-    plan = ef.plan_from_values(sol.values)
+    plan = ef.plan_from_x(sol.x)
     extras: dict = {}
     if check_unique:
-        assignment = ef.plan_assignment(plan)
+        cols = ef.free_columns
         unique, witness = solver.check_uniqueness(
-            ef.problem, assignment, sol.objective, counters=sol.counters
+            ef.problem, cols, sol.x[cols], sol.objective, counters=sol.counters
         )
         extras["unique"] = unique
-        extras["witness"] = None if witness is None else ef.plan_from_values(
-            {k: float(v) for k, v in witness.items()}
-        )
+        extras["witness"] = None if witness is None else ef.plan_from_x(witness)
         extras["caveat"] = plan_cost(plan, ef.schedule) < ef.budget.units
     return sol, plan, extras
 

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .grid_model import GridNetwork
 from .milp import MilpProblem, ProblemBuilder, sanitize_name, write_lp_file
 from .mitigation import Budget, CostSchedule, MitigationPlan
@@ -75,25 +77,24 @@ class ExtensiveForm:
     budget: Budget
     r_hat: int
     weights: LossWeights
-    x_names: dict[tuple[str, int], str]
+    # Column of x[k, r]: substations in network order by levels 1..r_hat.
+    x_cols: np.ndarray
     stats: dict = field(default_factory=dict)
 
-    def free_x_names(self) -> dict[tuple[str, int], str]:
-        return {(k, r): n for (k, r), n in self.x_names.items() if r < self.r_hat}
+    @property
+    def free_columns(self) -> np.ndarray:
+        """Columns of the attainable levels 1..r_hat-1, substation by substation."""
+        return self.x_cols[:, :-1].ravel()
 
-    def plan_assignment(self, plan: MitigationPlan) -> dict[str, int]:
-        """Warm-start assignment of the free first-stage binaries."""
-        return {
-            name: 1 if plan.level_of(sub) >= r else 0
-            for (sub, r), name in self.free_x_names().items()
-        }
+    def plan_assignment(self, plan: MitigationPlan) -> np.ndarray:
+        """The plan's values of the :attr:`free_columns`."""
+        levels = np.array([plan.level_of(s.id) for s in self.network.substations])
+        return (levels[:, None] >= np.arange(1, self.r_hat)).astype(float).ravel()
 
-    def plan_from_values(self, values: dict[str, float]) -> MitigationPlan:
-        levels: dict[str, int] = {}
-        for (sub, r), name in self.x_names.items():
-            if values.get(name, 0.0) > 0.5:
-                levels[sub] = max(levels.get(sub, 0), r)
-        return MitigationPlan(levels)
+    def plan_from_x(self, x: np.ndarray) -> MitigationPlan:
+        """The plan whose level at each substation is its highest level set in ``x``."""
+        top = np.max(np.where(x[self.x_cols] > 0.5, np.arange(1, self.r_hat + 1), 0), axis=1)
+        return MitigationPlan({s.id: int(t) for s, t in zip(self.network.substations, top)})
 
     def with_budget(self, units: int) -> "ExtensiveForm":
         return replace(
@@ -129,12 +130,11 @@ def add_first_stage(
     schedule: CostSchedule,
     budget: Budget,
     r_hat: int,
-) -> tuple[dict[tuple[str, int], str], dict[tuple[str, int], int]]:
+) -> dict[tuple[str, int], int]:
     """Cumulative barrier binaries per substation and level plus the budget row.
 
-    Returns the variable names and indices keyed by (substation, level).
+    Returns the variable indices keyed by (substation, level).
     """
-    x_names: dict[tuple[str, int], str] = {}
     x_idx: dict[tuple[str, int], int] = {}
     budget_terms = []
     for sub in network.substations:
@@ -143,7 +143,6 @@ def add_first_stage(
             name = f"x_{safe}_{r}"
             ub = 0.0 if r == r_hat else 1.0  # the top level is unattainable
             idx = pb.add_variable(name, 0.0, ub, binary=True, meta=("x", sub.id, r))
-            x_names[(sub.id, r)] = name
             x_idx[(sub.id, r)] = idx
             budget_terms.append((idx, float(schedule.marginal_cost(sub.id, r))))
         for r in range(1, r_hat):
@@ -155,7 +154,7 @@ def add_first_stage(
                 0.0,
             )
     pb.add_row(BUDGET_ROW, budget_terms, "L", float(budget.units))
-    return x_names, x_idx
+    return x_idx
 
 
 def add_dispatch_block(
@@ -398,7 +397,7 @@ def build(
     """
     check_inputs(network, scenario_set, schedule, r_hat)
     pb = ProblemBuilder("extensive_form")
-    x_names, x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
+    x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
     n_alpha_vars = 0
     n_beta_vars = 0
     for scenario in scenario_set.scenarios:
@@ -415,7 +414,7 @@ def build(
         budget=budget,
         r_hat=r_hat,
         weights=weights,
-        x_names=x_names,
+        x_cols=np.array([[x_idx[(s.id, r)] for r in range(1, r_hat + 1)] for s in network.substations]),
     )
     ef.stats = {
         "variables": problem.n_variables,

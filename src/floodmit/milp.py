@@ -5,16 +5,16 @@ bounds, a binary flag and a metadata tuple; per row a name, a sense and a
 right-hand side; one CSC constraint matrix assembled once by
 :class:`ProblemBuilder`; and a linear minimization objective with an
 optional constant offset.  Instances are immutable; transformations return
-copies that share every array they leave untouched.  A deterministic
-LP-format text export (terms of a row in column order) supports
-cross-checking against external solvers.
+copies that share every array they leave untouched.  Callers address
+variables by column index; the names label the deterministic LP-format text
+export (terms of a row in column order), which supports cross-checking
+against external solvers.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,10 +34,6 @@ class MilpProblem:
     objective: np.ndarray
     objective_offset: float = 0.0
     name: str = "problem"
-
-    @cached_property
-    def index_of(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
 
     @property
     def n_variables(self) -> int:
@@ -145,21 +141,24 @@ class ProblemBuilder:
 
 
 def sanitize_name(raw: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_]", "_", raw)
+    """``raw`` with each character outside [A-Za-z0-9] spelled ``__<hex code>_``.
+
+    Alphanumeric ids keep their text, and distinct ids give distinct names.
+    An escape opens with two underscores where a separator is one, so names
+    that join sanitized ids with ``_`` stay distinct too.
+    """
+    return re.sub(r"[^A-Za-z0-9]", lambda m: f"__{ord(m.group()):x}_", raw)
 
 
-def with_no_good_cut(problem: MilpProblem, assignment: dict[str, int]) -> MilpProblem:
-    """Append the row  sum of x over the assignment's zero positions >= 1.
+def with_no_good_cut(problem: MilpProblem, columns: np.ndarray, values: np.ndarray) -> MilpProblem:
+    """Append the row  sum of x over the columns whose value is 0 >= 1.
 
+    The binaries ``columns`` take ``values`` in the assignment to cut.
     Survivors must select at least one unit the assignment left out, so the
     cut removes the assignment itself and everything inside its support.
     """
     row = np.zeros(problem.n_variables)
-    for name, value in sorted(assignment.items()):
-        if name not in problem.index_of:
-            raise KeyError(f"no variable named {name!r}")
-        if int(round(value)) == 0:
-            row[problem.index_of[name]] = 1.0
+    row[np.asarray(columns)[np.round(values) == 0]] = 1.0
     return replace(
         problem,
         A=sp.vstack([problem.A, sp.csr_matrix(row)], format="csc"),

@@ -4,9 +4,12 @@ The MILP search branches on fractional binaries, selects nodes best-bound
 first, and warm-starts every child from its parent's basis so re-solves are
 a handful of dual simplex pivots.  Warm-start plans (binary assignments with
 known objectives) seed the incumbent so budget sweeps prune hard from the
-first node; each is checked against the rows it fully covers with one sparse
-mat-vec over the problem's constraint matrix.  Without node or time limits
-the returned incumbent is provably optimal.
+first node.  A caller passes them as one :class:`WarmStarts` matrix of
+candidate values over one set of columns, so the whole pool is checked
+against the rows those columns fully cover with one sparse product.  Plans
+and solutions cross this boundary as column arrays; variable names exist
+only for the LP-format export.  Without node or time limits the returned
+incumbent is provably optimal.
 
 A caller that solves several problems over one constraint matrix (a budget
 sweep changes only the right-hand side) builds one simplex workspace with
@@ -38,25 +41,29 @@ INTEGRALITY_TOL = 1e-6
 class LpSolution:
     status: str  # optimal | infeasible | unbounded | numerical-error
     objective: float | None
-    values: dict[str, float] | None
+    x: np.ndarray | None
     dual_objective: float | None
     iterations: int
 
 
-@dataclass
-class WarmStartPlan:
-    """A candidate assignment of the binaries with its objective value."""
+@dataclass(frozen=True)
+class WarmStarts:
+    """Candidate values of ``columns``, one row of ``values`` per candidate,
+    and the objective value each candidate claims."""
 
-    assignment: dict[str, int]
-    objective: float
-    label: str = ""
+    columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    values: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    objectives: np.ndarray = field(default_factory=lambda: np.zeros(0))
+
+    def __len__(self) -> int:
+        return len(self.objectives)
 
 
 @dataclass
 class BnbConfig:
     node_limit: int | None = None
     time_limit: float | None = None
-    warm_starts: list[WarmStartPlan] = field(default_factory=list)
+    warm_starts: WarmStarts = field(default_factory=WarmStarts)
     root_warm_basis: simplex.BasisState | None = None
 
 
@@ -64,12 +71,11 @@ class BnbConfig:
 class MilpSolution:
     status: str  # optimal | node-limit | infeasible
     objective: float | None
-    values: dict[str, float] | None
+    x: np.ndarray | None  # binaries rounded
     bound: float
     nodes_explored: int
     lp_iterations: int
     stop_reason: str = ""
-    warm_start_used: str = ""
     # Basis of the root relaxation: the right seed for a re-solve of the same
     # structure with a loosened right-hand side (budget sweeps).
     root_basis: simplex.BasisState | None = None
@@ -107,7 +113,7 @@ def solve_lp(
     return LpSolution(
         status="optimal",
         objective=res.objective + problem.objective_offset,
-        values=dict(zip(problem.names, res.x.tolist())),
+        x=res.x,
         dual_objective=res.dual_objective + problem.objective_offset,
         iterations=res.iterations,
     )
@@ -120,44 +126,28 @@ def milp_workspace(problem: MilpProblem) -> simplex.Workspace:
     return simplex.Workspace(problem.objective, A, senses, b, problem.lb, problem.ub)
 
 
-def _warm_start_fixings(
-    problem: MilpProblem, assignment: dict[str, int], covered_rows: dict | None = None
-) -> dict[int, int] | None:
-    """Index fixings of the assignment, or None if it violates a covered row.
+def _warm_starts_feasible(problem: MilpProblem, starts: WarmStarts) -> np.ndarray:
+    """Mask of the candidates that keep their bounds and every covered row.
 
-    A row is covered when every variable it touches is assigned.  Rows
-    touching unassigned variables are the recourse blocks, which admit a
-    feasible completion by construction of the model.  Values outside a
-    variable's bounds also reject the assignment.  ``covered_rows`` keeps
-    the covered-row mask of each assigned-index set across calls.
+    A row is covered when every variable it touches is one of the pool's
+    columns.  Rows touching other variables are the recourse blocks, which
+    admit a feasible completion by construction of the model.
     """
     tol = 1e-9
-    fixings = {}
-    for name, val in assignment.items():
-        if name not in problem.index_of:
-            raise KeyError(f"warm start names unknown variable {name!r}")
-        fixings[problem.index_of[name]] = val
-    idx = np.array(list(fixings), dtype=np.int64)
-    vals = np.array(list(fixings.values()), dtype=float)
-    if np.any(vals < problem.lb[idx] - tol) or np.any(vals > problem.ub[idx] + tol):
-        return None
-    covered_rows = {} if covered_rows is None else covered_rows
-    key = idx.tobytes()
-    if key not in covered_rows:
-        free = np.ones(problem.n_variables)
-        free[idx] = 0.0
-        covered_rows[key] = abs(problem.A) @ free == 0
-    covered = covered_rows[key]
-    x = np.zeros(problem.n_variables)
-    x[idx] = vals
-    act, b = (problem.A @ x)[covered], problem.b[covered]
-    senses = np.array(problem.senses)[covered]
+    cols, vals = starts.columns, starts.values
+    ok = np.all((vals >= problem.lb[cols] - tol) & (vals <= problem.ub[cols] + tol), axis=1)
+    free = np.ones(problem.n_variables)
+    free[cols] = 0.0
+    covered = abs(problem.A) @ free == 0
+    act = (problem.A[:, cols] @ vals.T)[covered]  # covered rows x candidates
+    b = problem.b[covered, None]
+    senses = np.array(problem.senses)[covered, None]
     bad = (
         ((senses == "L") & (act > b + tol))
         | ((senses == "G") & (act < b - tol))
         | ((senses == "E") & (np.abs(act - b) > tol))
     )
-    return None if bad.any() else fixings
+    return ok & ~bad.any(axis=0)
 
 
 @dataclass(order=True)
@@ -200,22 +190,19 @@ def solve_milp(
 
     incumbent_obj = np.inf
     incumbent_x: np.ndarray | None = None
-    warm_fixings: dict[int, int] = {}
-    warm_used = ""
+    warm_fixings: dict[int, float] = {}
     lp_iterations = 0
 
     # Warm starts: verify against the rows they fully cover, then seed the
-    # incumbent with the best objective.
-    covered_rows: dict = {}
-    for plan in config.warm_starts:
-        fixings = _warm_start_fixings(problem, plan.assignment, covered_rows)
-        if fixings is None:
-            log.info("warm start %s rejected: infeasible", plan.label or "?")
-            continue
-        if plan.objective < incumbent_obj - 1e-12:
-            incumbent_obj = plan.objective
-            warm_used = plan.label or "warm"
-            warm_fixings = fixings
+    # incumbent with the best objective, the first of equals.
+    starts = config.warm_starts
+    if len(starts):
+        feasible = _warm_starts_feasible(problem, starts)
+        log.info("warm starts: %d of %d feasible", feasible.sum(), len(starts))
+        for i in np.flatnonzero(feasible):
+            if starts.objectives[i] < incumbent_obj - 1e-12:
+                incumbent_obj = float(starts.objectives[i])
+                warm_fixings = dict(zip(starts.columns.tolist(), starts.values[i].tolist()))
 
     def solve_node(node: _Node):
         nonlocal lp_iterations
@@ -313,16 +300,23 @@ def solve_milp(
 
     # A warm start may remain the incumbent without any node reproducing its
     # values; rebuild them by solving its fixings as a node from the root basis.
+    # That LP value bounds every completion of the fixings from below, so a
+    # claim beneath it is false and the search pruned on a wrong incumbent.
     if incumbent_x is None:
         res = solve_node(_Node(bound=incumbent_obj, seq=-1, fixings=warm_fixings, warm=root_basis))
         if res.status != simplex.STATUS_OPTIMAL:
             raise SolverError("failed to rebuild warm-start incumbent values")
+        rebuilt = res.objective + offset
+        if rebuilt > incumbent_obj + 1e-9 * max(1.0, abs(incumbent_obj)):
+            raise SolverError(
+                f"warm start claimed objective {incumbent_obj:.9g} but its fixings "
+                f"are worth at least {rebuilt:.9g}"
+            )
         incumbent_x = res.x
-        incumbent_obj = min(incumbent_obj, res.objective + offset)
+        incumbent_obj = min(incumbent_obj, rebuilt)
 
-    values = dict(zip(problem.names, incumbent_x.tolist()))
-    for i in bin_idx:
-        values[problem.names[i]] = float(round(incumbent_x[i]))
+    x = incumbent_x.copy()
+    x[bin_idx] = np.round(x[bin_idx])
 
     if proven and not stop_reason:
         status = "optimal"
@@ -330,19 +324,17 @@ def solve_milp(
     else:
         status = "node-limit"
     log.info(
-        "milp %s: %s obj=%.9g bound=%.9g nodes=%d lp_iters=%d%s",
+        "milp %s: %s obj=%.9g bound=%.9g nodes=%d lp_iters=%d",
         problem.name, status, incumbent_obj, final_bound, nodes_explored, lp_iterations,
-        f" warm={warm_used}" if warm_used else "",
     )
     return MilpSolution(
         status=status,
         objective=incumbent_obj,
-        values=values,
+        x=x,
         bound=final_bound,
         nodes_explored=nodes_explored,
         lp_iterations=lp_iterations,
         stop_reason=stop_reason,
-        warm_start_used=warm_used,
         root_basis=root_basis,
         counters=counters,
     )
@@ -350,22 +342,24 @@ def solve_milp(
 
 def check_uniqueness(
     problem: MilpProblem,
-    optimal_assignment: dict[str, int],
+    columns: np.ndarray,
+    values: np.ndarray,
     optimal_objective: float,
     counters: simplex.SimplexCounters | None = None,
-) -> tuple[bool, dict[str, int] | None]:
-    """Probe whether the optimum is unique over the given binary assignment.
+) -> tuple[bool, np.ndarray | None]:
+    """Probe whether the optimum is unique over the binaries ``columns``,
+    which it sets to ``values``.
 
     Re-solves with a cut forbidding the assignment; a strictly worse (or
     infeasible) result certifies no alternative optimum outside the cut set,
-    otherwise the alternative assignment is returned as a witness.  The cut
+    otherwise the alternative optimum's ``x`` is returned as a witness.  The cut
     removes the assignment together with everything inside its support, so a
     "unique" verdict cannot see tie-optima that merely drop ineffective
     deployments; callers flag that caveat when the plan underuses its budget.
     The cut problem has a matrix of its own, so the probe builds its own
     workspace; its simplex counts are added to ``counters`` when given.
     """
-    res = solve_milp(with_no_good_cut(problem, optimal_assignment))
+    res = solve_milp(with_no_good_cut(problem, columns, values))
     if counters is not None:
         counters.add(res.counters)
     if res.status == "infeasible":
@@ -374,5 +368,4 @@ def check_uniqueness(
         raise SolverError("uniqueness probe did not solve to optimality")
     if res.objective > optimal_objective + 1e-6:
         return True, None
-    witness = {name: int(round(res.values[name])) for name in optimal_assignment}
-    return False, witness
+    return False, res.x

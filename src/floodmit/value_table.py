@@ -32,6 +32,8 @@ extensive form's, so plans read in and out through the same
 
 from __future__ import annotations
 
+import numpy as np
+
 from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, check_inputs
 from .grid_model import GridNetwork
 from .milp import ProblemBuilder, sanitize_name
@@ -102,7 +104,7 @@ def build(
     """
     check_inputs(network, scenario_set, schedule, r_hat)
     pb = ProblemBuilder("value_table")
-    x_names, x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
+    x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
     uncertain_sets = [
         [s.id for s in network.substations if 0 < scenario.level_of(s.id) < r_hat]
         for scenario in scenario_set.scenarios
@@ -131,7 +133,7 @@ def build(
         budget=budget,
         r_hat=r_hat,
         weights=evaluator.weights,
-        x_names=x_names,
+        x_cols=np.array([[x_idx[(s.id, r)] for r in range(1, r_hat + 1)] for s in network.substations]),
         stats={
             "variables": problem.n_variables,
             "rows": problem.n_rows,

@@ -68,8 +68,8 @@ def test_criterion_01_toy_knapsack_flip():
 
     sol7 = knapsack(7)
     sol8 = knapsack(8)
-    pick7 = tuple(int(round(sol7.values[f"w{i + 1}"])) for i in range(3))
-    pick8 = tuple(int(round(sol8.values[f"w{i + 1}"])) for i in range(3))
+    pick7 = tuple(int(v) for v in sol7.x)
+    pick8 = tuple(int(v) for v in sol8.x)
     elapsed = time.monotonic() - started
     ok = (
         pick7 == (1, 0, 1)

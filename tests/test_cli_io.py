@@ -118,6 +118,42 @@ def test_heuristic_portfolio_mode(tiny3_dir, tmp_path):
         assert (out / entry["file"]).exists()
 
 
+def test_ids_that_sanitize_alike_solve_like_tiny3(tiny3_dir, tmp_path):
+    """Substations renamed ``S-1`` and ``S_1`` once shared the LP name
+    ``x_S_1_1``; they now get distinct names and solve to tiny3's optimum."""
+    rename = {"S1": "S-1", "S2": "S_1"}
+    net = json.loads(Path(_net(tiny3_dir)).read_text())
+    for sub in net["substations"]:
+        sub["id"] = rename[sub["id"]]
+    for bus in net["buses"]:
+        bus["substation"] = rename[bus["substation"]]
+    scen = json.loads(Path(_scen(tiny3_dir)).read_text())
+    for s in scen["scenarios"]:
+        s["levels"] = {rename[k]: v for k, v in s["levels"].items()}
+    (tmp_path / "network.json").write_text(json.dumps(net))
+    (tmp_path / "scenarios.json").write_text(json.dumps(scen))
+    results = []
+    for name, (network, scenarios) in {
+        "tiny3": (_net(tiny3_dir), _scen(tiny3_dir)),
+        "renamed": (tmp_path / "network.json", tmp_path / "scenarios.json"),
+    }.items():
+        out = tmp_path / name
+        rc = main([
+            "solve", "--network", str(network), "--scenarios", str(scenarios),
+            "--budget", "1", "--rhat", "3", "--out-dir", str(out), "--export-lp",
+        ])
+        assert rc == 0
+        results.append(json.loads((out / "envelope.json").read_text())["result"])
+    assert results[1]["objective"] == results[0]["objective"]
+    assert results[1]["plan"] == {rename[k]: v for k, v in results[0]["plan"].items()}
+    lp = (tmp_path / "renamed" / "problem.lp").read_text().splitlines()
+    bounds = lp[lp.index("Bounds") + 1:lp.index("Binaries")]
+    names = [line.split(" <= ")[1] for line in bounds]
+    rows = [line.split(":")[0] for line in lp[lp.index("Subject To") + 1:lp.index("Bounds")]]
+    assert len(set(names)) == len(names) and len(set(rows)) == len(rows)
+    assert {"x_S__2d_1_1", "x_S__5f_1_1"} <= set(names)
+
+
 def test_check_unique_subcommand(tiny3_dir, tmp_path, capsys):
     out = tmp_path / "uniq.json"
     rc = main([

@@ -117,9 +117,7 @@ def test_folding_constants(star8):
 def _fixed_first_stage_bounds(ef, plan):
     """Variable bounds of ``ef`` with the free first-stage binaries pinned to ``plan``."""
     lb, ub = ef.problem.bounds_arrays()
-    for name, value in ef.plan_assignment(plan).items():
-        idx = ef.problem.index_of[name]
-        lb[idx] = ub[idx] = value
+    lb[ef.free_columns] = ub[ef.free_columns] = ef.plan_assignment(plan)
     return lb, ub
 
 
@@ -150,8 +148,9 @@ def _cut_survivors(ef, cut, sched, budget):
     row = cut.A.tocsr()[-1]
     survivors = set()
     for plan in enumerate_plans(sched, budget, ef.r_hat):
-        assignment = {name: float(v) for name, v in ef.plan_assignment(plan).items()}
-        act = sum(assignment[cut.names[i]] * c for i, c in zip(row.indices, row.data))
+        x = np.zeros(cut.n_variables)
+        x[ef.free_columns] = ef.plan_assignment(plan)
+        act = sum(x[i] * c for i, c in zip(row.indices, row.data))
         if act >= cut.b[-1] - 1e-9:
             survivors.add(plan.key())
     return survivors
@@ -162,7 +161,7 @@ def test_no_good_cut_of_zero_plan_forbids_only_it(tiny3):
     budget = Budget(1)
     ef = build(tiny3.network, tiny3.scenarios, sched, budget, 3, W)
     all_plans = {p.key() for p in enumerate_plans(sched, budget, 3)}
-    cut = with_no_good_cut(ef.problem, ef.plan_assignment(ZERO_PLAN))
+    cut = with_no_good_cut(ef.problem, ef.free_columns, ef.plan_assignment(ZERO_PLAN))
     assert _cut_survivors(ef, cut, sched, budget) == all_plans - {ZERO_PLAN.key()}
 
 
@@ -173,7 +172,7 @@ def test_no_good_cut_removes_the_plan_and_its_interior(tiny3):
     budget = Budget(1)
     ef = build(tiny3.network, tiny3.scenarios, sched, budget, 3, W)
     full = MitigationPlan({"S1": 1})  # exhausts the budget
-    cut = with_no_good_cut(ef.problem, ef.plan_assignment(full))
+    cut = with_no_good_cut(ef.problem, ef.free_columns, ef.plan_assignment(full))
     expected = {
         p.key() for p in enumerate_plans(sched, budget, 3) if not full.dominates(p)
     }
@@ -187,7 +186,7 @@ def test_no_good_cut_keeps_extensions(star8):
     budget = Budget(6)
     ef = build(star8.network, star8.scenarios, sched, budget, 3, W)
     small = MitigationPlan({"S2": 1})  # cost 1, far under budget
-    cut = with_no_good_cut(ef.problem, ef.plan_assignment(small))
+    cut = with_no_good_cut(ef.problem, ef.free_columns, ef.plan_assignment(small))
     survivors = _cut_survivors(ef, cut, sched, budget)
     for plan in enumerate_plans(sched, budget, 3):
         assert (plan.key() in survivors) == (not small.dominates(plan)), plan.levels
@@ -199,10 +198,10 @@ def test_solution_statuses_match_closure(star8):
     sched = CostSchedule.for_network(star8.network)
     ef = build(star8.network, star8.scenarios, sched, Budget(7), 3, W)
     sol = solve_milp(ef.problem)
-    plan = ef.plan_from_values(sol.values)
+    plan = ef.plan_from_x(sol.x)
     bus_pos = {b.id: i for i, b in enumerate(star8.network.buses)}
     branch_pos = {br.id: e for e, br in enumerate(star8.network.branches)}
-    for name, meta in zip(ef.problem.names, ef.problem.meta):
+    for j, meta in enumerate(ef.problem.meta):
         if not meta:
             continue
         kind = meta[0]
@@ -211,12 +210,12 @@ def test_solution_statuses_match_closure(star8):
             scenario = next(s for s in star8.scenarios.scenarios if s.id == scen_id)
             bus_up, _ = _loop_closure(star8.network, set(dead_substations(plan, scenario)))
             bus = star8.network.substation_buses[sub][0]
-            assert round(sol.values[name]) == bus_up[bus_pos[bus]], name
+            assert sol.x[j] == bus_up[bus_pos[bus]], meta
         elif kind == "beta":
             _, scen_id, br = meta
             scenario = next(s for s in star8.scenarios.scenarios if s.id == scen_id)
             _, branch_up = _loop_closure(star8.network, set(dead_substations(plan, scenario)))
-            assert round(sol.values[name]) == branch_up[branch_pos[br]], name
+            assert sol.x[j] == branch_up[branch_pos[br]], meta
 
 
 def test_with_budget_changes_single_rhs(star8):

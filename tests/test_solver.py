@@ -1,16 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from floodmit.milp import ProblemBuilder, with_no_good_cut, write_lp_text
+from floodmit.milp import ProblemBuilder, sanitize_name, with_no_good_cut, write_lp_text
 from floodmit.solver import (
     BnbConfig,
-    WarmStartPlan,
-    _warm_start_fixings,
+    SolverError,
+    WarmStarts,
+    _warm_starts_feasible,
     check_uniqueness,
     milp_workspace,
     solve_lp,
     solve_milp,
 )
+
+ALL3 = np.arange(3)
 
 
 def knapsack_problem(capacity, values=(3.0, 5.0, 1.0), weights=(4.0, 8.0, 3.0)):
@@ -25,8 +30,14 @@ def knapsack_problem(capacity, values=(3.0, 5.0, 1.0), weights=(4.0, 8.0, 3.0)):
     return pb.build()
 
 
-def _selection(sol, n=3):
-    return tuple(int(round(sol.values[f"w{i + 1}"])) for i in range(n))
+def _selection(sol):
+    return tuple(int(v) for v in sol.x)
+
+
+def _warm(*plans):
+    """Warm starts over w1..w3 from (values, objective) pairs."""
+    values, objectives = zip(*plans)
+    return WarmStarts(ALL3, np.array(values, dtype=float), np.array(objectives))
 
 
 def test_knapsack_capacity_7():
@@ -67,24 +78,45 @@ def test_determinism_nodes_and_incumbent():
     runs = [solve_milp(knapsack_problem(7)) for _ in range(3)]
     assert len({r.nodes_explored for r in runs}) == 1
     assert len({r.objective for r in runs}) == 1
-    assert len({tuple(sorted(r.values.items())) for r in runs}) == 1
+    assert len({tuple(r.x) for r in runs}) == 1
 
 
 def test_warm_start_seeds_incumbent():
     prob = knapsack_problem(7)
-    ws = WarmStartPlan({"w1": 1, "w2": 0, "w3": 1}, objective=-4.0, label="known")
-    sol = solve_milp(prob, BnbConfig(warm_starts=[ws]))
+    sol = solve_milp(prob, BnbConfig(warm_starts=_warm(([1, 0, 1], -4.0))))
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(-4.0, abs=1e-12)
+    assert _selection(sol) == (1, 0, 1)
 
 
 def test_infeasible_warm_start_rejected():
     prob = knapsack_problem(7)
-    ws = WarmStartPlan({"w1": 1, "w2": 1, "w3": 1}, objective=-9.0, label="liar")
-    sol = solve_milp(prob, BnbConfig(warm_starts=[ws]))
+    sol = solve_milp(prob, BnbConfig(warm_starts=_warm(([1, 1, 1], -9.0))))
     # The overweight assignment is dropped, not trusted.
     assert _selection(sol) == (1, 0, 1)
     assert -sol.objective == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize(
+    "plan, claimed, worth",
+    [([1, 0, 1], -9.0, -4.0), ([1, 0, 0], -4.5, -3.0)],
+    ids=["optimal-plan-overclaimed", "suboptimal-plan-overclaimed"],
+)
+def test_feasible_warm_start_with_understated_objective_is_refused(plan, claimed, worth):
+    """A feasible plan claiming less than it is worth would prune the true
+    optimum (-4 at (1, 0, 1)); rebuilding its values exposes the claim."""
+    with pytest.raises(SolverError, match=f"claimed objective {claimed:g} .* worth at least {worth:g}"):
+        solve_milp(knapsack_problem(7), BnbConfig(warm_starts=_warm((plan, claimed))))
+
+
+def test_warm_start_pool_keeps_the_first_of_equal_objectives():
+    """The pool is read in order: a later candidate replaces the incumbent
+    only when it is lower by more than 1e-12."""
+    prob = knapsack_problem(7)
+    tie = _warm(([0, 0, 0], 0.0), ([1, 0, 1], -4.0), ([1, 0, 1], -4.0 - 1e-13))
+    sol = solve_milp(prob, BnbConfig(warm_starts=tie))
+    assert (_selection(sol), sol.objective) == ((1, 0, 1), -4.0)
+    assert len(tie) == 3 and len(WarmStarts()) == 0
 
 
 def test_node_limit_and_stop_reason():
@@ -95,7 +127,7 @@ def test_node_limit_and_stop_reason():
 
 def test_check_uniqueness_unique_case():
     prob = knapsack_problem(7)
-    unique, witness = check_uniqueness(prob, {"w1": 1, "w2": 0, "w3": 1}, -4.0)
+    unique, witness = check_uniqueness(prob, ALL3, [1, 0, 1], -4.0)
     assert unique and witness is None
 
 
@@ -103,23 +135,23 @@ def test_check_uniqueness_non_unique_case():
     # Two identical items, room for exactly one: either choice is optimal.
     prob = knapsack_problem(4, values=(2.0, 2.0), weights=(3.0, 3.0))
     sol = solve_milp(prob)
-    pick = {name: int(round(sol.values[name])) for name in ("w1", "w2")}
-    unique, witness = check_uniqueness(prob, pick, sol.objective)
+    unique, witness = check_uniqueness(prob, np.arange(2), sol.x, sol.objective)
     assert not unique
-    assert witness is not None and witness != pick
+    assert witness is not None and sorted(witness) == [0.0, 1.0]
+    assert tuple(witness) != tuple(sol.x)
 
 
 def test_check_uniqueness_zero_budget_singleton():
     prob = knapsack_problem(0)
     sol = solve_milp(prob)
     assert sol.objective == pytest.approx(0.0)
-    unique, witness = check_uniqueness(prob, {"w1": 0, "w2": 0, "w3": 0}, 0.0)
+    unique, witness = check_uniqueness(prob, ALL3, [0, 0, 0], 0.0)
     assert unique and witness is None
 
 
 def test_no_good_cut_of_zero_assignment_forbids_only_zero():
     prob = knapsack_problem(7)
-    cut = with_no_good_cut(prob, {"w1": 0, "w2": 0, "w3": 0})
+    cut = with_no_good_cut(prob, ALL3, [0, 0, 0])
     sol = solve_milp(cut)
     assert sol.status == "optimal"
     assert sum(_selection(sol)) >= 1
@@ -172,11 +204,22 @@ def test_lp_export_is_deterministic_and_complete():
     assert "cap:" in text and "w1" in text
 
 
+def test_sanitized_ids_join_into_distinct_names():
+    """Alphanumeric ids keep their text, distinct ids give distinct names, and
+    so do pairs of ids joined with ``_`` as the model names them (an escape
+    opens with two underscores, a separator is one)."""
+    assert sanitize_name("S1") == "S1"
+    ids = ["".join(p) for n in range(1, 4) for p in itertools.product("a2d-_", repeat=n)]
+    assert len({sanitize_name(i) for i in ids}) == len(ids)
+    joined = {f"z_{sanitize_name(t)}_{sanitize_name(u)}" for t in ids for u in ids}
+    assert len(joined) == len(ids) ** 2
+
+
 def test_transforms_leave_the_parent_unchanged():
     prob = knapsack_problem(7)
     A_before, b_before = prob.A.toarray(), prob.b.copy()
     loose = prob.with_rhs("cap", 8.0)
-    cut = with_no_good_cut(prob, {"w1": 0, "w2": 1, "w3": 0})
+    cut = with_no_good_cut(prob, ALL3, [0, 1, 0])
     assert loose.A is prob.A
     assert (loose.b[0], prob.b[0]) == (8.0, 7.0)
     assert cut.n_rows == prob.n_rows + 1 == 2
@@ -193,11 +236,11 @@ def test_transforms_leave_the_parent_unchanged():
         prob.with_rhs("nope", 1.0)
 
 
-def _reference_fixings(lb, ub, rows, assignment, tol=1e-9):
+def _reference_feasible(lb, ub, rows, assignment, tol=1e-9):
     """Row-by-row warm-start check over the rows as they were declared."""
     for i, val in assignment.items():
         if val < lb[i] - tol or val > ub[i] + tol:
-            return None
+            return False
     for terms, sense, rhs in rows:
         if not all(i in assignment for i, _ in terms):
             continue
@@ -207,11 +250,13 @@ def _reference_fixings(lb, ub, rows, assignment, tol=1e-9):
             or (sense == "G" and act < rhs - tol)
             or (sense == "E" and abs(act - rhs) > tol)
         ):
-            return None
-    return assignment
+            return False
+    return True
 
 
 def test_warm_start_check_matches_row_by_row_reference():
+    """Pools of several candidates over one random column set get the
+    verdicts of the row-by-row check, candidate by candidate."""
     rng = np.random.default_rng(17)
     outcomes, seen = set(), set()
     for _ in range(300):
@@ -232,29 +277,27 @@ def test_warm_start_check_matches_row_by_row_reference():
             rows.append((terms, sense, rhs))
             seen.add(sense if terms else "empty")
         prob = pb.build()
-        assigned = np.flatnonzero(rng.random(n) < 0.7)
-        assignment = {int(i): int(point[i]) for i in assigned}
-        if any(not lb[i] <= v <= ub[i] for i, v in assignment.items()):
-            seen.add("bounds")
-        if len(assignment) < n:
+        columns = rng.permutation(np.flatnonzero(rng.random(n) < 0.7))
+        if len(columns) < n:
             seen.add("partial")
-        expected = _reference_fixings(lb, ub, rows, assignment)
-        named = {f"v{i}": v for i, v in assignment.items()}
-        got = _warm_start_fixings(prob, named)
-        assert got == expected, (rows, assignment)
-        # A second plan over the same assigned indices reads the covered rows
-        # the first one stored.
-        covered_rows: dict = {}
-        assert _warm_start_fixings(prob, named, covered_rows) == expected
-        assert _warm_start_fixings(prob, named, covered_rows) == expected
-        outcomes.add(expected is None)
+        # The first candidate sits at the rows' anchor point, the others nearby.
+        k = int(rng.integers(1, 5))
+        values = point[columns] + np.vstack(
+            [np.zeros(len(columns), int)] + [rng.integers(-1, 2, len(columns)) for _ in range(k - 1)]
+        )
+        expected = []
+        for row in values:
+            assignment = dict(zip(columns.tolist(), row.tolist()))
+            if any(not lb[i] <= v <= ub[i] for i, v in assignment.items()):
+                seen.add("bounds")
+            expected.append(_reference_feasible(lb, ub, rows, assignment))
+        starts = WarmStarts(columns, values.astype(float), np.zeros(k))
+        assert _warm_starts_feasible(prob, starts).tolist() == expected, (rows, columns, values)
+        outcomes.update(expected)
+        if k > 1 and len(set(expected)) > 1:
+            seen.add("mixed pool")
     assert outcomes == {True, False}  # both verdicts exercised
-    assert seen == {"L", "G", "E", "empty", "bounds", "partial"}
-
-
-def test_warm_start_check_rejects_unknown_names():
-    with pytest.raises(KeyError, match="unknown variable"):
-        _warm_start_fixings(knapsack_problem(7), {"w9": 1})
+    assert seen == {"L", "G", "E", "empty", "bounds", "partial", "mixed pool"}
 
 
 def test_shared_workspace_solves_budget_variants_like_their_own_and_refuses_other_matrices():
@@ -269,12 +312,13 @@ def test_shared_workspace_solves_budget_variants_like_their_own_and_refuses_othe
         prob = base.with_rhs("cap", cap)
         shared = solve_milp(prob, BnbConfig(root_warm_basis=root_basis), workspace=ws)
         own = solve_milp(prob, BnbConfig(root_warm_basis=root_basis))
-        for attr in ("status", "objective", "values", "nodes_explored", "lp_iterations"):
+        for attr in ("status", "objective", "nodes_explored", "lp_iterations"):
             assert getattr(shared, attr) == getattr(own, attr), (cap, attr)
+        np.testing.assert_array_equal(shared.x, own.x)
         assert (shared.counters.workspaces, own.counters.workspaces) == (0, 1)
         assert shared.counters.pivots == shared.lp_iterations
         root_basis = shared.root_basis
     with pytest.raises(ValueError, match="workspace"):
-        solve_milp(with_no_good_cut(base, {"w1": 1, "w2": 0, "w3": 1}), None, workspace=ws)
+        solve_milp(with_no_good_cut(base, ALL3, [1, 0, 1]), None, workspace=ws)
     with pytest.raises(ValueError, match="workspace"):
         solve_milp(knapsack_problem(7, values=(3.0, 5.0, 2.0)), workspace=ws)

@@ -184,6 +184,8 @@ def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch
     assert metrics["simplex.workspaces"] == 2
     assert metrics["simplex.lp_solves_cold"] == 1
     assert cold_starts == [0]
+    # Greedy plans and earlier optima, deduplicated per budget.
+    assert metrics["solver.warm_starts"] == 81
     assert 0 < metrics["simplex.lu_factorizations"] < metrics["simplex.lp_solves"]
     # The envelope counts the node LPs; the dispatch LPs are the rest.
     counters = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]

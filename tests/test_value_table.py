@@ -32,12 +32,12 @@ def _assert_models_agree(net, scen, sched, r_hat, budgets):
     evaluator = RecourseEvaluator(net, W)
     ef = extensive_form.build(net, scen, sched, Budget(max(budgets)), r_hat, W)
     vt = value_table.build(net, scen, sched, Budget(max(budgets)), r_hat, evaluator)
-    assert vt.x_names == ef.x_names
+    np.testing.assert_array_equal(vt.x_cols, ef.x_cols)
     for f in budgets:
         ref = _solve(ef.with_budget(f))
         sol = _solve(vt.with_budget(f))
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6), f
-        plan = vt.plan_from_values(sol.values)
+        plan = vt.plan_from_x(sol.x)
         assert evaluator.evaluate(plan, scen).expected_loss == pytest.approx(
             sol.objective, abs=1e-9
         ), f
