@@ -275,6 +275,9 @@ class _Solver:
         # True while x is exactly what _refresh_x computed from an LU with
         # no etas: no pivot, bound flip or hand edit of x since.
         self.x_fresh = False
+        # (costs, y, d) of the current basis and LU; None once either changes
+        # (a pivot, a refactorization or an adopted warm basis).
+        self.priced: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- shared plumbing -------------------------------------------------
 
@@ -303,6 +306,7 @@ class _Solver:
 
     def _refactorize(self) -> bool:
         self.lu_factorizations += 1
+        self.priced = None
         try:
             lu = spla.splu(_basis_matrix(self.ws.A_ext, self.basis))
         except (RuntimeError, ValueError):
@@ -312,15 +316,19 @@ class _Solver:
         return True
 
     def _duals(self, costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self.fact.btran(costs[self.basis].astype(float))
-        d = costs - self.ws.At @ y
-        return y, d
+        """Row duals and reduced costs of ``costs``, priced once per basis
+        and LU; callers only read them."""
+        if self.priced is None or self.priced[0] is not costs:
+            y = self.fact.btran(costs[self.basis].astype(float))
+            self.priced = (costs, y, costs - self.ws.At @ y)
+        return self.priced[1], self.priced[2]
 
     def _pivot(self, q: int, r: int, w: np.ndarray, step: float, new_val: float, leave_to: int) -> None:
         """Entering q moves by ``step``; basis position r leaves to a bound."""
         ws = self.ws
         leaving = self.basis[r]
         self.x_fresh = False
+        self.priced = None
         self.x[self.basis] -= step * w
         self.x[leaving] = ws.lo[leaving] if leave_to == AT_LOWER else ws.hi[leaving]
         self.status_arr[leaving] = leave_to
@@ -508,17 +516,11 @@ class _Solver:
         total = n + 2 * m
         self.status_arr = np.full(total, AT_LOWER, dtype=np.int8)
         self.x = np.zeros(total)
-        for j in range(n):
-            lo, hi = ws.lo[j], ws.hi[j]
-            if np.isinf(lo) and np.isinf(hi):
-                self.status_arr[j] = FREE
-                self.x[j] = 0.0
-            elif np.isinf(hi) or (np.isfinite(lo) and abs(lo) <= abs(hi)):
-                self.status_arr[j] = AT_LOWER
-                self.x[j] = lo
-            else:
-                self.status_arr[j] = AT_UPPER
-                self.x[j] = hi
+        lo, hi = ws.lo[:n], ws.hi[:n]
+        free = np.isinf(lo) & np.isinf(hi)
+        at_lo = ~free & (np.isinf(hi) | (np.isfinite(lo) & (np.abs(lo) <= np.abs(hi))))
+        self.status_arr[:n] = np.where(free, FREE, np.where(at_lo, AT_LOWER, AT_UPPER))
+        self.x[:n] = np.where(free, 0.0, np.where(at_lo, lo, hi))
 
         resid = ws.b - ws.A_ext[:, :n] @ self.x[:n]
         singletons = _row_singletons(ws.A_ext, n)
@@ -575,12 +577,11 @@ class _Solver:
             # Pin artificials for phase 2; basic ones idle at value ~zero.
             ws.lo[n + m :] = 0.0
             ws.hi[n + m :] = 0.0
-            in_basis = np.zeros(total, dtype=bool)
-            in_basis[self.basis] = True
-            for j in range(n + m, total):
-                if not in_basis[j]:
-                    self.status_arr[j] = AT_LOWER
-                    self.x[j] = 0.0
+            idle = np.ones(total, dtype=bool)
+            idle[: n + m] = False
+            idle[self.basis] = False
+            self.status_arr[idle] = AT_LOWER
+            self.x[idle] = 0.0
             self.x_fresh = False
         return "feasible"
 
@@ -597,6 +598,7 @@ class _Solver:
         self.basis = state.basis.copy()
         self.status_arr = state.status.copy()
         self.x = np.zeros(total)
+        self.priced = None
         if state.lu is not None and state.workspace is ws:
             self.fact = _Factorization(state.lu)
             self.lu_reused = True

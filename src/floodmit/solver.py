@@ -5,11 +5,12 @@ first, and warm-starts every child from its parent's basis so re-solves are
 a handful of dual simplex pivots.  Warm-start plans (binary assignments with
 known objectives) seed the incumbent so budget sweeps prune hard from the
 first node.  A caller passes them as one :class:`WarmStarts` matrix of
-candidate values over one set of columns, so the whole pool is checked
-against the rows those columns fully cover with one sparse product.  Plans
-and solutions cross this boundary as column arrays; variable names exist
-only for the LP-format export.  Without node or time limits the returned
-incumbent is provably optimal.
+candidate values over one set of columns.  A claim is a hint, not a fact: it
+only prunes, and when it is still the incumbent at the end its fixings are
+solved as one LP that must confirm it, or the search runs again without the
+pool.  Plans and solutions cross this boundary as column arrays; variable
+names exist only for the LP-format export.  Without node or time limits the
+returned incumbent is provably optimal.
 
 A caller that solves several problems over one constraint matrix (a budget
 sweep changes only the right-hand side) builds one simplex workspace with
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -49,7 +50,14 @@ class LpSolution:
 @dataclass(frozen=True)
 class WarmStarts:
     """Candidate values of ``columns``, one row of ``values`` per candidate,
-    and the objective value each candidate claims."""
+    and the objective value each candidate claims.
+
+    :func:`solve_milp` seeds its incumbent with the best claim among the
+    candidates within their columns' bounds and trusts it only once the
+    candidate's fixings, solved as an LP, are integral and worth no more.
+    A candidate that breaks a row, or a claim that its fixings do not back,
+    never becomes the answer; it costs at most one search without the pool.
+    """
 
     columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     values: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
@@ -126,30 +134,6 @@ def milp_workspace(problem: MilpProblem) -> simplex.Workspace:
     return simplex.Workspace(problem.objective, A, senses, b, problem.lb, problem.ub)
 
 
-def _warm_starts_feasible(problem: MilpProblem, starts: WarmStarts) -> np.ndarray:
-    """Mask of the candidates that keep their bounds and every covered row.
-
-    A row is covered when every variable it touches is one of the pool's
-    columns.  Rows touching other variables are the recourse blocks, which
-    admit a feasible completion by construction of the model.
-    """
-    tol = 1e-9
-    cols, vals = starts.columns, starts.values
-    ok = np.all((vals >= problem.lb[cols] - tol) & (vals <= problem.ub[cols] + tol), axis=1)
-    free = np.ones(problem.n_variables)
-    free[cols] = 0.0
-    covered = abs(problem.A) @ free == 0
-    act = (problem.A[:, cols] @ vals.T)[covered]  # covered rows x candidates
-    b = problem.b[covered, None]
-    senses = np.array(problem.senses)[covered, None]
-    bad = (
-        ((senses == "L") & (act > b + tol))
-        | ((senses == "G") & (act < b - tol))
-        | ((senses == "E") & (np.abs(act - b) > tol))
-    )
-    return ok & ~bad.any(axis=0)
-
-
 @dataclass(order=True)
 class _Node:
     bound: float  # parent LP value: a valid lower bound for the subtree
@@ -193,16 +177,18 @@ def solve_milp(
     warm_fixings: dict[int, float] = {}
     lp_iterations = 0
 
-    # Warm starts: verify against the rows they fully cover, then seed the
-    # incumbent with the best objective, the first of equals.
+    # Warm starts seed the incumbent with the best claim, the first of equals,
+    # among the candidates within their columns' bounds: a fixing overrides
+    # its column's bounds, so no LP would catch a value outside them.
     starts = config.warm_starts
     if len(starts):
-        feasible = _warm_starts_feasible(problem, starts)
-        log.info("warm starts: %d of %d feasible", feasible.sum(), len(starts))
-        for i in np.flatnonzero(feasible):
+        lb, ub = problem.lb[starts.columns], problem.ub[starts.columns]
+        vals = starts.values
+        in_bounds = np.all((vals >= lb - 1e-9) & (vals <= ub + 1e-9), axis=1)
+        for i in np.flatnonzero(in_bounds):
             if starts.objectives[i] < incumbent_obj - 1e-12:
                 incumbent_obj = float(starts.objectives[i])
-                warm_fixings = dict(zip(starts.columns.tolist(), starts.values[i].tolist()))
+                warm_fixings = dict(zip(starts.columns.tolist(), vals[i].tolist()))
 
     def solve_node(node: _Node):
         nonlocal lp_iterations
@@ -298,22 +284,30 @@ def solve_milp(
             counters=counters,
         )
 
-    # A warm start may remain the incumbent without any node reproducing its
-    # values; rebuild them by solving its fixings as a node from the root basis.
-    # That LP value bounds every completion of the fixings from below, so a
-    # claim beneath it is false and the search pruned on a wrong incumbent.
+    # A claim only pruned: a node that beat it is an LP-verified incumbent
+    # below every pruned bound.  A claim no node beat is the answer only if
+    # its fixings, solved from the root basis, are integral and worth no more
+    # than claimed; otherwise the search runs again without the pool.
     if incumbent_x is None:
         res = solve_node(_Node(bound=incumbent_obj, seq=-1, fixings=warm_fixings, warm=root_basis))
-        if res.status != simplex.STATUS_OPTIMAL:
-            raise SolverError("failed to rebuild warm-start incumbent values")
-        rebuilt = res.objective + offset
-        if rebuilt > incumbent_obj + 1e-9 * max(1.0, abs(incumbent_obj)):
-            raise SolverError(
-                f"warm start claimed objective {incumbent_obj:.9g} but its fixings "
-                f"are worth at least {rebuilt:.9g}"
+        confirmed = res.status == simplex.STATUS_OPTIMAL and pick_branch(res.x) is None
+        worth = res.objective + offset if confirmed else np.inf
+        if worth > incumbent_obj + 1e-9 * max(1.0, abs(incumbent_obj)):
+            log.info("warm start claim %.9g not confirmed; searching without it", incumbent_obj)
+            rest = replace(
+                config,
+                warm_starts=WarmStarts(),
+                # What is left of each limit; None and 0 pass unchanged.
+                node_limit=config.node_limit and config.node_limit - nodes_explored,
+                time_limit=config.time_limit and config.time_limit - (time.monotonic() - t_start),
             )
+            rerun = solve_milp(problem, rest, ws)
+            rerun.nodes_explored += nodes_explored
+            rerun.lp_iterations += lp_iterations
+            rerun.counters.add(counters)
+            return rerun
         incumbent_x = res.x
-        incumbent_obj = min(incumbent_obj, rebuilt)
+        incumbent_obj = min(incumbent_obj, worth)
 
     x = incumbent_x.copy()
     x[bin_idx] = np.round(x[bin_idx])
