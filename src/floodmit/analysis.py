@@ -9,10 +9,11 @@ monotone nonincreasing across the sweep, while the plans themselves usually
 are not nested; the diagnostics here quantify that.
 
 Everything that depends only on the instance is built once per sweep: the
-model, one simplex workspace over its matrix (each budget only resets the
-right-hand side, so the chained root basis keeps its LU), and one
-:class:`~floodmit.heuristic.LevelMatrix` that every budget's greedy
-portfolio and spared-capacity row read.
+model and one :class:`~floodmit.heuristic.LevelMatrix` that every budget's
+greedy portfolio and spared-capacity row read.  Budget 0's search builds the
+simplex workspace over the model's matrix; its root basis carries that
+workspace, and its LU, to the next budget, which only resets the
+right-hand side.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .mitigation import Budget, CostSchedule, MitigationPlan, max_useful_budget,
 from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
 from .recourse import status_closure  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario_model import FloodScenarioSet
-from .simplex import SimplexCounters, Workspace
+from .simplex import SimplexCounters
 from .value_table import build
 from . import solver
 
@@ -61,7 +62,6 @@ class SweepRow:
     nodes: int = 0
     lp_iterations: int = 0
     unique: bool | None = None
-    uniqueness_witness: MitigationPlan | None = None
     uniqueness_caveat: bool = False
 
 
@@ -90,35 +90,22 @@ class SweepReport:
 @dataclass
 class NestednessReport:
     violations: list[Transition]  # downward moves: larger budget protects less
-    transition_counts: dict[str, int]
-    # (substation, level r) -> (first budget reaching r+1, last upward crossing budget)
-    crossing_intervals: dict[tuple[str, int], tuple[int, int]] = field(default_factory=dict)
 
     @property
     def nested(self) -> bool:
         return not self.violations
 
 
-def spared_capacity(
-    plan: MitigationPlan,
-    network: GridNetwork,
-    scenario_set: FloodScenarioSet,
-    *,
-    levels: LevelMatrix | None = None,
-) -> SparedCapacity:
+def spared_capacity(plan: MitigationPlan, levels: LevelMatrix) -> SparedCapacity:
     """Expected proportion of flood-lost capacity that the plan keeps running.
 
     Per scenario, the baseline statuses come from the zero plan; the ratio
     of spared to lost capacity is averaged over scenarios with a scenario
     contributing zero when it loses nothing (there is nothing to spare).
-    ``levels`` is the instance's level matrix when the caller keeps one (a
-    sweep does); it holds the zero plan's lost capacity.  Every sum adds its
-    terms in network (or scenario) order, one at a time from 0.0.
+    ``levels`` is the instance's level matrix; it holds the zero plan's lost
+    capacity, and its cost schedule and r̂ play no part here.  Every sum adds
+    its terms in network (or scenario) order, one at a time from 0.0.
     """
-    if levels is None:  # the instance's own schedule and cap; only the greedy reads those
-        levels = LevelMatrix(
-            network, scenario_set, CostSchedule.for_network(network), scenario_set.unattainable_level
-        )
     bus, branch = levels.statuses(plan)
     gain_bus, gain_branch = bus - levels.zero_bus, branch - levels.zero_branch
     spared = np.stack(
@@ -180,19 +167,18 @@ def solve_instance(
     root_basis=None,
     check_unique: bool = False,
     losses: dict | None = None,
-    workspace: Workspace | None = None,
 ) -> tuple[solver.MilpSolution, MitigationPlan, dict]:
     """Solve one budget instance with warm starts; optionally probe uniqueness.
 
     ``losses`` maps plan keys to expected losses already evaluated with
     ``evaluator`` (a sweep passes one map for all its budgets); it is
-    filled with the warm plans' losses.  ``workspace`` is the caller's
-    :func:`solver.milp_workspace` over this instance's matrix, if any.  The
-    solution's ``counters`` also count the uniqueness probe.
+    filled with the warm plans' losses.  ``root_basis`` carries the
+    workspace of an earlier solve over this matrix, which the search then
+    reuses.  The solution's ``counters`` also count the uniqueness probe.
     """
     pool = _warm_pool(ef, warm_plans, evaluator, {} if losses is None else losses)
     config = solver.BnbConfig(warm_starts=pool, root_warm_basis=root_basis)
-    sol = solver.solve_milp(ef.problem, config, workspace=workspace)
+    sol = solver.solve_milp(ef.problem, config)
     if sol.status != "optimal":
         raise solver.SolverError(f"budget {ef.budget.units}: solver stopped with {sol.status}")
     plan = ef.plan_from_x(sol.x)
@@ -223,11 +209,10 @@ def sweep(
     continues.
     """
     if f_max is None:
-        f_max = max_useful_budget(network, scenario_set, schedule, r_hat)
+        f_max = max_useful_budget(scenario_set, schedule, r_hat)
     evaluator = RecourseEvaluator(network, weights)
-    base = build(network, scenario_set, schedule, Budget(f_max), r_hat, evaluator)
-    workspace = solver.milp_workspace(base.problem)
-    counters = SimplexCounters(workspaces=1)
+    base = build(scenario_set, schedule, Budget(f_max), r_hat, evaluator)
+    counters = SimplexCounters()
     levels = LevelMatrix(network, scenario_set, schedule, r_hat)
 
     rows: list[SweepRow] = []
@@ -236,7 +221,7 @@ def sweep(
     root_basis = None
     for f in range(0, f_max + 1):
         ef = base.with_budget(f)
-        greedy_plans = portfolio(Budget(f), network, scenario_set, schedule, r_hat, levels=levels)
+        greedy_plans = portfolio(Budget(f), levels)
         warm_plans = greedy_plans + prior_plans
         heur_best = min(
             _expected_loss(p, evaluator, scenario_set, losses) for p in greedy_plans
@@ -244,7 +229,7 @@ def sweep(
         try:
             sol, plan, extras = solve_instance(
                 ef, warm_plans, evaluator, root_basis=root_basis, check_unique=check_unique,
-                losses=losses, workspace=workspace,
+                losses=losses,
             )
         except solver.SolverError as exc:
             log.error("budget %d failed: %s", f, exc)
@@ -268,13 +253,12 @@ def sweep(
                 objective=sol.objective,
                 plan=plan,
                 plan_cost=plan_cost(plan, schedule),
-                spared=spared_capacity(plan, network, scenario_set, levels=levels),
+                spared=spared_capacity(plan, levels),
                 heuristic_best=heur_best,
                 heuristic_gap=gap,
                 nodes=sol.nodes_explored,
                 lp_iterations=sol.lp_iterations,
                 unique=extras.get("unique"),
-                uniqueness_witness=extras.get("witness"),
                 uniqueness_caveat=extras.get("caveat", False),
             )
         )
@@ -304,16 +288,4 @@ def nestedness(report: SweepReport) -> NestednessReport:
     """Where do larger budgets protect less?  Empirically they often do."""
     if len(report.rows) < 2:
         raise ValueError("nestedness needs at least two budgets")
-    violations = [t for t in report.transitions if t.to_level < t.from_level]
-    counts: dict[str, int] = {}
-    for t in report.transitions:
-        counts[t.substation] = counts.get(t.substation, 0) + 1
-
-    crossings: dict[tuple[str, int], list[int]] = {}
-    for t in report.transitions:
-        for r in range(t.from_level, t.to_level):  # upward crossings r -> r+1
-            crossings.setdefault((t.substation, r), []).append(t.budget)
-    intervals = {key: (min(v), max(v)) for key, v in crossings.items()}
-    return NestednessReport(
-        violations=violations, transition_counts=counts, crossing_intervals=intervals
-    )
+    return NestednessReport(violations=[t for t in report.transitions if t.to_level < t.from_level])

@@ -90,17 +90,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _load_inputs(args, need_scenarios=True):
-    network = load_network(args.network)
+def _load_network(path):
+    network = load_network(path)
     violations = validate(network)
     if violations:
         raise CliError("network invalid: " + "; ".join(violations))
-    scenarios = None
-    if need_scenarios:
-        scenarios = load_scenarios(
-            args.scenarios, network=network, normalize=getattr(args, "normalize", False)
-        )
-    return network, scenarios
+    return network
+
+
+def _load_inputs(args):
+    """The network and scenarios of a command that plans under the cap ``--rhat``."""
+    if args.rhat < 1:
+        raise CliError("r_hat must be >= 1")
+    network = _load_network(args.network)
+    return network, load_scenarios(args.scenarios, network=network, normalize=args.normalize)
 
 
 def _plan_dict(plan) -> dict:
@@ -132,7 +135,7 @@ def cmd_validate(args) -> int:
 
 def cmd_gen_scenarios(args) -> int:
     started = time.monotonic()
-    network, _ = _load_inputs(args, need_scenarios=False)
+    network = _load_network(args.network)
     coastline = scenario_gen.load_coastline(args.coastline)
     mean_arc = args.mean_arc_km
     if mean_arc is None:
@@ -184,7 +187,7 @@ def cmd_heuristic(args) -> int:
 
     out = Path(args.out)
     if args.portfolio:
-        plans = heuristic.portfolio(budget, network, scenarios, schedule, args.rhat, levels)
+        plans = heuristic.portfolio(budget, levels)
         evaluator.settle(dead_substations(p, s) for p in plans for s in scenarios.scenarios)
         ranked = sorted(
             (evaluator.evaluate(p, scenarios).expected_loss, i, p)
@@ -210,7 +213,7 @@ def cmd_heuristic(args) -> int:
         return 0
 
     eta = heuristic.AttributeWeights(args.eta_load, args.eta_gen, args.eta_flow)
-    plan = heuristic.greedy(eta, budget, network, scenarios, schedule, args.rhat, levels)
+    plan = heuristic.greedy(eta, budget, levels)
     save_plan(plan, out)
     result = {
         "levels": _plan_dict(plan),
@@ -227,9 +230,9 @@ def _solve_one(args, check_unique: bool):
     schedule = CostSchedule.for_network(network)
     weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, weights)
-    ef = build(network, scenarios, schedule, Budget(args.budget), args.rhat, evaluator)
+    ef = build(scenarios, schedule, Budget(args.budget), args.rhat, evaluator)
     levels = heuristic.LevelMatrix(network, scenarios, schedule, args.rhat)
-    warm = heuristic.portfolio(Budget(args.budget), network, scenarios, schedule, args.rhat, levels)
+    warm = heuristic.portfolio(Budget(args.budget), levels)
     sol, plan, extras = analysis.solve_instance(
         ef, warm, evaluator, check_unique=check_unique
     )

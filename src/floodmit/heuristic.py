@@ -10,10 +10,10 @@ when the budget is spent, no affordable upgrade remains, or no upgrade helps.
 A portfolio of plans for warm starts comes from fixing the load weight at 1,
 dropping the generation weight (capacity is rarely binding), and sweeping the
 flow weight over a small grid.  Every pass reads one :class:`LevelMatrix`,
-the instance as arrays, which a caller solving many budgets (a sweep) builds
-once and passes in.  A step's scores depend only on the attribute weights
-and the current levels, so the matrix scores each such state once, however
-many passes and budgets reach it.
+the instance as arrays, which the caller builds once per instance (a sweep,
+once for all its budgets) and passes in.  A step's scores depend only on
+the attribute weights and the current levels, so the matrix scores each
+such state once, however many passes and budgets reach it.
 """
 
 from __future__ import annotations
@@ -246,29 +246,15 @@ def _best_upgrade(cand: Candidates, remaining: int, subs: tuple[str, ...]) -> in
     return None if best is None else best[3]
 
 
-def greedy(
-    weights: AttributeWeights,
-    budget: Budget,
-    network: GridNetwork,
-    scenario_set: FloodScenarioSet,
-    schedule: CostSchedule,
-    r_hat: int,
-    levels: LevelMatrix | None = None,
-) -> MitigationPlan:
-    """One greedy pass: repeatedly buy the best benefit-per-cost upgrade,
-    the affordable one that :func:`_best_upgrade` picks, so identical inputs
-    yield the identical plan.
-
-    ``levels`` is the instance's :class:`LevelMatrix` when the caller keeps
-    one; otherwise the pass builds its own.  Each step reads the scored
-    candidates of its state from the matrix, which scores every state once.
+def greedy(weights: AttributeWeights, budget: Budget, levels: LevelMatrix) -> MitigationPlan:
+    """One greedy pass over the instance's :class:`LevelMatrix`: repeatedly
+    buy the best benefit-per-cost upgrade, the affordable one that
+    :func:`_best_upgrade` picks, so identical inputs yield the identical
+    plan.  Each step reads the scored candidates of its state from the
+    matrix, which scores every state once.
     """
-    if r_hat < 2:
+    if levels.r_hat < 2:
         return ZERO_PLAN  # no attainable level to buy
-    if levels is None:
-        levels = LevelMatrix(network, scenario_set, schedule, r_hat)
-    elif levels.r_hat != r_hat:
-        raise ValueError(f"level matrix is for r_hat={levels.r_hat}, not {r_hat}")
     levels.counters.passes += 1
     subs = levels.sub_ids
     cur = np.zeros(len(subs), dtype=int)
@@ -283,30 +269,13 @@ def greedy(
     return MitigationPlan(dict(zip(subs, cur.tolist())))
 
 
-def portfolio(
-    budget: Budget,
-    network: GridNetwork,
-    scenario_set: FloodScenarioSet,
-    schedule: CostSchedule,
-    r_hat: int,
-    levels: LevelMatrix | None = None,
-) -> list[MitigationPlan]:
-    """Deduplicated greedy plans across the flow-weight grid, all on one
-    :class:`LevelMatrix` (the caller's, or one built here)."""
-    if levels is None:
-        levels = LevelMatrix(network, scenario_set, schedule, r_hat)
+def portfolio(budget: Budget, levels: LevelMatrix) -> list[MitigationPlan]:
+    """Deduplicated greedy plans across the flow-weight grid, all on the
+    instance's :class:`LevelMatrix`."""
     plans: list[MitigationPlan] = []
     seen = set()
     for eta_flow in ETA_FLOW_GRID:
-        plan = greedy(
-            AttributeWeights(eta_load=1.0, eta_gen=0.0, eta_flow=eta_flow),
-            budget,
-            network,
-            scenario_set,
-            schedule,
-            r_hat,
-            levels,
-        )
+        plan = greedy(AttributeWeights(eta_load=1.0, eta_gen=0.0, eta_flow=eta_flow), budget, levels)
         if plan.key() not in seen:
             seen.add(plan.key())
             plans.append(plan)

@@ -121,12 +121,7 @@ def is_feasible(
     return plan_cost(plan, schedule) <= budget.units
 
 
-def max_useful_budget(
-    network: GridNetwork,
-    scenarios: FloodScenarioSet,
-    schedule: CostSchedule,
-    r_hat: int,
-) -> int:
+def max_useful_budget(scenarios: FloodScenarioSet, schedule: CostSchedule, r_hat: int) -> int:
     """Most resources that can still change any outcome.
 
     Per substation: the cost of reaching its worst preventable flood level,

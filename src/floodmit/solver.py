@@ -12,10 +12,10 @@ pool.  Plans and solutions cross this boundary as column arrays; variable
 names exist only for the LP-format export.  Without node or time limits the
 returned incumbent is provably optimal.
 
-A caller that solves several problems over one constraint matrix (a budget
-sweep changes only the right-hand side) builds one simplex workspace with
-:func:`milp_workspace` and passes it to every solve; a root basis carried
-from one solve to the next then keeps its LU.
+A root basis carries the simplex workspace its search ran on.  A caller
+that solves several problems over one constraint matrix (a budget sweep
+changes only the right-hand side) passes each solve's root basis to the
+next, which then reuses that workspace and the basis's LU.
 
 Everything is single-threaded and tie-broken by index, so identical inputs
 reproduce identical incumbents and node counts.
@@ -87,7 +87,7 @@ class MilpSolution:
     # Basis of the root relaxation: the right seed for a re-solve of the same
     # structure with a loosened right-hand side (budget sweeps).
     root_basis: simplex.BasisState | None = None
-    # The node LPs and the workspace built for them (none when passed in).
+    # The node LPs and the workspace built for them (none when carried in).
     counters: simplex.SimplexCounters = field(default_factory=simplex.SimplexCounters)
 
 
@@ -129,7 +129,7 @@ def solve_lp(
 
 def milp_workspace(problem: MilpProblem) -> simplex.Workspace:
     """A simplex workspace over the problem's costs, matrix and row senses,
-    which :func:`solve_milp` accepts for every problem sharing them."""
+    which a root basis carries to every later solve sharing them."""
     A, senses, b = problem.constraint_arrays()
     return simplex.Workspace(problem.objective, A, senses, b, problem.lb, problem.ub)
 
@@ -142,34 +142,36 @@ class _Node:
     warm: simplex.BasisState | None = field(compare=False, default=None)
 
 
-def solve_milp(
-    problem: MilpProblem,
-    config: BnbConfig | None = None,
-    workspace: simplex.Workspace | None = None,
-) -> MilpSolution:
+def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSolution:
     """Branch and bound over the problem's binaries.
 
-    ``workspace`` is one from :func:`milp_workspace` for a problem with the
-    same matrix object, costs and row senses; it takes this problem's
-    right-hand side.  Without it the solve builds its own.
+    The search reuses the workspace that ``config.root_warm_basis`` carries
+    when it was built over the same matrix object, costs and row senses; it
+    takes this problem's right-hand side.  Otherwise the search builds its
+    own.
 
     Returns a provably optimal incumbent when no limit binds.  Raises
     :class:`SolverError` on unrecoverable numerical failure.
     """
     config = config or BnbConfig()
-    t_start = time.monotonic()
-    offset = problem.objective_offset
     counters = simplex.SimplexCounters()
-
-    root_lb, root_ub = problem.bounds_arrays()
-    if workspace is None:
-        ws = milp_workspace(problem)
-        counters.workspaces = 1
-    elif workspace.built_over(problem.objective, problem.A, problem.senses):
-        ws = workspace
+    ws = None if config.root_warm_basis is None else config.root_warm_basis.workspace
+    if ws is not None and ws.built_over(problem.objective, problem.A, problem.senses):
         ws.set_rhs(problem.b)
     else:
-        raise ValueError(f"workspace was not built over the matrix of {problem.name}")
+        ws = milp_workspace(problem)
+        counters.workspaces = 1
+    return _search(problem, config, ws, counters)
+
+
+def _search(
+    problem: MilpProblem, config: BnbConfig, ws: simplex.Workspace, counters: simplex.SimplexCounters
+) -> MilpSolution:
+    """The branch and bound of :func:`solve_milp` on the workspace ``ws``,
+    counting its LPs into ``counters``."""
+    t_start = time.monotonic()
+    offset = problem.objective_offset
+    root_lb, root_ub = problem.bounds_arrays()
     bin_idx = problem.binary_indices()
 
     incumbent_obj = np.inf
@@ -301,7 +303,7 @@ def solve_milp(
                 node_limit=config.node_limit and config.node_limit - nodes_explored,
                 time_limit=config.time_limit and config.time_limit - (time.monotonic() - t_start),
             )
-            rerun = solve_milp(problem, rest, ws)
+            rerun = _search(problem, rest, ws, simplex.SimplexCounters())
             rerun.nodes_explored += nodes_explored
             rerun.lp_iterations += lp_iterations
             rerun.counters.add(counters)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, check_inputs
-from .grid_model import GridNetwork
 from .milp import ProblemBuilder, sanitize_name
 from .mitigation import Budget, CostSchedule
 from .recourse import RecourseEvaluator
@@ -89,7 +88,6 @@ def _add_table(
 
 
 def build(
-    network: GridNetwork,
     scenario_set: FloodScenarioSet,
     schedule: CostSchedule,
     budget: Budget,
@@ -98,10 +96,11 @@ def build(
 ) -> ExtensiveForm:
     """Assemble the planning MILP with a value table per scenario.
 
-    Same first stage and optimum as :func:`floodmit.extensive_form.build`,
-    with the loss weights of ``evaluator``.  Raises on the same input
-    mismatches.
+    Same first stage and optimum as :func:`floodmit.extensive_form.build`
+    over the network and loss weights of ``evaluator``.  Raises on the same
+    input mismatches.
     """
+    network = evaluator.network
     check_inputs(network, scenario_set, schedule, r_hat)
     pb = ProblemBuilder("value_table")
     x_idx = add_first_stage(pb, network, schedule, budget, r_hat)

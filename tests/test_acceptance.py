@@ -14,7 +14,7 @@ from floodmit.analysis import spared_capacity, sweep
 from floodmit.extensive_form import alpha_link_rows, build
 from floodmit.fixtures import make_fixture
 from floodmit.geo_remap import LabeledPoint, PointSet, assignment_lp_vertex, distance
-from floodmit.heuristic import portfolio
+from floodmit.heuristic import LevelMatrix, portfolio
 from floodmit.mitigation import (
     Budget,
     CostSchedule,
@@ -89,7 +89,7 @@ def test_criterion_02_oracle_equivalence():
         fx = make_fixture(name)
         sched = CostSchedule.for_network(fx.network)
         for r_hat in (3, 4):
-            mub = max_useful_budget(fx.network, fx.scenarios, sched, r_hat)
+            mub = max_useful_budget(fx.scenarios, sched, r_hat)
             budgets = sorted({0, 1, 2, mub // 2, mub})
             evaluator = RecourseEvaluator(fx.network, W)
             for f in budgets:
@@ -185,7 +185,7 @@ def test_criterion_06_attainability_cap_ordering():
     fx = make_fixture("star8")  # carries level-3 floods
     assert any(lvl >= 3 for s in fx.scenarios.scenarios for lvl in s.levels.values())
     sched = CostSchedule.for_network(fx.network)
-    f_max = max_useful_budget(fx.network, fx.scenarios, sched, 3)
+    f_max = max_useful_budget(fx.scenarios, sched, 3)
     rep3 = sweep(fx.network, fx.scenarios, sched, r_hat=3, f_max=f_max)
     rep4 = sweep(fx.network, fx.scenarios, sched, r_hat=4, f_max=f_max)
     diffs = [
@@ -207,10 +207,11 @@ def test_criterion_07_heuristic_quality():
         fx = make_fixture(name)
         sched = CostSchedule.for_network(fx.network)
         evaluator = RecourseEvaluator(fx.network, W)
-        mub = max_useful_budget(fx.network, fx.scenarios, sched, 3)
+        mub = max_useful_budget(fx.scenarios, sched, 3)
+        levels = LevelMatrix(fx.network, fx.scenarios, sched, 3)
         worst_gap = 0.0
         for f in sorted({1, mub // 3, mub // 2, mub}):
-            plans = portfolio(Budget(f), fx.network, fx.scenarios, sched, 3)
+            plans = portfolio(Budget(f), levels)
             all_ok &= all(is_feasible(p, sched, Budget(f), 3) for p in plans)
             best_h = min(evaluator.evaluate(p, fx.scenarios).expected_loss for p in plans)
             opt = min(
@@ -290,9 +291,10 @@ def test_criterion_10_spared_capacity_hand_values():
     wet = FloodScenarioSet(
         (FloodScenario("w", 1.0, {"S1": 1, "S2": 1}),), level_count=3, unattainable_level=3
     )
-    zero = spared_capacity(ZERO_PLAN, fx.network, wet)
-    full = spared_capacity(MitigationPlan({"S1": 1, "S2": 1}), fx.network, wet)
-    half = spared_capacity(MitigationPlan({"S1": 1}), fx.network, wet)
+    levels = LevelMatrix(fx.network, wet, CostSchedule.for_network(fx.network), 3)
+    zero = spared_capacity(ZERO_PLAN, levels)
+    full = spared_capacity(MitigationPlan({"S1": 1, "S2": 1}), levels)
+    half = spared_capacity(MitigationPlan({"S1": 1}), levels)
     ok = (
         (zero.load_proportion, zero.gen_proportion, zero.flow_proportion) == (0.0, 0.0, 0.0)
         and (full.load_proportion, full.gen_proportion, full.flow_proportion) == (1.0, 1.0, 1.0)

@@ -226,6 +226,30 @@ def test_eval_rejects_plan_with_unknown_substation(tiny3_dir, tmp_path, capsys):
     assert "GHOST" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rhat", ["0", "-2"])
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("heuristic", ["--budget", "2", "--out"]),
+        ("solve", ["--budget", "2", "--out-dir"]),
+        ("check-unique", ["--budget", "2", "--out"]),
+        ("eval", ["--plan", "PLAN", "--out"]),
+        ("sweep", ["--out"]),
+    ],
+)
+def test_model_commands_reject_rhat_below_one(tiny3_dir, tmp_path, capsys, command, extra, rhat):
+    """No plan can mean a cap below level 1, so every command that models
+    one exits 2 before it writes anything."""
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"levels": {}}', encoding="utf-8")
+    out = tmp_path / "out"
+    args = [command, "--network", _net(tiny3_dir), "--scenarios", _scen(tiny3_dir), "--rhat", rhat]
+    args += [str(plan) if a == "PLAN" else a for a in extra] + [str(out)]
+    assert main(args) == 2
+    assert "r_hat must be >= 1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plan.json"]
+
+
 @pytest.mark.parametrize("level", [3, 9])
 def test_eval_rejects_plan_level_at_or_above_rhat(tiny3_dir, tmp_path, capsys, level):
     """Level r̂ and above are beyond any barrier stack; a plan claiming one

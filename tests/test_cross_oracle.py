@@ -66,7 +66,7 @@ def test_randomized_instances_match_external_solver():
         scen = random_scenario_set(rng, net, count=int(rng.integers(1, 4)), level_count=3)
         sched = CostSchedule.for_network(net)
         r_hat = int(rng.choice([3, 4]))
-        fmax = max_useful_budget(net, scen, sched, r_hat)
+        fmax = max_useful_budget(scen, sched, r_hat)
         f = int(rng.integers(0, fmax + 2))
         ef = build(net, scen, sched, Budget(f), r_hat, W)
         mine = solve_milp(ef.problem)

@@ -86,7 +86,7 @@ def test_benefit_nonnegative_property(star8):
 
 def test_greedy_zero_budget(star8):
     sched = CostSchedule.for_network(star8.network)
-    plan = greedy(AttributeWeights(), Budget(0), star8.network, star8.scenarios, sched, 3)
+    plan = greedy(AttributeWeights(), Budget(0), LevelMatrix(star8.network, star8.scenarios, sched, 3))
     assert plan == ZERO_PLAN
 
 
@@ -95,7 +95,7 @@ def test_greedy_no_preventable_flooding_stops(star8):
         (FloodScenario("w", 1.0, {"S1": 3, "S2": 4}),), level_count=4, unattainable_level=3
     )
     sched = CostSchedule.for_network(star8.network)
-    plan = greedy(AttributeWeights(), Budget(10), star8.network, hopeless, sched, 3)
+    plan = greedy(AttributeWeights(), Budget(10), LevelMatrix(star8.network, hopeless, sched, 3))
     assert plan == ZERO_PLAN  # positive budget, but benefit is zero everywhere
 
 
@@ -107,16 +107,18 @@ def test_greedy_hand_trace_on_tiny3(tiny3):
     #   iteration 2: S2->1 ratio 0.5; S1->2 adds nothing (flood level is 1).
     #   budget exhausted; plan protects both to level 1.
     sched = CostSchedule.for_network(tiny3.network)
-    plan = greedy(AttributeWeights(1, 0, 0), Budget(2), tiny3.network, tiny3.scenarios, sched, 3)
+    levels = LevelMatrix(tiny3.network, tiny3.scenarios, sched, 3)
+    plan = greedy(AttributeWeights(1, 0, 0), Budget(2), levels)
     assert plan.levels == {"S1": 1, "S2": 1}
-    one = greedy(AttributeWeights(1, 0, 0), Budget(1), tiny3.network, tiny3.scenarios, sched, 3)
+    one = greedy(AttributeWeights(1, 0, 0), Budget(1), levels)
     assert one.levels == {"S1": 1}  # the lexicographic tie-break
 
 
 def test_greedy_respects_budget_and_feasibility(star8):
     sched = CostSchedule.for_network(star8.network)
+    levels = LevelMatrix(star8.network, star8.scenarios, sched, 3)
     for f in range(0, 15):
-        plan = greedy(AttributeWeights(1, 0, 0.05), Budget(f), star8.network, star8.scenarios, sched, 3)
+        plan = greedy(AttributeWeights(1, 0, 0.05), Budget(f), levels)
         assert is_feasible(plan, sched, Budget(f), 3)
 
 
@@ -132,14 +134,14 @@ def test_greedy_multi_level_jump():
         (FloodScenario("w", 1.0, {"K": 2}),), level_count=3, unattainable_level=3
     )
     sched = CostSchedule.for_network(net)
-    plan = greedy(AttributeWeights(1, 0, 0), Budget(3), net, ss, sched, 3)
+    plan = greedy(AttributeWeights(1, 0, 0), Budget(3), LevelMatrix(net, ss, sched, 3))
     assert plan.levels == {"K": 2}
 
 
 def test_greedy_deterministic(star8):
     sched = CostSchedule.for_network(star8.network)
     plans = {
-        greedy(AttributeWeights(1, 0, 0.1), Budget(7), star8.network, star8.scenarios, sched, 3).key()
+        greedy(AttributeWeights(1, 0, 0.1), Budget(7), LevelMatrix(star8.network, star8.scenarios, sched, 3)).key()
         for _ in range(3)
     }
     assert len(plans) == 1
@@ -321,7 +323,7 @@ def test_greedy_matches_dict_reference_on_random_ties():
         sched = CostSchedule.for_network(net)
         eta = AttributeWeights(1.0, float(rng.choice([0.0, 0.5])), float(rng.choice([0.0, 0.05, 0.15])))
         budget = Budget(int(rng.integers(0, 12)))
-        fast = greedy(eta, budget, net, ss, sched, r_hat)
+        fast = greedy(eta, budget, LevelMatrix(net, ss, sched, r_hat))
         slow = _dict_greedy(eta, budget, net, ss, sched, r_hat)
         assert fast.key() == slow.key(), (i, budget, eta)
         cases += bool(slow.levels)
@@ -346,7 +348,7 @@ def _shared_matrix_matches_dict_reference(net, ss, r_hat, budgets, monkeypatch):
     for f in budgets:
         for eta_flow in ETA_FLOW_GRID:
             eta = AttributeWeights(1.0, 0.0, eta_flow)
-            fast = greedy(eta, Budget(f), net, ss, sched, r_hat, levels)
+            fast = greedy(eta, Budget(f), levels)
             assert fast.key() == _dict_greedy(eta, Budget(f), net, ss, sched, r_hat).key(), (f, eta_flow)
     assert levels.counters.passes == len(budgets) * len(ETA_FLOW_GRID)
     assert levels.counters.states_scored == len(set(requested))
@@ -356,7 +358,7 @@ def _shared_matrix_matches_dict_reference(net, ss, r_hat, budgets, monkeypatch):
 @pytest.mark.parametrize("name", ["star8", "coastal40"])
 def test_one_level_matrix_across_budgets_and_flow_weights(request, monkeypatch, name):
     fx = request.getfixturevalue(name)
-    f_max = max_useful_budget(fx.network, fx.scenarios, CostSchedule.for_network(fx.network), 3)
+    f_max = max_useful_budget(fx.scenarios, CostSchedule.for_network(fx.network), 3)
     requests, scored = _shared_matrix_matches_dict_reference(
         fx.network, fx.scenarios, 3, range(f_max + 1), monkeypatch
     )
@@ -422,7 +424,7 @@ def test_best_upgrade_equals_the_full_scan_on_chains_of_near_ties():
 def test_portfolio_grid_and_dedupe(star8):
     sched = CostSchedule.for_network(star8.network)
     assert ETA_FLOW_GRID == (0.0, 0.025, 0.05, 0.075, 0.1, 0.125, 0.15)
-    plans = portfolio(Budget(9), star8.network, star8.scenarios, sched, 3)
+    plans = portfolio(Budget(9), LevelMatrix(star8.network, star8.scenarios, sched, 3))
     assert 1 <= len(plans) <= 7
     keys = [p.key() for p in plans]
     assert len(keys) == len(set(keys))
@@ -440,5 +442,5 @@ def test_portfolio_collapses_when_flow_weight_irrelevant():
     ss = FloodScenarioSet(
         (FloodScenario("w", 1.0, {"K": 1}),), level_count=3, unattainable_level=3
     )
-    plans = portfolio(Budget(3), net, ss, CostSchedule.for_network(net), 3)
+    plans = portfolio(Budget(3), LevelMatrix(net, ss, CostSchedule.for_network(net), 3))
     assert len(plans) == 1

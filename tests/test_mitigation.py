@@ -91,22 +91,22 @@ def _scenario_set(levels_per_scenario, level_count=3):
 def test_max_useful_budget_nothing_floods():
     net = _net_one_sub()
     ss = _scenario_set([{}])
-    assert max_useful_budget(net, ss, CostSchedule.for_network(net), 3) == 0
+    assert max_useful_budget(ss, CostSchedule.for_network(net), 3) == 0
 
 
 def test_max_useful_budget_counts_worst_preventable():
     # Worst preventable level 2 on a small substation: 1 + 2 segments.
     net = _net_one_sub()
     ss = _scenario_set([{"K": 1}, {"K": 2}])
-    assert max_useful_budget(net, ss, CostSchedule.for_network(net), 3) == 3
+    assert max_useful_budget(ss, CostSchedule.for_network(net), 3) == 3
 
 
 def test_max_useful_budget_ignores_unpreventable():
     net = _net_one_sub()
     ss = _scenario_set([{"K": 3}])
-    assert max_useful_budget(net, ss, CostSchedule.for_network(net), 3) == 0
+    assert max_useful_budget(ss, CostSchedule.for_network(net), 3) == 0
     # With the cap raised the same flood becomes preventable (1+2+3 segments).
-    assert max_useful_budget(net, ss, CostSchedule.for_network(net), 4) == 6
+    assert max_useful_budget(ss, CostSchedule.for_network(net), 4) == 6
 
 
 def test_enumerate_single_substation():

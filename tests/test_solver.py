@@ -1,14 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from floodmit.milp import ProblemBuilder, sanitize_name, with_no_good_cut, write_lp_text
+from floodmit.simplex import BasisState
 from floodmit.solver import (
     BnbConfig,
     WarmStarts,
     check_uniqueness,
-    milp_workspace,
     solve_lp,
     solve_milp,
 )
@@ -322,25 +323,32 @@ def test_transforms_leave_the_parent_unchanged():
         prob.with_rhs("nope", 1.0)
 
 
-def test_shared_workspace_solves_budget_variants_like_their_own_and_refuses_other_matrices():
-    """``with_rhs`` keeps the matrix, so one workspace serves every budget
-    with the same answer, node count and pivots as a workspace of its own;
-    a no-good cut makes another matrix, and a workspace of the same shape
-    over different costs is refused too."""
+def test_root_basis_brings_its_workspace_across_budget_variants_and_no_further():
+    """``with_rhs`` keeps the matrix, so a root basis chained from one budget
+    to the next brings its workspace and LU, with the same answer, node
+    count and pivots as a solve from that basis without them.  A no-good
+    cut makes another matrix, and other costs another model: there the
+    search builds a workspace of its own and finds the cold answer."""
     base = knapsack_problem(7)
-    ws = milp_workspace(base)
     root_basis = None
     for cap in (7.0, 8.0, 11.0, 3.0):
         prob = base.with_rhs("cap", cap)
-        shared = solve_milp(prob, BnbConfig(root_warm_basis=root_basis), workspace=ws)
-        own = solve_milp(prob, BnbConfig(root_warm_basis=root_basis))
+        chained = solve_milp(prob, BnbConfig(root_warm_basis=root_basis))
+        bare = None if root_basis is None else BasisState(root_basis.basis, root_basis.status)
+        own = solve_milp(prob, BnbConfig(root_warm_basis=bare))
         for attr in ("status", "objective", "nodes_explored", "lp_iterations"):
-            assert getattr(shared, attr) == getattr(own, attr), (cap, attr)
-        np.testing.assert_array_equal(shared.x, own.x)
-        assert (shared.counters.workspaces, own.counters.workspaces) == (0, 1)
-        assert shared.counters.pivots == shared.lp_iterations
-        root_basis = shared.root_basis
-    with pytest.raises(ValueError, match="workspace"):
-        solve_milp(with_no_good_cut(base, ALL3, [1, 0, 1]), None, workspace=ws)
-    with pytest.raises(ValueError, match="workspace"):
-        solve_milp(knapsack_problem(7, values=(3.0, 5.0, 2.0)), workspace=ws)
+            assert getattr(chained, attr) == getattr(own, attr), (cap, attr)
+        np.testing.assert_array_equal(chained.x, own.x)
+        assert (chained.counters.workspaces, own.counters.workspaces) == (root_basis is None, 1)
+        assert chained.counters.pivots == own.counters.pivots == chained.lp_iterations
+        if root_basis is not None:
+            assert chained.root_basis.workspace is root_basis.workspace
+            assert chained.counters.lu_reused > own.counters.lu_reused
+        root_basis = chained.root_basis
+    other_costs = replace(base, objective=np.array([-3.0, -5.0, -2.0]))
+    for other in (with_no_good_cut(base, ALL3, [1, 0, 1]), other_costs):
+        warm = solve_milp(other, BnbConfig(root_warm_basis=root_basis))
+        cold = solve_milp(other)
+        assert warm.counters.workspaces == 1
+        assert (warm.status, warm.objective) == (cold.status, cold.objective)
+        np.testing.assert_array_equal(warm.x, cold.x)

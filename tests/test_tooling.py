@@ -1,6 +1,7 @@
 """The benchmark's tracer must keep finding every name it wraps, the
-README must advertise only flags the command line accepts, and no module
-imports a name it never uses.
+README must advertise only flags the command line accepts, no module
+imports a name it never uses, and no function in ``src/`` ignores one of
+its parameters.
 
 ``perfbench/tracing.py`` replaces entry points of the package by name; a
 rename or deletion in ``src/`` would only surface in a traced benchmark run.
@@ -258,3 +259,38 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(paths) > 20
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _ignored_parameters(path):
+    """Parameters that a function of ``path`` never reads, as
+    "file:line function(parameter)".
+
+    ``self``, ``cls`` and every parameter of a ``def`` marked ``# noqa``
+    are left out.
+    """
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    ignored = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1 : max(node.lineno, node.body[0].lineno - 1)]):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        ignored += [
+            f"{path.relative_to(ROOT)}:{node.lineno} {node.name}({name})"
+            for name in params
+            if name not in ("self", "cls") and name not in read
+        ]
+    return ignored
+
+
+def test_no_function_ignores_a_parameter():
+    """A parameter the body never reads is a second source of a fact that
+    the caller must still supply, and that may disagree with the one used."""
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    assert len(paths) > 10
+    ignored = [entry for path in paths for entry in _ignored_parameters(path)]
+    assert not ignored, ignored

@@ -31,7 +31,7 @@ def _solve(ef):
 def _assert_models_agree(net, scen, sched, r_hat, budgets):
     evaluator = RecourseEvaluator(net, W)
     ef = extensive_form.build(net, scen, sched, Budget(max(budgets)), r_hat, W)
-    vt = value_table.build(net, scen, sched, Budget(max(budgets)), r_hat, evaluator)
+    vt = value_table.build(scen, sched, Budget(max(budgets)), r_hat, evaluator)
     np.testing.assert_array_equal(vt.x_cols, ef.x_cols)
     for f in budgets:
         ref = _solve(ef.with_budget(f))
@@ -51,7 +51,7 @@ def test_randomized_instances_match_extensive_form():
         scen = random_scenario_set(rng, net, count=int(rng.integers(1, 5)), level_count=3)
         sched = CostSchedule.for_network(net)
         r_hat = int(rng.choice([3, 4]))
-        fmax = max_useful_budget(net, scen, sched, r_hat)
+        fmax = max_useful_budget(scen, sched, r_hat)
         budgets = sorted({0, fmax // 3, (2 * fmax) // 3, fmax + 1})
         vt = _assert_models_agree(net, scen, sched, r_hat, budgets)
         assert vt.stats["dispatch_scenarios"] == 0
@@ -82,7 +82,7 @@ def _mixed_instance():
 def test_scenario_over_the_cap_keeps_a_dispatch_block():
     net, scen = _mixed_instance()
     sched = CostSchedule.for_network(net)
-    fmax = max_useful_budget(net, scen, sched, 3)
+    fmax = max_useful_budget(scen, sched, 3)
     vt = _assert_models_agree(net, scen, sched, 3, [0, 2, 5, fmax // 2, fmax])
     # "narrow" has two uncertain substations, "dry" none.
     assert vt.stats["dispatch_scenarios"] == 1
@@ -96,11 +96,12 @@ def test_scenario_over_the_cap_keeps_a_dispatch_block():
 def test_tables_share_the_evaluators_dead_set_cache(star8):
     sched = CostSchedule.for_network(star8.network)
     evaluator = RecourseEvaluator(star8.network, W)
-    vt = value_table.build(star8.network, star8.scenarios, sched, Budget(9), 3, evaluator)
+    vt = value_table.build(star8.scenarios, sched, Budget(9), 3, evaluator)
     cached = len(evaluator._cache)
     assert 0 < cached <= vt.stats["table_entries"]
     # Every plan's outcome in every scenario is already a table entry.
-    for plan in heuristic.portfolio(Budget(9), star8.network, star8.scenarios, sched, 3):
+    levels = heuristic.LevelMatrix(star8.network, star8.scenarios, sched, 3)
+    for plan in heuristic.portfolio(Budget(9), levels):
         evaluator.evaluate(plan, star8.scenarios)
     assert len(evaluator._cache) == cached
 
@@ -119,7 +120,7 @@ def test_check_unique_matches_extensive_form(tiny3, tmp_path):
     sched = CostSchedule.for_network(net)
     evaluator = RecourseEvaluator(net, W)
     ef = extensive_form.build(net, scen, sched, Budget(1), 3, W)
-    warm = heuristic.portfolio(Budget(1), net, scen, sched, 3)
+    warm = heuristic.portfolio(Budget(1), heuristic.LevelMatrix(net, scen, sched, 3))
     sol, plan, extras = analysis.solve_instance(ef, warm, evaluator, check_unique=True)
     assert got["unique"] is extras["unique"] is False
     assert got["witness"] == extras["witness"].levels
