@@ -574,7 +574,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(name)s: %(message)s")
     try:
         return args.func(args)
-    except (CliError, FileNotFoundError, ValueError, KeyError, solver.SolverError) as exc:
+    except (CliError, OSError, ValueError, KeyError, solver.SolverError) as exc:
         print(f"floodmit: error: {exc}", file=sys.stderr)
         return 2
 

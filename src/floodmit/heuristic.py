@@ -13,7 +13,11 @@ flow weight over a small grid.  Every pass reads one :class:`LevelMatrix`,
 the instance as arrays, which the caller builds once per instance (a sweep,
 once for all its budgets) and passes in.  A step's scores depend only on
 the attribute weights and the current levels, so the matrix scores each
-such state once, however many passes and budgets reach it.
+such state once, however many passes and budgets reach it.  The portfolio's
+passes run in lockstep: at each step the matrix scores the states of all
+active passes that it has not scored yet in one batch, whose rows carry the
+same bits as scoring each state alone, and each pass then takes its step.
+A single ``greedy`` call is the one-pass case of the same loop.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .grid_model import GridNetwork
 from .mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN
-from .recourse import status_closure
+from .recourse import status_closure  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario_model import FloodScenarioSet
 
 ETA_FLOW_GRID = (0.0, 0.025, 0.05, 0.075, 0.1, 0.125, 0.15)
@@ -42,34 +46,6 @@ class AttributeWeights:
             raise ValueError("attribute weights must be nonnegative")
         if self.eta_load == self.eta_gen == self.eta_flow == 0:
             raise ValueError("at least one attribute weight must be positive")
-
-
-def benefit(
-    plan: MitigationPlan,
-    candidate: MitigationPlan,
-    weights: AttributeWeights,
-    network: GridNetwork,
-    scenario_set: FloodScenarioSet,
-) -> float:
-    """Expected newly-operational capacity gained by upgrading plan to candidate.
-
-    Requires candidate >= plan componentwise; statuses are monotone in the
-    plan, so the value is always nonnegative.
-    """
-    if not candidate.dominates(plan):
-        raise ValueError("candidate must dominate the current plan")
-    a = network.arrays
-    rho_load = rho_gen = rho_flow = 0.0
-    for scenario in scenario_set.scenarios:
-        base_bus, base_branch = status_closure(network, plan, scenario)
-        lift_bus, lift_branch = status_closure(network, candidate, scenario)
-        p = scenario.probability
-        bus, branch = lift_bus & ~base_bus, lift_branch & ~base_branch
-        # Running sums in network order, as a loop over the gains would add.
-        rho_load = sum((p * a.load[bus]).tolist(), rho_load)
-        rho_gen = sum((p * a.gen_max[bus]).tolist(), rho_gen)
-        rho_flow = sum((p * a.flow_limit[branch]).tolist(), rho_flow)
-    return rho_load * weights.eta_load + rho_gen * weights.eta_gen + rho_flow * weights.eta_flow
 
 
 def left_sums(terms: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -91,14 +67,14 @@ class GreedyCounters:
 
 
 class Candidates(NamedTuple):
-    """The upgrades that help from one greedy state: cost, benefit-per-cost
-    ratio, substation column and target level of each, and their order by
-    ratio, largest first."""
+    """The upgrades from one greedy state, flat over substation x target:
+    entry ``k`` raises substation column ``k // r_hat`` to level
+    ``k % r_hat``.  ``cost`` and benefit-per-cost ``ratio`` of each (the
+    ratio is -inf where the upgrade costs or gains nothing), and their
+    order by ratio, largest first, then by ``k``."""
 
     cost: np.ndarray
     ratio: np.ndarray
-    column: np.ndarray
-    target: np.ndarray
     rank: np.ndarray
 
 
@@ -120,8 +96,9 @@ class LevelMatrix:
     mitigation.
 
     A greedy step's candidates depend only on the attribute weights and the
-    current levels, so :meth:`candidates` scores each such state once and
-    keeps it for every later pass; ``counters`` counts passes and states.
+    current levels, so :meth:`candidates` scores each such state once, in
+    one batch with the other states asked for at the same time, and keeps
+    it for every later pass; ``counters`` counts passes and states.
     """
 
     def __init__(
@@ -169,13 +146,22 @@ class LevelMatrix:
             axis=1,
         )
         self.counters = GreedyCounters()
-        self._own: dict[AttributeWeights, np.ndarray] = {}  # gains without the cross flow
         self._scored: dict[tuple[float, float, float, bytes], Candidates] = {}
 
-    def candidates(self, weights: AttributeWeights, cur: np.ndarray) -> Candidates:
-        """Every upgrade of positive cost and benefit from the levels ``cur``
-        (one per substation), by substation in network order, then by target
-        ascending.
+    def candidates(self, states: list[tuple[AttributeWeights, np.ndarray]]) -> list[Candidates]:
+        """The candidates of each greedy state ``(weights, cur)``, where
+        ``cur`` holds the current level of each substation.  The states not
+        scored before are scored together in one call of :meth:`_score`."""
+        keys = [(w.eta_load, w.eta_gen, w.eta_flow, cur.tobytes()) for w, cur in states]
+        new = {key: state for key, state in zip(keys, states) if key not in self._scored}
+        if new:
+            self.counters.states_scored += len(new)
+            self._scored.update(zip(new, self._score(list(new.values()))))
+        return [self._scored[key] for key in keys]
+
+    def _score(self, states: list[tuple[AttributeWeights, np.ndarray]]) -> list[Candidates]:
+        """Every upgrade's cost and ratio from each state, stacked over the
+        states; each state's arrays are the ones it would get alone.
 
         Raising substation j from level cur_j to t revives it in exactly the
         scenarios flooded at a level in cur_j+1..t, so with the per-level
@@ -185,27 +171,22 @@ class LevelMatrix:
         capacity of its cross-substation branches whose far end is alive
         (``L[s, k] <= cur_k``) in that scenario.
         """
-        key = (weights.eta_load, weights.eta_gen, weights.eta_flow, cur.tobytes())
-        scored = self._scored.get(key)
-        if scored is None:
-            self.counters.states_scored += 1
-            gained = self._own.get(weights)
-            if gained is None:
-                own = self.load * weights.eta_load + self.gen * weights.eta_gen + self.intra * weights.eta_flow
-                gained = self._own[weights] = np.repeat(own[None, :], len(self.p), axis=0)
-            if weights.eta_flow:
-                gained = gained + weights.eta_flow * ((self.levels <= cur) @ self.cross)
-            table = np.einsum("lsj,sj->lj", self.at_level, gained)
-            values = np.cumsum(np.where(self.level_rows > cur, table, 0.0), axis=0).T
-            cost = self.cumulative - self.cumulative[self.columns, cur][:, None]
-            ok = (cost > 0) & (values > 0)
-            column, target = np.nonzero(ok)
-            cost = cost[ok]
-            ratio = values[ok] / cost
-            scored = self._scored[key] = Candidates(
-                cost, ratio, column, target, np.argsort(-ratio, kind="stable")
-            )
-        return scored
+        eta = np.array([(w.eta_load, w.eta_gen, w.eta_flow) for w, _ in states]).T[:, :, None]
+        cur = np.stack([c for _, c in states])
+        own = self.load * eta[0] + self.gen * eta[1] + self.intra * eta[2]
+        gained = np.repeat(own[:, None, :], len(self.p), axis=1)
+        flow = np.flatnonzero(eta[2, :, 0])
+        if flow.size:
+            alive = self.levels <= cur[flow, None, :]
+            gained[flow] += eta[2, flow, :, None] * (alive @ self.cross)
+        table = np.einsum("lsj,psj->plj", self.at_level, gained)
+        values = np.cumsum(np.where(self.level_rows > cur[:, None, :], table, 0.0), axis=1)
+        values = values.transpose(0, 2, 1).reshape(len(states), -1)
+        cost = (self.cumulative - self.cumulative[self.columns, cur][:, :, None]).reshape(len(states), -1)
+        ratio = np.full(cost.shape, -np.inf)
+        np.divide(values, cost, out=ratio, where=(cost > 0) & (values > 0))
+        rank = np.argsort(-ratio, axis=1, kind="stable")
+        return [Candidates(*row) for row in zip(cost, ratio, rank)]
 
     def statuses(self, plan: MitigationPlan) -> tuple[np.ndarray, np.ndarray]:
         """0/1 statuses per scenario and bus, and per scenario and branch,
@@ -218,9 +199,10 @@ class LevelMatrix:
 
 def _best_upgrade(cand: Candidates, remaining: int, subs: tuple[str, ...]) -> int | None:
     """The affordable candidate that a scan by substation in network order,
-    then by target, picks: one replaces the best so far when its ratio is
-    larger by more than 1e-12, and ratios within 1e-12 break by (substation
-    id, level).  None when no candidate is affordable.
+    then by target, picks among the upgrades of finite ratio: one replaces
+    the best so far when its ratio is larger by more than 1e-12, and ratios
+    within 1e-12 break by (substation id, level).  None when no such
+    candidate is affordable.
 
     Only the affordable ratios that chain down from the largest in steps of
     at most 2e-12 can win that scan: every other one lies more than 1e-12
@@ -230,20 +212,52 @@ def _best_upgrade(cand: Candidates, remaining: int, subs: tuple[str, ...]) -> in
     costs, ratios = cand.cost.tolist(), cand.ratio.tolist()
     contenders, last = [], None
     for k in cand.rank.tolist():
+        ratio = ratios[k]
+        if ratio == -np.inf:
+            break
         if costs[k] > remaining:
             continue
-        if last is not None and last - ratios[k] > 2e-12:
+        if last is not None and last - ratio > 2e-12:
             break
         contenders.append(k)
-        last = ratios[k]
+        last = ratio
+    if not contenders:
+        return None
+    r_hat = len(ratios) // len(subs)
     best = None  # (ratio, sub, target, k)
-    for k in sorted(contenders):  # candidates are in scan order
-        ratio, sub, t = ratios[k], subs[cand.column[k]], int(cand.target[k])
+    for k in sorted(contenders):  # flat order is scan order
+        ratio, sub, t = ratios[k], subs[k // r_hat], k % r_hat
         if best is None or ratio > best[0] + 1e-12:
             best = (ratio, sub, t, k)
         elif abs(ratio - best[0]) <= 1e-12 and (sub, t) < (best[1], best[2]):
             best = (ratio, sub, t, k)
-    return None if best is None else best[3]
+    return best[3]
+
+
+def _lockstep(grid: list[AttributeWeights], budget: Budget, levels: LevelMatrix) -> list[MitigationPlan]:
+    """One greedy pass per attribute weights in ``grid``, run side by side:
+    at each step the matrix scores the active passes' states in one batch,
+    then each pass buys the upgrade that :func:`_best_upgrade` picks, so
+    every plan is the one its pass would reach alone."""
+    subs, r_hat = levels.sub_ids, levels.r_hat
+    if r_hat < 2:
+        return [ZERO_PLAN] * len(grid)  # no attainable level to buy
+    levels.counters.passes += len(grid)
+    cur = np.zeros((len(grid), len(subs)), dtype=int)
+    remaining = [budget.units] * len(grid)
+    active = [p for p in range(len(grid)) if remaining[p] > 0]
+    while active:
+        scored = levels.candidates([(grid[p], cur[p]) for p in active])
+        stepped = []
+        for p, cand in zip(active, scored):
+            k = _best_upgrade(cand, remaining[p], subs)
+            if k is not None:
+                cur[p, k // r_hat] = k % r_hat
+                remaining[p] -= int(cand.cost[k])
+                if remaining[p] > 0:
+                    stepped.append(p)
+        active = stepped
+    return [MitigationPlan(dict(zip(subs, row))) for row in cur.tolist()]
 
 
 def greedy(weights: AttributeWeights, budget: Budget, levels: LevelMatrix) -> MitigationPlan:
@@ -253,29 +267,16 @@ def greedy(weights: AttributeWeights, budget: Budget, levels: LevelMatrix) -> Mi
     plan.  Each step reads the scored candidates of its state from the
     matrix, which scores every state once.
     """
-    if levels.r_hat < 2:
-        return ZERO_PLAN  # no attainable level to buy
-    levels.counters.passes += 1
-    subs = levels.sub_ids
-    cur = np.zeros(len(subs), dtype=int)
-    remaining = budget.units
-    while remaining > 0:
-        cand = levels.candidates(weights, cur)
-        k = _best_upgrade(cand, remaining, subs)
-        if k is None:
-            break
-        cur[int(cand.column[k])] = int(cand.target[k])
-        remaining -= int(cand.cost[k])
-    return MitigationPlan(dict(zip(subs, cur.tolist())))
+    return _lockstep([weights], budget, levels)[0]
 
 
 def portfolio(budget: Budget, levels: LevelMatrix) -> list[MitigationPlan]:
-    """Deduplicated greedy plans across the flow-weight grid, all on the
-    instance's :class:`LevelMatrix`."""
+    """Deduplicated greedy plans across the flow-weight grid, in grid order,
+    from passes run in lockstep on the instance's :class:`LevelMatrix`."""
+    grid = [AttributeWeights(eta_load=1.0, eta_gen=0.0, eta_flow=eta_flow) for eta_flow in ETA_FLOW_GRID]
     plans: list[MitigationPlan] = []
     seen = set()
-    for eta_flow in ETA_FLOW_GRID:
-        plan = greedy(AttributeWeights(eta_load=1.0, eta_gen=0.0, eta_flow=eta_flow), budget, levels)
+    for plan in _lockstep(grid, budget, levels):
         if plan.key() not in seen:
             seen.add(plan.key())
             plans.append(plan)

