@@ -76,7 +76,6 @@ class ExtensiveForm:
     schedule: CostSchedule
     budget: Budget
     r_hat: int
-    weights: LossWeights
     # Column of x[k, r]: substations in network order by levels 1..r_hat.
     x_cols: np.ndarray
     stats: dict = field(default_factory=dict)
@@ -413,7 +412,6 @@ def build(
         schedule=schedule,
         budget=budget,
         r_hat=r_hat,
-        weights=weights,
         x_cols=np.array([[x_idx[(s.id, r)] for r in range(1, r_hat + 1)] for s in network.substations]),
     )
     ef.stats = {

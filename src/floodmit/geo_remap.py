@@ -110,11 +110,10 @@ def remap(source: PointSet, targets: PointSet) -> tuple[dict[str, str], float]:
     na, nb = len(source), len(targets)
     x = assignment_lp_vertex(source, targets).ravel()
 
-    off = np.abs(x - np.round(x))
-    if off.max() > INTEGRALITY_TOL:
-        raise RuntimeError(
-            f"assignment LP returned a fractional vertex (max offset {off.max():.2e})"
-        )
+    # An empty source set has the empty mapping as its optimum.
+    off = np.abs(x - np.round(x)).max(initial=0.0)
+    if off > INTEGRALITY_TOL:
+        raise RuntimeError(f"assignment LP returned a fractional vertex (max offset {off:.2e})")
 
     mapping: dict[str, str] = {}
     total = 0.0

@@ -41,7 +41,7 @@ flip since; a second LU of the same basis would give the same bits.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -632,20 +632,8 @@ def solve_linear_program(
         return _failed(STATUS_INFEASIBLE, 0)
     if max_iter is None:
         max_iter = 50 * (ws.m + ws.n) + 2000
-    res = _solve_unconstrained(ws) if ws.m == 0 else _solve(ws, warm, max_iter)
-    if res.status == STATUS_OPTIMAL and (
-        abs(res.objective - res.dual_objective) > DUALITY_TOL * max(1.0, abs(res.objective))
-        or res.primal_residual > RESIDUAL_TOL
-    ):
-        return replace(
-            _failed(STATUS_NUMERICAL, res.iterations),
-            lu_factorizations=res.lu_factorizations,
-            lu_reused=res.lu_reused,
-        )
-    return res
-
-
-def _solve(ws: Workspace, warm: BasisState | None, max_iter: int) -> SimplexResult:
+    if ws.m == 0:
+        return _solve_unconstrained(ws)
     solver = _Solver(ws, max_iter)
     res = _run(solver, warm)
     res.lu_factorizations = solver.lu_factorizations
@@ -718,6 +706,10 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
     lo_mask = (pos & np.isfinite(ws.lo) & ~fixed) | (fixed & (pos | neg))
     hi_mask = neg & np.isfinite(ws.hi) & ~fixed
     dual_obj += float(d[lo_mask] @ ws.lo[lo_mask]) + float(d[hi_mask] @ ws.hi[hi_mask])
+    # The verification gate: an optimum off by more than either tolerance is a
+    # numerical failure, never a reported optimum.
+    if abs(objective - dual_obj) > DUALITY_TOL * max(1.0, abs(objective)) or residual > RESIDUAL_TOL:
+        return _failed(STATUS_NUMERICAL, solver.iterations)
 
     return SimplexResult(
         status=STATUS_OPTIMAL,

@@ -1,15 +1,20 @@
 """LP and MILP solution: simplex-backed relaxations, branch and bound.
 
-The MILP search branches on fractional binaries, selects nodes best-bound
-first, and warm-starts every child from its parent's basis so re-solves are
-a handful of dual simplex pivots.  Warm-start plans (binary assignments with
-known objectives) seed the incumbent so budget sweeps prune hard from the
-first node.  A caller passes them as one :class:`WarmStarts` matrix of
-candidate values over one set of columns.  A claim is a hint, not a fact: it
-only prunes, and when it is still the incumbent at the end its fixings are
-solved as one LP that must confirm it, or the search runs again without the
-pool.  Plans and solutions cross this boundary as column arrays; variable
-names exist only for the LP-format export.  Without node or time limits the
+The MILP search is one loop.  It branches on fractional binaries, selects
+nodes best-bound first, and warm-starts every child from its parent's basis
+so re-solves are a handful of dual simplex pivots.  It runs while the best
+open bound lies below the incumbent, so an empty heap or a bound that meets
+the incumbent ends it; a node or time limit stops it early, and the best
+open bound is then the reported bound.  Warm-start plans (binary
+assignments with known objectives) seed the incumbent so budget sweeps
+prune hard from the first node.  A caller passes them as one
+:class:`WarmStarts` matrix of candidate values over one set of columns.  A
+claim is a hint, not a fact: it only prunes, and when it is still the
+incumbent at the end its fixings are solved as one LP that must confirm it.
+If that LP does not, the loop makes a second pass without the pool, with
+the same node count, clock and counters, so every limit covers both passes.
+Plans and solutions cross this boundary as column arrays; variable names
+exist only for the LP-format export.  Without node or time limits the
 returned incumbent is provably optimal.
 
 A root basis carries the simplex workspace its search ran on.  A caller
@@ -26,7 +31,7 @@ from __future__ import annotations
 import heapq
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,46 +166,18 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
     else:
         ws = milp_workspace(problem)
         counters.workspaces = 1
-    return _search(problem, config, ws, counters)
-
-
-def _search(
-    problem: MilpProblem, config: BnbConfig, ws: simplex.Workspace, counters: simplex.SimplexCounters
-) -> MilpSolution:
-    """The branch and bound of :func:`solve_milp` on the workspace ``ws``,
-    counting its LPs into ``counters``."""
     t_start = time.monotonic()
     offset = problem.objective_offset
     root_lb, root_ub = problem.bounds_arrays()
     bin_idx = problem.binary_indices()
 
-    incumbent_obj = np.inf
-    incumbent_x: np.ndarray | None = None
-    warm_fixings: dict[int, float] = {}
-    lp_iterations = 0
-
-    # Warm starts seed the incumbent with the best claim, the first of equals,
-    # among the candidates within their columns' bounds: a fixing overrides
-    # its column's bounds, so no LP would catch a value outside them.
-    starts = config.warm_starts
-    if len(starts):
-        lb, ub = problem.lb[starts.columns], problem.ub[starts.columns]
-        vals = starts.values
-        in_bounds = np.all((vals >= lb - 1e-9) & (vals <= ub + 1e-9), axis=1)
-        for i in np.flatnonzero(in_bounds):
-            if starts.objectives[i] < incumbent_obj - 1e-12:
-                incumbent_obj = float(starts.objectives[i])
-                warm_fixings = dict(zip(starts.columns.tolist(), vals[i].tolist()))
-
-    def solve_node(node: _Node):
-        nonlocal lp_iterations
+    def solve_node(fixings: dict, warm: simplex.BasisState | None):
         lo, hi = root_lb.copy(), root_ub.copy()
-        for idx, val in node.fixings.items():
+        for idx, val in fixings.items():
             lo[idx] = hi[idx] = float(val)
         ws.set_bounds(lo, hi)
-        res = simplex.solve_linear_program(workspace=ws, warm=node.warm)
+        res = simplex.solve_linear_program(workspace=ws, warm=warm)
         counters.record(res)
-        lp_iterations += res.iterations
         if res.status == simplex.STATUS_NUMERICAL:
             raise SolverError(f"node LP numerical failure in {problem.name}")
         return res
@@ -214,122 +191,100 @@ def _search(
         k = cand[int(np.argmax(np.minimum(frac[cand], 1 - frac[cand])))]
         return int(bin_idx[k])
 
-    seq = 0
-    root = _Node(bound=-np.inf, seq=seq, fixings={}, warm=config.root_warm_basis)
-    heap: list[_Node] = [root]
-    nodes_explored = 0
-    stop_reason = ""
-    proven = False
-    final_bound = -np.inf
-    last_popped_bound = -np.inf
-    root_basis: simplex.BasisState | None = None
+    nodes_explored = seq = 0
+    for starts in (config.warm_starts, WarmStarts()):
+        incumbent_obj = np.inf
+        incumbent_x: np.ndarray | None = None
+        warm_fixings: dict[int, float] = {}
+        # Warm starts seed the incumbent with the best claim, the first of
+        # equals, among the candidates within their columns' bounds: a fixing
+        # overrides its column's bounds, so no LP would catch a value outside.
+        lb, ub = problem.lb[starts.columns], problem.ub[starts.columns]
+        vals = starts.values
+        in_bounds = np.all((vals >= lb - 1e-9) & (vals <= ub + 1e-9), axis=1)
+        for i in np.flatnonzero(in_bounds):
+            if starts.objectives[i] < incumbent_obj - 1e-12:
+                incumbent_obj = float(starts.objectives[i])
+                warm_fixings = dict(zip(starts.columns.tolist(), vals[i].tolist()))
 
-    while heap:
-        remaining_bound = heap[0].bound
-        if incumbent_obj < np.inf:
-            gap = incumbent_obj - remaining_bound
-            if gap <= 1e-9:
-                # The best open bound meets the incumbent: proven optimal.
-                final_bound = incumbent_obj
-                proven = True
+        heap = [_Node(bound=-np.inf, seq=seq, fixings={}, warm=config.root_warm_basis)]
+        stop_reason = ""
+        last_popped_bound = -np.inf
+        root_basis: simplex.BasisState | None = None
+        # The search ends once the best open bound meets the incumbent.
+        while heap and heap[0].bound < incumbent_obj - 1e-9:
+            if config.node_limit is not None and nodes_explored >= config.node_limit:
+                stop_reason = "nodes"
                 break
-        if config.node_limit is not None and nodes_explored >= config.node_limit:
-            stop_reason = "nodes"
-            final_bound = remaining_bound
+            if config.time_limit is not None and time.monotonic() - t_start > config.time_limit:
+                stop_reason = "time"
+                break
+            node = heapq.heappop(heap)
+            # Best-bound order makes the global bound monotone; a regression
+            # would mean the pruning logic is unsound.
+            if node.bound < last_popped_bound - 1e-9:
+                raise SolverError("search bound regressed; node ordering is broken")
+            last_popped_bound = node.bound
+            res = solve_node(node.fixings, node.warm)
+            nodes_explored += 1
+            if res.status == simplex.STATUS_INFEASIBLE:
+                continue
+            if res.status == simplex.STATUS_UNBOUNDED:
+                raise SolverError(f"relaxation of {problem.name} is unbounded")
+            if not node.fixings:
+                root_basis = res.basis_state
+            node_obj = res.objective + offset
+            if node_obj >= incumbent_obj - 1e-9:
+                continue
+            j = pick_branch(res.x)
+            if j is None:
+                incumbent_obj = node_obj
+                incumbent_x = res.x.copy()
+                log.info("incumbent %.9g after %d nodes", incumbent_obj, nodes_explored)
+                continue
+            for val in (0, 1):
+                seq += 1
+                child_fix = dict(node.fixings)
+                child_fix[j] = val
+                heapq.heappush(
+                    heap, _Node(bound=node_obj, seq=seq, fixings=child_fix, warm=res.basis_state)
+                )
+
+        # A claim only pruned: a node that beat it is an LP-verified incumbent
+        # below every pruned bound.  A claim no node beat is the answer only if
+        # its fixings, solved from the root basis, are integral and worth no
+        # more than claimed; otherwise the loop makes its pass without the pool.
+        if incumbent_x is not None or incumbent_obj == np.inf:
             break
-        if config.time_limit is not None and time.monotonic() - t_start > config.time_limit:
-            stop_reason = "time"
-            final_bound = remaining_bound
-            break
-
-        node = heapq.heappop(heap)
-        # Best-bound order makes the global bound monotone; a regression
-        # would mean the pruning logic is unsound.
-        if node.bound < last_popped_bound - 1e-9:
-            raise SolverError("search bound regressed; node ordering is broken")
-        last_popped_bound = node.bound
-        if node.bound >= incumbent_obj - 1e-9:
-            continue
-        res = solve_node(node)
-        nodes_explored += 1
-        if res.status in (simplex.STATUS_INFEASIBLE,):
-            continue
-        if res.status == simplex.STATUS_UNBOUNDED:
-            raise SolverError(f"relaxation of {problem.name} is unbounded")
-        if not node.fixings:
-            root_basis = res.basis_state
-        node_obj = res.objective + offset
-        if node_obj >= incumbent_obj - 1e-9:
-            continue
-        j = pick_branch(res.x)
-        if j is None:
-            incumbent_obj = node_obj
-            incumbent_x = res.x.copy()
-            log.info("incumbent %.9g after %d nodes", incumbent_obj, nodes_explored)
-            continue
-        for val in (0, 1):
-            seq += 1
-            child_fix = dict(node.fixings)
-            child_fix[j] = val
-            heapq.heappush(
-                heap, _Node(bound=node_obj, seq=seq, fixings=child_fix, warm=res.basis_state)
-            )
-    else:
-        # Heap exhausted: every node was pruned or explored.
-        final_bound = incumbent_obj if incumbent_obj < np.inf else np.inf
-        proven = True
-
-    if incumbent_obj == np.inf:
-        return MilpSolution(
-            "infeasible" if proven else "node-limit", None, None,
-            np.inf if proven else final_bound, nodes_explored, lp_iterations, stop_reason,
-            counters=counters,
-        )
-
-    # A claim only pruned: a node that beat it is an LP-verified incumbent
-    # below every pruned bound.  A claim no node beat is the answer only if
-    # its fixings, solved from the root basis, are integral and worth no more
-    # than claimed; otherwise the search runs again without the pool.
-    if incumbent_x is None:
-        res = solve_node(_Node(bound=incumbent_obj, seq=-1, fixings=warm_fixings, warm=root_basis))
+        res = solve_node(warm_fixings, root_basis)
         confirmed = res.status == simplex.STATUS_OPTIMAL and pick_branch(res.x) is None
         worth = res.objective + offset if confirmed else np.inf
-        if worth > incumbent_obj + 1e-9 * max(1.0, abs(incumbent_obj)):
-            log.info("warm start claim %.9g not confirmed; searching without it", incumbent_obj)
-            rest = replace(
-                config,
-                warm_starts=WarmStarts(),
-                # What is left of each limit; None and 0 pass unchanged.
-                node_limit=config.node_limit and config.node_limit - nodes_explored,
-                time_limit=config.time_limit and config.time_limit - (time.monotonic() - t_start),
-            )
-            rerun = _search(problem, rest, ws, simplex.SimplexCounters())
-            rerun.nodes_explored += nodes_explored
-            rerun.lp_iterations += lp_iterations
-            rerun.counters.add(counters)
-            return rerun
-        incumbent_x = res.x
-        incumbent_obj = min(incumbent_obj, worth)
+        if worth <= incumbent_obj + 1e-9 * max(1.0, abs(incumbent_obj)):
+            incumbent_x = res.x
+            incumbent_obj = min(incumbent_obj, worth)
+            break
+        log.info("warm start claim %.9g not confirmed; searching without it", incumbent_obj)
 
+    bound = heap[0].bound if stop_reason else incumbent_obj
+    if incumbent_x is None:
+        return MilpSolution(
+            "node-limit" if stop_reason else "infeasible", None, None, bound,
+            nodes_explored, counters.pivots, stop_reason, counters=counters,
+        )
+    status = "node-limit" if stop_reason else "optimal"
     x = incumbent_x.copy()
     x[bin_idx] = np.round(x[bin_idx])
-
-    if proven and not stop_reason:
-        status = "optimal"
-        final_bound = incumbent_obj
-    else:
-        status = "node-limit"
     log.info(
         "milp %s: %s obj=%.9g bound=%.9g nodes=%d lp_iters=%d",
-        problem.name, status, incumbent_obj, final_bound, nodes_explored, lp_iterations,
+        problem.name, status, incumbent_obj, bound, nodes_explored, counters.pivots,
     )
     return MilpSolution(
         status=status,
         objective=incumbent_obj,
         x=x,
-        bound=final_bound,
+        bound=bound,
         nodes_explored=nodes_explored,
-        lp_iterations=lp_iterations,
+        lp_iterations=counters.pivots,
         stop_reason=stop_reason,
         root_basis=root_basis,
         counters=counters,

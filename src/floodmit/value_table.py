@@ -131,7 +131,6 @@ def build(
         schedule=schedule,
         budget=budget,
         r_hat=r_hat,
-        weights=evaluator.weights,
         x_cols=np.array([[x_idx[(s.id, r)] for r in range(1, r_hat + 1)] for s in network.substations]),
         stats={
             "variables": problem.n_variables,

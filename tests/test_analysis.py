@@ -1,3 +1,6 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -175,6 +178,23 @@ def test_sweep_spared_rows_equal_the_loop_reference(coastal40):
     assert len(report.rows) == 12
     for row in report.rows:
         assert row.spared == _loop_spared_capacity(row.plan, coastal40.network, coastal40.scenarios)
+
+
+
+def test_sweep_answers_match_the_pinned_reference(coastal40):
+    """The objective, plan cost and plan of every budget of a coastal40 sweep
+    over 0..11, against a reference written by an earlier version.  Node and
+    pivot counts are not pinned: a stronger search may change them."""
+    ref = Path(__file__).parent / "data" / "coastal40_sweep_budget11.csv"
+    with open(ref, encoding="utf-8", newline="") as fh:
+        expected = list(csv.DictReader(fh))
+    report = sweep(coastal40.network, coastal40.scenarios,
+                   CostSchedule.for_network(coastal40.network), r_hat=3, f_max=11)
+    assert [row.budget for row in report.rows] == [int(e["budget"]) for e in expected]
+    for row, e in zip(report.rows, expected):
+        plan = " ".join(f"{k}:{v}" for k, v in sorted(row.plan.levels.items()))
+        assert (row.status, plan, row.plan_cost) == ("optimal", e["plan"], int(e["plan_cost"])), e
+        assert row.objective == pytest.approx(float(e["objective"]), abs=1e-12), e
 
 
 # -- sweep -----------------------------------------------------------------

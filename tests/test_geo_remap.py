@@ -69,6 +69,13 @@ def test_infeasible_when_targets_scarce():
         remap(A, B)
 
 
+
+@pytest.mark.parametrize("n_targets", [1, 0], ids=["one-target", "no-targets"])
+def test_empty_source_set_maps_to_nothing(n_targets):
+    """The empty mapping is the optimum for no sources, whatever the targets."""
+    B = _points(*[(-95.0, 29.0)] * n_targets, prefix="b")
+    assert remap(PointSet(()), B) == ({}, 0.0)
+
 def _brute_force(A, B):
     best = None
     na = len(A.points)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from floodmit import solver
 from floodmit.milp import ProblemBuilder, sanitize_name, with_no_good_cut, write_lp_text
 from floodmit.simplex import BasisState
 from floodmit.solver import (
@@ -143,8 +144,38 @@ def test_warm_start_pool_keeps_the_first_of_equal_objectives():
 
 def test_node_limit_and_stop_reason():
     sol = solve_milp(knapsack_problem(7), BnbConfig(node_limit=0))
-    assert sol.status in ("node-limit", "infeasible")
-    assert sol.stop_reason == "nodes"
+    assert (sol.status, sol.stop_reason, sol.bound) == ("node-limit", "nodes", -np.inf)
+    assert (sol.objective, sol.x, sol.nodes_explored) == (None, None, 0)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_time_limit_stops_like_the_node_limit_it_matches(monkeypatch, k):
+    """A clock that ticks once per reading: the search reads it once at the
+    start and once before each node, so a limit of k + 0.5 ticks lets k
+    nodes through, just as ``node_limit=k`` does.  The search needs 3."""
+    clock = itertools.count()
+    monkeypatch.setattr(solver.time, "monotonic", lambda: float(next(clock)))
+    timed = solve_milp(knapsack_problem(7), BnbConfig(time_limit=k + 0.5))
+    counted = solve_milp(knapsack_problem(7), BnbConfig(node_limit=k))
+    assert (timed.stop_reason, counted.stop_reason) == (("time", "nodes") if k < 3 else ("", ""))
+    for attr in ("status", "objective", "bound", "nodes_explored", "lp_iterations"):
+        assert getattr(timed, attr) == getattr(counted, attr), attr
+    if k == 0:
+        assert (timed.status, timed.bound, timed.nodes_explored) == ("node-limit", -np.inf, 0)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_rejected_claim_reruns_on_what_is_left_of_the_node_limit(k):
+    """The claim -9 prunes every child of the root (LP -4.875), so the first
+    pass spends one node and its fixings' LP rejects the claim.  The second
+    pass is the plain search on the k - 1 nodes that are left."""
+    lying = solve_milp(knapsack_problem(7), BnbConfig(node_limit=k, warm_starts=_warm(([1, 0, 1], -9.0))))
+    plain = solve_milp(knapsack_problem(7), BnbConfig(node_limit=k - 1))
+    assert lying.nodes_explored == plain.nodes_explored + 1 <= k
+    assert lying.counters.lp_solves == lying.nodes_explored + 1
+    assert lying.lp_iterations == lying.counters.pivots
+    for attr in ("status", "objective", "bound", "stop_reason"):
+        assert getattr(lying, attr) == getattr(plain, attr), attr
 
 
 def test_check_uniqueness_unique_case():
@@ -180,7 +211,9 @@ def test_no_good_cut_of_zero_assignment_forbids_only_zero():
     assert -sol.objective == pytest.approx(4.0)  # true optimum unaffected
 
 
-def test_randomized_milp_against_enumeration():
+def _random_knapsacks():
+    """Forty random multi-row knapsacks as minimizations, each with its
+    binary points and their values (inf where a row is broken)."""
     rng = np.random.default_rng(99)
     for _ in range(40):
         n = int(rng.integers(2, 7))
@@ -194,16 +227,55 @@ def test_randomized_milp_against_enumeration():
         caps = np.round(rng.uniform(1.0, 0.6 * W.sum(axis=1)), 2)
         for r in range(m):
             pb.add_row(f"cap{r}", [(i, float(W[r, i])) for i in range(n)], "L", float(caps[r]))
-        prob = pb.build()
-        sol = solve_milp(prob)
+        points = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+        worth = np.array([float(-values @ w) if np.all(W @ w <= caps + 1e-12) else np.inf for w in points])
+        yield pb.build(), points, worth
 
-        best = np.inf
-        for mask in range(2**n):
-            w = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
-            if np.all(W @ w <= caps + 1e-12):
-                best = min(best, float(-values @ w))
+
+def test_randomized_milp_against_enumeration():
+    for prob, _, worth in _random_knapsacks():
+        sol = solve_milp(prob)
         assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(best, abs=1e-9)
+        assert sol.objective == pytest.approx(worth.min(), abs=1e-9)
+
+
+def test_bound_stays_valid_under_node_limits():
+    """Stopped or not, the bound never exceeds the enumerated optimum and the
+    incumbent never falls below it, with no pool, with a pool claiming what
+    a random feasible plan is worth, and with one claiming less.  Limits 1-4
+    stop every search here (the smallest tree has 5 nodes); 8 lets some
+    finish."""
+    rng = np.random.default_rng(4)
+    seen = set()
+    for node_limit in (1, 2, 3, 4, 8):
+        for prob, points, worth in _random_knapsacks():
+            best = worth.min()
+            plan = rng.choice(np.flatnonzero(np.isfinite(worth)))
+            columns = np.arange(points.shape[1])
+            pools = {
+                "none": WarmStarts(),
+                "honest": WarmStarts(columns, points[[plan]], worth[[plan]]),
+                "lying": WarmStarts(columns, points[[plan]], worth[[plan]] - 1.0),
+            }
+            for name, pool in pools.items():
+                sol = solve_milp(prob, BnbConfig(node_limit=node_limit, warm_starts=pool))
+                case = (node_limit, name, points[plan], worth)
+                seen.add((name, sol.status, sol.objective is not None))
+                if sol.status == "optimal":
+                    assert sol.objective == sol.bound == pytest.approx(best, abs=1e-9), case
+                    continue
+                assert (sol.status, sol.stop_reason) == ("node-limit", "nodes"), case
+                assert sol.bound <= best + 1e-9, case
+                if sol.objective is not None:
+                    assert best <= sol.objective + 1e-9, case
+                    assert sol.objective == pytest.approx(float(prob.objective @ sol.x), abs=1e-9), case
+    # Every pool meets a binding limit with and without an incumbent (an
+    # honest claim is always one) and a search that finishes.
+    assert seen == {
+        (name, status, found)
+        for name in ("none", "honest", "lying")
+        for status, found in (("node-limit", False), ("node-limit", True), ("optimal", True))
+    } - {("honest", "node-limit", False)}
 
 
 def test_warm_start_pools_against_enumeration():
