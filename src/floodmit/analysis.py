@@ -9,11 +9,14 @@ monotone nonincreasing across the sweep, while the plans themselves usually
 are not nested; the diagnostics here quantify that.
 
 Everything that depends only on the instance is built once per sweep: the
-model and one :class:`~floodmit.heuristic.LevelMatrix` that every budget's
-greedy portfolio and spared-capacity row read.  Budget 0's search builds the
-simplex workspace over the model's matrix; its root basis carries that
-workspace, and its LU, to the next budget, which only resets the
-right-hand side.
+model, one :class:`~floodmit.heuristic.LevelMatrix` that every budget's
+greedy portfolio and spared-capacity row read, and one
+:class:`~floodmit.recourse.RecourseEvaluator`, the instance's second stage.
+The evaluator builds the value tables and keeps each plan's evaluation, so a
+plan that several budgets pool as a warm start is evaluated once.  Budget
+0's search builds the simplex workspace over the model's matrix; its root
+basis carries that workspace, and its LU, to the next budget, which only
+resets the right-hand side.
 """
 
 from __future__ import annotations
@@ -131,32 +134,14 @@ def spared_capacity(plan: MitigationPlan, levels: LevelMatrix) -> SparedCapacity
     )
 
 
-def _expected_loss(
-    plan: MitigationPlan,
-    evaluator: RecourseEvaluator,
-    scenario_set: FloodScenarioSet,
-    losses: dict,
-) -> float:
-    """The plan's expected loss, evaluated once per key of ``losses``."""
-    key = plan.key()
-    if key not in losses:
-        losses[key] = evaluator.evaluate(plan, scenario_set).expected_loss
-    return losses[key]
-
-
-def _warm_pool(
-    ef: ExtensiveForm,
-    plans: list[MitigationPlan],
-    evaluator: RecourseEvaluator,
-    losses: dict,
-) -> solver.WarmStarts:
+def _warm_pool(ef: ExtensiveForm, plans: list[MitigationPlan], evaluator: RecourseEvaluator) -> solver.WarmStarts:
     """The distinct plans as warm starts over the free first-stage columns."""
     pool = list({plan.key(): plan for plan in plans}.values())  # equal keys, equal plans
     cols = ef.free_columns
     return solver.WarmStarts(
         cols,
         np.array([ef.plan_assignment(plan) for plan in pool]).reshape(len(pool), len(cols)),
-        np.array([_expected_loss(plan, evaluator, ef.scenario_set, losses) for plan in pool]),
+        np.array([evaluator.evaluate(plan).expected_loss for plan in pool]),
     )
 
 
@@ -166,17 +151,16 @@ def solve_instance(
     evaluator: RecourseEvaluator,
     root_basis=None,
     check_unique: bool = False,
-    losses: dict | None = None,
 ) -> tuple[solver.MilpSolution, MitigationPlan, dict]:
     """Solve one budget instance with warm starts; optionally probe uniqueness.
 
-    ``losses`` maps plan keys to expected losses already evaluated with
-    ``evaluator`` (a sweep passes one map for all its budgets); it is
-    filled with the warm plans' losses.  ``root_basis`` carries the
-    workspace of an earlier solve over this matrix, which the search then
-    reuses.  The solution's ``counters`` also count the uniqueness probe.
+    The warm plans' losses come from ``evaluator``, which keeps each plan's
+    evaluation, so a sweep evaluates each plan once over all its budgets.
+    ``root_basis`` carries the workspace of an earlier solve over this
+    matrix, which the search then reuses.  The solution's ``counters`` also
+    count the uniqueness probe.
     """
-    pool = _warm_pool(ef, warm_plans, evaluator, {} if losses is None else losses)
+    pool = _warm_pool(ef, warm_plans, evaluator)
     config = solver.BnbConfig(warm_starts=pool, root_warm_basis=root_basis)
     sol = solver.solve_milp(ef.problem, config)
     if sol.status != "optimal":
@@ -210,26 +194,22 @@ def sweep(
     """
     if f_max is None:
         f_max = max_useful_budget(scenario_set, schedule, r_hat)
-    evaluator = RecourseEvaluator(network, weights)
-    base = build(scenario_set, schedule, Budget(f_max), r_hat, evaluator)
+    evaluator = RecourseEvaluator(network, scenario_set, weights)
+    base = build(schedule, Budget(f_max), r_hat, evaluator)
     counters = SimplexCounters()
     levels = LevelMatrix(network, scenario_set, schedule, r_hat)
 
     rows: list[SweepRow] = []
     prior_plans: list[MitigationPlan] = []
-    losses: dict = {}  # plan key -> expected loss, shared by every budget
     root_basis = None
     for f in range(0, f_max + 1):
         ef = base.with_budget(f)
         greedy_plans = portfolio(Budget(f), levels)
         warm_plans = greedy_plans + prior_plans
-        heur_best = min(
-            _expected_loss(p, evaluator, scenario_set, losses) for p in greedy_plans
-        )
+        heur_best = min(evaluator.evaluate(p).expected_loss for p in greedy_plans)
         try:
             sol, plan, extras = solve_instance(
-                ef, warm_plans, evaluator, root_basis=root_basis, check_unique=check_unique,
-                losses=losses,
+                ef, warm_plans, evaluator, root_basis=root_basis, check_unique=check_unique
             )
         except solver.SolverError as exc:
             log.error("budget %d failed: %s", f, exc)

@@ -19,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, analysis, geo_remap, heuristic, scenario_gen, solver
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .grid_model import load_network, save_network, validate
@@ -29,7 +31,7 @@ from .mitigation import (
     plan_cost,
     save_plan,
 )
-from .recourse import LossWeights, RecourseCounters, RecourseEvaluator, dead_substations
+from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
 from .scenario_model import load_scenarios, save_scenarios
 from .simplex import SimplexCounters
 from .value_table import build
@@ -182,17 +184,14 @@ def cmd_heuristic(args) -> int:
     schedule = CostSchedule.for_network(network)
     budget = Budget(args.budget)
     weights = LossWeights(args.lambda_shed, args.lambda_over)
-    evaluator = RecourseEvaluator(network, weights)
+    evaluator = RecourseEvaluator(network, scenarios, weights)
     levels = heuristic.LevelMatrix(network, scenarios, schedule, args.rhat)
 
     out = Path(args.out)
     if args.portfolio:
         plans = heuristic.portfolio(budget, levels)
-        evaluator.settle(dead_substations(p, s) for p in plans for s in scenarios.scenarios)
-        ranked = sorted(
-            (evaluator.evaluate(p, scenarios).expected_loss, i, p)
-            for i, p in enumerate(plans)
-        )
+        evaluator.settle(np.concatenate([evaluator.survivors(p) for p in plans]))
+        ranked = sorted((evaluator.evaluate(p).expected_loss, i, p) for i, p in enumerate(plans))
         out.mkdir(parents=True, exist_ok=True)
         listing = []
         for rank, (loss, _, plan) in enumerate(ranked):
@@ -218,7 +217,7 @@ def cmd_heuristic(args) -> int:
     result = {
         "levels": _plan_dict(plan),
         "cost": plan_cost(plan, schedule),
-        "expected_loss": evaluator.evaluate(plan, scenarios).expected_loss,
+        "expected_loss": evaluator.evaluate(plan).expected_loss,
     }
     doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters, greedy=levels.counters)
     _write_json(doc, out.with_suffix(".envelope.json"))
@@ -229,8 +228,8 @@ def _solve_one(args, check_unique: bool):
     network, scenarios = _load_inputs(args)
     schedule = CostSchedule.for_network(network)
     weights = LossWeights(args.lambda_shed, args.lambda_over)
-    evaluator = RecourseEvaluator(network, weights)
-    ef = build(scenarios, schedule, Budget(args.budget), args.rhat, evaluator)
+    evaluator = RecourseEvaluator(network, scenarios, weights)
+    ef = build(schedule, Budget(args.budget), args.rhat, evaluator)
     levels = heuristic.LevelMatrix(network, scenarios, schedule, args.rhat)
     warm = heuristic.portfolio(Budget(args.budget), levels)
     sol, plan, extras = analysis.solve_instance(
@@ -300,8 +299,8 @@ def cmd_eval(args) -> int:
             + ", ".join(f"substation {k} at level {v}" for k, v in beyond)
         )
     weights = LossWeights(args.lambda_shed, args.lambda_over)
-    evaluator = RecourseEvaluator(network, weights)
-    evaluation = evaluator.evaluate(plan, scenarios)
+    evaluator = RecourseEvaluator(network, scenarios, weights)
+    evaluation = evaluator.evaluate(plan)
     result = {
         "expected_loss": evaluation.expected_loss,
         "plan": _plan_dict(plan),

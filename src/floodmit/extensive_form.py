@@ -72,7 +72,6 @@ class ExtensiveForm:
 
     problem: MilpProblem
     network: GridNetwork
-    scenario_set: FloodScenarioSet
     schedule: CostSchedule
     budget: Budget
     r_hat: int
@@ -141,7 +140,7 @@ def add_first_stage(
         for r in range(1, r_hat + 1):
             name = f"x_{safe}_{r}"
             ub = 0.0 if r == r_hat else 1.0  # the top level is unattainable
-            idx = pb.add_variable(name, 0.0, ub, binary=True, meta=("x", sub.id, r))
+            idx = pb.add_variable(name, 0.0, ub, binary=True)
             x_idx[(sub.id, r)] = idx
             budget_terms.append((idx, float(schedule.marginal_cost(sub.id, r))))
         for r in range(1, r_hat):
@@ -189,7 +188,7 @@ def add_dispatch_block(
             alpha_const[sub.id] = 0
         else:
             name = f"alpha_{tag}_{sanitize_name(sub.id)}"
-            idx = pb.add_variable(name, 0.0, 1.0, binary=True, meta=("alpha", scenario.id, sub.id))
+            idx = pb.add_variable(name, 0.0, 1.0, binary=True)
             alpha_var[sub.id] = idx
             n_alpha += 1
             _, rows = alpha_link_rows(level_to_indicators(level, r_hat))
@@ -224,7 +223,7 @@ def add_dispatch_block(
             beta_var[br.id] = fa[1]  # both buses share one substation
         else:
             name = f"beta_{tag}_{sanitize_name(br.id)}"
-            idx = pb.add_variable(name, 0.0, 1.0, binary=True, meta=("beta", scenario.id, br.id))
+            idx = pb.add_variable(name, 0.0, 1.0, binary=True)
             beta_var[br.id] = idx
             n_beta += 1
             safe = sanitize_name(br.id)
@@ -245,9 +244,7 @@ def add_dispatch_block(
         t_hi = network.angle_abs_max
         if bus.is_reference:
             t_lo = t_hi = 0.0
-        theta_idx[bus.id] = pb.add_variable(
-            f"theta_{tag}_{safe}", t_lo, t_hi, meta=("theta", scenario.id, bus.id)
-        )
+        theta_idx[bus.id] = pb.add_variable(f"theta_{tag}_{safe}", t_lo, t_hi)
         if dead:
             # Every incident branch is pinned dead, so the balance row
             # would read 0 = 0; the whole block folds away.
@@ -258,9 +255,7 @@ def add_dispatch_block(
                 g_lo, g_hi = bus.p_gen_min, bus.p_gen_max
             else:
                 g_lo, g_hi = min(bus.p_gen_min, 0.0), max(bus.p_gen_max, 0.0)
-            phat_idx[bus.id] = pb.add_variable(
-                f"phat_{tag}_{safe}", g_lo, g_hi, meta=("phat", scenario.id, bus.id)
-            )
+            phat_idx[bus.id] = pb.add_variable(f"phat_{tag}_{safe}", g_lo, g_hi)
             if a[0] == "var":
                 if bus.p_gen_max != 0:
                     pb.add_row(
@@ -277,10 +272,7 @@ def add_dispatch_block(
                         0.0,
                     )
             if bus.p_gen_max > 0:
-                pchk_idx[bus.id] = pb.add_variable(
-                    f"pchk_{tag}_{safe}", 0.0, max(bus.p_gen_max, 0.0),
-                    meta=("pchk", scenario.id, bus.id),
-                )
+                pchk_idx[bus.id] = pb.add_variable(f"pchk_{tag}_{safe}", 0.0, max(bus.p_gen_max, 0.0))
                 pb.add_objective_term(pchk_idx[bus.id], prob * weights.lambda_over)
                 pb.add_row(
                     f"og_{tag}_{safe}",
@@ -289,9 +281,7 @@ def add_dispatch_block(
                     0.0,
                 )
         if bus.p_load > 0:
-            delta_idx[bus.id] = pb.add_variable(
-                f"delta_{tag}_{safe}", 0.0, 1.0, meta=("delta", scenario.id, bus.id)
-            )
+            delta_idx[bus.id] = pb.add_variable(f"delta_{tag}_{safe}", 0.0, 1.0)
             pb.add_objective_term(delta_idx[bus.id], -prob * weights.lambda_shed * bus.p_load)
             if a[0] == "var":
                 # Load at a dead bus cannot be served.
@@ -310,9 +300,7 @@ def add_dispatch_block(
             if beta_const[br.id] == 0:
                 continue  # pinned flow 0, angle rows vacuous within theta bounds
             limit = min(br.flow_limit, abs(br.susceptance) * network.angle_diff_max)
-            f_idx = pb.add_variable(
-                f"flow_{tag}_{safe}", -limit, limit, meta=("flow", scenario.id, br.id)
-            )
+            f_idx = pb.add_variable(f"flow_{tag}_{safe}", -limit, limit)
             flow_idx[br.id] = f_idx
             pb.add_row(
                 f"ohm_{tag}_{safe}",
@@ -322,10 +310,7 @@ def add_dispatch_block(
             )
             continue
         beta = beta_var[br.id]
-        f_idx = pb.add_variable(
-            f"flow_{tag}_{safe}", -br.flow_limit, br.flow_limit,
-            meta=("flow", scenario.id, br.id),
-        )
+        f_idx = pb.add_variable(f"flow_{tag}_{safe}", -br.flow_limit, br.flow_limit)
         flow_idx[br.id] = f_idx
         m_val = abs(br.susceptance) * 2 * network.angle_abs_max + br.flow_limit
         # -flow - b*(theta_f - theta_t) sits in [M*(beta-1), M*(1-beta)].
@@ -408,7 +393,6 @@ def build(
     ef = ExtensiveForm(
         problem=problem,
         network=network,
-        scenario_set=scenario_set,
         schedule=schedule,
         budget=budget,
         r_hat=r_hat,

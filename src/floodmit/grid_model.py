@@ -142,12 +142,6 @@ class GridArrays:
         self.susceptance = np.array([br.susceptance for br in branches], dtype=float)
         self.flow_limit = np.array([br.flow_limit for br in branches], dtype=float)
 
-    def sub_up(self, dead) -> np.ndarray:
-        """Substation mask with the ``dead`` ids down; unknown ids are ignored."""
-        up = np.ones(len(self.sub_ids), dtype=bool)
-        up[[self.sub_col[k] for k in dead if k in self.sub_col]] = False
-        return up
-
     def closure(self, sub_up: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bus and branch masks from a substation mask, over any leading axes:
         a bus is up iff its substation is, and a branch iff both its ends are."""
@@ -230,6 +224,17 @@ _SUB_KEYS = {"id", "voltage_class", "lon", "lat"}
 _ANGLE_KEYS = {"abs_max_rad", "diff_max_rad"}
 
 
+def _objects(doc: dict, key: str) -> list[dict]:
+    """The list under ``key``, each entry an object."""
+    entries = doc[key]
+    if not isinstance(entries, list):
+        raise NetworkFormatError(f"network: {key} must be a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise NetworkFormatError(f"network: {key} entry {i} must be an object")
+    return entries
+
+
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -245,7 +250,7 @@ def network_from_dict(doc: dict) -> GridNetwork:
             raise NetworkFormatError(f"network: missing required key {key!r}")
 
     buses = []
-    for entry in doc["buses"]:
+    for entry in _objects(doc, "buses"):
         _reject_unknown(entry, _BUS_KEYS, f"bus {entry.get('id', '?')}")
         gen_max = float(entry.get("gen_max", 0.0))
         if gen_max < 0:
@@ -265,7 +270,7 @@ def network_from_dict(doc: dict) -> GridNetwork:
         )
 
     branches = []
-    for entry in doc["branches"]:
+    for entry in _objects(doc, "branches"):
         _reject_unknown(entry, _BRANCH_KEYS, f"branch {entry.get('id', '?')}")
         susceptance = float(entry["susceptance"])
         if susceptance == 0:
@@ -281,7 +286,7 @@ def network_from_dict(doc: dict) -> GridNetwork:
         )
 
     substations = []
-    for entry in doc["substations"]:
+    for entry in _objects(doc, "substations"):
         _reject_unknown(entry, _SUB_KEYS, f"substation {entry.get('id', '?')}")
         substations.append(
             Substation(
@@ -295,6 +300,8 @@ def network_from_dict(doc: dict) -> GridNetwork:
     angle_abs = DEFAULT_ANGLE_ABS_MAX
     angle_diff = DEFAULT_ANGLE_DIFF_MAX
     if "angle_limits" in doc:
+        if not isinstance(doc["angle_limits"], dict):
+            raise NetworkFormatError("network: angle_limits must be an object")
         _reject_unknown(doc["angle_limits"], _ANGLE_KEYS, "angle_limits")
         angle_abs = float(doc["angle_limits"].get("abs_max_rad", angle_abs))
         angle_diff = float(doc["angle_limits"].get("diff_max_rad", angle_diff))

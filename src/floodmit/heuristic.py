@@ -121,11 +121,8 @@ class LevelMatrix:
         pairs = np.stack([jf, jt], axis=1)[~same]  # (from, to), then (to, from)
         np.add.at(self.cross, (pairs.ravel(), pairs[:, ::-1].ravel()), np.repeat(a.flow_limit[~same], 2))
 
-        scenarios = scenario_set.scenarios
-        self.p = np.array([s.probability for s in scenarios])
-        self.levels = np.array(
-            [[s.levels.get(k, 0) for k in self.sub_ids] for s in scenarios], dtype=int
-        ).reshape(len(scenarios), n)
+        self.p = np.array(scenario_set.probabilities)
+        self.levels = scenario_set.level_matrix(self.sub_ids)
         # Only levels below r_hat can ever flip; layer l marks level l.
         self.r_hat = r_hat
         self.level_rows = np.arange(r_hat)[:, None]

@@ -1,7 +1,7 @@
 """Generic mixed-integer linear program container.
 
 A problem is stored as the arrays the simplex consumes: per variable a name,
-bounds, a binary flag and a metadata tuple; per row a name, a sense and a
+bounds and a binary flag; per row a name, a sense and a
 right-hand side; one CSC constraint matrix assembled once by
 :class:`ProblemBuilder`; and a linear minimization objective with an
 optional constant offset.  Instances are immutable; transformations return
@@ -26,7 +26,6 @@ class MilpProblem:
     lb: np.ndarray
     ub: np.ndarray
     is_binary: np.ndarray  # bool mask over variables
-    meta: tuple[tuple, ...]
     A: sp.csc_matrix
     senses: tuple[str, ...]  # 'L' (<=), 'G' (>=), 'E' (=) per row
     b: np.ndarray
@@ -76,7 +75,6 @@ class ProblemBuilder:
         self._lb: list[float] = []
         self._ub: list[float] = []
         self._binary: list[bool] = []
-        self._meta: list[tuple] = []
         self._row_names: dict[str, None] = {}
         self._senses: list[str] = []
         self._rhs: list[float] = []
@@ -86,7 +84,7 @@ class ProblemBuilder:
         self._obj: dict[int, float] = {}
         self._offset = 0.0
 
-    def add_variable(self, name, lb, ub, binary=False, meta=()) -> int:
+    def add_variable(self, name, lb, ub, binary=False) -> int:
         if name in self._index:
             raise ValueError(f"duplicate variable name {name!r}")
         idx = len(self._index)
@@ -94,7 +92,6 @@ class ProblemBuilder:
         self._lb.append(float(lb))
         self._ub.append(float(ub))
         self._binary.append(bool(binary))
-        self._meta.append(tuple(meta))
         return idx
 
     def add_row(self, name, terms, sense, rhs) -> None:
@@ -129,7 +126,6 @@ class ProblemBuilder:
             lb=np.array(self._lb, dtype=float),
             ub=np.array(self._ub, dtype=float),
             is_binary=np.array(self._binary, dtype=bool),
-            meta=tuple(self._meta),
             A=sp.csc_matrix((self._data, (self._ri, self._ci)), shape=(m, n)),
             senses=tuple(self._senses),
             b=np.array(self._rhs, dtype=float),

@@ -182,6 +182,8 @@ def plan_from_dict(doc: dict) -> MitigationPlan:
     unknown = set(doc) - {"levels"}
     if unknown:
         raise PlanFormatError(f"plan file: unknown keys {sorted(unknown)}")
+    if not isinstance(doc.get("levels", {}), dict):
+        raise PlanFormatError("plan: levels must be an object")
     levels = {}
     for sub, lvl in doc.get("levels", {}).items():
         lvl = int(lvl)

@@ -22,32 +22,34 @@ Every angle lies within angle_abs_max, so a dead branch never ties the
 angles of its endpoints.  Every bus keeps its overgeneration row, which for
 a dead bus reads 0 <= 0.
 
-The statuses depend on the plan only through the set of dead substations, so
-one function derives that set and :meth:`GridArrays.closure
-<floodmit.grid_model.GridArrays.closure>` turns it into statuses; the cached
-evaluator keys its dispatch solves on the same set.
+The statuses depend on the plan only through which substations survive: a
+substation survives iff its flood level is at most the plan's level.  A
+request to the second stage is therefore a survival mask, one bool per
+substation in the order of ``network.arrays``; :meth:`GridArrays.closure
+<floodmit.grid_model.GridArrays.closure>` turns a mask into statuses, and
+the evaluator keys its dispatch solves on the mask's bytes.
 
 No row couples two islands (connected components of live buses over live
 branches), so one copper plate per island gives a closed-form lower bound on
-the loss (:meth:`_CopperPlate.loss`).  The evaluator settles a new dead set
+the loss (:meth:`_CopperPlate.loss`).  The evaluator settles a new mask
 without an LP when a witness dispatch that attains the bound passes a DC
 power-flow check of the flow and angle limits; a feasible point whose value
-is a lower bound is optimal.  New dead sets are settled in stacks, the only
+is a lower bound is optimal.  New masks are settled in stacks, the only
 island structure: their islands, island sums and witness power flows are
 array passes over the whole stack, a single request is a stack of one, and
 the bound, the witness and the LP's start basis read each member's islands
-from the stack.  Only the dead sets that fail the check fall back to the
-LP, on one simplex workspace per evaluator.  Each fallback starts from the
-basis of its own island copper-plate dispatch, which is dual feasible, so
-the dual simplex only repairs the flow and angle limits that bind.  Each
-dead set is settled the same way whatever else shares its stack or came
-before it, so a cached loss does not depend on the order of requests.
+from the stack.  Only the masks that fail the check fall back to the LP, on
+one simplex workspace per evaluator.  Each fallback starts from the basis of
+its own island copper-plate dispatch, which is dual feasible, so the dual
+simplex only repairs the flow and angle limits that bind.  Each mask is
+settled the same way whatever else shares its stack or came before it, so a
+cached loss does not depend on the order of requests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,23 +102,13 @@ class PlanEvaluation:
     outcomes: tuple[ScenarioOutcome, ...]
 
 
-def dead_substations(plan: MitigationPlan, scenario: FloodScenario) -> tuple[str, ...]:
-    """Sorted ids of the substations whose flood level exceeds the plan's level.
-
-    Floods beyond the top attainable level can never be covered.
-    """
-    return tuple(
-        sorted(sub for sub, lvl in scenario.levels.items() if plan.level_of(sub) < lvl)
-    )
-
-
 def status_closure(
     network: GridNetwork, plan: MitigationPlan, scenario: FloodScenario
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bus and branch masks, in network order, implied by a plan under one
     flooding realization."""
     a = network.arrays
-    return a.closure(a.sub_up(dead_substations(plan, scenario)))
+    return a.closure(np.array([scenario.level_of(k) <= plan.level_of(k) for k in a.sub_ids], dtype=bool))
 
 
 def _layout(network: GridNetwork) -> tuple[int, int, int, int, int, int]:
@@ -253,7 +245,7 @@ def solve_recourse_lp(
 
 
 class _Stack(NamedTuple):
-    """The islands of a stack of dead sets, numbered across the stack in
+    """The islands of a stack of survival masks, numbered across the stack in
     member order, then in the order of their first bus.
 
     Per member and bus, ``labels`` holds the island (-1 for a dead bus); per
@@ -274,16 +266,16 @@ class _Stack(NamedTuple):
 
 class _CopperPlate:
     """The island copper-plate bound of a network and its witness dispatch,
-    on the network's arrays, for a stack of dead sets at a time."""
+    on the network's arrays, for a stack of survival masks at a time."""
 
     def __init__(self, network: GridNetwork):
         self.network = network
         self.arrays = network.arrays
         self.flow_limit = _flow_bound(network)
 
-    def islands(self, dead_sets: Sequence[tuple[str, ...]]) -> _Stack:
+    def islands(self, sub_up: np.ndarray) -> _Stack:
         """Connected components of the live buses over the live branches,
-        for every dead set of the stack at once.
+        for every survival mask (row) of the (K, J) stack ``sub_up`` at once.
 
         The stack's buses are numbered member by member.  Each component
         ends up pointing at its lowest-numbered bus: every live branch whose
@@ -293,8 +285,8 @@ class _CopperPlate:
         """
         a = self.arrays
         nb = len(a.load)
-        bus_up, branch_up = a.closure(np.stack([a.sub_up(dead) for dead in dead_sets]))
-        offset = nb * np.arange(len(dead_sets))[:, None]
+        bus_up, branch_up = a.closure(sub_up)
+        offset = nb * np.arange(len(sub_up))[:, None]
         u, v = (a.frm + offset)[branch_up], (a.to + offset)[branch_up]
         root = np.arange(bus_up.size)
         while True:
@@ -316,10 +308,10 @@ class _CopperPlate:
         # Dead buses sum into bin 0, which is dropped; each island adds its
         # buses in bus order.
         load, gen_min, gen_max = (
-            np.bincount(labels + 1, np.tile(values, len(dead_sets)), len(member) + 1)[1:]
+            np.bincount(labels + 1, np.tile(values, len(sub_up)), len(member) + 1)[1:]
             for values in (a.load, a.gen_min, a.gen_max)
         )
-        start = np.searchsorted(member, np.arange(len(dead_sets) + 1))
+        start = np.searchsorted(member, np.arange(len(sub_up) + 1))
         return _Stack(labels.reshape(bus_up.shape), branch_up, member, first, start, load, gen_min, gen_max)
 
     def loss(self, stack: _Stack, b: int, weights: LossWeights) -> tuple[float, float, float, float]:
@@ -513,20 +505,20 @@ def _island_basis(network: GridNetwork, stack: _Stack, b: int) -> simplex.BasisS
     return simplex.BasisState(basis, status)
 
 
-# Dead sets settled together at most; a stack's Laplacians take
+# Survival masks settled together at most; a stack's Laplacians take
 # STACK_SIZE * buses^2 floats.  On the 60-bus corridor instance, stacks of
 # 32 raised the peak resident memory of a portfolio run by 0.5 MB over
-# settling one dead set at a time, stacks of 16 by 0.1 MB at the same
-# speed, and stacks of 8 took 13% longer.
+# settling one mask at a time, stacks of 16 by 0.1 MB at the same speed,
+# and stacks of 8 took 13% longer.
 STACK_SIZE = 16
 
 
 @dataclass
 class RecourseCounters:
     """What a :class:`RecourseEvaluator` did: scenario outcomes requested,
-    dead sets found in the cache, dead sets settled by the island bound's
+    survival masks found in the cache, masks settled by the island bound's
     witness without an LP, dispatch LPs solved, the simplex pivots those
-    LPs took, and the stacks of new dead sets settled."""
+    LPs took, and the stacks of new masks settled."""
 
     outcomes: int = 0
     cache_hits: int = 0
@@ -537,36 +529,47 @@ class RecourseCounters:
 
 
 class RecourseEvaluator:
-    """Caches scenario losses keyed by the set of dead substations.
+    """The second stage of one instance: a network, its scenario set and the
+    loss weights, with ``levels``, the scenario set's flood-level matrix
+    over the substations of ``network.arrays``.
 
-    Two plans that leave the same substations dead in a scenario face the
-    identical dispatch LP, so sweeps and greedy searches reuse solves.  New
-    dead sets are settled in stacks of up to ``STACK_SIZE`` (a single
-    request is a stack of one): their islands and witness checks run as
-    array passes over the whole stack, and a dead set whose witness
-    dispatch is feasible is settled without an LP (a feasible point whose
-    value is a lower bound is optimal).  Otherwise its dispatch LP is
-    solved.  All dispatch LPs of the network share one simplex workspace,
-    built on the first dead set that needs an LP; each LP only resets the
-    bounds and warm-starts the dual simplex from :func:`_island_basis`, the
-    vertex of its own island copper-plate dispatch.  Since each verdict and
-    start depends only on the dead set, a cached value does not depend on
-    the order of requests or on how they were stacked.
+    A request is a survival mask over those substations; :meth:`survivors`
+    gives a plan's masks, one row per scenario.  Plans that leave the same
+    substations alive in a scenario face the identical dispatch LP, so
+    losses are cached under the mask's bytes.  New masks are settled in
+    stacks of up to ``STACK_SIZE`` by array passes (a single request is a
+    stack of one).  A mask whose island witness dispatch is feasible needs
+    no LP; the others share one simplex workspace, built on the first such
+    mask, and each LP warm-starts the dual simplex from
+    :func:`_island_basis`.  Each verdict and start depends only on the mask,
+    so a cached value does not depend on the order or stacking of requests.
 
-    A caller about to request many outcomes passes their dead sets to
-    :meth:`settle` first.  The counters count requests: the first request
-    of a dead set counts as settled (with or without an LP), every later
-    one as a cache hit, so ``outcomes == cache_hits + settled_without_lp +
-    lp_solves`` once every settled dead set has been requested.
+    :meth:`evaluate` keeps each plan's evaluation under ``plan.key()``.  A
+    caller about to request many outcomes passes their masks to
+    :meth:`settle` first.  The counters count :meth:`scenario_outcome`
+    calls: the first request of a mask counts as settled (with or without an
+    LP), every later one as a cache hit, so ``outcomes == cache_hits +
+    settled_without_lp + lp_solves`` once every settled mask is requested.
+
+    ``RecourseEvaluator(network, weights)``, the older form that
+    ``perfbench/worker.py`` calls, has no scenario set; its
+    :meth:`evaluate` takes the set as a second argument.
     """
 
-    def __init__(self, network: GridNetwork, weights: LossWeights):
+    def __init__(
+        self, network: GridNetwork, scenario_set: FloodScenarioSet, weights: LossWeights | None = None
+    ):
+        if weights is None:  # the older form RecourseEvaluator(network, weights)
+            scenario_set, weights = None, scenario_set
         self.network = network
+        self.scenario_set = scenario_set
         self.weights = weights
+        self.levels = None if scenario_set is None else scenario_set.level_matrix(network.arrays.sub_ids)
         self.counters = RecourseCounters()
         self._plate = _CopperPlate(network)
-        self._cache: dict[tuple[str, ...], tuple[float, float, float, float]] = {}
-        self._unclaimed: set[tuple[str, ...]] = set()  # settled, not yet requested
+        self._cache: dict[bytes, tuple[float, float, float, float]] = {}
+        self._unclaimed: set[bytes] = set()  # settled, not yet requested
+        self._evaluations: dict[tuple, PlanEvaluation] = {}
         self._workspace: simplex.Workspace | None = None
 
     def _solve_lp(self, stack: _Stack, b: int) -> tuple[float, float, float, float]:
@@ -582,34 +585,48 @@ class RecourseEvaluator:
         over = sum(dispatch.p_check.tolist())
         return loss, served, self.network.total_load - served, over
 
-    def settle(self, dead_sets: Iterable[tuple[str, ...]]) -> None:
-        """Settle every dead set not cached yet, in stacks of up to
-        ``STACK_SIZE``, for requests about to be made."""
-        new = [dead for dead in dict.fromkeys(dead_sets) if dead not in self._cache]
-        for begin in range(0, len(new), STACK_SIZE):
-            chunk = new[begin : begin + STACK_SIZE]
+    def survivors(self, plan: MitigationPlan) -> np.ndarray:
+        """The plan's survival masks, scenarios by substations: substation j
+        survives scenario s iff ``levels[s, j]`` is at most its plan level."""
+        return self.levels <= np.array([plan.level_of(k) for k in self.network.arrays.sub_ids], dtype=int)
+
+    def settle(self, sub_up: np.ndarray) -> None:
+        """Settle every survival mask (a row of the (K, J) bool array
+        ``sub_up``) not cached yet, in stacks of up to ``STACK_SIZE``, for
+        requests about to be made."""
+        width, flat = sub_up.shape[1], sub_up.tobytes()
+        new: dict[bytes, int] = {}  # mask bytes -> first row, in row order
+        for i in range(len(sub_up)):
+            key = flat[i * width : (i + 1) * width]
+            if key not in self._cache:
+                new.setdefault(key, i)
+        keys, rows = list(new), list(new.values())
+        for begin in range(0, len(keys), STACK_SIZE):
             self.counters.batches += 1
-            stack = self._plate.islands(chunk)
+            stack = self._plate.islands(sub_up[rows[begin : begin + STACK_SIZE]])
             feasible = self._plate.witness(stack).tolist()
-            for b, dead in enumerate(chunk):
+            for b, key in enumerate(keys[begin : begin + STACK_SIZE]):
                 if feasible[b]:
                     self.counters.settled_without_lp += 1
-                    self._cache[dead] = self._plate.loss(stack, b, self.weights)
+                    self._cache[key] = self._plate.loss(stack, b, self.weights)
                 else:
-                    self._cache[dead] = self._solve_lp(stack, b)
-        self._unclaimed.update(new)
+                    self._cache[key] = self._solve_lp(stack, b)
+        self._unclaimed.update(keys)
 
-    def scenario_outcome(self, scenario: FloodScenario, dead: tuple[str, ...]) -> ScenarioOutcome:
-        """The outcome in one scenario of a plan that leaves the substations
-        ``dead`` dead (as :func:`dead_substations` gives them)."""
+    def scenario_outcome(self, s: int, up: np.ndarray) -> ScenarioOutcome:
+        """The outcome in scenario ``s`` (row s of ``levels``) of a plan
+        whose substations survive where the mask ``up`` is true."""
         self.counters.outcomes += 1
-        if dead not in self._cache:
-            self.settle([dead])
-        if dead in self._unclaimed:
-            self._unclaimed.remove(dead)
+        key = up.tobytes()
+        if key not in self._cache:
+            self.settle(up[None])
+        if key in self._unclaimed:
+            self._unclaimed.remove(key)
         else:
             self.counters.cache_hits += 1
-        loss, served, shed, over = self._cache[dead]
+        loss, served, shed, over = self._cache[key]
+        scenario = self.scenario_set.scenarios[s]
+        col = self.network.arrays.sub_col
         return ScenarioOutcome(
             scenario_id=scenario.id,
             probability=scenario.probability,
@@ -617,17 +634,24 @@ class RecourseEvaluator:
             served_load=served,
             shed_load=shed,
             overgeneration=over,
-            dead_substations=dead,
+            dead_substations=tuple(sorted(k for k in scenario.levels if not up[col[k]])),
         )
 
-    def evaluate(self, plan: MitigationPlan, scenario_set: FloodScenarioSet) -> PlanEvaluation:
-        dead_sets = [dead_substations(plan, s) for s in scenario_set.scenarios]
-        self.settle(dead_sets)
-        outcomes = tuple(
-            self.scenario_outcome(s, dead) for s, dead in zip(scenario_set.scenarios, dead_sets)
-        )
-        expected = sum(o.probability * o.loss for o in outcomes)
-        return PlanEvaluation(expected_loss=expected, outcomes=outcomes)
+    def evaluate(self, plan: MitigationPlan, scenario_set: FloodScenarioSet | None = None) -> PlanEvaluation:
+        """The plan's outcome in every scenario and its expected loss,
+        evaluated once per ``plan.key()``.  A ``scenario_set`` other than
+        the evaluator's own (the older two-argument form) is evaluated by a
+        fresh evaluator of that instance."""
+        if scenario_set is not None and scenario_set is not self.scenario_set:
+            return RecourseEvaluator(self.network, scenario_set, self.weights).evaluate(plan)
+        key = plan.key()
+        if key not in self._evaluations:
+            up = self.survivors(plan)
+            self.settle(up)
+            outcomes = tuple(self.scenario_outcome(s, row) for s, row in enumerate(up))
+            expected = sum(o.probability * o.loss for o in outcomes)
+            self._evaluations[key] = PlanEvaluation(expected_loss=expected, outcomes=outcomes)
+        return self._evaluations[key]
 
 
 def evaluate_plan(
@@ -637,4 +661,4 @@ def evaluate_plan(
     weights: LossWeights = LossWeights(),
 ) -> PlanEvaluation:
     """Probability-weighted dispatch loss of a plan across all scenarios."""
-    return RecourseEvaluator(network, weights).evaluate(plan, scenario_set)
+    return RecourseEvaluator(network, scenario_set, weights).evaluate(plan)

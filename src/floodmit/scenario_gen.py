@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -29,33 +30,6 @@ from .scenario_model import DepthThresholds, FloodScenario, FloodScenarioSet, de
 KM_PER_NAUTICAL_MILE = 1.852
 # Mass of a centered normal inside +-1 cone radius.
 CONE_PROBABILITY = 2.0 / 3.0
-
-
-def _norm_cdf(z: float) -> float:
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def _norm_ppf(p: float) -> float:
-    """Inverse standard normal CDF by bisection-safeguarded Newton."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    lo, hi = -10.0, 10.0
-    z = 0.0
-    for _ in range(200):
-        f = _norm_cdf(z) - p
-        if abs(f) < 1e-15:
-            break
-        if f > 0:
-            hi = z
-        else:
-            lo = z
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        step = f / pdf if pdf > 1e-300 else 0.0
-        z_new = z - step
-        if not lo < z_new < hi:
-            z_new = 0.5 * (lo + hi)
-        z = z_new
-    return z
 
 
 @dataclass(frozen=True)
@@ -132,7 +106,7 @@ def sigma_from_cone(cone_radius: float) -> float:
     """
     if cone_radius <= 0:
         raise ValueError("cone radius must be positive")
-    return cone_radius / _norm_ppf(0.5 + CONE_PROBABILITY / 2.0)
+    return cone_radius / NormalDist().inv_cdf(0.5 + CONE_PROBABILITY / 2.0)
 
 
 def stratified_landfalls(
@@ -150,10 +124,8 @@ def stratified_landfalls(
     u = (np.arange(count) + rng.random(count)) / count
     sigma = dist.sigma_km
     total = dist.coastline.total_length_km
-    return [
-        min(max(dist.mean_arc_km + sigma * _norm_ppf(float(ui)), 0.0), total)
-        for ui in u
-    ]
+    quantile = NormalDist().inv_cdf
+    return [min(max(dist.mean_arc_km + sigma * quantile(float(ui)), 0.0), total) for ui in u]
 
 
 def _bearing_rad(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -224,10 +196,18 @@ def generate_scenarios(
 def load_coastline(path) -> Coastline:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("coastline document must be an object")
     unknown = set(doc) - {"vertices"}
     if unknown:
         raise ValueError(f"coastline file: unknown keys {sorted(unknown)}")
-    return Coastline(tuple((float(v[0]), float(v[1])) for v in doc["vertices"]))
+    vertices = doc["vertices"]
+    if not isinstance(vertices, list):
+        raise ValueError("coastline file: vertices must be a list")
+    for i, v in enumerate(vertices):
+        if not (isinstance(v, list) and len(v) == 2):
+            raise ValueError(f"coastline file: vertex {i} must be a [lon, lat] pair")
+    return Coastline(tuple((float(v[0]), float(v[1])) for v in vertices))
 
 
 def save_coastline(coastline: Coastline, path) -> None:

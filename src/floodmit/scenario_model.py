@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .grid_model import GridNetwork
 
@@ -83,6 +86,13 @@ class FloodScenarioSet:
     def probabilities(self) -> tuple[float, ...]:
         return tuple(s.probability for s in self.scenarios)
 
+    def level_matrix(self, sub_ids: Sequence[str]) -> np.ndarray:
+        """Flood levels as a (scenarios, substations) int array: row s is
+        scenario s, column j substation ``sub_ids[j]`` (0 when dry)."""
+        return np.array(
+            [[s.levels.get(k, 0) for k in sub_ids] for s in self.scenarios], dtype=int
+        ).reshape(len(self.scenarios), len(sub_ids))
+
     def substation_ids(self) -> set[str]:
         ids: set[str] = set()
         for s in self.scenarios:
@@ -135,9 +145,13 @@ def scenario_set_from_dict(
 
     known_subs = None if network is None else {s.id for s in network.substations}
 
+    if not isinstance(entries, list):
+        raise ScenarioFormatError("scenario file: scenarios must be a list")
     scenarios: list[FloodScenario] = []
     seen_ids: set[str] = set()
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ScenarioFormatError(f"scenario file: scenarios entry {i} must be an object")
         unknown = set(entry) - {"id", "probability", "levels"}
         if unknown:
             raise ScenarioFormatError(
@@ -150,6 +164,8 @@ def scenario_set_from_dict(
         prob = float(entry["probability"])
         if not 0 < prob <= 1:
             raise ScenarioFormatError(f"scenario {sid}: probability must lie in (0, 1]")
+        if not isinstance(entry.get("levels", {}), dict):
+            raise ScenarioFormatError(f"scenario {sid}: levels must be an object")
         levels: dict[str, int] = {}
         for sub, lvl in entry.get("levels", {}).items():
             if known_subs is not None and sub not in known_subs:

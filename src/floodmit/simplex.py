@@ -469,15 +469,11 @@ class _Solver:
             alpha = ws.At @ rho
             # Leaving variable must travel to its violated bound; the entering
             # step is delta/alpha_q, and sign eligibility keeps it directionally
-            # consistent with the entering variable's own bound status.
+            # consistent with the entering variable's own bound status: the
+            # columns that reduced costs -alpha_s would price as improving.
             s = 1.0 if leaving_above else -1.0
             alpha_s = s * alpha
-            movable = (ws.hi - ws.lo) > TOL_PIVOT
-            cand = (
-                ((self.status_arr == AT_LOWER) & (alpha_s > TOL_PIVOT) & movable)
-                | ((self.status_arr == AT_UPPER) & (alpha_s < -TOL_PIVOT) & movable)
-                | ((self.status_arr == FREE) & (np.abs(alpha_s) > TOL_PIVOT))
-            )
+            cand = self._improving(-alpha_s, TOL_PIVOT)
             if not cand.any():
                 return STATUS_INFEASIBLE
             _, d = self._duals(costs)
@@ -683,14 +679,14 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
     for _ in range(5):
         if not solver.x_fresh and not solver._refactorize():
             return _failed(STATUS_NUMERICAL, solver.iterations)
-        y, d = solver._duals(ws.c_ext)
-        if not solver._improving(d, 1e-7).any():
+        if solver.dual_feasible(ws.c_ext):
             break
         status = solver.run_primal(ws.c_ext)
         if status != STATUS_OPTIMAL:
             return _failed(STATUS_NUMERICAL, solver.iterations)
     else:
         return _failed(STATUS_NUMERICAL, solver.iterations)
+    y, d = solver._duals(ws.c_ext)  # priced by the check above
 
     x_full = solver.x
     objective = float(ws.c_ext @ x_full)

@@ -15,9 +15,13 @@ At binary x the marginal rows force z onto the single subset of survivors,
 so the model is exact and adds no binaries (Laporte & Louveaux's recourse
 value-function view of binary first stages, Oper. Res. Lett. 13(3), 1993).
 A scenario with no uncertain substation is a one-entry table folded into the
-objective offset.  The losses come from the caller's
-:class:`~floodmit.recourse.RecourseEvaluator`, so tables, warm-start values and
-plan evaluations share one status closure and one dead-set cache.
+objective offset.  The model is built over one instance's
+:class:`~floodmit.recourse.RecourseEvaluator`, which holds the network, the
+scenario set, the loss weights and the flood-level matrix L.  The uncertain
+columns of scenario s are ``(0 < L[s]) & (L[s] < r_hat)``, and entry m of its
+table is a survival mask: the dry substations and the uncertain ones at the
+set bits of m survive.  So tables, warm-start values and plan evaluations
+share one request type and one recourse cache.
 
 A table has 2^|U_s| entries.  The evaluator settles the entries of every
 table in one call, in stacked array passes: most with no LP, by the island
@@ -38,7 +42,7 @@ from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, 
 from .milp import ProblemBuilder, sanitize_name
 from .mitigation import Budget, CostSchedule
 from .recourse import RecourseEvaluator
-from .scenario_model import FloodScenario, FloodScenarioSet
+from .scenario_model import FloodScenario
 
 # Largest uncertain set that gets a table (2^6 = 64 entries); larger ones
 # keep a dispatch block, whose size does not grow with the set.  On a
@@ -48,36 +52,23 @@ from .scenario_model import FloodScenario, FloodScenarioSet
 MAX_TABLE_UNCERTAIN = 6
 
 
-def _table_entries(scenario: FloodScenario, uncertain: list[str]) -> list[tuple[str, ...]]:
-    """Entry ``mask``'s dead set: the survivors are ``uncertain[j]`` for every
-    set bit j of ``mask``, each protected at its flood level, and every
-    other flooded substation is dead."""
-    flooded = sorted(k for k, lvl in scenario.levels.items() if lvl > 0)
-    entries = []
-    for mask in range(2 ** len(uncertain)):
-        saved = {k for j, k in enumerate(uncertain) if mask >> j & 1}
-        entries.append(tuple(k for k in flooded if k not in saved))
-    return entries
-
-
 def _add_table(
     pb: ProblemBuilder,
     scenario: FloodScenario,
     uncertain: list[str],
-    entries: list[tuple[str, ...]],
+    losses: list[float],
     x_idx: dict[tuple[str, int], int],
-    evaluator: RecourseEvaluator,
 ) -> None:
-    """Entry ``mask`` is the one of :func:`_table_entries`."""
+    """Entry ``mask`` has the loss ``losses[mask]``: its survivors are
+    ``uncertain[j]`` for every set bit j of ``mask``."""
     prob = scenario.probability
-    losses = [evaluator.scenario_outcome(scenario, dead).loss for dead in entries]
     if not uncertain:
         pb.add_objective_offset(prob * losses[0])
         return
     tag = sanitize_name(scenario.id)
     z = []
     for mask, loss in enumerate(losses):
-        idx = pb.add_variable(f"z_{tag}_{mask}", 0.0, 1.0, meta=("z", scenario.id, mask))
+        idx = pb.add_variable(f"z_{tag}_{mask}", 0.0, 1.0)
         pb.add_objective_term(idx, prob * loss)
         z.append(idx)
     pb.add_row(f"zsum_{tag}", [(idx, 1.0) for idx in z], "E", 1.0)
@@ -88,7 +79,6 @@ def _add_table(
 
 
 def build(
-    scenario_set: FloodScenarioSet,
     schedule: CostSchedule,
     budget: Budget,
     r_hat: int,
@@ -97,37 +87,40 @@ def build(
     """Assemble the planning MILP with a value table per scenario.
 
     Same first stage and optimum as :func:`floodmit.extensive_form.build`
-    over the network and loss weights of ``evaluator``.  Raises on the same
-    input mismatches.
+    over the network, scenario set and loss weights of ``evaluator``.
+    Raises on the same input mismatches.
     """
-    network = evaluator.network
+    network, scenario_set, levels = evaluator.network, evaluator.scenario_set, evaluator.levels
     check_inputs(network, scenario_set, schedule, r_hat)
     pb = ProblemBuilder("value_table")
     x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
-    uncertain_sets = [
-        [s.id for s in network.substations if 0 < scenario.level_of(s.id) < r_hat]
-        for scenario in scenario_set.scenarios
-    ]
-    tables = [
-        _table_entries(scenario, uncertain) if len(uncertain) <= MAX_TABLE_UNCERTAIN else None
-        for scenario, uncertain in zip(scenario_set.scenarios, uncertain_sets)
-    ]
-    evaluator.settle(dead for entries in tables if entries is not None for dead in entries)
+    sub_ids = network.arrays.sub_ids
+    # Entry m of a table: the dry substations and the uncertain ones at the
+    # set bits of m survive; every other flooded substation is dead.
+    tables = {}
+    for s, row in enumerate(levels):
+        uncertain = np.flatnonzero((0 < row) & (row < r_hat))
+        if len(uncertain) <= MAX_TABLE_UNCERTAIN:
+            entries = np.repeat([row == 0], 2 ** len(uncertain), axis=0)
+            entries[:, uncertain] = np.arange(len(entries))[:, None] >> np.arange(len(uncertain)) & 1
+            tables[s] = [sub_ids[j] for j in uncertain], entries
+    evaluator.settle(np.concatenate([np.zeros((0, len(sub_ids)), dtype=bool)] + [e for _, e in tables.values()]))
     n_tables = n_entries = n_dispatch = 0
-    for scenario, uncertain, entries in zip(scenario_set.scenarios, uncertain_sets, tables):
-        if entries is None:
+    for s, scenario in enumerate(scenario_set.scenarios):
+        if s in tables:
+            uncertain, entries = tables[s]
+            losses = [evaluator.scenario_outcome(s, up).loss for up in entries]
+            _add_table(pb, scenario, uncertain, losses, x_idx)
+            n_tables += 1
+            n_entries += len(losses)
+        else:
             add_dispatch_block(pb, network, scenario, r_hat, evaluator.weights, x_idx)
             n_dispatch += 1
-        else:
-            _add_table(pb, scenario, uncertain, entries, x_idx, evaluator)
-            n_tables += 1
-            n_entries += 2 ** len(uncertain)
 
     problem = pb.build()
     return ExtensiveForm(
         problem=problem,
         network=network,
-        scenario_set=scenario_set,
         schedule=schedule,
         budget=budget,
         r_hat=r_hat,

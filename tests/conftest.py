@@ -50,6 +50,13 @@ def _loop_closure(network: GridNetwork, dead) -> tuple[list[bool], list[bool]]:
     return list(bus_up.values()), list(branch_up.values())
 
 
+def survival_masks(network: GridNetwork, dead_sets) -> np.ndarray:
+    """Recourse requests from dead sets: one row per dead set and one bool
+    per substation of ``network.arrays``, false where it is dead."""
+    subs = network.arrays.sub_ids
+    return np.array([[k not in dead for k in subs] for dead in dead_sets], dtype=bool).reshape(-1, len(subs))
+
+
 def random_network(rng: np.random.Generator, n_subs=None, buses_per_sub=None) -> GridNetwork:
     """Small random connected-ish network with nonnegative generation caps."""
     n_subs = int(rng.integers(2, 5)) if n_subs is None else n_subs

@@ -6,6 +6,7 @@ Tolerances are pinned here and nowhere else.
 
 import itertools
 import time
+from statistics import NormalDist
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from floodmit.recourse import (
     solve_recourse_lp,
     status_closure,
 )
-from floodmit.scenario_gen import _norm_cdf, sigma_from_cone
+from floodmit.scenario_gen import sigma_from_cone
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 from floodmit.solver import solve_lp, solve_milp
 
@@ -91,13 +92,13 @@ def test_criterion_02_oracle_equivalence():
         for r_hat in (3, 4):
             mub = max_useful_budget(fx.scenarios, sched, r_hat)
             budgets = sorted({0, 1, 2, mub // 2, mub})
-            evaluator = RecourseEvaluator(fx.network, W)
+            evaluator = RecourseEvaluator(fx.network, fx.scenarios, W)
             for f in budgets:
                 ef = build(fx.network, fx.scenarios, sched, Budget(f), r_hat, W)
                 sol = solve_milp(ef.problem)
                 assert sol.status == "optimal"
                 brute = min(
-                    evaluator.evaluate(p, fx.scenarios).expected_loss
+                    evaluator.evaluate(p).expected_loss
                     for p in enumerate_plans(sched, Budget(f), r_hat)
                 )
                 gap = abs(sol.objective - brute)
@@ -206,16 +207,16 @@ def test_criterion_07_heuristic_quality():
     for name in ("tiny3", "star8", "ring12"):
         fx = make_fixture(name)
         sched = CostSchedule.for_network(fx.network)
-        evaluator = RecourseEvaluator(fx.network, W)
+        evaluator = RecourseEvaluator(fx.network, fx.scenarios, W)
         mub = max_useful_budget(fx.scenarios, sched, 3)
         levels = LevelMatrix(fx.network, fx.scenarios, sched, 3)
         worst_gap = 0.0
         for f in sorted({1, mub // 3, mub // 2, mub}):
             plans = portfolio(Budget(f), levels)
             all_ok &= all(is_feasible(p, sched, Budget(f), 3) for p in plans)
-            best_h = min(evaluator.evaluate(p, fx.scenarios).expected_loss for p in plans)
+            best_h = min(evaluator.evaluate(p).expected_loss for p in plans)
             opt = min(
-                evaluator.evaluate(p, fx.scenarios).expected_loss
+                evaluator.evaluate(p).expected_loss
                 for p in enumerate_plans(sched, Budget(f), 3)
             )
             gap = (best_h - opt) / opt if opt > 0 else best_h - opt
@@ -246,7 +247,7 @@ def test_criterion_08_landfall_calibration():
             strata_ok = False
         for i, s in enumerate(samples):
             if 0.0 < s < line.total_length_km:
-                u = _norm_cdf((s - dist.mean_arc_km) / dist.sigma_km)
+                u = NormalDist().cdf((s - dist.mean_arc_km) / dist.sigma_km)
                 if not (i / 25 <= u <= (i + 1) / 25):
                     strata_ok = False
     _verdict(8, "cone calibration and stratification", mass_ok and strata_ok,

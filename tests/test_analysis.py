@@ -16,6 +16,7 @@ from floodmit.analysis import (
 )
 from floodmit.heuristic import LevelMatrix
 from floodmit.mitigation import (
+    Budget,
     CostSchedule,
     MitigationPlan,
     ZERO_PLAN,
@@ -23,6 +24,7 @@ from floodmit.mitigation import (
 )
 from floodmit.recourse import LossWeights, RecourseEvaluator, evaluate_plan
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
+from floodmit.value_table import build
 
 W = LossWeights()
 
@@ -239,19 +241,23 @@ def test_sweep_star8_monotone_and_endpoints(star8):
 
 def test_sweep_evaluates_each_distinct_plan_once(star8, monkeypatch):
     # The greedy plans' best loss and every budget's warm pool (greedy plans
-    # plus all earlier optima) share one plan-key -> loss map.
+    # plus all earlier optima) read the evaluator, which keeps each plan's
+    # evaluation: a plan's masks are built and its outcomes requested once.
     evaluated = []
-    original = RecourseEvaluator.evaluate
+    original = RecourseEvaluator.survivors
 
-    def counting(self, plan, scenario_set):
+    def counting(self, plan):
         evaluated.append(plan.key())
-        return original(self, plan, scenario_set)
+        return original(self, plan)
 
-    monkeypatch.setattr(RecourseEvaluator, "evaluate", counting)
-    report = sweep(star8.network, star8.scenarios, CostSchedule.for_network(star8.network),
-                   r_hat=3, f_max=8)
+    monkeypatch.setattr(RecourseEvaluator, "survivors", counting)
+    sched = CostSchedule.for_network(star8.network)
+    report = sweep(star8.network, star8.scenarios, sched, r_hat=3, f_max=8)
     assert all(r.status == "optimal" for r in report.rows)
     assert evaluated and len(evaluated) == len(set(evaluated))
+    tables = build(sched, Budget(8), 3, RecourseEvaluator(star8.network, star8.scenarios, W))
+    scenarios = len(star8.scenarios.scenarios)
+    assert report.recourse_counters.outcomes == tables.stats["table_entries"] + scenarios * len(evaluated)
 
 
 def test_sweep_uniqueness_probe(tiny3):

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -402,6 +404,98 @@ def test_envelopes_report_recourse_counters(tmp_path, name):
             assert counts["lp_solves"] == 0
     sweep = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]["recourse"]
     assert sweep["cache_hits"] > 0
+
+
+def _first(entries, **changes):
+    return [{**entries[0], **changes}, *entries[1:]]
+
+
+MALFORMED = {
+    "scenario-levels-list": ("scenarios", lambda d: {**d, "scenarios": _first(d["scenarios"], levels=[1, 2])},
+                             ": levels must be an object"),
+    "scenarios-object": ("scenarios", lambda d: {**d, "scenarios": {"w": d["scenarios"][0]}},
+                         "scenario file: scenarios must be a list"),
+    "scenario-entry-list": ("scenarios", lambda d: {**d, "scenarios": [[1, 2], *d["scenarios"][1:]]},
+                            "scenario file: scenarios entry 0 must be an object"),
+    "bus-entry-list": ("network", lambda d: {**d, "buses": [[1, 2], *d["buses"][1:]]},
+                       "network: buses entry 0 must be an object"),
+    "angle-limits-list": ("network", lambda d: {**d, "angle_limits": [1, 2]},
+                          "network: angle_limits must be an object"),
+    "plan-levels-list": ("plan", lambda d: {"levels": [1, 2]}, "plan: levels must be an object"),
+    "vertices-number": ("coastline", lambda d: {"vertices": 5}, "coastline file: vertices must be a list"),
+    "vertices-flat": ("coastline", lambda d: {"vertices": [1, 2]}, "coastline file: vertex 0 must be a [lon, lat] pair"),
+    "vertex-short": ("coastline", lambda d: {"vertices": [[1], [2, 3]]},
+                     "coastline file: vertex 0 must be a [lon, lat] pair"),
+    "coastline-list": ("coastline", lambda d: [1, 2], "coastline document must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_nested_input_is_a_format_error(tiny3_dir, tmp_path, capsys, case):
+    """A container of the wrong type inside an input file is a format error
+    that names the entry (``floodmit: error:``, exit 2), not a traceback or
+    a message about something else."""
+    kind, mutate, message = MALFORMED[case]
+    docs = {
+        "network": json.loads(Path(_net(tiny3_dir)).read_text()),
+        "scenarios": json.loads(Path(_scen(tiny3_dir)).read_text()),
+        "plan": {"levels": {}},
+        "coastline": {"vertices": [[0.0, 0.0], [1.0, 0.0]]},
+    }
+    docs[kind] = mutate(docs[kind])
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+    inputs = ["--network", paths["network"], "--scenarios", paths["scenarios"]]
+    if kind == "plan":
+        argv = ["eval", *inputs, "--plan", paths["plan"], "--out", str(tmp_path / "eval.json")]
+    elif kind == "coastline":
+        argv = ["gen-scenarios", "--network", paths["network"], "--coastline", paths["coastline"],
+                "--peak-depth", "1", "--decay-km", "10", "--out", str(tmp_path / "gen.json")]
+    else:
+        argv = ["validate", *inputs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("floodmit: error: ") and message in err, err
+
+
+@pytest.fixture(scope="module")
+def corridor_dir(tmp_path_factory):
+    """The generated corridor instance of the benchmark's portfolio
+    workload, ``corridor_docs(11, Corridor(18, 12, 32, 4))``, on disk."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    out = tmp_path_factory.mktemp("corridor")
+    workloads.write_inputs(*workloads.corridor_docs(11, workloads.Corridor(18, 12, 32, 4)), out)
+    return out
+
+
+PINNED_RECOURSE = json.loads((Path(__file__).parent / "data" / "recourse_counters.json").read_text())
+
+
+@pytest.mark.parametrize("request_name", sorted(PINNED_RECOURSE))
+def test_second_stage_requests_match_the_pinned_counters(request_name, corridor_dir, tmp_path):
+    """The recourse counters of the benchmark's requests, exactly as they
+    were before survival masks replaced dead-set tuples as the second
+    stage's request: the same requests, cache hits, witness settlements,
+    dispatch LPs, pivots and stacks."""
+    if request_name.startswith("coastal40"):
+        fx = tmp_path / "fx"
+        assert main(["make-fixture", "coastal40", "--out-dir", str(fx)]) == 0
+        argv = ["sweep", "--max-budget", "11"]
+    else:
+        fx = corridor_dir
+        argv = ["heuristic", "--portfolio", "--budget", request_name.rsplit(" ", 1)[1]]
+    argv += ["--network", str(fx / "network.json"), "--scenarios", str(fx / "scenarios.json"), "--rhat", "3"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    counters = json.loads((tmp_path / "out" / "envelope.json").read_text())["counters"]["recourse"]
+    assert counters == PINNED_RECOURSE[request_name]
 
 
 def test_solve_sweep_and_check_unique_envelopes_report_simplex_counters(tmp_path):

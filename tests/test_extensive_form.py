@@ -8,7 +8,7 @@ from floodmit.extensive_form import alpha_link_rows, build
 from floodmit.grid_model import Bus, GridNetwork, Substation
 from floodmit.milp import with_no_good_cut
 from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, enumerate_plans
-from floodmit.recourse import LossWeights, dead_substations, evaluate_plan
+from floodmit.recourse import LossWeights, evaluate_plan
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 from floodmit.solver import solve_lp, solve_milp
 
@@ -30,9 +30,11 @@ def _single_bus_instance():
 def test_first_stage_variable_count_and_pinning():
     net, ss = _single_bus_instance()
     ef = build(net, ss, CostSchedule.for_network(net), Budget(5), 3, W)
-    x_vars = [i for i, meta in enumerate(ef.problem.meta) if meta and meta[0] == "x"]
-    assert len(x_vars) == 3  # one binary per level
-    top = next(i for i in x_vars if ef.problem.meta[i][2] == 3)
+    x_vars = [i for i, name in enumerate(ef.problem.names) if name.startswith("x_")]
+    assert x_vars == ef.x_cols.ravel().tolist()  # one binary per level
+    assert ef.problem.is_binary[x_vars].all()
+    top = ef.x_cols[0, -1]
+    assert ef.problem.names[top] == "x_K_3"
     assert ef.problem.lb[top] == ef.problem.ub[top] == 0.0  # the unattainable level is pinned off
 
 
@@ -107,11 +109,12 @@ def test_folding_constants(star8):
     # w4 floods only S3: the other substations' statuses fold to constants.
     ef = build(star8.network, star8.scenarios, CostSchedule.for_network(star8.network),
                Budget(5), 3, W)
-    alpha_w4 = [m for m in ef.problem.meta if m and m[0] == "alpha" and m[1] == "w4"]
-    assert [m[2] for m in alpha_w4] == ["S3"]
+    # Fixture ids are alphanumeric, so variable names hold them unescaped.
+    alpha_w4 = [n for n in ef.problem.names if n.startswith("alpha_w4_")]
+    assert alpha_w4 == ["alpha_w4_S3"]
     # w2 floods S2 at level 3 (beyond the cap): pinned dead, no alpha variable.
-    alpha_w2 = {m[2] for m in ef.problem.meta if m and m[0] == "alpha" and m[1] == "w2"}
-    assert alpha_w2 == {"S3"}
+    alpha_w2 = {n for n in ef.problem.names if n.startswith("alpha_w2_")}
+    assert alpha_w2 == {"alpha_w2_S3"}
 
 
 def _fixed_first_stage_bounds(ef, plan):
@@ -201,21 +204,25 @@ def test_solution_statuses_match_closure(star8):
     plan = ef.plan_from_x(sol.x)
     bus_pos = {b.id: i for i, b in enumerate(star8.network.buses)}
     branch_pos = {br.id: e for e, br in enumerate(star8.network.branches)}
-    for j, meta in enumerate(ef.problem.meta):
-        if not meta:
+    scenarios = {s.id: s for s in star8.scenarios.scenarios}
+    checked = 0
+    # Fixture ids are alphanumeric, so a status variable's name is
+    # kind_scenario_component with the ids unescaped.
+    for j, name in enumerate(ef.problem.names):
+        kind, *rest = name.split("_")
+        if kind not in ("alpha", "beta"):
             continue
-        kind = meta[0]
+        scen_id, component = rest
+        scenario = scenarios[scen_id]
+        dead = {k for k, lvl in scenario.levels.items() if plan.level_of(k) < lvl}
+        bus_up, branch_up = _loop_closure(star8.network, dead)
         if kind == "alpha":
-            _, scen_id, sub = meta
-            scenario = next(s for s in star8.scenarios.scenarios if s.id == scen_id)
-            bus_up, _ = _loop_closure(star8.network, set(dead_substations(plan, scenario)))
-            bus = star8.network.substation_buses[sub][0]
-            assert sol.x[j] == bus_up[bus_pos[bus]], meta
-        elif kind == "beta":
-            _, scen_id, br = meta
-            scenario = next(s for s in star8.scenarios.scenarios if s.id == scen_id)
-            _, branch_up = _loop_closure(star8.network, set(dead_substations(plan, scenario)))
-            assert sol.x[j] == branch_up[branch_pos[br]], meta
+            bus = star8.network.substation_buses[component][0]
+            assert sol.x[j] == bus_up[bus_pos[bus]], name
+        else:
+            assert sol.x[j] == branch_up[branch_pos[component]], name
+        checked += 1
+    assert checked  # star8 aliases every beta, so these are its alphas
 
 
 def test_with_budget_changes_single_rhs(star8):

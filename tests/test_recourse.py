@@ -6,7 +6,9 @@ import pytest
 from scipy.optimize import linprog
 
 from floodmit import simplex
-from conftest import _loop_closure, random_network, random_plan, random_scenario_set, scaled_flow_limits
+from conftest import (
+    _loop_closure, random_network, random_plan, random_scenario_set, scaled_flow_limits, survival_masks,
+)
 from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
 from floodmit.heuristic import LevelMatrix
 from floodmit.mitigation import CostSchedule, MitigationPlan, ZERO_PLAN
@@ -23,23 +25,27 @@ from floodmit.recourse import (
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 
 
+# The tests that request arbitrary dead sets serve an instance of one dry
+# scenario: a request's loss depends on its survival mask alone.
+DRY = FloodScenarioSet((FloodScenario("dry", 1.0, {}),), level_count=3, unattainable_level=3)
+
+
 def _masks(network, dead):
     """Bus and branch masks of a dead set, from the arrays' closure."""
-    a = network.arrays
-    return a.closure(a.sub_up(dead))
+    return network.arrays.closure(survival_masks(network, [dead])[0])
 
 
 def _outcome(evaluator, dead):
     """(loss, served, shed, overgeneration) of one dead set, requested as
-    the outcome of a scenario that floods exactly those substations."""
-    o = evaluator.scenario_outcome(FloodScenario("s", 1.0, dict.fromkeys(dead, 3)), dead)
+    an outcome of the evaluator's first scenario."""
+    o = evaluator.scenario_outcome(0, survival_masks(evaluator.network, [dead])[0])
     return o.loss, o.served_load, o.shed_load, o.overgeneration
 
 
 def _island_bound(network, dead, weights):
     """The island copper-plate bound of one dead set, as a stack of one."""
     plate = _CopperPlate(network)
-    return plate.loss(plate.islands([dead]), 0, weights)[0]
+    return plate.loss(plate.islands(survival_masks(network, [dead])), 0, weights)[0]
 
 
 def two_bus_network():
@@ -117,11 +123,11 @@ def test_every_status_consumer_follows_the_loop_closure():
         levels = LevelMatrix(net, scenario_set, CostSchedule.for_network(net), 3)
         bus_rows, branch_rows = levels.statuses(plan)
         dead_sets = [tuple(k for k, lvl in sc.levels.items() if plan.level_of(k) < lvl) for sc in scenarios]
-        stack = _CopperPlate(net).islands(dead_sets)
+        stack = _CopperPlate(net).islands(survival_masks(net, dead_sets))
         for s, (scenario, dead) in enumerate(zip(scenarios, dead_sets)):
             bus_ref, branch_ref = _loop_closure(net, set(dead))
             a = net.arrays
-            bus_up, branch_up = a.closure(a.sub_up(dead))
+            bus_up, branch_up = a.closure(survival_masks(net, [dead])[0])
             assert bus_up.tolist() == bus_ref and branch_up.tolist() == branch_ref
             assert a.bus_ids == tuple(b.id for b in net.buses)
             assert a.branch_ids == tuple(br.id for br in net.branches)
@@ -133,6 +139,35 @@ def test_every_status_consumer_follows_the_loop_closure():
             assert stack.live_branches[s].tolist() == branch_ref
         assert not any(bus_rows[-1]) and not any(branch_rows[-1])
         assert all(bus_rows[-2]) and all(branch_rows[-2])
+
+
+def test_survivors_are_the_masks_of_status_closure():
+    """A plan's requests, the rows of ``evaluator.survivors(plan)``, close
+    to the bus and branch masks of ``status_closure`` in every scenario and
+    hold the loop's dead set, and each outcome lists that dead set sorted;
+    on random instances with random plans, the zero plan and every
+    substation at level 2."""
+    rng = np.random.default_rng(3131)
+    for _ in range(30):
+        net = random_network(rng)
+        drawn = random_scenario_set(rng, net, count=int(rng.integers(1, 6)))
+        # Levels listed in reverse id order, so an unsorted dead list shows.
+        scenario_set = dataclasses.replace(drawn, scenarios=tuple(
+            dataclasses.replace(s, levels=dict(reversed(s.levels.items()))) for s in drawn.scenarios
+        ))
+        evaluator = RecourseEvaluator(net, scenario_set, LossWeights())
+        top = MitigationPlan({s.id: 2 for s in net.substations})
+        for plan in [random_plan(rng, net) for _ in range(3)] + [ZERO_PLAN, top]:
+            up = evaluator.survivors(plan)
+            assert up.dtype == bool and up.shape == (len(scenario_set.scenarios), len(net.substations))
+            outcomes = evaluator.evaluate(plan).outcomes
+            for s, scenario in enumerate(scenario_set.scenarios):
+                bus_up, branch_up = status_closure(net, plan, scenario)
+                bus_mask, branch_mask = net.arrays.closure(up[s])
+                assert bus_mask.tolist() == bus_up.tolist() and branch_mask.tolist() == branch_up.tolist()
+                dead = {k for k, lvl in scenario.levels.items() if plan.level_of(k) < lvl}
+                assert up[s].tolist() == survival_masks(net, [dead])[0].tolist()
+                assert outcomes[s].dead_substations == tuple(sorted(dead))
 
 
 def test_closure_monotone_in_plan(star8):
@@ -277,25 +312,25 @@ def test_full_mitigation_hits_positive_floor_with_inexorable_flood(star8):
 
 def test_loss_monotone_in_plan(star8):
     rng = np.random.default_rng(2)
-    evaluator = RecourseEvaluator(star8.network, LossWeights())
+    evaluator = RecourseEvaluator(star8.network, star8.scenarios, LossWeights())
     for _ in range(15):
         base = random_plan(rng, star8.network)
         bigger = MitigationPlan({k: min(2, v + 1) for k, v in base.levels.items()})
-        lo = evaluator.evaluate(bigger, star8.scenarios).expected_loss
-        hi = evaluator.evaluate(base, star8.scenarios).expected_loss
+        lo = evaluator.evaluate(bigger).expected_loss
+        hi = evaluator.evaluate(base).expected_loss
         assert lo <= hi + 1e-6
 
 
 def test_loss_upper_bound(star8):
     rng = np.random.default_rng(3)
     w = LossWeights(1.0, 1.5)
-    evaluator = RecourseEvaluator(star8.network, w)
+    evaluator = RecourseEvaluator(star8.network, star8.scenarios, w)
     bound = w.lambda_shed * star8.network.total_load + w.lambda_over * sum(
         max(b.p_gen_min, 0.0) for b in star8.network.buses
     )
     for _ in range(10):
         plan = random_plan(rng, star8.network)
-        ev = evaluator.evaluate(plan, star8.scenarios)
+        ev = evaluator.evaluate(plan)
         for o in ev.outcomes:
             assert o.loss <= bound + 1e-9
 
@@ -314,9 +349,9 @@ def test_relatively_complete_recourse_randomized():
 
 
 def test_evaluator_cache_consistency(star8):
-    evaluator = RecourseEvaluator(star8.network, LossWeights())
+    evaluator = RecourseEvaluator(star8.network, star8.scenarios, LossWeights())
     plan = MitigationPlan({"S1": 2})
-    a = evaluator.evaluate(plan, star8.scenarios).expected_loss
+    a = evaluator.evaluate(plan).expected_loss
     b = evaluate_plan(star8.network, plan, star8.scenarios)
     assert a == pytest.approx(b.expected_loss, abs=1e-12)
 
@@ -400,7 +435,7 @@ def test_dead_bus_between_live_buses_does_not_tie_their_angles():
     loss, disp = solve_recourse_lp(net, _masks(net, ("SM",)), LossWeights())
     assert loss == pytest.approx(0.0, abs=1e-9)
     assert disp.p_flow[2] == pytest.approx(1.0, abs=1e-9)  # AB
-    warm = _outcome(RecourseEvaluator(net, LossWeights()), ("SM",))
+    warm = _outcome(RecourseEvaluator(net, DRY, LossWeights()), ("SM",))
     assert warm[0] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -415,7 +450,7 @@ def test_fixed_structure_lp_matches_dropped_row_formulation(weights):
         dead_sets = [tuple(sorted(s for s in subs if rng.random() < 0.4)) for _ in range(3)]
         cases.append((net, dead_sets + [tuple(subs), (ref_sub,)]))
     for net, dead_sets in cases:
-        evaluator = RecourseEvaluator(net, weights)
+        evaluator = RecourseEvaluator(net, DRY, weights)
         for dead in dead_sets:
             expected = _dropped_rows_loss(net, dead, weights)
             cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
@@ -458,14 +493,14 @@ def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, na
     dead_sets = _scenario_dead_sets(fx.scenarios)
     assert len(dead_sets) > 5
     cold_starts = _record_cold_starts(monkeypatch)
-    forward = RecourseEvaluator(network, weights)
+    forward = RecourseEvaluator(network, DRY, weights)
     for dead in dead_sets:
         _outcome(forward, dead)
     assert forward.counters.lp_solves > 1
     assert cold_starts == []  # each LP starts from its own island basis
     # Both ways of settling a dead set take part.
     assert 0 < forward.counters.settled_without_lp < len(dead_sets)
-    backward = RecourseEvaluator(network, weights)
+    backward = RecourseEvaluator(network, DRY, weights)
     for dead in reversed(dead_sets):
         _outcome(backward, dead)
     assert cold_starts == []
@@ -560,7 +595,7 @@ def test_dispatch_settled_without_lp_equals_the_cold_lp(coastal40, weights):
     cases.append((coastal40.network, _scenario_dead_sets(coastal40.scenarios)))
     settled = total = 0
     for net, dead_sets in cases:
-        evaluator = RecourseEvaluator(net, weights)
+        evaluator = RecourseEvaluator(net, DRY, weights)
         for dead in dead_sets:
             without_lp, (loss, served, shed, over) = _settled_without_lp(evaluator, dead)
             total += 1
@@ -647,7 +682,7 @@ def test_stacked_islands_equal_the_loop_reference():
         subs = [s.id for s in net.substations]
         stack = [tuple(sorted(s for s in subs if rng.random() < 0.4)) for _ in range(int(rng.integers(1, 9)))]
         stack += [(), tuple(subs)]
-        islands = _CopperPlate(net).islands(stack)
+        islands = _CopperPlate(net).islands(survival_masks(net, stack))
         for b, dead in enumerate(stack):
             labels, first, sums = _loop_islands(net, dead)
             own = slice(islands.start[b], islands.start[b + 1])
@@ -662,11 +697,12 @@ def test_stacked_islands_equal_the_loop_reference():
 def _settle_in_chunks(network, weights, dead_sets, sizes):
     """An evaluator that settled ``dead_sets`` in consecutive calls of the
     given sizes (cycled)."""
-    evaluator = RecourseEvaluator(network, weights)
+    evaluator = RecourseEvaluator(network, DRY, weights)
+    masks = survival_masks(network, dead_sets)
     begin, k = 0, 0
     while begin < len(dead_sets):
         size = sizes[k % len(sizes)]
-        evaluator.settle(dead_sets[begin : begin + size])
+        evaluator.settle(masks[begin : begin + size])
         begin, k = begin + size, k + 1
     return evaluator
 
@@ -692,15 +728,15 @@ def test_stacked_settlement_matches_the_cold_lp_and_ignores_stacking(weights):
     for net, dead_sets in cases:
         for copy in (net, _unlimited(_positive_susceptances(net))):
             stack = dead_sets + dead_sets[:2]  # a stack may repeat a dead set
-            evaluator = RecourseEvaluator(copy, weights)
-            evaluator.settle(stack)
+            evaluator = RecourseEvaluator(copy, DRY, weights)
+            evaluator.settle(survival_masks(copy, stack))
             assert evaluator.counters.batches == 1
             assert evaluator.counters.settled_without_lp + evaluator.counters.lp_solves == len(dead_sets)
             if copy is not net:
                 assert evaluator.counters.lp_solves == 0, dead_sets
             for dead in dead_sets:
                 cold, _ = solve_recourse_lp(copy, _masks(copy, dead), weights)
-                loss, served, shed, over = evaluator._cache[dead]
+                loss, served, shed, over = evaluator._cache[survival_masks(copy, [dead]).tobytes()]
                 assert loss == pytest.approx(cold, abs=1e-9), dead
                 assert served + shed == pytest.approx(copy.total_load, abs=1e-9)
             expected = bits(evaluator._cache)
@@ -710,7 +746,8 @@ def test_stacked_settlement_matches_the_cold_lp_and_ignores_stacking(weights):
     # At its own susceptances the cancelling pair's no-flood member has a
     # singular Laplacian: the stack refuses its witness only.
     plate = _CopperPlate(cancelling_pair_network())
-    assert plate.witness(plate.islands([("SC",), (), ("SB",)])).tolist() == [True, False, True]
+    stack = survival_masks(plate.network, [("SC",), (), ("SB",)])
+    assert plate.witness(plate.islands(stack)).tolist() == [True, False, True]
 
 
 def overloaded_line_network():
@@ -754,7 +791,7 @@ def angle_bound_at_reference_network():
 def test_witness_that_breaks_a_limit_falls_back_to_the_lp(net, served):
     shed = net.total_load - served
     assert _island_bound(net, (), LossWeights()) == 0.0
-    evaluator = RecourseEvaluator(net, LossWeights())
+    evaluator = RecourseEvaluator(net, DRY, LossWeights())
     without_lp, values = _settled_without_lp(evaluator, ())
     assert not without_lp
     assert evaluator.counters.lp_solves == 1
@@ -784,7 +821,7 @@ def test_zero_weight_witness_reports_the_least_shed_and_overgeneration(weights):
     )
     cases = [(shortfall, [()]), (surplus, [()])] + list(_bound_cases(seed=808, count=30))
     for net, dead_sets in cases:
-        evaluator = RecourseEvaluator(net, weights)
+        evaluator = RecourseEvaluator(net, DRY, weights)
         for dead in dead_sets:
             without_lp, (loss, served, shed, over) = _settled_without_lp(evaluator, dead)
             if not without_lp:
@@ -807,7 +844,7 @@ def _island_solve(net, dead, weights):
     """The evaluator's fallback solve of one dead set on a fresh workspace,
     started from its island basis.  Returns the loss, the pivots, the
     workspace, the basis and the stack of one that holds its islands."""
-    stack = _CopperPlate(net).islands([dead])
+    stack = _CopperPlate(net).islands(survival_masks(net, [dead]))
     ws = simplex.Workspace(*_recourse_arrays(net, weights))
     state = _island_basis(net, stack, 0)
     loss, dispatch = solve_recourse_lp(net, _masks(net, dead), weights, workspace=ws, warm=state)
@@ -861,7 +898,7 @@ def test_fallback_lp_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal4
     plate = _CopperPlate(net)
     dead = next(
         d for d in _scenario_dead_sets(coastal40.scenarios)
-        if not plate.witness(plate.islands([d]))[0]
+        if not plate.witness(plate.islands(survival_masks(net, [d])))[0]
     )
     expected, _ = solve_recourse_lp(net, _masks(net, dead), weights)
     dual_runs = []
@@ -872,7 +909,7 @@ def test_fallback_lp_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal4
 
     monkeypatch.setattr(simplex._Solver, "run_dual", run_dual)
     cold_starts = _record_cold_starts(monkeypatch)
-    evaluator = RecourseEvaluator(net, weights)
+    evaluator = RecourseEvaluator(net, DRY, weights)
     loss, *_ = _outcome(evaluator, dead)
     assert len(dual_runs) == len(cold_starts) == 1
     assert evaluator.counters.lp_solves == 1

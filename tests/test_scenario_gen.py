@@ -1,4 +1,5 @@
 import json
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from floodmit.scenario_gen import (
     sigma_from_cone,
     stratified_landfalls,
     track_distance_km,
-    _norm_cdf,
 )
 from floodmit.scenario_model import STANDARD_THRESHOLDS, scenario_set_to_dict
 
@@ -43,7 +43,7 @@ def test_sigma_rejects_nonpositive():
 
 def test_two_thirds_mass_inside_cone():
     sigma = sigma_from_cone(89.0)
-    mass = _norm_cdf(89.0 / sigma) - _norm_cdf(-89.0 / sigma)
+    mass = NormalDist().cdf(89.0 / sigma) - NormalDist().cdf(-89.0 / sigma)
     assert mass == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_stratified_one_sample_per_stratum():
         for i, s in enumerate(samples):
             # Unclamped samples must map back into stratum (i/count, (i+1)/count).
             if 0.0 < s < line.total_length_km:
-                u = _norm_cdf((s - dist.mean_arc_km) / sigma)
+                u = NormalDist().cdf((s - dist.mean_arc_km) / sigma)
                 assert i / count <= u <= (i + 1) / count, (i, u)
 
 

@@ -577,8 +577,8 @@ def test_branch_and_bound_children_reuse_their_parents_lu_exactly(request, name,
 
     fx = request.getfixturevalue(name)
     schedule = CostSchedule.for_network(fx.network)
-    evaluator = RecourseEvaluator(fx.network, LossWeights())
-    ef = build(fx.scenarios, schedule, Budget(budget), 3, evaluator)
+    evaluator = RecourseEvaluator(fx.network, fx.scenarios, LossWeights())
+    ef = build(schedule, Budget(budget), 3, evaluator)
     problem = ef.problem
     bin_idx = problem.binary_indices()
     ws = milp_workspace(problem)

@@ -23,7 +23,7 @@ def knapsack_problem(capacity, values=(3.0, 5.0, 1.0), weights=(4.0, 8.0, 3.0)):
     pb = ProblemBuilder(f"knapsack_{capacity}")
     idxs = []
     for i, v in enumerate(values):
-        j = pb.add_variable(f"w{i + 1}", 0, 1, binary=True, meta=("w", i + 1))
+        j = pb.add_variable(f"w{i + 1}", 0, 1, binary=True)
         pb.add_objective_term(j, -v)
         idxs.append(j)
     pb.add_row("cap", [(j, weights[i]) for i, j in enumerate(idxs)], "L", capacity)

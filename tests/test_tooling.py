@@ -154,7 +154,7 @@ def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch
     tracer counts ``splu`` through ``simplex.spla``, so a factorization that
     bypasses it would also read as too few here.  Every warm start is dual
     feasible and never restarts cold: the budget-0 root is the one LP that
-    starts cold."""
+    starts cold.  The tracer sees every second-stage request."""
     import json
 
     from floodmit import cli, simplex
@@ -199,6 +199,9 @@ def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch
     assert counters["simplex"]["lp_solves"] + counters["recourse"]["lp_solves"] == metrics["simplex.lp_solves"]
     assert counters["simplex"]["pivots"] + counters["recourse"]["lp_pivots"] == metrics["simplex.iterations"]
     assert counters["simplex"]["lu_factorizations"] < metrics["simplex.lu_factorizations"]
+    # Every request to the second stage passes through the traced
+    # ``scenario_outcome``.
+    assert metrics["recourse.outcomes"] == counters["recourse"]["outcomes"] == 530
 
 
 def test_cli_import_loads_no_graph_or_optimize_module():

@@ -29,16 +29,16 @@ def _solve(ef):
 
 
 def _assert_models_agree(net, scen, sched, r_hat, budgets):
-    evaluator = RecourseEvaluator(net, W)
+    evaluator = RecourseEvaluator(net, scen, W)
     ef = extensive_form.build(net, scen, sched, Budget(max(budgets)), r_hat, W)
-    vt = value_table.build(scen, sched, Budget(max(budgets)), r_hat, evaluator)
+    vt = value_table.build(sched, Budget(max(budgets)), r_hat, evaluator)
     np.testing.assert_array_equal(vt.x_cols, ef.x_cols)
     for f in budgets:
         ref = _solve(ef.with_budget(f))
         sol = _solve(vt.with_budget(f))
         assert sol.objective == pytest.approx(ref.objective, abs=1e-6), f
         plan = vt.plan_from_x(sol.x)
-        assert evaluator.evaluate(plan, scen).expected_loss == pytest.approx(
+        assert evaluator.evaluate(plan).expected_loss == pytest.approx(
             sol.objective, abs=1e-9
         ), f
     return vt
@@ -88,22 +88,68 @@ def test_scenario_over_the_cap_keeps_a_dispatch_block():
     assert vt.stats["dispatch_scenarios"] == 1
     assert vt.stats["table_scenarios"] == 2
     assert vt.stats["table_entries"] == 4 + 1
-    alphas = [i for i, m in enumerate(vt.problem.meta) if m[0] == "alpha"]
-    assert len(alphas) == 7 and {vt.problem.meta[i][1] for i in alphas} == {"wide"}
+    # The ids are alphanumeric, so a name is alpha_scenario_substation.
+    alphas = [i for i, name in enumerate(vt.problem.names) if name.startswith("alpha_")]
+    assert len(alphas) == 7 and {vt.problem.names[i].split("_")[1] for i in alphas} == {"wide"}
     assert vt.problem.is_binary[alphas].all()
 
 
 def test_tables_share_the_evaluators_dead_set_cache(star8):
     sched = CostSchedule.for_network(star8.network)
-    evaluator = RecourseEvaluator(star8.network, W)
-    vt = value_table.build(star8.scenarios, sched, Budget(9), 3, evaluator)
+    evaluator = RecourseEvaluator(star8.network, star8.scenarios, W)
+    vt = value_table.build(sched, Budget(9), 3, evaluator)
     cached = len(evaluator._cache)
     assert 0 < cached <= vt.stats["table_entries"]
     # Every plan's outcome in every scenario is already a table entry.
     levels = heuristic.LevelMatrix(star8.network, star8.scenarios, sched, 3)
     for plan in heuristic.portfolio(Budget(9), levels):
-        evaluator.evaluate(plan, star8.scenarios)
+        evaluator.evaluate(plan)
     assert len(evaluator._cache) == cached
+
+
+def _reference_entries(network, scenario, r_hat):
+    """A table's entry masks by enumeration over the scenario's levels: the
+    uncertain substations in network order, and per entry m the substations
+    that survive, the dry ones and uncertain[j] for each set bit j of m."""
+    uncertain = [s.id for s in network.substations if 0 < scenario.level_of(s.id) < r_hat]
+    entries = []
+    for m in range(2 ** len(uncertain)):
+        saved = {k for j, k in enumerate(uncertain) if m >> j & 1}
+        entries.append([scenario.level_of(k) == 0 or k in saved for k in network.arrays.sub_ids])
+    return uncertain, entries
+
+
+def test_table_entries_are_the_survivor_subsets_of_each_scenario(monkeypatch):
+    """Building the tables requests, for each scenario with at most
+    ``MAX_TABLE_UNCERTAIN`` uncertain substations and in scenario order, the
+    outcome of every survivor subset of its uncertain set in mask order, and
+    nothing for the other scenarios; on random instances at two caps and on
+    the instance with a scenario over the table cap."""
+    requests = []
+    outcome = RecourseEvaluator.scenario_outcome
+
+    def recorded(self, s, up):
+        requests.append((s, up.tolist()))
+        return outcome(self, s, up)
+
+    monkeypatch.setattr(RecourseEvaluator, "scenario_outcome", recorded)
+    rng = np.random.default_rng(2468)
+    cases = [_mixed_instance()]
+    for _ in range(24):
+        net = random_network(rng, n_subs=int(rng.integers(2, 6)))
+        cases.append((net, random_scenario_set(rng, net, count=int(rng.integers(1, 5)), level_count=3)))
+    for net, scen in cases:
+        for r_hat in (3, 4):
+            requests.clear()
+            evaluator = RecourseEvaluator(net, scen, W)
+            vt = value_table.build(CostSchedule.for_network(net), Budget(0), r_hat, evaluator)
+            expected = []
+            for s, scenario in enumerate(scen.scenarios):
+                uncertain, entries = _reference_entries(net, scenario, r_hat)
+                if len(uncertain) <= value_table.MAX_TABLE_UNCERTAIN:
+                    expected += [(s, entry) for entry in entries]
+            assert requests == expected
+            assert vt.stats["table_entries"] == len(expected)
 
 
 def test_check_unique_matches_extensive_form(tiny3, tmp_path):
@@ -118,7 +164,7 @@ def test_check_unique_matches_extensive_form(tiny3, tmp_path):
     got = json.loads(out.read_text())["result"]
 
     sched = CostSchedule.for_network(net)
-    evaluator = RecourseEvaluator(net, W)
+    evaluator = RecourseEvaluator(net, scen, W)
     ef = extensive_form.build(net, scen, sched, Budget(1), 3, W)
     warm = heuristic.portfolio(Budget(1), heuristic.LevelMatrix(net, scen, sched, 3))
     sol, plan, extras = analysis.solve_instance(ef, warm, evaluator, check_unique=True)
