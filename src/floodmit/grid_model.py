@@ -106,7 +106,9 @@ class GridNetwork:
 
     @property
     def total_load(self) -> float:
-        return sum(b.p_load for b in self.buses)
+        if "total_load" not in self._cache:
+            self._cache["total_load"] = sum(b.p_load for b in self.buses)
+        return self._cache["total_load"]
 
     @property
     def arrays(self) -> GridArrays:
@@ -235,6 +237,16 @@ def _objects(doc: dict, key: str) -> list[dict]:
     return entries
 
 
+def checked_number(convert, value, what: str, error: type[ValueError] = NetworkFormatError):
+    """``convert(value)`` for the input field ``what`` (``convert`` is
+    ``float`` or ``int``), or ``error`` naming the field when the value is
+    not a number: ``null``, a list or an object, say."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} must be a number, not {value!r}") from None
+
+
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
@@ -251,8 +263,9 @@ def network_from_dict(doc: dict) -> GridNetwork:
 
     buses = []
     for entry in _objects(doc, "buses"):
-        _reject_unknown(entry, _BUS_KEYS, f"bus {entry.get('id', '?')}")
-        gen_max = float(entry.get("gen_max", 0.0))
+        where = f"bus {entry.get('id', '?')}"
+        _reject_unknown(entry, _BUS_KEYS, where)
+        gen_max = checked_number(float, entry.get("gen_max", 0.0), f"{where}: gen_max")
         if gen_max < 0:
             # The load-shed recourse relies on zero generation being admissible.
             raise NetworkFormatError(
@@ -262,8 +275,8 @@ def network_from_dict(doc: dict) -> GridNetwork:
             Bus(
                 id=str(entry["id"]),
                 substation_id=str(entry["substation"]),
-                p_load=float(entry.get("load", 0.0)),
-                p_gen_min=float(entry.get("gen_min", 0.0)),
+                p_load=checked_number(float, entry.get("load", 0.0), f"{where}: load"),
+                p_gen_min=checked_number(float, entry.get("gen_min", 0.0), f"{where}: gen_min"),
                 p_gen_max=gen_max,
                 is_reference=bool(entry.get("reference", False)),
             )
@@ -271,8 +284,9 @@ def network_from_dict(doc: dict) -> GridNetwork:
 
     branches = []
     for entry in _objects(doc, "branches"):
-        _reject_unknown(entry, _BRANCH_KEYS, f"branch {entry.get('id', '?')}")
-        susceptance = float(entry["susceptance"])
+        where = f"branch {entry.get('id', '?')}"
+        _reject_unknown(entry, _BRANCH_KEYS, where)
+        susceptance = checked_number(float, entry["susceptance"], f"{where}: susceptance")
         if susceptance == 0:
             raise NetworkFormatError(f"branch {entry['id']}: zero susceptance")
         branches.append(
@@ -281,38 +295,41 @@ def network_from_dict(doc: dict) -> GridNetwork:
                 from_bus=str(entry["from"]),
                 to_bus=str(entry["to"]),
                 susceptance=susceptance,
-                flow_limit=float(entry["flow_limit"]),
+                flow_limit=checked_number(float, entry["flow_limit"], f"{where}: flow_limit"),
             )
         )
 
     substations = []
     for entry in _objects(doc, "substations"):
-        _reject_unknown(entry, _SUB_KEYS, f"substation {entry.get('id', '?')}")
+        where = f"substation {entry.get('id', '?')}"
+        _reject_unknown(entry, _SUB_KEYS, where)
         substations.append(
             Substation(
                 id=str(entry["id"]),
                 voltage_class=str(entry["voltage_class"]),
-                lon=None if entry.get("lon") is None else float(entry["lon"]),
-                lat=None if entry.get("lat") is None else float(entry["lat"]),
+                lon=None if entry.get("lon") is None else checked_number(float, entry["lon"], f"{where}: lon"),
+                lat=None if entry.get("lat") is None else checked_number(float, entry["lat"], f"{where}: lat"),
             )
         )
 
     angle_abs = DEFAULT_ANGLE_ABS_MAX
     angle_diff = DEFAULT_ANGLE_DIFF_MAX
     if "angle_limits" in doc:
-        if not isinstance(doc["angle_limits"], dict):
+        limits = doc["angle_limits"]
+        if not isinstance(limits, dict):
             raise NetworkFormatError("network: angle_limits must be an object")
-        _reject_unknown(doc["angle_limits"], _ANGLE_KEYS, "angle_limits")
-        angle_abs = float(doc["angle_limits"].get("abs_max_rad", angle_abs))
-        angle_diff = float(doc["angle_limits"].get("diff_max_rad", angle_diff))
+        _reject_unknown(limits, _ANGLE_KEYS, "angle_limits")
+        angle_abs = checked_number(float, limits.get("abs_max_rad", angle_abs), "angle_limits: abs_max_rad")
+        angle_diff = checked_number(float, limits.get("diff_max_rad", angle_diff), "angle_limits: diff_max_rad")
 
+    base_mva = doc.get("base_mva")
     return GridNetwork(
         buses=tuple(buses),
         branches=tuple(branches),
         substations=tuple(substations),
         angle_abs_max=angle_abs,
         angle_diff_max=angle_diff,
-        base_mva=None if doc.get("base_mva") is None else float(doc["base_mva"]),
+        base_mva=None if base_mva is None else checked_number(float, base_mva, "network: base_mva"),
     )
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .grid_model import GridNetwork
+from .grid_model import GridNetwork, checked_number
 from .scenario_model import FloodScenarioSet
 
 # Segments per level increment by highest-voltage component of the substation.
@@ -186,7 +186,7 @@ def plan_from_dict(doc: dict) -> MitigationPlan:
         raise PlanFormatError("plan: levels must be an object")
     levels = {}
     for sub, lvl in doc.get("levels", {}).items():
-        lvl = int(lvl)
+        lvl = checked_number(int, lvl, f"plan: level at {sub}", PlanFormatError)
         if lvl < 0:
             raise PlanFormatError(f"plan: negative level at {sub}")
         levels[str(sub)] = lvl

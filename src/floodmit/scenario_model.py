@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid_model import GridNetwork
+from .grid_model import GridNetwork, checked_number
 
 PROBABILITY_TOL = 1e-9
 
@@ -72,6 +72,8 @@ class FloodScenarioSet:
     scenarios: tuple[FloodScenario, ...]
     level_count: int
     unattainable_level: int
+    # Not an init field, so a ``dataclasses.replace`` copy starts empty.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.level_count < 1:
@@ -88,10 +90,16 @@ class FloodScenarioSet:
 
     def level_matrix(self, sub_ids: Sequence[str]) -> np.ndarray:
         """Flood levels as a (scenarios, substations) int array: row s is
-        scenario s, column j substation ``sub_ids[j]`` (0 when dry)."""
-        return np.array(
-            [[s.levels.get(k, 0) for k in sub_ids] for s in self.scenarios], dtype=int
-        ).reshape(len(self.scenarios), len(sub_ids))
+        scenario s, column j substation ``sub_ids[j]`` (0 when dry).  Built
+        once per column order and shared, so it is read-only."""
+        key = tuple(sub_ids)
+        if key not in self._cache:
+            levels = np.array(
+                [[s.levels.get(k, 0) for k in key] for s in self.scenarios], dtype=int
+            ).reshape(len(self.scenarios), len(key))
+            levels.flags.writeable = False
+            self._cache[key] = levels
+        return self._cache[key]
 
     def substation_ids(self) -> set[str]:
         ids: set[str] = set()
@@ -137,8 +145,10 @@ def scenario_set_from_dict(
     if unknown:
         raise ScenarioFormatError(f"scenario file: unknown keys {sorted(unknown)}")
     try:
-        level_count = int(doc["level_count"])
-        unattainable = int(doc["unattainable_level"])
+        level_count = checked_number(int, doc["level_count"], "scenario file: level_count", ScenarioFormatError)
+        unattainable = checked_number(
+            int, doc["unattainable_level"], "scenario file: unattainable_level", ScenarioFormatError
+        )
         entries = doc["scenarios"]
     except KeyError as exc:
         raise ScenarioFormatError(f"scenario file: missing key {exc}") from exc
@@ -161,7 +171,7 @@ def scenario_set_from_dict(
         if sid in seen_ids:
             raise ScenarioFormatError(f"scenario {sid}: duplicate id")
         seen_ids.add(sid)
-        prob = float(entry["probability"])
+        prob = checked_number(float, entry["probability"], f"scenario {sid}: probability", ScenarioFormatError)
         if not 0 < prob <= 1:
             raise ScenarioFormatError(f"scenario {sid}: probability must lie in (0, 1]")
         if not isinstance(entry.get("levels", {}), dict):
@@ -172,7 +182,7 @@ def scenario_set_from_dict(
                 raise ScenarioFormatError(
                     f"scenario {sid}: substation {sub} not present in the network"
                 )
-            lvl = int(lvl)
+            lvl = checked_number(int, lvl, f"scenario {sid}: flood level at {sub}", ScenarioFormatError)
             if lvl < 0:
                 raise ScenarioFormatError(f"scenario {sid}: negative flood level at {sub}")
             if lvl > 0:

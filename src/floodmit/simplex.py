@@ -19,11 +19,21 @@ start takes one path: a dual-feasible basis runs the dual simplex, then a
 primal polish; any other basis, and a dual run that cycles or meets a tiny
 pivot, starts cold.
 
-A reported basis carries the LU of exactly that basis and the workspace it
-factors.  A warm start on the same workspace adopts that LU instead of
-factorizing again: bound and right-hand-side changes leave the basis matrix
-as it was, and the same LU over the same basis yields the same bits.  The LU
-is only read, so sibling nodes share it; eta updates stay per solve.
+A reported basis carries the workspace it was found on, and an LU of exactly
+that basis only once one exists: a solve that ends with no eta updates hands
+over its LU, any other solve leaves it to be made.  The first warm start from
+the basis on that workspace factorizes it and stores the LU in the state;
+later warm starts (the sibling node, the next budget of a sweep) adopt it
+instead of factorizing again.  Bound and right-hand-side changes leave the
+basis matrix as it was, and the same LU over the same basis yields the same
+bits.  The LU is only read, so warm starts share it; eta updates stay per
+solve.  A basis nobody warm-starts from, such as a leaf's, is never
+factorized.
+
+The dual simplex updates its prices in place after each pivot: with row
+``rho`` of the basis inverse and ``alpha = A^T rho``, ``y += theta*rho`` and
+``d -= theta*alpha`` for ``theta = d_q/alpha_q``.  Prices are recomputed
+afresh at every refactorization.
 
 All tie-breaks resolve to the smallest column index, so a given input always
 follows the identical pivot path.
@@ -32,10 +42,11 @@ Every claimed optimum passes one verification gate before it is reported:
 the primal/dual objective gap must lie within ``DUALITY_TOL`` (scaled by
 max(1, |objective|)) and the primal residual within ``RESIDUAL_TOL``.  An
 optimum that fails either comes back as ``numerical-error``, so callers only
-need to check the status.  Before the gate, a claimed optimum is
-refactorized and its values recomputed, unless the factorization has no
-eta updates and the values were recomputed from it with no pivot or bound
-flip since; a second LU of the same basis would give the same bits.
+need to check the status.  Before the gate, a claimed optimum's values are
+recomputed and its prices computed afresh from the current LU and its eta
+updates, whose count ``REFACTOR_EVERY`` bounds, unless no pivot or bound
+flip moved them since they last were; the gate never reads prices updated
+in place.
 """
 
 from __future__ import annotations
@@ -72,9 +83,10 @@ STATUS_NUMERICAL = "numerical-error"
 class BasisState:
     """Opaque warm-start token: basis column indices and column statuses.
 
-    A state the simplex reports also carries the sparse LU of exactly this
-    basis and the workspace whose matrix it factors; a warm start on that
-    workspace reuses it.  A hand-built state has neither.
+    A state the simplex reports also carries the workspace it was found on,
+    and the sparse LU of exactly this basis once a solve made one: the first
+    warm start on that workspace stores its factorization here, later ones
+    reuse it.  A hand-built state has neither.
     """
 
     basis: np.ndarray
@@ -95,7 +107,8 @@ class SimplexResult:
     basis_state: BasisState | None
     infeasibility: float = 0.0
     lu_factorizations: int = 0  # sparse LU factorizations this solve ran
-    lu_reused: bool = False     # whether the warm start adopted its state's LU
+    lu_reused: bool = False     # whether the warm start adopted its state's stored LU
+    reduced_costs: np.ndarray | None = None  # c - A^T row_duals per structural
 
 
 @dataclass
@@ -272,14 +285,24 @@ class _Solver:
         self.infeasibility = 0.0
         self.lu_factorizations = 0
         self.lu_reused = False
-        # True while x is exactly what _refresh_x computed from an LU with
-        # no etas: no pivot, bound flip or hand edit of x since.
-        self.x_fresh = False
-        # (costs, y, d) of the current basis and LU; None once either changes
-        # (a pivot, a refactorization or an adopted warm basis).
+        # (costs, y, d) of the current basis: computed afresh, or updated in
+        # place by a dual pivot; None once stale.
         self.priced: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # True while x is what _refresh_x computed from the current LU and
+        # its etas, and any prices were computed afresh from them: no pivot,
+        # bound flip or hand edit of x since.
+        self.x_fresh = False
+        # Artificials stay pinned outside a cold start's phase 1.
+        ws.lo[ws.n + ws.m :] = 0.0
+        ws.hi[ws.n + ws.m :] = 0.0
+        self._bounds_changed()
 
     # -- shared plumbing -------------------------------------------------
+
+    def _bounds_changed(self) -> None:
+        """Note the columns that can move between their bounds; the solver
+        changes bounds only to open and pin artificials."""
+        self.movable = (self.ws.hi - self.ws.lo) > TOL_PIVOT
 
     def _nonbasic_value(self, j: int) -> float:
         st = self.status_arr[j]
@@ -302,7 +325,7 @@ class _Solver:
         xn = x.copy()
         xn[self.basis] = 0.0
         x[self.basis] = self.fact.ftran(ws.b - ws.A_ext @ xn)
-        self.x_fresh = self.fact.age == 0
+        self.x_fresh = True
 
     def _refactorize(self) -> bool:
         self.lu_factorizations += 1
@@ -323,12 +346,14 @@ class _Solver:
             self.priced = (costs, y, costs - self.ws.At @ y)
         return self.priced[1], self.priced[2]
 
-    def _pivot(self, q: int, r: int, w: np.ndarray, step: float, new_val: float, leave_to: int) -> None:
-        """Entering q moves by ``step``; basis position r leaves to a bound."""
+    def _pivot(self, q: int, r: int, w: np.ndarray, step: float, new_val: float, leave_to: int,
+               priced: tuple | None = None) -> None:
+        """Entering q moves by ``step``; basis position r leaves to a bound.
+        ``priced`` holds the new basis's prices when the caller updated them."""
         ws = self.ws
         leaving = self.basis[r]
         self.x_fresh = False
-        self.priced = None
+        self.priced = priced
         self.x[self.basis] -= step * w
         self.x[leaving] = ws.lo[leaving] if leave_to == AT_LOWER else ws.hi[leaving]
         self.status_arr[leaving] = leave_to
@@ -342,10 +367,9 @@ class _Solver:
     def _improving(self, d: np.ndarray, tol: float) -> np.ndarray:
         """Mask of nonbasic columns whose reduced cost beats ``tol`` in the
         direction their bound status lets them move."""
-        movable = (self.ws.hi - self.ws.lo) > TOL_PIVOT
         return (
-            ((self.status_arr == AT_LOWER) & (d < -tol) & movable)
-            | ((self.status_arr == AT_UPPER) & (d > tol) & movable)
+            ((self.status_arr == AT_LOWER) & (d < -tol) & self.movable)
+            | ((self.status_arr == AT_UPPER) & (d > tol) & self.movable)
             | ((self.status_arr == FREE) & (np.abs(d) > tol))
         )
 
@@ -476,7 +500,7 @@ class _Solver:
             cand = self._improving(-alpha_s, TOL_PIVOT)
             if not cand.any():
                 return STATUS_INFEASIBLE
-            _, d = self._duals(costs)
+            y, d = self._duals(costs)
             idx = np.flatnonzero(cand)
             ratios = d[idx] / alpha_s[idx]
             best = ratios.min()
@@ -491,7 +515,9 @@ class _Solver:
             bound = ws.hi[self.basis[r]] if leaving_above else ws.lo[self.basis[r]]
             step = (xb[r] - bound) / w[r]
             new_val = self._nonbasic_value(q) + step
-            self._pivot(q, r, w, step, new_val, AT_UPPER if leaving_above else AT_LOWER)
+            theta = d[q] / alpha[q]
+            priced = (costs, y + theta * rho, d - theta * alpha)
+            self._pivot(q, r, w, step, new_val, AT_UPPER if leaving_above else AT_LOWER, priced)
             self.iterations += 1
 
     # -- start procedures ---------------------------------------------------
@@ -522,8 +548,6 @@ class _Solver:
         singletons = _row_singletons(ws.A_ext, n)
         basis = np.empty(m, dtype=np.int64)
         phase1_cost = np.zeros(total)
-        ws.lo[n + m :] = 0.0
-        ws.hi[n + m :] = 0.0
         needs_phase1 = False
         for i in range(m):
             slack, art = n + i, n + m + i
@@ -559,6 +583,7 @@ class _Solver:
                     phase1_cost[art] = -1.0
                 needs_phase1 = True
         self.basis = basis
+        self._bounds_changed()
         if not self._refactorize():
             return STATUS_NUMERICAL
 
@@ -573,6 +598,7 @@ class _Solver:
             # Pin artificials for phase 2; basic ones idle at value ~zero.
             ws.lo[n + m :] = 0.0
             ws.hi[n + m :] = 0.0
+            self._bounds_changed()
             idle = np.ones(total, dtype=bool)
             idle[: n + m] = False
             idle[self.basis] = False
@@ -585,7 +611,8 @@ class _Solver:
         """Adopt a previous basis; returns whether it could be adopted.
 
         The state's LU is adopted when it factors this workspace's matrix;
-        otherwise the basis is factorized afresh.
+        otherwise the basis is factorized afresh, and the LU is stored in a
+        state found on this workspace for the warm starts after this one.
         """
         ws = self.ws
         total = ws.n + 2 * ws.m
@@ -600,7 +627,11 @@ class _Solver:
             self.lu_reused = True
             self._refresh_x()
             return True
-        return self._refactorize()
+        if not self._refactorize():
+            return False
+        if state.workspace is ws:
+            state.lu = self.fact.lu
+        return True
 
 
 def solve_linear_program(
@@ -644,9 +675,6 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
 
     status = None
     if warm is not None:
-        # Artificials stay pinned on the warm path.
-        ws.lo[n + m :] = 0.0
-        ws.hi[n + m :] = 0.0
         if solver.warm_start(warm) and solver.dual_feasible(ws.c_ext):
             status = solver.run_dual(ws.c_ext)
             if status == STATUS_OPTIMAL:
@@ -673,12 +701,13 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
     if status != STATUS_OPTIMAL:
         return _failed(STATUS_NUMERICAL, solver.iterations)
 
-    # Claimed optimal: refactorize, recompute, and re-verify before reporting.
-    # Values freshly computed from an eta-free LU of this basis are exactly
-    # what a refactorization would recompute, so that one is skipped.
+    # Claimed optimal: recompute values and prices afresh from the LU and its
+    # etas, unless nothing moved since they were, and re-verify before
+    # reporting.
     for _ in range(5):
-        if not solver.x_fresh and not solver._refactorize():
-            return _failed(STATUS_NUMERICAL, solver.iterations)
+        if not solver.x_fresh:
+            solver._refresh_x()
+            solver.priced = None
         if solver.dual_feasible(ws.c_ext):
             break
         status = solver.run_primal(ws.c_ext)
@@ -697,7 +726,7 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
     dual_obj = float(y @ ws.b)
     pos = d > TOL_DUAL
     neg = d < -TOL_DUAL
-    fixed = (ws.hi - ws.lo) <= TOL_PIVOT
+    fixed = ~solver.movable
     # Pinned columns (lb == ub) contribute their pinned value whatever the sign.
     lo_mask = (pos & np.isfinite(ws.lo) & ~fixed) | (fixed & (pos | neg))
     hi_mask = neg & np.isfinite(ws.hi) & ~fixed
@@ -716,8 +745,10 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
         iterations=solver.iterations,
         primal_residual=residual,
         basis_state=BasisState(
-            solver.basis.copy(), solver.status_arr.copy(), lu=solver.fact.lu, workspace=ws
+            solver.basis.copy(), solver.status_arr.copy(),
+            lu=solver.fact.lu if solver.fact.age == 0 else None, workspace=ws,
         ),
+        reduced_costs=d[:n].copy(),
     )
 
 

@@ -17,6 +17,14 @@ Plans and solutions cross this boundary as column arrays; variable names
 exist only for the LP-format export.  Without node or time limits the
 returned incumbent is provably optimal.
 
+A node that branches also fixes binaries by reduced cost in both children
+(Nemhauser & Wolsey 1988; Achterberg 2007).  With the node LP value ``z``,
+the incumbent or claim ``U`` and the reduced costs ``d`` that the node LP's
+verification gate priced, a nonbasic binary at its lower bound with
+``d_j > U - z``, or at its upper bound with ``-d_j > U - z``, stays at that
+bound: moving it would cost more than the node can gain.  A claim that fails
+its confirmation fixes only in the pass that is then thrown away.
+
 A root basis carries the simplex workspace its search ran on.  A caller
 that solves several problems over one constraint matrix (a budget sweep
 changes only the right-hand side) passes each solve's root basis to the
@@ -147,6 +155,18 @@ class _Node:
     warm: simplex.BasisState | None = field(compare=False, default=None)
 
 
+def _fixed_by_reduced_cost(res: simplex.SimplexResult, bin_idx: np.ndarray, gap: float) -> dict[int, int]:
+    """The binaries among ``bin_idx`` that every solution of the node worth
+    less than its LP value plus ``gap`` leaves at their bound: a nonbasic
+    column at its lower bound with reduced cost ``d_j > gap``, or at its
+    upper bound with ``-d_j > gap``, each fixed to its value."""
+    status = res.basis_state.status[bin_idx]
+    d = res.reduced_costs[bin_idx]
+    keep = ((status == simplex.AT_LOWER) & (d > gap)) | ((status == simplex.AT_UPPER) & (-d > gap))
+    cols = bin_idx[keep]
+    return dict(zip(cols.tolist(), res.x[cols].astype(int).tolist()))
+
+
 def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSolution:
     """Branch and bound over the problem's binaries.
 
@@ -242,10 +262,10 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
                 incumbent_x = res.x.copy()
                 log.info("incumbent %.9g after %d nodes", incumbent_obj, nodes_explored)
                 continue
+            fixed = _fixed_by_reduced_cost(res, bin_idx, incumbent_obj - node_obj)
             for val in (0, 1):
                 seq += 1
-                child_fix = dict(node.fixings)
-                child_fix[j] = val
+                child_fix = {**node.fixings, **fixed, j: val}
                 heapq.heappush(
                     heap, _Node(bound=node_obj, seq=seq, fixings=child_fix, warm=res.basis_state)
                 )

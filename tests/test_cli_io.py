@@ -427,14 +427,28 @@ MALFORMED = {
     "vertex-short": ("coastline", lambda d: {"vertices": [[1], [2, 3]]},
                      "coastline file: vertex 0 must be a [lon, lat] pair"),
     "coastline-list": ("coastline", lambda d: [1, 2], "coastline document must be an object"),
+    "probability-null": ("scenarios", lambda d: {**d, "scenarios": _first(d["scenarios"], probability=None)},
+                         "scenario w1: probability must be a number, not None"),
+    "scenario-level-list": ("scenarios", lambda d: {**d, "scenarios": _first(d["scenarios"], levels={"S1": [1]})},
+                            "scenario w1: flood level at S1 must be a number, not [1]"),
+    "level-count-object": ("scenarios", lambda d: {**d, "level_count": {}},
+                           "scenario file: level_count must be a number, not {}"),
+    "bus-load-null": ("network", lambda d: {**d, "buses": _first(d["buses"], load=None)},
+                      "bus B1: load must be a number, not None"),
+    "branch-flow-limit-list": ("network", lambda d: {**d, "branches": _first(d["branches"], flow_limit=[1.5])},
+                               "branch L1: flow_limit must be a number, not [1.5]"),
+    "angle-limit-null": ("network", lambda d: {**d, "angle_limits": {"abs_max_rad": None}},
+                         "angle_limits: abs_max_rad must be a number, not None"),
+    "plan-level-null": ("plan", lambda d: {"levels": {"S1": None}}, "plan: level at S1 must be a number, not None"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_nested_input_is_a_format_error(tiny3_dir, tmp_path, capsys, case):
-    """A container of the wrong type inside an input file is a format error
-    that names the entry (``floodmit: error:``, exit 2), not a traceback or
-    a message about something else."""
+    """A container of the wrong type inside an input file, or a scalar
+    field that is not a number, is a format error that names the entry
+    (``floodmit: error:``, exit 2), not a traceback or a message about
+    something else."""
     kind, mutate, message = MALFORMED[case]
     docs = {
         "network": json.loads(Path(_net(tiny3_dir)).read_text()),

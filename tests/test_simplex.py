@@ -281,6 +281,79 @@ def test_degenerate_battery_against_scipy():
     assert min(warm.values()) > 15, warm
 
 
+def _warm_resolves(seed, count):
+    """Warm re-solves of random LPs after a bound or right-hand-side change,
+    most of them dual simplex runs: yields each solve's result."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = int(rng.integers(3, 9)), int(rng.integers(3, 10))
+        A = np.round(rng.normal(0, 1, (m, n)), 2)
+        c = np.round(rng.normal(0, 1, n), 2)
+        b = np.round(rng.normal(0, 2, m), 2)
+        senses = [str(s) for s in rng.choice(["L", "G", "E"], m, p=[0.45, 0.45, 0.1])]
+        lb, ub = np.zeros(n), np.full(n, 4.0)
+        ws = Workspace(c, sp.csc_matrix(A), senses, b, lb, ub)
+        first = solve_linear_program(workspace=ws)
+        if first.status != "optimal":
+            continue
+        for _ in range(3):
+            lb2, ub2 = lb.copy(), ub.copy()
+            j = int(rng.integers(0, n))
+            lb2[j] = ub2[j] = float(np.clip(np.round(first.x[j]) + rng.choice([-1, 1]), 0, 4))
+            ws.set_bounds(lb2, ub2)
+            ws.set_rhs(b + np.round(rng.normal(0, 0.6, m), 2))
+            yield solve_linear_program(workspace=ws, warm=first.basis_state)
+
+
+def test_prices_updated_in_place_match_a_fresh_pricing(monkeypatch):
+    """After every dual pivot, the prices the dual simplex updated in place
+    (``y += theta*rho``, ``d -= theta*alpha``) equal the new basis's prices
+    computed afresh within 1e-9."""
+    from floodmit import simplex
+
+    real_pivot = simplex._Solver._pivot
+    checked = []
+
+    def pivot(self, *args):
+        real_pivot(self, *args)
+        if self.priced is not None:  # updated in place, not refactorized
+            costs, y, d = self.priced
+            fresh = self.fact.btran(costs[self.basis].astype(float))
+            assert np.abs(y - fresh).max() <= 1e-9
+            assert np.abs(d - (costs - self.ws.At @ fresh)).max() <= 1e-9
+            checked.append(self.iterations)
+
+    monkeypatch.setattr(simplex._Solver, "_pivot", pivot)
+    for _ in _warm_resolves(3, 150):
+        pass
+    assert len(checked) > 100
+
+
+def test_the_gate_prices_the_final_basis_afresh(monkeypatch):
+    """The reported row duals are a fresh ``btran`` of the final basis's
+    costs, bit for bit, even after dual pivots that updated the prices in
+    place."""
+    from floodmit import simplex
+
+    real_run = simplex._run
+    solvers = []
+
+    def run(solver, warm):
+        solvers.append(solver)
+        return real_run(solver, warm)
+
+    monkeypatch.setattr(simplex, "_run", run)
+    pivoted = 0
+    for res in _warm_resolves(5, 150):
+        if res.status != "optimal":
+            continue
+        final = solvers[-1]
+        fresh = final.fact.btran(final.ws.c_ext[final.basis].astype(float))
+        assert np.array_equal(res.row_duals, fresh)
+        pivoted += res.iterations > 0
+    assert pivoted > 50
+
+
 def _forbidden_assignment_cases(count):
     """Assignment LPs (every basis highly degenerate) with bounds forbidding
     most of their optimal assignment, plus the optimal basis: a warm re-solve
@@ -519,23 +592,31 @@ def _assert_bitwise_same(a, b):
 def _warm_with_and_without_lu(ws, state):
     """Warm-start ``ws`` from ``state`` as carried and from the same basis
     and statuses with the LU stripped; the two solves must agree bit for
-    bit.  Returns the carried solve."""
+    bit.  A state found on ``ws`` holds an LU after its first warm start
+    there: the one it held, or else the one that start made; a warm start
+    on another workspace leaves it as it was.  Returns the carried solve."""
+    stored = state.lu
     carried = solve_linear_program(workspace=ws, warm=state)
     stripped = solve_linear_program(workspace=ws, warm=BasisState(state.basis, state.status))
     _assert_bitwise_same(carried, stripped)
     assert not stripped.lu_reused
     reusable = state.workspace is ws
-    assert carried.lu_reused == reusable
-    assert carried.lu_factorizations == stripped.lu_factorizations - int(reusable)
+    assert carried.lu_reused == (reusable and stored is not None)
+    assert carried.lu_factorizations == stripped.lu_factorizations - int(carried.lu_reused)
+    if reusable and stored is None:
+        assert state.lu is not None
+    else:
+        assert state.lu is stored
     return carried
 
 
 def test_warm_start_from_a_carried_lu_is_bitwise_the_factorized_one():
-    """A reported basis carries its LU; a warm start on the same workspace
-    adopts it after a bound change (a branch-and-bound child) or a
-    right-hand-side change (the next budget of a sweep), and must give the
-    same bits as factorizing the basis again.  A workspace over another
-    matrix of the same shape must factorize afresh."""
+    """A reported basis gets its LU on its first warm start on the same
+    workspace (here after a bound change, a branch-and-bound child); the
+    next warm start there (after a right-hand-side change, the next budget
+    of a sweep) adopts it, and each must give the same bits as factorizing
+    the basis again.  A workspace over another matrix of the same shape
+    must factorize afresh."""
     rng = np.random.default_rng(41)
     hits = 0
     for _ in range(80):
@@ -551,7 +632,7 @@ def test_warm_start_from_a_carried_lu_is_bitwise_the_factorized_one():
             continue
         hits += 1
         state = first.basis_state
-        assert state.workspace is ws and state.lu is not None
+        assert state.workspace is ws
         lb2, ub2 = lb.copy(), ub.copy()
         j = int(rng.integers(0, n))
         lb2[j] = ub2[j] = float(rng.integers(0, 2))
@@ -559,7 +640,7 @@ def test_warm_start_from_a_carried_lu_is_bitwise_the_factorized_one():
         _warm_with_and_without_lu(ws, state)
         ws.set_bounds(lb, ub)
         ws.set_rhs(b + np.round(rng.normal(0, 0.6, m), 2))
-        _warm_with_and_without_lu(ws, state)
+        assert _warm_with_and_without_lu(ws, state).lu_reused
         other = Workspace(c, sp.csc_matrix(A + np.round(rng.normal(0, 0.3, (m, n)), 2)), senses, b, lb, ub)
         _warm_with_and_without_lu(other, state)
     assert hits > 25
@@ -567,9 +648,10 @@ def test_warm_start_from_a_carried_lu_is_bitwise_the_factorized_one():
 
 @pytest.mark.parametrize("name, budget", [("star8", 6), ("ring12", 3), ("coastal40", 11)])
 def test_branch_and_bound_children_reuse_their_parents_lu_exactly(request, name, budget):
-    """Every child of a breadth-first walk down the value-table model's tree
-    warm-starts from its parent's carried LU with the same bits as from the
-    refactorized basis, and so does the next budget's root."""
+    """In a breadth-first walk down the value-table model's tree, the first
+    child of a parent factorizes the parent's basis and stores the LU, and
+    its sibling adopts it; both give the same bits as from the refactorized
+    basis, and so does the next budget's root."""
     from floodmit.mitigation import Budget, CostSchedule
     from floodmit.recourse import LossWeights, RecourseEvaluator
     from floodmit.solver import milp_workspace
@@ -598,6 +680,9 @@ def test_branch_and_bound_children_reuse_their_parents_lu_exactly(request, name,
                 lo[k] = hi[k] = v
             ws.set_bounds(lo, hi)
             res = _warm_with_and_without_lu(ws, parent.basis_state)
+            # The first sibling stores the parent's LU unless it had one;
+            # the second adopts it.
+            assert res.lu_reused or val == 0.0
             children += 1
             if res.status == "optimal":
                 queue.append((child, res))

@@ -424,3 +424,91 @@ def test_root_basis_brings_its_workspace_across_budget_variants_and_no_further()
         assert warm.counters.workspaces == 1
         assert (warm.status, warm.objective) == (cold.status, cold.objective)
         np.testing.assert_array_equal(warm.x, cold.x)
+
+
+# -- reduced-cost fixing ------------------------------------------------------
+
+
+def _value_table_model(fx, units):
+    from floodmit.mitigation import Budget, CostSchedule
+    from floodmit.recourse import LossWeights, RecourseEvaluator
+    from floodmit.value_table import build
+
+    evaluator = RecourseEvaluator(fx.network, fx.scenarios, LossWeights())
+    return build(CostSchedule.for_network(fx.network), Budget(units), 3, evaluator), evaluator
+
+
+@pytest.mark.parametrize("name, budget", [("star8", 6), ("ring12", 3), ("coastal40", 11)])
+def test_node_reduced_costs_vanish_on_basic_columns(request, name, budget):
+    """``d = c - A^T y`` from a node LP's row duals is the reduced-cost
+    vector it reports: zero on basic columns, non-negative at a lower bound
+    and non-positive at an upper one.  A flipped dual sign breaks all three."""
+    from floodmit.simplex import AT_LOWER, AT_UPPER, BASIC, solve_linear_program
+
+    ef, _ = _value_table_model(request.getfixturevalue(name), budget)
+    problem = ef.problem
+    A, _, _ = problem.constraint_arrays()
+    ws = solver.milp_workspace(problem)
+    root = solve_linear_program(workspace=ws)
+    bin_idx = problem.binary_indices()
+    j = int(bin_idx[np.argmax(np.minimum(root.x[bin_idx], 1 - root.x[bin_idx]))])
+    lo, hi = problem.lb.copy(), problem.ub.copy()
+    lo[j] = hi[j] = 1.0
+    ws.set_bounds(lo, hi)
+    child = solve_linear_program(workspace=ws, warm=root.basis_state)
+    for res in (root, child):
+        assert res.status == "optimal"
+        d = problem.objective - A.T @ res.row_duals
+        np.testing.assert_allclose(res.reduced_costs, d, rtol=0, atol=1e-9)
+        status = res.basis_state.status[: problem.n_variables]
+        assert np.abs(d[status == BASIC]).max() <= 1e-9
+        assert (d[status == AT_LOWER] >= -1e-7).all() and (d[status == AT_UPPER] <= 1e-7).all()
+
+
+def test_reduced_cost_fixing_never_removes_a_plan_better_than_the_incumbent(monkeypatch):
+    """Brute force at every useful budget of tiny3, star8 and ring12: a plan
+    that the reduced-cost fixings at a node exclude, while the node's bounds
+    admit it, is worth at least the incumbent (or claim) the node was fixed
+    against.  So no fixing removes an optimal plan before the incumbent is
+    one.  The search runs without a claim and with the median plan's."""
+    from floodmit.fixtures import make_fixture
+    from floodmit.mitigation import Budget, CostSchedule, enumerate_plans, max_useful_budget
+
+    real = solver._fixed_by_reduced_cost
+    nodes = []
+
+    def fixed(res, bin_idx, gap):
+        ws = res.basis_state.workspace
+        out = real(res, bin_idx, gap)
+        nodes.append((ws.lo[: ws.n].copy(), ws.hi[: ws.n].copy(), out, res.objective + gap))
+        return out
+
+    monkeypatch.setattr(solver, "_fixed_by_reduced_cost", fixed)
+    removed = 0
+    for name in ("tiny3", "star8", "ring12"):
+        fx = make_fixture(name)
+        schedule = CostSchedule.for_network(fx.network)
+        for units in range(max_useful_budget(fx.scenarios, schedule, 3) + 1):
+            ef, evaluator = _value_table_model(fx, units)
+            plans = list(enumerate_plans(schedule, Budget(units), 3))
+            losses = np.array([evaluator.evaluate(plan).expected_loss for plan in plans])
+            cols = ef.x_cols.ravel()
+            values = [
+                (np.array([plan.level_of(s.id) for s in fx.network.substations])[:, None] >= np.arange(1, 4)).ravel()
+                for plan in plans
+            ]
+            median = int(np.argsort(losses, kind="stable")[len(plans) // 2])
+            claim = WarmStarts(ef.free_columns, ef.plan_assignment(plans[median])[None], losses[median : median + 1])
+            for starts in (WarmStarts(), claim):
+                nodes.clear()
+                sol = solve_milp(ef.problem, BnbConfig(warm_starts=starts))
+                assert sol.objective == pytest.approx(losses.min(), abs=1e-9)
+                for lo, hi, out, bound in nodes:
+                    incumbent = bound + ef.problem.objective_offset
+                    for a, loss in zip(values, losses):
+                        if (lo[cols] <= a).all() and (a <= hi[cols]).all():
+                            value = dict(zip(cols.tolist(), a.astype(int).tolist()))
+                            if any(value[j] != v for j, v in out.items()):
+                                assert loss >= incumbent - 1e-9, (name, units, out)
+                                removed += 1
+    assert removed > 0

@@ -147,26 +147,12 @@ def test_traced_portfolio_runs_one_greedy_pass_per_flow_weight(tmp_path):
     assert counters["greedy"]["passes"] == 7 * metrics["heuristic.portfolio_calls"]
 
 
-def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch):
-    """A coastal40 sweep over budgets 0..11 builds one workspace for all its
-    budgets' node LPs and one for the dispatch LPs, and its warm starts
-    reuse carried LUs, so it factorizes fewer times than it solves LPs.  The
-    tracer counts ``splu`` through ``simplex.spla``, so a factorization that
-    bypasses it would also read as too few here.  Every warm start is dual
-    feasible and never restarts cold: the budget-0 root is the one LP that
-    starts cold.  The tracer sees every second-stage request."""
+def _traced_coastal40_sweep(tmp_path):
+    """The traced layer metrics and the envelope counters of a coastal40
+    ``sweep --max-budget 11``, the benchmark's sweep request."""
     import json
 
-    from floodmit import cli, simplex
-
-    real_cold_start = simplex._Solver.cold_start
-    cold_starts = []
-
-    def cold_start(self):
-        cold_starts.append(self.iterations)
-        return real_cold_start(self)
-
-    monkeypatch.setattr(simplex._Solver, "cold_start", cold_start)
+    from floodmit import cli
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
@@ -186,7 +172,29 @@ def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch
     finally:
         tracer.uninstall()
     assert rc == 0
-    metrics = tracer.layer_metrics()
+    counters = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]
+    return tracer.layer_metrics(), counters
+
+
+def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch):
+    """A coastal40 sweep over budgets 0..11 builds one workspace for all its
+    budgets' node LPs and one for the dispatch LPs, and its warm starts
+    reuse carried LUs, so it factorizes fewer times than it solves LPs.  The
+    tracer counts ``splu`` through ``simplex.spla``, so a factorization that
+    bypasses it would also read as too few here.  Every warm start is dual
+    feasible and never restarts cold: the budget-0 root is the one LP that
+    starts cold.  The tracer sees every second-stage request."""
+    from floodmit import simplex
+
+    real_cold_start = simplex._Solver.cold_start
+    cold_starts = []
+
+    def cold_start(self):
+        cold_starts.append(self.iterations)
+        return real_cold_start(self)
+
+    monkeypatch.setattr(simplex._Solver, "cold_start", cold_start)
+    metrics, counters = _traced_coastal40_sweep(tmp_path)
     assert metrics["simplex.workspaces"] == 2
     assert metrics["simplex.lp_solves_cold"] == 1
     assert cold_starts == [0]
@@ -194,7 +202,6 @@ def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch
     assert metrics["solver.warm_starts"] == 81
     assert 0 < metrics["simplex.lu_factorizations"] < metrics["simplex.lp_solves"]
     # The envelope counts the node LPs; the dispatch LPs are the rest.
-    counters = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]
     assert counters["simplex"]["workspaces"] == 1
     assert counters["simplex"]["lp_solves"] + counters["recourse"]["lp_solves"] == metrics["simplex.lp_solves"]
     assert counters["simplex"]["pivots"] + counters["recourse"]["lp_pivots"] == metrics["simplex.iterations"]
@@ -202,6 +209,17 @@ def test_traced_sweep_builds_two_workspaces_and_reuses_lus(tmp_path, monkeypatch
     # Every request to the second stage passes through the traced
     # ``scenario_outcome``.
     assert metrics["recourse.outcomes"] == counters["recourse"]["outcomes"] == 530
+
+
+def test_sweep_search_work_stays_within_its_bounds(tmp_path):
+    """The benchmark's sweep request, node LPs and dispatch LPs together,
+    takes at most 20 nodes, 35 LP solves and 21 sparse LU factorizations
+    (24, 39 and 35 before reduced-cost fixing and the lazy LU).  The bounds
+    are upper bounds, so a stronger search may go lower."""
+    metrics, counters = _traced_coastal40_sweep(tmp_path)
+    assert metrics["solver.nodes"] <= 20
+    assert metrics["simplex.lp_solves"] == counters["simplex"]["lp_solves"] + counters["recourse"]["lp_solves"] <= 35
+    assert metrics["simplex.lu_factorizations"] <= 21
 
 
 def test_cli_import_loads_no_graph_or_optimize_module():
