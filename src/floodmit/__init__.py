@@ -11,5 +11,5 @@ __version__ = "0.1.0"
 
 from .grid_model import GridNetwork, load_network, validate  # noqa: F401
 from .mitigation import Budget, CostSchedule, MitigationPlan  # noqa: F401
-from .recourse import LossWeights, evaluate_plan  # noqa: F401
+from .recourse import LossWeights, RecourseEvaluator  # noqa: F401
 from .scenario_model import FloodScenarioSet, load_scenarios  # noqa: F401

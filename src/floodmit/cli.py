@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analysis, geo_remap, heuristic, scenario_gen, solver
+from . import __version__, analysis, geo_remap, heuristic, milp, scenario_gen, solver
 from .fixtures import FIXTURE_NAMES, make_fixture
 from .grid_model import load_network, save_network, validate
 from .mitigation import (
@@ -245,7 +245,7 @@ def cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_plan(plan, out_dir / "plan.json")
     if args.export_lp:
-        ef.write_lp(out_dir / "problem.lp")
+        milp.write_lp_file(ef.problem, out_dir / "problem.lp")
     result = {
         "objective": sol.objective,
         "bound": sol.bound,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid_model import GridNetwork
-from .milp import MilpProblem, ProblemBuilder, sanitize_name, write_lp_file
+from .milp import MilpProblem, ProblemBuilder, sanitize_name
 from .mitigation import Budget, CostSchedule, MitigationPlan
 from .recourse import LossWeights
 from .scenario_model import FloodScenario, FloodScenarioSet, level_to_indicators
@@ -101,9 +101,6 @@ class ExtensiveForm:
             budget=Budget(units),
         )
 
-    def write_lp(self, path) -> None:
-        write_lp_file(self.problem, path)
-
 
 def check_inputs(
     network: GridNetwork, scenario_set: FloodScenarioSet, schedule: CostSchedule, r_hat: int
@@ -162,16 +159,13 @@ def add_dispatch_block(
     r_hat: int,
     weights: LossWeights,
     x_idx: dict[tuple[str, int], int],
-) -> tuple[int, int]:
+) -> None:
     """Add one scenario's status variables and dispatch block to ``pb``.
 
     The block's objective terms are weighted by the scenario probability.
     The status variables are binary; the link rows also force them to 0/1
     at binary first-stage decisions.
-    Returns the numbers of (alpha, beta) status variables added.
     """
-    n_alpha = 0
-    n_beta = 0
     sub_of_bus = {b.id: b.substation_id for b in network.buses}
     tag = sanitize_name(scenario.id)
     prob = scenario.probability
@@ -190,7 +184,6 @@ def add_dispatch_block(
             name = f"alpha_{tag}_{sanitize_name(sub.id)}"
             idx = pb.add_variable(name, 0.0, 1.0, binary=True)
             alpha_var[sub.id] = idx
-            n_alpha += 1
             _, rows = alpha_link_rows(level_to_indicators(level, r_hat))
             for rno, (a_coef, x_coefs, sense, rhs) in enumerate(rows):
                 terms = [(idx, a_coef)] + [
@@ -225,7 +218,6 @@ def add_dispatch_block(
             name = f"beta_{tag}_{sanitize_name(br.id)}"
             idx = pb.add_variable(name, 0.0, 1.0, binary=True)
             beta_var[br.id] = idx
-            n_beta += 1
             safe = sanitize_name(br.id)
             pb.add_row(f"bg_{tag}_{safe}", [(idx, 1.0), (fa[1], -1.0), (ta[1], -1.0)], "G", -1.0)
             pb.add_row(f"bf_{tag}_{safe}", [(idx, 1.0), (fa[1], -1.0)], "L", 0.0)
@@ -344,7 +336,13 @@ def add_dispatch_block(
         pb.add_row(f"fhi_{tag}_{safe}", [(f_idx, 1.0), (beta, -br.flow_limit)], "L", 0.0)
         pb.add_row(f"flo_{tag}_{safe}", [(f_idx, 1.0), (beta, br.flow_limit)], "G", 0.0)
 
-    # Nodal balance for buses that are not pinned dead.
+    # Nodal balance for buses that are not pinned dead: each live branch's
+    # flow leaves its from bus and enters its to bus.
+    branch_terms: dict[str, list[tuple[int, float]]] = {b.id: [] for b in network.buses}
+    for br in network.branches:
+        if br.id in flow_idx:
+            branch_terms[br.from_bus].append((flow_idx[br.id], -1.0))
+            branch_terms[br.to_bus].append((flow_idx[br.id], 1.0))
     for bus in network.buses:
         a = bus_alpha(bus.id)
         if a[0] == "const" and a[1] == 0:
@@ -356,13 +354,8 @@ def add_dispatch_block(
             terms.append((pchk_idx[bus.id], -1.0))
         if bus.id in delta_idx:
             terms.append((delta_idx[bus.id], -bus.p_load))
-        for br_id in network.branches_at_bus[bus.id]:
-            if br_id not in flow_idx:
-                continue
-            br = network.branch_by_id[br_id]
-            terms.append((flow_idx[br_id], 1.0 if br.to_bus == bus.id else -1.0))
+        terms += branch_terms[bus.id]
         pb.add_row(f"kcl_{tag}_{sanitize_name(bus.id)}", terms, "E", 0.0)
-    return n_alpha, n_beta
 
 
 def build(
@@ -382,29 +375,22 @@ def build(
     check_inputs(network, scenario_set, schedule, r_hat)
     pb = ProblemBuilder("extensive_form")
     x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
-    n_alpha_vars = 0
-    n_beta_vars = 0
     for scenario in scenario_set.scenarios:
-        n_alpha, n_beta = add_dispatch_block(pb, network, scenario, r_hat, weights, x_idx)
-        n_alpha_vars += n_alpha
-        n_beta_vars += n_beta
+        add_dispatch_block(pb, network, scenario, r_hat, weights, x_idx)
 
     problem = pb.build()
-    ef = ExtensiveForm(
+    return ExtensiveForm(
         problem=problem,
         network=network,
         schedule=schedule,
         budget=budget,
         r_hat=r_hat,
         x_cols=np.array([[x_idx[(s.id, r)] for r in range(1, r_hat + 1)] for s in network.substations]),
+        stats={
+            "variables": problem.n_variables,
+            "rows": problem.n_rows,
+            "binaries": problem.n_binaries,
+            "scenarios": len(scenario_set.scenarios),
+        },
     )
-    ef.stats = {
-        "variables": problem.n_variables,
-        "rows": problem.n_rows,
-        "binaries": problem.n_binaries,
-        "alpha_variables": n_alpha_vars,
-        "beta_variables": n_beta_vars,
-        "scenarios": len(scenario_set.scenarios),
-    }
-    return ef
 

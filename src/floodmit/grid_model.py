@@ -8,9 +8,10 @@ incident branch.  All electrical quantities are per-unit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +64,9 @@ class GridNetwork:
 
     The graph may be disconnected; islands arise from flooding anyway.
     Construction performs no semantic checks so that broken networks can be
-    built and fed to :func:`validate`.
+    built and fed to :func:`validate`.  The derived views ``total_load``
+    and ``arrays`` are computed once per instance, so a
+    ``dataclasses.replace`` copy derives its own.
     """
 
     buses: tuple[Bus, ...]
@@ -72,49 +75,14 @@ class GridNetwork:
     angle_abs_max: float = DEFAULT_ANGLE_ABS_MAX
     angle_diff_max: float = DEFAULT_ANGLE_DIFF_MAX
     base_mva: float | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    # -- index helpers -------------------------------------------------
-
-    @property
-    def branch_by_id(self) -> dict[str, Branch]:
-        if "branch_by_id" not in self._cache:
-            self._cache["branch_by_id"] = {br.id: br for br in self.branches}
-        return self._cache["branch_by_id"]
-
-    @property
-    def substation_buses(self) -> dict[str, tuple[str, ...]]:
-        """Bus ids grouped by substation, in bus declaration order."""
-        if "substation_buses" not in self._cache:
-            groups: dict[str, list[str]] = {s.id: [] for s in self.substations}
-            for b in self.buses:
-                groups.setdefault(b.substation_id, []).append(b.id)
-            self._cache["substation_buses"] = {k: tuple(v) for k, v in groups.items()}
-        return self._cache["substation_buses"]
-
-    @property
-    def branches_at_bus(self) -> dict[str, tuple[str, ...]]:
-        if "branches_at_bus" not in self._cache:
-            inc: dict[str, list[str]] = {b.id: [] for b in self.buses}
-            for br in self.branches:
-                if br.from_bus in inc:
-                    inc[br.from_bus].append(br.id)
-                if br.to_bus in inc and br.to_bus != br.from_bus:
-                    inc[br.to_bus].append(br.id)
-            self._cache["branches_at_bus"] = {k: tuple(v) for k, v in inc.items()}
-        return self._cache["branches_at_bus"]
-
-    @property
+    @functools.cached_property
     def total_load(self) -> float:
-        if "total_load" not in self._cache:
-            self._cache["total_load"] = sum(b.p_load for b in self.buses)
-        return self._cache["total_load"]
+        return sum(b.p_load for b in self.buses)
 
-    @property
+    @functools.cached_property
     def arrays(self) -> GridArrays:
-        if "arrays" not in self._cache:
-            self._cache["arrays"] = GridArrays(self)
-        return self._cache["arrays"]
+        return GridArrays(self)
 
 
 class GridArrays:
@@ -124,7 +92,7 @@ class GridArrays:
     Per bus: its substation's column ``bus_sub`` in ``sub_ids``, ``load``,
     ``gen_min``, ``gen_max`` and ``is_reference``; per branch: its end buses
     ``frm`` and ``to``, ``susceptance`` and ``flow_limit``.  No angle limit
-    is held, so copies of a network with other limits may share them.
+    is held: what depends on the limits is computed from the network.
     """
 
     def __init__(self, network: GridNetwork):
@@ -132,8 +100,6 @@ class GridArrays:
         col = self.sub_col = {s.id: j for j, s in enumerate(network.substations)}
         self.bus_sub = np.array([col.setdefault(b.substation_id, len(col)) for b in buses], dtype=int)
         self.sub_ids = tuple(col)
-        self.bus_ids = tuple(b.id for b in buses)
-        self.branch_ids = tuple(br.id for br in branches)
         self.load = np.array([b.p_load for b in buses], dtype=float)
         self.gen_min = np.array([b.p_gen_min for b in buses], dtype=float)
         self.gen_max = np.array([b.p_gen_max for b in buses], dtype=float)
@@ -196,23 +162,32 @@ def validate(network: GridNetwork) -> list[str]:
             violations.append(f"branch {br.id}: nonpositive flow limit")
         if br.susceptance == 0:
             violations.append(f"branch {br.id}: zero susceptance")
+        if not math.isfinite(br.susceptance) or not math.isfinite(br.flow_limit):
+            violations.append(f"branch {br.id}: non-finite susceptance or flow limit")
 
     seen_sub: set[str] = set()
+    bus_subs = {b.substation_id for b in network.buses}
     for s in network.substations:
         if s.id in seen_sub:
             violations.append(f"substation {s.id}: duplicate id")
         seen_sub.add(s.id)
         if s.voltage_class not in VOLTAGE_CLASSES:
             violations.append(f"substation {s.id}: unknown voltage class {s.voltage_class}")
-        if not network.substation_buses.get(s.id):
+        if s.coordinates is not None and not all(map(math.isfinite, s.coordinates)):
+            violations.append(f"substation {s.id}: non-finite coordinates")
+        if s.id not in bus_subs:
             violations.append(f"substation {s.id}: no buses")
 
+    if not math.isfinite(network.angle_abs_max) or not math.isfinite(network.angle_diff_max):
+        violations.append("network: non-finite angle limit")
     if network.angle_abs_max <= 0:
         violations.append("network: nonpositive absolute angle limit")
     if network.angle_diff_max <= 0:
         violations.append("network: nonpositive angle difference limit")
     if network.angle_diff_max > 2 * network.angle_abs_max:
         violations.append("network: angle difference limit exceeds twice the absolute limit")
+    if network.base_mva is not None and not 0 < network.base_mva < math.inf:
+        violations.append("network: base_mva must be finite and positive")
 
     return violations
 
@@ -240,11 +215,17 @@ def _objects(doc: dict, key: str) -> list[dict]:
 def checked_number(convert, value, what: str, error: type[ValueError] = NetworkFormatError):
     """``convert(value)`` for the input field ``what`` (``convert`` is
     ``float`` or ``int``), or ``error`` naming the field when the value is
-    not a number: ``null``, a list or an object, say."""
+    not a number (``null``, a boolean, a list or an object, say) or, for
+    ``int``, not integral: 2.0 reads as 2, 1.7 is rejected."""
     try:
-        return convert(value)
+        if isinstance(value, bool):
+            raise TypeError
+        number = convert(value)
     except (TypeError, ValueError, OverflowError):
         raise error(f"{what} must be a number, not {value!r}") from None
+    if convert is int and isinstance(value, float) and number != value:
+        raise error(f"{what} must be an integer, not {value!r}")
+    return number
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -271,6 +252,9 @@ def network_from_dict(doc: dict) -> GridNetwork:
             raise NetworkFormatError(
                 f"bus {entry['id']}: negative generation upper bound not supported"
             )
+        reference = entry.get("reference", False)
+        if not isinstance(reference, bool):
+            raise NetworkFormatError(f"{where}: reference must be true or false, not {reference!r}")
         buses.append(
             Bus(
                 id=str(entry["id"]),
@@ -278,7 +262,7 @@ def network_from_dict(doc: dict) -> GridNetwork:
                 p_load=checked_number(float, entry.get("load", 0.0), f"{where}: load"),
                 p_gen_min=checked_number(float, entry.get("gen_min", 0.0), f"{where}: gen_min"),
                 p_gen_max=gen_max,
-                is_reference=bool(entry.get("reference", False)),
+                is_reference=reference,
             )
         )
 

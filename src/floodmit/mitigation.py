@@ -59,11 +59,6 @@ class CostSchedule:
         # 1 + 2 + ... + level rings' worth of segments.
         return self.base_units[substation_id] * level * (level + 1) // 2
 
-    def upgrade_cost(self, substation_id: str, from_level: int, to_level: int) -> int:
-        return self.cumulative_cost(substation_id, to_level) - self.cumulative_cost(
-            substation_id, from_level
-        )
-
 
 @dataclass(frozen=True)
 class MitigationPlan:
@@ -81,15 +76,6 @@ class MitigationPlan:
 
     def key(self) -> tuple[tuple[str, int], ...]:
         return tuple(sorted(self.levels.items()))
-
-    def dominates(self, other: "MitigationPlan") -> bool:
-        """True iff this plan protects at least as much everywhere."""
-        return all(self.level_of(k) >= lvl for k, lvl in other.levels.items())
-
-    def with_level(self, substation_id: str, level: int) -> "MitigationPlan":
-        new = dict(self.levels)
-        new[substation_id] = level
-        return MitigationPlan(new)
 
 
 ZERO_PLAN = MitigationPlan({})

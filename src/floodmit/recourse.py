@@ -652,13 +652,3 @@ class RecourseEvaluator:
             expected = sum(o.probability * o.loss for o in outcomes)
             self._evaluations[key] = PlanEvaluation(expected_loss=expected, outcomes=outcomes)
         return self._evaluations[key]
-
-
-def evaluate_plan(
-    network: GridNetwork,
-    plan: MitigationPlan,
-    scenario_set: FloodScenarioSet,
-    weights: LossWeights = LossWeights(),
-) -> PlanEvaluation:
-    """Probability-weighted dispatch loss of a plan across all scenarios."""
-    return RecourseEvaluator(network, scenario_set, weights).evaluate(plan)

@@ -36,7 +36,7 @@ def scaled_flow_limits(network: GridNetwork, factor: float) -> GridNetwork:
     LP instead of being settled by the island bound's witness.
     """
     branches = tuple(dataclasses.replace(br, flow_limit=br.flow_limit * factor) for br in network.branches)
-    return dataclasses.replace(network, branches=branches, _cache={})
+    return dataclasses.replace(network, branches=branches)
 
 
 def _loop_closure(network: GridNetwork, dead) -> tuple[list[bool], list[bool]]:

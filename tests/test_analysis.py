@@ -22,7 +22,7 @@ from floodmit.mitigation import (
     ZERO_PLAN,
     max_useful_budget,
 )
-from floodmit.recourse import LossWeights, RecourseEvaluator, evaluate_plan
+from floodmit.recourse import LossWeights, RecourseEvaluator
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 from floodmit.value_table import build
 
@@ -208,7 +208,7 @@ def test_sweep_zero_budget_single_row(tiny3):
     assert len(report.rows) == 1
     row = report.rows[0]
     assert row.plan == ZERO_PLAN
-    no_mitigation = evaluate_plan(tiny3.network, ZERO_PLAN, tiny3.scenarios, W).expected_loss
+    no_mitigation = RecourseEvaluator(tiny3.network, tiny3.scenarios, W).evaluate(ZERO_PLAN).expected_loss
     assert row.objective == pytest.approx(no_mitigation, abs=1e-9)
 
 
@@ -230,7 +230,7 @@ def test_sweep_star8_monotone_and_endpoints(star8):
             if lvl < 3:
                 worst_preventable[sub] = max(worst_preventable.get(sub, 0), lvl)
     full = MitigationPlan(worst_preventable)
-    best = evaluate_plan(star8.network, full, star8.scenarios, W).expected_loss
+    best = RecourseEvaluator(star8.network, star8.scenarios, W).evaluate(full).expected_loss
     assert report.rows[-1].objective == pytest.approx(best, abs=1e-6)
     # Heuristic bookkeeping exists and the gap is finite everywhere.
     for row in report.rows:

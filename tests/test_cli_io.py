@@ -440,6 +440,10 @@ MALFORMED = {
     "angle-limit-null": ("network", lambda d: {**d, "angle_limits": {"abs_max_rad": None}},
                          "angle_limits: abs_max_rad must be a number, not None"),
     "plan-level-null": ("plan", lambda d: {"levels": {"S1": None}}, "plan: level at S1 must be a number, not None"),
+    "scenario-level-fraction": ("scenarios", lambda d: {**d, "scenarios": _first(d["scenarios"], levels={"S1": 1.7})},
+                                "scenario w1: flood level at S1 must be an integer, not 1.7"),
+    "bus-reference-string": ("network", lambda d: {**d, "buses": _first(d["buses"], reference="false")},
+                             "bus B1: reference must be true or false, not 'false'"),
 }
 
 

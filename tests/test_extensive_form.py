@@ -6,9 +6,9 @@ import pytest
 from conftest import _loop_closure, random_plan
 from floodmit.extensive_form import alpha_link_rows, build
 from floodmit.grid_model import Bus, GridNetwork, Substation
-from floodmit.milp import with_no_good_cut
+from floodmit.milp import with_no_good_cut, write_lp_file
 from floodmit.mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN, enumerate_plans
-from floodmit.recourse import LossWeights, evaluate_plan
+from floodmit.recourse import LossWeights, RecourseEvaluator
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 from floodmit.solver import solve_lp, solve_milp
 
@@ -128,22 +128,24 @@ def test_fix_first_stage_matches_recourse_evaluation(star8):
     rng = np.random.default_rng(4)
     sched = CostSchedule.for_network(star8.network)
     ef = build(star8.network, star8.scenarios, sched, Budget(20), 3, W)
+    evaluator = RecourseEvaluator(star8.network, star8.scenarios, W)
     for _ in range(6):
         plan = random_plan(rng, star8.network)
         lb, ub = _fixed_first_stage_bounds(ef, plan)
         lp = solve_lp(ef.problem, lb=lb, ub=ub)
         assert lp.status == "optimal"
-        expected = evaluate_plan(star8.network, plan, star8.scenarios, W).expected_loss
+        expected = evaluator.evaluate(plan).expected_loss
         assert lp.objective == pytest.approx(expected, abs=1e-6)
 
 
 def test_fix_first_stage_zero_and_full(star8):
     sched = CostSchedule.for_network(star8.network)
     ef = build(star8.network, star8.scenarios, sched, Budget(50), 3, W)
+    evaluator = RecourseEvaluator(star8.network, star8.scenarios, W)
     for plan in (ZERO_PLAN, MitigationPlan({s.id: 2 for s in star8.network.substations})):
         lb, ub = _fixed_first_stage_bounds(ef, plan)
         lp = solve_lp(ef.problem, lb=lb, ub=ub)
-        expected = evaluate_plan(star8.network, plan, star8.scenarios, W).expected_loss
+        expected = evaluator.evaluate(plan).expected_loss
         assert lp.objective == pytest.approx(expected, abs=1e-6)
 
 
@@ -177,7 +179,8 @@ def test_no_good_cut_removes_the_plan_and_its_interior(tiny3):
     full = MitigationPlan({"S1": 1})  # exhausts the budget
     cut = with_no_good_cut(ef.problem, ef.free_columns, ef.plan_assignment(full))
     expected = {
-        p.key() for p in enumerate_plans(sched, budget, 3) if not full.dominates(p)
+        p.key() for p in enumerate_plans(sched, budget, 3)
+        if any(full.level_of(k) < lvl for k, lvl in p.levels.items())
     }
     assert _cut_survivors(ef, cut, sched, budget) == expected
     assert ZERO_PLAN.key() not in expected  # dominated, removed with the plan
@@ -192,8 +195,9 @@ def test_no_good_cut_keeps_extensions(star8):
     cut = with_no_good_cut(ef.problem, ef.free_columns, ef.plan_assignment(small))
     survivors = _cut_survivors(ef, cut, sched, budget)
     for plan in enumerate_plans(sched, budget, 3):
-        assert (plan.key() in survivors) == (not small.dominates(plan)), plan.levels
-        if plan.dominates(small) and plan.key() != small.key():
+        small_covers = all(small.level_of(k) >= lvl for k, lvl in plan.levels.items())
+        assert (plan.key() in survivors) == (not small_covers), plan.levels
+        if all(plan.level_of(k) >= lvl for k, lvl in small.levels.items()) and plan.key() != small.key():
             assert plan.key() in survivors
 
 
@@ -217,7 +221,7 @@ def test_solution_statuses_match_closure(star8):
         dead = {k for k, lvl in scenario.levels.items() if plan.level_of(k) < lvl}
         bus_up, branch_up = _loop_closure(star8.network, dead)
         if kind == "alpha":
-            bus = star8.network.substation_buses[component][0]
+            bus = next(b.id for b in star8.network.buses if b.substation_id == component)
             assert sol.x[j] == bus_up[bus_pos[bus]], name
         else:
             assert sol.x[j] == branch_up[branch_pos[component]], name
@@ -246,8 +250,8 @@ def test_lp_export_round_trip_stability(tmp_path, tiny3):
     sched = CostSchedule.for_network(tiny3.network)
     ef = build(tiny3.network, tiny3.scenarios, sched, Budget(2), 3, W)
     p1, p2 = tmp_path / "a.lp", tmp_path / "b.lp"
-    ef.write_lp(p1)
-    ef.write_lp(p2)
+    write_lp_file(ef.problem, p1)
+    write_lp_file(ef.problem, p2)
     assert p1.read_bytes() == p2.read_bytes()
     text = p1.read_text()
     for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):

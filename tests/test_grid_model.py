@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -45,6 +46,41 @@ def test_validate_nonpositive_flow_limit():
     assert any("nonpositive flow limit" in v for v in validate(net))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("flow_limit", math.nan, "branch L: non-finite susceptance or flow limit"),
+        ("susceptance", math.inf, "branch L: non-finite susceptance or flow limit"),
+        ("angle_abs_max", math.inf, "network: non-finite angle limit"),
+        ("angle_diff_max", math.nan, "network: non-finite angle limit"),
+        ("base_mva", math.inf, "network: base_mva must be finite and positive"),
+        ("base_mva", math.nan, "network: base_mva must be finite and positive"),
+        ("base_mva", 0.0, "network: base_mva must be finite and positive"),
+        ("base_mva", -100.0, "network: base_mva must be finite and positive"),
+    ],
+)
+def test_validate_rejects_nonfinite_data(field, value, message):
+    net = _net(
+        [Bus("A", "S", is_reference=True), Bus("B", "S")],
+        [Branch("L", "A", "B", susceptance=-5.0, flow_limit=1.0)],
+        [Substation("S", "115_161")],
+        base_mva=100.0,
+    )
+    assert validate(net) == []
+    if field in ("susceptance", "flow_limit"):
+        net = dataclasses.replace(net, branches=(dataclasses.replace(net.branches[0], **{field: value}),))
+    else:
+        net = dataclasses.replace(net, **{field: value})
+    assert validate(net) == [message]
+
+
+def test_validate_rejects_nonfinite_coordinates():
+    # gen-scenarios would read a NaN longitude as a flood beyond every barrier.
+    for lon in (math.nan, math.inf):
+        net = _net([Bus("A", "S", is_reference=True)], [], [Substation("S", "115_161", lon=lon, lat=30.0)])
+        assert validate(net) == ["substation S: non-finite coordinates"]
+
+
 def test_validate_catches_assorted_breakage():
     net = _net(
         [
@@ -76,39 +112,19 @@ def test_validate_catches_assorted_breakage():
 
 def test_substation_partition_and_totals(star8):
     net = star8.network
-    sizes = sum(len(v) for v in net.substation_buses.values())
-    assert sizes == len(net.buses)
+    assert {b.substation_id for b in net.buses} == {s.id for s in net.substations}
     assert net.total_load == pytest.approx(sum(b.p_load for b in net.buses))
 
 
-def test_incident_branches_isolated_bus():
-    net = _net(
-        [Bus("A", "S", is_reference=True), Bus("B", "S")],
-        [],
-        [Substation("S", "115_161")],
-    )
-    assert net.branches_at_bus["B"] == ()
-
-
-def test_incident_branches_star_center(star8):
-    # B0 is the hub: five spokes leave it.
-    assert set(star8.network.branches_at_bus["B0"]) == {"L0", "L1", "L2", "L3", "L4"}
-
-
-def test_incident_branches_three_cycle():
-    net = _net(
-        [Bus("A", "S", is_reference=True), Bus("B", "S"), Bus("C", "S")],
-        [
-            Branch("e1", "A", "B", susceptance=1.0, flow_limit=1.0),
-            Branch("e2", "B", "C", susceptance=1.0, flow_limit=1.0),
-            Branch("e3", "C", "A", susceptance=1.0, flow_limit=1.0),
-        ],
-        [Substation("S", "115_161")],
-    )
-    # Enumerate the cycle edges by hand: each vertex touches exactly two.
-    assert set(net.branches_at_bus["A"]) == {"e1", "e3"}
-    assert set(net.branches_at_bus["B"]) == {"e1", "e2"}
-    assert set(net.branches_at_bus["C"]) == {"e2", "e3"}
+def test_replaced_network_derives_its_own_views(star8):
+    net = star8.network
+    assert len(net.arrays.frm) == len(net.branches) and net.total_load > 0  # fill the original's caches
+    buses = tuple(dataclasses.replace(b, p_load=2 * b.p_load) for b in net.buses)
+    copy = dataclasses.replace(net, buses=buses, branches=net.branches[:-1])
+    assert copy.arrays is not net.arrays
+    assert len(copy.arrays.frm) == len(net.branches) - 1
+    assert copy.arrays.load.tolist() == [b.p_load for b in buses]
+    assert copy.total_load == pytest.approx(2 * net.total_load)
 
 
 def test_network_file_round_trip(tmp_path, coastal40):
@@ -135,6 +151,16 @@ def test_loader_rejects_degenerate_branch(tmp_path, tiny3):
     doc["branches"][0]["susceptance"] = 0.0
     with pytest.raises(NetworkFormatError, match="zero susceptance"):
         network_from_dict(doc)
+
+
+def test_loader_rejects_non_boolean_reference(tiny3):
+    doc = network_to_dict(tiny3.network)
+    for value in ("false", 0, 1, None):
+        doc["buses"][1]["reference"] = value
+        with pytest.raises(NetworkFormatError, match=f"bus B2: reference must be true or false, not {value!r}"):
+            network_from_dict(doc)
+    doc["buses"][1]["reference"] = False
+    assert not network_from_dict(doc).buses[1].is_reference
 
 
 def test_loader_rejects_negative_gen_cap(tiny3):

@@ -31,7 +31,7 @@ def benefit(plan, candidate, weights, network, scenario_set) -> float:
     Requires candidate >= plan componentwise; statuses are monotone in the
     plan, so the value is always nonnegative.
     """
-    if not candidate.dominates(plan):
+    if any(candidate.level_of(k) < lvl for k, lvl in plan.levels.items()):
         raise ValueError("candidate must dominate the current plan")
     a = network.arrays
     rho_load = rho_gen = rho_flow = 0.0
@@ -108,7 +108,7 @@ def test_benefit_nonnegative_property(star8):
                 for k in [s.id for s in star8.network.substations]
             }
         )
-        if not lift.dominates(base):
+        if any(lift.level_of(k) < lvl for k, lvl in base.levels.items()):
             continue
         val = benefit(base, lift, AttributeWeights(1, 0.5, 0.25), star8.network, star8.scenarios)
         assert val >= 0
@@ -192,10 +192,10 @@ def _walk_states_against_benefit(network, scenarios, eta, budget, r_hat=3) -> in
             cur_level = plan.level_of(sub)
             assert cur[j] == cur_level
             for target in range(cur_level + 1, r_hat):
-                cost = sched.upgrade_cost(sub, cur_level, target)
+                cost = sched.cumulative_cost(sub, target) - sched.cumulative_cost(sub, cur_level)
                 if cost > remaining:
                     break
-                slow = benefit(plan, plan.with_level(sub, target), eta, network, scenarios)
+                slow = benefit(plan, MitigationPlan({**plan.levels, sub: target}), eta, network, scenarios)
                 k = j * r_hat + target
                 assert cand.cost[k] == cost
                 # An upgrade that gains nothing has ratio -inf: it is worth 0.
@@ -206,7 +206,7 @@ def _walk_states_against_benefit(network, scenarios, eta, budget, r_hat=3) -> in
         if best is None:
             return steps
         _, j, sub, target, cost = best
-        plan = plan.with_level(sub, target)
+        plan = MitigationPlan({**plan.levels, sub: target})
         remaining -= cost
         cur[j] = target
         steps += 1
@@ -288,7 +288,7 @@ def _dict_greedy(weights, budget, network, scenario_set, schedule, r_hat):
         for sub in ctx.sub_ids:
             cur = plan.level_of(sub)
             for target in range(cur + 1, r_hat):
-                cost = schedule.upgrade_cost(sub, cur, target)
+                cost = schedule.cumulative_cost(sub, target) - schedule.cumulative_cost(sub, cur)
                 if cost > remaining:
                     break
                 value = ctx.upgrade_benefit(plan, alive, sub, target, weights)
@@ -302,7 +302,7 @@ def _dict_greedy(weights, budget, network, scenario_set, schedule, r_hat):
         if best is None:
             break
         _, sub, target, cost = best
-        plan = plan.with_level(sub, target)
+        plan = MitigationPlan({**plan.levels, sub: target})
         remaining -= cost
         for scenario, alive_w in zip(scenario_set.scenarios, alive):
             alive_w[sub] = target >= scenario.level_of(sub)

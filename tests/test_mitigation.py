@@ -173,3 +173,11 @@ def test_plan_file_errors():
         plan_from_dict({"levels": {"a": -1}})
     with pytest.raises(PlanFormatError):
         plan_from_dict({"level": {}})
+
+
+def test_plan_levels_reject_fractions_and_booleans():
+    assert plan_from_dict({"levels": {"S1": 2.0}}).levels == {"S1": 2}
+    with pytest.raises(PlanFormatError, match="plan: level at S1 must be an integer, not 1.9"):
+        plan_from_dict({"levels": {"S1": 1.9}})
+    with pytest.raises(PlanFormatError, match="plan: level at S1 must be a number, not True"):
+        plan_from_dict({"levels": {"S1": True}})

@@ -18,7 +18,6 @@ from floodmit.recourse import (
     _CopperPlate,
     _island_basis,
     _recourse_arrays,
-    evaluate_plan,
     solve_recourse_lp,
     status_closure,
 )
@@ -71,8 +70,8 @@ def test_weights_validation():
 
 def test_closure_unprotected_flood_kills_substation(tiny3):
     bus_up, branch_up = status_closure(tiny3.network, ZERO_PLAN, FloodScenario("w", 1.0, {"S2": 1}))
-    assert tiny3.network.arrays.bus_ids == ("B1", "B2", "B3")
-    assert tiny3.network.arrays.branch_ids == ("L1", "L2")
+    assert [b.id for b in tiny3.network.buses] == ["B1", "B2", "B3"]
+    assert [br.id for br in tiny3.network.branches] == ["L1", "L2"]
     assert bus_up.tolist() == [True, False, False]
     assert branch_up.tolist() == [False, False]  # incident branches go down too
 
@@ -98,8 +97,8 @@ def test_closure_statuses_consistent_within_substation(star8):
         plan = random_plan(rng, star8.network)
         scenario = star8.scenarios.scenarios[int(rng.integers(0, 4))]
         bus_up, branch_up = status_closure(star8.network, plan, scenario)
-        for sub, bus_ids in star8.network.substation_buses.items():
-            vals = {bool(bus_up[pos[b]]) for b in bus_ids}
+        for sub in star8.network.substations:
+            vals = {bool(up) for b, up in zip(star8.network.buses, bus_up) if b.substation_id == sub.id}
             assert len(vals) == 1
         for e, br in enumerate(star8.network.branches):
             assert branch_up[e] == bus_up[pos[br.from_bus]] * bus_up[pos[br.to_bus]]
@@ -129,8 +128,6 @@ def test_every_status_consumer_follows_the_loop_closure():
             a = net.arrays
             bus_up, branch_up = a.closure(survival_masks(net, [dead])[0])
             assert bus_up.tolist() == bus_ref and branch_up.tolist() == branch_ref
-            assert a.bus_ids == tuple(b.id for b in net.buses)
-            assert a.branch_ids == tuple(br.id for br in net.branches)
             bus_mask, branch_mask = status_closure(net, plan, scenario)
             assert bus_mask.tolist() == bus_ref and branch_mask.tolist() == branch_ref
             assert bus_rows[s].tolist() == [float(up) for up in bus_ref]
@@ -287,7 +284,7 @@ def test_evaluate_zero_flood_equals_intact_loss(tiny3):
     dry = FloodScenarioSet(
         (FloodScenario("dry", 1.0, {}),), level_count=3, unattainable_level=3
     )
-    ev = evaluate_plan(tiny3.network, ZERO_PLAN, dry)
+    ev = RecourseEvaluator(tiny3.network, dry, LossWeights()).evaluate(ZERO_PLAN)
     st = status_closure(tiny3.network, ZERO_PLAN, dry.scenarios[0])
     loss, _ = solve_recourse_lp(tiny3.network, st, LossWeights())
     assert ev.expected_loss == pytest.approx(loss, abs=1e-12)
@@ -297,16 +294,17 @@ def test_evaluate_single_scenario_probability_one(tiny3):
     ss = FloodScenarioSet(
         (FloodScenario("w", 1.0, {"S1": 1}),), level_count=3, unattainable_level=3
     )
-    ev = evaluate_plan(tiny3.network, ZERO_PLAN, ss)
+    ev = RecourseEvaluator(tiny3.network, ss, LossWeights()).evaluate(ZERO_PLAN)
     assert ev.expected_loss == pytest.approx(ev.outcomes[0].loss)
 
 
 def test_full_mitigation_hits_positive_floor_with_inexorable_flood(star8):
     # Protect everything preventable; the level-3 floods still bite.
     full = MitigationPlan({s.id: 2 for s in star8.network.substations})
-    ev = evaluate_plan(star8.network, full, star8.scenarios)
+    evaluator = RecourseEvaluator(star8.network, star8.scenarios, LossWeights())
+    ev = evaluator.evaluate(full)
     assert ev.expected_loss > 0
-    worse = evaluate_plan(star8.network, ZERO_PLAN, star8.scenarios)
+    worse = evaluator.evaluate(ZERO_PLAN)
     assert ev.expected_loss < worse.expected_loss
 
 
@@ -351,8 +349,9 @@ def test_relatively_complete_recourse_randomized():
 def test_evaluator_cache_consistency(star8):
     evaluator = RecourseEvaluator(star8.network, star8.scenarios, LossWeights())
     plan = MitigationPlan({"S1": 2})
+    evaluator.evaluate(ZERO_PLAN)
     a = evaluator.evaluate(plan).expected_loss
-    b = evaluate_plan(star8.network, plan, star8.scenarios)
+    b = RecourseEvaluator(star8.network, star8.scenarios, LossWeights()).evaluate(plan)
     assert a == pytest.approx(b.expected_loss, abs=1e-12)
 
 
@@ -527,7 +526,7 @@ def _with_raised_gen_min(rng, network):
         if b.p_gen_max > 0 and rng.random() < 0.5 else b
         for b in network.buses
     )
-    return dataclasses.replace(network, buses=buses, _cache={})
+    return dataclasses.replace(network, buses=buses)
 
 
 def _unlimited(network):
@@ -548,8 +547,7 @@ def _bound_cases(seed, count):
         ref = next(b for b in net.buses if b.is_reference)
         if k % 4 == 0:
             net = dataclasses.replace(
-                net, branches=tuple(br for br in net.branches if ref.id not in (br.from_bus, br.to_bus)),
-                _cache={},
+                net, branches=tuple(br for br in net.branches if ref.id not in (br.from_bus, br.to_bus))
             )
         subs = [s.id for s in net.substations]
         sub_of = {b.id: b.substation_id for b in net.buses}
@@ -617,7 +615,7 @@ def _positive_susceptances(network):
     parallel branches cancel and every grounded island's Laplacian is
     nonsingular."""
     branches = tuple(dataclasses.replace(br, susceptance=abs(br.susceptance)) for br in network.branches)
-    return dataclasses.replace(network, branches=branches, _cache={})
+    return dataclasses.replace(network, branches=branches)
 
 
 def cancelling_pair_network():
@@ -817,7 +815,6 @@ def test_zero_weight_witness_reports_the_least_shed_and_overgeneration(weights):
     surplus = dataclasses.replace(  # load 0.5 and generation 1-3: overgeneration >= 0.5
         shortfall,
         buses=(Bus("A", "SA", p_gen_min=1.0, p_gen_max=3.0, is_reference=True), Bus("B", "SB", p_load=0.5)),
-        _cache={},
     )
     cases = [(shortfall, [()]), (surplus, [()])] + list(_bound_cases(seed=808, count=30))
     for net, dead_sets in cases:

@@ -129,3 +129,29 @@ def test_file_round_trip(tmp_path, star8):
 def test_bad_unattainable_level():
     with pytest.raises(ValueError):
         FloodScenarioSet((FloodScenario("w", 1.0, {}),), level_count=3, unattainable_level=4)
+
+
+INTEGER_FIELDS = {  # field: (set it, read it back, its name, a valid value, a fraction)
+    "flood-level": (lambda doc, v: doc["scenarios"][0]["levels"].update(S1=v),
+                    lambda ss: ss.scenarios[0].level_of("S1"), "scenario w0: flood level at S1", 2, 1.7),
+    "level-count": (lambda doc, v: doc.update(level_count=v),
+                    lambda ss: ss.level_count, "scenario file: level_count", 4, 3.8),
+    "unattainable-level": (lambda doc, v: doc.update(unattainable_level=v),
+                           lambda ss: ss.unattainable_level, "scenario file: unattainable_level", 2, 1.7),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+def test_integer_fields_reject_fractions_and_booleans(field):
+    """An integer field reads 2 and 2.0 alike, and rejects a fraction and
+    ``true`` with a message that names the field instead of truncating."""
+    put, get, what, valid, fraction = INTEGER_FIELDS[field]
+    for value in (valid, float(valid)):
+        doc = _doc([1.0], [{}])
+        put(doc, value)
+        assert get(scenario_set_from_dict(doc)) == valid
+    for value, complaint in ((fraction, f"must be an integer, not {fraction}"), (True, "must be a number, not True")):
+        doc = _doc([1.0], [{}])
+        put(doc, value)
+        with pytest.raises(ScenarioFormatError, match=f"{what} {complaint}"):
+            scenario_set_from_dict(doc)

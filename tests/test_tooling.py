@@ -1,7 +1,7 @@
 """The benchmark's tracer must keep finding every name it wraps, the
 README must advertise only flags the command line accepts, no module
-imports a name it never uses, and no function in ``src/`` ignores one of
-its parameters.
+imports a name it never uses, no function in ``src/`` ignores one of
+its parameters, and nothing defined in ``src/`` goes unnamed there.
 
 ``perfbench/tracing.py`` replaces entry points of the package by name; a
 rename or deletion in ``src/`` would only surface in a traced benchmark run.
@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from conftest import scaled_flow_limits
@@ -320,3 +321,52 @@ def test_no_function_ignores_a_parameter():
     assert len(paths) > 10
     ignored = [entry for path in paths for entry in _ignored_parameters(path)]
     assert not ignored, ignored
+
+
+# Defined in src/floodmit and named only by the tests, each for a reason.
+TEST_ONLY_DEFINITIONS = {
+    "enumerate_plans": "brute-force plan enumeration, the reference of acceptance criterion 02",
+    "is_feasible": "first-stage feasibility, the reference of acceptance criterion 07",
+    "solve_lp": "the LP relaxation whose strong duality acceptance criterion 11 checks",
+}
+
+
+def _named(tree):
+    """Every name ``tree`` uses: plain names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def _unnamed_definitions(paths):
+    """Functions, classes, methods and properties of ``paths`` (dunders
+    aside) whose name appears nowhere in ``paths`` outside their own
+    definition, as "file:line name"."""
+    named, definitions = Counter(), []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named.update(_named(tree))
+        definitions += [
+            (path, node) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ]
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path, node in definitions
+        if named[node.name] == Counter(_named(node))[node.name]
+    ]
+
+
+def test_every_definition_is_named_by_the_package():
+    """API that only tests call belongs in the tests: a definition that no
+    code path of the package names is surface to delete, unless it is a
+    listed reference that an acceptance criterion needs."""
+    paths = sorted((ROOT / "src" / "floodmit").glob("*.py"))
+    assert len(paths) > 10
+    unnamed = _unnamed_definitions(paths)
+    assert sorted(entry.rsplit(" ", 1)[1] for entry in unnamed) == sorted(TEST_ONLY_DEFINITIONS), unnamed
