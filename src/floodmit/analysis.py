@@ -17,6 +17,14 @@ plan that several budgets pool as a warm start is evaluated once.  Budget
 0's search builds the simplex workspace over the model's matrix; its root
 basis carries that workspace, and its LU, to the next budget, which only
 resets the right-hand side.
+
+A value-table model's start basis, the zero plan's vertex, is primal
+feasible at every budget, and at budget 0 it is a few degenerate primal
+pivots from optimal.  So a root with no carried basis goes through the
+budget-0 LP: budget 0's root solves it from the start basis, and the root
+at a budget B > 0 sets the budget to B and runs the dual simplex from that
+LP's optimal basis, the sweep's own warm chain taken in one step.  (The
+primal simplex from the start basis at B > 0 takes many more pivots.)
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from .recourse import status_closure  # noqa: F401  (perfbench/tracing.py wraps 
 from .scenario_model import FloodScenarioSet
 from .simplex import SimplexCounters
 from .value_table import build
-from . import solver
+from . import simplex, solver
 
 log = logging.getLogger("floodmit.analysis")
 
@@ -145,6 +153,17 @@ def _warm_pool(ef: ExtensiveForm, plans: list[MitigationPlan], evaluator: Recour
     )
 
 
+def _budget_zero_basis(ef: ExtensiveForm, counters: SimplexCounters) -> simplex.BasisState | None:
+    """The optimal basis of the model's budget-0 LP, solved from its start
+    basis on a workspace the basis carries, or None if that LP fails; the
+    LP and its workspace are counted in ``counters``."""
+    ws = solver.milp_workspace(ef.with_budget(0).problem)
+    res = simplex.solve_linear_program(workspace=ws, warm=ef.start_basis)
+    counters.workspaces += 1
+    counters.record(res)
+    return res.basis_state if res.status == simplex.STATUS_OPTIMAL else None
+
+
 def solve_instance(
     ef: ExtensiveForm,
     warm_plans: list[MitigationPlan],
@@ -157,12 +176,20 @@ def solve_instance(
     The warm plans' losses come from ``evaluator``, which keeps each plan's
     evaluation, so a sweep evaluates each plan once over all its budgets.
     ``root_basis`` carries the workspace of an earlier solve over this
-    matrix, which the search then reuses.  The solution's ``counters`` also
-    count the uniqueness probe.
+    matrix, which the search then reuses.  Without one, the root starts from
+    the model's start basis when it has one: directly at budget 0, through
+    the budget-0 LP at any other budget.  The solution's ``counters`` and
+    ``lp_iterations`` also count that LP, and the counters the uniqueness
+    probe.
     """
     pool = _warm_pool(ef, warm_plans, evaluator)
+    seed = SimplexCounters()
+    if root_basis is None and ef.start_basis is not None:
+        root_basis = ef.start_basis if ef.budget.units == 0 else _budget_zero_basis(ef, seed)
     config = solver.BnbConfig(warm_starts=pool, root_warm_basis=root_basis)
     sol = solver.solve_milp(ef.problem, config)
+    sol.counters.add(seed)
+    sol.lp_iterations += seed.pivots
     if sol.status != "optimal":
         raise solver.SolverError(f"budget {ef.budget.units}: solver stopped with {sol.status}")
     plan = ef.plan_from_x(sol.x)

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import logging
+import re
 import sys
 import time
 from pathlib import Path
@@ -333,10 +334,7 @@ def cmd_sweep(args) -> int:
     network, scenarios = _load_inputs(args)
     schedule = CostSchedule.for_network(network)
     weights = LossWeights(args.lambda_shed, args.lambda_over)
-    if args.max_budget == "auto":
-        f_max = None
-    else:
-        f_max = int(args.max_budget)
+    f_max = None if args.max_budget == "auto" else int(args.max_budget)
     report = analysis.sweep(
         network,
         scenarios,
@@ -473,6 +471,13 @@ def _ns_dict(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
+def _max_budget(text: str) -> str:
+    """``text`` when it reads ``auto`` or a nonnegative integer."""
+    if text != "auto" and not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f'expected "auto" or a nonnegative integer, got {text!r}')
+    return text
+
+
 def _add_common_model_args(p, budget=True):
     p.add_argument("--network", required=True, help="network JSON file")
     p.add_argument("--scenarios", required=True, help="scenario JSON file")
@@ -546,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="solve every budget, emit report tables")
     _add_common_model_args(p, budget=False)
-    p.add_argument("--max-budget", default="auto", dest="max_budget",
+    p.add_argument("--max-budget", default="auto", dest="max_budget", type=_max_budget,
                    help='integer, or "auto" for the largest budget that can still help')
     p.add_argument("--check-unique", action="store_true", dest="check_unique")
     p.add_argument("--out", required=True, help="report directory")

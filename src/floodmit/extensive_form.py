@@ -38,6 +38,7 @@ from .milp import MilpProblem, ProblemBuilder, sanitize_name
 from .mitigation import Budget, CostSchedule, MitigationPlan
 from .recourse import LossWeights
 from .scenario_model import FloodScenario, FloodScenarioSet, level_to_indicators
+from .simplex import BasisState
 
 BUDGET_ROW = "budget"
 
@@ -78,6 +79,9 @@ class ExtensiveForm:
     # Column of x[k, r]: substations in network order by levels 1..r_hat.
     x_cols: np.ndarray
     stats: dict = field(default_factory=dict)
+    # A basis of the problem, primal feasible at every budget >= 0, that its
+    # builder knows (the zero plan's vertex of a value-table model), or None.
+    start_basis: BasisState | None = None
 
     @property
     def free_columns(self) -> np.ndarray:

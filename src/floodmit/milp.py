@@ -94,7 +94,7 @@ class ProblemBuilder:
         self._binary.append(bool(binary))
         return idx
 
-    def add_row(self, name, terms, sense, rhs) -> None:
+    def add_row(self, name, terms, sense, rhs) -> int:
         if name in self._row_names:
             raise ValueError(f"duplicate row name {name!r}")
         k = len(self._row_names)
@@ -108,6 +108,7 @@ class ProblemBuilder:
         self._data.extend(acc.values())
         self._senses.append(sense)
         self._rhs.append(float(rhs))
+        return k
 
     def add_objective_term(self, idx: int, coef: float) -> None:
         if coef:

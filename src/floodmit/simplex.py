@@ -15,9 +15,10 @@ flavored score d^2 / (1 + ||A_j||^2) with a Bland fallback that engages after
 a streak of degenerate pivots.  A dual simplex over the same machinery
 supports warm re-solves after bound or right-hand-side changes, which is how
 branch-and-bound children and budget-sweep re-solves stay cheap.  A warm
-start takes one path: a dual-feasible basis runs the dual simplex, then a
-primal polish; any other basis, and a dual run that cycles or meets a tiny
-pivot, starts cold.
+start takes one of two paths: a dual-feasible basis runs the dual simplex,
+then a primal polish; otherwise a primal-feasible basis, such as a model's
+hand-built start basis, runs the primal simplex from where it stands.  Any
+other basis, and a dual run that cycles or meets a tiny pivot, starts cold.
 
 A reported basis carries the workspace it was found on, and an LU of exactly
 that basis only once one exists: a solve that ends with no eta updates hands
@@ -108,19 +109,21 @@ class SimplexResult:
     infeasibility: float = 0.0
     lu_factorizations: int = 0  # sparse LU factorizations this solve ran
     lu_reused: bool = False     # whether the warm start adopted its state's stored LU
+    cold_started: bool = False  # whether the solve ran the cold start, first or after a warm run
     reduced_costs: np.ndarray | None = None  # c - A^T row_duals per structural
 
 
 @dataclass
 class SimplexCounters:
     """What a series of LP solves did: solves, pivots, sparse LU
-    factorizations, warm starts that reused their basis's LU, and
-    workspaces built for them."""
+    factorizations, warm starts that reused their basis's LU, solves that
+    ran the cold start, and workspaces built for them."""
 
     lp_solves: int = 0
     pivots: int = 0
     lu_factorizations: int = 0
     lu_reused: int = 0
+    cold_starts: int = 0
     workspaces: int = 0
 
     def record(self, res: SimplexResult) -> None:
@@ -128,6 +131,7 @@ class SimplexCounters:
         self.pivots += res.iterations
         self.lu_factorizations += res.lu_factorizations
         self.lu_reused += int(res.lu_reused)
+        self.cold_starts += int(res.cold_started)
 
     def add(self, other: "SimplexCounters") -> None:
         for f in fields(self):
@@ -160,6 +164,20 @@ def _basis_matrix(A_csc: sp.csc_matrix, basis: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix(
         (A_csc.data[take], A_csc.indices[take], indptr), shape=(A_csc.shape[0], len(basis))
     )
+
+
+def slack_basis(n: int, m: int, structurals: dict[int, int]) -> BasisState:
+    """A start basis over ``n`` structurals and ``m`` rows: row i's slack is
+    basic, or the structural ``structurals[i]`` when given, and every other
+    column sits at its lower bound.  Whether the basis is nonsingular and
+    feasible is the caller's to know; a warm start from a singular one
+    starts cold."""
+    basis = np.arange(n, n + m)
+    rows = np.fromiter(structurals, dtype=np.int64, count=len(structurals))
+    basis[rows] = np.fromiter(structurals.values(), dtype=np.int64, count=len(structurals))
+    status = np.full(n + 2 * m, AT_LOWER, dtype=np.int8)
+    status[basis] = BASIC
+    return BasisState(basis, status)
 
 
 def _row_singletons(A_csc: sp.csc_matrix, n: int) -> dict[int, list[tuple[int, float]]]:
@@ -285,6 +303,7 @@ class _Solver:
         self.infeasibility = 0.0
         self.lu_factorizations = 0
         self.lu_reused = False
+        self.cold_started = False
         # (costs, y, d) of the current basis: computed afresh, or updated in
         # place by a dual pivot; None once stale.
         self.priced: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -456,6 +475,12 @@ class _Solver:
 
     # -- dual simplex --------------------------------------------------------
 
+    def primal_feasible(self) -> bool:
+        """Whether every basic value lies within its bounds."""
+        xb = self.x[self.basis]
+        lo, hi = self.ws.lo[self.basis], self.ws.hi[self.basis]
+        return bool(np.all((xb >= lo - TOL_FEAS) & (xb <= hi + TOL_FEAS)))
+
     def dual_feasible(self, costs: np.ndarray) -> bool:
         """Whether no nonbasic column's reduced cost has the wrong sign."""
         _, d = self._duals(costs)
@@ -536,6 +561,7 @@ class _Solver:
         ws = self.ws
         m, n = ws.m, ws.n
         total = n + 2 * m
+        self.cold_started = True
         self.status_arr = np.full(total, AT_LOWER, dtype=np.int8)
         self.x = np.zeros(total)
         lo, hi = ws.lo[:n], ws.hi[:n]
@@ -665,6 +691,7 @@ def solve_linear_program(
     res = _run(solver, warm)
     res.lu_factorizations = solver.lu_factorizations
     res.lu_reused = solver.lu_reused
+    res.cold_started = solver.cold_started
     return res
 
 
@@ -674,14 +701,16 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
     max_iter = solver.max_iter
 
     status = None
-    if warm is not None:
-        if solver.warm_start(warm) and solver.dual_feasible(ws.c_ext):
+    if warm is not None and solver.warm_start(warm):
+        if solver.dual_feasible(ws.c_ext):
             status = solver.run_dual(ws.c_ext)
             if status == STATUS_OPTIMAL:
                 # Dual termination is primal feasible; polish any dual noise.
                 status = solver.run_primal(ws.c_ext)
-        if status not in (STATUS_OPTIMAL, STATUS_UNBOUNDED, STATUS_INFEASIBLE):
-            status = None
+        elif solver.primal_feasible():
+            status = solver.run_primal(ws.c_ext)
+    if status not in (STATUS_OPTIMAL, STATUS_UNBOUNDED, STATUS_INFEASIBLE):
+        status = None
 
     if status is None:
         # The cold start gets a full pivot budget of its own; the reported

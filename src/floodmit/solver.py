@@ -10,9 +10,13 @@ assignments with known objectives) seed the incumbent so budget sweeps
 prune hard from the first node.  A caller passes them as one
 :class:`WarmStarts` matrix of candidate values over one set of columns.  A
 claim is a hint, not a fact: it only prunes, and when it is still the
-incumbent at the end its fixings are solved as one LP that must confirm it.
-If that LP does not, the loop makes a second pass without the pool, with
-the same node count, clock and counters, so every limit covers both passes.
+incumbent at the end a solution of the problem must confirm it.  The first
+node that the claim prunes and whose solution is integral and sets every
+claim column to the claim's value decides: it confirms the claim when it is
+worth no more than claimed.  If no node decided, the claim's fixings are
+solved as one LP that decides instead.  A claim that is not confirmed makes
+the loop run a second pass without the pool, with the same node count,
+clock and counters, so every limit covers both passes.
 Plans and solutions cross this boundary as column arrays; variable names
 exist only for the LP-format export.  Without node or time limits the
 returned incumbent is provably optimal.
@@ -66,8 +70,9 @@ class WarmStarts:
     and the objective value each candidate claims.
 
     :func:`solve_milp` seeds its incumbent with the best claim among the
-    candidates within their columns' bounds and trusts it only once the
-    candidate's fixings, solved as an LP, are integral and worth no more.
+    candidates within their columns' bounds and trusts it only once an
+    integral solution with the candidate's values, a node's or the
+    candidate's fixings' LP's, is worth no more.
     A candidate that breaks a row, or a claim that its fixings do not back,
     never becomes the answer; it costs at most one search without the pool.
     """
@@ -215,7 +220,7 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
     for starts in (config.warm_starts, WarmStarts()):
         incumbent_obj = np.inf
         incumbent_x: np.ndarray | None = None
-        warm_fixings: dict[int, float] = {}
+        claim_values = np.zeros(0)
         # Warm starts seed the incumbent with the best claim, the first of
         # equals, among the candidates within their columns' bounds: a fixing
         # overrides its column's bounds, so no LP would catch a value outside.
@@ -225,7 +230,10 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
         for i in np.flatnonzero(in_bounds):
             if starts.objectives[i] < incumbent_obj - 1e-12:
                 incumbent_obj = float(starts.objectives[i])
-                warm_fixings = dict(zip(starts.columns.tolist(), vals[i].tolist()))
+                claim_values = vals[i]
+        # (worth, x) of the solution that decides the claim: an integral
+        # solution with the claim's values, or inf worth for none.
+        decided: tuple[float, np.ndarray | None] | None = None
 
         heap = [_Node(bound=-np.inf, seq=seq, fixings={}, warm=config.root_warm_basis)]
         stop_reason = ""
@@ -255,6 +263,11 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
                 root_basis = res.basis_state
             node_obj = res.objective + offset
             if node_obj >= incumbent_obj - 1e-9:
+                if (
+                    decided is None and incumbent_x is None and pick_branch(res.x) is None
+                    and np.all(np.abs(res.x[starts.columns] - claim_values) <= INTEGRALITY_TOL)
+                ):
+                    decided = (node_obj, res.x.copy())
                 continue
             j = pick_branch(res.x)
             if j is None:
@@ -272,15 +285,18 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
 
         # A claim only pruned: a node that beat it is an LP-verified incumbent
         # below every pruned bound.  A claim no node beat is the answer only if
-        # its fixings, solved from the root basis, are integral and worth no
-        # more than claimed; otherwise the loop makes its pass without the pool.
+        # an integral solution with its values, the deciding node's or else
+        # its fixings' LP solved from the root basis, is worth no more than
+        # claimed; otherwise the loop makes its pass without the pool.
         if incumbent_x is not None or incumbent_obj == np.inf:
             break
-        res = solve_node(warm_fixings, root_basis)
-        confirmed = res.status == simplex.STATUS_OPTIMAL and pick_branch(res.x) is None
-        worth = res.objective + offset if confirmed else np.inf
+        if decided is None:
+            res = solve_node(dict(zip(starts.columns.tolist(), claim_values.tolist())), root_basis)
+            integral = res.status == simplex.STATUS_OPTIMAL and pick_branch(res.x) is None
+            decided = (res.objective + offset, res.x) if integral else (np.inf, None)
+        worth, x = decided
         if worth <= incumbent_obj + 1e-9 * max(1.0, abs(incumbent_obj)):
-            incumbent_x = res.x
+            incumbent_x = x
             incumbent_obj = min(incumbent_obj, worth)
             break
         log.info("warm start claim %.9g not confirmed; searching without it", incumbent_obj)

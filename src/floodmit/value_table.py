@@ -32,6 +32,16 @@ the extensive form's dispatch block instead, built by the same helper
 :func:`floodmit.extensive_form.add_dispatch_block`.  The first stage is the
 extensive form's, so plans read in and out through the same
 :class:`~floodmit.extensive_form.ExtensiveForm` wrapper.
+
+When every scenario has a table, the model comes with a start basis, the
+zero plan's vertex (a model-aware crash basis in the sense of Bixby, ORSA
+J. Comput. 4(3), 1992): each table's empty-survivor entry z[s, {}] is basic
+in its ``zsum`` row, where it is a column singleton; each single-survivor
+entry z[s, {j}] is basic, at value 0, in its marginal row; and the slack is
+basic in every first-stage row.  Ordered marginal rows first, the basis
+matrix is triangular with a unit diagonal, so it is nonsingular, and with
+every x at 0 it is primal feasible at every budget >= 0.  Its duals price
+marginal row (s, j) at p_s * (loss(s, {j}) - loss(s, {})).
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .milp import ProblemBuilder, sanitize_name
 from .mitigation import Budget, CostSchedule
 from .recourse import RecourseEvaluator
 from .scenario_model import FloodScenario
+from .simplex import slack_basis
 
 # Largest uncertain set that gets a table (2^6 = 64 entries); larger ones
 # keep a dispatch block, whose size does not grow with the set.  On a
@@ -58,24 +69,29 @@ def _add_table(
     uncertain: list[str],
     losses: list[float],
     x_idx: dict[tuple[str, int], int],
-) -> None:
+) -> dict[int, int]:
     """Entry ``mask`` has the loss ``losses[mask]``: its survivors are
-    ``uncertain[j]`` for every set bit j of ``mask``."""
+    ``uncertain[j]`` for every set bit j of ``mask``.
+
+    Returns the table's part of the zero plan's basis, the column basic in
+    each of its rows: the empty-survivor entry in the ``zsum`` row, and
+    entry ``1 << j`` in the marginal row of ``uncertain[j]``."""
     prob = scenario.probability
     if not uncertain:
         pb.add_objective_offset(prob * losses[0])
-        return
+        return {}
     tag = sanitize_name(scenario.id)
     z = []
     for mask, loss in enumerate(losses):
         idx = pb.add_variable(f"z_{tag}_{mask}", 0.0, 1.0)
         pb.add_objective_term(idx, prob * loss)
         z.append(idx)
-    pb.add_row(f"zsum_{tag}", [(idx, 1.0) for idx in z], "E", 1.0)
+    basic = {pb.add_row(f"zsum_{tag}", [(idx, 1.0) for idx in z], "E", 1.0): z[0]}
     for j, k in enumerate(uncertain):
         terms = [(idx, 1.0) for mask, idx in enumerate(z) if mask >> j & 1]
         terms.append((x_idx[(k, scenario.level_of(k))], -1.0))
-        pb.add_row(f"zm_{tag}_{sanitize_name(k)}", terms, "E", 0.0)
+        basic[pb.add_row(f"zm_{tag}_{sanitize_name(k)}", terms, "E", 0.0)] = z[1 << j]
+    return basic
 
 
 def build(
@@ -88,7 +104,8 @@ def build(
 
     Same first stage and optimum as :func:`floodmit.extensive_form.build`
     over the network, scenario set and loss weights of ``evaluator``.
-    Raises on the same input mismatches.
+    Raises on the same input mismatches.  The model's ``start_basis`` is
+    the zero plan's vertex when every scenario has a table, else None.
     """
     network, scenario_set, levels = evaluator.network, evaluator.scenario_set, evaluator.levels
     check_inputs(network, scenario_set, schedule, r_hat)
@@ -106,11 +123,12 @@ def build(
             tables[s] = [sub_ids[j] for j in uncertain], entries
     evaluator.settle(np.concatenate([np.zeros((0, len(sub_ids)), dtype=bool)] + [e for _, e in tables.values()]))
     n_tables = n_entries = n_dispatch = 0
+    basic: dict[int, int] = {}
     for s, scenario in enumerate(scenario_set.scenarios):
         if s in tables:
             uncertain, entries = tables[s]
             losses = [evaluator.scenario_outcome(s, up).loss for up in entries]
-            _add_table(pb, scenario, uncertain, losses, x_idx)
+            basic.update(_add_table(pb, scenario, uncertain, losses, x_idx))
             n_tables += 1
             n_entries += len(losses)
         else:
@@ -134,4 +152,5 @@ def build(
             "table_entries": n_entries,
             "dispatch_scenarios": n_dispatch,
         },
+        start_basis=None if n_dispatch else slack_basis(problem.n_variables, problem.n_rows, basic),
     )

@@ -224,6 +224,36 @@ def test_sweep_explicit_max_budget(tiny3_dir, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
+def test_sweep_rejects_a_max_budget_that_is_not_auto_or_a_count(tmp_path, capsys, value):
+    """The parser rejects the value before any input file is read: the
+    input paths here do not exist."""
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "sweep", "--network", str(tmp_path / "none.json"), "--scenarios", str(tmp_path / "none.json"),
+            "--max-budget", value, "--out", str(tmp_path / "swp"),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-budget" in err and repr(value) in err
+
+
+def test_sweep_uniqueness_probes_start_cold(tiny3_dir, tmp_path):
+    """Each budget's uniqueness probe solves a cut problem with a matrix of
+    its own and no start basis, so it starts at least one LP cold; the
+    budgets' own searches start none."""
+    out = tmp_path / "swp"
+    assert main([
+        "sweep", "--network", _net(tiny3_dir), "--scenarios", _scen(tiny3_dir),
+        "--rhat", "3", "--max-budget", "auto", "--check-unique", "--out", str(out),
+    ]) == 0
+    probes = len((out / "objectives.csv").read_text().splitlines()) - 1
+    counters = json.loads((out / "envelope.json").read_text())["counters"]["simplex"]
+    assert probes == 3
+    assert counters["cold_starts"] >= probes
+    assert counters["workspaces"] == 1 + probes
+
+
 def test_base_mva_enables_mw_reporting(tiny3_dir, tmp_path):
     doc = json.loads(Path(_net(tiny3_dir)).read_text())
     doc["base_mva"] = 100.0
@@ -528,7 +558,7 @@ def test_solve_sweep_and_check_unique_envelopes_report_simplex_counters(tmp_path
     assert main(["solve", *common, "--budget", "11", "--out-dir", str(tmp_path / "solve")]) == 0
     assert main(["check-unique", *common, "--budget", "11", "--out", str(tmp_path / "cu.json")]) == 0
     assert main(["sweep", *common, "--max-budget", "11", "--out", str(tmp_path / "sweep")]) == 0
-    keys = {"lp_solves", "pivots", "lu_factorizations", "lu_reused", "workspaces"}
+    keys = {"lp_solves", "pivots", "lu_factorizations", "lu_reused", "cold_starts", "workspaces"}
     envs = {
         path: json.loads((tmp_path / path).read_text())
         for path in ("solve/envelope.json", "cu.json", "sweep/envelope.json")
@@ -538,8 +568,14 @@ def test_solve_sweep_and_check_unique_envelopes_report_simplex_counters(tmp_path
         assert set(counts) == keys, path
         assert "simplex" not in json.dumps(env["result"])
         assert counts["lu_factorizations"] > 0
-        # Child nodes warm-start from their parent's LU; a tree's root starts cold.
+        # Child nodes warm-start from their parent's LU; a tree's root
+        # starts from a basis with no LU yet.
         assert 0 < counts["lu_reused"] < counts["lp_solves"]
+    # The roots start from the model's start basis; only the uniqueness
+    # probe, whose cut problem has no start basis, starts cold.
+    assert envs["solve/envelope.json"]["counters"]["simplex"]["cold_starts"] == 0
+    assert envs["sweep/envelope.json"]["counters"]["simplex"]["cold_starts"] == 0
+    assert envs["cu.json"]["counters"]["simplex"]["cold_starts"] >= 1
     solve = envs["solve/envelope.json"]
     assert solve["counters"]["simplex"]["pivots"] == solve["result"]["lp_iterations"]
     assert solve["counters"]["simplex"]["lp_solves"] >= solve["result"]["nodes"]

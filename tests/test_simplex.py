@@ -441,8 +441,8 @@ def test_warm_basis_with_a_wrong_signed_reduced_cost_restarts_cold(monkeypatch, 
     # min x - y  s.t.  x + y >= 1,  x + y <= 3,  x in [0, 1],  y in [0, y_max].
     # The warm basis holds both slacks with x and y at their lower bounds: it
     # violates row 1, and y's reduced cost -1 has the wrong sign at its lower
-    # bound.  Boxed or not, the basis is not dual feasible, so the solve
-    # starts cold, once, and reaches the cold optimum.
+    # bound.  Boxed or not, the basis is neither primal nor dual feasible,
+    # so the solve starts cold, once, and reaches the cold optimum.
     import floodmit.simplex as simplex
 
     lp = ([1.0, -1.0], [[1.0, 1.0], [1.0, 1.0]], ["G", "L"], [1.0, 3.0], [0.0, 0.0], [1.0, y_max])
@@ -458,6 +458,30 @@ def test_warm_basis_with_a_wrong_signed_reduced_cost_restarts_cold(monkeypatch, 
     assert cold_starts == [0]
     assert (warm.objective, warm.iterations) == (cold.objective, cold.iterations)
     assert warm.objective == pytest.approx(-3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("y_max", [5.0, np.inf], ids=["boxed", "unboxed"])
+def test_primal_feasible_warm_basis_runs_the_primal_simplex(monkeypatch, y_max):
+    # The LP above, from both slacks basic with x at its upper bound: the
+    # rows read 1 >= 1 and 1 <= 3, so the basis is primal feasible, while
+    # y's reduced cost -1 at its lower bound makes it dual infeasible.  The
+    # primal simplex runs from it, starts nothing cold and reaches the cold
+    # optimum in no more pivots than the cold start takes.
+    import floodmit.simplex as simplex
+
+    lp = ([1.0, -1.0], [[1.0, 1.0], [1.0, 1.0]], ["G", "L"], [1.0, 3.0], [0.0, 0.0], [1.0, y_max])
+    basis = BasisState(
+        np.array([2, 3]),
+        np.array([simplex.AT_UPPER, simplex.AT_LOWER, simplex.BASIC, simplex.BASIC,
+                  simplex.AT_LOWER, simplex.AT_LOWER], dtype=np.int8),
+    )
+    cold = _solve(*lp)
+    cold_starts = _count_cold_starts(monkeypatch)
+    warm = _solve(*lp, warm=basis)
+    assert cold.status == warm.status == "optimal"
+    assert cold_starts == [] and not warm.cold_started and cold.cold_started
+    assert warm.objective == cold.objective == pytest.approx(-3.0, abs=1e-12)
+    assert warm.iterations <= cold.iterations
 
 
 def test_cold_restart_gets_its_own_pivot_budget(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -98,22 +99,46 @@ def test_infeasible_warm_start_rejected():
 
 
 @pytest.mark.parametrize(
-    "plan, claimed",
-    [([1, 0, 1], -9.0), ([1, 0, 0], -4.5)],
+    "plan, claimed, fixings_lps",
+    [([1, 0, 1], -9.0, 1), ([1, 0, 0], -4.5, 0)],
     ids=["optimal-plan-overclaimed", "suboptimal-plan-overclaimed"],
 )
-def test_feasible_warm_start_with_understated_objective_is_not_trusted(plan, claimed):
+def test_feasible_warm_start_with_understated_objective_is_not_trusted(plan, claimed, fixings_lps):
     """A feasible plan claiming less than it is worth prunes the true optimum
-    (-4 at (1, 0, 1)); its fixings' LP exposes the claim, and the search runs
-    again without the pool.  The result counts the LPs of both searches."""
+    (-4 at (1, 0, 1)); a solution with the plan's values exposes the claim,
+    and the search runs again without the pool.  The result counts the LPs
+    of both searches.  Claiming -9, the optimal plan prunes the fractional
+    root, so no node reaches the plan and its fixings' LP decides; claiming
+    -4.5, the plan (1, 0, 0) is a pruned node's integral solution, worth -3,
+    which decides without a fixings' LP."""
     plain = solve_milp(knapsack_problem(7))
     sol = solve_milp(knapsack_problem(7), BnbConfig(warm_starts=_warm((plan, claimed))))
     assert (sol.status, sol.objective, _selection(sol)) == ("optimal", -4.0, (1, 0, 1))
     abandoned_nodes = sol.nodes_explored - plain.nodes_explored
     assert abandoned_nodes >= 1
-    # The abandoned search solved its nodes and the fixings' LP.
-    assert sol.counters.lp_solves == plain.counters.lp_solves + abandoned_nodes + 1
+    # The abandoned search solved its nodes and, when no node decided, the
+    # fixings' LP.
+    assert sol.counters.lp_solves == plain.counters.lp_solves + abandoned_nodes + fixings_lps
     assert sol.lp_iterations == sol.counters.pivots
+
+
+def test_a_true_claim_is_confirmed_by_a_node_in_the_first_pass(caplog):
+    """Claiming each random knapsack's enumerated optimum at its exact
+    worth, a pruned node confirms the claim: the search makes no second
+    pass and no fixings' LP, and returns the claimed plan.  Only a node that
+    sets every claim column to the claim's value may decide; a pruned
+    integral node with other values is worth more in some of these trees,
+    and letting it decide would reject a true claim."""
+    for prob, points, worth in _random_knapsacks():
+        best = int(np.argmin(worth))
+        pool = WarmStarts(np.arange(points.shape[1]), points[[best]], worth[[best]])
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="floodmit.solver"):
+            sol = solve_milp(prob, BnbConfig(warm_starts=pool))
+        assert "not confirmed" not in caplog.text, points[best]
+        assert sol.counters.lp_solves == sol.nodes_explored
+        np.testing.assert_array_equal(sol.x, points[best])
+        assert sol.objective == worth[best]
 
 
 def test_warm_start_fixings_with_a_fractional_completion_are_not_rounded():

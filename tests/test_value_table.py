@@ -189,3 +189,123 @@ def test_solve_envelope_reports_block_kinds(tmp_path):
     assert model["table_entries"] == 4 + 1
     assert model["dispatch_scenarios"] == 0
     assert model["variables"] > 0 and model["rows"] > 0 and model["binaries"] > 0
+
+
+# -- the zero plan's start basis ----------------------------------------------
+
+
+def _start_basis_instances():
+    """(name, network, scenarios) of the fixtures and of random instances,
+    all of whose scenarios get tables at r_hat 3."""
+    from floodmit.fixtures import make_fixture
+
+    for name in ("tiny3", "star8", "ring12", "coastal40"):
+        fx = make_fixture(name)
+        yield name, fx.network, fx.scenarios
+    rng = np.random.default_rng(2468)
+    for i in range(8):
+        net = random_network(rng, n_subs=int(rng.integers(2, 6)))
+        yield f"random{i}", net, random_scenario_set(rng, net, count=int(rng.integers(1, 5)))
+
+
+def _start_basis_model(net, scen):
+    sched = CostSchedule.for_network(net)
+    fmax = max_useful_budget(scen, sched, 3)
+    evaluator = RecourseEvaluator(net, scen, W)
+    ef = value_table.build(sched, Budget(fmax), 3, evaluator)
+    assert ef.start_basis is not None
+    return ef, evaluator, fmax
+
+
+def test_start_basis_is_the_zero_plans_vertex_at_every_budget():
+    """At every budget 0..f_max the start basis factorizes and is primal
+    feasible, with every x at 0, and its vertex is worth the zero plan's
+    expected loss: each table sits on its empty-survivor entry."""
+    from floodmit import simplex, solver
+    from floodmit.mitigation import MitigationPlan
+
+    for name, net, scen in _start_basis_instances():
+        ef, evaluator, fmax = _start_basis_model(net, scen)
+        zero_loss = evaluator.evaluate(MitigationPlan({})).expected_loss
+        ws = solver.milp_workspace(ef.problem)
+        for f in range(fmax + 1):
+            ws.set_rhs(ef.with_budget(f).problem.b)
+            vertex = simplex._Solver(ws, max_iter=0)
+            assert vertex.warm_start(ef.start_basis), (name, f)  # nonsingular
+            assert vertex.primal_feasible(), (name, f)
+            x = vertex.x[: ws.n]
+            assert not x[ef.x_cols.ravel()].any(), (name, f)
+            value = float(ef.problem.objective @ x) + ef.problem.objective_offset
+            assert value == pytest.approx(zero_loss, abs=1e-9), (name, f)
+
+
+def test_roots_through_the_start_basis_match_the_cold_roots():
+    """The root LP at every budget, reached as ``solve_instance`` reaches it
+    (from the start basis at budget 0, by one dual run from the budget-0
+    LP's basis elsewhere), starts nothing cold and has the cold root's
+    objective."""
+    from floodmit import simplex, solver
+    from floodmit.simplex import SimplexCounters, solve_linear_program
+
+    for name, net, scen in _start_basis_instances():
+        ef, _, fmax = _start_basis_model(net, scen)
+        for f in range(fmax + 1):
+            at_f = ef.with_budget(f)
+            cold = solve_linear_program(workspace=solver.milp_workspace(at_f.problem))
+            seed = SimplexCounters()
+            if f == 0:
+                basis, ws = ef.start_basis, solver.milp_workspace(at_f.problem)
+            else:
+                basis = analysis._budget_zero_basis(at_f, seed)
+                ws = basis.workspace
+                ws.set_rhs(at_f.problem.b)
+            root = solve_linear_program(workspace=ws, warm=basis)
+            assert cold.cold_started and seed.cold_starts == 0, (name, f)
+            assert not root.cold_started, (name, f)
+            assert root.status == cold.status == simplex.STATUS_OPTIMAL, (name, f)
+            assert root.objective == pytest.approx(cold.objective, abs=1e-9), (name, f)
+
+
+def test_a_start_basis_neither_primal_nor_dual_feasible_starts_cold(star8):
+    """With a ``zsum`` row's slack basic in place of its empty-survivor
+    entry, the slack must hold 1 in an equality row: the basis is neither
+    primal nor dual feasible, so the LP starts cold and reaches the cold
+    optimum."""
+    from dataclasses import replace
+
+    from floodmit import simplex, solver
+    from floodmit.simplex import solve_linear_program
+
+    ef, _, _ = _start_basis_model(star8.network, star8.scenarios)
+    problem = ef.with_budget(0).problem
+    row = problem.row_names.index(next(r for r in problem.row_names if r.startswith("zsum_")))
+    basis = ef.start_basis.basis.copy()
+    status = ef.start_basis.status.copy()
+    status[basis[row]] = simplex.AT_LOWER
+    basis[row] = problem.n_variables + row
+    status[basis[row]] = simplex.BASIC
+    ws = solver.milp_workspace(problem)
+    vertex = simplex._Solver(ws, max_iter=0)
+    hand = replace(ef.start_basis, basis=basis, status=status)
+    assert vertex.warm_start(hand)
+    assert not vertex.primal_feasible() and not vertex.dual_feasible(ws.c_ext)
+    cold = solve_linear_program(workspace=solver.milp_workspace(problem))
+    warm = solve_linear_program(workspace=ws, warm=hand)
+    assert warm.cold_started
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert not solve_linear_program(workspace=ws, warm=ef.start_basis).cold_started
+
+
+def test_a_model_with_a_dispatch_block_keeps_the_cold_root():
+    """A scenario over the table cap keeps a dispatch block, so the model
+    has no start basis and the root of ``solve_instance`` starts cold; its
+    children start warm from their parents."""
+    net, scen = _mixed_instance()
+    sched = CostSchedule.for_network(net)
+    evaluator = RecourseEvaluator(net, scen, W)
+    ef = value_table.build(sched, Budget(5), 3, evaluator)
+    assert ef.stats["dispatch_scenarios"] == 1 and ef.start_basis is None
+    sol, _, _ = analysis.solve_instance(ef, [], evaluator)
+    assert sol.nodes_explored > 1
+    assert sol.counters.cold_starts == 1
+    assert sol.counters.workspaces == 1
