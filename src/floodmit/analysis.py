@@ -98,15 +98,6 @@ class SweepReport:
     greedy_counters: GreedyCounters = field(default_factory=GreedyCounters)
 
 
-@dataclass
-class NestednessReport:
-    violations: list[Transition]  # downward moves: larger budget protects less
-
-    @property
-    def nested(self) -> bool:
-        return not self.violations
-
-
 def spared_capacity(plan: MitigationPlan, levels: LevelMatrix) -> SparedCapacity:
     """Expected proportion of flood-lost capacity that the plan keeps running.
 
@@ -291,8 +282,8 @@ def sweep(
     )
 
 
-def nestedness(report: SweepReport) -> NestednessReport:
-    """Where do larger budgets protect less?  Empirically they often do."""
+def nestedness(report: SweepReport) -> list[Transition]:
+    """The downward transitions, where a larger budget protects less (often)."""
     if len(report.rows) < 2:
         raise ValueError("nestedness needs at least two budgets")
-    return NestednessReport(violations=[t for t in report.transitions if t.to_level < t.from_level])
+    return [t for t in report.transitions if t.to_level < t.from_level]

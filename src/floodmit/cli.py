@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, analysis, geo_remap, heuristic, milp, scenario_gen, solver
 from .fixtures import FIXTURE_NAMES, make_fixture
-from .grid_model import load_network, save_network, validate
+from .grid_model import load_network, save_network, validate, write_json
 from .mitigation import (
     Budget,
     CostSchedule,
@@ -72,9 +72,7 @@ def _envelope(
 
 def _write_json(doc: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -107,10 +105,6 @@ def _load_inputs(args):
         raise CliError("r_hat must be >= 1")
     network = _load_network(args.network)
     return network, load_scenarios(args.scenarios, network=network, normalize=args.normalize)
-
-
-def _plan_dict(plan) -> dict:
-    return {k: plan.levels[k] for k in sorted(plan.levels)}
 
 
 # -- subcommands ---------------------------------------------------------
@@ -204,7 +198,7 @@ def cmd_heuristic(args) -> int:
                     "file": path.name,
                     "expected_loss": loss,
                     "cost": plan_cost(plan, schedule),
-                    "levels": _plan_dict(plan),
+                    "levels": plan.levels,
                 }
             )
         result = {"plans": listing}
@@ -216,7 +210,7 @@ def cmd_heuristic(args) -> int:
     plan = heuristic.greedy(eta, budget, levels)
     save_plan(plan, out)
     result = {
-        "levels": _plan_dict(plan),
+        "levels": plan.levels,
         "cost": plan_cost(plan, schedule),
         "expected_loss": evaluator.evaluate(plan).expected_loss,
     }
@@ -253,7 +247,7 @@ def cmd_solve(args) -> int:
         "status": sol.status,
         "nodes": sol.nodes_explored,
         "lp_iterations": sol.lp_iterations,
-        "plan": _plan_dict(plan),
+        "plan": plan.levels,
         "plan_cost": plan_cost(plan, schedule),
         "model": ef.stats,
     }
@@ -263,7 +257,7 @@ def cmd_solve(args) -> int:
         result["unique"] = extras.get("unique")
         result["uniqueness_caveat"] = extras.get("caveat")
         witness = extras.get("witness")
-        result["witness"] = None if witness is None else _plan_dict(witness)
+        result["witness"] = None if witness is None else witness.levels
     doc = _envelope("solve", _ns_dict(args), result, started, *counters)
     _write_json(doc, out_dir / "envelope.json")
     return 0
@@ -274,10 +268,10 @@ def cmd_check_unique(args) -> int:
     _, _, _, sol, plan, extras, counters = _solve_one(args, True)
     result = {
         "objective": sol.objective,
-        "plan": _plan_dict(plan),
+        "plan": plan.levels,
         "unique": extras["unique"],
         "uniqueness_caveat": extras["caveat"],
-        "witness": None if extras["witness"] is None else _plan_dict(extras["witness"]),
+        "witness": None if extras["witness"] is None else extras["witness"].levels,
     }
     doc = _envelope("check-unique", _ns_dict(args), result, started, *counters)
     _write_json(doc, Path(args.out))
@@ -304,7 +298,7 @@ def cmd_eval(args) -> int:
     evaluation = evaluator.evaluate(plan)
     result = {
         "expected_loss": evaluation.expected_loss,
-        "plan": _plan_dict(plan),
+        "plan": plan.levels,
         # Per-unit values throughout; the optional base converts to MW.
         **(
             {"expected_loss_mw": evaluation.expected_loss * network.base_mva}
@@ -395,15 +389,15 @@ def cmd_sweep(args) -> int:
         [[t.budget, t.substation, t.from_level, t.to_level, t.direction] for t in report.transitions],
     )
 
-    nest = analysis.nestedness(report) if len(report.rows) >= 2 else None
+    violations = analysis.nestedness(report) if len(report.rows) >= 2 else None
     result = {
         "budgets": len(report.rows),
         "f_max": report.f_max,
         "objective_first": report.rows[0].objective,
         "objective_last": report.rows[-1].objective,
         "transitions": len(report.transitions),
-        "nested": None if nest is None else nest.nested,
-        "nestedness_violations": None if nest is None else len(nest.violations),
+        "nested": None if violations is None else not violations,
+        "nestedness_violations": None if violations is None else len(violations),
         "tables": ["objectives.csv", "plans.csv", "spared.csv", "transitions.csv"],
     }
     doc = _envelope(

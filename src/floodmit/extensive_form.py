@@ -362,6 +362,29 @@ def add_dispatch_block(
         pb.add_row(f"kcl_{tag}_{sanitize_name(bus.id)}", terms, "E", 0.0)
 
 
+def assemble(
+    pb: ProblemBuilder,
+    network: GridNetwork,
+    schedule: CostSchedule,
+    budget: Budget,
+    r_hat: int,
+    x_idx: dict[tuple[str, int], int],
+    **stats,
+) -> ExtensiveForm:
+    """The model of ``pb``, whose first stage has the indices ``x_idx``; its
+    size stats come ahead of the builder's own ``stats``."""
+    problem = pb.build()
+    return ExtensiveForm(
+        problem=problem,
+        network=network,
+        schedule=schedule,
+        budget=budget,
+        r_hat=r_hat,
+        x_cols=np.array([[x_idx[(s.id, r)] for r in range(1, r_hat + 1)] for s in network.substations]),
+        stats={"variables": problem.n_variables, "rows": problem.n_rows, "binaries": problem.n_binaries, **stats},
+    )
+
+
 def build(
     network: GridNetwork,
     scenario_set: FloodScenarioSet,
@@ -381,20 +404,5 @@ def build(
     x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
     for scenario in scenario_set.scenarios:
         add_dispatch_block(pb, network, scenario, r_hat, weights, x_idx)
-
-    problem = pb.build()
-    return ExtensiveForm(
-        problem=problem,
-        network=network,
-        schedule=schedule,
-        budget=budget,
-        r_hat=r_hat,
-        x_cols=np.array([[x_idx[(s.id, r)] for r in range(1, r_hat + 1)] for s in network.substations]),
-        stats={
-            "variables": problem.n_variables,
-            "rows": problem.n_rows,
-            "binaries": problem.n_binaries,
-            "scenarios": len(scenario_set.scenarios),
-        },
-    )
+    return assemble(pb, network, schedule, budget, r_hat, x_idx, scenarios=len(scenario_set.scenarios))
 

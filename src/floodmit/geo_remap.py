@@ -17,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import simplex
+from .grid_model import checked_finite
 
 EARTH_RADIUS_KM = 6371.0
 INTEGRALITY_TOL = 1e-9
@@ -30,6 +31,10 @@ class LabeledPoint:
     id: str
     lon: float
     lat: float
+
+    def __post_init__(self):
+        checked_finite(self.lon, f"point {self.id}: lon")
+        checked_finite(self.lat, f"point {self.id}: lat")
 
 
 @dataclass(frozen=True)

@@ -215,10 +215,10 @@ def _objects(doc: dict, key: str) -> list[dict]:
 def checked_number(convert, value, what: str, error: type[ValueError] = NetworkFormatError):
     """``convert(value)`` for the input field ``what`` (``convert`` is
     ``float`` or ``int``), or ``error`` naming the field when the value is
-    not a number (``null``, a boolean, a list or an object, say) or, for
-    ``int``, not integral: 2.0 reads as 2, 1.7 is rejected."""
+    not a number (``null``, a boolean, a string, a list or an object, say)
+    or, for ``int``, not integral: 2.0 reads as 2, 1.7 is rejected."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise TypeError
         number = convert(value)
     except (TypeError, ValueError, OverflowError):
@@ -226,6 +226,12 @@ def checked_number(convert, value, what: str, error: type[ValueError] = NetworkF
     if convert is int and isinstance(value, float) and number != value:
         raise error(f"{what} must be an integer, not {value!r}")
     return number
+
+
+def checked_finite(value: float, what: str) -> None:
+    """A ValueError naming ``what`` and its value when ``value`` is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, not {value!r}")
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -358,14 +364,23 @@ def network_to_dict(network: GridNetwork) -> dict:
     return doc
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` to ``path`` as JSON: indent 2, sorted keys, a final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def load_network(path) -> GridNetwork:
     """Parse a network file, rejecting unknown keys and degenerate branches."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return network_from_dict(doc)
+    return network_from_dict(read_json(path))
 
 
 def save_network(network: GridNetwork, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(network_to_dict(network), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(network_to_dict(network), path)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid_model import GridNetwork
+from .grid_model import GridNetwork, checked_finite
 from .mitigation import Budget, CostSchedule, MitigationPlan, ZERO_PLAN
 from .recourse import status_closure  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario_model import FloodScenarioSet
@@ -42,6 +42,8 @@ class AttributeWeights:
     eta_flow: float = 0.0
 
     def __post_init__(self):
+        for name in ("eta_load", "eta_gen", "eta_flow"):
+            checked_finite(getattr(self, name), f"attribute weight {name}")
         if min(self.eta_load, self.eta_gen, self.eta_flow) < 0:
             raise ValueError("attribute weights must be nonnegative")
         if self.eta_load == self.eta_gen == self.eta_flow == 0:

@@ -11,11 +11,10 @@ of reaching level t is ``base_units * t * (t + 1) / 2``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .grid_model import GridNetwork, checked_number
+from .grid_model import GridNetwork, checked_number, read_json, write_json
 from .scenario_model import FloodScenarioSet
 
 # Segments per level increment by highest-voltage component of the substation.
@@ -125,18 +124,13 @@ def max_useful_budget(scenarios: FloodScenarioSet, schedule: CostSchedule, r_hat
     return total
 
 
-def enumerate_plans(
-    schedule: CostSchedule,
-    budget: Budget,
-    r_hat: int,
-    substation_subset: list[str] | None = None,
-) -> Iterator[MitigationPlan]:
-    """Yield every feasible plan over the subset exactly once.
+def enumerate_plans(schedule: CostSchedule, budget: Budget, r_hat: int) -> Iterator[MitigationPlan]:
+    """Yield every feasible plan over the schedule's substations exactly once.
 
-    Brute-force support for oracle tests; guarded so r_hat^|subset| stays
+    Brute-force support for oracle tests; guarded so r_hat^substations stays
     tractable.
     """
-    subs = sorted(schedule.base_units) if substation_subset is None else list(substation_subset)
+    subs = sorted(schedule.base_units)
     if r_hat ** len(subs) > ENUMERATION_GUARD:
         raise ValueError(
             f"enumeration over {len(subs)} substations with r_hat={r_hat} exceeds the guard"
@@ -180,12 +174,8 @@ def plan_from_dict(doc: dict) -> MitigationPlan:
 
 
 def load_plan(path) -> MitigationPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return plan_from_dict(doc)
+    return plan_from_dict(read_json(path))
 
 
 def save_plan(plan: MitigationPlan, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"levels": {k: plan.levels[k] for k in sorted(plan.levels)}}, fh, indent=2)
-        fh.write("\n")
+    write_json({"levels": plan.levels}, path)

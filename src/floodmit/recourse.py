@@ -31,7 +31,7 @@ the evaluator keys its dispatch solves on the mask's bytes.
 
 No row couples two islands (connected components of live buses over live
 branches), so one copper plate per island gives a closed-form lower bound on
-the loss (:meth:`_CopperPlate.loss`).  The evaluator settles a new mask
+the loss (:func:`_plate_loss`).  The evaluator settles a new mask
 without an LP when a witness dispatch that attains the bound passes a DC
 power-flow check of the flow and angle limits; a feasible point whose value
 is a lower bound is optimal.  New masks are settled in stacks, the only
@@ -55,7 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import simplex
-from .grid_model import GridNetwork
+from .grid_model import GridNetwork, checked_finite
 from .mitigation import MitigationPlan
 from .scenario_model import FloodScenario, FloodScenarioSet
 
@@ -66,6 +66,8 @@ class LossWeights:
     lambda_over: float = 1.0
 
     def __post_init__(self):
+        for name in ("lambda_shed", "lambda_over"):
+            checked_finite(getattr(self, name), f"loss weight {name}")
         if self.lambda_shed < 0 or self.lambda_over < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.lambda_shed == 0 and self.lambda_over == 0:
@@ -264,168 +266,163 @@ class _Stack(NamedTuple):
     gen_max: np.ndarray
 
 
-class _CopperPlate:
-    """The island copper-plate bound of a network and its witness dispatch,
-    on the network's arrays, for a stack of survival masks at a time."""
+def _islands(network: GridNetwork, sub_up: np.ndarray) -> _Stack:
+    """Connected components of the live buses over the live branches,
+    for every survival mask (row) of the (K, J) stack ``sub_up`` at once.
 
-    def __init__(self, network: GridNetwork):
-        self.network = network
-        self.arrays = network.arrays
-        self.flow_limit = _flow_bound(network)
-
-    def islands(self, sub_up: np.ndarray) -> _Stack:
-        """Connected components of the live buses over the live branches,
-        for every survival mask (row) of the (K, J) stack ``sub_up`` at once.
-
-        The stack's buses are numbered member by member.  Each component
-        ends up pointing at its lowest-numbered bus: every live branch whose
-        ends point at different buses points the higher of the two at the
-        lower, then pointer jumping makes every bus point at the end of its
-        chain, until no branch joins two chains.
-        """
-        a = self.arrays
-        nb = len(a.load)
-        bus_up, branch_up = a.closure(sub_up)
-        offset = nb * np.arange(len(sub_up))[:, None]
-        u, v = (a.frm + offset)[branch_up], (a.to + offset)[branch_up]
-        root = np.arange(bus_up.size)
+    The stack's buses are numbered member by member.  Each component
+    ends up pointing at its lowest-numbered bus: every live branch whose
+    ends point at different buses points the higher of the two at the
+    lower, then pointer jumping makes every bus point at the end of its
+    chain, until no branch joins two chains.
+    """
+    a = network.arrays
+    nb = len(a.load)
+    bus_up, branch_up = a.closure(sub_up)
+    offset = nb * np.arange(len(sub_up))[:, None]
+    u, v = (a.frm + offset)[branch_up], (a.to + offset)[branch_up]
+    root = np.arange(bus_up.size)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
         while True:
-            ru, rv = root[u], root[v]
-            split = ru != rv
-            if not split.any():
+            jumped = root[root]
+            if np.array_equal(jumped, root):
                 break
-            np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
-            while True:
-                jumped = root[root]
-                if np.array_equal(jumped, root):
-                    break
-                root = jumped
-        live = bus_up.ravel()
-        is_first = live & (root == np.arange(live.size))
-        number = np.cumsum(is_first) - 1
-        labels = np.where(live, number[root], -1)
-        member, first = np.divmod(np.flatnonzero(is_first), nb)
-        # Dead buses sum into bin 0, which is dropped; each island adds its
-        # buses in bus order.
-        load, gen_min, gen_max = (
-            np.bincount(labels + 1, np.tile(values, len(sub_up)), len(member) + 1)[1:]
-            for values in (a.load, a.gen_min, a.gen_max)
-        )
-        start = np.searchsorted(member, np.arange(len(sub_up) + 1))
-        return _Stack(labels.reshape(bus_up.shape), branch_up, member, first, start, load, gen_min, gen_max)
+            root = jumped
+    live = bus_up.ravel()
+    is_first = live & (root == np.arange(live.size))
+    number = np.cumsum(is_first) - 1
+    labels = np.where(live, number[root], -1)
+    member, first = np.divmod(np.flatnonzero(is_first), nb)
+    # Dead buses sum into bin 0, which is dropped; each island adds its
+    # buses in bus order.
+    load, gen_min, gen_max = (
+        np.bincount(labels + 1, np.tile(values, len(sub_up)), len(member) + 1)[1:]
+        for values in (a.load, a.gen_min, a.gen_max)
+    )
+    start = np.searchsorted(member, np.arange(len(sub_up) + 1))
+    return _Stack(labels.reshape(bus_up.shape), branch_up, member, first, start, load, gen_min, gen_max)
 
-    def loss(self, stack: _Stack, b: int, weights: LossWeights) -> tuple[float, float, float, float]:
-        """(loss, served, shed, overgeneration) of member b of the stack with
-        one copper plate per island: a closed-form lower bound on its
-        dispatch loss.
 
-        No dispatch row couples two islands (connected components of live
-        buses over live branches), and flows cancel within one, so an island
-        with load L serves G - O <= Gmax and overgenerates O >= Gmin - L:
+def _plate_loss(
+    network: GridNetwork, stack: _Stack, b: int, weights: LossWeights
+) -> tuple[float, float, float, float]:
+    """(loss, served, shed, overgeneration) of member b of the stack with
+    one copper plate per island: a closed-form lower bound on its
+    dispatch loss.
 
-            loss >= lambda_shed * (dead load + sum max(0, L - Gmax))
-                  + lambda_over * sum max(0, Gmin - L)
+    No dispatch row couples two islands (connected components of live
+    buses over live branches), and flows cancel within one, so an island
+    with load L serves G - O <= Gmax and overgenerates O >= Gmin - L:
 
-        summed over the islands.  This is the loss without flow or angle
-        limits.  An island serves min(L, Gmax) and overgenerates
-        max(0, Gmin - L): the least shed and the least overgeneration of any
-        dispatch.  With a zero weight a dispatch LP may shed or overgenerate
-        more at the same loss, so there the split is not unique; the loss is.
-        """
-        isl = slice(stack.start[b], stack.start[b + 1])
-        load = stack.load[isl]
-        served = float(np.minimum(load, stack.gen_max[isl]).sum())
-        over = float(np.maximum(stack.gen_min[isl] - load, 0.0).sum())
-        shed = self.network.total_load - served
-        return weights.lambda_shed * shed + weights.lambda_over * over, served, shed, over
+        loss >= lambda_shed * (dead load + sum max(0, L - Gmax))
+              + lambda_over * sum max(0, Gmin - L)
 
-    def witness(self, stack: _Stack) -> np.ndarray:
-        """For each member of the stack: does a dispatch whose loss is the
-        island bound satisfy the dispatch LP?
+    summed over the islands.  This is the loss without flow or angle
+    limits.  An island serves min(L, Gmax) and overgenerates
+    max(0, Gmin - L): the least shed and the least overgeneration of any
+    dispatch.  With a zero weight a dispatch LP may shed or overgenerate
+    more at the same loss, so there the split is not unique; the loss is.
+    """
+    isl = slice(stack.start[b], stack.start[b + 1])
+    load = stack.load[isl]
+    served = float(np.minimum(load, stack.gen_max[isl]).sum())
+    over = float(np.maximum(stack.gen_min[isl] - load, 0.0).sum())
+    shed = network.total_load - served
+    return weights.lambda_shed * shed + weights.lambda_over * over, served, shed, over
 
-        The witness, per island: with L > Gmax every generator runs at its
-        maximum and every load is served at the fraction Gmax/L; with
-        Gmin > L generators run at their minimum and p_check_i =
-        gen_min_i (1 - L/Gmin) absorbs the excess; otherwise generation is
-        gen_min + s (gen_max - gen_min) with one s per island, and every load
-        is served in full.
 
-        Its DC power flow is one solve per member, all stacked: the
-        Laplacian of the live branches, with an identity row and column at
-        the reference bus, at the first bus of every island without it and
-        at every dead bus, so those keep angle 0.  A member whose Laplacian
-        is singular (susceptances of mixed sign can cancel) is refused.  The
-        balance residual must lie within ``RESIDUAL_TOL`` and the flow and
-        angle limits hold within ``TOL_FEAS``, after each island without the
-        reference bus is shifted to the middle of its angle range.  A dead
-        bus's angle 0 is absorbed by every dead branch's relief column.
-        """
-        a = self.arrays
-        n_sets, nb = stack.labels.shape
-        if not len(stack.load):  # no live bus anywhere: nothing to dispatch
-            return np.ones(n_sets, dtype=bool)
-        live = stack.labels >= 0
-        lab = np.where(live, stack.labels, 0)
-        load, gen_min, gen_max = stack.load, stack.gen_min, stack.gen_max
-        with np.errstate(divide="ignore", invalid="ignore"):
-            served = np.where(load > gen_max, gen_max / load, 1.0)
-            absorbed = np.where(gen_min > load, 1.0 - load / gen_min, 0.0)
-            step = np.where(gen_max > gen_min, (load - gen_min) / (gen_max - gen_min), 0.0)
-        step = step.clip(0.0, 1.0)  # 1 when short of generation, 0 with a surplus
-        gen = a.gen_min + step[lab] * (a.gen_max - a.gen_min)
-        injection = np.where(live, gen - gen * absorbed[lab] - a.load * served[lab], 0.0)
+def _witness(network: GridNetwork, stack: _Stack) -> np.ndarray:
+    """For each member of the stack: does a dispatch whose loss is the
+    island bound satisfy the dispatch LP?
 
-        # A reference bus keeps angle 0; so does the first bus of an island
-        # without one.  Should two reference buses share an island, the
-        # balance residual at the grounded rows refuses the witness.
-        grounded = live & a.is_reference
-        anchored = np.zeros(len(load), dtype=bool)
-        anchored[stack.labels[grounded]] = True
-        grounded[stack.member[~anchored], stack.first[~anchored]] = True
-        free = live & ~grounded
-        on = stack.live_branches
-        # Ohm's law: flow_e = -b_e (theta_from - theta_to).
-        conductance = np.where(on, -a.susceptance, 0.0)
-        cell = nb * nb * np.arange(n_sets)[:, None]
-        ff, tt, ft, tf = (cell + nb * i + j for i, j in ((a.frm, a.frm), (a.to, a.to), (a.frm, a.to), (a.to, a.frm)))
-        laplacian = np.bincount(
-            np.concatenate([ff, tt, ft, tf], axis=1).ravel(),
-            np.concatenate([conductance, conductance, -conductance, -conductance], axis=1).ravel(),
-            n_sets * nb * nb,
-        ).reshape(n_sets, nb, nb)
-        laplacian *= free[:, :, None] & free[:, None, :]
-        diagonal = laplacian.reshape(n_sets, nb * nb)[:, :: nb + 1]  # a view
-        diagonal[~free] = 1.0
-        rhs = np.where(free, injection, 0.0)
-        solved = np.ones(n_sets, dtype=bool)
-        try:
-            theta = np.linalg.solve(laplacian, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # retry one member at a time
-            theta = np.zeros((n_sets, nb))
-            for b in range(n_sets):
-                try:
-                    theta[b] = np.linalg.solve(laplacian[b], rhs[b])
-                except np.linalg.LinAlgError:
-                    solved[b] = False
-        flow = conductance * (theta[:, a.frm] - theta[:, a.to])
-        rows = nb * np.arange(n_sets)[:, None]
-        outflow = np.bincount((a.frm + rows).ravel(), flow.ravel(), n_sets * nb) - np.bincount(
-            (a.to + rows).ravel(), flow.ravel(), n_sets * nb
-        )
-        residual = injection - outflow.reshape(n_sets, nb)
+    The witness, per island: with L > Gmax every generator runs at its
+    maximum and every load is served at the fraction Gmax/L; with
+    Gmin > L generators run at their minimum and p_check_i =
+    gen_min_i (1 - L/Gmin) absorbs the excess; otherwise generation is
+    gen_min + s (gen_max - gen_min) with one s per island, and every load
+    is served in full.
 
-        lo = np.full(len(load), np.inf)
-        hi = np.full(len(load), -np.inf)
-        np.minimum.at(lo, stack.labels[live], theta[live])
-        np.maximum.at(hi, stack.labels[live], theta[live])
-        middle = np.where(anchored, 0.0, (lo + hi) / 2.0)
-        swing = np.abs(theta - middle[lab])
-        return (
-            solved
-            & np.all(~live | (np.abs(residual) <= simplex.RESIDUAL_TOL), axis=1)
-            & np.all(~on | (np.abs(flow) <= self.flow_limit + simplex.TOL_FEAS), axis=1)
-            & np.all(~live | (swing <= self.network.angle_abs_max + simplex.TOL_FEAS), axis=1)
-        )
+    Its DC power flow is one solve per member, all stacked: the
+    Laplacian of the live branches, with an identity row and column at
+    the reference bus, at the first bus of every island without it and
+    at every dead bus, so those keep angle 0.  A member whose Laplacian
+    is singular (susceptances of mixed sign can cancel) is refused.  The
+    balance residual must lie within ``RESIDUAL_TOL`` and the flow and
+    angle limits hold within ``TOL_FEAS``, after each island without the
+    reference bus is shifted to the middle of its angle range.  A dead
+    bus's angle 0 is absorbed by every dead branch's relief column.
+    """
+    a = network.arrays
+    n_sets, nb = stack.labels.shape
+    if not len(stack.load):  # no live bus anywhere: nothing to dispatch
+        return np.ones(n_sets, dtype=bool)
+    live = stack.labels >= 0
+    lab = np.where(live, stack.labels, 0)
+    load, gen_min, gen_max = stack.load, stack.gen_min, stack.gen_max
+    with np.errstate(divide="ignore", invalid="ignore"):
+        served = np.where(load > gen_max, gen_max / load, 1.0)
+        absorbed = np.where(gen_min > load, 1.0 - load / gen_min, 0.0)
+        step = np.where(gen_max > gen_min, (load - gen_min) / (gen_max - gen_min), 0.0)
+    step = step.clip(0.0, 1.0)  # 1 when short of generation, 0 with a surplus
+    gen = a.gen_min + step[lab] * (a.gen_max - a.gen_min)
+    injection = np.where(live, gen - gen * absorbed[lab] - a.load * served[lab], 0.0)
+
+    # A reference bus keeps angle 0; so does the first bus of an island
+    # without one.  Should two reference buses share an island, the
+    # balance residual at the grounded rows refuses the witness.
+    grounded = live & a.is_reference
+    anchored = np.zeros(len(load), dtype=bool)
+    anchored[stack.labels[grounded]] = True
+    grounded[stack.member[~anchored], stack.first[~anchored]] = True
+    free = live & ~grounded
+    on = stack.live_branches
+    # Ohm's law: flow_e = -b_e (theta_from - theta_to).
+    conductance = np.where(on, -a.susceptance, 0.0)
+    cell = nb * nb * np.arange(n_sets)[:, None]
+    ff, tt, ft, tf = (cell + nb * i + j for i, j in ((a.frm, a.frm), (a.to, a.to), (a.frm, a.to), (a.to, a.frm)))
+    laplacian = np.bincount(
+        np.concatenate([ff, tt, ft, tf], axis=1).ravel(),
+        np.concatenate([conductance, conductance, -conductance, -conductance], axis=1).ravel(),
+        n_sets * nb * nb,
+    ).reshape(n_sets, nb, nb)
+    laplacian *= free[:, :, None] & free[:, None, :]
+    diagonal = laplacian.reshape(n_sets, nb * nb)[:, :: nb + 1]  # a view
+    diagonal[~free] = 1.0
+    rhs = np.where(free, injection, 0.0)
+    solved = np.ones(n_sets, dtype=bool)
+    try:
+        theta = np.linalg.solve(laplacian, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # retry one member at a time
+        theta = np.zeros((n_sets, nb))
+        for b in range(n_sets):
+            try:
+                theta[b] = np.linalg.solve(laplacian[b], rhs[b])
+            except np.linalg.LinAlgError:
+                solved[b] = False
+    flow = conductance * (theta[:, a.frm] - theta[:, a.to])
+    rows = nb * np.arange(n_sets)[:, None]
+    outflow = np.bincount((a.frm + rows).ravel(), flow.ravel(), n_sets * nb) - np.bincount(
+        (a.to + rows).ravel(), flow.ravel(), n_sets * nb
+    )
+    residual = injection - outflow.reshape(n_sets, nb)
+
+    lo = np.full(len(load), np.inf)
+    hi = np.full(len(load), -np.inf)
+    np.minimum.at(lo, stack.labels[live], theta[live])
+    np.maximum.at(hi, stack.labels[live], theta[live])
+    middle = np.where(anchored, 0.0, (lo + hi) / 2.0)
+    swing = np.abs(theta - middle[lab])
+    return (
+        solved
+        & np.all(~live | (np.abs(residual) <= simplex.RESIDUAL_TOL), axis=1)
+        & np.all(~on | (np.abs(flow) <= _flow_bound(network) + simplex.TOL_FEAS), axis=1)
+        & np.all(~live | (swing <= network.angle_abs_max + simplex.TOL_FEAS), axis=1)
+    )
 
 
 def _fill(order: np.ndarray, size: np.ndarray, amount: float) -> tuple[np.ndarray, int]:
@@ -566,7 +563,6 @@ class RecourseEvaluator:
         self.weights = weights
         self.levels = None if scenario_set is None else scenario_set.level_matrix(network.arrays.sub_ids)
         self.counters = RecourseCounters()
-        self._plate = _CopperPlate(network)
         self._cache: dict[bytes, tuple[float, float, float, float]] = {}
         self._unclaimed: set[bytes] = set()  # settled, not yet requested
         self._evaluations: dict[tuple, PlanEvaluation] = {}
@@ -603,12 +599,12 @@ class RecourseEvaluator:
         keys, rows = list(new), list(new.values())
         for begin in range(0, len(keys), STACK_SIZE):
             self.counters.batches += 1
-            stack = self._plate.islands(sub_up[rows[begin : begin + STACK_SIZE]])
-            feasible = self._plate.witness(stack).tolist()
+            stack = _islands(self.network, sub_up[rows[begin : begin + STACK_SIZE]])
+            feasible = _witness(self.network, stack).tolist()
             for b, key in enumerate(keys[begin : begin + STACK_SIZE]):
                 if feasible[b]:
                     self.counters.settled_without_lp += 1
-                    self._cache[key] = self._plate.loss(stack, b, self.weights)
+                    self._cache[key] = _plate_loss(self.network, stack, b, self.weights)
                 else:
                     self._cache[key] = self._solve_lp(stack, b)
         self._unclaimed.update(keys)

@@ -16,7 +16,6 @@ physical meaning.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -24,7 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .geo_remap import EARTH_RADIUS_KM, distance
-from .grid_model import GridNetwork
+from .grid_model import GridNetwork, checked_finite, checked_number, read_json, write_json
 from .scenario_model import DepthThresholds, FloodScenario, FloodScenarioSet, depth_to_level
 
 KM_PER_NAUTICAL_MILE = 1.852
@@ -39,6 +38,9 @@ class Coastline:
     def __post_init__(self):
         if len(self.vertices) < 2:
             raise ValueError("coastline needs at least two vertices")
+        for i, vertex in enumerate(self.vertices):
+            for x in vertex:
+                checked_finite(x, f"coastline vertex {i}")
         for a, b in zip(self.vertices, self.vertices[1:]):
             if a == b:
                 raise ValueError("consecutive coastline vertices must differ")
@@ -70,6 +72,7 @@ class LandfallDistribution:
     cone_radius_nmi: float
 
     def __post_init__(self):
+        checked_finite(self.cone_radius_nmi, "cone radius")
         if self.cone_radius_nmi <= 0:
             raise ValueError("cone radius must be positive")
         if not 0.0 <= self.mean_arc_km <= self.coastline.total_length_km:
@@ -89,6 +92,8 @@ class InundationKernel:
     track_bearing_deg: float = 0.0
 
     def __post_init__(self):
+        for name in ("peak_depth_m", "decay_km", "track_bearing_deg"):
+            checked_finite(getattr(self, name), f"inundation kernel {name}")
         if self.peak_depth_m < 0:
             raise ValueError("peak depth must be nonnegative")
         if self.decay_km <= 0:
@@ -157,7 +162,6 @@ def generate_scenarios(
     thresholds: DepthThresholds,
     count: int,
     seed: int,
-    unattainable_level: int | None = None,
 ) -> FloodScenarioSet:
     """Equiprobable flooding scenarios for sampled landfall locations.
 
@@ -167,10 +171,6 @@ def generate_scenarios(
     missing = [s.id for s in network.substations if s.coordinates is None]
     if missing:
         raise ValueError(f"substations without coordinates: {missing}")
-
-    level_count = thresholds.level_count
-    if unattainable_level is None:
-        unattainable_level = level_count
 
     positions = stratified_landfalls(dist, count, seed)
     scenarios = []
@@ -188,14 +188,13 @@ def generate_scenarios(
         )
     return FloodScenarioSet(
         scenarios=tuple(scenarios),
-        level_count=level_count,
-        unattainable_level=unattainable_level,
+        level_count=thresholds.level_count,
+        unattainable_level=thresholds.level_count,
     )
 
 
 def load_coastline(path) -> Coastline:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("coastline document must be an object")
     unknown = set(doc) - {"vertices"}
@@ -204,13 +203,13 @@ def load_coastline(path) -> Coastline:
     vertices = doc["vertices"]
     if not isinstance(vertices, list):
         raise ValueError("coastline file: vertices must be a list")
+    points = []
     for i, v in enumerate(vertices):
         if not (isinstance(v, list) and len(v) == 2):
             raise ValueError(f"coastline file: vertex {i} must be a [lon, lat] pair")
-    return Coastline(tuple((float(v[0]), float(v[1])) for v in vertices))
+        points.append(tuple(checked_number(float, x, f"coastline file: vertex {i}", ValueError) for x in v))
+    return Coastline(tuple(points))
 
 
 def save_coastline(coastline: Coastline, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"vertices": [list(v) for v in coastline.vertices]}, fh, indent=2)
-        fh.write("\n")
+    write_json({"vertices": coastline.vertices}, path)

@@ -10,13 +10,12 @@ than raw indicator matrices (a level cannot encode a non-cumulative row).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .grid_model import GridNetwork, checked_number
+from .grid_model import GridNetwork, checked_number, read_json, write_json
 
 PROBABILITY_TOL = 1e-9
 
@@ -214,9 +213,7 @@ def load_scenarios(path, network: GridNetwork | None = None, normalize: bool = F
     them.  When a network is given, every substation named by a scenario must
     exist in it; substations a scenario omits default to level 0.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return scenario_set_from_dict(doc, network=network, normalize=normalize)
+    return scenario_set_from_dict(read_json(path), network=network, normalize=normalize)
 
 
 def scenario_set_to_dict(scenario_set: FloodScenarioSet) -> dict:
@@ -235,6 +232,4 @@ def scenario_set_to_dict(scenario_set: FloodScenarioSet) -> dict:
 
 
 def save_scenarios(scenario_set: FloodScenarioSet, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(scenario_set_to_dict(scenario_set), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(scenario_set_to_dict(scenario_set), path)

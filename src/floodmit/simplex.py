@@ -760,9 +760,10 @@ def _run(solver: _Solver, warm: BasisState | None) -> SimplexResult:
     lo_mask = (pos & np.isfinite(ws.lo) & ~fixed) | (fixed & (pos | neg))
     hi_mask = neg & np.isfinite(ws.hi) & ~fixed
     dual_obj += float(d[lo_mask] @ ws.lo[lo_mask]) + float(d[hi_mask] @ ws.hi[hi_mask])
-    # The verification gate: an optimum off by more than either tolerance is a
-    # numerical failure, never a reported optimum.
-    if abs(objective - dual_obj) > DUALITY_TOL * max(1.0, abs(objective)) or residual > RESIDUAL_TOL:
+    # The verification gate: an optimum off by more than either tolerance, or
+    # with a gap or residual that is not a number, is a numerical failure,
+    # never a reported optimum.
+    if not (abs(objective - dual_obj) <= DUALITY_TOL * max(1.0, abs(objective)) and residual <= RESIDUAL_TOL):
         return _failed(STATUS_NUMERICAL, solver.iterations)
 
     return SimplexResult(

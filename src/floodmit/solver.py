@@ -55,15 +55,6 @@ log = logging.getLogger("floodmit.solver")
 INTEGRALITY_TOL = 1e-6
 
 
-@dataclass
-class LpSolution:
-    status: str  # optimal | infeasible | unbounded | numerical-error
-    objective: float | None
-    x: np.ndarray | None
-    dual_objective: float | None
-    iterations: int
-
-
 @dataclass(frozen=True)
 class WarmStarts:
     """Candidate values of ``columns``, one row of ``values`` per candidate,
@@ -117,10 +108,11 @@ def solve_lp(
     problem: MilpProblem,
     lb: np.ndarray | None = None,
     ub: np.ndarray | None = None,
-) -> LpSolution:
+) -> simplex.SimplexResult:
     """Solve the problem with integrality relaxed.
 
-    ``lb``/``ub`` override the problem's variable bounds for this solve only.
+    ``lb``/``ub`` override the problem's variable bounds for this solve only;
+    an optimum's objective and dual objective include the objective offset.
     Every reported optimum has passed the verification gate of
     :func:`simplex.solve_linear_program` (|primal - dual| within 1e-6 scaled,
     primal residual within 1e-8); a failure surfaces as the explicit status
@@ -134,15 +126,10 @@ def solve_lp(
         problem.lb if lb is None else lb,
         problem.ub if ub is None else ub,
     )
-    if res.status != simplex.STATUS_OPTIMAL:
-        return LpSolution(res.status, None, None, None, res.iterations)
-    return LpSolution(
-        status="optimal",
-        objective=res.objective + problem.objective_offset,
-        x=res.x,
-        dual_objective=res.dual_objective + problem.objective_offset,
-        iterations=res.iterations,
-    )
+    if res.status == simplex.STATUS_OPTIMAL:
+        res.objective += problem.objective_offset
+        res.dual_objective += problem.objective_offset
+    return res
 
 
 def milp_workspace(problem: MilpProblem) -> simplex.Workspace:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, check_inputs
+from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, assemble, check_inputs
 from .milp import ProblemBuilder, sanitize_name
 from .mitigation import Budget, CostSchedule
 from .recourse import RecourseEvaluator
@@ -122,35 +122,20 @@ def build(
             entries[:, uncertain] = np.arange(len(entries))[:, None] >> np.arange(len(uncertain)) & 1
             tables[s] = [sub_ids[j] for j in uncertain], entries
     evaluator.settle(np.concatenate([np.zeros((0, len(sub_ids)), dtype=bool)] + [e for _, e in tables.values()]))
-    n_tables = n_entries = n_dispatch = 0
     basic: dict[int, int] = {}
     for s, scenario in enumerate(scenario_set.scenarios):
         if s in tables:
             uncertain, entries = tables[s]
             losses = [evaluator.scenario_outcome(s, up).loss for up in entries]
             basic.update(_add_table(pb, scenario, uncertain, losses, x_idx))
-            n_tables += 1
-            n_entries += len(losses)
         else:
             add_dispatch_block(pb, network, scenario, r_hat, evaluator.weights, x_idx)
-            n_dispatch += 1
-
-    problem = pb.build()
-    return ExtensiveForm(
-        problem=problem,
-        network=network,
-        schedule=schedule,
-        budget=budget,
-        r_hat=r_hat,
-        x_cols=np.array([[x_idx[(s.id, r)] for r in range(1, r_hat + 1)] for s in network.substations]),
-        stats={
-            "variables": problem.n_variables,
-            "rows": problem.n_rows,
-            "binaries": problem.n_binaries,
-            "scenarios": len(scenario_set.scenarios),
-            "table_scenarios": n_tables,
-            "table_entries": n_entries,
-            "dispatch_scenarios": n_dispatch,
-        },
-        start_basis=None if n_dispatch else slack_basis(problem.n_variables, problem.n_rows, basic),
+    n_dispatch = len(scenario_set.scenarios) - len(tables)
+    ef = assemble(
+        pb, network, schedule, budget, r_hat, x_idx,
+        scenarios=len(scenario_set.scenarios), table_scenarios=len(tables),
+        table_entries=sum(len(entries) for _, entries in tables.values()), dispatch_scenarios=n_dispatch,
     )
+    if not n_dispatch:
+        ef.start_basis = slack_basis(ef.problem.n_variables, ef.problem.n_rows, basic)
+    return ef

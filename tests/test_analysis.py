@@ -6,7 +6,6 @@ import pytest
 
 from conftest import _loop_closure
 from floodmit.analysis import (
-    NestednessReport,
     SweepReport,
     SweepRow,
     Transition,
@@ -298,9 +297,7 @@ def _report_from_plans(plans):
 def test_nested_plans_have_no_violations():
     plans = [ZERO_PLAN, MitigationPlan({"A": 1}), MitigationPlan({"A": 1, "B": 1}),
              MitigationPlan({"A": 2, "B": 1})]
-    diag = nestedness(_report_from_plans(plans))
-    assert diag.nested
-    assert diag.violations == []
+    assert nestedness(_report_from_plans(plans)) == []
 
 
 def test_knapsack_budget_flip_detected_as_violation():
@@ -308,9 +305,7 @@ def test_knapsack_budget_flip_detected_as_violation():
     # item 2 alone; every decision changes, two of them downward.
     plan7 = MitigationPlan({"w1": 1, "w3": 1})
     plan8 = MitigationPlan({"w2": 1})
-    diag = nestedness(_report_from_plans([plan7, plan8]))
-    assert not diag.nested
-    downs = {(t.substation, t.from_level, t.to_level) for t in diag.violations}
+    downs = {(t.substation, t.from_level, t.to_level) for t in nestedness(_report_from_plans([plan7, plan8]))}
     assert downs == {("w1", 1, 0), ("w3", 1, 0)}
 
 
@@ -322,6 +317,4 @@ def test_nestedness_requires_two_budgets(tiny3):
 
 def test_sweep_on_tiny3_is_nested(tiny3):
     report = sweep(tiny3.network, tiny3.scenarios, CostSchedule.for_network(tiny3.network), r_hat=3)
-    diag = nestedness(report)
-    assert isinstance(diag, NestednessReport)
-    assert diag.nested  # two substations, one flood level: no reshuffling possible
+    assert nestedness(report) == []  # two substations, one flood level: no reshuffling possible

@@ -457,6 +457,14 @@ MALFORMED = {
     "vertex-short": ("coastline", lambda d: {"vertices": [[1], [2, 3]]},
                      "coastline file: vertex 0 must be a [lon, lat] pair"),
     "coastline-list": ("coastline", lambda d: [1, 2], "coastline document must be an object"),
+    "vertex-null": ("coastline", lambda d: {"vertices": [[None, 0.0], [1.0, 0.0]]},
+                    "coastline file: vertex 0 must be a number, not None"),
+    "vertex-bool": ("coastline", lambda d: {"vertices": [[0.0, 0.0], [True, 0.0]]},
+                    "coastline file: vertex 1 must be a number, not True"),
+    "vertex-string": ("coastline", lambda d: {"vertices": [["-95", 0.0], [1.0, 0.0]]},
+                      "coastline file: vertex 0 must be a number, not '-95'"),
+    "vertex-nan": ("coastline", lambda d: {"vertices": [[0.0, float("nan")], [1.0, 0.0]]},
+                   "coastline vertex 0 must be finite, not nan"),
     "probability-null": ("scenarios", lambda d: {**d, "scenarios": _first(d["scenarios"], probability=None)},
                          "scenario w1: probability must be a number, not None"),
     "scenario-level-list": ("scenarios", lambda d: {**d, "scenarios": _first(d["scenarios"], levels={"S1": [1]})},
@@ -591,3 +599,66 @@ def test_solve_sweep_and_check_unique_envelopes_report_simplex_counters(tmp_path
     for name in ("objectives", "plans", "spared", "transitions"):
         header = (tmp_path / "sweep" / f"{name}.csv").read_text().splitlines()[0]
         assert not keys & set(header.split(",")), name
+
+
+@pytest.fixture(scope="module")
+def coastal40_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("coastal40")
+    assert main(["make-fixture", "coastal40", "--out-dir", str(out)]) == 0
+    (out / "plan.json").write_text('{"levels": {}}', encoding="utf-8")
+    return out
+
+
+NON_FINITE_OPTIONS = {
+    "solve-lambda-shed-nan": (["solve", "--budget", "3", "--lambda-shed", "nan"],
+                              "loss weight lambda_shed must be finite, not nan"),
+    "solve-lambda-shed-inf": (["solve", "--budget", "3", "--lambda-shed", "inf"],
+                              "loss weight lambda_shed must be finite, not inf"),
+    "eval-lambda-over-nan": (["eval", "--lambda-over", "nan"], "loss weight lambda_over must be finite, not nan"),
+    "heuristic-eta-flow-nan": (["heuristic", "--budget", "7", "--eta-flow", "nan"],
+                               "attribute weight eta_flow must be finite, not nan"),
+    "gen-peak-depth-nan": (["gen-scenarios", "--peak-depth", "nan", "--decay-km", "30"],
+                           "inundation kernel peak_depth_m must be finite, not nan"),
+    "gen-decay-km-nan": (["gen-scenarios", "--peak-depth", "4", "--decay-km", "nan"],
+                         "inundation kernel decay_km must be finite, not nan"),
+    "gen-decay-km-inf": (["gen-scenarios", "--peak-depth", "4", "--decay-km", "inf"],
+                         "inundation kernel decay_km must be finite, not inf"),
+    "gen-bearing-nan": (["gen-scenarios", "--peak-depth", "4", "--decay-km", "30", "--bearing", "nan"],
+                        "inundation kernel track_bearing_deg must be finite, not nan"),
+    "gen-cone-nmi-inf": (["gen-scenarios", "--peak-depth", "4", "--decay-km", "30", "--cone-nmi", "inf"],
+                         "cone radius must be finite, not inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_OPTIONS))
+def test_non_finite_option_exits_2_and_names_the_value(coastal40_dir, tmp_path, capsys, case):
+    """A NaN or infinite numeric option is refused where its value is
+    checked, not carried into a NaN objective, an empty plan or a scenario
+    set that floods every substation alike."""
+    args, message = NON_FINITE_OPTIONS[case]
+    net, scen = str(coastal40_dir / "network.json"), str(coastal40_dir / "scenarios.json")
+    inputs = {
+        "solve": ["--network", net, "--scenarios", scen, "--out-dir", str(tmp_path / "solve")],
+        "eval": ["--network", net, "--scenarios", scen, "--plan", str(coastal40_dir / "plan.json"),
+                 "--out", str(tmp_path / "eval.json")],
+        "heuristic": ["--network", net, "--scenarios", scen, "--out", str(tmp_path / "plan.json")],
+        "gen-scenarios": ["--network", net, "--coastline", str(coastal40_dir / "coastline.json"),
+                          "--out", str(tmp_path / "gen.json")],
+    }[args[0]]
+    assert main(args + inputs) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("floodmit: error: ") and message in err, err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("row, message", [
+    ("a,nan,29.0", "point a: lon must be finite, not nan"),
+    ("a,-95.0,inf", "point a: lat must be finite, not inf"),
+], ids=["lon-nan", "lat-inf"])
+def test_remap_refuses_a_non_finite_point(tmp_path, capsys, row, message):
+    src, dst = tmp_path / "a.csv", tmp_path / "b.csv"
+    src.write_text(f"id,lon,lat\n{row}\n", encoding="utf-8")
+    dst.write_text("id,lon,lat\nt1,-95.2,29.1\n", encoding="utf-8")
+    assert main(["remap", "--from", str(src), "--to", str(dst), "--out", str(tmp_path / "map.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("floodmit: error: ") and message in err, err

@@ -181,3 +181,11 @@ def test_plan_levels_reject_fractions_and_booleans():
         plan_from_dict({"levels": {"S1": 1.9}})
     with pytest.raises(PlanFormatError, match="plan: level at S1 must be a number, not True"):
         plan_from_dict({"levels": {"S1": True}})
+
+
+def test_plan_file_bytes_are_pinned(tmp_path):
+    """Plan files go through the package's one JSON writer: indent 2, keys
+    sorted, a final newline."""
+    path = tmp_path / "plan.json"
+    save_plan(MitigationPlan({"b": 2, "a": 1}), path)
+    assert path.read_bytes() == b'{\n  "levels": {\n    "a": 1,\n    "b": 2\n  }\n}\n'

@@ -15,8 +15,10 @@ from floodmit.mitigation import CostSchedule, MitigationPlan, ZERO_PLAN
 from floodmit.recourse import (
     LossWeights,
     RecourseEvaluator,
-    _CopperPlate,
     _island_basis,
+    _islands,
+    _plate_loss,
+    _witness,
     _recourse_arrays,
     solve_recourse_lp,
     status_closure,
@@ -43,8 +45,7 @@ def _outcome(evaluator, dead):
 
 def _island_bound(network, dead, weights):
     """The island copper-plate bound of one dead set, as a stack of one."""
-    plate = _CopperPlate(network)
-    return plate.loss(plate.islands(survival_masks(network, [dead])), 0, weights)[0]
+    return _plate_loss(network, _islands(network, survival_masks(network, [dead])), 0, weights)[0]
 
 
 def two_bus_network():
@@ -106,7 +107,7 @@ def test_closure_statuses_consistent_within_substation(star8):
 
 def test_every_status_consumer_follows_the_loop_closure():
     """The arrays' closure, ``status_closure``, ``LevelMatrix.statuses``
-    (per scenario) and the live masks of ``_CopperPlate.islands`` (one stack
+    (per scenario) and the live masks of ``_islands`` (one stack
     of every scenario's dead set) all give the loop's statuses, on random
     networks with random, no and all substations dead.  A closure that keeps
     a branch with one dead end alive fails this."""
@@ -122,7 +123,7 @@ def test_every_status_consumer_follows_the_loop_closure():
         levels = LevelMatrix(net, scenario_set, CostSchedule.for_network(net), 3)
         bus_rows, branch_rows = levels.statuses(plan)
         dead_sets = [tuple(k for k, lvl in sc.levels.items() if plan.level_of(k) < lvl) for sc in scenarios]
-        stack = _CopperPlate(net).islands(survival_masks(net, dead_sets))
+        stack = _islands(net, survival_masks(net, dead_sets))
         for s, (scenario, dead) in enumerate(zip(scenarios, dead_sets)):
             bus_ref, branch_ref = _loop_closure(net, set(dead))
             a = net.arrays
@@ -680,7 +681,7 @@ def test_stacked_islands_equal_the_loop_reference():
         subs = [s.id for s in net.substations]
         stack = [tuple(sorted(s for s in subs if rng.random() < 0.4)) for _ in range(int(rng.integers(1, 9)))]
         stack += [(), tuple(subs)]
-        islands = _CopperPlate(net).islands(survival_masks(net, stack))
+        islands = _islands(net, survival_masks(net, stack))
         for b, dead in enumerate(stack):
             labels, first, sums = _loop_islands(net, dead)
             own = slice(islands.start[b], islands.start[b + 1])
@@ -743,9 +744,9 @@ def test_stacked_settlement_matches_the_cold_lp_and_ignores_stacking(weights):
                 assert bits(_settle_in_chunks(copy, weights, stack[::-1], sizes)._cache) == expected
     # At its own susceptances the cancelling pair's no-flood member has a
     # singular Laplacian: the stack refuses its witness only.
-    plate = _CopperPlate(cancelling_pair_network())
-    stack = survival_masks(plate.network, [("SC",), (), ("SB",)])
-    assert plate.witness(plate.islands(stack)).tolist() == [True, False, True]
+    net = cancelling_pair_network()
+    stack = survival_masks(net, [("SC",), (), ("SB",)])
+    assert _witness(net, _islands(net, stack)).tolist() == [True, False, True]
 
 
 def overloaded_line_network():
@@ -841,7 +842,7 @@ def _island_solve(net, dead, weights):
     """The evaluator's fallback solve of one dead set on a fresh workspace,
     started from its island basis.  Returns the loss, the pivots, the
     workspace, the basis and the stack of one that holds its islands."""
-    stack = _CopperPlate(net).islands(survival_masks(net, [dead]))
+    stack = _islands(net, survival_masks(net, [dead]))
     ws = simplex.Workspace(*_recourse_arrays(net, weights))
     state = _island_basis(net, stack, 0)
     loss, dispatch = solve_recourse_lp(net, _masks(net, dead), weights, workspace=ws, warm=state)
@@ -892,10 +893,9 @@ def test_fallback_lp_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal4
     cold LP's loss, through one cold restart."""
     net = coastal40.network
     weights = LossWeights(1.0, 1.5)
-    plate = _CopperPlate(net)
     dead = next(
         d for d in _scenario_dead_sets(coastal40.scenarios)
-        if not plate.witness(plate.islands(survival_masks(net, [d])))[0]
+        if not _witness(net, _islands(net, survival_masks(net, [d])))[0]
     )
     expected, _ = solve_recourse_lp(net, _masks(net, dead), weights)
     dual_runs = []

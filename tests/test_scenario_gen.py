@@ -193,3 +193,14 @@ def test_coastline_file_round_trip(tmp_path):
     path.write_text('{"vertices": [[0,0],[1,1]], "name": "x"}', encoding="utf-8")
     with pytest.raises(ValueError, match="unknown keys"):
         load_coastline(path)
+
+
+def test_coastline_file_bytes_are_pinned(tmp_path):
+    """Coastline files go through the package's one JSON writer; these are
+    the bytes the coastline writer gave before it did."""
+    path = tmp_path / "coast.json"
+    save_coastline(Coastline(((-97.4, 26.1), (-94.2, 29.4))), path)
+    assert path.read_bytes() == (
+        b'{\n  "vertices": [\n    [\n      -97.4,\n      26.1\n    ],\n'
+        b'    [\n      -94.2,\n      29.4\n    ]\n  ]\n}\n'
+    )

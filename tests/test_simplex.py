@@ -541,6 +541,14 @@ def test_no_rows_edge_case():
     assert res.objective == pytest.approx(-6.0)
 
 
+@pytest.mark.parametrize("c, A", [([np.nan, 1], [[1, 1]]), ([1, 1], [[np.nan, 1]])], ids=["nan-cost", "nan-matrix"])
+def test_gate_refuses_a_nan_objective_or_residual(c, A):
+    """Every comparison with NaN is false, so a gate that fails only a gap or
+    residual above its tolerance would report a NaN cost (objective NaN) or
+    a NaN matrix entry (residual NaN) as optimal."""
+    assert _solve(c, A, "G", [1], [0, 0], [1, 1]).status == "numerical-error"
+
+
 @pytest.mark.parametrize("tol", ["DUALITY_TOL", "RESIDUAL_TOL"])
 def test_gate_failure_surfaces_on_every_lp_path(monkeypatch, tol):
     """A claimed optimum that fails the one verification gate never passes silently."""

@@ -1,7 +1,8 @@
 """The benchmark's tracer must keep finding every name it wraps, the
 README must advertise only flags the command line accepts, no module
 imports a name it never uses, no function in ``src/`` ignores one of
-its parameters, and nothing defined in ``src/`` goes unnamed there.
+its parameters, no parameter with a default goes unpassed, and nothing
+defined in ``src/`` goes unnamed there.
 
 ``perfbench/tracing.py`` replaces entry points of the package by name; a
 rename or deletion in ``src/`` would only surface in a traced benchmark run.
@@ -375,3 +376,58 @@ def test_every_definition_is_named_by_the_package():
     assert len(paths) > 10
     unnamed = _unnamed_definitions(paths)
     assert sorted(entry.rsplit(" ", 1)[1] for entry in unnamed) == sorted(TEST_ONLY_DEFINITIONS), unnamed
+
+
+# Parameters with a default that no call passes, each for a reason.
+UNPASSED_DEFAULTS = {
+    "solve_linear_program(max_iter)": "tests pass it through test_simplex._solve(**kw), which the guard cannot see",
+}
+
+
+def _defaulted_parameters(path):
+    """(function, parameter, position) of every parameter with a default of
+    a function or method of ``path``; an ``__init__`` goes by its class's
+    name, and the position (None for keyword-only) leaves out ``self`` and
+    ``cls``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for owner in [tree] + [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+        for node in owner.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            if owner is not tree and positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            name = owner.name if node.name == "__init__" else node.name
+            first = len(positional) - len(a.defaults)
+            yield from ((name, p, i) for i, p in enumerate(positional) if i >= first)
+            yield from ((name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+
+def _passed_arguments(paths):
+    """Per called name in ``paths``: the keywords and the positions that
+    some call passes (a ``*`` or ``**`` argument counts for nothing)."""
+    passed = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                given = passed.setdefault(name, set())
+                given.update(k.arg for k in node.keywords if k.arg)
+                given.update(range(sum(not isinstance(x, ast.Starred) for x in node.args)))
+    return passed
+
+
+def test_every_parameter_with_a_default_is_passed_somewhere():
+    """A default that no call in ``src/``, ``tests/`` or ``perfbench/``
+    overrides is a knob nobody turns: its other values go untested, and the
+    value it always takes belongs in the body."""
+    callers = [p for part in ("src", "tests", "perfbench") for p in sorted((ROOT / part).rglob("*.py"))]
+    passed = _passed_arguments(callers)
+    unpassed = [
+        f"{name}({param})"
+        for path in sorted((ROOT / "src" / "floodmit").glob("*.py"))
+        for name, param, position in _defaulted_parameters(path)
+        if not {param, position} & passed.get(name, set())
+    ]
+    assert sorted(unpassed) == sorted(UNPASSED_DEFAULTS), unpassed

@@ -309,3 +309,17 @@ def test_a_model_with_a_dispatch_block_keeps_the_cold_root():
     assert sol.nodes_explored > 1
     assert sol.counters.cold_starts == 1
     assert sol.counters.workspaces == 1
+
+
+def test_both_builders_assemble_the_same_first_stage_and_size_stats(tiny3):
+    """Both planning models come out of one assembly: the same plan columns
+    and the size stats the benchmark's tracer reads, ahead of each
+    builder's own."""
+    sched = CostSchedule.for_network(tiny3.network)
+    ef = extensive_form.build(tiny3.network, tiny3.scenarios, sched, Budget(2), 3, W)
+    vt = value_table.build(sched, Budget(2), 3, RecourseEvaluator(tiny3.network, tiny3.scenarios, W))
+    np.testing.assert_array_equal(vt.x_cols, ef.x_cols)
+    size = ["variables", "rows", "binaries"]
+    assert list(ef.stats)[:3] == list(vt.stats)[:3] == size
+    for model in (ef, vt):
+        assert [model.stats[k] for k in size] == [model.problem.n_variables, model.problem.n_rows, model.problem.n_binaries]
