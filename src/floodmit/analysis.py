@@ -36,9 +36,9 @@ import numpy as np
 
 from .extensive_form import ExtensiveForm
 from .grid_model import GridNetwork
-from .heuristic import GreedyCounters, LevelMatrix, left_sums, portfolio
+from .heuristic import LevelMatrix, left_sums, portfolio
 from .mitigation import Budget, CostSchedule, MitigationPlan, max_useful_budget, plan_cost
-from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
+from .recourse import LossWeights, RecourseEvaluator
 from .recourse import status_closure  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .scenario_model import FloodScenarioSet
 from .simplex import SimplexCounters
@@ -64,12 +64,12 @@ class SparedCapacity:
 class SweepRow:
     budget: int
     status: str
-    objective: float | None
-    plan: MitigationPlan | None
-    plan_cost: int | None
-    spared: SparedCapacity | None
-    heuristic_best: float | None
-    heuristic_gap: float | None
+    objective: float | None = None
+    plan: MitigationPlan | None = None
+    plan_cost: int | None = None
+    spared: SparedCapacity | None = None
+    heuristic_best: float | None = None
+    heuristic_gap: float | None = None
     nodes: int = 0
     lp_iterations: int = 0
     unique: bool | None = None
@@ -93,9 +93,8 @@ class SweepReport:
     rows: list[SweepRow]
     transitions: list[Transition]
     f_max: int
-    recourse_counters: RecourseCounters = field(default_factory=RecourseCounters)
-    simplex_counters: SimplexCounters = field(default_factory=SimplexCounters)
-    greedy_counters: GreedyCounters = field(default_factory=GreedyCounters)
+    # The sweep's "recourse", "simplex" and "greedy" counters, by block name.
+    counters: dict = field(default_factory=dict)
 
 
 def spared_capacity(plan: MitigationPlan, levels: LevelMatrix) -> SparedCapacity:
@@ -164,6 +163,10 @@ def solve_instance(
 ) -> tuple[solver.MilpSolution, MitigationPlan, dict]:
     """Solve one budget instance with warm starts; optionally probe uniqueness.
 
+    Returns the solution, its plan and the uniqueness result: ``{}`` without
+    the probe, else ``unique``, ``uniqueness_caveat`` (the plan leaves budget
+    unspent) and ``witness`` (an alternative optimum's plan levels, or None).
+
     The warm plans' losses come from ``evaluator``, which keeps each plan's
     evaluation, so a sweep evaluates each plan once over all its budgets.
     ``root_basis`` carries the workspace of an earlier solve over this
@@ -184,16 +187,17 @@ def solve_instance(
     if sol.status != "optimal":
         raise solver.SolverError(f"budget {ef.budget.units}: solver stopped with {sol.status}")
     plan = ef.plan_from_x(sol.x)
-    extras: dict = {}
-    if check_unique:
-        cols = ef.free_columns
-        unique, witness = solver.check_uniqueness(
-            ef.problem, cols, sol.x[cols], sol.objective, counters=sol.counters
-        )
-        extras["unique"] = unique
-        extras["witness"] = None if witness is None else ef.plan_from_x(witness)
-        extras["caveat"] = plan_cost(plan, ef.schedule) < ef.budget.units
-    return sol, plan, extras
+    if not check_unique:
+        return sol, plan, {}
+    cols = ef.free_columns
+    unique, witness = solver.check_uniqueness(
+        ef.problem, cols, sol.x[cols], sol.objective, counters=sol.counters
+    )
+    return sol, plan, {
+        "unique": unique,
+        "uniqueness_caveat": plan_cost(plan, ef.schedule) < ef.budget.units,
+        "witness": None if witness is None else ef.plan_from_x(witness).levels,
+    }
 
 
 def sweep(
@@ -214,7 +218,7 @@ def sweep(
         f_max = max_useful_budget(scenario_set, schedule, r_hat)
     evaluator = RecourseEvaluator(network, scenario_set, weights)
     base = build(schedule, Budget(f_max), r_hat, evaluator)
-    counters = SimplexCounters()
+    simplex_counters = SimplexCounters()
     levels = LevelMatrix(network, scenario_set, schedule, r_hat)
 
     rows: list[SweepRow] = []
@@ -226,19 +230,14 @@ def sweep(
         warm_plans = greedy_plans + prior_plans
         heur_best = min(evaluator.evaluate(p).expected_loss for p in greedy_plans)
         try:
-            sol, plan, extras = solve_instance(
+            sol, plan, uniqueness = solve_instance(
                 ef, warm_plans, evaluator, root_basis=root_basis, check_unique=check_unique
             )
         except solver.SolverError as exc:
             log.error("budget %d failed: %s", f, exc)
-            rows.append(
-                SweepRow(
-                    budget=f, status="error", objective=None, plan=None, plan_cost=None,
-                    spared=None, heuristic_best=heur_best, heuristic_gap=None,
-                )
-            )
+            rows.append(SweepRow(budget=f, status="error", heuristic_best=heur_best))
             continue
-        counters.add(sol.counters)
+        simplex_counters.add(sol.counters)
         root_basis = sol.root_basis
         prior_plans.append(plan)
         gap = heur_best - sol.objective
@@ -256,8 +255,8 @@ def sweep(
                 heuristic_gap=gap,
                 nodes=sol.nodes_explored,
                 lp_iterations=sol.lp_iterations,
-                unique=extras.get("unique"),
-                uniqueness_caveat=extras.get("caveat", False),
+                unique=uniqueness.get("unique"),
+                uniqueness_caveat=uniqueness.get("uniqueness_caveat", False),
             )
         )
         log.info("budget %d: objective %.6f plan %s", f, sol.objective, plan.levels)
@@ -276,9 +275,7 @@ def sweep(
         rows=rows,
         transitions=transitions,
         f_max=f_max,
-        recourse_counters=evaluator.counters,
-        simplex_counters=counters,
-        greedy_counters=levels.counters,
+        counters={"recourse": evaluator.counters, "simplex": simplex_counters, "greedy": levels.counters},
     )
 
 

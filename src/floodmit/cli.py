@@ -32,9 +32,8 @@ from .mitigation import (
     plan_cost,
     save_plan,
 )
-from .recourse import LossWeights, RecourseCounters, RecourseEvaluator
+from .recourse import LossWeights, RecourseEvaluator
 from .scenario_model import load_scenarios, save_scenarios
-from .simplex import SimplexCounters
 from .value_table import build
 
 SCHEMA_VERSION = 1
@@ -46,12 +45,8 @@ class CliError(Exception):
     """User-facing failure: message to stderr, nonzero exit."""
 
 
-def _envelope(
-    command: str, config: dict, result: dict, started: float,
-    recourse: RecourseCounters | None = None,
-    simplex: SimplexCounters | None = None,
-    greedy: heuristic.GreedyCounters | None = None,
-) -> dict:
+def _envelope(command: str, config: dict, result: dict, started: float, **counters) -> dict:
+    """The command's result document, with each counters block given by name."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "floodmit", "version": __version__},
@@ -60,13 +55,8 @@ def _envelope(
         "timing": {"seconds": round(time.monotonic() - started, 6)},
         "result": result,
     }
-    counters = {
-        name: dataclasses.asdict(value)
-        for name, value in (("recourse", recourse), ("simplex", simplex), ("greedy", greedy))
-        if value is not None
-    }
     if counters:
-        doc["counters"] = counters
+        doc["counters"] = {name: dataclasses.asdict(value) for name, value in counters.items()}
     return doc
 
 
@@ -100,11 +90,12 @@ def _load_network(path):
 
 
 def _load_inputs(args):
-    """The network and scenarios of a command that plans under the cap ``--rhat``."""
+    """The network, scenarios and loss weights of a command that plans under the cap ``--rhat``."""
     if args.rhat < 1:
         raise CliError("r_hat must be >= 1")
     network = _load_network(args.network)
-    return network, load_scenarios(args.scenarios, network=network, normalize=args.normalize)
+    scenarios = load_scenarios(args.scenarios, network=network, normalize=args.normalize)
+    return network, scenarios, LossWeights(args.lambda_shed, args.lambda_over)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -175,14 +166,14 @@ def cmd_gen_scenarios(args) -> int:
 
 def cmd_heuristic(args) -> int:
     started = time.monotonic()
-    network, scenarios = _load_inputs(args)
+    network, scenarios, weights = _load_inputs(args)
     schedule = CostSchedule.for_network(network)
     budget = Budget(args.budget)
-    weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, scenarios, weights)
     levels = heuristic.LevelMatrix(network, scenarios, schedule, args.rhat)
 
     out = Path(args.out)
+    envelope_path = out / "envelope.json" if args.portfolio else out.with_suffix(".envelope.json")
     if args.portfolio:
         plans = heuristic.portfolio(budget, levels)
         evaluator.settle(np.concatenate([evaluator.survivors(p) for p in plans]))
@@ -202,40 +193,36 @@ def cmd_heuristic(args) -> int:
                 }
             )
         result = {"plans": listing}
-        doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters, greedy=levels.counters)
-        _write_json(doc, out / "envelope.json")
-        return 0
-
-    eta = heuristic.AttributeWeights(args.eta_load, args.eta_gen, args.eta_flow)
-    plan = heuristic.greedy(eta, budget, levels)
-    save_plan(plan, out)
-    result = {
-        "levels": plan.levels,
-        "cost": plan_cost(plan, schedule),
-        "expected_loss": evaluator.evaluate(plan).expected_loss,
-    }
-    doc = _envelope("heuristic", _ns_dict(args), result, started, evaluator.counters, greedy=levels.counters)
-    _write_json(doc, out.with_suffix(".envelope.json"))
+    else:
+        eta = heuristic.AttributeWeights(args.eta_load, args.eta_gen, args.eta_flow)
+        plan = heuristic.greedy(eta, budget, levels)
+        save_plan(plan, out)
+        result = {
+            "levels": plan.levels,
+            "cost": plan_cost(plan, schedule),
+            "expected_loss": evaluator.evaluate(plan).expected_loss,
+        }
+    doc = _envelope("heuristic", _ns_dict(args), result, started,
+                    recourse=evaluator.counters, greedy=levels.counters)
+    _write_json(doc, envelope_path)
     return 0
 
 
 def _solve_one(args, check_unique: bool):
-    network, scenarios = _load_inputs(args)
+    network, scenarios, weights = _load_inputs(args)
     schedule = CostSchedule.for_network(network)
-    weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, scenarios, weights)
     ef = build(schedule, Budget(args.budget), args.rhat, evaluator)
     levels = heuristic.LevelMatrix(network, scenarios, schedule, args.rhat)
     warm = heuristic.portfolio(Budget(args.budget), levels)
-    sol, plan, extras = analysis.solve_instance(
-        ef, warm, evaluator, check_unique=check_unique
-    )
-    return network, schedule, ef, sol, plan, extras, (evaluator.counters, sol.counters, levels.counters)
+    sol, plan, uniqueness = analysis.solve_instance(ef, warm, evaluator, check_unique=check_unique)
+    counters = {"recourse": evaluator.counters, "simplex": sol.counters, "greedy": levels.counters}
+    return ef, sol, plan, uniqueness, counters
 
 
 def cmd_solve(args) -> int:
     started = time.monotonic()
-    network, schedule, ef, sol, plan, extras, counters = _solve_one(args, args.check_unique)
+    ef, sol, plan, uniqueness, counters = _solve_one(args, args.check_unique)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_plan(plan, out_dir / "plan.json")
@@ -248,32 +235,22 @@ def cmd_solve(args) -> int:
         "nodes": sol.nodes_explored,
         "lp_iterations": sol.lp_iterations,
         "plan": plan.levels,
-        "plan_cost": plan_cost(plan, schedule),
+        "plan_cost": plan_cost(plan, ef.schedule),
         "model": ef.stats,
+        **uniqueness,
     }
-    if network.base_mva:
-        result["objective_mw"] = sol.objective * network.base_mva
-    if extras:
-        result["unique"] = extras.get("unique")
-        result["uniqueness_caveat"] = extras.get("caveat")
-        witness = extras.get("witness")
-        result["witness"] = None if witness is None else witness.levels
-    doc = _envelope("solve", _ns_dict(args), result, started, *counters)
+    if ef.network.base_mva:
+        result["objective_mw"] = sol.objective * ef.network.base_mva
+    doc = _envelope("solve", _ns_dict(args), result, started, **counters)
     _write_json(doc, out_dir / "envelope.json")
     return 0
 
 
 def cmd_check_unique(args) -> int:
     started = time.monotonic()
-    _, _, _, sol, plan, extras, counters = _solve_one(args, True)
-    result = {
-        "objective": sol.objective,
-        "plan": plan.levels,
-        "unique": extras["unique"],
-        "uniqueness_caveat": extras["caveat"],
-        "witness": None if extras["witness"] is None else extras["witness"].levels,
-    }
-    doc = _envelope("check-unique", _ns_dict(args), result, started, *counters)
+    _, sol, plan, uniqueness, counters = _solve_one(args, True)
+    result = {"objective": sol.objective, "plan": plan.levels, **uniqueness}
+    doc = _envelope("check-unique", _ns_dict(args), result, started, **counters)
     _write_json(doc, Path(args.out))
     json.dump(result, sys.stdout, indent=2, sort_keys=True)
     print()
@@ -282,7 +259,7 @@ def cmd_check_unique(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.monotonic()
-    network, scenarios = _load_inputs(args)
+    network, scenarios, weights = _load_inputs(args)
     plan = load_plan(args.plan)
     unknown = set(plan.levels) - {s.id for s in network.substations}
     if unknown:
@@ -293,7 +270,6 @@ def cmd_eval(args) -> int:
             f"plan levels must lie below --rhat {args.rhat}: "
             + ", ".join(f"substation {k} at level {v}" for k, v in beyond)
         )
-    weights = LossWeights(args.lambda_shed, args.lambda_over)
     evaluator = RecourseEvaluator(network, scenarios, weights)
     evaluation = evaluator.evaluate(plan)
     result = {
@@ -318,16 +294,15 @@ def cmd_eval(args) -> int:
             for o in evaluation.outcomes
         ],
     }
-    doc = _envelope("eval", _ns_dict(args), result, started, evaluator.counters)
+    doc = _envelope("eval", _ns_dict(args), result, started, recourse=evaluator.counters)
     _write_json(doc, Path(args.out))
     return 0
 
 
 def cmd_sweep(args) -> int:
     started = time.monotonic()
-    network, scenarios = _load_inputs(args)
+    network, scenarios, weights = _load_inputs(args)
     schedule = CostSchedule.for_network(network)
-    weights = LossWeights(args.lambda_shed, args.lambda_over)
     f_max = None if args.max_budget == "auto" else int(args.max_budget)
     report = analysis.sweep(
         network,
@@ -400,10 +375,7 @@ def cmd_sweep(args) -> int:
         "nestedness_violations": None if violations is None else len(violations),
         "tables": ["objectives.csv", "plans.csv", "spared.csv", "transitions.csv"],
     }
-    doc = _envelope(
-        "sweep", _ns_dict(args), result, started,
-        report.recourse_counters, report.simplex_counters, report.greedy_counters,
-    )
+    doc = _envelope("sweep", _ns_dict(args), result, started, **report.counters)
     _write_json(doc, out / "envelope.json")
     return 0
 
@@ -412,18 +384,12 @@ def cmd_remap(args) -> int:
     started = time.monotonic()
     source = geo_remap.read_points_csv(args.src)
     targets = geo_remap.read_points_csv(args.dst)
-    mapping, total = geo_remap.remap(source, targets)
-    by_id = {p.id: p for p in source.points}
-    tgt = {p.id: p for p in targets.points}
-    costs = {
-        a: geo_remap.distance((by_id[a].lon, by_id[a].lat), (tgt[b].lon, tgt[b].lat))
-        for a, b in mapping.items()
-    }
-    geo_remap.write_mapping_csv(mapping, costs, args.out)
+    mapping, distances = geo_remap.remap(source, targets)
+    geo_remap.write_mapping_csv(mapping, distances, args.out)
     doc = _envelope(
         "remap",
         {"from": args.src, "to": args.dst},
-        {"pairs": len(mapping), "total_distance_km": total, "out": args.out},
+        {"pairs": len(mapping), "total_distance_km": sum(distances.values(), 0.0), "out": args.out},
         started,
     )
     _write_json(doc, Path(args.out).with_suffix(".envelope.json"))

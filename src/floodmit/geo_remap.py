@@ -106,14 +106,14 @@ def assignment_lp_vertex(source: PointSet, targets: PointSet) -> np.ndarray:
     return res.x.reshape(na, nb)
 
 
-def remap(source: PointSet, targets: PointSet) -> tuple[dict[str, str], float]:
+def remap(source: PointSet, targets: PointSet) -> tuple[dict[str, str], dict[str, float]]:
     """Assign every source point its own target, minimizing total distance.
 
     Requires at least as many targets as sources.  Returns the mapping and
-    the total distance (without tie-break perturbations).
+    each source's distance to its target (without tie-break perturbations),
+    both in source order.
     """
-    na, nb = len(source), len(targets)
-    x = assignment_lp_vertex(source, targets).ravel()
+    x = assignment_lp_vertex(source, targets)
 
     # An empty source set has the empty mapping as its optimum.
     off = np.abs(x - np.round(x)).max(initial=0.0)
@@ -121,27 +121,31 @@ def remap(source: PointSet, targets: PointSet) -> tuple[dict[str, str], float]:
         raise RuntimeError(f"assignment LP returned a fractional vertex (max offset {off:.2e})")
 
     mapping: dict[str, str] = {}
-    total = 0.0
+    distances: dict[str, float] = {}
     for i, a in enumerate(source.points):
-        row = x[i * nb : (i + 1) * nb]
-        chosen = [j for j in range(nb) if row[j] > 0.5]
+        chosen = np.flatnonzero(x[i] > 0.5)
         if len(chosen) != 1:
             raise RuntimeError(f"source {a.id} assigned {len(chosen)} targets")
-        j = chosen[0]
-        mapping[a.id] = targets.points[j].id
-        total += distance((a.lon, a.lat), (targets.points[j].lon, targets.points[j].lat))
-    return mapping, total
+        b = targets.points[chosen[0]]
+        mapping[a.id] = b.id
+        distances[a.id] = distance((a.lon, a.lat), (b.lon, b.lat))
+    return mapping, distances
 
 
 def read_points_csv(path) -> PointSet:
-    """CSV with header id,lon,lat."""
+    """CSV with header id,lon,lat and three fields on every row."""
     points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["id", "lon", "lat"]:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header] != ["id", "lon", "lat"]:
             raise ValueError(f"{path}: expected header id,lon,lat")
         for row in reader:
-            points.append(LabeledPoint(row["id"], float(row["lon"]), float(row["lat"])))
+            if not row:  # a blank line
+                continue
+            if len(row) != 3:
+                raise ValueError(f"{path}: line {reader.line_num}: expected 3 fields, got {len(row)}")
+            points.append(LabeledPoint(row[0], float(row[1]), float(row[2])))
     return PointSet(tuple(points))
 
 

@@ -132,6 +132,8 @@ def validate(network: GridNetwork) -> list[str]:
         seen_bus.add(b.id)
         if b.p_load < 0:
             violations.append(f"bus {b.id}: negative load")
+        if b.p_gen_min < 0:
+            violations.append(f"bus {b.id}: negative generation lower bound")
         if b.p_gen_min > b.p_gen_max:
             violations.append(f"bus {b.id}: generation lower bound exceeds upper bound")
         if not math.isfinite(b.p_load) or not math.isfinite(b.p_gen_min) or not math.isfinite(b.p_gen_max):
@@ -201,14 +203,13 @@ _SUB_KEYS = {"id", "voltage_class", "lon", "lat"}
 _ANGLE_KEYS = {"abs_max_rad", "diff_max_rad"}
 
 
-def _objects(doc: dict, key: str) -> list[dict]:
-    """The list under ``key``, each entry an object."""
-    entries = doc[key]
+def object_list(entries, where: str, error: type[ValueError] = NetworkFormatError) -> list[dict]:
+    """``entries`` when it is a list of objects, else ``error`` naming ``where``."""
     if not isinstance(entries, list):
-        raise NetworkFormatError(f"network: {key} must be a list")
+        raise error(f"{where} must be a list")
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise NetworkFormatError(f"network: {key} entry {i} must be an object")
+            raise error(f"{where} entry {i} must be an object")
     return entries
 
 
@@ -234,30 +235,31 @@ def checked_finite(value: float, what: str) -> None:
         raise ValueError(f"{what} must be finite, not {value!r}")
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+def reject_unknown(obj: dict, allowed: set[str], where: str, error: type[ValueError] = NetworkFormatError) -> None:
+    """``error`` naming ``where`` and the keys of ``obj`` outside ``allowed``, if any."""
     unknown = set(obj) - allowed
     if unknown:
-        raise NetworkFormatError(f"{where}: unknown keys {sorted(unknown)}")
+        raise error(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def network_from_dict(doc: dict) -> GridNetwork:
     if not isinstance(doc, dict):
         raise NetworkFormatError("network document must be an object")
-    _reject_unknown(doc, _TOP_KEYS, "network")
+    reject_unknown(doc, _TOP_KEYS, "network")
     for key in ("buses", "branches", "substations"):
         if key not in doc:
             raise NetworkFormatError(f"network: missing required key {key!r}")
 
     buses = []
-    for entry in _objects(doc, "buses"):
+    for entry in object_list(doc["buses"], "network: buses"):
         where = f"bus {entry.get('id', '?')}"
-        _reject_unknown(entry, _BUS_KEYS, where)
+        reject_unknown(entry, _BUS_KEYS, where)
         gen_max = checked_number(float, entry.get("gen_max", 0.0), f"{where}: gen_max")
-        if gen_max < 0:
-            # The load-shed recourse relies on zero generation being admissible.
-            raise NetworkFormatError(
-                f"bus {entry['id']}: negative generation upper bound not supported"
-            )
+        gen_min = checked_number(float, entry.get("gen_min", 0.0), f"{where}: gen_min")
+        for bound, value in (("upper", gen_max), ("lower", gen_min)):
+            if value < 0:
+                # The second stage's island witness relies on nonnegative generation.
+                raise NetworkFormatError(f"bus {entry['id']}: negative generation {bound} bound not supported")
         reference = entry.get("reference", False)
         if not isinstance(reference, bool):
             raise NetworkFormatError(f"{where}: reference must be true or false, not {reference!r}")
@@ -266,16 +268,16 @@ def network_from_dict(doc: dict) -> GridNetwork:
                 id=str(entry["id"]),
                 substation_id=str(entry["substation"]),
                 p_load=checked_number(float, entry.get("load", 0.0), f"{where}: load"),
-                p_gen_min=checked_number(float, entry.get("gen_min", 0.0), f"{where}: gen_min"),
+                p_gen_min=gen_min,
                 p_gen_max=gen_max,
                 is_reference=reference,
             )
         )
 
     branches = []
-    for entry in _objects(doc, "branches"):
+    for entry in object_list(doc["branches"], "network: branches"):
         where = f"branch {entry.get('id', '?')}"
-        _reject_unknown(entry, _BRANCH_KEYS, where)
+        reject_unknown(entry, _BRANCH_KEYS, where)
         susceptance = checked_number(float, entry["susceptance"], f"{where}: susceptance")
         if susceptance == 0:
             raise NetworkFormatError(f"branch {entry['id']}: zero susceptance")
@@ -290,9 +292,9 @@ def network_from_dict(doc: dict) -> GridNetwork:
         )
 
     substations = []
-    for entry in _objects(doc, "substations"):
+    for entry in object_list(doc["substations"], "network: substations"):
         where = f"substation {entry.get('id', '?')}"
-        _reject_unknown(entry, _SUB_KEYS, where)
+        reject_unknown(entry, _SUB_KEYS, where)
         substations.append(
             Substation(
                 id=str(entry["id"]),
@@ -308,7 +310,7 @@ def network_from_dict(doc: dict) -> GridNetwork:
         limits = doc["angle_limits"]
         if not isinstance(limits, dict):
             raise NetworkFormatError("network: angle_limits must be an object")
-        _reject_unknown(limits, _ANGLE_KEYS, "angle_limits")
+        reject_unknown(limits, _ANGLE_KEYS, "angle_limits")
         angle_abs = checked_number(float, limits.get("abs_max_rad", angle_abs), "angle_limits: abs_max_rad")
         angle_diff = checked_number(float, limits.get("diff_max_rad", angle_diff), "angle_limits: diff_max_rad")
 

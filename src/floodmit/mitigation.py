@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .grid_model import GridNetwork, checked_number, read_json, write_json
+from .grid_model import GridNetwork, checked_number, read_json, reject_unknown, write_json
 from .scenario_model import FloodScenarioSet
 
 # Segments per level increment by highest-voltage component of the substation.
@@ -159,9 +159,7 @@ def enumerate_plans(schedule: CostSchedule, budget: Budget, r_hat: int) -> Itera
 def plan_from_dict(doc: dict) -> MitigationPlan:
     if not isinstance(doc, dict):
         raise PlanFormatError("plan document must be an object")
-    unknown = set(doc) - {"levels"}
-    if unknown:
-        raise PlanFormatError(f"plan file: unknown keys {sorted(unknown)}")
+    reject_unknown(doc, {"levels"}, "plan file", PlanFormatError)
     if not isinstance(doc.get("levels", {}), dict):
         raise PlanFormatError("plan: levels must be an object")
     levels = {}

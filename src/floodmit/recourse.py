@@ -345,7 +345,9 @@ def _witness(network: GridNetwork, stack: _Stack) -> np.ndarray:
     Gmin > L generators run at their minimum and p_check_i =
     gen_min_i (1 - L/Gmin) absorbs the excess; otherwise generation is
     gen_min + s (gen_max - gen_min) with one s per island, and every load
-    is served in full.
+    is served in full.  This relies on ``gen_min >= 0`` at every bus, which
+    the network reader and :func:`~floodmit.grid_model.validate` enforce:
+    the dispatch LP allows no negative generation.
 
     Its DC power flow is one solve per member, all stacked: the
     Laplacian of the live branches, with an identity row and column at

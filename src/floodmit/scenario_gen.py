@@ -23,7 +23,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .geo_remap import EARTH_RADIUS_KM, distance
-from .grid_model import GridNetwork, checked_finite, checked_number, read_json, write_json
+from .grid_model import GridNetwork, checked_finite, checked_number, read_json, reject_unknown, write_json
 from .scenario_model import DepthThresholds, FloodScenario, FloodScenarioSet, depth_to_level
 
 KM_PER_NAUTICAL_MILE = 1.852
@@ -197,9 +197,7 @@ def load_coastline(path) -> Coastline:
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("coastline document must be an object")
-    unknown = set(doc) - {"vertices"}
-    if unknown:
-        raise ValueError(f"coastline file: unknown keys {sorted(unknown)}")
+    reject_unknown(doc, {"vertices"}, "coastline file", ValueError)
     vertices = doc["vertices"]
     if not isinstance(vertices, list):
         raise ValueError("coastline file: vertices must be a list")

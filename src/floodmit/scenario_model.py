@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid_model import GridNetwork, checked_number, read_json, write_json
+from .grid_model import GridNetwork, checked_number, object_list, read_json, reject_unknown, write_json
 
 PROBABILITY_TOL = 1e-9
 
@@ -140,9 +140,7 @@ def scenario_set_from_dict(
 ) -> FloodScenarioSet:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be an object")
-    unknown = set(doc) - {"level_count", "unattainable_level", "scenarios"}
-    if unknown:
-        raise ScenarioFormatError(f"scenario file: unknown keys {sorted(unknown)}")
+    reject_unknown(doc, {"level_count", "unattainable_level", "scenarios"}, "scenario file", ScenarioFormatError)
     try:
         level_count = checked_number(int, doc["level_count"], "scenario file: level_count", ScenarioFormatError)
         unattainable = checked_number(
@@ -154,18 +152,11 @@ def scenario_set_from_dict(
 
     known_subs = None if network is None else {s.id for s in network.substations}
 
-    if not isinstance(entries, list):
-        raise ScenarioFormatError("scenario file: scenarios must be a list")
     scenarios: list[FloodScenario] = []
     seen_ids: set[str] = set()
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"scenario file: scenarios entry {i} must be an object")
-        unknown = set(entry) - {"id", "probability", "levels"}
-        if unknown:
-            raise ScenarioFormatError(
-                f"scenario {entry.get('id', '?')}: unknown keys {sorted(unknown)}"
-            )
+    for entry in object_list(entries, "scenario file: scenarios", ScenarioFormatError):
+        where = f"scenario {entry.get('id', '?')}"
+        reject_unknown(entry, {"id", "probability", "levels"}, where, ScenarioFormatError)
         sid = str(entry["id"])
         if sid in seen_ids:
             raise ScenarioFormatError(f"scenario {sid}: duplicate id")

@@ -289,21 +289,18 @@ def solve_milp(problem: MilpProblem, config: BnbConfig | None = None) -> MilpSol
         log.info("warm start claim %.9g not confirmed; searching without it", incumbent_obj)
 
     bound = heap[0].bound if stop_reason else incumbent_obj
-    if incumbent_x is None:
-        return MilpSolution(
-            "node-limit" if stop_reason else "infeasible", None, None, bound,
-            nodes_explored, counters.pivots, stop_reason, counters=counters,
-        )
-    status = "node-limit" if stop_reason else "optimal"
-    x = incumbent_x.copy()
-    x[bin_idx] = np.round(x[bin_idx])
+    status = "node-limit" if stop_reason else "infeasible" if incumbent_x is None else "optimal"
+    x = None
+    if incumbent_x is not None:
+        x = incumbent_x.copy()
+        x[bin_idx] = np.round(x[bin_idx])
     log.info(
         "milp %s: %s obj=%.9g bound=%.9g nodes=%d lp_iters=%d",
         problem.name, status, incumbent_obj, bound, nodes_explored, counters.pivots,
     )
     return MilpSolution(
         status=status,
-        objective=incumbent_obj,
+        objective=None if x is None else incumbent_obj,
         x=x,
         bound=bound,
         nodes_explored=nodes_explored,

@@ -57,6 +57,22 @@ def survival_masks(network: GridNetwork, dead_sets) -> np.ndarray:
     return np.array([[k not in dead for k in subs] for dead in dead_sets], dtype=bool).reshape(-1, len(subs))
 
 
+def negative_gen_min_network() -> GridNetwork:
+    """One substation: reference bus A with generation in [-1, 2], bus B
+    with load 0.5 and bus C with generation fixed at 1, on branches A-B and
+    B-C.  The dispatch LP allows no negative generation, so its loss is 0.5;
+    a dispatch with A at -0.5 would serve every load."""
+    return GridNetwork(
+        buses=(
+            Bus("A", "S", p_gen_min=-1.0, p_gen_max=2.0, is_reference=True),
+            Bus("B", "S", p_load=0.5),
+            Bus("C", "S", p_gen_min=1.0, p_gen_max=1.0),
+        ),
+        branches=(Branch("AB", "A", "B", 10.0, 2.0), Branch("BC", "B", "C", 10.0, 2.0)),
+        substations=(Substation("S", "230"),),
+    )
+
+
 def random_network(rng: np.random.Generator, n_subs=None, buses_per_sub=None) -> GridNetwork:
     """Small random connected-ish network with nonnegative generation caps."""
     n_subs = int(rng.integers(2, 5)) if n_subs is None else n_subs

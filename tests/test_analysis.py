@@ -256,7 +256,7 @@ def test_sweep_evaluates_each_distinct_plan_once(star8, monkeypatch):
     assert evaluated and len(evaluated) == len(set(evaluated))
     tables = build(sched, Budget(8), 3, RecourseEvaluator(star8.network, star8.scenarios, W))
     scenarios = len(star8.scenarios.scenarios)
-    assert report.recourse_counters.outcomes == tables.stats["table_entries"] + scenarios * len(evaluated)
+    assert report.counters["recourse"].outcomes == tables.stats["table_entries"] + scenarios * len(evaluated)
 
 
 def test_sweep_uniqueness_probe(tiny3):

@@ -352,6 +352,28 @@ def test_remap_cli(tmp_path):
     assert rows[1].split(",")[:2] == ["s1", "t2"]
 
 
+@pytest.mark.parametrize("command", ["validate", "eval", "solve"])
+def test_negative_gen_min_network_exits_2(tmp_path, capsys, command):
+    from conftest import negative_gen_min_network
+    from floodmit.grid_model import save_network, write_json
+    from floodmit.scenario_model import FloodScenario, FloodScenarioSet, save_scenarios
+
+    net, scen, plan = tmp_path / "network.json", tmp_path / "scenarios.json", tmp_path / "plan.json"
+    save_network(negative_gen_min_network(), net)
+    save_scenarios(FloodScenarioSet((FloodScenario("w0", 1.0, {}),), 3, 3), scen)
+    write_json({"levels": {}}, plan)
+    args = {
+        "validate": ["--network", str(net)],
+        "eval": ["--network", str(net), "--scenarios", str(scen), "--plan", str(plan),
+                 "--out", str(tmp_path / "eval.json")],
+        "solve": ["--network", str(net), "--scenarios", str(scen), "--budget", "0",
+                  "--out-dir", str(tmp_path / "solve")],
+    }[command]
+    assert main([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err == "floodmit: error: bus A: negative generation lower bound not supported\n", err
+
+
 def test_gen_scenarios_cli_deterministic(tmp_path):
     c40 = tmp_path / "c40"
     assert main(["make-fixture", "coastal40", "--out-dir", str(c40)]) == 0
@@ -662,3 +684,13 @@ def test_remap_refuses_a_non_finite_point(tmp_path, capsys, row, message):
     assert main(["remap", "--from", str(src), "--to", str(dst), "--out", str(tmp_path / "map.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("floodmit: error: ") and message in err, err
+
+
+@pytest.mark.parametrize("row, count", [("a,-95.1", 2), ("a,-95.1,29,7", 4)], ids=["missing", "extra"])
+def test_remap_refuses_a_row_without_three_fields(tmp_path, capsys, row, count):
+    src, dst = tmp_path / "a.csv", tmp_path / "b.csv"
+    src.write_text(f"id,lon,lat\ns0,-95.0,29.0\n{row}\n", encoding="utf-8")
+    dst.write_text("id,lon,lat\nt1,-95.2,29.1\nt2,-95.3,29.2\n", encoding="utf-8")
+    assert main(["remap", "--from", str(src), "--to", str(dst), "--out", str(tmp_path / "map.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"floodmit: error: {src}: line 3: expected 3 fields, got {count}\n", err

@@ -49,17 +49,17 @@ def test_identity_mapping_when_sets_coincide():
     pts = [(-95.0, 29.0), (-96.1, 28.4), (-94.3, 29.7)]
     A = _points(*pts, prefix="a")
     B = _points(*pts, prefix="b")
-    mapping, total = remap(A, B)
+    mapping, distances = remap(A, B)
     assert mapping == {"a0": "b0", "a1": "b1", "a2": "b2"}
-    assert total == pytest.approx(0.0, abs=1e-9)
+    assert sum(distances.values()) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_source_takes_nearest_target():
     A = _points((-95.0, 29.0), prefix="a")
     B = _points((-97.0, 27.0), (-95.1, 29.05), (-94.0, 30.0), prefix="b")
-    mapping, total = remap(A, B)
+    mapping, distances = remap(A, B)
     assert mapping == {"a0": "b1"}
-    assert total == pytest.approx(distance((-95.0, 29.0), (-95.1, 29.05)))
+    assert distances == {"a0": pytest.approx(distance((-95.0, 29.0), (-95.1, 29.05)))}
 
 
 def test_infeasible_when_targets_scarce():
@@ -74,7 +74,7 @@ def test_infeasible_when_targets_scarce():
 def test_empty_source_set_maps_to_nothing(n_targets):
     """The empty mapping is the optimum for no sources, whatever the targets."""
     B = _points(*[(-95.0, 29.0)] * n_targets, prefix="b")
-    assert remap(PointSet(()), B) == ({}, 0.0)
+    assert remap(PointSet(()), B) == ({}, {})
 
 def _brute_force(A, B):
     best = None
@@ -95,10 +95,10 @@ def test_random_instances_match_injection_enumeration(na, nb, trials):
     for _ in range(trials):
         A = _points(*[(float(rng.uniform(-99, -93)), float(rng.uniform(26, 31))) for _ in range(na)], prefix="a")
         B = _points(*[(float(rng.uniform(-99, -93)), float(rng.uniform(26, 31))) for _ in range(nb)], prefix="b")
-        mapping, total = remap(A, B)
+        mapping, distances = remap(A, B)
         assert len(set(mapping.values())) == na  # injective
         oracle_cost, _ = _brute_force(A, B)
-        assert total == pytest.approx(oracle_cost, abs=1e-7)
+        assert sum(distances.values()) == pytest.approx(oracle_cost, abs=1e-7)
 
 
 def test_optimum_no_worse_than_greedy_nearest():
@@ -107,7 +107,8 @@ def test_optimum_no_worse_than_greedy_nearest():
         na, nb = int(rng.integers(2, 6)), int(rng.integers(6, 9))
         A = _points(*[(float(rng.uniform(-99, -93)), float(rng.uniform(26, 31))) for _ in range(na)], prefix="a")
         B = _points(*[(float(rng.uniform(-99, -93)), float(rng.uniform(26, 31))) for _ in range(nb)], prefix="b")
-        _, total = remap(A, B)
+        _, distances = remap(A, B)
+        total = sum(distances.values())
         taken = set()
         greedy_total = 0.0
         for a in A.points:

@@ -170,6 +170,15 @@ def test_loader_rejects_negative_gen_cap(tiny3):
         network_from_dict(doc)
 
 
+def test_negative_gen_min_is_rejected_by_the_reader_and_validate():
+    from conftest import negative_gen_min_network
+
+    net = negative_gen_min_network()
+    assert validate(net) == ["bus A: negative generation lower bound"]
+    with pytest.raises(NetworkFormatError, match="bus A: negative generation lower bound not supported"):
+        network_from_dict(network_to_dict(net))
+
+
 def test_angle_defaults_and_override(tmp_path, tiny3):
     doc = network_to_dict(tiny3.network)
     del doc["angle_limits"]

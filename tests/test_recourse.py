@@ -9,7 +9,7 @@ from floodmit import simplex
 from conftest import (
     _loop_closure, random_network, random_plan, random_scenario_set, scaled_flow_limits, survival_masks,
 )
-from floodmit.grid_model import Branch, Bus, GridNetwork, Substation
+from floodmit.grid_model import Branch, Bus, GridNetwork, Substation, validate
 from floodmit.heuristic import LevelMatrix
 from floodmit.mitigation import CostSchedule, MitigationPlan, ZERO_PLAN
 from floodmit.recourse import (
@@ -609,6 +609,45 @@ def test_dispatch_settled_without_lp_equals_the_cold_lp(coastal40, weights):
                 weights.lambda_shed * shed + weights.lambda_over * over, abs=1e-12
             )
     assert settled > total // 2
+
+
+def test_second_stage_matches_the_cold_lp_on_a_wider_valid_domain():
+    """Random valid networks beyond ``random_network``'s: fixed generators
+    (``gen_min = gen_max > 0``), dropped branches (disconnected networks),
+    angle limits down to 0.05 rad absolute and 0.02 rad difference, and
+    ``lambda_over`` of 0, 1 or 3.  For every survival mask, settled as one
+    stack, the evaluator's loss is the cold dispatch LP's within 1e-7
+    relative (to at least 1)."""
+    seen = {"fixed": 0, "disconnected": 0, "tight": 0, "lp": 0, "witness": 0}
+    for seed in range(60):
+        rng = np.random.default_rng(9000 + seed)
+        net = random_network(rng)
+        buses = tuple(
+            dataclasses.replace(b, p_gen_min=b.p_gen_max) if b.p_gen_max > 0 and rng.random() < 0.4 else b
+            for b in net.buses
+        )
+        branches = tuple(br for br in net.branches if rng.random() >= 0.3)
+        angle_abs = float(rng.choice([0.05, 0.2, np.pi / 2]))
+        angle_diff = min(float(rng.choice([0.02, 0.1, np.pi / 6])), 2 * angle_abs)
+        net = dataclasses.replace(
+            net, buses=buses, branches=branches, angle_abs_max=angle_abs, angle_diff_max=angle_diff
+        )
+        assert validate(net) == []
+        seen["fixed"] += any(0 < b.p_gen_min == b.p_gen_max for b in net.buses)
+        seen["disconnected"] += len(branches) < len(net.buses) - 1
+        seen["tight"] += angle_abs == 0.05 or angle_diff == 0.02
+        weights = LossWeights(1.0, float(rng.choice([0.0, 1.0, 3.0])))
+        subs = [s.id for s in net.substations]
+        dead_sets = [dead for k in range(len(subs) + 1) for dead in itertools.combinations(subs, k)]
+        evaluator = RecourseEvaluator(net, DRY, weights)
+        evaluator.settle(survival_masks(net, dead_sets))
+        seen["lp"] += evaluator.counters.lp_solves
+        seen["witness"] += evaluator.counters.settled_without_lp
+        for dead in dead_sets:
+            loss = _outcome(evaluator, dead)[0]
+            cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
+            assert abs(loss - cold) <= 1e-7 * max(1.0, abs(cold)), (seed, dead, loss, cold)
+    assert min(seen.values()) > 0, seen
 
 
 def _positive_susceptances(network):

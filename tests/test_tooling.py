@@ -1,8 +1,9 @@
 """The benchmark's tracer must keep finding every name it wraps, the
 README must advertise only flags the command line accepts, no module
-imports a name it never uses, no function in ``src/`` ignores one of
-its parameters, no parameter with a default goes unpassed, and nothing
-defined in ``src/`` goes unnamed there.
+imports a name it never uses, no module of the package imports another's
+private name, no function in ``src/`` ignores one of its parameters, no
+parameter with a default goes unpassed, and nothing defined in ``src/``
+goes unnamed there.
 
 ``perfbench/tracing.py`` replaces entry points of the package by name; a
 rename or deletion in ``src/`` would only surface in a traced benchmark run.
@@ -292,6 +293,37 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(paths) > 20
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+def _private_imports(module, source):
+    """Underscore-prefixed names (dunders aside) that the package module
+    ``module``, with text ``source``, imports from another module of the
+    package, as "module:line other.name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("floodmit")):
+            other = (node.module or "").rsplit(".", 1)[-1]
+            found += [
+                f"{module}:{node.lineno} {other}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            ]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A helper that two modules share is public API of its module: its
+    name says so, and the unused-definition guard then counts it."""
+    package = ROOT / "src" / "floodmit"
+    paths = sorted(package.glob("*.py"))
+    assert len(paths) > 10
+    found = [entry for path in paths for entry in _private_imports(path.stem, path.read_text(encoding="utf-8"))]
+    assert not found, found
+    source = (package / "scenario_model.py").read_text(encoding="utf-8")
+    line = source.count("\n") + 1
+    assert _private_imports("scenario_model", source + "from .grid_model import _objects\n") == [
+        f"scenario_model:{line} grid_model._objects"
+    ]
 
 
 def _ignored_parameters(path):

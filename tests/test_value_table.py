@@ -167,12 +167,12 @@ def test_check_unique_matches_extensive_form(tiny3, tmp_path):
     evaluator = RecourseEvaluator(net, scen, W)
     ef = extensive_form.build(net, scen, sched, Budget(1), 3, W)
     warm = heuristic.portfolio(Budget(1), heuristic.LevelMatrix(net, scen, sched, 3))
-    sol, plan, extras = analysis.solve_instance(ef, warm, evaluator, check_unique=True)
-    assert got["unique"] is extras["unique"] is False
-    assert got["witness"] == extras["witness"].levels
+    sol, plan, uniqueness = analysis.solve_instance(ef, warm, evaluator, check_unique=True)
+    assert got["unique"] is uniqueness["unique"] is False
+    assert got["witness"] == uniqueness["witness"]
     assert got["plan"] == plan.levels
     assert got["objective"] == pytest.approx(sol.objective, abs=1e-9)
-    assert got["uniqueness_caveat"] is extras["caveat"]
+    assert got["uniqueness_caveat"] is uniqueness["uniqueness_caveat"]
 
 
 def test_solve_envelope_reports_block_kinds(tmp_path):
