@@ -70,10 +70,10 @@ class SweepRow:
     spared: SparedCapacity | None = None
     heuristic_best: float | None = None
     heuristic_gap: float | None = None
-    nodes: int = 0
-    lp_iterations: int = 0
+    nodes: int | None = None
+    lp_iterations: int | None = None
     unique: bool | None = None
-    uniqueness_caveat: bool = False
+    uniqueness_caveat: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -256,7 +256,7 @@ def sweep(
                 nodes=sol.nodes_explored,
                 lp_iterations=sol.lp_iterations,
                 unique=uniqueness.get("unique"),
-                uniqueness_caveat=uniqueness.get("uniqueness_caveat", False),
+                uniqueness_caveat=uniqueness.get("uniqueness_caveat"),
             )
         )
         log.info("budget %d: objective %.6f plan %s", f, sol.objective, plan.levels)

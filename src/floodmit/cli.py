@@ -76,6 +76,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -326,11 +328,10 @@ def cmd_sweep(args) -> int:
     for r in report.rows:
         row = [
             r.budget, r.status, _fmt(r.objective), _fmt(r.plan_cost),
-            _fmt(r.heuristic_best), _fmt(r.heuristic_gap), r.nodes, r.lp_iterations,
+            _fmt(r.heuristic_best), _fmt(r.heuristic_gap), _fmt(r.nodes), _fmt(r.lp_iterations),
         ]
         if args.check_unique:
-            row.append("" if r.unique is None else str(r.unique).lower())
-            row.append(str(r.uniqueness_caveat).lower())
+            row += [_fmt(r.unique), _fmt(r.uniqueness_caveat)]
         obj_rows.append(row)
     _write_csv(out / "objectives.csv", obj_header, obj_rows)
 

@@ -12,8 +12,8 @@ solves the whole problem.
 
 This monolithic model is the reference the tests check the solve path
 against.  The solve path builds :mod:`floodmit.value_table`, which reuses the
-first stage (:func:`add_first_stage`) and, for scenarios too large for a
-value table, the per-scenario block (:func:`add_dispatch_block`).
+first stage (:func:`add_first_stage`), and builds this model whole only for
+an instance whose value tables would exceed their entry limit.
 
 Constant folding keeps the model small: a substation dry in a scenario has
 alpha pinned to 1, a substation flooded beyond the attainable level has alpha

@@ -30,20 +30,22 @@ substation in the order of ``network.arrays``; :meth:`GridArrays.closure
 the evaluator keys its dispatch solves on the mask's bytes.
 
 No row couples two islands (connected components of live buses over live
-branches), so one copper plate per island gives a closed-form lower bound on
-the loss (:func:`_plate_loss`).  The evaluator settles a new mask
-without an LP when a witness dispatch that attains the bound passes a DC
-power-flow check of the flow and angle limits; a feasible point whose value
-is a lower bound is optimal.  New masks are settled in stacks, the only
-island structure: their islands, island sums and witness power flows are
-array passes over the whole stack, a single request is a stack of one, and
-the bound, the witness and the LP's start basis read each member's islands
-from the stack.  Only the masks that fail the check fall back to the LP, on
-one simplex workspace per evaluator.  Each fallback starts from the basis of
-its own island copper-plate dispatch, which is dual feasible, so the dual
-simplex only repairs the flow and angle limits that bind.  Each mask is
-settled the same way whatever else shares its stack or came before it, so a
-cached loss does not depend on the order of requests.
+branches), and a branch is live exactly when both its buses are, so an
+island is fully described by its bus set.  A mask serves and overgenerates
+what its islands do and sheds the rest of the load: its loss is
+lambda_shed * (dead load) plus its islands' losses.  So the evaluator settles
+islands, each once, cached under its bus set.  One copper plate per island
+gives a closed-form lower bound on its loss (:func:`_plate`); the island
+needs no LP when a witness dispatch that attains the bound passes a DC
+power-flow check of the flow and angle limits (a feasible point whose value
+is a lower bound is optimal).  Islands, their sums and witness power flows
+are array passes over stacks, one island per member.  Only the islands that
+fail the check fall back to the LP, on one simplex workspace per evaluator,
+from the basis of the island's copper-plate dispatch, which is dual
+feasible, so the dual simplex only repairs the limits that bind.  An island
+is settled the same way whatever came before it, and a mask adds its islands
+in the order of their first bus, so a cached loss does not depend on the
+order of requests.
 """
 
 from __future__ import annotations
@@ -247,34 +249,29 @@ def solve_recourse_lp(
 
 
 class _Stack(NamedTuple):
-    """The islands of a stack of survival masks, numbered across the stack in
-    member order, then in the order of their first bus.
+    """Islands, one per member: its ``buses`` and ``live_branches``, bool rows
+    in network order, its ``first`` bus, and its load and minimum and maximum
+    generation, each added bus by bus in bus order."""
 
-    Per member and bus, ``labels`` holds the island (-1 for a dead bus); per
-    member and branch, ``live_branches`` the live mask.  Per island there is
-    its ``member``, its ``first`` bus, its load and its minimum and maximum
-    generation; member b owns the islands ``start[b]:start[b + 1]``.
-    """
-
-    labels: np.ndarray
+    buses: np.ndarray
     live_branches: np.ndarray
-    member: np.ndarray
     first: np.ndarray
-    start: np.ndarray
     load: np.ndarray
     gen_min: np.ndarray
     gen_max: np.ndarray
 
 
-def _islands(network: GridNetwork, sub_up: np.ndarray) -> _Stack:
+def _islands(network: GridNetwork, sub_up: np.ndarray) -> tuple[np.ndarray, _Stack]:
     """Connected components of the live buses over the live branches,
-    for every survival mask (row) of the (K, J) stack ``sub_up`` at once.
+    for every survival mask (row) of the (K, J) stack ``sub_up`` at once:
+    each island's row of ``sub_up``, and the islands as a stack, in row
+    order, then in the order of their first bus.
 
-    The stack's buses are numbered member by member.  Each component
-    ends up pointing at its lowest-numbered bus: every live branch whose
-    ends point at different buses points the higher of the two at the
-    lower, then pointer jumping makes every bus point at the end of its
-    chain, until no branch joins two chains.
+    The rows' buses are numbered row by row.  Each component ends up
+    pointing at its lowest-numbered bus: every live branch whose ends point
+    at different buses points the higher of the two at the lower, then
+    pointer jumping makes every bus point at the end of its chain, until no
+    branch joins two chains.
     """
     a = network.arrays
     nb = len(a.load)
@@ -293,94 +290,79 @@ def _islands(network: GridNetwork, sub_up: np.ndarray) -> _Stack:
             if np.array_equal(jumped, root):
                 break
             root = jumped
-    live = bus_up.ravel()
-    is_first = live & (root == np.arange(live.size))
-    number = np.cumsum(is_first) - 1
-    labels = np.where(live, number[root], -1)
-    member, first = np.divmod(np.flatnonzero(is_first), nb)
-    # Dead buses sum into bin 0, which is dropped; each island adds its
-    # buses in bus order.
+    live = np.flatnonzero(bus_up)
+    first = live[root[live] == live]
+    island = np.searchsorted(first, root[live])
+    buses = np.zeros((len(first), nb), dtype=bool)
+    buses[island, live % nb] = True
+    # Each island adds its buses in bus order.
     load, gen_min, gen_max = (
-        np.bincount(labels + 1, np.tile(values, len(sub_up)), len(member) + 1)[1:]
-        for values in (a.load, a.gen_min, a.gen_max)
+        np.bincount(island, values[live % nb], len(first)) for values in (a.load, a.gen_min, a.gen_max)
     )
-    start = np.searchsorted(member, np.arange(len(sub_up) + 1))
-    return _Stack(labels.reshape(bus_up.shape), branch_up, member, first, start, load, gen_min, gen_max)
+    row, first = np.divmod(first, nb)
+    return row, _Stack(buses, buses[:, a.frm] & buses[:, a.to], first, load, gen_min, gen_max)
 
 
-def _plate_loss(
-    network: GridNetwork, stack: _Stack, b: int, weights: LossWeights
-) -> tuple[float, float, float, float]:
-    """(loss, served, shed, overgeneration) of member b of the stack with
-    one copper plate per island: a closed-form lower bound on its
-    dispatch loss.
+def _plate(stack: _Stack) -> tuple[np.ndarray, np.ndarray]:
+    """(served, overgeneration) of each island of the stack as one copper
+    plate: the dispatch that gives a closed-form lower bound on its loss.
 
-    No dispatch row couples two islands (connected components of live
-    buses over live branches), and flows cancel within one, so an island
-    with load L serves G - O <= Gmax and overgenerates O >= Gmin - L:
+    Flows cancel within an island, so an island with load L serves
+    G - O <= Gmax and overgenerates O >= Gmin - L, and its loss is at least
 
-        loss >= lambda_shed * (dead load + sum max(0, L - Gmax))
-              + lambda_over * sum max(0, Gmin - L)
+        lambda_shed * max(0, L - Gmax) + lambda_over * max(0, Gmin - L).
 
-    summed over the islands.  This is the loss without flow or angle
-    limits.  An island serves min(L, Gmax) and overgenerates
-    max(0, Gmin - L): the least shed and the least overgeneration of any
-    dispatch.  With a zero weight a dispatch LP may shed or overgenerate
-    more at the same loss, so there the split is not unique; the loss is.
+    This is the loss without flow or angle limits.  An island serves
+    min(L, Gmax) and overgenerates max(0, Gmin - L): the least shed and the
+    least overgeneration of any dispatch.  With a zero weight a dispatch LP
+    may shed or overgenerate more at the same loss, so there the split is
+    not unique; the loss is.
     """
-    isl = slice(stack.start[b], stack.start[b + 1])
-    load = stack.load[isl]
-    served = float(np.minimum(load, stack.gen_max[isl]).sum())
-    over = float(np.maximum(stack.gen_min[isl] - load, 0.0).sum())
-    shed = network.total_load - served
-    return weights.lambda_shed * shed + weights.lambda_over * over, served, shed, over
+    return np.minimum(stack.load, stack.gen_max), np.maximum(stack.gen_min - stack.load, 0.0)
 
 
 def _witness(network: GridNetwork, stack: _Stack) -> np.ndarray:
-    """For each member of the stack: does a dispatch whose loss is the
-    island bound satisfy the dispatch LP?
+    """For each island of the stack: does a dispatch whose loss is its
+    copper-plate bound satisfy the dispatch LP?
 
-    The witness, per island: with L > Gmax every generator runs at its
+    The witness: with L > Gmax every generator runs at its
     maximum and every load is served at the fraction Gmax/L; with
     Gmin > L generators run at their minimum and p_check_i =
     gen_min_i (1 - L/Gmin) absorbs the excess; otherwise generation is
-    gen_min + s (gen_max - gen_min) with one s per island, and every load
+    gen_min + s (gen_max - gen_min) with one s for the island, and every load
     is served in full.  This relies on ``gen_min >= 0`` at every bus, which
     the network reader and :func:`~floodmit.grid_model.validate` enforce:
     the dispatch LP allows no negative generation.
 
-    Its DC power flow is one solve per member, all stacked: the
+    Its DC power flow is one solve per island, all stacked: the
     Laplacian of the live branches, with an identity row and column at
-    the reference bus, at the first bus of every island without it and
-    at every dead bus, so those keep angle 0.  A member whose Laplacian
-    is singular (susceptances of mixed sign can cancel) is refused.  The
-    balance residual must lie within ``RESIDUAL_TOL`` and the flow and
-    angle limits hold within ``TOL_FEAS``, after each island without the
-    reference bus is shifted to the middle of its angle range.  A dead
-    bus's angle 0 is absorbed by every dead branch's relief column.
+    the reference bus (or the first bus of an island without it) and at
+    every bus outside the island, so those keep angle 0.  An island whose
+    Laplacian is singular (susceptances of mixed sign can cancel) is
+    refused.  The balance residual must lie within ``RESIDUAL_TOL`` and the
+    flow and angle limits hold within ``TOL_FEAS``, after an island without
+    the reference bus is shifted to the middle of its angle range.  A bus
+    outside the island has angle 0, which every dead branch's relief column
+    absorbs.
     """
     a = network.arrays
-    n_sets, nb = stack.labels.shape
-    if not len(stack.load):  # no live bus anywhere: nothing to dispatch
-        return np.ones(n_sets, dtype=bool)
-    live = stack.labels >= 0
-    lab = np.where(live, stack.labels, 0)
-    load, gen_min, gen_max = stack.load, stack.gen_min, stack.gen_max
+    n_sets, nb = stack.buses.shape
+    live = stack.buses
+    load, gen_min, gen_max = stack.load[:, None], stack.gen_min[:, None], stack.gen_max[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         served = np.where(load > gen_max, gen_max / load, 1.0)
         absorbed = np.where(gen_min > load, 1.0 - load / gen_min, 0.0)
         step = np.where(gen_max > gen_min, (load - gen_min) / (gen_max - gen_min), 0.0)
     step = step.clip(0.0, 1.0)  # 1 when short of generation, 0 with a surplus
-    gen = a.gen_min + step[lab] * (a.gen_max - a.gen_min)
-    injection = np.where(live, gen - gen * absorbed[lab] - a.load * served[lab], 0.0)
+    gen = a.gen_min + step * (a.gen_max - a.gen_min)
+    injection = np.where(live, gen - gen * absorbed - a.load * served, 0.0)
 
     # A reference bus keeps angle 0; so does the first bus of an island
-    # without one.  Should two reference buses share an island, the
+    # without one.  Should an island hold two reference buses, the
     # balance residual at the grounded rows refuses the witness.
     grounded = live & a.is_reference
-    anchored = np.zeros(len(load), dtype=bool)
-    anchored[stack.labels[grounded]] = True
-    grounded[stack.member[~anchored], stack.first[~anchored]] = True
+    anchored = grounded.any(axis=1)
+    grounded[np.flatnonzero(~anchored), stack.first[~anchored]] = True
     free = live & ~grounded
     on = stack.live_branches
     # Ohm's law: flow_e = -b_e (theta_from - theta_to).
@@ -399,7 +381,7 @@ def _witness(network: GridNetwork, stack: _Stack) -> np.ndarray:
     solved = np.ones(n_sets, dtype=bool)
     try:
         theta = np.linalg.solve(laplacian, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # retry one member at a time
+    except np.linalg.LinAlgError:  # retry one island at a time
         theta = np.zeros((n_sets, nb))
         for b in range(n_sets):
             try:
@@ -413,12 +395,10 @@ def _witness(network: GridNetwork, stack: _Stack) -> np.ndarray:
     )
     residual = injection - outflow.reshape(n_sets, nb)
 
-    lo = np.full(len(load), np.inf)
-    hi = np.full(len(load), -np.inf)
-    np.minimum.at(lo, stack.labels[live], theta[live])
-    np.maximum.at(hi, stack.labels[live], theta[live])
+    lo = np.where(live, theta, np.inf).min(axis=1)
+    hi = np.where(live, theta, -np.inf).max(axis=1)
     middle = np.where(anchored, 0.0, (lo + hi) / 2.0)
-    swing = np.abs(theta - middle[lab])
+    swing = np.abs(theta - middle[:, None])
     return (
         solved
         & np.all(~live | (np.abs(residual) <= simplex.RESIDUAL_TOL), axis=1)
@@ -439,15 +419,16 @@ def _fill(order: np.ndarray, size: np.ndarray, amount: float) -> tuple[np.ndarra
 
 
 def _island_basis(network: GridNetwork, stack: _Stack, b: int) -> simplex.BasisState:
-    """Basis of the island copper-plate optimum of member b of the stack: the
-    vertex the dispatch LP reaches once flow and angle limits are dropped.
+    """Basis of the copper-plate optimum of island b of the stack, alone in
+    the network: the vertex the dispatch LP reaches once flow and angle
+    limits are dropped.
 
     Each Ohm row has its flow basic on a live branch and its relief column
-    on a dead one, and each bus the slack of its overgeneration row.  A dead
-    bus keeps p_check basic in its balance row.  In each island theta is
-    basic at every bus but one grounded bus (the reference bus, or else the
-    island's first bus, at its lower bound), and one marginal column sets
-    the island's price:
+    on a dead one, and each bus the slack of its overgeneration row.  A bus
+    outside the island keeps p_check basic in its balance row.  In the
+    island theta is basic at every bus but one grounded bus (the reference
+    bus, or else the island's first bus, at its lower bound), and one
+    marginal column sets the island's price:
 
     - balanced (Gmin <= L <= Gmax): every load is served; generators fill in
       bus order from gen_min, at their maximum up to the marginal p_hat;
@@ -458,66 +439,64 @@ def _island_basis(network: GridNetwork, stack: _Stack, b: int) -> simplex.BasisS
       slack of a bus that absorbs its whole gen_min, up to the marginal
       p_check.
 
-    Every basic column of a live island then prices at the island's one
-    balance dual (0, lambda_shed or -lambda_over), so the basis is dual
-    feasible and the dual simplex only repairs the limits that bind.
+    Every basic column of the island then prices at its one balance dual
+    (0, lambda_shed or -lambda_over), so the basis is dual feasible and the
+    dual simplex only repairs the limits that bind.
     """
     a = network.arrays
     i_hat, i_chk, i_del, i_the, i_flo, i_rel = _layout(network)
     n_var = i_rel + len(a.frm)
     ohm, balance, overgen = _row_layout(network)
     n_rows = len(ohm) + len(balance) + len(overgen)
-    labels = stack.labels[b]
 
     basis = np.empty(n_rows, dtype=np.int64)
     status = np.full(n_var + 2 * n_rows, simplex.AT_LOWER, dtype=np.int8)
     basis[ohm] = np.where(stack.live_branches[b], i_flo, i_rel) + ohm
     basis[overgen] = n_var + overgen  # the slack column of each row
-    basis[balance] = np.where(labels >= 0, i_the, i_chk) + np.arange(len(labels))
+    basis[balance] = np.where(stack.buses[b], i_the, i_chk) + np.arange(len(a.load))
 
-    for k in range(stack.start[b], stack.start[b + 1]):
-        island = np.flatnonzero(labels == k)
-        refs = island[a.is_reference[island]]
-        ground = refs[0] if refs.size else stack.first[k]
-        flexible = island[a.gen_max[island] > a.gen_min[island]]
-        load, gen_min, gen_max = stack.load[k], stack.gen_min[k], stack.gen_max[k]
-        if load > gen_max:
-            status[i_hat + island] = simplex.AT_UPPER
-            full, i = _fill(island[a.load[island] > 0], a.load, gen_max)
-            status[i_del + full] = simplex.AT_UPPER
-            marginal = i_del + i
-        elif load >= gen_min and flexible.size:
-            status[i_del + island] = simplex.AT_UPPER
-            full, i = _fill(flexible, a.gen_max - a.gen_min, load - gen_min)
-            status[i_hat + full] = simplex.AT_UPPER
-            marginal = i_hat + i
-        else:  # surplus, or a balanced island with no flexible generator
-            status[i_del + island] = simplex.AT_UPPER
-            absorbers = island[a.gen_min[island] > 0]
-            if not absorbers.size:
-                absorbers = island[:1]
-            full, i = _fill(absorbers, a.gen_min, gen_min - load)
-            basis[overgen[full]] = i_chk + full
-            marginal = i_chk + i
-        basis[balance[ground]] = marginal
+    island = np.flatnonzero(stack.buses[b])
+    refs = island[a.is_reference[island]]
+    ground = refs[0] if refs.size else stack.first[b]
+    flexible = island[a.gen_max[island] > a.gen_min[island]]
+    load, gen_min, gen_max = stack.load[b], stack.gen_min[b], stack.gen_max[b]
+    if load > gen_max:
+        status[i_hat + island] = simplex.AT_UPPER
+        full, i = _fill(island[a.load[island] > 0], a.load, gen_max)
+        status[i_del + full] = simplex.AT_UPPER
+        marginal = i_del + i
+    elif load >= gen_min and flexible.size:
+        status[i_del + island] = simplex.AT_UPPER
+        full, i = _fill(flexible, a.gen_max - a.gen_min, load - gen_min)
+        status[i_hat + full] = simplex.AT_UPPER
+        marginal = i_hat + i
+    else:  # surplus, or a balanced island with no flexible generator
+        status[i_del + island] = simplex.AT_UPPER
+        absorbers = island[a.gen_min[island] > 0]
+        if not absorbers.size:
+            absorbers = island[:1]
+        full, i = _fill(absorbers, a.gen_min, gen_min - load)
+        basis[overgen[full]] = i_chk + full
+        marginal = i_chk + i
+    basis[balance[ground]] = marginal
     status[basis] = simplex.BASIC
     return simplex.BasisState(basis, status)
 
 
-# Survival masks settled together at most; a stack's Laplacians take
-# STACK_SIZE * buses^2 floats.  On the 60-bus corridor instance, stacks of
-# 32 raised the peak resident memory of a portfolio run by 0.5 MB over
-# settling one mask at a time, stacks of 16 by 0.1 MB at the same speed,
-# and stacks of 8 took 13% longer.
+# Masks split into islands together, and islands whose witnesses are solved
+# together, at most; a witness stack's Laplacians take STACK_SIZE * buses^2
+# floats.  Measured per mask on the 60-bus corridor: stacks of 32 raised a
+# portfolio run's peak memory by 0.5 MB over stacks of one, 16 by 0.1 MB at
+# the same speed, and 8 took 13% longer.
 STACK_SIZE = 16
 
 
 @dataclass
 class RecourseCounters:
     """What a :class:`RecourseEvaluator` did: scenario outcomes requested,
-    survival masks found in the cache, masks settled by the island bound's
-    witness without an LP, dispatch LPs solved, the simplex pivots those
-    LPs took, and the stacks of new masks settled."""
+    survival masks found in the cache, islands settled by the copper-plate
+    witness without an LP, island dispatch LPs solved, the simplex pivots
+    those LPs took, and the stacks of new masks settled."""
 
     outcomes: int = 0
     cache_hits: int = 0
@@ -535,20 +514,20 @@ class RecourseEvaluator:
     A request is a survival mask over those substations; :meth:`survivors`
     gives a plan's masks, one row per scenario.  Plans that leave the same
     substations alive in a scenario face the identical dispatch LP, so
-    losses are cached under the mask's bytes.  New masks are settled in
-    stacks of up to ``STACK_SIZE`` by array passes (a single request is a
-    stack of one).  A mask whose island witness dispatch is feasible needs
-    no LP; the others share one simplex workspace, built on the first such
-    mask, and each LP warm-starts the dual simplex from
-    :func:`_island_basis`.  Each verdict and start depends only on the mask,
-    so a cached value does not depend on the order or stacking of requests.
+    losses are cached under the mask's bytes.  New masks are split into
+    islands in stacks of up to ``STACK_SIZE`` (a single request is a stack of
+    one), and each island is settled once, cached under its packed bus set:
+    by its witness dispatch when that is feasible, else by an LP.  The LPs
+    share one simplex workspace, built on the first such island, and each
+    warm-starts the dual simplex from :func:`_island_basis`.  Each verdict
+    and start depends only on the island, so a cached value does not depend
+    on the order or stacking of requests.
 
     :meth:`evaluate` keeps each plan's evaluation under ``plan.key()``.  A
     caller about to request many outcomes passes their masks to
-    :meth:`settle` first.  The counters count :meth:`scenario_outcome`
-    calls: the first request of a mask counts as settled (with or without an
-    LP), every later one as a cache hit, so ``outcomes == cache_hits +
-    settled_without_lp + lp_solves`` once every settled mask is requested.
+    :meth:`settle` first.  ``outcomes`` counts :meth:`scenario_outcome`
+    calls, and ``cache_hits`` those after the first request of a mask;
+    ``settled_without_lp`` and ``lp_solves`` count islands, each once.
 
     ``RecourseEvaluator(network, weights)``, the older form that
     ``perfbench/worker.py`` calls, has no scenario set; its
@@ -567,21 +546,36 @@ class RecourseEvaluator:
         self.counters = RecourseCounters()
         self._cache: dict[bytes, tuple[float, float, float, float]] = {}
         self._unclaimed: set[bytes] = set()  # settled, not yet requested
+        self._island_cache: dict[bytes, tuple[float, float]] = {}  # packed bus set -> (served, overgeneration)
         self._evaluations: dict[tuple, PlanEvaluation] = {}
         self._workspace: simplex.Workspace | None = None
 
-    def _solve_lp(self, stack: _Stack, b: int) -> tuple[float, float, float, float]:
+    def _solve_lp(self, stack: _Stack, b: int) -> tuple[float, float]:
         if self._workspace is None:
             self._workspace = simplex.Workspace(*_recourse_arrays(self.network, self.weights))
         self.counters.lp_solves += 1
-        loss, dispatch = solve_recourse_lp(
-            self.network, (stack.labels[b] >= 0, stack.live_branches[b]), self.weights,
+        _, dispatch = solve_recourse_lp(
+            self.network, (stack.buses[b], stack.live_branches[b]), self.weights,
             workspace=self._workspace, warm=_island_basis(self.network, stack, b),
         )
         self.counters.lp_pivots += dispatch.pivots
-        served = sum((self.network.arrays.load * dispatch.delta).tolist())
-        over = sum(dispatch.p_check.tolist())
-        return loss, served, self.network.total_load - served, over
+        return sum((self.network.arrays.load * dispatch.delta).tolist()), sum(dispatch.p_check.tolist())
+
+    def _settle_islands(self, unseen: dict[bytes, int], stack: _Stack) -> None:
+        """Cache the (served, overgeneration) of the islands of the stack that
+        ``unseen`` maps each packed bus set to, in witness stacks of up to
+        ``STACK_SIZE``."""
+        keys, at = list(unseen), list(unseen.values())
+        for begin in range(0, len(keys), STACK_SIZE):
+            part = _Stack(*(field[at[begin : begin + STACK_SIZE]] for field in stack))
+            served, over = _plate(part)
+            for b, feasible in enumerate(_witness(self.network, part).tolist()):
+                if feasible:
+                    self.counters.settled_without_lp += 1
+                    value = float(served[b]), float(over[b])
+                else:
+                    value = self._solve_lp(part, b)
+                self._island_cache[keys[begin + b]] = value
 
     def survivors(self, plan: MitigationPlan) -> np.ndarray:
         """The plan's survival masks, scenarios by substations: substation j
@@ -591,7 +585,8 @@ class RecourseEvaluator:
     def settle(self, sub_up: np.ndarray) -> None:
         """Settle every survival mask (a row of the (K, J) bool array
         ``sub_up``) not cached yet, in stacks of up to ``STACK_SIZE``, for
-        requests about to be made."""
+        requests about to be made.  A mask serves and overgenerates what its
+        islands do, added in island order, and sheds the rest of the load."""
         width, flat = sub_up.shape[1], sub_up.tobytes()
         new: dict[bytes, int] = {}  # mask bytes -> first row, in row order
         for i in range(len(sub_up)):
@@ -601,14 +596,19 @@ class RecourseEvaluator:
         keys, rows = list(new), list(new.values())
         for begin in range(0, len(keys), STACK_SIZE):
             self.counters.batches += 1
-            stack = _islands(self.network, sub_up[rows[begin : begin + STACK_SIZE]])
-            feasible = _witness(self.network, stack).tolist()
-            for b, key in enumerate(keys[begin : begin + STACK_SIZE]):
-                if feasible[b]:
-                    self.counters.settled_without_lp += 1
-                    self._cache[key] = _plate_loss(self.network, stack, b, self.weights)
-                else:
-                    self._cache[key] = self._solve_lp(stack, b)
+            masks = keys[begin : begin + STACK_SIZE]
+            row, stack = _islands(self.network, sub_up[rows[begin : begin + STACK_SIZE]])
+            island_keys = [bits.tobytes() for bits in np.packbits(stack.buses, axis=1)]
+            unseen: dict[bytes, int] = {}  # island key -> first island, in stack order
+            for i, key in enumerate(island_keys):
+                if key not in self._island_cache:
+                    unseen.setdefault(key, i)
+            self._settle_islands(unseen, stack)
+            sums = np.zeros((len(masks), 2))  # served and overgeneration, island by island
+            np.add.at(sums, row, np.array([self._island_cache[key] for key in island_keys]).reshape(-1, 2))
+            for key, (served, over) in zip(masks, sums.tolist()):
+                shed = self.network.total_load - served
+                self._cache[key] = self.weights.lambda_shed * shed + self.weights.lambda_over * over, served, shed, over
         self._unclaimed.update(keys)
 
     def scenario_outcome(self, s: int, up: np.ndarray) -> ScenarioOutcome:

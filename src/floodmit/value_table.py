@@ -24,43 +24,42 @@ set bits of m survive.  So tables, warm-start values and plan evaluations
 share one request type and one recourse cache.
 
 A table has 2^|U_s| entries.  The evaluator settles the entries of every
-table in one call, in stacked array passes: most with no LP, by the island
+table in one call, island by island: most with no LP, by the island
 copper-plate bound and its DC power-flow witness, and a dispatch LP for the
-rest (fewer after cache hits).
-A scenario with more than ``MAX_TABLE_UNCERTAIN`` uncertain substations keeps
-the extensive form's dispatch block instead, built by the same helper
-:func:`floodmit.extensive_form.add_dispatch_block`.  The first stage is the
-extensive form's, so plans read in and out through the same
-:class:`~floodmit.extensive_form.ExtensiveForm` wrapper.
+rest; an island that many entries share is settled once.  Every scenario
+gets a table while the model's tables hold at most ``MAX_TABLE_ENTRIES``
+entries in all.  An instance over that limit is built whole as the extensive
+form (:func:`floodmit.extensive_form.build`), before any table is filled.
+The first stage is the extensive form's, so plans read in and out through
+the same :class:`~floodmit.extensive_form.ExtensiveForm` wrapper.
 
-When every scenario has a table, the model comes with a start basis, the
-zero plan's vertex (a model-aware crash basis in the sense of Bixby, ORSA
-J. Comput. 4(3), 1992): each table's empty-survivor entry z[s, {}] is basic
-in its ``zsum`` row, where it is a column singleton; each single-survivor
-entry z[s, {j}] is basic, at value 0, in its marginal row; and the slack is
-basic in every first-stage row.  Ordered marginal rows first, the basis
-matrix is triangular with a unit diagonal, so it is nonsingular, and with
-every x at 0 it is primal feasible at every budget >= 0.  Its duals price
-marginal row (s, j) at p_s * (loss(s, {j}) - loss(s, {})).
+The model comes with a start basis, the zero plan's vertex (a model-aware
+crash basis in the sense of Bixby, ORSA J. Comput. 4(3), 1992): each
+table's empty-survivor entry z[s, {}] is basic in its ``zsum`` row, where
+it is a column singleton; each single-survivor entry z[s, {j}] is basic, at
+value 0, in its marginal row; and the slack is basic in every first-stage
+row.  Ordered marginal rows first, the basis matrix is triangular with a
+unit diagonal, so it is nonsingular, and with every x at 0 it is primal
+feasible at every budget >= 0.  Its duals price marginal row (s, j) at
+p_s * (loss(s, {j}) - loss(s, {})).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .extensive_form import ExtensiveForm, add_dispatch_block, add_first_stage, assemble, check_inputs
+from . import extensive_form
+from .extensive_form import ExtensiveForm, add_first_stage, assemble, check_inputs
 from .milp import ProblemBuilder, sanitize_name
 from .mitigation import Budget, CostSchedule
 from .recourse import RecourseEvaluator
 from .scenario_model import FloodScenario
 from .simplex import slack_basis
 
-# Largest uncertain set that gets a table (2^6 = 64 entries); larger ones
-# keep a dispatch block, whose size does not grow with the set.  On a
-# 30-substation corridor with sets of up to 13, caps of 4 and 5 left node LPs
-# large enough to make deep trees slow, 7 only tied 6, and 10 spent 104 s
-# building tables.
-MAX_TABLE_UNCERTAIN = 6
+# Most table entries, the sum over scenarios of 2^|U_s|, that a model gets.
+# The generated corridor (uncertain sets of up to 13) needs 22384, which fill
+# in 1.3 s on a 2-CPU host: 21607 masks with 2397 distinct islands.
+MAX_TABLE_ENTRIES = 2**16
 
 
 def _add_table(
@@ -105,37 +104,35 @@ def build(
     Same first stage and optimum as :func:`floodmit.extensive_form.build`
     over the network, scenario set and loss weights of ``evaluator``.
     Raises on the same input mismatches.  The model's ``start_basis`` is
-    the zero plan's vertex when every scenario has a table, else None.
+    the zero plan's vertex.  Over ``MAX_TABLE_ENTRIES`` the model is the
+    extensive form itself, with no start basis.
     """
     network, scenario_set, levels = evaluator.network, evaluator.scenario_set, evaluator.levels
     check_inputs(network, scenario_set, schedule, r_hat)
+    uncertain = [np.flatnonzero((0 < row) & (row < r_hat)) for row in levels]
+    n = len(scenario_set.scenarios)
+    if sum(2 ** len(u) for u in uncertain) > MAX_TABLE_ENTRIES:
+        ef = extensive_form.build(network, scenario_set, schedule, budget, r_hat, evaluator.weights)
+        ef.stats.update(table_scenarios=0, table_entries=0, dispatch_scenarios=n)
+        return ef
     pb = ProblemBuilder("value_table")
     x_idx = add_first_stage(pb, network, schedule, budget, r_hat)
     sub_ids = network.arrays.sub_ids
     # Entry m of a table: the dry substations and the uncertain ones at the
     # set bits of m survive; every other flooded substation is dead.
-    tables = {}
-    for s, row in enumerate(levels):
-        uncertain = np.flatnonzero((0 < row) & (row < r_hat))
-        if len(uncertain) <= MAX_TABLE_UNCERTAIN:
-            entries = np.repeat([row == 0], 2 ** len(uncertain), axis=0)
-            entries[:, uncertain] = np.arange(len(entries))[:, None] >> np.arange(len(uncertain)) & 1
-            tables[s] = [sub_ids[j] for j in uncertain], entries
-    evaluator.settle(np.concatenate([np.zeros((0, len(sub_ids)), dtype=bool)] + [e for _, e in tables.values()]))
+    tables = []
+    for row, cols in zip(levels, uncertain):
+        entries = np.repeat([row == 0], 2 ** len(cols), axis=0)
+        entries[:, cols] = np.arange(len(entries))[:, None] >> np.arange(len(cols)) & 1
+        tables.append(entries)
+    evaluator.settle(np.concatenate(tables))
     basic: dict[int, int] = {}
-    for s, scenario in enumerate(scenario_set.scenarios):
-        if s in tables:
-            uncertain, entries = tables[s]
-            losses = [evaluator.scenario_outcome(s, up).loss for up in entries]
-            basic.update(_add_table(pb, scenario, uncertain, losses, x_idx))
-        else:
-            add_dispatch_block(pb, network, scenario, r_hat, evaluator.weights, x_idx)
-    n_dispatch = len(scenario_set.scenarios) - len(tables)
+    for s, (scenario, cols, entries) in enumerate(zip(scenario_set.scenarios, uncertain, tables)):
+        losses = [evaluator.scenario_outcome(s, up).loss for up in entries]
+        basic.update(_add_table(pb, scenario, [sub_ids[j] for j in cols], losses, x_idx))
     ef = assemble(
-        pb, network, schedule, budget, r_hat, x_idx,
-        scenarios=len(scenario_set.scenarios), table_scenarios=len(tables),
-        table_entries=sum(len(entries) for _, entries in tables.values()), dispatch_scenarios=n_dispatch,
+        pb, network, schedule, budget, r_hat, x_idx, scenarios=n, table_scenarios=n,
+        table_entries=sum(len(entries) for entries in tables), dispatch_scenarios=0,
     )
-    if not n_dispatch:
-        ef.start_basis = slack_basis(ef.problem.n_variables, ef.problem.n_rows, basic)
+    ef.start_basis = slack_basis(ef.problem.n_variables, ef.problem.n_rows, basic)
     return ef

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,23 @@ def ring12():
 @pytest.fixture(scope="session")
 def coastal40():
     return make_fixture("coastal40")
+
+
+@pytest.fixture(scope="session")
+def corridor_dir(tmp_path_factory):
+    """The generated corridor instance of the benchmark's portfolio
+    workload, ``corridor_docs(11, Corridor(18, 12, 32, 4))``, on disk, as
+    ``perfbench/workloads.py`` writes it."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    out = tmp_path_factory.mktemp("corridor")
+    workloads.write_inputs(*workloads.corridor_docs(11, workloads.Corridor(18, 12, 32, 4)), out)
+    return out
 
 
 def scaled_flow_limits(network: GridNetwork, factor: float) -> GridNetwork:

@@ -1,6 +1,4 @@
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -224,6 +222,41 @@ def test_sweep_explicit_max_budget(tiny3_dir, tmp_path):
     assert len(lines) == 3
 
 
+def test_a_failed_budget_writes_an_error_row_of_what_was_measured(tiny3_dir, tmp_path, monkeypatch):
+    """A budget whose solve fails keeps its budget and the greedy
+    portfolio's best loss, and leaves empty every column that no solve
+    measured: the search's nodes and pivots and both uniqueness columns.
+    The budgets around it are solved as usual."""
+    from floodmit import analysis, heuristic, solver
+    from floodmit.grid_model import load_network
+    from floodmit.mitigation import Budget, CostSchedule
+    from floodmit.recourse import LossWeights, RecourseEvaluator
+    from floodmit.scenario_model import load_scenarios
+
+    real = analysis.solve_instance
+
+    def fails_at_budget_1(ef, *args, **kwargs):
+        if ef.budget.units == 1:
+            raise solver.SolverError("budget 1: solver stopped with node-limit")
+        return real(ef, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_instance", fails_at_budget_1)
+    out = tmp_path / "swp"
+    assert main([
+        "sweep", "--network", _net(tiny3_dir), "--scenarios", _scen(tiny3_dir),
+        "--max-budget", "2", "--check-unique", "--out", str(out),
+    ]) == 0
+    network = load_network(_net(tiny3_dir))
+    scenarios = load_scenarios(_scen(tiny3_dir), network=network)
+    levels = heuristic.LevelMatrix(network, scenarios, CostSchedule.for_network(network), 3)
+    evaluator = RecourseEvaluator(network, scenarios, LossWeights())
+    best = min(evaluator.evaluate(plan).expected_loss for plan in heuristic.portfolio(Budget(1), levels))
+    rows = (out / "objectives.csv").read_text().splitlines()
+    assert rows[2] == f"1,error,,,{best!r},,,,,"
+    for row in (rows[1], rows[3]):
+        assert row.split(",")[1] == "optimal" and "" not in row.split(",")[6:]
+
+
 @pytest.mark.parametrize("value", ["abc", "1.5", "-1"])
 def test_sweep_rejects_a_max_budget_that_is_not_auto_or_a_count(tmp_path, capsys, value):
     """The parser rejects the value before any input file is read: the
@@ -409,11 +442,12 @@ def test_gen_scenarios_requires_coordinates(tiny3_dir, tmp_path, capsys):
 def test_envelopes_report_recourse_counters(tmp_path, name):
     """``solve``, ``sweep``, ``heuristic`` and ``eval`` report what their
     recourse evaluator did under a top-level ``counters.recourse`` key,
-    outside ``result``.  Every outcome is exactly one of a cache hit, a dead
-    set settled without an LP, or a dispatch LP, and ``lp_pivots`` sums the
-    simplex pivots of those LPs.  New dead sets are settled in stacks
-    (``batches``), and the commands that run the greedy report its passes
-    and the states it scored under ``counters.greedy``."""
+    outside ``result``.  Every outcome after the first request of its mask
+    is a cache hit.  New masks are settled in stacks (``batches``), and
+    their islands each once, by the witness (``settled_without_lp``) or by
+    a dispatch LP (``lp_solves``); ``lp_pivots`` sums the simplex pivots of
+    those LPs.  The commands that run the greedy report its passes and the
+    states it scored under ``counters.greedy``."""
     fx = tmp_path / "fx"
     assert main(["make-fixture", name, "--out-dir", str(fx)]) == 0
     common = ["--network", str(fx / "network.json"), "--scenarios", str(fx / "scenarios.json"), "--rhat", "3"]
@@ -440,7 +474,7 @@ def test_envelopes_report_recourse_counters(tmp_path, name):
         counts = env["counters"]["recourse"]
         assert set(counts) == {"outcomes", "cache_hits", "settled_without_lp", "lp_solves", "lp_pivots", "batches"}
         assert "counters" not in env["result"]
-        assert 0 < counts["batches"] <= counts["settled_without_lp"] + counts["lp_solves"]
+        assert 0 < counts["batches"] <= counts["outcomes"] - counts["cache_hits"]
         if path == "eval.json":
             assert "greedy" not in env["counters"]
         else:
@@ -448,11 +482,8 @@ def test_envelopes_report_recourse_counters(tmp_path, name):
             assert set(greedy) == {"passes", "states_scored"}
             assert 0 < greedy["states_scored"]
         assert counts["settled_without_lp"] > 0
-        assert counts["outcomes"] == (
-            counts["cache_hits"] + counts["settled_without_lp"] + counts["lp_solves"]
-        )
         assert (counts["lp_pivots"] > 0) == (counts["lp_solves"] > 0)
-        if name == "star8":  # the witness settles every star8 dead set
+        if name == "star8":  # the witness settles every star8 island
             assert counts["lp_solves"] == 0
     sweep = json.loads((tmp_path / "sweep" / "envelope.json").read_text())["counters"]["recourse"]
     assert sweep["cache_hits"] > 0
@@ -538,31 +569,14 @@ def test_malformed_nested_input_is_a_format_error(tiny3_dir, tmp_path, capsys, c
     assert err.startswith("floodmit: error: ") and message in err, err
 
 
-@pytest.fixture(scope="module")
-def corridor_dir(tmp_path_factory):
-    """The generated corridor instance of the benchmark's portfolio
-    workload, ``corridor_docs(11, Corridor(18, 12, 32, 4))``, on disk."""
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    out = tmp_path_factory.mktemp("corridor")
-    workloads.write_inputs(*workloads.corridor_docs(11, workloads.Corridor(18, 12, 32, 4)), out)
-    return out
-
-
 PINNED_RECOURSE = json.loads((Path(__file__).parent / "data" / "recourse_counters.json").read_text())
 
 
 @pytest.mark.parametrize("request_name", sorted(PINNED_RECOURSE))
 def test_second_stage_requests_match_the_pinned_counters(request_name, corridor_dir, tmp_path):
-    """The recourse counters of the benchmark's requests, exactly as they
-    were before survival masks replaced dead-set tuples as the second
-    stage's request: the same requests, cache hits, witness settlements,
-    dispatch LPs, pivots and stacks."""
+    """The recourse counters of the benchmark's requests, pinned: the
+    requests, cache hits and stacks of new masks, and the islands settled
+    by the witness or by a dispatch LP, with those LPs' pivots."""
     if request_name.startswith("coastal40"):
         fx = tmp_path / "fx"
         assert main(["make-fixture", "coastal40", "--out-dir", str(fx)]) == 0

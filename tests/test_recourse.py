@@ -17,7 +17,7 @@ from floodmit.recourse import (
     RecourseEvaluator,
     _island_basis,
     _islands,
-    _plate_loss,
+    _plate,
     _witness,
     _recourse_arrays,
     solve_recourse_lp,
@@ -44,8 +44,11 @@ def _outcome(evaluator, dead):
 
 
 def _island_bound(network, dead, weights):
-    """The island copper-plate bound of one dead set, as a stack of one."""
-    return _plate_loss(network, _islands(network, survival_masks(network, [dead])), 0, weights)[0]
+    """The island copper-plate bound of one dead set: its islands' plates
+    side by side, and the load of its dead buses shed."""
+    served, over = _plate(_islands(network, survival_masks(network, [dead]))[1])
+    shed = network.total_load - sum(served.tolist())
+    return weights.lambda_shed * shed + weights.lambda_over * sum(over.tolist())
 
 
 def two_bus_network():
@@ -107,8 +110,9 @@ def test_closure_statuses_consistent_within_substation(star8):
 
 def test_every_status_consumer_follows_the_loop_closure():
     """The arrays' closure, ``status_closure``, ``LevelMatrix.statuses``
-    (per scenario) and the live masks of ``_islands`` (one stack
-    of every scenario's dead set) all give the loop's statuses, on random
+    (per scenario) and the islands of ``_islands`` (one stack of every
+    scenario's dead set, its buses and live branches) all give the loop's
+    statuses, on random
     networks with random, no and all substations dead.  A closure that keeps
     a branch with one dead end alive fails this."""
     rng = np.random.default_rng(1212)
@@ -123,7 +127,7 @@ def test_every_status_consumer_follows_the_loop_closure():
         levels = LevelMatrix(net, scenario_set, CostSchedule.for_network(net), 3)
         bus_rows, branch_rows = levels.statuses(plan)
         dead_sets = [tuple(k for k, lvl in sc.levels.items() if plan.level_of(k) < lvl) for sc in scenarios]
-        stack = _islands(net, survival_masks(net, dead_sets))
+        row, stack = _islands(net, survival_masks(net, dead_sets))
         for s, (scenario, dead) in enumerate(zip(scenarios, dead_sets)):
             bus_ref, branch_ref = _loop_closure(net, set(dead))
             a = net.arrays
@@ -133,8 +137,8 @@ def test_every_status_consumer_follows_the_loop_closure():
             assert bus_mask.tolist() == bus_ref and branch_mask.tolist() == branch_ref
             assert bus_rows[s].tolist() == [float(up) for up in bus_ref]
             assert branch_rows[s].tolist() == [float(up) for up in branch_ref]
-            assert (stack.labels[s] >= 0).tolist() == bus_ref
-            assert stack.live_branches[s].tolist() == branch_ref
+            assert stack.buses[row == s].any(axis=0).tolist() == bus_ref
+            assert stack.live_branches[row == s].any(axis=0).tolist() == branch_ref
         assert not any(bus_rows[-1]) and not any(branch_rows[-1])
         assert all(bus_rows[-2]) and all(branch_rows[-2])
 
@@ -496,10 +500,9 @@ def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, na
     forward = RecourseEvaluator(network, DRY, weights)
     for dead in dead_sets:
         _outcome(forward, dead)
-    assert forward.counters.lp_solves > 1
+    # Both ways of settling an island take part.
+    assert forward.counters.lp_solves > 1 and forward.counters.settled_without_lp > 0
     assert cold_starts == []  # each LP starts from its own island basis
-    # Both ways of settling a dead set take part.
-    assert 0 < forward.counters.settled_without_lp < len(dead_sets)
     backward = RecourseEvaluator(network, DRY, weights)
     for dead in reversed(dead_sets):
         _outcome(backward, dead)
@@ -509,6 +512,7 @@ def test_dispatch_losses_do_not_depend_on_request_order(monkeypatch, request, na
         return {dead: tuple(v.hex() for v in values) for dead, values in cache.items()}
 
     assert bits(forward._cache) == bits(backward._cache)
+    assert bits(forward._island_cache) == bits(backward._island_cache)
     for loss, served, shed, over in forward._cache.values():
         assert served + shed == pytest.approx(network.total_load, abs=1e-9)
         assert loss == pytest.approx(
@@ -583,9 +587,10 @@ def test_island_bound_never_exceeds_the_lp_and_is_exact_without_limits():
 
 
 def _settled_without_lp(evaluator, dead):
-    before = evaluator.counters.settled_without_lp
-    values = _outcome(evaluator, dead)
-    return evaluator.counters.settled_without_lp > before, values
+    """Whether the witness settles every island of the dead set, and the
+    evaluator's (loss, served, shed, overgeneration) of it."""
+    _, stack = _islands(evaluator.network, survival_masks(evaluator.network, [dead]))
+    return bool(_witness(evaluator.network, stack).all()), _outcome(evaluator, dead)
 
 
 @pytest.mark.parametrize("weights", [LossWeights(), LossWeights(1.0, 2.5)])
@@ -611,13 +616,44 @@ def test_dispatch_settled_without_lp_equals_the_cold_lp(coastal40, weights):
     assert settled > total // 2
 
 
+def _every_mask_against_the_cold_lp(net, weights):
+    """Settle every survival mask of ``net`` as one stack and check each
+    loss against the cold dispatch LP's: within 1e-9, and within 1e-7
+    relative (to at least 1).  Returns the evaluator's counters."""
+    subs = [s.id for s in net.substations]
+    dead_sets = [dead for k in range(len(subs) + 1) for dead in itertools.combinations(subs, k)]
+    evaluator = RecourseEvaluator(net, DRY, weights)
+    evaluator.settle(survival_masks(net, dead_sets))
+    for dead in dead_sets:
+        loss = _outcome(evaluator, dead)[0]
+        cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
+        assert abs(loss - cold) <= 1e-9, (dead, loss, cold)
+        assert abs(loss - cold) <= 1e-7 * max(1.0, abs(cold)), (dead, loss, cold)
+    return evaluator.counters
+
+
+def test_island_sums_match_the_cold_lp_on_random_networks():
+    """Every survival mask of plain ``random_network`` instances, settled
+    island by island, has the cold dispatch LP's loss; some islands need
+    their LP.  Dropping the dead buses' load from the shed, or caching an
+    island under its load and generation instead of its bus set, fails
+    this."""
+    lp = 0
+    for seed in range(60):
+        rng = np.random.default_rng(4000 + seed)
+        net = random_network(rng)
+        lp += _every_mask_against_the_cold_lp(net, LossWeights(1.0, float(rng.choice([0.0, 1.0, 3.0])))).lp_solves
+    assert lp > 0
+
+
 def test_second_stage_matches_the_cold_lp_on_a_wider_valid_domain():
     """Random valid networks beyond ``random_network``'s: fixed generators
     (``gen_min = gen_max > 0``), dropped branches (disconnected networks),
     angle limits down to 0.05 rad absolute and 0.02 rad difference, and
     ``lambda_over`` of 0, 1 or 3.  For every survival mask, settled as one
-    stack, the evaluator's loss is the cold dispatch LP's within 1e-7
-    relative (to at least 1)."""
+    stack, the evaluator's loss is the cold dispatch LP's within 1e-9, and
+    within 1e-7 relative (to at least 1).  Island LPs and witnesses both
+    take part."""
     seen = {"fixed": 0, "disconnected": 0, "tight": 0, "lp": 0, "witness": 0}
     for seed in range(60):
         rng = np.random.default_rng(9000 + seed)
@@ -636,17 +672,9 @@ def test_second_stage_matches_the_cold_lp_on_a_wider_valid_domain():
         seen["fixed"] += any(0 < b.p_gen_min == b.p_gen_max for b in net.buses)
         seen["disconnected"] += len(branches) < len(net.buses) - 1
         seen["tight"] += angle_abs == 0.05 or angle_diff == 0.02
-        weights = LossWeights(1.0, float(rng.choice([0.0, 1.0, 3.0])))
-        subs = [s.id for s in net.substations]
-        dead_sets = [dead for k in range(len(subs) + 1) for dead in itertools.combinations(subs, k)]
-        evaluator = RecourseEvaluator(net, DRY, weights)
-        evaluator.settle(survival_masks(net, dead_sets))
-        seen["lp"] += evaluator.counters.lp_solves
-        seen["witness"] += evaluator.counters.settled_without_lp
-        for dead in dead_sets:
-            loss = _outcome(evaluator, dead)[0]
-            cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
-            assert abs(loss - cold) <= 1e-7 * max(1.0, abs(cold)), (seed, dead, loss, cold)
+        counters = _every_mask_against_the_cold_lp(net, LossWeights(1.0, float(rng.choice([0.0, 1.0, 3.0]))))
+        seen["lp"] += counters.lp_solves
+        seen["witness"] += counters.settled_without_lp
     assert min(seen.values()) > 0, seen
 
 
@@ -712,24 +740,31 @@ def _loop_islands(network, dead):
 
 def test_stacked_islands_equal_the_loop_reference():
     """Every member of a stack gets the islands and island sums of a
-    literal graph search on its own, bit for bit, on random networks with
-    stacks of random, no and all substations dead."""
+    literal graph search on its own, bit for bit, in member order and then
+    in the order of their first bus, and each island's live branches are
+    those with both ends in it; on random networks with stacks of random, no
+    and all substations dead."""
     rng = np.random.default_rng(2727)
     for _ in range(60):
         net = random_network(rng, n_subs=int(rng.integers(2, 7)))
         subs = [s.id for s in net.substations]
         stack = [tuple(sorted(s for s in subs if rng.random() < 0.4)) for _ in range(int(rng.integers(1, 9)))]
         stack += [(), tuple(subs)]
-        islands = _islands(net, survival_masks(net, stack))
+        row, islands = _islands(net, survival_masks(net, stack))
+        assert (np.diff(row) >= 0).all()
+        a = net.arrays
+        assert (islands.live_branches == islands.buses[:, a.frm] & islands.buses[:, a.to]).all()
         for b, dead in enumerate(stack):
             labels, first, sums = _loop_islands(net, dead)
-            own = slice(islands.start[b], islands.start[b + 1])
-            assert (islands.member[own] == b).all()
-            assert np.where(islands.labels[b] >= 0, islands.labels[b] - own.start, -1).tolist() == labels
+            own = np.flatnonzero(row == b)
+            label = np.full(len(net.buses), -1)
+            for k, buses in enumerate(islands.buses[own]):
+                assert (label[buses] == -1).all()
+                label[buses] = k
+            assert label.tolist() == labels
             assert islands.first[own].tolist() == first
             sums_b = zip(islands.load[own].tolist(), islands.gen_min[own].tolist(), islands.gen_max[own].tolist())
             assert [list(v) for v in sums_b] == sums
-        assert islands.start[-1] == len(islands.member)
 
 
 def _settle_in_chunks(network, weights, dead_sets, sizes):
@@ -753,10 +788,10 @@ def test_stacked_settlement_matches_the_cold_lp_and_ignores_stacking(weights):
     reference bus, all and no substations dead, and a network whose
     Laplacian is singular for one member of the stack.  With positive
     susceptances and no binding limit, the witness settles every member.
-    Splitting the stack or reversing its order leaves every cached value
-    the same to the bit.  Grounding a bus without its identity row, or
-    numbering the buses of all members alike (so that islands merge across
-    members), fails this."""
+    Each distinct island is settled once.  Splitting the stack or reversing
+    its order leaves every cached value the same to the bit.  Grounding a
+    bus without its identity row, or numbering the buses of all members
+    alike (so that islands merge across members), fails this."""
 
     def bits(cache):
         return {dead: tuple(v.hex() for v in values) for dead, values in cache.items()}
@@ -769,7 +804,8 @@ def test_stacked_settlement_matches_the_cold_lp_and_ignores_stacking(weights):
             evaluator = RecourseEvaluator(copy, DRY, weights)
             evaluator.settle(survival_masks(copy, stack))
             assert evaluator.counters.batches == 1
-            assert evaluator.counters.settled_without_lp + evaluator.counters.lp_solves == len(dead_sets)
+            islands = {bits.tobytes() for bits in _islands(copy, survival_masks(copy, stack))[1].buses}
+            assert evaluator.counters.settled_without_lp + evaluator.counters.lp_solves == len(islands)
             if copy is not net:
                 assert evaluator.counters.lp_solves == 0, dead_sets
             for dead in dead_sets:
@@ -777,15 +813,17 @@ def test_stacked_settlement_matches_the_cold_lp_and_ignores_stacking(weights):
                 loss, served, shed, over = evaluator._cache[survival_masks(copy, [dead]).tobytes()]
                 assert loss == pytest.approx(cold, abs=1e-9), dead
                 assert served + shed == pytest.approx(copy.total_load, abs=1e-9)
-            expected = bits(evaluator._cache)
+            expected = bits(evaluator._cache), bits(evaluator._island_cache)
             for sizes in ([1], [2, 3]):
-                assert bits(_settle_in_chunks(copy, weights, stack, sizes)._cache) == expected
-                assert bits(_settle_in_chunks(copy, weights, stack[::-1], sizes)._cache) == expected
-    # At its own susceptances the cancelling pair's no-flood member has a
+                for order in (stack, stack[::-1]):
+                    chunked = _settle_in_chunks(copy, weights, order, sizes)
+                    assert (bits(chunked._cache), bits(chunked._island_cache)) == expected
+    # At its own susceptances the cancelling pair's no-flood island has a
     # singular Laplacian: the stack refuses its witness only.
     net = cancelling_pair_network()
-    stack = survival_masks(net, [("SC",), (), ("SB",)])
-    assert _witness(net, _islands(net, stack)).tolist() == [True, False, True]
+    row, islands = _islands(net, survival_masks(net, [("SC",), (), ("SB",)]))
+    assert row.tolist() == [0, 1, 2, 2]
+    assert _witness(net, islands).tolist() == [True, False, True, True]
 
 
 def overloaded_line_network():
@@ -877,64 +915,64 @@ def test_zero_weight_witness_reports_the_least_shed_and_overgeneration(weights):
 # -- the island copper-plate basis that starts every dispatch LP -----------
 
 
-def _island_solve(net, dead, weights):
-    """The evaluator's fallback solve of one dead set on a fresh workspace,
-    started from its island basis.  Returns the loss, the pivots, the
-    workspace, the basis and the stack of one that holds its islands."""
-    stack = _islands(net, survival_masks(net, [dead]))
-    ws = simplex.Workspace(*_recourse_arrays(net, weights))
-    state = _island_basis(net, stack, 0)
-    loss, dispatch = solve_recourse_lp(net, _masks(net, dead), weights, workspace=ws, warm=state)
-    return loss, dispatch.pivots, ws, state, stack
-
-
-def _floating_islands(net, stack):
-    """Islands of two or more buses without the reference bus, in a stack of
-    one: the ones grounded at their first bus's lower angle bound."""
-    ref = next(i for i, b in enumerate(net.buses) if b.is_reference)
-    labels = stack.labels[0]
-    sizes = np.bincount(labels[labels >= 0], minlength=len(stack.first))
-    return int(np.sum(sizes >= 2)) - int(labels[ref] >= 0 and sizes[labels[ref]] >= 2)
+def _island_solves(net, dead, weights):
+    """The evaluator's fallback solve of each island of one dead set, alone
+    in the network, on a fresh workspace and started from its island basis.
+    Yields per island the loss, the pivots, the workspace, the basis, its
+    statuses, its copper-plate bound, and whether it floats: two or more
+    buses without the reference bus, grounded at its first bus's lower
+    angle bound."""
+    _, stack = _islands(net, survival_masks(net, [dead]))
+    reference = np.array([b.is_reference for b in net.buses])
+    served, over = _plate(stack)
+    for b in range(len(stack.first)):
+        ws = simplex.Workspace(*_recourse_arrays(net, weights))
+        state = _island_basis(net, stack, b)
+        statuses = stack.buses[b], stack.live_branches[b]
+        loss, dispatch = solve_recourse_lp(net, statuses, weights, workspace=ws, warm=state)
+        bound = weights.lambda_shed * (net.total_load - served[b]) + weights.lambda_over * over[b]
+        floats = stack.buses[b].sum() >= 2 and not reference[stack.buses[b]].any()
+        yield loss, dispatch.pivots, ws, state, statuses, bound, floats
 
 
 def test_island_basis_starts_every_dispatch_lp_warm_at_the_copper_plate_optimum(monkeypatch):
     """On random networks with raised minimum generation, a cut-off
-    reference bus, all and no substations dead: the island basis factorizes
-    and is dual feasible, the LP reaches the cold LP's
-    loss without a cold start, and with no limit binding it is the island
-    bound itself.  Then the only pivots left ground the angles of an island
-    without the reference bus, at most one per such island.  A balanced
-    island left serving nothing, an island with every angle basic, or a
-    surplus bus that absorbs without giving up its overgeneration slack each
-    fails this."""
+    reference bus, all and no substations dead, for every island alone in
+    the network: the island basis factorizes and is dual feasible, the LP
+    reaches the cold LP's loss without a cold start, and with no limit
+    binding it is the island's copper-plate bound itself.  Then the only
+    pivot left grounds the angles of an island without the reference bus.
+    A balanced island left serving nothing, an island with every angle
+    basic, or a surplus bus that absorbs without giving up its
+    overgeneration slack each fails this."""
     cold_starts = _record_cold_starts(monkeypatch)
     for net, dead_sets in _bound_cases(seed=909, count=40):
         loose = _unlimited(net)
         for dead in dead_sets:
             for weights in BOUND_WEIGHTS:
-                loss, _, ws, state, _ = _island_solve(net, dead, weights)
-                loose_loss, pivots, loose_ws, _, stack = _island_solve(loose, dead, weights)
-                assert cold_starts == []
-                simplex.spla.splu(simplex._basis_matrix(ws.A_ext, state.basis))  # raises if singular
-                start = simplex._Solver(loose_ws, max_iter=0)
-                assert start.warm_start(state)
-                assert start.dual_feasible(loose_ws.c_ext)
-                assert loose_loss == pytest.approx(_island_bound(net, dead, weights), abs=1e-9)
-                assert pivots <= _floating_islands(net, stack)
-                cold, _ = solve_recourse_lp(net, _masks(net, dead), weights)
-                assert loss == pytest.approx(cold, abs=1e-9)
-                cold_starts.clear()
+                solves = zip(_island_solves(net, dead, weights), _island_solves(loose, dead, weights))
+                for (loss, _, ws, state, statuses, bound, _), (loose_loss, pivots, loose_ws, *_, floats) in solves:
+                    assert cold_starts == []
+                    simplex.spla.splu(simplex._basis_matrix(ws.A_ext, state.basis))  # raises if singular
+                    start = simplex._Solver(loose_ws, max_iter=0)
+                    assert start.warm_start(state)
+                    assert start.dual_feasible(loose_ws.c_ext)
+                    assert loose_loss == pytest.approx(bound, abs=1e-9)
+                    assert pivots <= floats
+                    cold, _ = solve_recourse_lp(net, statuses, weights)
+                    assert loss == pytest.approx(cold, abs=1e-9)
+                    cold_starts.clear()
 
 
 def test_fallback_lp_restarts_cold_when_the_dual_run_fails(monkeypatch, coastal40):
     """A dual run that ends in ``numerical-error`` (as on a detected cycle or
-    a tiny pivot) still gives a coastal40 dead set whose witness fails the
-    cold LP's loss, through one cold restart."""
+    a tiny pivot) still gives a coastal40 dead set with one island whose
+    witness fails the cold LP's loss, through one cold restart."""
     net = coastal40.network
     weights = LossWeights(1.0, 1.5)
     dead = next(
         d for d in _scenario_dead_sets(coastal40.scenarios)
-        if not _witness(net, _islands(net, survival_masks(net, [d])))[0]
+        if (~_witness(net, _islands(net, survival_masks(net, [d]))[1])).sum() == 1
     )
     expected, _ = solve_recourse_lp(net, _masks(net, dead), weights)
     dual_runs = []

@@ -1,9 +1,9 @@
 """The benchmark's tracer must keep finding every name it wraps, the
 README must advertise only flags the command line accepts, no module
 imports a name it never uses, no module of the package imports another's
-private name, no function in ``src/`` ignores one of its parameters, no
-parameter with a default goes unpassed, and nothing defined in ``src/``
-goes unnamed there.
+private name, only the extensive form names its big-M dispatch block, no
+function in ``src/`` ignores one of its parameters, no parameter with a
+default goes unpassed, and nothing defined in ``src/`` goes unnamed there.
 
 ``perfbench/tracing.py`` replaces entry points of the package by name; a
 rename or deletion in ``src/`` would only surface in a traced benchmark run.
@@ -323,6 +323,32 @@ def test_no_module_imports_a_private_name_of_another():
     line = source.count("\n") + 1
     assert _private_imports("scenario_model", source + "from .grid_model import _objects\n") == [
         f"scenario_model:{line} grid_model._objects"
+    ]
+
+
+# The extensive form's big-M dispatch block and its status link rows.
+ORACLE_BLOCK = {"add_dispatch_block", "alpha_link_rows"}
+
+
+def _oracle_block_names(module, source):
+    """The names of ``ORACLE_BLOCK`` that the package module ``module``,
+    with text ``source``, uses, as "module name"."""
+    return sorted(f"{module} {name}" for name in set(_named(ast.parse(source))) & ORACLE_BLOCK)
+
+
+def test_only_the_extensive_form_names_its_dispatch_block():
+    """The big-M dispatch block is the reference model's: the solve path
+    gives every scenario a value table, and a model over the table limit is
+    the extensive form built whole.  No other module names the block, so it
+    cannot come back into the table builder."""
+    package = ROOT / "src" / "floodmit"
+    paths = [path for path in sorted(package.glob("*.py")) if path.stem != "extensive_form"]
+    assert len(paths) > 10
+    found = [entry for path in paths for entry in _oracle_block_names(path.stem, path.read_text(encoding="utf-8"))]
+    assert not found, found
+    source = (package / "value_table.py").read_text(encoding="utf-8")
+    assert _oracle_block_names("value_table", source + "from .extensive_form import add_dispatch_block\n") == [
+        "value_table add_dispatch_block"
     ]
 
 

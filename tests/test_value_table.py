@@ -15,7 +15,7 @@ from conftest import random_network, random_scenario_set
 from floodmit import analysis, extensive_form, heuristic, value_table
 from floodmit.cli import main
 from floodmit.mitigation import Budget, CostSchedule, max_useful_budget
-from floodmit.recourse import LossWeights, RecourseEvaluator
+from floodmit.recourse import LossWeights, RecourseCounters, RecourseEvaluator
 from floodmit.scenario_model import FloodScenario, FloodScenarioSet
 from floodmit.solver import solve_milp
 
@@ -59,12 +59,12 @@ def test_randomized_instances_match_extensive_form():
 
 
 def _mixed_instance():
-    """Eight one-bus substations; scenario ``wide`` floods all of them at
-    preventable levels, one more than the table cap allows."""
+    """Eight one-bus substations; scenario ``wide`` floods seven of them at
+    preventable levels and the eighth beyond any barrier."""
     rng = np.random.default_rng(97)
     net = random_network(rng, n_subs=8, buses_per_sub=1)
     subs = [s.id for s in net.substations]
-    assert len(subs) == value_table.MAX_TABLE_UNCERTAIN + 2
+    assert len(subs) == 8
     wide = {s: 1 + i % 2 for i, s in enumerate(subs)}
     wide[subs[0]] = 3  # beyond any barrier: dead in every plan
     scen = FloodScenarioSet(
@@ -79,19 +79,16 @@ def _mixed_instance():
     return net, scen
 
 
-def test_scenario_over_the_cap_keeps_a_dispatch_block():
+def test_a_scenario_with_seven_uncertain_substations_gets_a_table():
     net, scen = _mixed_instance()
     sched = CostSchedule.for_network(net)
     fmax = max_useful_budget(scen, sched, 3)
     vt = _assert_models_agree(net, scen, sched, 3, [0, 2, 5, fmax // 2, fmax])
-    # "narrow" has two uncertain substations, "dry" none.
-    assert vt.stats["dispatch_scenarios"] == 1
-    assert vt.stats["table_scenarios"] == 2
-    assert vt.stats["table_entries"] == 4 + 1
-    # The ids are alphanumeric, so a name is alpha_scenario_substation.
-    alphas = [i for i, name in enumerate(vt.problem.names) if name.startswith("alpha_")]
-    assert len(alphas) == 7 and {vt.problem.names[i].split("_")[1] for i in alphas} == {"wide"}
-    assert vt.problem.is_binary[alphas].all()
+    # "wide" has seven uncertain substations, "narrow" two, "dry" none.
+    assert vt.stats["dispatch_scenarios"] == 0
+    assert vt.stats["table_scenarios"] == 3
+    assert vt.stats["table_entries"] == 2**7 + 4 + 1
+    assert vt.problem.n_binaries == vt.x_cols.size  # the first stage's only
 
 
 def test_tables_share_the_evaluators_dead_set_cache(star8):
@@ -107,6 +104,52 @@ def test_tables_share_the_evaluators_dead_set_cache(star8):
     assert len(evaluator._cache) == cached
 
 
+# The corridor's optimal plans and objectives at budgets 30, 45 and 60, as
+# the model with dispatch blocks for the scenarios of over six uncertain
+# substations solved them.
+CORRIDOR_OPTIMA = {
+    30: (2.8124375000000077, {
+        "C01": 1, "C02": 2, "C03": 1, "C04": 2, "C05": 1, "C06": 1, "C07": 1, "C08": 1, "C09": 1, "C10": 1,
+        "C11": 1, "C12": 1, "C13": 1, "C14": 1, "C15": 1, "C16": 1, "C17": 1, "I01": 1,
+    }),
+    45: (2.316781250000006, {
+        "C00": 1, "C01": 2, "C02": 2, "C03": 1, "C04": 2, "C05": 2, "C06": 1, "C07": 1, "C08": 1, "C09": 1,
+        "C10": 1, "C11": 2, "C12": 2, "C13": 1, "C14": 1, "C15": 1, "C16": 1, "C17": 1, "I01": 1, "I03": 1, "I07": 1,
+    }),
+    60: (1.9096250000000041, {
+        "C00": 1, "C01": 2, "C02": 2, "C03": 1, "C04": 2, "C05": 2, "C06": 2, "C07": 2, "C08": 2, "C09": 1,
+        "C10": 1, "C11": 2, "C12": 2, "C13": 1, "C14": 1, "C15": 2, "C16": 2, "C17": 1, "I01": 1, "I05": 1,
+        "I07": 1, "I10": 1,
+    }),
+}
+
+
+def test_corridor_tables_reach_the_pinned_optima(corridor_dir):
+    """The generated corridor, whose scenarios have up to 13 uncertain
+    substations, gets a table for every scenario; solved at budgets 30, 45
+    and 60 from one model with the greedy portfolio as warm starts, as
+    ``solve`` does, it reaches the pinned plans and objectives, and no LP
+    starts cold."""
+    from floodmit.grid_model import load_network
+    from floodmit.scenario_model import load_scenarios
+
+    net = load_network(corridor_dir / "network.json")
+    scen = load_scenarios(corridor_dir / "scenarios.json", network=net)
+    sched = CostSchedule.for_network(net)
+    evaluator = RecourseEvaluator(net, scen, W)
+    vt = value_table.build(sched, Budget(60), 3, evaluator)
+    assert vt.stats["dispatch_scenarios"] == 0
+    assert vt.stats["table_scenarios"] == len(scen.scenarios) == 32
+    assert vt.stats["table_entries"] == 22384
+    levels = heuristic.LevelMatrix(net, scen, sched, 3)
+    for budget, (objective, plan) in CORRIDOR_OPTIMA.items():
+        warm = heuristic.portfolio(Budget(budget), levels)
+        sol, got, _ = analysis.solve_instance(vt.with_budget(budget), warm, evaluator)
+        assert got.levels == plan, budget
+        assert sol.objective == pytest.approx(objective, abs=1e-9), budget
+        assert sol.counters.cold_starts == 0, budget
+
+
 def _reference_entries(network, scenario, r_hat):
     """A table's entry masks by enumeration over the scenario's levels: the
     uncertain substations in network order, and per entry m the substations
@@ -120,11 +163,10 @@ def _reference_entries(network, scenario, r_hat):
 
 
 def test_table_entries_are_the_survivor_subsets_of_each_scenario(monkeypatch):
-    """Building the tables requests, for each scenario with at most
-    ``MAX_TABLE_UNCERTAIN`` uncertain substations and in scenario order, the
-    outcome of every survivor subset of its uncertain set in mask order, and
-    nothing for the other scenarios; on random instances at two caps and on
-    the instance with a scenario over the table cap."""
+    """Building the tables requests, for each scenario in scenario order,
+    the outcome of every survivor subset of its uncertain set in mask order;
+    on random instances at two caps and on the instance with a scenario of
+    seven uncertain substations."""
     requests = []
     outcome = RecourseEvaluator.scenario_outcome
 
@@ -145,9 +187,7 @@ def test_table_entries_are_the_survivor_subsets_of_each_scenario(monkeypatch):
             vt = value_table.build(CostSchedule.for_network(net), Budget(0), r_hat, evaluator)
             expected = []
             for s, scenario in enumerate(scen.scenarios):
-                uncertain, entries = _reference_entries(net, scenario, r_hat)
-                if len(uncertain) <= value_table.MAX_TABLE_UNCERTAIN:
-                    expected += [(s, entry) for entry in entries]
+                expected += [(s, entry) for entry in _reference_entries(net, scenario, r_hat)[1]]
             assert requests == expected
             assert vt.stats["table_entries"] == len(expected)
 
@@ -195,13 +235,14 @@ def test_solve_envelope_reports_block_kinds(tmp_path):
 
 
 def _start_basis_instances():
-    """(name, network, scenarios) of the fixtures and of random instances,
-    all of whose scenarios get tables at r_hat 3."""
+    """(name, network, scenarios) of the fixtures, the instance with a
+    scenario of seven uncertain substations and random instances."""
     from floodmit.fixtures import make_fixture
 
     for name in ("tiny3", "star8", "ring12", "coastal40"):
         fx = make_fixture(name)
         yield name, fx.network, fx.scenarios
+    yield "mixed", *_mixed_instance()
     rng = np.random.default_rng(2468)
     for i in range(8):
         net = random_network(rng, n_subs=int(rng.integers(2, 6)))
@@ -296,19 +337,29 @@ def test_a_start_basis_neither_primal_nor_dual_feasible_starts_cold(star8):
     assert not solve_linear_program(workspace=ws, warm=ef.start_basis).cold_started
 
 
-def test_a_model_with_a_dispatch_block_keeps_the_cold_root():
-    """A scenario over the table cap keeps a dispatch block, so the model
-    has no start basis and the root of ``solve_instance`` starts cold; its
-    children start warm from their parents."""
+def test_a_model_over_the_table_limit_is_the_extensive_form_with_a_cold_root(monkeypatch):
+    """Tables over ``MAX_TABLE_ENTRIES`` in all make the model the extensive
+    form, chosen before any table entry is settled: every scenario has a
+    dispatch block, the model has no start basis, and the root of
+    ``solve_instance`` starts cold once; its children start warm from their
+    parents.  The optimum is the value-table model's."""
     net, scen = _mixed_instance()
     sched = CostSchedule.for_network(net)
+    tables = value_table.build(sched, Budget(5), 3, RecourseEvaluator(net, scen, W))
+    monkeypatch.setattr(value_table, "MAX_TABLE_ENTRIES", tables.stats["table_entries"] - 1)
     evaluator = RecourseEvaluator(net, scen, W)
     ef = value_table.build(sched, Budget(5), 3, evaluator)
-    assert ef.stats["dispatch_scenarios"] == 1 and ef.start_basis is None
+    assert evaluator.counters == RecourseCounters()
+    assert not evaluator._cache
+    assert ef.stats["table_scenarios"] == ef.stats["table_entries"] == 0
+    assert ef.stats["dispatch_scenarios"] == len(scen.scenarios)
+    assert ef.start_basis is None
+    assert ef.problem.names == extensive_form.build(net, scen, sched, Budget(5), 3, W).problem.names
     sol, _, _ = analysis.solve_instance(ef, [], evaluator)
     assert sol.nodes_explored > 1
     assert sol.counters.cold_starts == 1
     assert sol.counters.workspaces == 1
+    assert sol.objective == pytest.approx(_solve(tables).objective, abs=1e-9)
 
 
 def test_both_builders_assemble_the_same_first_stage_and_size_stats(tiny3):
